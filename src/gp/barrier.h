@@ -13,12 +13,15 @@
 // phase-II problem (log-sum-exp functions) and the phase-I feasibility
 // problem (log-sum-exp minus a slack variable) reuse the same machinery.
 // Line searches request value-only evaluations (EvalLevel::kValue), which
-// implementations should serve without computing derivatives.
+// implementations should serve without computing derivatives.  Callbacks
+// write into a solver-owned FnEval, so one solve reuses one set of buffers
+// across every Newton step and line-search probe.
 #pragma once
 
 #include <functional>
 #include <vector>
 
+#include "gp/terms.h"
 #include "linalg/matrix.h"
 #include "linalg/vector.h"
 
@@ -30,15 +33,17 @@ enum class EvalLevel {
   kFull,   ///< value, gradient and Hessian (Newton step assembly)
 };
 
-/// Value / gradient / Hessian bundle of a smooth scalar function.
-struct FnEval {
-  double value = 0.0;
-  linalg::Vector grad;
-  linalg::Matrix hess;  ///< filled only for EvalLevel::kFull
-};
+/// Value / gradient / Hessian bundle of a smooth scalar function.  It is the
+/// posynomial kernel's LogEval, so log-sum-exp callbacks evaluate straight
+/// into the solver's buffers.
+using FnEval = LogEval;
 
-/// Callback evaluating a smooth convex function at y.
-using SmoothFn = std::function<FnEval(const linalg::Vector& y, EvalLevel level)>;
+/// Callback evaluating a smooth convex function at y into `out`, which the
+/// solver owns and reuses between calls (so every field may hold a previous
+/// evaluation on entry).  kValue must set `out.value`; kFull must set
+/// `out.value`, `out.grad` (size n) and `out.hess` (n × n).
+using SmoothFn =
+    std::function<void(const linalg::Vector& y, EvalLevel level, FnEval& out)>;
 
 struct BarrierOptions {
   double t0 = 8.0;              ///< initial barrier weight

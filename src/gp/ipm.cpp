@@ -43,47 +43,31 @@ std::vector<double> to_positive_point(const linalg::Vector& y) {
 }
 
 /// Full first/second-order picture of the log-space program at one iterate.
+/// One Eval lives for the whole solve; evaluate() refills its buffers.
 struct Eval {
-  double f0 = 0.0;
-  linalg::Vector g0;
-  linalg::Matrix h0;
-  std::vector<double> f;         ///< Fi(y)
-  std::vector<linalg::Vector> g; ///< ∇Fi(y)
-  std::vector<linalg::Matrix> h; ///< ∇²Fi(y)
+  LogEval obj;                ///< F0(y) with gradient and Hessian
+  std::vector<LogEval> cons;  ///< Fi(y) with gradients and Hessians
 
   bool finite(std::size_t n) const {
-    if (!std::isfinite(f0) || !g0.all_finite()) return false;
-    for (double v : f) {
-      if (!std::isfinite(v)) return false;
+    if (!std::isfinite(obj.value) || !obj.grad.all_finite()) return false;
+    for (const auto& c : cons) {
+      if (!std::isfinite(c.value) || !c.grad.all_finite()) return false;
     }
-    for (const auto& gi : g) {
-      if (!gi.all_finite()) return false;
-    }
-    for (std::size_t r = 0; r < n; ++r) {
-      for (std::size_t c = 0; c < n; ++c) {
-        if (!std::isfinite(h0(r, c))) return false;
-      }
+    const double* h0 = obj.hess.raw();
+    for (std::size_t i = 0; i < n * n; ++i) {
+      if (!std::isfinite(h0[i])) return false;
     }
     return true;
   }
 };
 
-Eval evaluate(const GpProblem& problem, const linalg::Vector& y) {
-  Eval e;
-  LogEval obj = problem.objective().log_eval(y, /*need_hess=*/true);
-  e.f0 = obj.value;
-  e.g0 = std::move(obj.grad);
-  e.h0 = std::move(obj.hess);
-  e.f.reserve(problem.constraints().size());
-  e.g.reserve(problem.constraints().size());
-  e.h.reserve(problem.constraints().size());
-  for (const auto& c : problem.constraints()) {
-    LogEval le = c.log_eval(y, /*need_hess=*/true);
-    e.f.push_back(le.value);
-    e.g.push_back(std::move(le.grad));
-    e.h.push_back(std::move(le.hess));
+void evaluate(const GpProblem& problem, const linalg::Vector& y, Eval& e) {
+  problem.objective().log_eval_into(y, /*need_hess=*/true, e.obj);
+  const auto& constraints = problem.constraints();
+  e.cons.resize(constraints.size());
+  for (std::size_t i = 0; i < constraints.size(); ++i) {
+    constraints[i].log_eval_into(y, /*need_hess=*/true, e.cons[i]);
   }
-  return e;
 }
 
 /// IPOPT-style scaled KKT errors at (y, s, λ).
@@ -97,19 +81,19 @@ struct Residuals {
 
 Residuals compute_residuals(const Eval& e, const linalg::Vector& s,
                             const linalg::Vector& lam, double mu) {
-  const std::size_t n = e.g0.size();
-  const std::size_t m = e.f.size();
+  const std::size_t n = e.obj.grad.size();
+  const std::size_t m = e.cons.size();
   Residuals r;
-  linalg::Vector rd = e.g0;
+  linalg::Vector rd = e.obj.grad;
   double lam_l1 = 0.0;
   r.worst = -std::numeric_limits<double>::infinity();
   for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t j = 0; j < n; ++j) rd[j] += lam[i] * e.g[i][j];
+    for (std::size_t j = 0; j < n; ++j) rd[j] += lam[i] * e.cons[i].grad[j];
     lam_l1 += lam[i];
-    const double rp = e.f[i] + s[i];
+    const double rp = e.cons[i].value + s[i];
     r.theta += std::fabs(rp);
     r.primal_inf = std::fmax(r.primal_inf, std::fabs(rp));
-    r.worst = std::fmax(r.worst, e.f[i]);
+    r.worst = std::fmax(r.worst, e.cons[i].value);
     const double comp = s[i] * lam[i];
     r.e0 = std::fmax(r.e0, comp);
     r.e_mu = std::fmax(r.e_mu, std::fabs(comp - mu));
@@ -154,17 +138,12 @@ SolveResult solve_unconstrained(const GpProblem& problem, const linalg::Vector& 
   SolveResult result;
   try {
     const Posynomial& objective = problem.objective();
-    const SmoothFn f0 = [&objective](const linalg::Vector& y, EvalLevel level) {
-      FnEval out;
+    const SmoothFn f0 = [&objective](const linalg::Vector& y, EvalLevel level, FnEval& out) {
       if (level == EvalLevel::kValue) {
         out.value = objective.log_value(y);
-        return out;
+      } else {
+        objective.log_eval_into(y, /*need_hess=*/true, out);
       }
-      LogEval le = objective.log_eval(y, /*need_hess=*/true);
-      out.value = le.value;
-      out.grad = std::move(le.grad);
-      out.hess = std::move(le.hess);
-      return out;
     };
     BarrierOptions bopts;
     bopts.newton_tol = options.tol;
@@ -245,19 +224,21 @@ SolveResult ipm_solve(const GpProblem& problem,
 
   linalg::SpdWorkspace ws;
   linalg::Matrix newton(n, n);
-  linalg::Vector rhs(n), dy(n), ds(m), dlam(m);
+  linalg::Vector rhs(n), rd(n), dy(n), ds(m), dlam(m);
+  linalg::Vector y_trial(n), s_trial(m);
   double delta_last = 0.0;
   constexpr double kSigma = 1e10;  // multiplier safeguard corridor
 
+  Eval e;
   for (int iter = 0; iter < options.max_iterations; ++iter) {
-    const Eval e = evaluate(problem, y);
+    evaluate(problem, y, e);
     if (!e.finite(n)) {
       result.status = SolveStatus::kError;
       result.message = "ipm: non-finite evaluation at iteration " + std::to_string(iter);
       result.newton_steps = iter;
       return result;
     }
-    if (e.f0 < options.unbounded_below || y.norm_inf() > options.diverged_log) {
+    if (e.obj.value < options.unbounded_below || y.norm_inf() > options.diverged_log) {
       result.status = SolveStatus::kUnbounded;
       result.message = "ipm: objective diverged towards -inf (log-space iterate escaped)";
       result.newton_steps = iter;
@@ -290,19 +271,19 @@ SolveResult ipm_solve(const GpProblem& problem,
     // Condensed primal-dual Newton system (W + JᵀDJ + δI) Δy = rhs with
     // D = diag(λ/s); Δs and Δλ recovered by back-substitution below.
     newton.assign(n, n);
-    newton += e.h0;
+    newton += e.obj.hess;
     rhs.assign(n);
-    linalg::Vector rd = e.g0;
+    rd = e.obj.grad;
     for (std::size_t i = 0; i < m; ++i) {
-      for (std::size_t j = 0; j < n; ++j) rd[j] += lam[i] * e.g[i][j];
+      for (std::size_t j = 0; j < n; ++j) rd[j] += lam[i] * e.cons[i].grad[j];
     }
     for (std::size_t j = 0; j < n; ++j) rhs[j] = -rd[j];
     for (std::size_t i = 0; i < m; ++i) {
-      newton.add_scaled(e.h[i], lam[i]);
-      newton.add_outer(e.g[i], lam[i] / s[i]);
-      const double rp = e.f[i] + s[i];
+      newton.add_scaled(e.cons[i].hess, lam[i]);
+      newton.add_outer(e.cons[i].grad, lam[i] / s[i]);
+      const double rp = e.cons[i].value + s[i];
       const double w = mu / s[i] - lam[i] + (lam[i] / s[i]) * rp;
-      for (std::size_t j = 0; j < n; ++j) rhs[j] -= w * e.g[i][j];
+      for (std::size_t j = 0; j < n; ++j) rhs[j] -= w * e.cons[i].grad[j];
     }
 
     // Inertia correction: grow a diagonal shift δ until the condensed matrix
@@ -333,8 +314,8 @@ SolveResult ipm_solve(const GpProblem& problem,
     linalg::cholesky_solve_into(ws.l, rhs, ws.y, ws.x);
     dy = ws.x;
     for (std::size_t i = 0; i < m; ++i) {
-      const double rp = e.f[i] + s[i];
-      const double jdy = dot(e.g[i], dy);
+      const double rp = e.cons[i].value + s[i];
+      const double jdy = dot(e.cons[i].grad, dy);
       ds[i] = -rp - jdy;
       dlam[i] = mu / s[i] - lam[i] + (lam[i] / s[i]) * (rp + jdy);
     }
@@ -350,8 +331,8 @@ SolveResult ipm_solve(const GpProblem& problem,
     // Filter line search on (θ, φ): accept a trial that improves feasibility
     // or the barrier objective past every filter entry and the current pair,
     // or that satisfies Armijo on φ along a descent direction.
-    double phi_k = e.f0;
-    double dphi = dot(e.g0, dy);
+    double phi_k = e.obj.value;
+    double dphi = dot(e.obj.grad, dy);
     for (std::size_t i = 0; i < m; ++i) {
       phi_k -= mu * std::log(s[i]);
       dphi -= (mu / s[i]) * ds[i];
@@ -362,10 +343,9 @@ SolveResult ipm_solve(const GpProblem& problem,
     bool accepted = false;
     bool f_type = false;
     Merit trial;
-    linalg::Vector y_trial(n), s_trial(m);
     for (int bt = 0; bt < options.max_backtracks; ++bt, alpha *= 0.5) {
-      y_trial = y + alpha * dy;
-      s_trial = s + alpha * ds;
+      for (std::size_t j = 0; j < n; ++j) y_trial[j] = y[j] + alpha * dy[j];
+      for (std::size_t i = 0; i < m; ++i) s_trial[i] = s[i] + alpha * ds[i];
       trial = trial_merit(problem, y_trial, s_trial, mu);
       if (!trial.finite || trial.theta > theta_max) continue;
       bool filter_ok = true;
@@ -426,7 +406,7 @@ SolveResult ipm_solve(const GpProblem& problem,
 
   // Budget exhausted: classify the final iterate the same way the stall path
   // does so callers always get a verdict plus diagnostics.
-  const Eval e = evaluate(problem, y);
+  evaluate(problem, y, e);
   const Residuals res = compute_residuals(e, s, lam, mu);
   result.kkt_residual = res.e0;
   result.newton_steps = options.max_iterations;

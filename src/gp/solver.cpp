@@ -21,17 +21,12 @@ std::string format_diag(double v) {
 
 /// Wraps a posynomial's log-space image as a SmoothFn.
 SmoothFn make_log_fn(const Posynomial& p) {
-  return [&p](const linalg::Vector& y, EvalLevel level) {
-    FnEval out;
+  return [&p](const linalg::Vector& y, EvalLevel level, FnEval& out) {
     if (level == EvalLevel::kValue) {
       out.value = p.log_value(y);
-      return out;
+    } else {
+      p.log_eval_into(y, /*need_hess=*/true, out);
     }
-    LogEval le = p.log_eval(y, /*need_hess=*/true);
-    out.value = le.value;
-    out.grad = std::move(le.grad);
-    out.hess = std::move(le.hess);
-    return out;
   };
 }
 
@@ -82,38 +77,42 @@ Phase1Outcome run_phase1(const GpProblem& problem, const linalg::Vector& y_start
   const std::size_t ext = n + 1;  // extra slack variable s at index n
 
   // Objective: s (linear).
-  SmoothFn obj = [ext, n](const linalg::Vector& z, EvalLevel level) {
-    FnEval out;
+  SmoothFn obj = [ext, n](const linalg::Vector& z, EvalLevel level, FnEval& out) {
     out.value = z[n];
     if (level == EvalLevel::kFull) {
-      out.grad = linalg::Vector(ext);
+      out.grad.assign(ext);
       out.grad[n] = 1.0;
-      out.hess = linalg::Matrix(ext, ext);
+      out.hess.assign(ext, ext);
     }
-    return out;
   };
 
+  // The constraints share one scratch for the y-part of z and its
+  // log-space evaluation (the barrier calls them one at a time).
+  struct Scratch {
+    linalg::Vector y;
+    LogEval le;
+  } scratch;
   std::vector<SmoothFn> cons;
   cons.reserve(problem.constraints().size());
   for (const auto& c : problem.constraints()) {
-    cons.push_back([&c, n, ext](const linalg::Vector& z, EvalLevel level) {
-      linalg::Vector y(n);
-      for (std::size_t i = 0; i < n; ++i) y[i] = z[i];
-      FnEval out;
+    cons.push_back([&c, &scratch, n, ext](const linalg::Vector& z, EvalLevel level,
+                                          FnEval& out) {
+      scratch.y.assign(n);
+      for (std::size_t i = 0; i < n; ++i) scratch.y[i] = z[i];
       if (level == EvalLevel::kValue) {
-        out.value = c.log_value(y) - z[n];
-        return out;
+        out.value = c.log_value(scratch.y) - z[n];
+        return;
       }
-      const LogEval le = c.log_eval(y, /*need_hess=*/true);
+      c.log_eval_into(scratch.y, /*need_hess=*/true, scratch.le);
+      const LogEval& le = scratch.le;
       out.value = le.value - z[n];
-      out.grad = linalg::Vector(ext);
+      out.grad.assign(ext);
       for (std::size_t i = 0; i < n; ++i) out.grad[i] = le.grad[i];
       out.grad[n] = -1.0;
-      out.hess = linalg::Matrix(ext, ext);
+      out.hess.assign(ext, ext);
       for (std::size_t i = 0; i < n; ++i) {
         for (std::size_t j = 0; j < n; ++j) out.hess(i, j) = le.hess(i, j);
       }
-      return out;
     });
   }
 

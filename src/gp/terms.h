@@ -9,6 +9,13 @@
 //
 // This mirrors what GPkit [20] does symbolically in Python; exponents are
 // stored densely because HYDRA's programs have at most a few dozen variables.
+//
+// The log-space evaluations are the solvers' inner loop, so they run as an
+// allocation-free kernel: each monomial caches log(c), `log_eval_into` reuses
+// the caller's buffers and evaluates every term once, and single-term
+// posynomials skip exp/log and the Hessian.  None of this changes a result
+// bit — see docs/architecture.md, "Solver-level reuse", for the exactness
+// rule the kernel follows.
 #pragma once
 
 #include <cstddef>
@@ -34,14 +41,26 @@ class Monomial {
   Monomial& with(VarId v, double exponent);
 
   double coeff() const { return coeff_; }
+  /// std::log(coeff()), cached wherever the coefficient is set.
+  double log_coeff() const { return log_coeff_; }
   std::size_t num_vars() const { return exponents_.size(); }
   double exponent(VarId v) const;
+  const std::vector<double>& exponents() const { return exponents_; }
 
   /// Value in the original (positive-orthant) domain.
   double eval(const std::vector<double>& x) const;
 
   /// log of the monomial at log-point y:  aᵀy + log c.
   double log_eval(const linalg::Vector& y) const;
+
+  /// log_eval without the size check: `y` must hold num_vars() entries.
+  /// Same expression and order (log c first, then a_i·y_i for i = 0..n-1).
+  double log_eval_unchecked(const double* y) const {
+    double acc = log_coeff_;
+    const double* a = exponents_.data();
+    for (std::size_t i = 0; i < exponents_.size(); ++i) acc += a[i] * y[i];
+    return acc;
+  }
 
   /// Product of two monomials (exponents add, coefficients multiply).
   friend Monomial operator*(const Monomial& a, const Monomial& b);
@@ -54,15 +73,20 @@ class Monomial {
 
  private:
   double coeff_;
+  double log_coeff_;
   std::vector<double> exponents_;
 };
 
-/// Evaluation bundle for the log-space image of a posynomial.
+/// Evaluation bundle for the log-space image of a posynomial.  A caller that
+/// evaluates repeatedly keeps one of these and passes it to
+/// Posynomial::log_eval_into, which reshapes the buffers in place instead of
+/// allocating.  The barrier solver uses the same bundle as its FnEval.
 struct LogEval {
   double value = 0.0;      ///< F(y) = log Σ exp(a_kᵀ y + b_k)
   linalg::Vector grad;     ///< ∇F(y)
-  linalg::Matrix hess;     ///< ∇²F(y); filled only when requested
+  linalg::Matrix hess;     ///< ∇²F(y); meaningful only when has_hess
   bool has_hess = false;
+  std::vector<double> weights;  ///< per-term scratch (softmax weights)
 };
 
 class Posynomial {
@@ -85,17 +109,28 @@ class Posynomial {
 
   /// Log-space value, gradient and (optionally) Hessian at y.
   /// Uses the max-shifted softmax formulation for numerical stability.
+  /// A thin wrapper over log_eval_into with a fresh bundle.
   LogEval log_eval(const linalg::Vector& y, bool need_hess) const;
 
-  /// Value-only fast path of log_eval — no gradient, no allocations beyond
-  /// the per-term scratch.  Used by the solver's line searches, which only
-  /// test feasibility and descent.
+  /// log_eval into caller-owned buffers: `out.grad` (and `out.hess` when
+  /// need_hess) are reshaped in place, every term is evaluated once, and
+  /// `out.has_hess` reports whether the Hessian was written.  Bit-identical
+  /// to the reference formulation for every input.
+  void log_eval_into(const linalg::Vector& y, bool need_hess, LogEval& out) const;
+
+  /// Value-only fast path of log_eval — no gradient, each term evaluated
+  /// once into thread-local scratch.  Used by the solver's line searches,
+  /// which only test feasibility and descent.
   double log_value(const linalg::Vector& y) const;
 
   /// Multiplies every term by a monomial (posynomial × monomial is closed).
   Posynomial times(const Monomial& m) const;
 
  private:
+  /// Shared first half of the log-sum-exp: writes w_t = exp(u_t − u_max) for
+  /// every term into `w`, sets `u_max`, returns Σ w_t (summed in term order).
+  double shifted_weights(const double* y, double* w, double& u_max) const;
+
   std::size_t num_vars_;
   std::vector<Monomial> terms_;
 };

@@ -32,7 +32,7 @@ Vector solve_spd(const Matrix& a, const Vector& b);
 /// allocating a fresh Matrix/Vector quartet per call.  The buffers are
 /// resized on demand, so one workspace serves systems of any (varying) size.
 struct SpdWorkspace {
-  Matrix work;  ///< regularized copy of A
+  Matrix work;  ///< regularized copy of A (shifted retries only)
   Matrix l;     ///< Cholesky factor
   Vector y;     ///< forward-substitution intermediate
   Vector x;     ///< solution (referenced by solve_spd_into's return)

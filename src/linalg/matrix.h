@@ -1,6 +1,7 @@
 // Small dense row-major matrix for the geometric-programming solver.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <vector>
 
@@ -30,8 +31,17 @@ class Matrix {
   void assign(std::size_t rows, std::size_t cols, double value = 0.0) {
     rows_ = rows;
     cols_ = cols;
-    data_.assign(rows * cols, value);
+    if (rows * cols == data_.size()) {
+      std::fill(data_.begin(), data_.end(), value);  // the common, inlined case
+    } else {
+      data_.assign(rows * cols, value);
+    }
   }
+
+  /// Unchecked row-major storage for hot loops that validated the shape once
+  /// at entry; entry (r, c) lives at raw()[r * cols() + c].
+  double* raw() { return data_.data(); }
+  const double* raw() const { return data_.data(); }
 
   double& operator()(std::size_t r, std::size_t c) {
     HYDRA_REQUIRE(r < rows_ && c < cols_, "matrix index out of range");
@@ -73,10 +83,17 @@ class Matrix {
   /// Rank-1 update: this += scale * v * v^T (used to assemble Hessians).
   void add_outer(const Vector& v, double scale) {
     HYDRA_REQUIRE(rows_ == cols_ && rows_ == v.size(), "outer-product size mismatch");
-    for (std::size_t r = 0; r < rows_; ++r) {
+    add_outer(v.raw(), scale);
+  }
+
+  /// Unchecked rank-1 update: `v` must hold rows() entries and the matrix
+  /// must be square.  Rows whose scaled entry is zero are skipped.
+  void add_outer(const double* v, double scale) {
+    double* row = data_.data();
+    for (std::size_t r = 0; r < rows_; ++r, row += cols_) {
       const double vr = scale * v[r];
       if (vr == 0.0) continue;
-      for (std::size_t c = 0; c < cols_; ++c) data_[r * cols_ + c] += vr * v[c];
+      for (std::size_t c = 0; c < cols_; ++c) row[c] += vr * v[c];
     }
   }
 

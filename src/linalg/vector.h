@@ -3,9 +3,11 @@
 // Deliberately minimal: the GP instances this library solves have at most a
 // few dozen variables (one period per security task), so a simple
 // std::vector<double>-backed type with checked indexing is the right tool —
-// no expression templates, no BLAS.
+// no expression templates, no BLAS.  Hot loops check sizes once at entry and
+// then walk `raw()` pointers.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <initializer_list>
@@ -26,7 +28,13 @@ class Vector {
 
   /// Resizes to n entries all set to `value`, reusing the existing allocation
   /// when capacity allows — the reset path for caller-owned scratch buffers.
-  void assign(std::size_t n, double value = 0.0) { data_.assign(n, value); }
+  void assign(std::size_t n, double value = 0.0) {
+    if (n == data_.size()) {
+      std::fill(data_.begin(), data_.end(), value);  // the common, inlined case
+    } else {
+      data_.assign(n, value);
+    }
+  }
 
   double& operator[](std::size_t i) {
     HYDRA_REQUIRE(i < data_.size(), "vector index out of range");
@@ -38,6 +46,12 @@ class Vector {
   }
 
   const std::vector<double>& data() const { return data_; }
+
+  /// Unchecked element pointers for hot loops that validated sizes once at
+  /// entry (the GP evaluation kernel, Cholesky); everything else indexes
+  /// through the checked operator[].
+  double* raw() { return data_.data(); }
+  const double* raw() const { return data_.data(); }
 
   Vector& operator+=(const Vector& rhs) {
     HYDRA_REQUIRE(rhs.size() == size(), "vector size mismatch");

@@ -9,12 +9,23 @@
 // explicit lower-bound constraint that no in-box point can satisfy (the
 // GpProblem::add_bounds contract rejects lo > hi, so the contradiction must
 // be expressed as a plain `c/x <= 1` constraint).
+//
+// The corpus helpers at the end give the solver suites the production GP
+// shape: each committed corpus workload under its first-fit assignment.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
+#include <exception>
+#include <filesystem>
+#include <optional>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "core/instance.h"
+#include "core/period_adapt.h"
 #include "gp/problem.h"
 #include "util/rng.h"
 
@@ -108,6 +119,44 @@ inline RandomGp make_infeasible_gp(util::Xoshiro256& rng, const RandomGpOptions&
   contradiction += p.monomial(40.0 * out.witness[0]).with(0, -1.0);
   p.add_constraint_leq1(contradiction, "contradiction");
   out.feasible_by_construction = false;
+  return out;
+}
+
+/// Corpus workload files in `dir` (taskset/workload extensions), sorted so
+/// every suite walks them in the same order.
+inline std::vector<std::filesystem::path> corpus_workloads(const std::string& dir) {
+  const std::set<std::string> extensions{".txt", ".workload", ".taskset"};
+  std::vector<std::filesystem::path> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (!entry.is_regular_file()) continue;
+    if (extensions.count(entry.path().extension().string()) == 0) continue;
+    files.push_back(entry.path());
+  }
+  std::sort(files.begin(), files.end());
+  return files;
+}
+
+/// A corpus instance with its first-fit assignment: the input of the
+/// joint-period GP (core::make_joint_period_gp / optimize_joint_periods).
+struct CorpusAssignment {
+  core::Instance instance;
+  core::Allocation alloc;
+  std::vector<std::size_t> core_of;  ///< core of each security task
+};
+
+/// First-fit assignment of `instance`, or nullopt when the workload has no GP
+/// stage (no security tasks, or no feasible allocation to optimize over).
+inline std::optional<CorpusAssignment> corpus_first_fit(core::Instance instance) {
+  if (instance.security_tasks.empty()) return std::nullopt;
+  CorpusAssignment out;
+  try {
+    out.alloc = core::PeriodAdaptAllocator().allocate(instance);
+  } catch (const std::exception&) {
+    return std::nullopt;
+  }
+  if (!out.alloc.feasible) return std::nullopt;
+  for (const auto& placement : out.alloc.placements) out.core_of.push_back(placement.core);
+  out.instance = std::move(instance);
   return out;
 }
 

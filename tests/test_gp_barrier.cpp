@@ -14,9 +14,9 @@ namespace {
 
 /// f(y) = Σ (y_i − c_i)² — smooth, strongly convex, minimum at c.
 gp::SmoothFn quadratic(std::vector<double> center) {
-  return [center](const la::Vector& y, gp::EvalLevel level) {
-    gp::FnEval out;
+  return [center](const la::Vector& y, gp::EvalLevel level, gp::FnEval& out) {
     const std::size_t n = y.size();
+    out.value = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
       const double d = y[i] - center[i];
       out.value += d * d;
@@ -29,14 +29,12 @@ gp::SmoothFn quadratic(std::vector<double> center) {
         out.hess(i, i) = 2.0;
       }
     }
-    return out;
   };
 }
 
 /// Linear constraint a·y + b < 0.
 gp::SmoothFn halfspace(std::vector<double> a, double b) {
-  return [a, b](const la::Vector& y, gp::EvalLevel level) {
-    gp::FnEval out;
+  return [a, b](const la::Vector& y, gp::EvalLevel level, gp::FnEval& out) {
     out.value = b;
     for (std::size_t i = 0; i < y.size(); ++i) out.value += a[i] * y[i];
     if (level == gp::EvalLevel::kFull) {
@@ -44,7 +42,6 @@ gp::SmoothFn halfspace(std::vector<double> a, double b) {
       for (std::size_t i = 0; i < y.size(); ++i) out.grad[i] = a[i];
       out.hess = la::Matrix(y.size(), y.size());
     }
-    return out;
   };
 }
 
@@ -117,8 +114,7 @@ TEST(Barrier, ValueLevelNeverAsksForDerivatives) {
   // callback that *counts* full evaluations shows line searches stay cheap.
   int full_evals = 0;
   int value_evals = 0;
-  const auto counting = [&](const la::Vector& y, gp::EvalLevel level) {
-    gp::FnEval out;
+  const auto counting = [&](const la::Vector& y, gp::EvalLevel level, gp::FnEval& out) {
     const double d = y[0] - 2.0;
     out.value = d * d;
     if (level == gp::EvalLevel::kFull) {
@@ -130,7 +126,6 @@ TEST(Barrier, ValueLevelNeverAsksForDerivatives) {
     } else {
       ++value_evals;
     }
-    return out;
   };
   la::Vector y0(1);
   const auto r = gp::barrier_minimize(counting, {}, y0);

@@ -19,13 +19,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <filesystem>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "core/joint_period.h"
-#include "core/period_adapt.h"
 #include "gp/solver_registry.h"
 #include "gp_testlib.h"
 #include "io/taskset_io.h"
@@ -109,36 +106,13 @@ void check_differential(const gp::GpProblem& problem, const std::string& context
   }
 }
 
-/// Corpus workload files, in sorted order for determinism.
-std::vector<std::filesystem::path> corpus_workloads() {
-  const std::set<std::string> extensions{".txt", ".workload", ".taskset"};
-  std::vector<std::filesystem::path> files;
-  for (const auto& entry : std::filesystem::directory_iterator(kCorpusDir)) {
-    if (!entry.is_regular_file()) continue;
-    if (extensions.count(entry.path().extension().string()) == 0) continue;
-    if (entry.path().filename() == "README.md") continue;
-    files.push_back(entry.path());
-  }
-  std::sort(files.begin(), files.end());
-  return files;
-}
-
 /// Joint-period GP for a corpus instance under its first-fit allocation, or
-/// nullopt when the workload has no GP stage (no security tasks, or no
-/// feasible allocation to optimize over).
+/// nullopt when the workload has no GP stage.
 std::optional<gp::GpProblem> corpus_gp(const core::Instance& instance) {
-  if (instance.security_tasks.empty()) return std::nullopt;
-  const core::PeriodAdaptAllocator first_fit;
-  core::Allocation alloc;
-  try {
-    alloc = first_fit.allocate(instance);
-  } catch (const std::exception&) {
-    return std::nullopt;
-  }
-  if (!alloc.feasible) return std::nullopt;
-  std::vector<std::size_t> core_of(alloc.placements.size());
-  for (std::size_t s = 0; s < core_of.size(); ++s) core_of[s] = alloc.placements[s].core;
-  return core::make_joint_period_gp(instance, alloc.rt_partition, core_of);
+  const auto assignment = testlib::corpus_first_fit(instance);
+  if (!assignment.has_value()) return std::nullopt;
+  return core::make_joint_period_gp(assignment->instance, assignment->alloc.rt_partition,
+                                    assignment->core_of);
 }
 
 /// The gp_tinybox degenerate shape: a box of width 2e-10 around 2.0.  Phase I
@@ -160,7 +134,7 @@ gp::GpProblem tinybox_problem() {
 // --- 1. Corpus workloads -----------------------------------------------------
 
 TEST(GpDifferential, CorpusJointPeriodGpsAgree) {
-  const auto files = corpus_workloads();
+  const auto files = testlib::corpus_workloads(kCorpusDir);
   ASSERT_GE(files.size(), 10u) << "corpus shrank under " << kCorpusDir;
   std::size_t gp_count = 0;
   for (const auto& file : files) {
