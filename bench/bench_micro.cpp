@@ -1,8 +1,8 @@
 // Micro-benchmarks (google-benchmark): the building blocks whose cost decides
 // whether HYDRA-style design-space exploration is interactive — exact RTA,
 // Randfixedsum draws, the one-variable GP solve vs its closed form, full
-// HYDRA and SingleCore allocations, the exhaustive optimal search, and the
-// discrete-event simulator.
+// HYDRA and SingleCore allocations, the exhaustive optimal search, the
+// discrete-event simulator, and a whole sweep batch.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -12,7 +12,7 @@
 #include "core/optimal.h"
 #include "core/period_adaptation.h"
 #include "core/single_core.h"
-#include "exp/engine.h"
+#include "exp/sweep.h"
 #include "gen/randfixedsum.h"
 #include "gen/synthetic.h"
 #include "gen/uav.h"
@@ -167,8 +167,9 @@ static void BM_GpSolveBackend(benchmark::State& state, const std::string& backen
   const std::vector<std::size_t> core_of(instance.security_tasks.size(), 0);
   const hydra::gp::GpProblem problem =
       core::make_joint_period_gp(instance, partition, core_of);
+  const auto solver = hydra::gp::SolverRegistry::global().make(backend);
   for (auto _ : state) {
-    const auto result = hydra::gp::solve_with_backend(problem, std::nullopt, backend);
+    const auto result = solver->solve(problem);
     if (!result.ok()) {
       state.SkipWithError(("backend " + backend + " failed: " + result.message).c_str());
       return;
@@ -211,37 +212,37 @@ static void BM_SimulateUavSecond(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulateUavSecond)->Unit(benchmark::kMicrosecond);
 
-static void BM_ExplorationEngineBatch(benchmark::State& state) {
-  // A 100-instance synthetic sweep (M = 4, mid utilization) through the batch
-  // engine, Arg = worker threads.  Results are identical for every thread
-  // count (tested); this benchmark measures the wall-clock scaling, so the
-  // jobs=8 row against jobs=1 is the engine's parallel speedup.
-  hydra::exp::BatchSpec spec;
-  spec.count = 100;
-  spec.synthetic.num_cores = 4;
-  spec.total_utilization = 2.0;
+static void BM_SweepBatch(benchmark::State& state) {
+  // One synthetic point of 100 instances (M = 4, mid utilization) through
+  // exp::Sweep, the path every figure bench runs; Arg = worker threads.  Rows
+  // are identical for every thread count (tested); this benchmark measures
+  // the wall-clock scaling, so the jobs=8 row against jobs=1 is the sweep's
+  // parallel speedup.
+  hydra::exp::SweepSpec spec;
+  spec.schemes = {"hydra", "single-core"};
+  gen::SyntheticConfig config;
+  config.num_cores = 4;
+  spec.add_utilization_grid(config, {2.0});
+  spec.replications = 100;
   spec.base_seed = 9;
-
-  hydra::exp::EngineOptions options;
-  options.schemes = {"hydra", "single-core"};
-  options.jobs = static_cast<std::size_t>(state.range(0));
-  const hydra::exp::ExplorationEngine engine(options);
+  spec.jobs = static_cast<std::size_t>(state.range(0));
+  const std::size_t rows_per_run = spec.replications * spec.schemes.size();
+  const hydra::exp::Sweep sweep(std::move(spec));
 
   std::size_t feasible = 0;
   for (auto _ : state) {
-    const auto summary = engine.run(spec);
+    const auto summary = sweep.run();
     feasible += summary.feasible;
     benchmark::DoNotOptimize(feasible);
   }
   state.counters["feasible"] =
       static_cast<double>(feasible) / static_cast<double>(state.iterations());
-  // One item = one (instance, scheme) cell, so items_per_second is the
-  // engine's cell throughput — the unit hydra_bench_diff tracks across
+  // One item = one (instance, scheme) row, so items_per_second is the
+  // sweep's cell throughput — the unit hydra_bench_diff tracks across
   // thread counts and baselines.
-  state.SetItemsProcessed(static_cast<std::int64_t>(
-      state.iterations() * spec.count * options.schemes.size()));
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * rows_per_run));
 }
-BENCHMARK(BM_ExplorationEngineBatch)
+BENCHMARK(BM_SweepBatch)
     ->Arg(1)
     ->Arg(2)
     ->Arg(4)

@@ -18,10 +18,9 @@
 // markdown scheme catalog and exits; --catalog-out writes it to a file — the
 // committed docs/scheme-catalog.md is generated this way and kept in sync by
 // the test_scheme_catalog ctest suite.  --solver-catalog-md/--solver-catalog-out
-// do the same for the GP solver registry (docs/solver-catalog.md,
-// test_solver_catalog), and --controller-catalog-md/--controller-catalog-out
-// for the runtime controller-policy registry (docs/controller-catalog.md,
-// test_controller_catalog).
+// do the same for the GP solver registry (docs/solver-catalog.md), and
+// --controller-catalog-md/--controller-catalog-out for the runtime
+// controller-policy registry (docs/controller-catalog.md).
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -42,63 +41,40 @@ namespace hexp = hydra::exp;
 int main(int argc, char** argv) {
   const hydra::util::CliParser cli(argc, argv);
 
-  const std::string catalog =
-      hydra::core::scheme_catalog_markdown(hydra::core::AllocatorRegistry::global());
-  if (cli.has("catalog-out")) {
-    const std::string path = cli.get_string("catalog-out", "");
-    std::ofstream out(path);
-    if (!out) {
-      std::cerr << "cannot open " << path << " for writing\n";
-      return 2;
+  // --<prefix>catalog-md prints a registry catalog; --<prefix>catalog-out
+  // writes it to a file.
+  struct Catalog {
+    std::string prefix;
+    const char* kind;
+    std::string markdown;
+  };
+  const Catalog catalogs[] = {
+      {"", "scheme",
+       hydra::util::catalog_markdown(hydra::core::AllocatorRegistry::global(),
+                                     hydra::core::kSchemeCatalogPreamble)},
+      {"solver-", "solver",
+       hydra::util::catalog_markdown(hydra::gp::SolverRegistry::global(),
+                                     hydra::gp::kSolverCatalogPreamble)},
+      {"controller-", "controller",
+       hydra::util::catalog_markdown(hydra::sim::ControllerRegistry::global(),
+                                     hydra::sim::kControllerCatalogPreamble)},
+  };
+  for (const auto& catalog : catalogs) {
+    if (cli.has(catalog.prefix + "catalog-out")) {
+      const std::string path = cli.get_string(catalog.prefix + "catalog-out", "");
+      std::ofstream out(path);
+      if (!out) {
+        std::cerr << "cannot open " << path << " for writing\n";
+        return 2;
+      }
+      out << catalog.markdown;
+      std::cout << "wrote " << catalog.kind << " catalog to " << path << "\n";
+      return 0;
     }
-    out << catalog;
-    std::cout << "wrote scheme catalog (" << hydra::core::AllocatorRegistry::global()
-                                                 .names()
-                                                 .size()
-              << " schemes) to " << path << "\n";
-    return 0;
-  }
-  if (cli.get_bool("catalog-md", false)) {
-    std::cout << catalog;
-    return 0;
-  }
-  const std::string solver_catalog =
-      hydra::gp::solver_catalog_markdown(hydra::gp::SolverRegistry::global());
-  if (cli.has("solver-catalog-out")) {
-    const std::string path = cli.get_string("solver-catalog-out", "");
-    std::ofstream out(path);
-    if (!out) {
-      std::cerr << "cannot open " << path << " for writing\n";
-      return 2;
+    if (cli.get_bool(catalog.prefix + "catalog-md", false)) {
+      std::cout << catalog.markdown;
+      return 0;
     }
-    out << solver_catalog;
-    std::cout << "wrote solver catalog ("
-              << hydra::gp::SolverRegistry::global().names().size() << " backends) to "
-              << path << "\n";
-    return 0;
-  }
-  if (cli.get_bool("solver-catalog-md", false)) {
-    std::cout << solver_catalog;
-    return 0;
-  }
-  const std::string controller_catalog = hydra::sim::controller_catalog_markdown(
-      hydra::sim::ControllerRegistry::global());
-  if (cli.has("controller-catalog-out")) {
-    const std::string path = cli.get_string("controller-catalog-out", "");
-    std::ofstream out(path);
-    if (!out) {
-      std::cerr << "cannot open " << path << " for writing\n";
-      return 2;
-    }
-    out << controller_catalog;
-    std::cout << "wrote controller catalog ("
-              << hydra::sim::ControllerRegistry::global().names().size()
-              << " policies) to " << path << "\n";
-    return 0;
-  }
-  if (cli.get_bool("controller-catalog-md", false)) {
-    std::cout << controller_catalog;
-    return 0;
   }
   const auto cores = cli.get_int_list("cores", {2, 4, 8});
   const auto scheme_names =

@@ -2,8 +2,8 @@
 // strategy on a workload and print the designer-facing comparison — which
 // scheme to pick, what it costs, and where each monitor lands.
 //
-// By default the paper's line-up runs (HYDRA, HYDRA(exact-RTA), SingleCore,
-// Optimal-when-affordable).  --schemes switches to any registry selection,
+// By default the paper's line-up runs (hydra, hydra/exact-rta, single-core,
+// optimal when affordable).  --schemes switches to any registry selection,
 // --list-schemes prints the catalog, and --out streams the comparison rows to
 // a .jsonl/.csv file through a one-point exp::Sweep — the same row schema
 // every sweep bench emits, so report output feeds the same downstream
@@ -80,14 +80,10 @@ int main(int argc, char** argv) {
     // cell key) instead of a hand-assembled imitation.  This re-evaluates the
     // schemes (once for the table above, once here) — accepted for a one-shot
     // report CLI on a single instance; rows carry no Allocation, so reusing
-    // `report.points` would mean hand-assembling rows again.  The default
-    // line-up's display names ("HYDRA(exact-RTA)") are not registry names, so
-    // the default maps to their registry equivalents.
+    // `report.points` would mean hand-assembling rows again.
     hexp::SweepSpec sweep_spec;
-    sweep_spec.schemes = cli.has("schemes")
-                             ? cli.get_string_list("schemes", {})
-                             : std::vector<std::string>{"hydra", "hydra/exact-rta",
-                                                        "single-core", "optimal"};
+    sweep_spec.schemes.clear();
+    for (const auto& p : report.points) sweep_spec.schemes.push_back(p.scheme);
     hexp::SweepPoint point;
     point.instance = instance;
     point.label = cli.has("file") ? cli.get_string("file", "") : "uav-case-study";

@@ -14,6 +14,8 @@
 // programmatic option control.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <optional>
 #include <string>
 #include <vector>
@@ -61,9 +63,9 @@ class Allocator {
   }
 
   /// Upper bound on the scheme's search effort on `instance` (the exhaustive
-  /// optimal returns M^NS; polynomial schemes return 1).  Batch drivers
-  /// compare this against their budget to skip pathologically expensive
-  /// (instance, scheme) pairs instead of stalling a sweep.
+  /// optimal returns M^NS; polynomial schemes return 1).  Batch drivers skip
+  /// (instance, scheme) pairs over their budget (over_search_budget) instead
+  /// of stalling a sweep.
   virtual double search_space(const Instance& instance) const {
     (void)instance;
     return 1.0;
@@ -93,6 +95,18 @@ struct DesignPoint {
   bool validated = false;        ///< passed the independent checker
   std::string validation_problem;
 };
+
+/// The default search-space budget of exp::SweepSpec::optimal_budget and
+/// explore_design_space: M^NS = 4096 admits e.g. the M = 4, NS = 6 UAV case.
+inline constexpr std::size_t kDefaultOptimalBudget = 4096;
+
+/// The skip rule every batch driver applies: true when `scheme`'s search
+/// space on `instance` exceeds `budget`.  Polynomial schemes report 1, so a
+/// budget of 0 (or 1) still runs them while skipping every exhaustive scheme.
+inline bool over_search_budget(const Allocator& scheme, const Instance& instance,
+                               std::size_t budget) {
+  return scheme.search_space(instance) > static_cast<double>(std::max<std::size_t>(budget, 1));
+}
 
 /// Evaluates one scheme on one instance: allocates, computes the tightness
 /// metrics, and independently re-validates the result under the scheme's own

@@ -2,7 +2,6 @@
 
 #include <optional>
 
-#include "gp/solver_registry.h"
 #include "rt/interference.h"
 #include "rt/priority.h"
 #include "util/contracts.h"
@@ -25,10 +24,6 @@ struct CoreState {
 Allocation ContegoAllocator::allocate(const Instance& instance,
                                       const rt::Partition& rt_partition) const {
   instance.validate();
-  // Backend selection for the adapt_period GP subproblems travels through
-  // the thread-local scope — adapt_period has no options parameter for it.
-  std::optional<gp::GpBackendScope> backend_scope;
-  if (!options_.gp_backend.empty()) backend_scope.emplace(options_.gp_backend);
   HYDRA_REQUIRE(rt_partition.num_cores == instance.num_cores,
                 "RT partition core count must match the instance");
   HYDRA_REQUIRE(rt_partition.core_of.size() == instance.rt_tasks.size(),
@@ -99,7 +94,6 @@ std::string ContegoAllocator::describe() const {
     text += "; no adaptation (every monitor stays in minimum mode)";
   }
   if (options_.solver == PeriodSolver::kGeometricProgram) text += "; GP subproblem";
-  if (!options_.gp_backend.empty()) text += "; gp-backend=" + options_.gp_backend;
   return text;
 }
 

@@ -37,12 +37,6 @@ struct ContegoOptions {
   /// Tightening passes per core; more rounds only tighten further (the pass
   /// is monotone), with quickly diminishing returns.
   std::size_t adaptation_rounds = 2;
-  /// GP solver backend (gp::SolverRegistry name) for the Eq. (7) subproblems
-  /// under PeriodSolver::kGeometricProgram.  Contego has no options plumbing
-  /// down to adapt_period, so a non-empty name is installed as a
-  /// gp::GpBackendScope around the allocation; "" defers to the ambient
-  /// scope (the sweep layer's), then the registry default.
-  std::string gp_backend;
 };
 
 class ContegoAllocator : public Allocator {

@@ -1,6 +1,5 @@
 #include "core/design_space.h"
 
-#include <cmath>
 #include <exception>
 #include <limits>
 
@@ -27,56 +26,15 @@ bool ExplorationReport::any_feasible() const {
   return false;
 }
 
-std::vector<std::unique_ptr<Allocator>> paper_scheme_lineup(
-    const Instance& instance, const ExplorationOptions& options) {
-  std::vector<std::unique_ptr<Allocator>> schemes;
-
-  // 1. HYDRA in the caller's configuration (paper defaults unless changed).
-  {
-    auto allocator = std::make_unique<HydraAllocator>(options.hydra);
-    allocator->set_name("HYDRA");
-    schemes.push_back(std::move(allocator));
-  }
-
-  // 2. HYDRA with exact RTA (skipped when the caller already asked for it).
-  if (options.hydra.solver != PeriodSolver::kExactRta) {
-    HydraOptions exact = options.hydra;
-    exact.solver = PeriodSolver::kExactRta;
-    auto allocator = std::make_unique<HydraAllocator>(exact);
-    allocator->set_name("HYDRA(exact-RTA)");
-    schemes.push_back(std::move(allocator));
-  }
-
-  // 3. SingleCore (needs a spare core).
-  if (instance.num_cores >= 2) {
-    auto allocator = std::make_unique<SingleCoreAllocator>(options.single_core);
-    allocator->set_name("SingleCore");
-    schemes.push_back(std::move(allocator));
-  }
-
-  // 4. Optimal, when the enumeration fits the budget.
-  if (options.optimal_budget > 0 && !instance.security_tasks.empty()) {
-    const double combos = std::pow(static_cast<double>(instance.num_cores),
-                                   static_cast<double>(instance.security_tasks.size()));
-    if (combos <= static_cast<double>(options.optimal_budget)) {
-      OptimalOptions opt = options.optimal;
-      opt.max_assignments = options.optimal_budget;
-      auto allocator = std::make_unique<OptimalAllocator>(opt);
-      allocator->set_name("Optimal");
-      schemes.push_back(std::move(allocator));
+ExplorationReport explore_design_space(const Instance& instance) {
+  const auto& registry = AllocatorRegistry::global();
+  std::vector<std::string> schemes;
+  for (const char* name : {"hydra", "hydra/exact-rta", "single-core", "optimal"}) {
+    if (!over_search_budget(*registry.make(name), instance, kDefaultOptimalBudget)) {
+      schemes.emplace_back(name);
     }
   }
-  return schemes;
-}
-
-ExplorationReport explore_design_space(const Instance& instance,
-                                       const ExplorationOptions& options) {
-  instance.validate();
-  ExplorationReport report;
-  for (const auto& scheme : paper_scheme_lineup(instance, options)) {
-    report.points.push_back(evaluate_scheme(*scheme, instance));
-  }
-  return report;
+  return explore_design_space(instance, schemes);
 }
 
 ExplorationReport explore_design_space(const Instance& instance,

@@ -219,7 +219,7 @@ JointPeriodResult optimize_joint_periods(const Instance& instance,
     case JointObjective::kSumSurrogate: {
       gp::GpProblem problem = constraints;
       problem.set_objective(sum_surrogate_objective(instance, problem));
-      const gp::SolveResult sr = gp::solve_with_backend(problem, interior, options.gp_backend);
+      const gp::SolveResult sr = gp::solve_with_backend(problem, interior);
       if (sr.ok()) accept(sr.x);
       break;
     }
@@ -228,7 +228,7 @@ JointPeriodResult optimize_joint_periods(const Instance& instance,
       gp::Monomial product = problem.monomial(1.0);
       for (std::size_t s = 0; s < sec.size(); ++s) product.with(s, sec[s].weight);
       problem.set_objective(gp::Posynomial(product));
-      const gp::SolveResult sr = gp::solve_with_backend(problem, interior, options.gp_backend);
+      const gp::SolveResult sr = gp::solve_with_backend(problem, interior);
       if (sr.ok()) accept(sr.x);
       break;
     }
@@ -241,7 +241,7 @@ JointPeriodResult optimize_joint_periods(const Instance& instance,
       {
         gp::GpProblem problem = constraints;
         problem.set_objective(sum_surrogate_objective(instance, problem));
-        const gp::SolveResult sr = gp::solve_with_backend(problem, interior, options.gp_backend);
+        const gp::SolveResult sr = gp::solve_with_backend(problem, interior);
         if (sr.ok()) starts.push_back(sr.x);
       }
       // Warm-start seam: extra start points from the innermost scope (for
@@ -253,13 +253,9 @@ JointPeriodResult optimize_joint_periods(const Instance& instance,
       const ScpWarmStartHooks* hooks = ScpWarmStartScope::current();
       if (hooks != nullptr && hooks->source) warm = hooks->source(sec.size());
       const gp::Posynomial objective = tightness_posynomial(instance, constraints);
-      gp::ScpOptions scp_options;
-      scp_options.backend = options.gp_backend;
       const gp::ScpResult scp =
-          warm.empty()
-              ? gp::maximize_posynomial_scp(constraints, objective, starts, scp_options)
-              : gp::maximize_posynomial_scp_warm(constraints, objective, starts, warm,
-                                                 scp_options);
+          warm.empty() ? gp::maximize_posynomial_scp(constraints, objective, starts)
+                       : gp::maximize_posynomial_scp_warm(constraints, objective, starts, warm);
       if (scp.feasible) {
         if (hooks != nullptr && hooks->sink) hooks->sink(scp.x);
         accept(scp.x);

@@ -26,7 +26,6 @@
 
 #include <cstddef>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "core/instance.h"
@@ -44,10 +43,6 @@ enum class JointObjective {
 struct JointPeriodOptions {
   JointObjective objective = JointObjective::kSignomialScp;
   util::Millis blocking = 0.0;
-  /// GP solver backend (gp::SolverRegistry name) for every solve this
-  /// optimization runs — the direct GP objectives and the SCP inner loops.
-  /// "" resolves through the innermost gp::GpBackendScope, then the default.
-  std::string gp_backend;
 };
 
 struct JointPeriodResult {

@@ -3,7 +3,6 @@
 #include <optional>
 
 #include "core/joint_period.h"
-#include "gp/solver_registry.h"
 #include "rt/interference.h"
 #include "rt/priority.h"
 #include "util/contracts.h"
@@ -13,11 +12,6 @@ namespace hydra::core {
 Allocation PeriodAdaptAllocator::allocate(const Instance& instance,
                                           const rt::Partition& rt_partition) const {
   instance.validate();
-  // A configured backend covers every GP this allocation runs (including the
-  // adapt_period subproblems, which have no options plumbing); when
-  // unconfigured, leave the ambient scope — typically the sweep's — in force.
-  std::optional<gp::GpBackendScope> backend_scope;
-  if (!options_.gp_backend.empty()) backend_scope.emplace(options_.gp_backend);
   HYDRA_REQUIRE(rt_partition.num_cores == instance.num_cores,
                 "RT partition core count must match the instance");
   HYDRA_REQUIRE(rt_partition.core_of.size() == instance.rt_tasks.size(),
@@ -69,7 +63,6 @@ Allocation PeriodAdaptAllocator::allocate(const Instance& instance,
     }
     JointPeriodOptions jopts;
     jopts.objective = JointObjective::kSignomialScp;
-    jopts.gp_backend = options_.gp_backend;
     const JointPeriodResult joint =
         optimize_joint_periods(instance, rt_partition, core_of, jopts);
     if (joint.feasible &&
@@ -94,7 +87,6 @@ std::string PeriodAdaptAllocator::describe() const {
       "per-core slack-aware tightening";
   if (options_.joint_gp) text += "; joint GP (signomial SCP) refinement";
   if (options_.solver == PeriodSolver::kGeometricProgram) text += "; GP subproblem";
-  if (!options_.gp_backend.empty()) text += "; gp-backend=" + options_.gp_backend;
   return text;
 }
 

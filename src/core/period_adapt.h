@@ -31,11 +31,6 @@ struct PeriodAdaptOptions {
   bool joint_gp = false;
   /// Tightening passes per core (monotone; see tighten_core_periods).
   std::size_t adaptation_rounds = 2;
-  /// GP solver backend (gp::SolverRegistry name) for every GP this allocator
-  /// runs — the joint refinement and, under PeriodSolver::kGeometricProgram,
-  /// each one-variable Eq. (7) subproblem.  "" defers to the ambient
-  /// gp::GpBackendScope (the sweep layer's), then the registry default.
-  std::string gp_backend;
 };
 
 class PeriodAdaptAllocator : public Allocator {

@@ -1,7 +1,5 @@
 #include "core/registry.h"
 
-#include <stdexcept>
-
 #include "core/contego.h"
 #include "core/hydra.h"
 #include "core/optimal.h"
@@ -11,74 +9,12 @@
 
 namespace hydra::core {
 
-void AllocatorRegistry::add(std::string name, std::string description, Factory factory) {
-  if (name.empty()) throw std::invalid_argument("registry: empty scheme name");
-  if (!factory) throw std::invalid_argument("registry: null factory for '" + name + "'");
-  if (find(name) != nullptr) {
-    throw std::invalid_argument("registry: duplicate scheme name '" + name + "'");
-  }
-  entries_.push_back({std::move(name), std::move(description), std::move(factory)});
-}
-
-bool AllocatorRegistry::contains(const std::string& name) const {
-  return find(name) != nullptr;
-}
-
-const AllocatorRegistry::Entry* AllocatorRegistry::find(const std::string& name) const {
-  for (const auto& entry : entries_) {
-    if (entry.name == name) return &entry;
-  }
-  return nullptr;
-}
-
-std::unique_ptr<Allocator> AllocatorRegistry::make(const std::string& name) const {
-  const Entry* entry = find(name);
-  if (entry == nullptr) {
-    std::string known;
-    for (const auto& e : entries_) {
-      if (!known.empty()) known += ", ";
-      known += e.name;
-    }
-    throw std::invalid_argument("unknown allocation scheme '" + name +
-                                "' (registered: " + known + ")");
-  }
-  auto allocator = entry->factory();
-  allocator->set_name(entry->name);
-  return allocator;
-}
-
-std::vector<std::unique_ptr<Allocator>> AllocatorRegistry::make_all(
-    const std::vector<std::string>& names) const {
-  if (names.empty()) {
-    throw std::invalid_argument("scheme selection names no schemes");
-  }
-  std::vector<std::unique_ptr<Allocator>> allocators;
-  allocators.reserve(names.size());
-  for (const auto& name : names) {
-    allocators.push_back(make(name));
-  }
-  return allocators;
-}
-
-std::vector<std::string> AllocatorRegistry::names() const {
-  std::vector<std::string> out;
-  out.reserve(entries_.size());
-  for (const auto& entry : entries_) out.push_back(entry.name);
-  return out;
-}
-
-const std::string& AllocatorRegistry::description(const std::string& name) const {
-  const Entry* entry = find(name);
-  if (entry == nullptr) {
-    throw std::invalid_argument("unknown allocation scheme '" + name + "'");
-  }
-  return entry->description;
-}
-
 namespace {
 
 AllocatorRegistry build_global() {
-  AllocatorRegistry registry;
+  AllocatorRegistry registry(
+      "allocation scheme",
+      [](Allocator& allocator, const std::string& name) { allocator.set_name(name); });
   registry.add("hydra", "HYDRA, paper defaults (Algorithm 1, closed-form Eq. 7)",
                [] { return std::make_unique<HydraAllocator>(); });
   registry.add("hydra/gp", "HYDRA with the paper's GP subproblem solver", [] {
@@ -171,27 +107,21 @@ AllocatorRegistry build_global() {
 
 }  // namespace
 
-AllocatorRegistry& AllocatorRegistry::global() {
-  static AllocatorRegistry registry = build_global();
-  return registry;
-}
-
-std::string scheme_catalog_markdown(const AllocatorRegistry& registry) {
-  std::string out;
-  out += "# Scheme catalog\n\n";
-  out += "Every allocation scheme registered in `AllocatorRegistry::global()`, in\n";
-  out += "registration order.  The name is the stable identifier accepted by every\n";
-  out += "`--schemes` flag and stamped verbatim on result rows.\n\n";
-  out += "**Generated file — do not edit by hand.**  Regenerate after touching the\n";
-  out += "registry with `./build/bench_table1_catalog --catalog-out "
-         "docs/scheme-catalog.md`\n";
-  out += "(or `HYDRA_UPDATE_CATALOG=1 ./build/test_scheme_catalog`); the ctest suite\n";
-  out += "`test_scheme_catalog` fails whenever this file and the registry disagree.\n\n";
-  out += "| Name | Description |\n|---|---|\n";
-  for (const auto& name : registry.names()) {
-    out += "| `" + name + "` | " + registry.description(name) + " |\n";
-  }
-  return out;
-}
+const char kSchemeCatalogPreamble[] =
+    "# Scheme catalog\n\n"
+    "Every allocation scheme registered in `AllocatorRegistry::global()`, in\n"
+    "registration order.  The name is the stable identifier accepted by every\n"
+    "`--schemes` flag and stamped verbatim on result rows.\n\n"
+    "**Generated file — do not edit by hand.**  Regenerate after touching the\n"
+    "registry with `./build/bench_table1_catalog --catalog-out docs/scheme-catalog.md`\n"
+    "(or `HYDRA_UPDATE_CATALOG=1 ./build/test_scheme_catalog`); the ctest suite\n"
+    "`test_scheme_catalog` fails whenever this file and the registry disagree.\n\n"
+    "| Name | Description |\n|---|---|\n";
 
 }  // namespace hydra::core
+
+template <>
+hydra::core::AllocatorRegistry& hydra::core::AllocatorRegistry::global() {
+  static Registry registry = core::build_global();
+  return registry;
+}

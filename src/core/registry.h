@@ -31,63 +31,20 @@
 // docs/scheme-catalog.md is the generated catalog of this registry.
 #pragma once
 
-#include <functional>
-#include <memory>
-#include <string>
-#include <vector>
-
 #include "core/allocator.h"
+#include "util/registry.h"
 
 namespace hydra::core {
 
-class AllocatorRegistry {
- public:
-  using Factory = std::function<std::unique_ptr<Allocator>()>;
+/// Scheme registry.  `make` stamps the registered name on the result
+/// (Allocator::name() reports exactly the name it was made under).
+using AllocatorRegistry = util::Registry<Allocator>;
 
-  /// Registers a scheme.  Throws std::invalid_argument on duplicate names.
-  void add(std::string name, std::string description, Factory factory);
-
-  bool contains(const std::string& name) const;
-
-  /// Constructs the scheme registered under `name` (the result's
-  /// Allocator::name() reports exactly `name`).  Throws std::invalid_argument
-  /// for unknown names, listing the registered ones.
-  std::unique_ptr<Allocator> make(const std::string& name) const;
-
-  /// Constructs every named scheme, in order (CLI callers split their
-  /// comma-separated spec with util::CliParser::get_string_list first).
-  /// Throws std::invalid_argument when `names` is empty or contains an
-  /// unknown name.
-  std::vector<std::unique_ptr<Allocator>> make_all(
-      const std::vector<std::string>& names) const;
-
-  /// Registered names, in registration order.
-  std::vector<std::string> names() const;
-
-  /// The registration-time description of `name` (throws when unknown).
-  const std::string& description(const std::string& name) const;
-
-  /// The process-wide registry pre-populated with the built-in schemes.
-  static AllocatorRegistry& global();
-
- private:
-  struct Entry {
-    std::string name;
-    std::string description;
-    Factory factory;
-  };
-
-  const Entry* find(const std::string& name) const;
-
-  std::vector<Entry> entries_;
-};
-
-/// Renders the registry as the markdown scheme catalog committed at
-/// docs/scheme-catalog.md (name + description, registration order).  A pure
-/// function of the registry contents, so `test_scheme_catalog` can diff the
-/// committed file against the live registry byte for byte.  Regenerate with
-/// `bench_table1_catalog --catalog-out docs/scheme-catalog.md` (or
-/// `HYDRA_UPDATE_CATALOG=1 ./build/test_scheme_catalog`).
-std::string scheme_catalog_markdown(const AllocatorRegistry& registry);
+/// Everything docs/scheme-catalog.md holds above the scheme rows; render the
+/// catalog with util::catalog_markdown(AllocatorRegistry::global(), this).
+extern const char kSchemeCatalogPreamble[];
 
 }  // namespace hydra::core
+
+template <>
+hydra::core::AllocatorRegistry& hydra::core::AllocatorRegistry::global();

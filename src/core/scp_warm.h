@@ -22,6 +22,8 @@
 #include <functional>
 #include <vector>
 
+#include "util/thread_scope.h"
+
 namespace hydra::core {
 
 struct ScpWarmStartHooks {
@@ -37,20 +39,8 @@ struct ScpWarmStartHooks {
   std::function<void(const std::vector<double>& periods)> sink;
 };
 
-/// RAII installation of warm-start hooks for the current thread.
-class ScpWarmStartScope {
- public:
-  explicit ScpWarmStartScope(ScpWarmStartHooks hooks);
-  ~ScpWarmStartScope();
-  ScpWarmStartScope(const ScpWarmStartScope&) = delete;
-  ScpWarmStartScope& operator=(const ScpWarmStartScope&) = delete;
-
-  /// The innermost scope's hooks on this thread, or nullptr when none.
-  static const ScpWarmStartHooks* current();
-
- private:
-  ScpWarmStartHooks hooks_;
-  const ScpWarmStartHooks* previous_;
-};
+/// RAII installation of warm-start hooks for the current thread
+/// (util::ThreadScope: innermost wins).
+using ScpWarmStartScope = util::ThreadScope<ScpWarmStartHooks>;
 
 }  // namespace hydra::core

@@ -100,7 +100,7 @@ class Aggregator : public ResultSink {
   ~Aggregator() override;  // out-of-line: CellAccum is incomplete here
 
   /// ResultSink contract: begin() is idempotent and end() keeps the sink
-  /// usable, so one Aggregator can absorb several engine/sweep runs.  Use
+  /// usable, so one Aggregator can absorb several sweep runs.  Use
   /// clear() to start a fresh aggregation.
   void row(const BatchRow& row) override;
   void clear();

@@ -1,4 +1,4 @@
-// Batch specification for the exploration engine: where the instances of a
+// Batch specification for the sweep layer: where the instances of a
 // sweep come from and how each one is reproduced.
 //
 // Two sources are supported:
@@ -12,7 +12,7 @@
 //
 // `enumerate` expands a spec into lightweight per-instance descriptors;
 // `materialize` performs the actual draw/load for one descriptor.  The split
-// exists so the engine can parallelize materialization across workers while
+// exists so a sweep can parallelize materialization across workers while
 // the descriptor list stays cheap and ordered.
 #pragma once
 
@@ -71,7 +71,7 @@ std::vector<BatchItem> enumerate(const BatchSpec& spec);
 
 /// Result of materializing one descriptor.  `instance` is empty when the
 /// synthetic draw found no Eq.-(1)-satisfying task set (a normal outcome at
-/// extreme utilization — the engine reports it per scheme as "no-instance")
+/// extreme utilization — a sweep reports it per scheme as "no-instance")
 /// or when a file failed to load (`error` carries the reason).
 struct MaterializedItem {
   std::optional<core::Instance> instance;

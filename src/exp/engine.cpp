@@ -1,15 +1,7 @@
 #include "exp/engine.h"
 
-#include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <exception>
 #include <memory>
-#include <mutex>
-#include <thread>
-
-#include "core/registry.h"
 
 namespace hydra::exp {
 
@@ -17,13 +9,9 @@ namespace {
 
 using SchemeSet = std::vector<std::unique_ptr<core::Allocator>>;
 
-SchemeSet make_schemes(const std::vector<std::string>& names) {
-  return core::AllocatorRegistry::global().make_all(names);
-}
-
 /// Evaluates every scheme on one batch item.  Pure function of the item (and
-/// the spec), which is what makes the engine's output independent of worker
-/// count and scheduling order.
+/// the spec), which is what makes sweep output independent of worker count
+/// and scheduling order.
 std::vector<BatchRow> evaluate_item(const BatchSpec& spec, const BatchItem& item,
                                     const core::Instance* preloaded,
                                     const SchemeSet& schemes,
@@ -57,13 +45,10 @@ std::vector<BatchRow> evaluate_item(const BatchSpec& spec, const BatchItem& item
     return rows;
   }
 
-  // Cheap schemes report search_space 1, so a budget of 0 (or 1) still runs
-  // them while skipping every exhaustive scheme.
-  const double budget = static_cast<double>(std::max<std::size_t>(optimal_budget, 1));
   for (const auto& scheme : schemes) {
     BatchRow row = base;
     row.scheme = scheme->name();
-    if (scheme->search_space(*instance) > budget) {
+    if (core::over_search_budget(*scheme, *instance, optimal_budget)) {
       row.status = "skipped";
       row.note = "search space exceeds the engine budget of " +
                  std::to_string(optimal_budget);
@@ -125,149 +110,6 @@ std::vector<BatchRow> evaluate_batch_item(const BatchSpec& spec, const BatchItem
     }
     return rows;
   }
-}
-
-namespace {
-
-/// Joins every still-joinable worker on scope exit, so an exception on the
-/// coordinating thread (e.g. a sink throwing mid-emission) cannot reach
-/// std::thread's terminate-on-destruction.  Workers always drain the shared
-/// counter, so the join completes.
-struct JoinGuard {
-  std::vector<std::thread>& workers;
-  ~JoinGuard() {
-    for (auto& worker : workers) {
-      if (worker.joinable()) worker.join();
-    }
-  }
-};
-
-}  // namespace
-
-ExplorationEngine::ExplorationEngine(EngineOptions options) : options_(std::move(options)) {
-  if (options_.schemes.empty()) {
-    throw std::invalid_argument("exploration engine needs at least one scheme");
-  }
-  // Fail on typos before any work is scheduled (make throws on unknown names).
-  make_schemes(options_.schemes);
-}
-
-RunSummary ExplorationEngine::run(const BatchSpec& spec,
-                                  const std::vector<ResultSink*>& sinks) const {
-  const auto started = std::chrono::steady_clock::now();
-  const auto items = enumerate(spec);
-
-  RunSummary summary;
-  summary.instances = items.size();
-  for (auto* sink : sinks) sink->begin();
-
-  const auto emit = [&](std::vector<BatchRow> rows) {
-    for (auto& row : rows) {
-      if (row.status == "ok") {
-        ++summary.evaluated;
-        if (row.feasible && row.validated) ++summary.feasible;
-      } else if (row.status == "skipped") {
-        ++summary.skipped;
-      } else {
-        ++summary.errors;
-      }
-      for (auto* sink : sinks) sink->row(row);
-      summary.rows.push_back(std::move(row));
-    }
-  };
-
-  std::size_t jobs = options_.jobs;
-  if (jobs == 0) {
-    jobs = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  }
-  jobs = std::min(jobs, std::max<std::size_t>(1, items.size()));
-
-  if (jobs <= 1) {
-    const auto schemes = make_schemes(options_.schemes);
-    for (const auto& item : items) {
-      emit(evaluate_batch_item(spec, item, nullptr, schemes, options_.optimal_budget));
-    }
-  } else {
-    // Reorder buffer: workers drop finished items into `results`; the calling
-    // thread emits them strictly by index so sink output order never depends
-    // on which worker finished first.
-    std::vector<std::vector<BatchRow>> results(items.size());
-    std::vector<char> done(items.size(), 0);
-    std::atomic<std::size_t> next{0};
-    std::mutex mutex;
-    std::condition_variable ready;
-
-    std::vector<std::thread> workers;
-    workers.reserve(jobs);
-    JoinGuard join_guard{workers};
-    for (std::size_t w = 0; w < jobs; ++w) {
-      workers.emplace_back([&] {
-        // Per-worker allocator set: schemes are stateless between allocate
-        // calls, but giving each worker its own copies removes any sharing
-        // question outright.
-        const auto schemes = make_schemes(options_.schemes);
-        for (std::size_t i = next.fetch_add(1); i < items.size(); i = next.fetch_add(1)) {
-          auto rows =
-              evaluate_batch_item(spec, items[i], nullptr, schemes, options_.optimal_budget);
-          {
-            std::lock_guard<std::mutex> lock(mutex);
-            results[i] = std::move(rows);
-            done[i] = 1;
-          }
-          ready.notify_one();
-        }
-      });
-    }
-
-    for (std::size_t i = 0; i < items.size(); ++i) {
-      std::unique_lock<std::mutex> lock(mutex);
-      ready.wait(lock, [&] { return done[i] != 0; });
-      auto rows = std::move(results[i]);
-      lock.unlock();
-      emit(std::move(rows));
-    }
-  }
-
-  for (auto* sink : sinks) sink->end();
-  summary.wall_ms = std::chrono::duration<double, std::milli>(
-                        std::chrono::steady_clock::now() - started)
-                        .count();
-  return summary;
-}
-
-RunSummary ExplorationEngine::run_instance(const core::Instance& instance,
-                                           const std::vector<ResultSink*>& sinks) const {
-  const auto started = std::chrono::steady_clock::now();
-  instance.validate();
-
-  RunSummary summary;
-  summary.instances = 1;
-  for (auto* sink : sinks) sink->begin();
-
-  BatchItem item;
-  item.label = "instance";
-  const BatchSpec empty_spec;
-  const auto schemes = make_schemes(options_.schemes);
-  auto rows =
-      evaluate_batch_item(empty_spec, item, &instance, schemes, options_.optimal_budget);
-  for (auto& row : rows) {
-    if (row.status == "ok") {
-      ++summary.evaluated;
-      if (row.feasible && row.validated) ++summary.feasible;
-    } else if (row.status == "skipped") {
-      ++summary.skipped;
-    } else {
-      ++summary.errors;
-    }
-    for (auto* sink : sinks) sink->row(row);
-    summary.rows.push_back(std::move(row));
-  }
-
-  for (auto* sink : sinks) sink->end();
-  summary.wall_ms = std::chrono::duration<double, std::milli>(
-                        std::chrono::steady_clock::now() - started)
-                        .count();
-  return summary;
 }
 
 }  // namespace hydra::exp

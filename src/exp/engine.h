@@ -1,15 +1,10 @@
-// Batch exploration engine: evaluates a set of registry schemes on every
-// instance of a BatchSpec, fanning the work out across a worker-thread pool
-// and streaming one BatchRow per (instance, scheme) to the attached sinks.
+// Per-item evaluation, the pure function exp::Sweep fans out to its workers:
+// every registry scheme on one batch item, plus the per-row metric hooks.
 //
 // Guarantees:
-//   * Determinism — every instance is materialized from its own
-//     (base_seed, index)-derived seed inside whichever worker picks it up,
-//     and every scheme is a pure function of the instance, so results do not
-//     depend on the thread count or the completion order.
-//   * Stable output order — rows reach the sinks ordered by instance index,
-//     then scheme position, via a reorder buffer.  `--jobs 8` output is
-//     byte-identical to `--jobs 1`.
+//   * Determinism — the instance is materialized from the item's own
+//     (base_seed, index)-derived seed and every scheme is a pure function of
+//     the instance, so rows do not depend on which worker evaluates the item.
 //   * Isolation — a scheme that throws (e.g. the exhaustive optimal tripping
 //     its enumeration cap) yields an "error" row for that pair; the sweep
 //     continues.
@@ -47,56 +42,15 @@ struct RowMetric {
   std::string identity;
 };
 
-/// Evaluates every scheme on one batch item: the pure function both the
-/// ExplorationEngine and the exp::Sweep work queue fan out to workers.
-/// `preloaded` (optional) bypasses materialization for instance-backed items.
+/// Evaluates every scheme on one batch item, in scheme order.  Schemes whose
+/// Allocator::search_space(instance) exceeds `optimal_budget` get a "skipped"
+/// row (0 skips every exhaustive scheme; polynomial schemes, search_space 1,
+/// always run).  `preloaded` (optional) bypasses materialization for instance-backed items.
 /// Never throws — any failure becomes one "error" row per scheme, which is
 /// what keeps an escaped exception from terminating a worker thread.
 std::vector<BatchRow> evaluate_batch_item(
     const BatchSpec& spec, const BatchItem& item, const core::Instance* preloaded,
     const std::vector<std::unique_ptr<core::Allocator>>& schemes,
     std::size_t optimal_budget, const std::vector<RowMetric>& metrics = {});
-
-struct EngineOptions {
-  /// Registry names evaluated per instance, in this order.
-  std::vector<std::string> schemes = {"hydra", "single-core"};
-  /// Worker threads; 0 = std::thread::hardware_concurrency().
-  std::size_t jobs = 1;
-  /// Schemes whose Allocator::search_space(instance) exceeds this budget are
-  /// skipped on that instance (status "skipped") — for the exhaustive optimal
-  /// that is the M^NS enumeration.  0 skips exhaustive schemes everywhere;
-  /// polynomial schemes (search_space 1) always run.
-  std::size_t optimal_budget = 4096;
-};
-
-struct RunSummary {
-  std::size_t instances = 0;   ///< batch size
-  std::size_t evaluated = 0;   ///< rows with status "ok"
-  std::size_t feasible = 0;    ///< ok rows with a feasible, validated result
-  std::size_t skipped = 0;     ///< rows with status "skipped"
-  std::size_t errors = 0;      ///< rows with status "error" or "no-instance"
-  double wall_ms = 0.0;        ///< end-to-end run time
-  std::vector<BatchRow> rows;  ///< every row, in emission order
-};
-
-class ExplorationEngine {
- public:
-  /// Validates the scheme names against the global registry up front, so a
-  /// typo fails before any work is scheduled.  Throws std::invalid_argument.
-  explicit ExplorationEngine(EngineOptions options = {});
-
-  /// Runs the batch, streaming rows to every sink (begin/row.../end).  Sinks
-  /// are invoked from the coordinating thread only and need no locking.
-  RunSummary run(const BatchSpec& spec, const std::vector<ResultSink*>& sinks = {}) const;
-
-  /// Single-instance convenience: wraps `instance` as a one-item batch.
-  RunSummary run_instance(const core::Instance& instance,
-                          const std::vector<ResultSink*>& sinks = {}) const;
-
-  const EngineOptions& options() const { return options_; }
-
- private:
-  EngineOptions options_;
-};
 
 }  // namespace hydra::exp

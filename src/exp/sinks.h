@@ -1,4 +1,4 @@
-// Result sinks for the exploration engine: each evaluated (instance, scheme)
+// Result sinks for exp::Sweep: each evaluated (instance, scheme)
 // pair becomes one BatchRow, streamed — in stable batch order, regardless of
 // worker completion order — to every attached sink.
 //
@@ -10,7 +10,7 @@
 //
 // Rows deliberately carry no timing fields: the byte-identical-across-jobs
 // guarantee (same BatchSpec ⇒ same JSONL for --jobs 1 and --jobs 8) would not
-// survive wall-clock noise.  Timing lives in the engine's RunSummary.
+// survive wall-clock noise.  Timing lives in the sweep's SweepSummary.
 #pragma once
 
 #include <cstdint>
@@ -25,8 +25,8 @@ namespace hydra::exp {
 
 /// One evaluated (instance, scheme) result.
 struct BatchRow {
-  // Sweep context.  Plain engine runs leave these defaulted; the exp::Sweep
-  // layer stamps every row with its grid cell so downstream tooling (and the
+  // Sweep context.  Rows built outside a sweep leave these defaulted; the
+  // exp::Sweep layer stamps every row with its grid cell so downstream tooling (and the
   // --resume checkpoint loader) can regroup a flat JSONL stream.
   std::string cell;                ///< deterministic cell key; "" outside sweeps
   std::size_t point_index = 0;     ///< sweep-point position in SweepSpec::points
@@ -61,7 +61,7 @@ struct BatchRow {
 /// lets --resume splice checkpointed rows into a fresh run.
 std::optional<BatchRow> parse_jsonl_row(const std::string& line);
 
-/// Sinks are re-usable across several engine runs (a sweep passes the same
+/// Sinks are re-usable across several sweep runs (a bench may pass the same
 /// file sink to one run per utilization point), so begin() must be idempotent
 /// and end() must leave the sink ready for more rows.
 class ResultSink {

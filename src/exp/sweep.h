@@ -1,19 +1,19 @@
 // The sweep layer: one declarative SweepSpec crossing schemes × grid points ×
 // replications, evaluated as a single work-stealing job queue.
 //
-// A sweep generalizes the ExplorationEngine's one-BatchSpec run to the
-// paper-style evaluation grids (Figs. 1–3: utilization × scheme × core
-// count).  Properties the benches and the regression harness rely on:
+// A sweep covers the paper-style evaluation grids (Figs. 1–3: utilization ×
+// scheme × core count) down to one-point, one-instance queries.  Properties
+// the benches and the regression harness rely on:
 //
 //   * One queue, no per-point barrier — a worker that finishes the last
 //     instance of point 3 immediately steals an instance of point 7, so a
 //     slow cell (the exhaustive optimal at high utilization) never idles the
-//     pool the way per-point engine runs did.
+//     pool the way per-point runs would.
 //   * Determinism — every (point, instance) unit derives its seed from
 //     (base_seed, point index, instance index) alone and evaluation is pure,
 //     so the row stream is byte-identical for any --jobs value.
 //   * Stable order — rows reach the sinks point-major, instance-minor, then
-//     scheme order, via the same reorder-buffer technique as the engine.
+//     scheme order, via a reorder buffer.
 //   * Resumability — every row is stamped with a deterministic cell key
 //     ("p<point>:<label>:i<instance>").  `resume_path` points at the JSONL of
 //     a previous (possibly killed mid-run) invocation; cells whose full
@@ -58,7 +58,8 @@ struct SweepSpec {
   std::uint64_t base_seed = 1;    ///< sweep-level seed
   int max_attempts = 64;          ///< Eq. (1) redraw budget per instance
   std::size_t jobs = 1;           ///< worker threads; 0 = hardware concurrency
-  std::size_t optimal_budget = 4096;  ///< per-scheme search-space skip budget
+  /// Per-scheme search-space skip budget (core::over_search_budget).
+  std::size_t optimal_budget = core::kDefaultOptimalBudget;
   std::vector<RowMetric> metrics;     ///< extra per-row metric hooks
   /// JSONL checkpoint of a previous invocation; completed cells are spliced
   /// in instead of re-evaluated.  "" (or a missing file) means a cold start.

@@ -50,7 +50,7 @@ struct ScpSetup {
   GpProblem gp;
 
   ScpSetup(const GpProblem& constraints, const ScpOptions& options)
-      : solver(SolverRegistry::global().make(resolve_gp_backend(options.backend), options.gp)),
+      : solver(SolverRegistry::global().make(resolve_gp_backend(""), options.gp)),
         gp(constraints) {}
 };
 

@@ -16,7 +16,6 @@
 #pragma once
 
 #include <functional>
-#include <string>
 #include <vector>
 
 #include "gp/problem.h"
@@ -25,11 +24,11 @@
 namespace hydra::gp {
 
 struct ScpOptions {
-  SolveOptions gp;          ///< options for each inner GP solve
-  /// Registry name of the backend solving each inner GP ("" resolves through
-  /// the innermost GpBackendScope, then kDefaultGpBackend).  Every backend
-  /// serves SCP: the condensation loop only needs plain-GP solves.
-  std::string backend;
+  /// Options for each inner GP solve.  The backend solving them is the
+  /// ambient one (innermost GpBackendScope, else kDefaultGpBackend); every
+  /// backend serves SCP, since the condensation loop only needs plain-GP
+  /// solves.
+  SolveOptions gp;
   int max_rounds = 25;      ///< condensation iterations per start point
   double rel_tol = 1e-6;    ///< stop when objective improves less than this
 

@@ -112,7 +112,7 @@ class PickBestBackend final : public SolverBackend {
 };
 
 SolverRegistry build_global() {
-  SolverRegistry registry;
+  SolverRegistry registry("GP solver backend");
   registry.add("scp/barrier",
                "log-space primal barrier with phase-I feasibility — the "
                "incumbent stack the signomial SCP layer drives (default)",
@@ -137,76 +137,7 @@ SolverRegistry build_global() {
   return registry;
 }
 
-thread_local const std::string* g_backend_scope = nullptr;
-
 }  // namespace
-
-void SolverRegistry::add(std::string name, std::string description, Factory factory) {
-  if (name.empty()) throw std::invalid_argument("solver registry: empty backend name");
-  if (!factory) {
-    throw std::invalid_argument("solver registry: null factory for '" + name + "'");
-  }
-  if (find(name) != nullptr) {
-    throw std::invalid_argument("solver registry: duplicate backend name '" + name + "'");
-  }
-  entries_.push_back({std::move(name), std::move(description), std::move(factory)});
-}
-
-bool SolverRegistry::contains(const std::string& name) const {
-  return find(name) != nullptr;
-}
-
-const SolverRegistry::Entry* SolverRegistry::find(const std::string& name) const {
-  for (const auto& entry : entries_) {
-    if (entry.name == name) return &entry;
-  }
-  return nullptr;
-}
-
-std::unique_ptr<SolverBackend> SolverRegistry::make(const std::string& name,
-                                                    const SolveOptions& options) const {
-  const Entry* entry = find(name);
-  if (entry == nullptr) {
-    std::string known;
-    for (const auto& e : entries_) {
-      if (!known.empty()) known += ", ";
-      known += e.name;
-    }
-    throw std::invalid_argument("unknown GP solver backend '" + name +
-                                "' (registered: " + known + ")");
-  }
-  return entry->factory(options);
-}
-
-std::vector<std::string> SolverRegistry::names() const {
-  std::vector<std::string> out;
-  out.reserve(entries_.size());
-  for (const auto& entry : entries_) out.push_back(entry.name);
-  return out;
-}
-
-const std::string& SolverRegistry::description(const std::string& name) const {
-  const Entry* entry = find(name);
-  if (entry == nullptr) {
-    throw std::invalid_argument("unknown GP solver backend '" + name + "'");
-  }
-  return entry->description;
-}
-
-SolverRegistry& SolverRegistry::global() {
-  static SolverRegistry registry = build_global();
-  return registry;
-}
-
-GpBackendScope::GpBackendScope(std::string backend)
-    : backend_(std::move(backend)), previous_(g_backend_scope) {
-  if (backend_.empty()) backend_ = kDefaultGpBackend;
-  g_backend_scope = &backend_;
-}
-
-GpBackendScope::~GpBackendScope() { g_backend_scope = previous_; }
-
-const std::string* GpBackendScope::current() { return g_backend_scope; }
 
 const std::string& resolve_gp_backend(const std::string& configured) {
   if (!configured.empty()) return configured;
@@ -217,29 +148,28 @@ const std::string& resolve_gp_backend(const std::string& configured) {
 
 SolveResult solve_with_backend(const GpProblem& problem,
                                const std::optional<std::vector<double>>& initial_guess,
-                               const std::string& backend, const SolveOptions& options) {
+                               const SolveOptions& options) {
   return SolverRegistry::global()
-      .make(resolve_gp_backend(backend), options)
+      .make(resolve_gp_backend(""), options)
       ->solve(problem, initial_guess);
 }
 
-std::string solver_catalog_markdown(const SolverRegistry& registry) {
-  std::string out;
-  out += "# GP solver catalog\n\n";
-  out += "Every GP solver backend registered in `gp::SolverRegistry::global()`, in\n";
-  out += "registration order.  The name is the stable identifier accepted by\n";
-  out += "`--gp-backend` flags and `SweepSpec::gp_backend`, and stamped onto every\n";
-  out += "`SolveResult::backend`.\n\n";
-  out += "**Generated file — do not edit by hand.**  Regenerate after touching the\n";
-  out += "registry with `./build/bench_table1_catalog --solver-catalog-out "
-         "docs/solver-catalog.md`\n";
-  out += "(or `HYDRA_UPDATE_CATALOG=1 ./build/test_solver_catalog`); the ctest suite\n";
-  out += "`test_solver_catalog` fails whenever this file and the registry disagree.\n\n";
-  out += "| Name | Description |\n|---|---|\n";
-  for (const auto& name : registry.names()) {
-    out += "| `" + name + "` | " + registry.description(name) + " |\n";
-  }
-  return out;
-}
+const char kSolverCatalogPreamble[] =
+    "# GP solver catalog\n\n"
+    "Every GP solver backend registered in `gp::SolverRegistry::global()`, in\n"
+    "registration order.  The name is the stable identifier accepted by\n"
+    "`--gp-backend` flags and `SweepSpec::gp_backend`, and stamped onto every\n"
+    "`SolveResult::backend`.\n\n"
+    "**Generated file — do not edit by hand.**  Regenerate after touching the\n"
+    "registry with `./build/bench_table1_catalog --solver-catalog-out docs/solver-catalog.md`\n"
+    "(or `HYDRA_UPDATE_CATALOG=1 ./build/test_solver_catalog`); the ctest suite\n"
+    "`test_solver_catalog` fails whenever this file and the registry disagree.\n\n"
+    "| Name | Description |\n|---|---|\n";
 
 }  // namespace hydra::gp
+
+template <>
+hydra::gp::SolverRegistry& hydra::gp::SolverRegistry::global() {
+  static Registry registry = gp::build_global();
+  return registry;
+}

@@ -1,5 +1,5 @@
-// Name-indexed construction of GP solver backends, mirroring
-// core::AllocatorRegistry one layer down: CLI flags like
+// Name-indexed construction of GP solver backends (a util::Registry, like
+// core::AllocatorRegistry one layer up): CLI flags like
 // `--gp-backend ipm/filter` and SweepSpec::gp_backend pick the solver that
 // every plain-GP solve in the process runs through, without compiling against
 // backend option structs.
@@ -15,17 +15,15 @@
 //                   on kError / non-convergence / infeasible verdicts, and
 //                   keeps the better objective when both are optimal
 //
-// Backend selection threads through the stack two ways: explicitly (ScpOptions,
-// JointPeriodOptions, SweepSpec carry a backend name) and ambiently via the
-// thread-local GpBackendScope RAII seam, which reaches call sites that have no
-// options plumbing (period_adaptation's one-variable GP inside contego).
-// Registered names are stable identifiers: SweepSpec::gp_backend is stamped
-// into sweep_fingerprint, so rows solved by different backends disagree loudly.
+// Backend selection has one path: the thread-local GpBackendScope, which
+// exp::Sweep installs around each unit from SweepSpec::gp_backend and which
+// reaches every GP solve below it without options plumbing.  Registered
+// names are stable identifiers: the sweep stamps the backend into
+// sweep_fingerprint, so rows solved by different backends disagree loudly.
 // docs/solver-authoring.md walks through adding a backend end to end;
 // docs/solver-catalog.md is the generated catalog of this registry.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -33,12 +31,14 @@
 
 #include "gp/problem.h"
 #include "gp/solver.h"
+#include "util/registry.h"
+#include "util/thread_scope.h"
 
 namespace hydra::gp {
 
-/// The backend every call site uses when neither an option struct nor a
-/// GpBackendScope names one.  Keeping this the incumbent stack preserves
-/// byte-identical sweep rows across the registry refactor (tested).
+/// The backend every call site uses when no GpBackendScope names one.
+/// Keeping this the incumbent stack preserves byte-identical sweep rows
+/// across the registry refactor (tested).
 inline constexpr const char* kDefaultGpBackend = "scp/barrier";
 
 /// A plain-GP solve strategy.  The signomial SCP layer sits ABOVE this
@@ -59,82 +59,39 @@ class SolverBackend {
                                 std::nullopt) const = 0;
 };
 
-class SolverRegistry {
+/// Backend registry; `make(name, options)` passes the shared SolveOptions to
+/// the factory.
+using SolverRegistry = util::Registry<SolverBackend, const SolveOptions&>;
+
+/// RAII thread-local backend selection (util::ThreadScope): scopes nest
+/// innermost-wins, and every solve resolves the ambient backend through
+/// `current()`.  An empty backend string re-selects the default, which is how
+/// the sweep-layer warm-start memo pins its canonical solves to scp/barrier
+/// regardless of the spec's backend.
+class GpBackendScope : public util::ThreadScope<std::string, GpBackendScope> {
  public:
-  using Factory = std::function<std::unique_ptr<SolverBackend>(const SolveOptions&)>;
-
-  /// Registers a backend.  Throws std::invalid_argument on duplicate names.
-  void add(std::string name, std::string description, Factory factory);
-
-  bool contains(const std::string& name) const;
-
-  /// Constructs the backend registered under `name` (the result's
-  /// SolverBackend::name() reports exactly `name`).  Throws
-  /// std::invalid_argument for unknown names, listing the registered ones.
-  std::unique_ptr<SolverBackend> make(const std::string& name,
-                                      const SolveOptions& options = {}) const;
-
-  /// Registered names, in registration order.
-  std::vector<std::string> names() const;
-
-  /// The registration-time description of `name` (throws when unknown).
-  const std::string& description(const std::string& name) const;
-
-  /// The process-wide registry pre-populated with the built-in backends.
-  static SolverRegistry& global();
-
- private:
-  struct Entry {
-    std::string name;
-    std::string description;
-    Factory factory;
-  };
-
-  const Entry* find(const std::string& name) const;
-
-  std::vector<Entry> entries_;
+  explicit GpBackendScope(std::string backend)
+      : ThreadScope(backend.empty() ? kDefaultGpBackend : std::move(backend)) {}
 };
 
-/// RAII thread-local backend selection, mirroring core::ScpWarmStartScope:
-/// scopes nest innermost-wins, and call sites without options plumbing
-/// resolve the ambient backend through `current()`.  An empty backend string
-/// re-selects the default, which is how the sweep-layer warm-start memo pins
-/// its canonical solves to scp/barrier regardless of the spec's backend.
-class GpBackendScope {
- public:
-  explicit GpBackendScope(std::string backend);
-  ~GpBackendScope();
-  GpBackendScope(const GpBackendScope&) = delete;
-  GpBackendScope& operator=(const GpBackendScope&) = delete;
-
-  /// The innermost scope's backend name on this thread, or nullptr when none.
-  static const std::string* current();
-
- private:
-  std::string backend_;
-  const std::string* previous_;
-};
-
-/// Resolves which backend a call site should use: an explicitly configured
-/// non-empty `configured` name wins, else the innermost GpBackendScope, else
-/// kDefaultGpBackend.
+/// Resolves which backend a solve uses: a non-empty `configured` name wins,
+/// else the innermost GpBackendScope, else kDefaultGpBackend.  Library call
+/// sites pass "" (the scope is the one selection path).
 const std::string& resolve_gp_backend(const std::string& configured);
 
-/// One-shot convenience: resolve (explicit > scope > default), construct from
-/// the global registry, solve.  The hot SCP loop instead holds the
-/// constructed backend across rounds; this is for one-off solves.
+/// One-shot convenience: construct the ambient backend (innermost scope, else
+/// the default) from the global registry and solve.  The hot SCP loop instead
+/// holds the constructed backend across rounds; this is for one-off solves.
 SolveResult solve_with_backend(const GpProblem& problem,
                                const std::optional<std::vector<double>>& initial_guess =
                                    std::nullopt,
-                               const std::string& backend = {},
                                const SolveOptions& options = {});
 
-/// Renders the registry as the markdown solver catalog committed at
-/// docs/solver-catalog.md (name + description, registration order).  A pure
-/// function of the registry contents, so `test_solver_catalog` can diff the
-/// committed file against the live registry byte for byte.  Regenerate with
-/// `bench_table1_catalog --solver-catalog-out docs/solver-catalog.md` (or
-/// `HYDRA_UPDATE_CATALOG=1 ./build/test_solver_catalog`).
-std::string solver_catalog_markdown(const SolverRegistry& registry);
+/// Everything docs/solver-catalog.md holds above the backend rows; render the
+/// catalog with util::catalog_markdown(SolverRegistry::global(), this).
+extern const char kSolverCatalogPreamble[];
 
 }  // namespace hydra::gp
+
+template <>
+hydra::gp::SolverRegistry& hydra::gp::SolverRegistry::global();

@@ -146,107 +146,43 @@ class BoostPolicy : public ControllerPolicy {
   std::vector<util::SimTime> boost_until_;
 };
 
+ControllerRegistry build_global() {
+  ControllerRegistry r("controller policy",
+                       [](ControllerPolicy&, const std::string&,
+                          const ModeControllerConfig& config,
+                          const PolicyInit&) { config.validate(); });
+  r.add("hysteresis",
+        "Incumbent sliding-window rule: jump to the fastest level when idle "
+        "reaches tighten_threshold, fall back to minimum mode at "
+        "relax_threshold (the default).",
+        [](const ModeControllerConfig& config, const PolicyInit&) {
+          return std::make_unique<HysteresisPolicy>(config, "hysteresis");
+        });
+  r.add("hysteresis/nlevel",
+        "Same hysteresis band, one mode-table level at a time: tighten one "
+        "rung on idle >= tighten_threshold, loosen one rung at "
+        "relax_threshold.",
+        [](const ModeControllerConfig& config, const PolicyInit&) {
+          return std::make_unique<NLevelHysteresisPolicy>(config,
+                                                          "hysteresis/nlevel");
+        });
+  r.add("never-switch",
+        "Inert baseline: every monitor stays in minimum mode, job-for-job "
+        "identical to the static engine on the minimum-mode task list.",
+        [](const ModeControllerConfig&, const PolicyInit&) {
+          return std::make_unique<NeverSwitchPolicy>("never-switch");
+        });
+  r.add("boost",
+        "Attack-triggered boosting (Contego): a detection event pins the "
+        "affected monitor at its fastest level for boost_window ticks, then "
+        "decays level-by-level toward the hysteresis/nlevel target.",
+        [](const ModeControllerConfig& config, const PolicyInit& init) {
+          return std::make_unique<BoostPolicy>(config, init, "boost");
+        });
+  return r;
+}
+
 }  // namespace
-
-void ControllerRegistry::add(std::string name, std::string description,
-                             Factory factory) {
-  HYDRA_REQUIRE(!name.empty(), "controller policy name must be non-empty");
-  HYDRA_REQUIRE(find(name) == nullptr,
-                "duplicate controller policy name '" + name + "'");
-  entries_.push_back(Entry{std::move(name), std::move(description), std::move(factory)});
-}
-
-bool ControllerRegistry::contains(const std::string& name) const {
-  return find(name) != nullptr;
-}
-
-const ControllerRegistry::Entry* ControllerRegistry::find(
-    const std::string& name) const {
-  for (const auto& entry : entries_) {
-    if (entry.name == name) return &entry;
-  }
-  return nullptr;
-}
-
-void ControllerRegistry::require(const std::string& name) const {
-  if (find(name) != nullptr) return;
-  std::string known;
-  for (const auto& entry : entries_) {
-    if (!known.empty()) known += ", ";
-    known += entry.name;
-  }
-  throw std::invalid_argument("unknown controller policy '" + name +
-                              "' (registered: " + known + ")");
-}
-
-std::unique_ptr<ControllerPolicy> ControllerRegistry::make(
-    const std::string& name, const ModeControllerConfig& config,
-    const PolicyInit& init) const {
-  require(name);
-  config.validate();
-  return find(name)->factory(config, init);
-}
-
-std::vector<std::string> ControllerRegistry::names() const {
-  std::vector<std::string> out;
-  out.reserve(entries_.size());
-  for (const auto& entry : entries_) out.push_back(entry.name);
-  return out;
-}
-
-const std::string& ControllerRegistry::description(const std::string& name) const {
-  require(name);
-  return find(name)->description;
-}
-
-ControllerRegistry& ControllerRegistry::global() {
-  static ControllerRegistry registry = [] {
-    ControllerRegistry r;
-    r.add("hysteresis",
-          "Incumbent sliding-window rule: jump to the fastest level when idle "
-          "reaches tighten_threshold, fall back to minimum mode at "
-          "relax_threshold (the default).",
-          [](const ModeControllerConfig& config, const PolicyInit&) {
-            return std::make_unique<HysteresisPolicy>(config, "hysteresis");
-          });
-    r.add("hysteresis/nlevel",
-          "Same hysteresis band, one mode-table level at a time: tighten one "
-          "rung on idle >= tighten_threshold, loosen one rung at "
-          "relax_threshold.",
-          [](const ModeControllerConfig& config, const PolicyInit&) {
-            return std::make_unique<NLevelHysteresisPolicy>(config,
-                                                            "hysteresis/nlevel");
-          });
-    r.add("never-switch",
-          "Inert baseline: every monitor stays in minimum mode, job-for-job "
-          "identical to the static engine on the minimum-mode task list.",
-          [](const ModeControllerConfig&, const PolicyInit&) {
-            return std::make_unique<NeverSwitchPolicy>("never-switch");
-          });
-    r.add("boost",
-          "Attack-triggered boosting (Contego): a detection event pins the "
-          "affected monitor at its fastest level for boost_window ticks, then "
-          "decays level-by-level toward the hysteresis/nlevel target.",
-          [](const ModeControllerConfig& config, const PolicyInit& init) {
-            return std::make_unique<BoostPolicy>(config, init, "boost");
-          });
-    return r;
-  }();
-  return registry;
-}
-
-namespace {
-thread_local const std::string* g_controller_scope = nullptr;
-}  // namespace
-
-ControllerScope::ControllerScope(std::string policy)
-    : policy_(std::move(policy)), previous_(g_controller_scope) {
-  g_controller_scope = policy_.empty() ? nullptr : &policy_;
-}
-
-ControllerScope::~ControllerScope() { g_controller_scope = previous_; }
-
-const std::string* ControllerScope::current() { return g_controller_scope; }
 
 const std::string& resolve_controller_policy(const std::string& configured) {
   if (!configured.empty()) return configured;
@@ -255,22 +191,22 @@ const std::string& resolve_controller_policy(const std::string& configured) {
   return kDefault;
 }
 
-std::string controller_catalog_markdown(const ControllerRegistry& registry) {
-  std::string out =
-      "# Controller policy catalog\n"
-      "\n"
-      "Generated from `sim::ControllerRegistry::global()` by\n"
-      "`bench_table1_catalog --controller-catalog-out docs/controller-catalog.md`\n"
-      "— regenerate after registering or re-describing a policy\n"
-      "(`test_controller_catalog` fails when this file is stale; "
-      "`HYDRA_UPDATE_CATALOG=1 ./build/test_controller_catalog` rewrites it).\n"
-      "\n"
-      "| policy | description |\n"
-      "|---|---|\n";
-  for (const auto& name : registry.names()) {
-    out += "| `" + name + "` | " + registry.description(name) + " |\n";
-  }
-  return out;
-}
+const char kControllerCatalogPreamble[] =
+    "# Controller policy catalog\n"
+    "\n"
+    "Generated from `sim::ControllerRegistry::global()` by\n"
+    "`bench_table1_catalog --controller-catalog-out docs/controller-catalog.md`\n"
+    "— regenerate after registering or re-describing a policy\n"
+    "(`test_controller_catalog` fails when this file is stale; "
+    "`HYDRA_UPDATE_CATALOG=1 ./build/test_controller_catalog` rewrites it).\n"
+    "\n"
+    "| policy | description |\n"
+    "|---|---|\n";
 
 }  // namespace hydra::sim
+
+template <>
+hydra::sim::ControllerRegistry& hydra::sim::ControllerRegistry::global() {
+  static Registry registry = sim::build_global();
+  return registry;
+}

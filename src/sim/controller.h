@@ -1,5 +1,5 @@
-// Runtime controller policies and their registry, mirroring
-// core::AllocatorRegistry / gp::SolverRegistry one layer over: CLI flags like
+// Runtime controller policies and their registry (a util::Registry, like
+// core::AllocatorRegistry and gp::SolverRegistry): CLI flags like
 // `--policies hysteresis,boost` and SweepSpec::controller_policy pick the
 // decision rule the mode-switching engine (sim/mode_switch.h) runs each
 // monitor through, without compiling against policy internals.
@@ -29,12 +29,13 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <limits>
 #include <memory>
 #include <string>
-#include <vector>
+#include <utility>
 
+#include "util/registry.h"
+#include "util/thread_scope.h"
 #include "util/units.h"
 
 namespace hydra::sim {
@@ -134,66 +135,20 @@ struct PolicyInit {
   util::SimTime slack_window = 1;   ///< the core's RESOLVED slack window
 };
 
-class ControllerRegistry {
- public:
-  using Factory = std::function<std::unique_ptr<ControllerPolicy>(
-      const ModeControllerConfig&, const PolicyInit&)>;
+/// Policy registry; `make(name, config, init)` validates `config` (throwing
+/// std::invalid_argument) before returning the policy.
+using ControllerRegistry =
+    util::Registry<ControllerPolicy, const ModeControllerConfig&, const PolicyInit&>;
 
-  /// Registers a policy.  Throws std::invalid_argument on duplicate names.
-  void add(std::string name, std::string description, Factory factory);
-
-  bool contains(const std::string& name) const;
-
-  /// Constructs the policy registered under `name` (the result's
-  /// ControllerPolicy::name() reports exactly `name`).  Validates `config`
-  /// first.  Throws std::invalid_argument for unknown names, listing the
-  /// registered ones.
-  std::unique_ptr<ControllerPolicy> make(const std::string& name,
-                                         const ModeControllerConfig& config,
-                                         const PolicyInit& init) const;
-
-  /// Throws std::invalid_argument (listing the registered names) when `name`
-  /// is unknown — the cheap existence check Sweep construction uses.
-  void require(const std::string& name) const;
-
-  /// Registered names, in registration order.
-  std::vector<std::string> names() const;
-
-  /// The registration-time description of `name` (throws when unknown).
-  const std::string& description(const std::string& name) const;
-
-  /// The process-wide registry pre-populated with the built-in policies.
-  static ControllerRegistry& global();
-
- private:
-  struct Entry {
-    std::string name;
-    std::string description;
-    Factory factory;
-  };
-
-  const Entry* find(const std::string& name) const;
-
-  std::vector<Entry> entries_;
-};
-
-/// RAII thread-local policy selection, mirroring gp::GpBackendScope: scopes
-/// nest innermost-wins, and call sites whose config carries no policy name
+/// RAII thread-local policy selection (util::ThreadScope): scopes nest
+/// innermost-wins, and call sites whose config carries no policy name
 /// resolve the ambient policy through `current()`.  The sweep layer installs
-/// one per unit from SweepSpec::controller_policy.
-class ControllerScope {
+/// one per unit from SweepSpec::controller_policy; an empty policy string
+/// re-selects the default.
+class ControllerScope : public util::ThreadScope<std::string, ControllerScope> {
  public:
-  explicit ControllerScope(std::string policy);
-  ~ControllerScope();
-  ControllerScope(const ControllerScope&) = delete;
-  ControllerScope& operator=(const ControllerScope&) = delete;
-
-  /// The innermost scope's policy name on this thread, or nullptr when none.
-  static const std::string* current();
-
- private:
-  std::string policy_;
-  const std::string* previous_;
+  explicit ControllerScope(std::string policy)
+      : ThreadScope(policy.empty() ? kDefaultControllerPolicy : std::move(policy)) {}
 };
 
 /// Resolves which policy a call site should use: an explicitly configured
@@ -201,13 +156,11 @@ class ControllerScope {
 /// kDefaultControllerPolicy.
 const std::string& resolve_controller_policy(const std::string& configured);
 
-/// Renders the registry as the markdown controller catalog committed at
-/// docs/controller-catalog.md (name + description, registration order).  A
-/// pure function of the registry contents, so `test_controller_catalog` can
-/// diff the committed file against the live registry byte for byte.
-/// Regenerate with `bench_table1_catalog --controller-catalog-out
-/// docs/controller-catalog.md` (or
-/// `HYDRA_UPDATE_CATALOG=1 ./build/test_controller_catalog`).
-std::string controller_catalog_markdown(const ControllerRegistry& registry);
+/// Everything docs/controller-catalog.md holds above the policy rows; render
+/// the catalog with util::catalog_markdown(ControllerRegistry::global(), this).
+extern const char kControllerCatalogPreamble[];
 
 }  // namespace hydra::sim
+
+template <>
+hydra::sim::ControllerRegistry& hydra::sim::ControllerRegistry::global();

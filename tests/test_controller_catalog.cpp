@@ -1,62 +1,52 @@
 // Keeps docs/controller-catalog.md in sync with
-// sim::ControllerRegistry::global().
-//
-// The committed catalog is generated (bench_table1_catalog
-// --controller-catalog-out); this suite fails whenever the registry gains,
-// loses, or re-describes a policy without the doc being regenerated.  After
-// an intentional registry change:
+// sim::ControllerRegistry::global(), checks the registry's mechanics through
+// the shared typed suite in tests/registry_catalog_suite.h, and pins the
+// controller's own rules: config validation at make() and ControllerScope
+// resolution.  After an intentional registry change:
 //
 //     HYDRA_UPDATE_CATALOG=1 ./build/test_controller_catalog
 //
 // rewrites the file in place (review the diff like any other code change).
-// Also covers registry mechanics: name stamping, unknown-name diagnostics,
-// config validation at make(), and the scope/resolution rules mirrored from
-// gp::GpBackendScope.
-#include <gtest/gtest.h>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
-
+#include "gp/solver_registry.h"
+#include "registry_catalog_suite.h"
 #include "sim/controller.h"
 
+namespace gp = hydra::gp;
 namespace sim = hydra::sim;
 
 namespace {
 
-const std::string kCatalogPath =
-    std::string(HYDRA_SOURCE_DIR) + "/docs/controller-catalog.md";
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path);
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
-}
+struct Controllers {
+  using Registry = sim::ControllerRegistry;
+  static constexpr const char* kLabel = "controller";
+  static constexpr const char* kSuite = "test_controller_catalog";
+  static constexpr const char* kDoc = "docs/controller-catalog.md";
+  static constexpr const char* kFlag = "--controller-catalog-out";
+  static constexpr const char* kTitle = "# Controller policy catalog";
+  static constexpr const char* kNoun = "controller policy";
+  static constexpr const char* kPreamble = sim::kControllerCatalogPreamble;
+  static std::vector<std::string> shipped() {
+    return {"hysteresis", "hysteresis/nlevel", "never-switch", "boost"};
+  }
+  static Registry::Factory factory() {
+    return [](const sim::ModeControllerConfig& config, const sim::PolicyInit& init) {
+      return Registry::global().make(sim::kDefaultControllerPolicy, config, init);
+    };
+  }
+  static auto make(const Registry& registry, const std::string& name) {
+    return registry.make(name, sim::ModeControllerConfig{}, sim::PolicyInit{4, 1000});
+  }
+};
 
 }  // namespace
 
-TEST(ControllerCatalog, RegistryShipsTheDocumentedPolicies) {
-  const auto& registry = sim::ControllerRegistry::global();
-  EXPECT_TRUE(registry.contains("hysteresis"));
-  EXPECT_TRUE(registry.contains("hysteresis/nlevel"));
-  EXPECT_TRUE(registry.contains("never-switch"));
-  EXPECT_TRUE(registry.contains("boost"));
-  EXPECT_TRUE(registry.contains(sim::kDefaultControllerPolicy));
-  EXPECT_FALSE(registry.contains("no-such-policy"));
-  EXPECT_THROW(registry.require("no-such-policy"), std::invalid_argument);
-}
+INSTANTIATE_TYPED_TEST_SUITE_P(Controller, RegistryCatalog, Controllers);
 
-TEST(ControllerCatalog, EveryPolicyStampsItsRegisteredName) {
-  const auto& registry = sim::ControllerRegistry::global();
-  const sim::ModeControllerConfig config;
-  const sim::PolicyInit init{4, 1000};
-  for (const auto& name : registry.names()) {
-    EXPECT_EQ(registry.make(name, config, init)->name(), name);
-  }
-}
-
-TEST(ControllerCatalog, MakeValidatesTheConfig) {
+TEST(ControllerRegistry, MakeValidatesTheConfig) {
   const auto& registry = sim::ControllerRegistry::global();
   sim::ModeControllerConfig bad;
   bad.tighten_threshold = 2.0;  // the idle fraction is a ratio — can never fire
@@ -68,7 +58,7 @@ TEST(ControllerCatalog, MakeValidatesTheConfig) {
                std::invalid_argument);
 }
 
-TEST(ControllerCatalog, ScopeResolvesLikeGpBackendScope) {
+TEST(ControllerRegistry, ScopeResolvesLikeGpBackendScope) {
   // explicit > innermost scope > default; "" re-selects the default.
   EXPECT_EQ(sim::resolve_controller_policy(""), sim::kDefaultControllerPolicy);
   EXPECT_EQ(sim::resolve_controller_policy("boost"), "boost");
@@ -82,42 +72,12 @@ TEST(ControllerCatalog, ScopeResolvesLikeGpBackendScope) {
     }
     EXPECT_EQ(sim::resolve_controller_policy(""), "never-switch");
     {
+      // Scopes of the two string selections never see each other.
+      const gp::GpBackendScope backend("ipm/filter");
+      EXPECT_EQ(sim::resolve_controller_policy(""), "never-switch");
       const sim::ControllerScope blank("");
       EXPECT_EQ(sim::resolve_controller_policy(""), sim::kDefaultControllerPolicy);
     }
   }
   EXPECT_EQ(sim::resolve_controller_policy(""), sim::kDefaultControllerPolicy);
-}
-
-TEST(ControllerCatalog, MarkdownContainsEveryRegisteredPolicy) {
-  const auto& registry = sim::ControllerRegistry::global();
-  const std::string markdown = sim::controller_catalog_markdown(registry);
-  for (const auto& name : registry.names()) {
-    EXPECT_NE(markdown.find("| `" + name + "` |"), std::string::npos) << name;
-    EXPECT_NE(markdown.find(registry.description(name)), std::string::npos) << name;
-  }
-  EXPECT_NE(markdown.find("# Controller policy catalog"), std::string::npos);
-}
-
-TEST(ControllerCatalog, CommittedDocMatchesTheLiveRegistry) {
-  const std::string expected =
-      sim::controller_catalog_markdown(sim::ControllerRegistry::global());
-
-  if (std::getenv("HYDRA_UPDATE_CATALOG") != nullptr) {
-    std::ofstream out(kCatalogPath);
-    out << expected;
-    GTEST_SKIP() << "controller catalog regenerated at " << kCatalogPath;
-  }
-
-  const std::string committed = read_file(kCatalogPath);
-  ASSERT_FALSE(committed.empty())
-      << "missing " << kCatalogPath
-      << " — generate it with ./build/bench_table1_catalog "
-         "--controller-catalog-out docs/controller-catalog.md";
-  EXPECT_EQ(committed, expected)
-      << "docs/controller-catalog.md is out of sync with "
-         "sim::ControllerRegistry::global(); regenerate with "
-         "HYDRA_UPDATE_CATALOG=1 ./build/test_controller_catalog or "
-         "./build/bench_table1_catalog --controller-catalog-out "
-         "docs/controller-catalog.md";
 }

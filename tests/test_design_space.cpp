@@ -1,7 +1,12 @@
 // Tests for the design-space exploration driver.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "core/design_space.h"
+#include "core/hydra.h"
+#include "core/optimal.h"
+#include "core/single_core.h"
 #include "gen/uav.h"
 #include "rt/task.h"
 
@@ -11,12 +16,12 @@ namespace rt = hydra::rt;
 TEST(DesignSpace, EvaluatesAllSchemesOnTheCaseStudy) {
   const auto inst = hydra::gen::uav_case_study(2);
   const auto report = core::explore_design_space(inst);
-  // HYDRA, HYDRA(exact-RTA), SingleCore, Optimal (2^6 = 64 <= budget).
+  // The paper's line-up under its registry names (2^6 = 64 fits the budget).
   ASSERT_EQ(report.points.size(), 4u);
-  EXPECT_EQ(report.points[0].scheme, "HYDRA");
-  EXPECT_EQ(report.points[1].scheme, "HYDRA(exact-RTA)");
-  EXPECT_EQ(report.points[2].scheme, "SingleCore");
-  EXPECT_EQ(report.points[3].scheme, "Optimal");
+  EXPECT_EQ(report.points[0].scheme, "hydra");
+  EXPECT_EQ(report.points[1].scheme, "hydra/exact-rta");
+  EXPECT_EQ(report.points[2].scheme, "single-core");
+  EXPECT_EQ(report.points[3].scheme, "optimal");
   for (const auto& p : report.points) {
     EXPECT_TRUE(p.allocation.feasible) << p.scheme;
     EXPECT_TRUE(p.validated) << p.scheme << ": " << p.validation_problem;
@@ -42,24 +47,29 @@ TEST(DesignSpace, BestPointDominates) {
             report.points[0].cumulative_tightness - 1e-9);
 }
 
-TEST(DesignSpace, SingleCoreSkippedOnUniprocessor) {
+TEST(DesignSpace, SingleCoreReportedInfeasibleOnUniprocessor) {
   core::Instance inst;
   inst.num_cores = 1;
   inst.rt_tasks = {rt::make_rt_task("r", 1.0, 10.0)};
   inst.security_tasks = {rt::make_security_task("s", 10.0, 500.0, 5000.0)};
   const auto report = core::explore_design_space(inst);
-  for (const auto& p : report.points) EXPECT_NE(p.scheme, "SingleCore");
+  ASSERT_EQ(report.points.size(), 4u);
+  const auto& single = report.points[2];
+  EXPECT_EQ(single.scheme, "single-core");
+  EXPECT_FALSE(single.allocation.feasible);
+  EXPECT_NE(single.allocation.failure_reason.find("two cores"), std::string::npos)
+      << single.allocation.failure_reason;
+  EXPECT_TRUE(report.points[0].allocation.feasible);
 }
 
-TEST(DesignSpace, OptimalSkippedWhenOverBudget) {
-  auto inst = hydra::gen::uav_case_study(4);  // 4^6 = 4096 assignments
-  core::ExplorationOptions opts;
-  opts.optimal_budget = 100;  // too small
-  const auto report = core::explore_design_space(inst, opts);
-  for (const auto& p : report.points) EXPECT_NE(p.scheme, "Optimal");
-  opts.optimal_budget = 0;  // disabled
-  const auto none = core::explore_design_space(inst, opts);
-  for (const auto& p : none.points) EXPECT_NE(p.scheme, "Optimal");
+TEST(DesignSpace, OptimalOmittedWhenOverTheSweepBudget) {
+  // 8^6 = 262144 assignments exceeds kDefaultOptimalBudget (4096).
+  const auto inst = hydra::gen::uav_case_study(8);
+  ASSERT_GT(std::pow(8.0, static_cast<double>(inst.security_tasks.size())),
+            static_cast<double>(core::kDefaultOptimalBudget));
+  const auto report = core::explore_design_space(inst);
+  ASSERT_EQ(report.points.size(), 3u);
+  for (const auto& p : report.points) EXPECT_NE(p.scheme, "optimal");
 }
 
 TEST(DesignSpace, InfeasibleInstanceReportsNoFeasiblePoint) {
@@ -72,16 +82,38 @@ TEST(DesignSpace, InfeasibleInstanceReportsNoFeasiblePoint) {
   EXPECT_FALSE(report.best_index().has_value());
 }
 
-TEST(DesignSpace, RespectsCallerHydraOptions) {
-  const auto inst = hydra::gen::uav_case_study(2);
-  core::ExplorationOptions opts;
-  opts.hydra.solver = core::PeriodSolver::kExactRta;
-  const auto report = core::explore_design_space(inst, opts);
-  // The duplicate exact-RTA run is suppressed.
-  int hydra_points = 0;
-  for (const auto& p : report.points) {
-    if (p.scheme.rfind("HYDRA", 0) == 0) ++hydra_points;
-  }
-  EXPECT_EQ(hydra_points, 1);
-  EXPECT_TRUE(report.points[0].validated) << report.points[0].validation_problem;
+TEST(DesignSpace, ConvenienceMatchesDirectAllocatorResults) {
+  // explore_design_space is a thin layer over the Allocator interface: its
+  // points must equal what the concrete allocators produce directly.
+  const auto instance = hydra::gen::uav_case_study(2);
+  const auto report = core::explore_design_space(instance);
+  ASSERT_EQ(report.points.size(), 4u);
+
+  const auto direct_hydra = core::HydraAllocator().allocate(instance);
+  EXPECT_DOUBLE_EQ(report.points[0].cumulative_tightness,
+                   direct_hydra.cumulative_tightness(instance.security_tasks));
+
+  core::HydraOptions exact;
+  exact.solver = core::PeriodSolver::kExactRta;
+  const auto direct_exact = core::HydraAllocator(exact).allocate(instance);
+  EXPECT_DOUBLE_EQ(report.points[1].cumulative_tightness,
+                   direct_exact.cumulative_tightness(instance.security_tasks));
+
+  const auto direct_single = core::SingleCoreAllocator().allocate(instance);
+  EXPECT_DOUBLE_EQ(report.points[2].cumulative_tightness,
+                   direct_single.cumulative_tightness(instance.security_tasks));
+
+  const auto direct_optimal = core::OptimalAllocator().allocate(instance);
+  EXPECT_DOUBLE_EQ(report.points[3].cumulative_tightness,
+                   direct_optimal.cumulative_tightness(instance.security_tasks));
+}
+
+TEST(DesignSpace, RegistrySchemeSelectionOverload) {
+  const auto instance = hydra::gen::uav_case_study(2);
+  const auto report =
+      core::explore_design_space(instance, {"single-core", "hydra/first-fit"});
+  ASSERT_EQ(report.points.size(), 2u);
+  EXPECT_EQ(report.points[0].scheme, "single-core");
+  EXPECT_EQ(report.points[1].scheme, "hydra/first-fit");
+  EXPECT_THROW(core::explore_design_space(instance, {"nope"}), std::invalid_argument);
 }

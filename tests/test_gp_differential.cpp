@@ -42,7 +42,7 @@ double rel_diff(double a, double b) {
 }
 
 gp::SolveResult solve_backend(const gp::GpProblem& problem, const std::string& backend) {
-  return gp::solve_with_backend(problem, std::nullopt, backend);
+  return gp::SolverRegistry::global().make(backend)->solve(problem);
 }
 
 /// The full differential contract for one problem.  `expect_optimal` is set

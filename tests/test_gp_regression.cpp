@@ -197,11 +197,11 @@ TEST(GpRegression, GoldenBitPinsOnCorpusJointPeriodGps) {
     const gp::GpProblem problem =
         core::make_joint_period_gp(ff->instance, ff->alloc.rt_partition, ff->core_of);
     for (const std::string backend : {"scp/barrier", "ipm/filter"}) {
-      const gp::SolveResult sr = gp::solve_with_backend(problem, std::nullopt, backend);
+      const gp::GpBackendScope scope(backend);
+      const gp::SolveResult sr = gp::solve_with_backend(problem);
       ASSERT_TRUE(sr.ok()) << workload << " " << backend << ": " << sr.message;
       core::JointPeriodOptions options;
       options.objective = core::JointObjective::kSignomialScp;
-      options.gp_backend = backend;
       const core::JointPeriodResult scp = core::optimize_joint_periods(
           ff->instance, ff->alloc.rt_partition, ff->core_of, options);
       ASSERT_TRUE(scp.feasible) << workload << " " << backend;

@@ -1,62 +1,50 @@
-// Keeps docs/scheme-catalog.md in sync with AllocatorRegistry::global().
-//
-// The committed catalog is generated (bench_table1_catalog --catalog-out);
-// this suite fails whenever the registry gains, loses, or re-describes a
-// scheme without the doc being regenerated.  After an intentional registry
-// change:
+// Keeps docs/scheme-catalog.md in sync with core::AllocatorRegistry::global()
+// and checks the registry's mechanics through the shared typed suite in
+// tests/registry_catalog_suite.h.  After an intentional registry change:
 //
 //     HYDRA_UPDATE_CATALOG=1 ./build/test_scheme_catalog
 //
 // rewrites the file in place (review the diff like any other code change).
-#include <gtest/gtest.h>
+#include <memory>
+#include <string>
+#include <vector>
 
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
-
+#include "core/hydra.h"
 #include "core/registry.h"
+#include "registry_catalog_suite.h"
+
+namespace core = hydra::core;
 
 namespace {
 
-const std::string kCatalogPath =
-    std::string(HYDRA_SOURCE_DIR) + "/docs/scheme-catalog.md";
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path);
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
-}
+struct Schemes {
+  using Registry = core::AllocatorRegistry;
+  static constexpr const char* kLabel = "scheme";
+  static constexpr const char* kSuite = "test_scheme_catalog";
+  static constexpr const char* kDoc = "docs/scheme-catalog.md";
+  static constexpr const char* kFlag = "--catalog-out";
+  static constexpr const char* kTitle = "# Scheme catalog";
+  static constexpr const char* kNoun = "allocation scheme";
+  static constexpr const char* kPreamble = core::kSchemeCatalogPreamble;
+  static std::vector<std::string> shipped() {
+    return {"hydra", "hydra/gp",
+            "hydra/exact-rta", "hydra/first-fit",
+            "hydra/least-loaded", "hydra/worst-tightness",
+            "hydra/tie=lowest-index", "single-core",
+            "single-core/joint", "optimal",
+            "optimal/sum-surrogate", "contego",
+            "contego/no-adapt", "period-adapt",
+            "period-adapt/gp", "util/worst-fit",
+            "util/best-fit"};
+  }
+  static Registry::Factory factory() {
+    return [] { return std::make_unique<core::HydraAllocator>(); };
+  }
+  static auto make(const Registry& registry, const std::string& name) {
+    return registry.make(name);
+  }
+};
 
 }  // namespace
 
-TEST(SchemeCatalog, MarkdownContainsEveryRegisteredScheme) {
-  const auto& registry = hydra::core::AllocatorRegistry::global();
-  const std::string markdown = hydra::core::scheme_catalog_markdown(registry);
-  for (const auto& name : registry.names()) {
-    EXPECT_NE(markdown.find("| `" + name + "` |"), std::string::npos) << name;
-    EXPECT_NE(markdown.find(registry.description(name)), std::string::npos) << name;
-  }
-  EXPECT_NE(markdown.find("# Scheme catalog"), std::string::npos);
-}
-
-TEST(SchemeCatalog, CommittedDocMatchesTheLiveRegistry) {
-  const std::string expected =
-      hydra::core::scheme_catalog_markdown(hydra::core::AllocatorRegistry::global());
-
-  if (std::getenv("HYDRA_UPDATE_CATALOG") != nullptr) {
-    std::ofstream out(kCatalogPath);
-    out << expected;
-    GTEST_SKIP() << "scheme catalog regenerated at " << kCatalogPath;
-  }
-
-  const std::string committed = read_file(kCatalogPath);
-  ASSERT_FALSE(committed.empty())
-      << "missing " << kCatalogPath
-      << " — generate it with ./build/bench_table1_catalog --catalog-out "
-         "docs/scheme-catalog.md";
-  EXPECT_EQ(committed, expected)
-      << "docs/scheme-catalog.md is out of sync with AllocatorRegistry::global(); "
-         "regenerate with HYDRA_UPDATE_CATALOG=1 ./build/test_scheme_catalog or "
-         "./build/bench_table1_catalog --catalog-out docs/scheme-catalog.md";
-}
+INSTANTIATE_TYPED_TEST_SUITE_P(Scheme, RegistryCatalog, Schemes);

@@ -1,79 +1,63 @@
-// Keeps docs/solver-catalog.md in sync with gp::SolverRegistry::global().
-//
-// The committed catalog is generated (bench_table1_catalog
-// --solver-catalog-out); this suite fails whenever the registry gains, loses,
-// or re-describes a backend without the doc being regenerated.  After an
-// intentional registry change:
+// Keeps docs/solver-catalog.md in sync with gp::SolverRegistry::global(),
+// checks the registry's mechanics through the shared typed suite in
+// tests/registry_catalog_suite.h, and pins GpBackendScope resolution.  After
+// an intentional registry change:
 //
 //     HYDRA_UPDATE_CATALOG=1 ./build/test_solver_catalog
 //
 // rewrites the file in place (review the diff like any other code change).
-#include <gtest/gtest.h>
-
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
+#include <string>
+#include <vector>
 
 #include "gp/solver_registry.h"
+#include "registry_catalog_suite.h"
+
+namespace gp = hydra::gp;
 
 namespace {
 
-const std::string kCatalogPath =
-    std::string(HYDRA_SOURCE_DIR) + "/docs/solver-catalog.md";
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path);
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
-}
+struct Solvers {
+  using Registry = gp::SolverRegistry;
+  static constexpr const char* kLabel = "solver";
+  static constexpr const char* kSuite = "test_solver_catalog";
+  static constexpr const char* kDoc = "docs/solver-catalog.md";
+  static constexpr const char* kFlag = "--solver-catalog-out";
+  static constexpr const char* kTitle = "# GP solver catalog";
+  static constexpr const char* kNoun = "GP solver backend";
+  static constexpr const char* kPreamble = gp::kSolverCatalogPreamble;
+  static std::vector<std::string> shipped() {
+    return {"scp/barrier", "ipm/filter", "pick-best"};
+  }
+  static Registry::Factory factory() {
+    return [](const gp::SolveOptions& options) {
+      return Registry::global().make(gp::kDefaultGpBackend, options);
+    };
+  }
+  static auto make(const Registry& registry, const std::string& name) {
+    return registry.make(name);
+  }
+};
 
 }  // namespace
 
-TEST(SolverCatalog, RegistryShipsTheDocumentedBackends) {
-  const auto& registry = hydra::gp::SolverRegistry::global();
-  EXPECT_TRUE(registry.contains("scp/barrier"));
-  EXPECT_TRUE(registry.contains("ipm/filter"));
-  EXPECT_TRUE(registry.contains("pick-best"));
-  EXPECT_TRUE(registry.contains(hydra::gp::kDefaultGpBackend));
-  EXPECT_FALSE(registry.contains("no-such-backend"));
-  EXPECT_THROW(registry.make("no-such-backend"), std::invalid_argument);
-}
+INSTANTIATE_TYPED_TEST_SUITE_P(Solver, RegistryCatalog, Solvers);
 
-TEST(SolverCatalog, EveryBackendStampsItsRegisteredName) {
-  const auto& registry = hydra::gp::SolverRegistry::global();
-  for (const auto& name : registry.names()) {
-    EXPECT_EQ(registry.make(name)->name(), name);
+TEST(SolverRegistry, ScopeSelectsTheBackendInnermostWins) {
+  // innermost scope > default; "" re-selects the default.
+  EXPECT_EQ(gp::resolve_gp_backend(""), gp::kDefaultGpBackend);
+  EXPECT_EQ(gp::resolve_gp_backend("pick-best"), "pick-best");
+  {
+    const gp::GpBackendScope outer("ipm/filter");
+    EXPECT_EQ(gp::resolve_gp_backend(""), "ipm/filter");
+    {
+      const gp::GpBackendScope inner("pick-best");
+      EXPECT_EQ(gp::resolve_gp_backend(""), "pick-best");
+    }
+    EXPECT_EQ(gp::resolve_gp_backend(""), "ipm/filter");
+    {
+      const gp::GpBackendScope blank("");
+      EXPECT_EQ(gp::resolve_gp_backend(""), gp::kDefaultGpBackend);
+    }
   }
-}
-
-TEST(SolverCatalog, MarkdownContainsEveryRegisteredBackend) {
-  const auto& registry = hydra::gp::SolverRegistry::global();
-  const std::string markdown = hydra::gp::solver_catalog_markdown(registry);
-  for (const auto& name : registry.names()) {
-    EXPECT_NE(markdown.find("| `" + name + "` |"), std::string::npos) << name;
-    EXPECT_NE(markdown.find(registry.description(name)), std::string::npos) << name;
-  }
-  EXPECT_NE(markdown.find("# GP solver catalog"), std::string::npos);
-}
-
-TEST(SolverCatalog, CommittedDocMatchesTheLiveRegistry) {
-  const std::string expected =
-      hydra::gp::solver_catalog_markdown(hydra::gp::SolverRegistry::global());
-
-  if (std::getenv("HYDRA_UPDATE_CATALOG") != nullptr) {
-    std::ofstream out(kCatalogPath);
-    out << expected;
-    GTEST_SKIP() << "solver catalog regenerated at " << kCatalogPath;
-  }
-
-  const std::string committed = read_file(kCatalogPath);
-  ASSERT_FALSE(committed.empty())
-      << "missing " << kCatalogPath
-      << " — generate it with ./build/bench_table1_catalog --solver-catalog-out "
-         "docs/solver-catalog.md";
-  EXPECT_EQ(committed, expected)
-      << "docs/solver-catalog.md is out of sync with gp::SolverRegistry::global(); "
-         "regenerate with HYDRA_UPDATE_CATALOG=1 ./build/test_solver_catalog or "
-         "./build/bench_table1_catalog --solver-catalog-out docs/solver-catalog.md";
+  EXPECT_EQ(gp::GpBackendScope::current(), nullptr);
 }

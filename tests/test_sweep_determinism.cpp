@@ -6,7 +6,8 @@
 //     checkpoint that provably belongs to a DIFFERENT grid (cell keys
 //     outside the spec, or a shard header with a foreign fingerprint/shard
 //     position) throws instead of silently recomputing;
-//   * JSONL rows round-trip exactly through parse_jsonl_row.
+//   * JSONL rows round-trip exactly through parse_jsonl_row;
+//   * row order, budget-skipped rows and no-instance rows of a plain sweep.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -14,7 +15,9 @@
 #include <sstream>
 
 #include "exp/aggregate.h"
+#include "exp/batch.h"
 #include "exp/sweep.h"
+#include "gen/uav.h"
 #include "gp/solver_registry.h"
 
 namespace hexp = hydra::exp;
@@ -151,6 +154,116 @@ TEST(SweepDeterminism, UnknownGpBackendIsRejectedAtConstruction) {
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("no-such-backend"), std::string::npos);
   }
+}
+
+TEST(Batch, PerInstanceSeedsAreDeterministicAndDistinct) {
+  EXPECT_EQ(hexp::instance_seed(1, 0), hexp::instance_seed(1, 0));
+  EXPECT_NE(hexp::instance_seed(1, 0), hexp::instance_seed(1, 1));
+  EXPECT_NE(hexp::instance_seed(1, 0), hexp::instance_seed(2, 0));
+  hexp::BatchSpec spec;
+  spec.count = 5;
+  spec.base_seed = 42;
+  const auto items = hexp::enumerate(spec);
+  ASSERT_EQ(items.size(), 5u);
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    EXPECT_EQ(items[i].index, i);
+    EXPECT_EQ(items[i].seed, hexp::instance_seed(42, i));
+  }
+}
+
+TEST(Batch, MaterializeIsAPureFunctionOfTheItem) {
+  hexp::BatchSpec spec;
+  spec.count = 3;
+  spec.synthetic.num_cores = 2;
+  spec.total_utilization = 1.0;
+  const auto items = hexp::enumerate(spec);
+  const auto once = hexp::materialize(spec, items[1]);
+  const auto twice = hexp::materialize(spec, items[1]);
+  ASSERT_TRUE(once.instance.has_value());
+  ASSERT_TRUE(twice.instance.has_value());
+  EXPECT_EQ(once.instance->rt_tasks.size(), twice.instance->rt_tasks.size());
+  EXPECT_DOUBLE_EQ(once.rt_utilization, twice.rt_utilization);
+}
+
+TEST(Sweep, RejectsUnknownOrMissingSchemesUpFront) {
+  auto spec = small_grid();
+  spec.schemes = {"hydra", "definitely-not-registered"};
+  EXPECT_THROW(hexp::Sweep{spec}, std::invalid_argument);
+  spec.schemes = {};
+  EXPECT_THROW(hexp::Sweep{spec}, std::invalid_argument);
+}
+
+TEST(Sweep, RowsArriveInstanceMajorThenSchemeOrder) {
+  auto spec = small_grid();
+  spec.schemes = {"hydra", "single-core"};
+  spec.points.resize(1);
+  spec.replications = 8;
+  spec.jobs = 4;
+  const auto summary = hexp::Sweep(std::move(spec)).run();
+  ASSERT_EQ(summary.rows.size(), 16u);
+  for (std::size_t i = 0; i < summary.rows.size(); ++i) {
+    EXPECT_EQ(summary.rows[i].instance_index, i / 2);
+    EXPECT_EQ(summary.rows[i].scheme, i % 2 == 0 ? "hydra" : "single-core");
+  }
+  EXPECT_EQ(summary.evaluated + summary.skipped + summary.errors, 16u);
+}
+
+TEST(Sweep, OverBudgetSchemesYieldSkippedRowsWithANote) {
+  // M = 2, NS >= 2 ⇒ at least 4 assignments; a budget of 1 skips the
+  // exhaustive optimal everywhere while hydra (search space 1) still runs.
+  auto spec = small_grid();
+  spec.schemes = {"optimal", "hydra"};
+  spec.optimal_budget = 1;
+  const auto summary = hexp::Sweep(std::move(spec)).run();
+  std::size_t skipped = 0;
+  for (const auto& row : summary.rows) {
+    if (row.status == "no-instance") continue;
+    if (row.scheme == "optimal") {
+      EXPECT_EQ(row.status, "skipped");
+      EXPECT_EQ(row.note, "search space exceeds the engine budget of 1");
+      ++skipped;
+    } else {
+      EXPECT_EQ(row.status, "ok") << row.note;
+    }
+  }
+  EXPECT_GT(skipped, 0u);
+  EXPECT_EQ(summary.skipped, skipped);
+}
+
+TEST(Sweep, ImpossibleUtilizationYieldsNoInstanceRows) {
+  // Utilization far beyond M: every draw fails Eq. (1); the sweep reports
+  // each (instance, scheme) pair instead of aborting.
+  hexp::SweepSpec spec;
+  spec.schemes = {"hydra"};
+  hydra::gen::SyntheticConfig config;
+  config.num_cores = 2;
+  spec.add_utilization_grid(config, {50.0});
+  spec.replications = 2;
+  spec.max_attempts = 2;
+  const auto summary = hexp::Sweep(std::move(spec)).run();
+  ASSERT_EQ(summary.rows.size(), 2u);
+  for (const auto& row : summary.rows) {
+    EXPECT_EQ(row.status, "no-instance");
+    EXPECT_FALSE(row.feasible);
+    EXPECT_FALSE(row.note.empty());
+  }
+  EXPECT_EQ(summary.errors, 2u);
+}
+
+TEST(Sweep, PresetInstancePointEvaluatesThatInstance) {
+  hexp::SweepSpec spec;
+  spec.schemes = {"hydra", "single-core", "optimal"};
+  hexp::SweepPoint point;
+  point.instance = hydra::gen::uav_case_study(2);
+  spec.points.push_back(std::move(point));
+  const auto summary = hexp::Sweep(std::move(spec)).run();
+  ASSERT_EQ(summary.rows.size(), 3u);
+  for (const auto& row : summary.rows) {
+    EXPECT_EQ(row.status, "ok") << row.scheme << ": " << row.note;
+    EXPECT_TRUE(row.feasible) << row.scheme;
+    EXPECT_TRUE(row.validated) << row.scheme;
+  }
+  EXPECT_EQ(summary.feasible, 3u);
 }
 
 TEST(SweepDeterminism, RowsRoundTripThroughParser) {
