@@ -17,6 +17,19 @@ namespace hydra::core {
 
 namespace {
 
+/// Constraint slack a solver point may use and still be adopted; the bound
+/// in joint_tightness_bound is derived from this same re-check.
+constexpr double kAcceptTolerance = 1e-7;
+
+void check_assignment(const Instance& instance, const std::vector<std::size_t>& core_of) {
+  instance.validate();
+  HYDRA_REQUIRE(core_of.size() == instance.security_tasks.size(),
+                "assignment must cover every security task");
+  for (const std::size_t c : core_of) {
+    HYDRA_REQUIRE(c < instance.num_cores, "assignment names a core that does not exist");
+  }
+}
+
 /// Static (assignment-independent-period) data for one task's constraint:
 /// (wcet_plus_const)·Ts⁻¹ + rt_util + Σ_h coupling_wcet[h]·T_h⁻¹ ≤ 1.
 struct ConstraintShape {
@@ -62,6 +75,22 @@ double constraint_value(const Instance& instance, const ConstraintShape& shape, 
   double v = shape.wcet_plus_const / periods[s] + shape.rt_util;
   for (const std::size_t h : shape.hp_local) v += instance.security_tasks[h].wcet / periods[h];
   return v;
+}
+
+/// The period vector T = Tmax, or nullopt when it violates a constraint.
+/// Every constraint term is non-increasing in every period, so the corner is
+/// the loosest point: the assignment is feasible iff the corner is.
+std::optional<std::vector<util::Millis>> feasible_corner(
+    const Instance& instance, const std::vector<ConstraintShape>& shapes) {
+  const auto& sec = instance.security_tasks;
+  std::vector<util::Millis> corner(sec.size());
+  for (std::size_t s = 0; s < sec.size(); ++s) corner[s] = sec[s].period_max;
+  for (std::size_t s = 0; s < sec.size(); ++s) {
+    if (constraint_value(instance, shapes[s], s, corner) > 1.0 + util::kTimeEpsilon) {
+      return std::nullopt;
+    }
+  }
+  return corner;
 }
 
 double tightness_sum(const Instance& instance, const std::vector<util::Millis>& periods) {
@@ -145,12 +174,7 @@ JointPeriodResult optimize_joint_periods(const Instance& instance,
                                          const rt::Partition& rt_partition,
                                          const std::vector<std::size_t>& core_of,
                                          const JointPeriodOptions& options) {
-  instance.validate();
-  HYDRA_REQUIRE(core_of.size() == instance.security_tasks.size(),
-                "assignment must cover every security task");
-  for (const std::size_t c : core_of) {
-    HYDRA_REQUIRE(c < instance.num_cores, "assignment names a core that does not exist");
-  }
+  check_assignment(instance, core_of);
 
   JointPeriodResult result;
   const auto& sec = instance.security_tasks;
@@ -160,28 +184,20 @@ JointPeriodResult optimize_joint_periods(const Instance& instance,
   }
 
   const auto shapes = build_shapes(instance, rt_partition, core_of, options.blocking);
-
-  // Every constraint term is non-increasing in every period, so the corner
-  // T = Tmax is the loosest point: feasibility is exactly feasibility there.
-  std::vector<util::Millis> corner(sec.size());
-  for (std::size_t s = 0; s < sec.size(); ++s) corner[s] = sec[s].period_max;
-  for (std::size_t s = 0; s < sec.size(); ++s) {
-    if (constraint_value(instance, shapes[s], s, corner) > 1.0 + util::kTimeEpsilon) {
-      return result;  // infeasible
-    }
-  }
+  const auto corner = feasible_corner(instance, shapes);
+  if (!corner) return result;  // infeasible
 
   // Fallback answer in case numerical optimization fails: the corner itself.
   result.feasible = true;
-  result.periods = corner;
-  result.cumulative_tightness = tightness_sum(instance, corner);
+  result.periods = *corner;
+  result.cumulative_tightness = tightness_sum(instance, *corner);
 
   // Strictly interior warm start: the corner sits ON the Ts <= Tmax boundary,
   // which would force the solver through its phase-I program on every call.
   // All constraints are monotone non-increasing in every period, so backing
   // every period off Tmax by the largest shrink that keeps the schedulability
   // constraints strictly satisfied lands inside the interior directly.
-  std::vector<double> interior = corner;
+  std::vector<double> interior = *corner;
   for (const double shrink : {1e-3, 1e-5, 1e-7, 1e-9}) {
     std::vector<double> candidate(sec.size());
     for (std::size_t s = 0; s < sec.size(); ++s) {
@@ -206,7 +222,7 @@ JointPeriodResult optimize_joint_periods(const Instance& instance,
     }
     // Only adopt points that re-validate against the exact constraints.
     for (std::size_t s = 0; s < sec.size(); ++s) {
-      if (constraint_value(instance, shapes[s], s, periods) > 1.0 + 1e-7) return;
+      if (constraint_value(instance, shapes[s], s, periods) > 1.0 + kAcceptTolerance) return;
     }
     const double value = tightness_sum(instance, periods);
     if (value > result.cumulative_tightness) {
@@ -256,25 +272,44 @@ JointPeriodResult optimize_joint_periods(const Instance& instance,
       const gp::ScpResult scp =
           warm.empty() ? gp::maximize_posynomial_scp(constraints, objective, starts)
                        : gp::maximize_posynomial_scp_warm(constraints, objective, starts, warm);
-      if (scp.feasible) {
-        if (hooks != nullptr && hooks->sink) hooks->sink(scp.x);
-        accept(scp.x);
-      }
+      if (scp.feasible) accept(scp.x);
       break;
     }
   }
   return result;
 }
 
+std::optional<double> joint_tightness_bound(const Instance& instance,
+                                            const rt::Partition& rt_partition,
+                                            const std::vector<std::size_t>& core_of,
+                                            util::Millis blocking) {
+  check_assignment(instance, core_of);
+  const auto& sec = instance.security_tasks;
+  if (sec.empty()) return 0.0;
+
+  const auto shapes = build_shapes(instance, rt_partition, core_of, blocking);
+  if (!feasible_corner(instance, shapes)) return std::nullopt;
+
+  // An adopted period vector P has Tdes <= P <= Tmax and passes
+  // constraint_value <= 1 + kAcceptTolerance.  Each hp term C_h/P_h is at
+  // least C_h/Tmax_h, so wcet_plus_const_s/P_s <= slack_s below, which caps
+  // Tdes_s/P_s.  The corner term Tdes_s/Tmax_s covers the fallback result.
+  double bound = 0.0;
+  for (std::size_t s = 0; s < sec.size(); ++s) {
+    const ConstraintShape& shape = shapes[s];
+    double slack = 1.0 + kAcceptTolerance - shape.rt_util;
+    for (const std::size_t h : shape.hp_local) slack -= sec[h].wcet / sec[h].period_max;
+    const double ratio = std::min(1.0, sec[s].period_des * slack / shape.wcet_plus_const);
+    bound += sec[s].weight * std::max(sec[s].period_des / sec[s].period_max, ratio);
+  }
+  // Relative margin for the rounding of the sums compared against.
+  return bound * (1.0 + 1e-9);
+}
+
 gp::GpProblem make_joint_period_gp(const Instance& instance, const rt::Partition& rt_partition,
                                    const std::vector<std::size_t>& core_of,
                                    const JointPeriodOptions& options) {
-  instance.validate();
-  HYDRA_REQUIRE(core_of.size() == instance.security_tasks.size(),
-                "assignment must cover every security task");
-  for (const std::size_t c : core_of) {
-    HYDRA_REQUIRE(c < instance.num_cores, "assignment names a core that does not exist");
-  }
+  check_assignment(instance, core_of);
   HYDRA_REQUIRE(!instance.security_tasks.empty(),
                 "joint-period GP needs at least one security task");
   const auto shapes = build_shapes(instance, rt_partition, core_of, options.blocking);

@@ -61,6 +61,19 @@ JointPeriodResult optimize_joint_periods(const Instance& instance,
                                          const std::vector<std::size_t>& core_of,
                                          const JointPeriodOptions& options = {});
 
+/// A sound upper bound on optimize_joint_periods(...).cumulative_tightness
+/// for the same assignment under every JointObjective, computed without a
+/// solve.  nullopt exactly when optimize_joint_periods reports the
+/// assignment infeasible (the same Tmax-corner check, bit for bit).  Each
+/// task contributes ωs·max(Tdes_s/Tmax_s, min(1, Tdes_s·slack_s/K_s)), where
+/// K_s = Cs + blocking + local RT and hp WCETs, and slack_s is the Eq. (6)
+/// constraint's acceptance slack left after the local RT utilization and
+/// every local hp task at its Tmax.  The sum is inflated by a relative 1e-9.
+std::optional<double> joint_tightness_bound(const Instance& instance,
+                                            const rt::Partition& rt_partition,
+                                            const std::vector<std::size_t>& core_of,
+                                            util::Millis blocking = 0.0);
+
 /// The joint-period GP for the fixed assignment as a standalone problem:
 /// period bounds + per-task schedulability posynomials, with the rigorous
 /// sum-surrogate objective Σ (ωs/Tdes_s)·Ts.  This is exactly the inner

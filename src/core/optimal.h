@@ -2,6 +2,12 @@
 // security-task-to-core assignments; for each assignment the period vector is
 // optimized jointly (core/joint_period).  Exponential in NS — the paper (and
 // this library) uses it only on small instances (M = 2, NS ≤ 6, Fig. 3).
+//
+// The search is best-first and bound-pruned: every assignment is first
+// bounded without a solve (joint_tightness_bound), then solved highest bound
+// first, skipping any whose bound cannot beat the incumbent.  The answer is
+// the one a plain enumeration in code order would return (lowest code on
+// ties), provided each joint solve is a pure function of its assignment.
 #pragma once
 
 #include <cstddef>

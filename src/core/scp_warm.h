@@ -4,8 +4,7 @@
 // ScpWarmStartScope installed on the current thread: `source` supplies extra
 // start points (for example a neighboring sweep cell's converged period
 // vector) that are ADDED to the cold start set via
-// gp::maximize_posynomial_scp_warm — never replacing it — and `sink`
-// observes each adopted feasible SCP period vector.  Combined with the
+// gp::maximize_posynomial_scp_warm — never replacing it.  Combined with the
 // warm-adoption tie rule documented in gp/scp.h (a warm-derived result wins
 // only when it beats the cold best by more than rel_tol), installing or
 // removing a scope cannot perturb results through last-ulp objective noise:
@@ -31,12 +30,11 @@ struct ScpWarmStartHooks {
   /// variables.  Vectors of the wrong size or with non-positive entries are
   /// skipped by the gp layer, so a source may return candidates without
   /// checking them against the solve at hand.  Called once per
-  /// kSignomialScp solve.
+  /// kSignomialScp solve, and must return the same candidates on every call
+  /// within one scope: OptimalAllocator solves only the assignments its
+  /// bound cannot rule out, in bound order, so a source whose answer
+  /// depended on earlier solves would make results depend on that order.
   std::function<std::vector<std::vector<double>>(std::size_t num_periods)> source;
-
-  /// Observes the adopted feasible SCP iterate of each kSignomialScp solve
-  /// (the raw solver point, before clamping into [Tdes, Tmax]).
-  std::function<void(const std::vector<double>& periods)> sink;
 };
 
 /// RAII installation of warm-start hooks for the current thread

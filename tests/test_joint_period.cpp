@@ -4,12 +4,15 @@
 
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/joint_period.h"
 #include "core/scp_warm.h"
 #include "rt/partition.h"
 #include "rt/task.h"
+#include "util/rng.h"
 
 namespace core = hydra::core;
 namespace rt = hydra::rt;
@@ -30,6 +33,34 @@ rt::Partition trivial_partition(const core::Instance& inst) {
   rt::Partition p;
   p.num_cores = inst.num_cores;
   p.core_of.assign(inst.rt_tasks.size(), 0);
+  return p;
+}
+
+/// Seeded M-core instance: two RT tasks per core and `ns` security tasks
+/// heavy enough that some assignments are corner-infeasible.
+core::Instance random_instance(std::uint64_t seed, std::size_t m, std::size_t ns) {
+  hydra::util::Xoshiro256 rng(seed);
+  core::Instance inst;
+  inst.num_cores = m;
+  for (std::size_t i = 0; i < 2 * m; ++i) {
+    const double period = rng.uniform(20.0, 200.0);
+    inst.rt_tasks.push_back(
+        rt::make_rt_task("r" + std::to_string(i), rng.uniform(0.05, 0.3) * period, period));
+  }
+  for (std::size_t i = 0; i < ns; ++i) {
+    const double t_des = rng.uniform(500.0, 3000.0);
+    inst.security_tasks.push_back(rt::make_security_task(
+        "s" + std::to_string(i), rng.uniform(0.1, 0.45) * t_des, t_des,
+        rng.uniform(1.5, 10.0) * t_des, rng.uniform(0.5, 2.0)));
+  }
+  return inst;
+}
+
+/// RT task i on core i mod M.
+rt::Partition round_robin_partition(const core::Instance& inst) {
+  rt::Partition p;
+  p.num_cores = inst.num_cores;
+  for (std::size_t i = 0; i < inst.rt_tasks.size(); ++i) p.core_of.push_back(i % inst.num_cores);
   return p;
 }
 
@@ -185,9 +216,8 @@ TEST(JointPeriod, HugeBlockingMakesInfeasible) {
 
 TEST(JointPeriodWarm, ScopeIsConsultedAndResultUnchangedOnTies) {
   // With an installed warm-start scope, the kSignomialScp path must consult
-  // source() on every solve, report the converged periods through sink(), and
-  // — because a same-basin warm point ties with the cold solve — return
-  // bit-identical periods to an unhooked run.
+  // source() on every solve and — because a same-basin warm point ties with
+  // the cold solve — return bit-identical periods to an unhooked run.
   const auto inst = coupled_instance();
   const auto part = trivial_partition(inst);
   core::JointPeriodOptions opts;
@@ -196,23 +226,17 @@ TEST(JointPeriodWarm, ScopeIsConsultedAndResultUnchangedOnTies) {
   ASSERT_TRUE(cold.feasible);
 
   std::size_t source_calls = 0;
-  std::vector<std::vector<double>> sink_values;
   core::ScpWarmStartHooks hooks;
   hooks.source = [&](std::size_t num_periods) {
     ++source_calls;
     EXPECT_EQ(num_periods, 2u);
     return std::vector<std::vector<double>>{cold.periods};
   };
-  hooks.sink = [&](const std::vector<double>& periods) {
-    sink_values.push_back(periods);
-  };
   core::ScpWarmStartScope scope(std::move(hooks));
   const auto warm = core::optimize_joint_periods(inst, part, {0, 0}, opts);
   ASSERT_TRUE(warm.feasible);
   EXPECT_GE(source_calls, 1u);
-  ASSERT_FALSE(sink_values.empty());
   EXPECT_EQ(warm.periods, cold.periods);  // exact: the tie goes to cold
-  EXPECT_EQ(sink_values.back(), warm.periods);
 }
 
 TEST(JointPeriodWarm, InnerScopeShadowsOuterHooks) {
@@ -243,9 +267,59 @@ TEST(JointPeriodWarm, InnerScopeShadowsOuterHooks) {
   EXPECT_GE(outer_calls, 1u);
 }
 
+TEST(JointPeriodBound, InfeasibleExactlyWhenSolveIsAndNeverBelowTheOptimum) {
+  // For every assignment of seeded instances the bound must agree with the
+  // solve on feasibility, and bound the tightness the solve reaches under
+  // every objective.
+  std::size_t feasible = 0;
+  std::size_t infeasible = 0;
+  for (const std::size_t m : {2u, 3u}) {
+    for (std::size_t ns = 1; ns <= 5; ++ns) {
+      const std::uint64_t seed = 1000 * m + ns;
+      const auto inst = random_instance(seed, m, ns);
+      const auto part = round_robin_partition(inst);
+      const double blocking = ns % 2 == 0 ? 3.0 : 0.0;
+      std::size_t total = 1;
+      for (std::size_t s = 0; s < ns; ++s) total *= m;
+      std::vector<std::size_t> core_of(ns);
+      for (std::size_t code = 0; code < total; ++code) {
+        for (std::size_t s = 0, rem = code; s < ns; ++s, rem /= m) core_of[s] = rem % m;
+        const auto bound = core::joint_tightness_bound(inst, part, core_of, blocking);
+        for (const auto mode : {core::JointObjective::kSumSurrogate,
+                                core::JointObjective::kLogUtility,
+                                core::JointObjective::kSignomialScp}) {
+          core::JointPeriodOptions opts;
+          opts.objective = mode;
+          opts.blocking = blocking;
+          const auto r = core::optimize_joint_periods(inst, part, core_of, opts);
+          ASSERT_EQ(bound.has_value(), r.feasible)
+              << "seed " << seed << " code " << code << " mode " << static_cast<int>(mode);
+          if (r.feasible) {
+            EXPECT_LE(r.cumulative_tightness, *bound)
+                << "seed " << seed << " code " << code << " mode " << static_cast<int>(mode);
+          }
+        }
+        ++(bound ? feasible : infeasible);
+      }
+    }
+  }
+  // Both verdicts are exercised.
+  EXPECT_GT(feasible, 0u);
+  EXPECT_GT(infeasible, 0u);
+}
+
+TEST(JointPeriodBound, EmptySecuritySetBoundsAtZero) {
+  core::Instance inst;
+  inst.num_cores = 1;
+  inst.rt_tasks = {rt::make_rt_task("r", 1.0, 10.0)};
+  EXPECT_EQ(core::joint_tightness_bound(inst, trivial_partition(inst), {}), 0.0);
+}
+
 TEST(JointPeriod, AssignmentShapeChecked) {
   const auto inst = coupled_instance();
   const auto part = trivial_partition(inst);
   EXPECT_THROW(core::optimize_joint_periods(inst, part, {0}), std::invalid_argument);
   EXPECT_THROW(core::optimize_joint_periods(inst, part, {0, 7}), std::invalid_argument);
+  EXPECT_THROW(core::joint_tightness_bound(inst, part, {0}), std::invalid_argument);
+  EXPECT_THROW(core::joint_tightness_bound(inst, part, {0, 7}), std::invalid_argument);
 }
