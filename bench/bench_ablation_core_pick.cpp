@@ -23,7 +23,7 @@ namespace io = hydra::io;
 
 int main(int argc, char** argv) {
   const hydra::util::CliParser cli(argc, argv);
-  const auto m = static_cast<std::size_t>(cli.get_int("cores", 4));
+  const auto m = cli.get_count("cores", 4);
   const int tasksets = static_cast<int>(cli.get_int("tasksets", 100));
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 3));
   const bool csv = cli.get_bool("csv", false);

@@ -25,7 +25,7 @@ namespace sim = hydra::sim;
 int main(int argc, char** argv) {
   const hydra::util::CliParser cli(argc, argv);
   const auto cores = cli.get_int_list("cores", {2, 4, 8});
-  const auto trials = static_cast<std::size_t>(cli.get_int("trials", 300));
+  const auto trials = cli.get_count("trials", 300);
   const auto horizon_s = static_cast<std::uint64_t>(cli.get_int("horizon-s", 300));
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 29));
   const bool csv = cli.get_bool("csv", false);

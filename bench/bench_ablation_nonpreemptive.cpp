@@ -29,7 +29,7 @@ namespace sim = hydra::sim;
 int main(int argc, char** argv) {
   const hydra::util::CliParser cli(argc, argv);
   const auto cores = cli.get_int_list("cores", {2, 4});
-  const auto trials = static_cast<std::size_t>(cli.get_int("trials", 300));
+  const auto trials = cli.get_count("trials", 300);
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 13));
   const int tasksets = static_cast<int>(cli.get_int("tasksets", 80));
   const bool csv = cli.get_bool("csv", false);

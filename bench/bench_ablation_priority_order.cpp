@@ -56,7 +56,7 @@ std::vector<std::size_t> by_utilization(const std::vector<rt::SecurityTask>& tas
 
 int main(int argc, char** argv) {
   const hydra::util::CliParser cli(argc, argv);
-  const auto m = static_cast<std::size_t>(cli.get_int("cores", 2));
+  const auto m = cli.get_count("cores", 2);
   const int tasksets = static_cast<int>(cli.get_int("tasksets", 120));
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 37));
   const bool csv = cli.get_bool("csv", false);

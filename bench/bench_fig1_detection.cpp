@@ -74,10 +74,10 @@ int main(int argc, char** argv) {
   const hydra::util::CliParser cli(argc, argv);
   const auto cores = cli.get_int_list("cores", {2, 4, 8});
   const auto scheme_names = cli.get_string_list("schemes", {"hydra", "single-core"});
-  const auto trials = static_cast<std::size_t>(cli.get_int("trials", 500));
+  const auto trials = cli.get_count("trials", 500);
   const auto horizon_s = static_cast<std::uint64_t>(cli.get_int("horizon-s", 500));
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
-  const auto cdf_points = static_cast<std::size_t>(cli.get_int("cdf-points", 26));
+  const auto cdf_points = cli.get_count("cdf-points", 26);
   const bool csv = cli.get_bool("csv", false);
 
   if (scheme_names.size() != 2) {
@@ -94,7 +94,7 @@ int main(int argc, char** argv) {
   SampleCache cache;
   hexp::SweepSpec spec;
   spec.schemes = scheme_names;
-  spec.jobs = static_cast<std::size_t>(cli.get_int("jobs", 1));
+  spec.jobs = cli.get_count("jobs", 1);
   spec.resume_path = cli.get_string("resume", "");
   const auto shard = hexp::parse_shard_spec(cli.get_string("shard", "0/1"));
   spec.shard_index = shard.index;

@@ -56,7 +56,7 @@ namespace io = hydra::io;
 int main(int argc, char** argv) {
   const hydra::util::CliParser cli(argc, argv);
   const auto cores = cli.get_int_list("cores", {2, 4, 8});
-  const auto tasksets = static_cast<std::size_t>(cli.get_int("tasksets", 250));
+  const auto tasksets = cli.get_count("tasksets", 250);
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 7));
   const auto scheme_names = cli.get_string_list("schemes", {"hydra", "single-core"});
   const bool csv = cli.get_bool("csv", false);
@@ -73,7 +73,7 @@ int main(int argc, char** argv) {
   spec.schemes = scheme_names;
   spec.replications = tasksets;
   spec.base_seed = seed;
-  spec.jobs = static_cast<std::size_t>(cli.get_int("jobs", 1));
+  spec.jobs = cli.get_count("jobs", 1);
   spec.resume_path = cli.get_string("resume", "");
   spec.gp_backend = cli.get_string("gp-backend", "");
   if (!spec.gp_backend.empty() &&

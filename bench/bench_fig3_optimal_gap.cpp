@@ -33,7 +33,7 @@ namespace io = hydra::io;
 
 int main(int argc, char** argv) {
   const hydra::util::CliParser cli(argc, argv);
-  const auto tasksets = static_cast<std::size_t>(cli.get_int("tasksets", 50));
+  const auto tasksets = cli.get_count("tasksets", 50);
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 11));
   const auto scheme_names = cli.get_string_list("schemes", {"hydra", "optimal"});
   const bool csv = cli.get_bool("csv", false);
@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
   spec.schemes = scheme_names;
   spec.replications = tasksets;
   spec.base_seed = seed;
-  spec.jobs = static_cast<std::size_t>(cli.get_int("jobs", 1));
+  spec.jobs = cli.get_count("jobs", 1);
   spec.resume_path = cli.get_string("resume", "");
   const auto shard = hexp::parse_shard_spec(cli.get_string("shard", "0/1"));
   spec.shard_index = shard.index;

@@ -39,9 +39,9 @@ namespace io = hydra::io;
 
 int main(int argc, char** argv) {
   const hydra::util::CliParser cli(argc, argv);
-  const auto tasksets = static_cast<std::size_t>(cli.get_int("tasksets", 40));
+  const auto tasksets = cli.get_count("tasksets", 40);
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 17));
-  const auto cores = static_cast<std::size_t>(cli.get_int("cores", 2));
+  const auto cores = cli.get_count("cores", 2);
   const auto scheme_names = cli.get_string_list(
       "schemes", {"contego", "period-adapt", "util/worst-fit", "hydra", "optimal"});
   const bool csv = cli.get_bool("csv", false);
@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
   spec.schemes = scheme_names;
   spec.replications = tasksets;
   spec.base_seed = seed;
-  spec.jobs = static_cast<std::size_t>(cli.get_int("jobs", 1));
+  spec.jobs = cli.get_count("jobs", 1);
   spec.resume_path = cli.get_string("resume", "");
   spec.metrics = hexp::period_mode_metrics();
   const auto shard = hexp::parse_shard_spec(cli.get_string("shard", "0/1"));

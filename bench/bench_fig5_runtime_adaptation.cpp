@@ -76,16 +76,16 @@ std::string metric_ci(const hexp::CellStats& cell, const std::string& name, int 
 
 int main(int argc, char** argv) {
   const hydra::util::CliParser cli(argc, argv);
-  const auto tasksets = static_cast<std::size_t>(cli.get_int("tasksets", 12));
+  const auto tasksets = cli.get_count("tasksets", 12);
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 23));
-  const auto cores = static_cast<std::size_t>(cli.get_int("cores", 2));
+  const auto cores = cli.get_count("cores", 2);
   const auto scheme_names = cli.get_string_list("schemes", {"contego"});
   const bool csv = cli.get_bool("csv", false);
 
   hexp::AdaptiveMetricsConfig metrics_config;
   metrics_config.detection.horizon = static_cast<std::uint64_t>(
       cli.get_int("horizon-s", 200)) * 1000u * hydra::util::kTicksPerMilli;
-  metrics_config.detection.trials = static_cast<std::size_t>(cli.get_int("trials", 120));
+  metrics_config.detection.trials = cli.get_count("trials", 120);
   metrics_config.detection.seed = static_cast<std::uint64_t>(cli.get_int("det-seed", 1));
   metrics_config.controller.slack_window =
       static_cast<std::uint64_t>(cli.get_int("window-ms", 0)) * hydra::util::kTicksPerMilli;
@@ -93,12 +93,10 @@ int main(int argc, char** argv) {
   metrics_config.controller.relax_threshold = cli.get_double("relax", 0.05);
   metrics_config.controller.min_dwell =
       static_cast<std::uint64_t>(cli.get_int("dwell-ms", 0)) * hydra::util::kTicksPerMilli;
-  if (cli.get_int("switch-budget", 0) > 0) {
-    metrics_config.controller.switch_budget =
-        static_cast<std::size_t>(cli.get_int("switch-budget", 0));
+  if (const auto budget = cli.get_count("switch-budget", 0); budget > 0) {
+    metrics_config.controller.switch_budget = budget;
   }
-  metrics_config.controller.num_levels =
-      static_cast<std::size_t>(cli.get_int("levels", 2));
+  metrics_config.controller.num_levels = cli.get_count("levels", 2);
   metrics_config.controller.boost_window =
       static_cast<std::uint64_t>(cli.get_int("boost-window-ms", 0)) *
       hydra::util::kTicksPerMilli;
@@ -127,7 +125,7 @@ int main(int argc, char** argv) {
   spec.schemes = scheme_names;
   spec.replications = tasksets;
   spec.base_seed = seed;
-  spec.jobs = static_cast<std::size_t>(cli.get_int("jobs", 1));
+  spec.jobs = cli.get_count("jobs", 1);
   spec.resume_path = cli.get_string("resume", "");
   const auto shard = hexp::parse_shard_spec(cli.get_string("shard", "0/1"));
   spec.shard_index = shard.index;

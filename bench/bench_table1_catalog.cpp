@@ -101,7 +101,7 @@ int main(int argc, char** argv) {
   // The catalog in action: one sweep point per core count, every scheme.
   hexp::SweepSpec spec;
   spec.schemes = scheme_names;
-  spec.jobs = static_cast<std::size_t>(cli.get_int("jobs", 1));
+  spec.jobs = cli.get_count("jobs", 1);
   for (const auto m : cores) {
     hexp::SweepPoint point;
     point.instance = hydra::gen::uav_case_study(static_cast<std::size_t>(m));

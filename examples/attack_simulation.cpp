@@ -24,8 +24,8 @@ namespace sim = hydra::sim;
 
 int main(int argc, char** argv) {
   const hydra::util::CliParser cli(argc, argv);
-  const auto m = static_cast<std::size_t>(cli.get_int("cores", 4));
-  const auto trials = static_cast<std::size_t>(cli.get_int("trials", 200));
+  const auto m = cli.get_count("cores", 4);
+  const auto trials = cli.get_count("trials", 200);
   const auto horizon_s = static_cast<std::uint64_t>(cli.get_int("horizon-s", 120));
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 42));
 

@@ -11,7 +11,7 @@
 //
 // Usage: ./build/design_space_report [--cores 2]
 //        ./build/design_space_report --file taskset.txt
-//        ./build/design_space_report --schemes hydra,hydra/first-fit,optimal
+//        ./build/design_space_report --schemes hydra,util/worst-fit,optimal
 //                                    --out report.jsonl
 //        ./build/design_space_report --list-schemes
 #include <iostream>
@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
   if (cli.has("file")) {
     instance = io::load_instance(cli.get_string("file", ""));
   } else {
-    instance = hydra::gen::uav_case_study(static_cast<std::size_t>(cli.get_int("cores", 2)));
+    instance = hydra::gen::uav_case_study(cli.get_count("cores", 2));
   }
 
   const auto report =

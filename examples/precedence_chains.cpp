@@ -27,7 +27,7 @@ namespace sec = hydra::sec;
 
 int main(int argc, char** argv) {
   const hydra::util::CliParser cli(argc, argv);
-  const auto m = static_cast<std::size_t>(cli.get_int("cores", 2));
+  const auto m = cli.get_count("cores", 2);
 
   core::Instance instance;
   instance.num_cores = m;

@@ -30,8 +30,8 @@ namespace sim = hydra::sim;
 
 int main(int argc, char** argv) {
   const hydra::util::CliParser cli(argc, argv);
-  const auto m = static_cast<std::size_t>(cli.get_int("cores", 2));
-  const auto trials = static_cast<std::size_t>(cli.get_int("trials", 150));
+  const auto m = cli.get_count("cores", 2);
+  const auto trials = cli.get_count("trials", 150);
   const auto horizon_s = static_cast<std::uint64_t>(cli.get_int("horizon-s", 300));
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 3));
 

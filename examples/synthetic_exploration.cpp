@@ -30,8 +30,8 @@ namespace io = hydra::io;
 
 int main(int argc, char** argv) {
   const hydra::util::CliParser cli(argc, argv);
-  const auto m = static_cast<std::size_t>(cli.get_int("cores", 4));
-  const auto tasksets = static_cast<std::size_t>(cli.get_int("tasksets", 50));
+  const auto m = cli.get_count("cores", 4);
+  const auto tasksets = cli.get_count("tasksets", 50);
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 21));
   const auto scheme_names = cli.get_string_list("schemes", {"hydra", "single-core"});
 
@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
   spec.schemes = scheme_names;
   spec.replications = tasksets;
   spec.base_seed = seed;
-  spec.jobs = static_cast<std::size_t>(cli.get_int("jobs", 1));
+  spec.jobs = cli.get_count("jobs", 1);
   spec.resume_path = cli.get_string("resume", "");
   spec.add_utilization_grid(
       config, cli.get_double_list("utilizations", hexp::utilization_axis(m, 9, 0.1)));

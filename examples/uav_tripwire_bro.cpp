@@ -41,7 +41,7 @@ void print_allocation(const std::string& scheme, const core::Instance& instance,
 
 int main(int argc, char** argv) {
   const hydra::util::CliParser cli(argc, argv);
-  const auto m = static_cast<std::size_t>(cli.get_int("cores", 2));
+  const auto m = cli.get_count("cores", 2);
 
   const auto instance = hydra::gen::uav_case_study(m);
 

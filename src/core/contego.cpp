@@ -2,6 +2,7 @@
 
 #include <optional>
 
+#include "core/period_adaptation.h"
 #include "rt/interference.h"
 #include "rt/priority.h"
 #include "util/contracts.h"
@@ -13,7 +14,6 @@ namespace {
 /// Per-core bookkeeping for the minimum-mode placement pass.
 struct CoreState {
   std::vector<rt::RtTask> rt_tasks;
-  std::vector<rt::PlacedSecurityTask> placed;     ///< committed at Tmax
   std::vector<std::size_t> members;               ///< security indices, priority order
   double utilization = 0.0;                       ///< RT + security-at-Tmax demand
   rt::InterferenceBound interferers;              ///< Eq. (5) sums, grown per commit
@@ -47,7 +47,7 @@ Allocation ContegoAllocator::allocate(const Instance& instance,
     const rt::SecurityTask& task = instance.security_tasks[s];
     std::optional<std::size_t> best_core;
     for (std::size_t c = 0; c < instance.num_cores; ++c) {
-      if (!adapt_period(task, cores[c].interferers, options_.solver).feasible) continue;
+      if (!adapt_period(task, cores[c].interferers).feasible) continue;
       if (!best_core.has_value() ||
           cores[c].utilization < cores[*best_core].utilization) {
         best_core = c;
@@ -59,20 +59,15 @@ Allocation ContegoAllocator::allocate(const Instance& instance,
     }
     result.placements[s] =
         TaskPlacement{*best_core, task.period_max, task.min_tightness()};
-    cores[*best_core].placed.push_back(
-        rt::PlacedSecurityTask{task.wcet, task.period_max});
     cores[*best_core].interferers.add_interferer(task.wcet, task.period_max);
     cores[*best_core].members.push_back(s);
     cores[*best_core].utilization += task.wcet / task.period_max;
   }
 
   // Pass 2: opportunistic tightening toward best mode, core by core.
-  if (options_.adapt) {
-    for (auto& core : cores) {
-      tighten_core_placements(core.rt_tasks, core.members, instance.security_tasks,
-                              result.placements, options_.adaptation_rounds,
-                              options_.solver);
-    }
+  for (auto& core : cores) {
+    tighten_core_placements(core.rt_tasks, core.members, instance.security_tasks,
+                            result.placements, options_.adaptation_rounds);
   }
 
   result.feasible = true;
@@ -86,14 +81,9 @@ Allocation ContegoAllocator::allocate(const Instance& instance) const {
 std::string ContegoAllocator::describe() const {
   std::string text =
       "Contego-style adaptive allocation: minimum-mode (Tmax) worst-fit placement";
-  if (options_.adapt) {
-    text += "; slack-aware opportunistic tightening (" +
-            std::to_string(options_.adaptation_rounds) + " round" +
-            (options_.adaptation_rounds == 1 ? "" : "s") + ")";
-  } else {
-    text += "; no adaptation (every monitor stays in minimum mode)";
-  }
-  if (options_.solver == PeriodSolver::kGeometricProgram) text += "; GP subproblem";
+  text += "; slack-aware opportunistic tightening (" +
+          std::to_string(options_.adaptation_rounds) + " round" +
+          (options_.adaptation_rounds == 1 ? "" : "s") + ")";
   return text;
 }
 

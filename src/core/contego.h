@@ -17,25 +17,22 @@
 //      that core allow, so the result is feasible by construction and every
 //      final period sits between the two Contego modes.
 //
-// The `contego/no-adapt` registry ablation stops after step 1 (everything in
-// minimum mode) and is the lower anchor of the period-mode monotonicity
-// property test.
+// With `adaptation_rounds = 0` the scheme stops after step 1 (everything in
+// minimum mode), the lower anchor of the period-mode monotonicity property
+// test.
 #pragma once
 
 #include <string>
 
 #include "core/allocator.h"
 #include "core/instance.h"
-#include "core/period_adaptation.h"
 
 namespace hydra::core {
 
 struct ContegoOptions {
-  PeriodSolver solver = PeriodSolver::kClosedForm;
-  /// false = minimum-mode placement only (the "/no-adapt" ablation).
-  bool adapt = true;
   /// Tightening passes per core; more rounds only tighten further (the pass
-  /// is monotone), with quickly diminishing returns.
+  /// is monotone), with quickly diminishing returns.  0 leaves every monitor
+  /// in minimum mode.
   std::size_t adaptation_rounds = 2;
 };
 

@@ -3,6 +3,7 @@
 #include <optional>
 
 #include "core/joint_period.h"
+#include "core/period_adaptation.h"
 #include "rt/interference.h"
 #include "rt/priority.h"
 #include "util/contracts.h"
@@ -37,7 +38,7 @@ Allocation PeriodAdaptAllocator::allocate(const Instance& instance,
     const rt::SecurityTask& task = instance.security_tasks[s];
     std::optional<std::size_t> chosen;
     for (std::size_t c = 0; c < instance.num_cores && !chosen.has_value(); ++c) {
-      if (adapt_period(task, interferers[c], options_.solver).feasible) chosen = c;
+      if (adapt_period(task, interferers[c]).feasible) chosen = c;
     }
     if (!chosen.has_value()) {
       return infeasible_allocation(
@@ -51,8 +52,7 @@ Allocation PeriodAdaptAllocator::allocate(const Instance& instance,
   // Per-core period optimization over the now-fixed assignment.
   for (std::size_t c = 0; c < instance.num_cores; ++c) {
     tighten_core_placements(rt_on_core[c], members[c], instance.security_tasks,
-                            result.placements, options_.adaptation_rounds,
-                            options_.solver);
+                            result.placements, options_.adaptation_rounds);
   }
   result.feasible = true;
 
@@ -86,7 +86,6 @@ std::string PeriodAdaptAllocator::describe() const {
       "period-adaptation-only baseline: fixed first-fit partition at Tmax, "
       "per-core slack-aware tightening";
   if (options_.joint_gp) text += "; joint GP (signomial SCP) refinement";
-  if (options_.solver == PeriodSolver::kGeometricProgram) text += "; GP subproblem";
   return text;
 }
 

@@ -20,12 +20,10 @@
 
 #include "core/allocator.h"
 #include "core/instance.h"
-#include "core/period_adaptation.h"
 
 namespace hydra::core {
 
 struct PeriodAdaptOptions {
-  PeriodSolver solver = PeriodSolver::kClosedForm;
   /// Also optimize the fixed assignment's periods jointly (signomial SCP GP)
   /// and keep the better of the two period vectors.
   bool joint_gp = false;

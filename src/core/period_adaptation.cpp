@@ -87,11 +87,7 @@ PeriodAdaptation adapt_period(const rt::SecurityTask& task, const rt::Interferen
 
 std::size_t tighten_core_periods(const std::vector<rt::RtTask>& rt_on_core,
                                  std::vector<CommittedSecurityTask>& tasks,
-                                 util::Millis blocking, std::size_t rounds,
-                                 PeriodSolver solver) {
-  HYDRA_REQUIRE(solver != PeriodSolver::kExactRta,
-                "tighten_core_periods serves the affine Eq. (5) bound; exact RTA "
-                "allocations tighten through adapt_period_exact");
+                                 util::Millis blocking, std::size_t rounds) {
   std::size_t changed = 0;
   for (std::size_t round = 0; round < rounds; ++round) {
     // Eq. (5) sums over the RT tasks plus the already-revisited (tightened)
@@ -104,7 +100,7 @@ std::size_t tighten_core_periods(const std::vector<rt::RtTask>& rt_on_core,
       const rt::SecurityTask& task = tasks[i].task;
 
       // The task's own Eq. (7) optimum against the tightened hp periods.
-      const PeriodAdaptation own = adapt_period(task, hp_sums, solver);
+      const PeriodAdaptation own = adapt_period(task, hp_sums);
       if (!own.feasible) {
         // Saturated core: keep the (feasible) period.
         hp_sums.add_interferer(task.wcet, tasks[i].period);
@@ -144,15 +140,14 @@ std::size_t tighten_core_periods(const std::vector<rt::RtTask>& rt_on_core,
 void tighten_core_placements(const std::vector<rt::RtTask>& rt_on_core,
                              const std::vector<std::size_t>& members,
                              const std::vector<rt::SecurityTask>& security_tasks,
-                             std::vector<TaskPlacement>& placements, std::size_t rounds,
-                             PeriodSolver solver) {
+                             std::vector<TaskPlacement>& placements, std::size_t rounds) {
   if (members.empty()) return;
   std::vector<CommittedSecurityTask> committed;
   committed.reserve(members.size());
   for (const std::size_t s : members) {
     committed.push_back(CommittedSecurityTask{security_tasks[s], placements[s].period});
   }
-  tighten_core_periods(rt_on_core, committed, 0.0, rounds, solver);
+  tighten_core_periods(rt_on_core, committed, 0.0, rounds);
   for (std::size_t k = 0; k < members.size(); ++k) {
     const std::size_t s = members[k];
     placements[s].period = committed[k].period;

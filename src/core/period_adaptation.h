@@ -99,8 +99,7 @@ struct CommittedSecurityTask {
 /// (monotone in rounds — tested).  Returns the number of periods changed.
 std::size_t tighten_core_periods(const std::vector<rt::RtTask>& rt_on_core,
                                  std::vector<CommittedSecurityTask>& tasks,
-                                 util::Millis blocking = 0.0, std::size_t rounds = 1,
-                                 PeriodSolver solver = PeriodSolver::kClosedForm);
+                                 util::Millis blocking = 0.0, std::size_t rounds = 1);
 
 /// Allocation-level wrapper shared by the adaptive allocators: runs
 /// tighten_core_periods over the security tasks listed in `members`
@@ -111,7 +110,6 @@ void tighten_core_placements(const std::vector<rt::RtTask>& rt_on_core,
                              const std::vector<std::size_t>& members,
                              const std::vector<rt::SecurityTask>& security_tasks,
                              std::vector<TaskPlacement>& placements,
-                             std::size_t rounds = 1,
-                             PeriodSolver solver = PeriodSolver::kClosedForm);
+                             std::size_t rounds = 1);
 
 }  // namespace hydra::core

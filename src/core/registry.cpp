@@ -17,69 +17,21 @@ AllocatorRegistry build_global() {
       [](Allocator& allocator, const std::string& name) { allocator.set_name(name); });
   registry.add("hydra", "HYDRA, paper defaults (Algorithm 1, closed-form Eq. 7)",
                [] { return std::make_unique<HydraAllocator>(); });
-  registry.add("hydra/gp", "HYDRA with the paper's GP subproblem solver", [] {
-    HydraOptions options;
-    options.solver = PeriodSolver::kGeometricProgram;
-    return std::make_unique<HydraAllocator>(options);
-  });
   registry.add("hydra/exact-rta",
                "HYDRA with exact response-time analysis (tighter periods)", [] {
                  HydraOptions options;
                  options.solver = PeriodSolver::kExactRta;
                  return std::make_unique<HydraAllocator>(options);
                });
-  registry.add("hydra/first-fit",
-               "ablation: first feasible core instead of argmax tightness", [] {
-                 HydraOptions options;
-                 options.core_pick = CorePick::kFirstFeasible;
-                 return std::make_unique<HydraAllocator>(options);
-               });
-  registry.add("hydra/least-loaded", "ablation: least-loaded feasible core", [] {
-    HydraOptions options;
-    options.core_pick = CorePick::kLeastLoaded;
-    return std::make_unique<HydraAllocator>(options);
-  });
-  registry.add("hydra/worst-tightness",
-               "ablation: adversarial argmin-tightness core pick", [] {
-                 HydraOptions options;
-                 options.core_pick = CorePick::kWorstTightness;
-                 return std::make_unique<HydraAllocator>(options);
-               });
-  registry.add("hydra/tie=lowest-index",
-               "ablation: lowest-index tie break (default spreads load)", [] {
-                 HydraOptions options;
-                 options.tie_break = TieBreak::kLowestIndex;
-                 return std::make_unique<HydraAllocator>(options);
-               });
   registry.add("single-core", "all security tasks isolated on a dedicated core",
                [] { return std::make_unique<SingleCoreAllocator>(); });
-  registry.add("single-core/joint",
-               "single-core with joint GP refinement of the dedicated core", [] {
-                 SingleCoreOptions options;
-                 options.joint_refinement = true;
-                 return std::make_unique<SingleCoreAllocator>(options);
-               });
   registry.add("optimal",
                "exhaustive assignment search, signomial SCP joint periods",
                [] { return std::make_unique<OptimalAllocator>(); });
-  registry.add("optimal/sum-surrogate",
-               "exhaustive assignment search, sum-surrogate GP objective", [] {
-                 OptimalOptions options;
-                 options.joint.objective = JointObjective::kSumSurrogate;
-                 return std::make_unique<OptimalAllocator>(options);
-               });
   registry.add("contego",
                "Contego-style adaptive allocation: minimum-mode placement, "
                "slack-aware opportunistic tightening",
                [] { return std::make_unique<ContegoAllocator>(); });
-  registry.add("contego/no-adapt",
-               "ablation: Contego placement with every monitor left in minimum "
-               "mode (Tmax)",
-               [] {
-                 ContegoOptions options;
-                 options.adapt = false;
-                 return std::make_unique<ContegoAllocator>(options);
-               });
   registry.add("period-adapt",
                "period-adaptation-only baseline: fixed first-fit partition, "
                "per-core slack-aware period optimization",
@@ -95,13 +47,6 @@ AllocatorRegistry build_global() {
   registry.add("util/worst-fit",
                "utilization-aware worst-fit: least security-loaded feasible core",
                [] { return std::make_unique<UtilFitAllocator>(); });
-  registry.add("util/best-fit",
-               "utilization-aware best-fit: most security-loaded feasible core",
-               [] {
-                 UtilFitOptions options;
-                 options.fit = UtilFit::kBestFit;
-                 return std::make_unique<UtilFitAllocator>(options);
-               });
   return registry;
 }
 

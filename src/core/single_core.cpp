@@ -2,7 +2,7 @@
 
 #include <limits>
 
-#include "core/joint_period.h"
+#include "core/period_adaptation.h"
 #include "rt/interference.h"
 #include "rt/priority.h"
 #include "util/contracts.h"
@@ -34,43 +34,21 @@ Allocation SingleCoreAllocator::allocate(const Instance& instance) const {
 
   // Sequential period adaptation on the dedicated core, priority order.
   // No RT interference there — only the higher-priority security tasks.
-  std::vector<rt::PlacedSecurityTask> placed;
   // Eq. (5) sums over the placed monitors, extended per commit in the same
   // order a per-task rebuild would accumulate them (bitwise identical).
   rt::InterferenceBound interferers = rt::interference_bound({}, {}, options_.blocking);
   const auto order = rt::security_priority_order(instance.security_tasks);
   for (const std::size_t s : order) {
     const rt::SecurityTask& task = instance.security_tasks[s];
-    const PeriodAdaptation pa =
-        options_.solver == PeriodSolver::kExactRta
-            ? adapt_period_exact(task, {}, placed, options_.blocking, &interferers)
-            : adapt_period(task, interferers, options_.solver);
+    const PeriodAdaptation pa = adapt_period(task, interferers);
     if (!pa.feasible) {
       return infeasible_allocation(
           s, "dedicated core admits no acceptable period for '" + task.name + "'");
     }
     result.placements[s] = TaskPlacement{security_core, pa.period, pa.tightness};
-    placed.push_back(rt::PlacedSecurityTask{task.wcet, pa.period});
     interferers.add_interferer(task.wcet, pa.period);
   }
   result.feasible = true;
-
-  if (options_.joint_refinement && !instance.security_tasks.empty()) {
-    std::vector<std::size_t> core_of(instance.security_tasks.size(), security_core);
-    JointPeriodOptions jopts;
-    jopts.objective = JointObjective::kSignomialScp;
-    jopts.blocking = options_.blocking;
-    const JointPeriodResult joint =
-        optimize_joint_periods(instance, rt_partition, core_of, jopts);
-    if (joint.feasible &&
-        joint.cumulative_tightness > result.cumulative_tightness(instance.security_tasks)) {
-      for (std::size_t s = 0; s < instance.security_tasks.size(); ++s) {
-        result.placements[s].period = joint.periods[s];
-        result.placements[s].tightness =
-            instance.security_tasks[s].period_des / joint.periods[s];
-      }
-    }
-  }
   return result;
 }
 
@@ -81,10 +59,9 @@ Allocation SingleCoreAllocator::allocate(const Instance& instance,
 }
 
 std::string SingleCoreAllocator::describe() const {
-  std::string text = "dedicated security core (RT on M-1 cores, security on core M-1); ";
-  text += options_.solver == PeriodSolver::kGeometricProgram ? "GP subproblem"
-                                                             : "closed-form subproblem";
-  if (options_.joint_refinement) text += "; joint GP refinement of the dedicated core";
+  std::string text =
+      "dedicated security core (RT on M-1 cores, security on core M-1); "
+      "closed-form subproblem";
   if (options_.blocking > 0.0) text += "; blocking accounted";
   return text;
 }

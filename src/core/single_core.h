@@ -6,23 +6,17 @@
 // exactly what degrades their periods at scale.  Periods are adapted in
 // priority order with the same Eq. (7) subproblem HYDRA uses, so the two
 // schemes differ only in the placement policy — the comparison the paper
-// makes.  A joint-optimization mode (paper: "solved using an approach
-// similar to the one described in the Appendix") is available as an option.
+// makes.
 #pragma once
 
 #include <string>
 
 #include "core/allocator.h"
 #include "core/instance.h"
-#include "core/period_adaptation.h"
 
 namespace hydra::core {
 
 struct SingleCoreOptions {
-  PeriodSolver solver = PeriodSolver::kClosedForm;
-  /// When true, after sequential adaptation the dedicated core's periods are
-  /// re-optimized jointly (SumSurrogate GP), matching the appendix remark.
-  bool joint_refinement = false;
   util::Millis blocking = 0.0;
 };
 

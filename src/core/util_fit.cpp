@@ -2,6 +2,7 @@
 
 #include <optional>
 
+#include "core/period_adaptation.h"
 #include "rt/interference.h"
 #include "rt/priority.h"
 #include "util/contracts.h"
@@ -31,21 +32,15 @@ Allocation UtilFitAllocator::allocate(const Instance& instance,
   for (const std::size_t s : order) {
     const rt::SecurityTask& task = instance.security_tasks[s];
 
-    // Solve Eq. (7) everywhere, then rank the feasible cores by their
+    // Solve Eq. (7) everywhere, then take the feasible core with the least
     // committed security utilization (ties go to the lowest index).
     std::optional<std::size_t> best_core;
     PeriodAdaptation best{};
     for (std::size_t c = 0; c < instance.num_cores; ++c) {
       const auto bound = rt::interference_bound(rt_on_core[c], placed[c]);
-      const PeriodAdaptation candidate = adapt_period(task, bound, options_.solver);
+      const PeriodAdaptation candidate = adapt_period(task, bound);
       if (!candidate.feasible) continue;
-      bool take = !best_core.has_value();
-      if (!take) {
-        take = options_.fit == UtilFit::kWorstFit
-                   ? sec_load[c] < sec_load[*best_core]
-                   : sec_load[c] > sec_load[*best_core];
-      }
-      if (take) {
+      if (!best_core.has_value() || sec_load[c] < sec_load[*best_core]) {
         best_core = c;
         best = candidate;
       }
@@ -68,13 +63,8 @@ Allocation UtilFitAllocator::allocate(const Instance& instance) const {
 }
 
 std::string UtilFitAllocator::describe() const {
-  std::string text = options_.fit == UtilFit::kWorstFit
-                         ? "utilization-aware worst-fit: least security-loaded "
-                           "feasible core (spread the monitors)"
-                         : "utilization-aware best-fit: most security-loaded "
-                           "feasible core (concentrate the monitors)";
-  if (options_.solver == PeriodSolver::kGeometricProgram) text += "; GP subproblem";
-  return text;
+  return "utilization-aware worst-fit: least security-loaded feasible core "
+         "(spread the monitors)";
 }
 
 }  // namespace hydra::core

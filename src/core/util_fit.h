@@ -1,15 +1,14 @@
-// Utilization-aware placement heuristics: place by security-utilization load
+// Utilization-aware worst-fit placement: place by security-utilization load
 // instead of tightness.
 //
 // HYDRA picks the core on which the candidate task achieves the best
 // tightness (an Eq.-(7) solve per core).  The classic bin-packing intuition
 // says the *load* should drive placement instead: worst-fit spreads the
-// security utilization so every core keeps slack for later tasks, best-fit
-// concentrates it to leave whole cores lightly loaded.  Both variants solve
-// the same Eq. (7) subproblem for the committed period — only the core choice
-// differs — which isolates exactly the placement policy in the Fig.-4
-// comparison (vs hydra/least-loaded, which ranks by TOTAL RT + security
-// utilization, these rank by the security load alone).
+// security utilization so every core keeps slack for later tasks.  The scheme
+// solves the same Eq. (7) subproblem for the committed period — only the core
+// choice differs — which isolates exactly the placement policy in the Fig.-4
+// comparison (it ranks by the security load alone, not by total RT + security
+// utilization).
 //
 // This file is also the worked example of docs/allocator-authoring.md: a
 // complete scheme against the core::Allocator contract in ~100 lines.
@@ -19,27 +18,12 @@
 
 #include "core/allocator.h"
 #include "core/instance.h"
-#include "core/period_adaptation.h"
 
 namespace hydra::core {
 
-/// How to rank the feasible cores by their committed security utilization.
-enum class UtilFit {
-  kWorstFit,  ///< least-loaded core: spread the security load
-  kBestFit,   ///< most-loaded feasible core: concentrate the security load
-};
-
-struct UtilFitOptions {
-  UtilFit fit = UtilFit::kWorstFit;
-  PeriodSolver solver = PeriodSolver::kClosedForm;
-};
-
 class UtilFitAllocator : public Allocator {
  public:
-  explicit UtilFitAllocator(UtilFitOptions options = {})
-      : Allocator(options.fit == UtilFit::kWorstFit ? "util/worst-fit"
-                                                    : "util/best-fit"),
-        options_(options) {}
+  UtilFitAllocator() : Allocator("util/worst-fit") {}
 
   /// Security-utilization-driven placement against an externally supplied RT
   /// partition (same contract as HydraAllocator::allocate).
@@ -50,11 +34,6 @@ class UtilFitAllocator : public Allocator {
   Allocation allocate(const Instance& instance) const override;
 
   std::string describe() const override;
-
-  const UtilFitOptions& options() const { return options_; }
-
- private:
-  UtilFitOptions options_;
 };
 
 }  // namespace hydra::core

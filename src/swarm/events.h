@@ -1,9 +1,8 @@
-// Structured event log shared by both hydra_swarm modes: every lifecycle
-// decision the supervisor or the service makes (worker started, died,
-// restarted, gave up; partial merged; cache evicted) becomes one
-// line-delimited JSON record, so an orchestrated run can be audited — and
-// its restart story asserted by tests and CI — without scraping free-form
-// stderr.
+// Structured event log of `hydra_swarm sweep`: every lifecycle decision the
+// supervisor and the sweep runner make (worker started, died, restarted,
+// gave up; partial merged) becomes one line-delimited JSON record, so an
+// orchestrated run can be audited — and its restart story asserted by tests
+// and CI — without scraping free-form stderr.
 //
 // Events are operational telemetry, not result data: they carry wall-clock
 // timestamps and are deliberately kept OUT of the row streams whose
@@ -22,7 +21,7 @@ struct Event {
   std::size_t seq = 0;   ///< monotone per-log sequence number
   double t = 0.0;        ///< seconds on the emitter's clock (supervisor time)
   std::string kind;      ///< e.g. "worker-started", "worker-gave-up"
-  std::string subject;   ///< which worker/shard/cache entry, "" for global
+  std::string subject;   ///< which worker/shard, "" for global
   std::string detail;    ///< human-readable specifics (attempt, exit status)
 };
 

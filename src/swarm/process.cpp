@@ -106,128 +106,4 @@ void LocalProcessBackend::stop(WorkerId id) {
   ::kill(it->second, SIGKILL);
 }
 
-std::string shell_quote(const std::string& raw) {
-  std::string out = "'";
-  for (const char c : raw) {
-    if (c == '\'') {
-      out += "'\\''";
-    } else {
-      out.push_back(c);
-    }
-  }
-  out += "'";
-  return out;
-}
-
-std::string shell_join(const std::vector<std::string>& argv) {
-  std::string out;
-  for (std::size_t i = 0; i < argv.size(); ++i) {
-    if (i > 0) out += " ";
-    out += shell_quote(argv[i]);
-  }
-  return out;
-}
-
-namespace {
-
-std::vector<std::string> split_whitespace(const std::string& text) {
-  std::vector<std::string> tokens;
-  std::string current;
-  for (const char c : text) {
-    if (c == ' ' || c == '\t') {
-      if (!current.empty()) tokens.push_back(std::move(current));
-      current.clear();
-    } else {
-      current.push_back(c);
-    }
-  }
-  if (!current.empty()) tokens.push_back(std::move(current));
-  return tokens;
-}
-
-void replace_all_occurrences(std::string& text, const std::string& from,
-                             const std::string& to) {
-  std::size_t at = 0;
-  while ((at = text.find(from, at)) != std::string::npos) {
-    text.replace(at, from.size(), to);
-    at += to.size();
-  }
-}
-
-}  // namespace
-
-std::vector<std::string> expand_launcher(
-    const std::string& launcher_template, const std::string& host,
-    const std::vector<std::string>& worker_argv) {
-  auto tokens = split_whitespace(launcher_template);
-  if (tokens.empty()) {
-    throw std::invalid_argument("launcher template is empty");
-  }
-  bool saw_cmd = false;
-  std::vector<std::string> argv;
-  for (auto& token : tokens) {
-    if (token == "{cmd}") {
-      saw_cmd = true;
-      argv.push_back(shell_join(worker_argv));
-      continue;
-    }
-    if (token.find("{cmd}") != std::string::npos) {
-      throw std::invalid_argument(
-          "launcher template embeds {cmd} inside a larger token (\"" + token +
-          "\"); {cmd} must stand alone so its quoting is unambiguous");
-    }
-    replace_all_occurrences(token, "{host}", host);
-    argv.push_back(std::move(token));
-  }
-  if (!saw_cmd) {
-    // No shell layer requested: the worker argv rides along verbatim.
-    argv.insert(argv.end(), worker_argv.begin(), worker_argv.end());
-  }
-  return argv;
-}
-
-RemoteProcessBackend::RemoteProcessBackend(RemoteBackendOptions options)
-    : options_(std::move(options)) {
-  wants_host_ = options_.launcher.find("{host}") != std::string::npos;
-  if (wants_host_ && options_.hosts.empty()) {
-    throw std::invalid_argument(
-        "launcher template mentions {host} but the host list is empty");
-  }
-  for (const auto& host : options_.hosts) {
-    if (host.empty()) throw std::invalid_argument("empty host in host list");
-  }
-  // Validate the template shape now, not at the first start(): a bad
-  // template must fail before any shard is launched.
-  (void)expand_launcher(options_.launcher, wants_host_ ? options_.hosts.front() : "",
-                        {"probe"});
-}
-
-std::string RemoteProcessBackend::next_host() const {
-  if (!wants_host_) return "";
-  return options_.hosts[next_host_index_ % options_.hosts.size()];
-}
-
-WorkerId RemoteProcessBackend::start(const WorkerSpec& spec) {
-  if (spec.argv.empty()) throw std::runtime_error("worker spec has an empty argv");
-  std::string host;
-  if (wants_host_) {
-    host = options_.hosts[next_host_index_ % options_.hosts.size()];
-    ++next_host_index_;
-  }
-  WorkerSpec launcher_spec;
-  launcher_spec.argv = expand_launcher(options_.launcher, host, spec.argv);
-  // The launcher runs locally, so the local redirection machinery applies:
-  // for ssh the remote stdout/stderr flow back through the session into the
-  // same per-shard log files a local worker would fill.
-  launcher_spec.stdout_path = spec.stdout_path;
-  launcher_spec.stderr_path = spec.stderr_path;
-  return local_.start(launcher_spec);
-}
-
-std::optional<ExitStatus> RemoteProcessBackend::poll(WorkerId id) {
-  return local_.poll(id);
-}
-
-void RemoteProcessBackend::stop(WorkerId id) { local_.stop(id); }
-
 }  // namespace hydra::swarm

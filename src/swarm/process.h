@@ -79,66 +79,4 @@ class LocalProcessBackend : public ProcessBackend {
   WaitFn wait_fn_;                        ///< empty = real ::waitpid
 };
 
-/// Quotes `raw` for a POSIX shell: wrapped in single quotes, embedded single
-/// quotes spliced as '\''.  The result survives one level of shell parsing
-/// verbatim — which is exactly what `ssh host <cmd>` and `sh -c <cmd>` do.
-std::string shell_quote(const std::string& raw);
-
-/// Joins an argv into one shell-quoted command string (the `{cmd}` value).
-std::string shell_join(const std::vector<std::string>& argv);
-
-/// Expands a launcher template into the argv actually executed:
-///   * the template is split on whitespace into tokens;
-///   * every `{host}` occurrence (any token, any position) becomes `host`;
-///   * a token equal to `{cmd}` becomes ONE argv element holding the
-///     shell-quoted worker command — the shape `ssh {host} {cmd}` and
-///     `sh -c {cmd}` both want, since each hands that element to a shell;
-///   * a template without `{cmd}` has the worker argv appended verbatim
-///     (no shell layer), e.g. `env -` or a setsid/nice wrapper.
-/// Throws std::invalid_argument on an empty template or a `{cmd}` embedded
-/// inside a larger token (the quoting there is ambiguous — be explicit).
-std::vector<std::string> expand_launcher(const std::string& launcher_template,
-                                         const std::string& host,
-                                         const std::vector<std::string>& worker_argv);
-
-struct RemoteBackendOptions {
-  /// Launcher template, e.g. "ssh {host} {cmd}" — see expand_launcher.
-  std::string launcher;
-  /// Round-robin host pool for `{host}`.  May be empty iff the template
-  /// never mentions {host} (a plain local launcher like "sh -c {cmd}").
-  std::vector<std::string> hosts;
-};
-
-/// The remote seam implementation: every start() expands the launcher
-/// template around the worker argv (assigning the next round-robin host) and
-/// runs the RESULT as a local child — ssh, a queue submitter, or a plain
-/// `sh -c` for CI.  poll()/stop() act on that local launcher process; the
-/// orchestrator's checkpoint probes remain the source of truth for remote
-/// progress (the shard files must live on a filesystem shared with the
-/// hosts), so a wedged remote worker is caught by the stall watchdog even
-/// when its launcher process sits healthy.  stop() kills the launcher; ssh
-/// propagates the teardown to the remote side on session close (best
-/// effort — a truly orphaned remote worker keeps writing its own shard file,
-/// which resume/merge handles like any other stale attempt).
-class RemoteProcessBackend : public ProcessBackend {
- public:
-  /// Validates the template shape up front (empty template, embedded {cmd},
-  /// {host} with an empty host list all throw std::invalid_argument).
-  explicit RemoteProcessBackend(RemoteBackendOptions options);
-
-  WorkerId start(const WorkerSpec& spec) override;
-  std::optional<ExitStatus> poll(WorkerId id) override;
-  void stop(WorkerId id) override;
-
-  /// The host the NEXT start() will be assigned ("" when the template takes
-  /// no {host}).  Exposed so tests and status displays can show placement.
-  std::string next_host() const;
-
- private:
-  RemoteBackendOptions options_;
-  bool wants_host_ = false;
-  std::size_t next_host_index_ = 0;
-  LocalProcessBackend local_;  ///< runs the expanded launcher commands
-};
-
 }  // namespace hydra::swarm

@@ -1,16 +1,15 @@
-// The supervisor core shared by both hydra_swarm modes: child lifecycle,
-// synchronous reaping, stall detection, and a bounded-retry exponential
-// backoff policy — all expressed against the ProcessBackend interface and an
-// injected clock, so every edge (crash, stall, retry exhaustion) is unit
-// testable without spawning a real process or sleeping real time
-// (tests/test_swarm_supervisor.cpp drives a fake backend through a fake
-// clock).
+// The supervisor core of `hydra_swarm sweep`: child lifecycle, synchronous
+// reaping, stall detection, and a bounded-retry exponential backoff policy —
+// all expressed against the ProcessBackend interface and an injected clock,
+// so every edge (crash, stall, retry exhaustion) is unit testable without
+// spawning a real process or sleeping real time (tests/test_swarm_supervisor.cpp
+// drives a fake backend through a fake clock).
 //
 // The supervisor is deliberately policy-only: it does not know what a shard
 // or a checkpoint is.  The sweep runner feeds it progress observations
-// (checkpoint byte growth) and reads task states back; the service mode
-// reuses only the event log.  Time is a caller-supplied monotone seconds
-// value — the supervisor never reads a clock of its own.
+// (checkpoint byte growth) and reads task states back.  Time is a
+// caller-supplied monotone seconds value — the supervisor never reads a clock
+// of its own.
 #pragma once
 
 #include <cstddef>

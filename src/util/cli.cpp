@@ -49,26 +49,55 @@ std::string CliParser::get_string(const std::string& name, const std::string& fa
   return it == values_.end() ? fallback : it->second;
 }
 
+namespace {
+
+// std::stoll/std::stod alone accept trailing garbage ("3x" parses as 3,
+// "0.4x0.8" as 0.4); both parsers require the whole token to be consumed so
+// typos fail loudly.
+std::int64_t parse_int(const std::string& name, const std::string& token,
+                       const char* expects) {
+  try {
+    std::size_t used = 0;
+    const std::int64_t value = std::stoll(token, &used);
+    if (used == token.size()) return value;
+  } catch (const std::exception&) {
+  }
+  throw std::invalid_argument("option --" + name + " expects " + expects + ", got '" + token +
+                              "'");
+}
+
+double parse_double(const std::string& name, const std::string& token, const char* expects) {
+  try {
+    std::size_t used = 0;
+    const double value = std::stod(token, &used);
+    if (used == token.size()) return value;
+  } catch (const std::exception&) {
+  }
+  throw std::invalid_argument("option --" + name + " expects " + expects + ", got '" + token +
+                              "'");
+}
+
+}  // namespace
+
 std::int64_t CliParser::get_int(const std::string& name, std::int64_t fallback) const {
   const auto it = values_.find(name);
+  return it == values_.end() ? fallback : parse_int(name, it->second, "an integer");
+}
+
+std::size_t CliParser::get_count(const std::string& name, std::size_t fallback) const {
+  const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
-  try {
-    return std::stoll(it->second);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("option --" + name + " expects an integer, got '" + it->second +
-                                "'");
+  const std::int64_t value = parse_int(name, it->second, "a non-negative integer");
+  if (value < 0) {
+    throw std::invalid_argument("option --" + name + " expects a non-negative integer, got '" +
+                                it->second + "'");
   }
+  return static_cast<std::size_t>(value);
 }
 
 double CliParser::get_double(const std::string& name, double fallback) const {
   const auto it = values_.find(name);
-  if (it == values_.end()) return fallback;
-  try {
-    return std::stod(it->second);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("option --" + name + " expects a number, got '" + it->second +
-                                "'");
-  }
+  return it == values_.end() ? fallback : parse_double(name, it->second, "a number");
 }
 
 bool CliParser::get_bool(const std::string& name, bool fallback) const {
@@ -91,16 +120,7 @@ std::vector<std::int64_t> CliParser::get_int_list(const std::string& name,
     const auto comma = v.find(',', pos);
     const std::string tok =
         comma == std::string::npos ? v.substr(pos) : v.substr(pos, comma - pos);
-    if (!tok.empty()) {
-      try {
-        std::size_t used = 0;
-        const std::int64_t value = std::stoll(tok, &used);
-        if (used != tok.size()) throw std::invalid_argument(tok);  // "2x4" etc.
-        out.push_back(value);
-      } catch (const std::exception&) {
-        throw std::invalid_argument("option --" + name + " expects integers, got '" + tok + "'");
-      }
-    }
+    if (!tok.empty()) out.push_back(parse_int(name, tok, "integers"));
     if (comma == std::string::npos) break;
     pos = comma + 1;
   }
@@ -121,18 +141,7 @@ std::vector<double> CliParser::get_double_list(const std::string& name,
     const auto comma = v.find(',', pos);
     const std::string tok =
         comma == std::string::npos ? v.substr(pos) : v.substr(pos, comma - pos);
-    if (!tok.empty()) {
-      // std::stod alone accepts trailing garbage ("0.4x0.8" parses as 0.4);
-      // require the whole token to be consumed so typos fail loudly.
-      try {
-        std::size_t used = 0;
-        const double value = std::stod(tok, &used);
-        if (used != tok.size()) throw std::invalid_argument(tok);
-        out.push_back(value);
-      } catch (const std::exception&) {
-        throw std::invalid_argument("option --" + name + " expects numbers, got '" + tok + "'");
-      }
-    }
+    if (!tok.empty()) out.push_back(parse_double(name, tok, "numbers"));
     if (comma == std::string::npos) break;
     pos = comma + 1;
   }

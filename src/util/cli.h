@@ -5,6 +5,7 @@
 // loudly instead of silently running defaults.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -30,9 +31,16 @@ class CliParser {
   /// True if --name was given (with or without a value).
   bool has(const std::string& name) const;
 
+  /// Numeric getters require the whole token to parse: `--tasksets 3x` and
+  /// `--poll 0.5s` throw instead of silently reading 3 and 0.5.
   std::string get_string(const std::string& name, const std::string& fallback) const;
   std::int64_t get_int(const std::string& name, std::int64_t fallback) const;
   double get_double(const std::string& name, double fallback) const;
+
+  /// A count or size (--tasksets, --jobs, --shards, ...): an integer that
+  /// must not be negative, so `--tasksets -1` names the flag instead of
+  /// wrapping to SIZE_MAX.
+  std::size_t get_count(const std::string& name, std::size_t fallback) const;
   bool get_bool(const std::string& name, bool fallback) const;
 
   /// Comma-separated list of integers, e.g. --cores 2,4,8.

@@ -111,9 +111,9 @@ TEST(DesignSpace, ConvenienceMatchesDirectAllocatorResults) {
 TEST(DesignSpace, RegistrySchemeSelectionOverload) {
   const auto instance = hydra::gen::uav_case_study(2);
   const auto report =
-      core::explore_design_space(instance, {"single-core", "hydra/first-fit"});
+      core::explore_design_space(instance, {"single-core", "util/worst-fit"});
   ASSERT_EQ(report.points.size(), 2u);
   EXPECT_EQ(report.points[0].scheme, "single-core");
-  EXPECT_EQ(report.points[1].scheme, "hydra/first-fit");
+  EXPECT_EQ(report.points[1].scheme, "util/worst-fit");
   EXPECT_THROW(core::explore_design_space(instance, {"nope"}), std::invalid_argument);
 }

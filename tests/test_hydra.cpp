@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "core/hydra.h"
 #include "core/validation.h"
@@ -157,16 +158,33 @@ TEST(Hydra, BlockingTermReducesOrKeepsTightness) {
             plain.cumulative_tightness(inst.security_tasks) + 1e-9);
 }
 
-TEST(Hydra, CorePickAblationsStillValid) {
-  const auto inst = hydra::gen::uav_case_study(4);
+TEST(Hydra, OptionAblationsStillValid) {
+  // Every core pick, the lowest-index tie break and the GP subproblem solver
+  // must give a feasible, independently validated allocation on the UAV case
+  // study at M = 2 (where the ablation benches start) and M = 4.
+  std::vector<core::HydraOptions> variants;
   for (const auto pick : {core::CorePick::kMaxTightness, core::CorePick::kFirstFeasible,
                           core::CorePick::kLeastLoaded, core::CorePick::kWorstTightness}) {
     core::HydraOptions opts;
     opts.core_pick = pick;
-    const auto allocation = core::HydraAllocator(opts).allocate(inst);
-    ASSERT_TRUE(allocation.feasible);
-    const auto report = core::validate_allocation(inst, allocation);
-    EXPECT_TRUE(report.valid) << report.problem;
+    variants.push_back(opts);
+  }
+  core::HydraOptions lowest_index;
+  lowest_index.tie_break = core::TieBreak::kLowestIndex;
+  variants.push_back(lowest_index);
+  core::HydraOptions gp;
+  gp.solver = core::PeriodSolver::kGeometricProgram;
+  variants.push_back(gp);
+  for (const std::size_t m : {2u, 4u}) {
+    const auto inst = hydra::gen::uav_case_study(m);
+    for (const auto& opts : variants) {
+      const core::HydraAllocator scheme(opts);
+      const auto allocation = scheme.allocate(inst);
+      ASSERT_TRUE(allocation.feasible) << "M = " << m << ", " << scheme.describe();
+      const auto report = core::validate_allocation(inst, allocation);
+      EXPECT_TRUE(report.valid) << "M = " << m << ", " << scheme.describe() << ": "
+                                << report.problem;
+    }
   }
 }
 

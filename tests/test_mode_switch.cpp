@@ -77,7 +77,7 @@ TEST(ModeTable, BuiltFromFeasibleAllocation) {
 TEST(ModeTable, NoAdaptAllocationHasNoHeadroom) {
   const auto instance = hydra::gen::uav_case_study(2);
   core::ContegoOptions options;
-  options.adapt = false;
+  options.adaptation_rounds = 0;
   const auto allocation = core::ContegoAllocator(options).allocate(instance);
   ASSERT_TRUE(allocation.feasible);
   const auto table = core::build_mode_table(instance, allocation);

@@ -27,15 +27,8 @@ struct Schemes {
   static constexpr const char* kNoun = "allocation scheme";
   static constexpr const char* kPreamble = core::kSchemeCatalogPreamble;
   static std::vector<std::string> shipped() {
-    return {"hydra", "hydra/gp",
-            "hydra/exact-rta", "hydra/first-fit",
-            "hydra/least-loaded", "hydra/worst-tightness",
-            "hydra/tie=lowest-index", "single-core",
-            "single-core/joint", "optimal",
-            "optimal/sum-surrogate", "contego",
-            "contego/no-adapt", "period-adapt",
-            "period-adapt/gp", "util/worst-fit",
-            "util/best-fit"};
+    return {"hydra",        "hydra/exact-rta", "single-core",     "optimal",
+            "contego",      "period-adapt",    "period-adapt/gp", "util/worst-fit"};
   }
   static Registry::Factory factory() {
     return [] { return std::make_unique<core::HydraAllocator>(); };

@@ -89,20 +89,6 @@ TEST(SingleCore, HydraDominatesOnTightness) {
   }
 }
 
-TEST(SingleCore, JointRefinementNeverHurtsTightness) {
-  const auto inst = hydra::gen::uav_case_study(2);
-  core::SingleCoreOptions refined;
-  refined.joint_refinement = true;
-  const auto plain = core::SingleCoreAllocator().allocate(inst);
-  const auto joint = core::SingleCoreAllocator(refined).allocate(inst);
-  ASSERT_TRUE(plain.feasible);
-  ASSERT_TRUE(joint.feasible);
-  EXPECT_GE(joint.cumulative_tightness(inst.security_tasks),
-            plain.cumulative_tightness(inst.security_tasks) - 1e-9);
-  const auto report = core::validate_allocation(inst, joint);
-  EXPECT_TRUE(report.valid) << report.problem;
-}
-
 TEST(SingleCore, InfeasibleSecurityTaskNamed) {
   core::Instance inst;
   inst.num_cores = 2;

@@ -1,19 +1,13 @@
-// Process-backend contract tests: the launcher-template expansion and
-// round-robin host assignment behind RemoteProcessBackend (run end-to-end
-// through a plain local launcher — the same shape CI uses, no ssh needed),
-// and the LocalProcessBackend waitpid edge cases (EINTR must retry, ECHILD
-// must stay a loud crash) via the injectable wait seam.
+// Process-backend contract tests: the LocalProcessBackend waitpid edge cases
+// (EINTR must retry, ECHILD must stay a loud crash) via the injectable wait
+// seam.
 #include <gtest/gtest.h>
 
 #include <signal.h>
 #include <sys/wait.h>
-#include <unistd.h>
 
 #include <cerrno>
 #include <chrono>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -23,13 +17,6 @@
 namespace swarm = hydra::swarm;
 
 namespace {
-
-std::string slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream os;
-  os << in.rdbuf();
-  return os.str();
-}
 
 /// Polls until the worker reports an exit status (real children need a
 /// moment to die); fails the test rather than spinning forever.
@@ -44,138 +31,6 @@ swarm::ExitStatus wait_for_exit(swarm::ProcessBackend& backend,
 }
 
 }  // namespace
-
-TEST(ShellQuote, WrapsAndEscapes) {
-  EXPECT_EQ(swarm::shell_quote("plain"), "'plain'");
-  EXPECT_EQ(swarm::shell_quote(""), "''");
-  EXPECT_EQ(swarm::shell_quote("has space"), "'has space'");
-  EXPECT_EQ(swarm::shell_quote("it's"), "'it'\\''s'");
-  EXPECT_EQ(swarm::shell_quote("$HOME `ls` \"x\""), "'$HOME `ls` \"x\"'");
-  EXPECT_EQ(swarm::shell_join({"a", "b c"}), "'a' 'b c'");
-}
-
-TEST(ExpandLauncher, SshShapePutsQuotedCommandAfterHost) {
-  const auto argv = swarm::expand_launcher("ssh {host} {cmd}", "m3",
-                                           {"./bench", "--jobs", "2"});
-  ASSERT_EQ(argv.size(), 3u);
-  EXPECT_EQ(argv[0], "ssh");
-  EXPECT_EQ(argv[1], "m3");
-  EXPECT_EQ(argv[2], "'./bench' '--jobs' '2'");
-}
-
-TEST(ExpandLauncher, HostSubstitutesInsideLargerTokens) {
-  const auto argv =
-      swarm::expand_launcher("ssh user@{host}.cluster {cmd}", "n1", {"w"});
-  EXPECT_EQ(argv[1], "user@n1.cluster");
-}
-
-TEST(ExpandLauncher, TemplateWithoutCmdAppendsArgvVerbatim) {
-  const auto argv = swarm::expand_launcher("nice -n 10", "", {"./w", "a b"});
-  const std::vector<std::string> expected = {"nice", "-n", "10", "./w", "a b"};
-  EXPECT_EQ(argv, expected);
-}
-
-TEST(ExpandLauncher, RejectsEmptyTemplateAndEmbeddedCmd) {
-  EXPECT_THROW(swarm::expand_launcher("", "", {"w"}), std::invalid_argument);
-  EXPECT_THROW(swarm::expand_launcher("   ", "", {"w"}), std::invalid_argument);
-  EXPECT_THROW(swarm::expand_launcher("sh -c pre{cmd}", "", {"w"}),
-               std::invalid_argument);
-}
-
-TEST(RemoteBackend, ValidatesTemplateAndHostsUpFront) {
-  swarm::RemoteBackendOptions no_hosts;
-  no_hosts.launcher = "ssh {host} {cmd}";
-  EXPECT_THROW(swarm::RemoteProcessBackend{no_hosts}, std::invalid_argument);
-
-  swarm::RemoteBackendOptions empty_host;
-  empty_host.launcher = "ssh {host} {cmd}";
-  empty_host.hosts = {"a", ""};
-  EXPECT_THROW(swarm::RemoteProcessBackend{empty_host}, std::invalid_argument);
-
-  swarm::RemoteBackendOptions bad_template;
-  bad_template.launcher = "sh -c x{cmd}y";
-  EXPECT_THROW(swarm::RemoteProcessBackend{bad_template}, std::invalid_argument);
-
-  swarm::RemoteBackendOptions no_host_needed;
-  no_host_needed.launcher = "sh -c {cmd}";
-  EXPECT_NO_THROW(swarm::RemoteProcessBackend{no_host_needed});
-}
-
-TEST(RemoteBackend, RoundRobinsHostsAcrossStarts) {
-  const std::string dir = testing::TempDir() + "swarm_remote_rr";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-
-  // `echo {host} ...` with no {cmd}: the worker argv rides along as echo
-  // arguments, and the redirected stdout records which host each start drew.
-  swarm::RemoteBackendOptions options;
-  options.launcher = "echo {host}";
-  options.hosts = {"alpha", "beta"};
-  swarm::RemoteProcessBackend backend(options);
-  EXPECT_EQ(backend.next_host(), "alpha");
-
-  std::vector<swarm::WorkerId> ids;
-  for (int i = 0; i < 3; ++i) {
-    swarm::WorkerSpec spec;
-    spec.argv = {"worker", std::to_string(i)};
-    spec.stdout_path = dir + "/w" + std::to_string(i) + ".out";
-    ids.push_back(backend.start(spec));
-  }
-  for (const auto id : ids) EXPECT_TRUE(wait_for_exit(backend, id).success());
-  EXPECT_EQ(slurp(dir + "/w0.out"), "alpha worker 0\n");
-  EXPECT_EQ(slurp(dir + "/w1.out"), "beta worker 1\n");
-  EXPECT_EQ(slurp(dir + "/w2.out"), "alpha worker 2\n");  // wrapped around
-  EXPECT_EQ(backend.next_host(), "beta");
-  std::filesystem::remove_all(dir);
-}
-
-TEST(RemoteBackend, LocalShellLauncherPropagatesExitCodes) {
-  swarm::RemoteBackendOptions options;
-  options.launcher = "sh -c {cmd}";
-  swarm::RemoteProcessBackend backend(options);
-
-  swarm::WorkerSpec ok;
-  ok.argv = {"/bin/sh", "-c", "exit 0"};
-  EXPECT_TRUE(wait_for_exit(backend, backend.start(ok)).success());
-
-  swarm::WorkerSpec failing;
-  failing.argv = {"/bin/sh", "-c", "exit 7"};
-  const auto exit = wait_for_exit(backend, backend.start(failing));
-  EXPECT_FALSE(exit.signaled);
-  EXPECT_EQ(exit.value, 7);
-}
-
-TEST(RemoteBackend, QuotedArgumentsSurviveTheShellLayer) {
-  const std::string dir = testing::TempDir() + "swarm_remote_quote";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-
-  swarm::RemoteBackendOptions options;
-  options.launcher = "sh -c {cmd}";
-  swarm::RemoteProcessBackend backend(options);
-  swarm::WorkerSpec spec;
-  // Adversarial argv: spaces, dollar, backticks, a single quote.  printf
-  // must receive them as ONE argument, untouched by the launcher shell.
-  spec.argv = {"printf", "%s", "a b $HOME `ls` it's"};
-  spec.stdout_path = dir + "/quoted.out";
-  EXPECT_TRUE(wait_for_exit(backend, backend.start(spec)).success());
-  EXPECT_EQ(slurp(dir + "/quoted.out"), "a b $HOME `ls` it's");
-  std::filesystem::remove_all(dir);
-}
-
-TEST(RemoteBackend, StopKillsTheLauncherProcess) {
-  swarm::RemoteBackendOptions options;
-  options.launcher = "sh -c {cmd}";
-  swarm::RemoteProcessBackend backend(options);
-  swarm::WorkerSpec spec;
-  spec.argv = {"/bin/sh", "-c", "sleep 30"};
-  const auto id = backend.start(spec);
-  EXPECT_FALSE(backend.poll(id).has_value());
-  backend.stop(id);
-  const auto exit = wait_for_exit(backend, id);
-  EXPECT_TRUE(exit.signaled);
-  EXPECT_EQ(exit.value, SIGKILL);
-}
 
 TEST(LocalBackend, PollRetriesInterruptedWaits) {
   swarm::LocalProcessBackend backend;

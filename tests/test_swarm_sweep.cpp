@@ -297,33 +297,6 @@ TEST(SwarmSweep, RetryExhaustionFailsLoudlyWithoutMergedOutput) {
   EXPECT_EQ(log.count("swarm-failed"), 1u);
 }
 
-TEST(SwarmSweep, RemoteBackendWithLocalLauncherConvergesThroughChaos) {
-  TempDir dir("swarm_remote");
-  auto options = base_options(dir.path);
-  options.worker_command.insert(options.worker_command.end(),
-                                {"--row-delay-ms", "25"});
-  options.chaos_kill_shard = 1;
-  options.chaos_after_rows = 2;
-
-  // The same swarm, but every worker launches through the remote seam with a
-  // plain local launcher template — the CI-testable stand-in for
-  // "ssh {host} {cmd}".  The chaos SIGKILL lands on the LAUNCHER process
-  // (sh exec's the worker, so they are one), and liveness still flows from
-  // the checkpoint probes; the merged stream must not care.
-  swarm::RemoteBackendOptions remote;
-  remote.launcher = "sh -c {cmd}";
-  swarm::RemoteProcessBackend backend(remote);
-  swarm::EventLog log;
-  swarm::SweepRunner runner(options, backend, log);
-  std::ostringstream status;
-  const auto result = runner.run(status);
-
-  ASSERT_TRUE(result.ok) << result.error;
-  EXPECT_EQ(slurp(options.out_path), reference_rows());
-  EXPECT_EQ(log.count("worker-killed"), 1u);
-  EXPECT_GE(result.restarts, 1u);
-}
-
 TEST(SwarmSweep, RunnerRejectsBusySpinPollIntervals) {
   TempDir dir("swarm_bad_poll");
   swarm::LocalProcessBackend backend;

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <set>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "util/cli.h"
 #include "util/contracts.h"
@@ -182,6 +184,31 @@ TEST(Cli, RejectsPositionalAndMalformed) {
   const auto cli = parse({"prog", "--n", "notanint"});
   EXPECT_THROW(cli.get_int("n", 0), std::invalid_argument);
   EXPECT_THROW(cli.get_bool("n", false), std::invalid_argument);
+}
+
+TEST(Cli, NumbersMustConsumeTheWholeToken) {
+  const auto cli = parse({"prog", "--tasksets", "3x", "--poll", "0.5s", "--n", "7"});
+  EXPECT_THROW(cli.get_int("tasksets", 0), std::invalid_argument);
+  EXPECT_THROW(cli.get_count("tasksets", 0), std::invalid_argument);
+  EXPECT_THROW(cli.get_double("poll", 0.0), std::invalid_argument);
+  EXPECT_EQ(cli.get_int("n", 0), 7);
+  EXPECT_DOUBLE_EQ(cli.get_double("n", 0.0), 7.0);
+}
+
+TEST(Cli, CountsRejectNegativesAndNameTheFlag) {
+  const auto cli = parse({"prog", "--tasksets", "-1", "--jobs=-3", "--shards", "4"});
+  EXPECT_EQ(cli.get_int("tasksets", 0), -1);  // a plain integer may be negative
+  try {
+    cli.get_count("tasksets", 0);
+    FAIL() << "negative count accepted";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("--tasksets"), std::string::npos) << error.what();
+  }
+  EXPECT_THROW(cli.get_count("jobs", 1), std::invalid_argument);
+  EXPECT_EQ(cli.get_count("shards", 2), 4u);
+  EXPECT_EQ(cli.get_count("absent", 9), 9u);
+  EXPECT_EQ(parse({"prog", "--jobs", "0"}).get_count("jobs", 1), 0u);
+  EXPECT_THROW(parse({"prog", "--jobs", "two"}).get_count("jobs", 1), std::invalid_argument);
 }
 
 TEST(Cli, BooleanSpellings) {
