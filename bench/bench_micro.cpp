@@ -2,13 +2,16 @@
 // whether HYDRA-style design-space exploration is interactive — exact RTA,
 // Randfixedsum draws, the one-variable GP solve vs its closed form, full
 // HYDRA and SingleCore allocations, the exhaustive optimal search, the
-// discrete-event simulator, and a whole sweep batch.
+// discrete-event simulator, the detection bundle of one fig5 row, and a whole
+// sweep batch.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
 
+#include "core/contego.h"
 #include "core/hydra.h"
 #include "core/joint_period.h"
+#include "core/mode_table.h"
 #include "core/optimal.h"
 #include "core/period_adaptation.h"
 #include "core/single_core.h"
@@ -21,6 +24,7 @@
 #include "rt/partition.h"
 #include "sim/attack.h"
 #include "sim/engine.h"
+#include "sim/slack_profile.h"
 
 namespace core = hydra::core;
 namespace gen = hydra::gen;
@@ -211,6 +215,52 @@ static void BM_SimulateUavSecond(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SimulateUavSecond)->Unit(benchmark::kMicrosecond);
+
+static void BM_DetectionRow(benchmark::State& state) {
+  // The six detection measurements of one fig5 row (M = 2, contego, total
+  // utilization 1.0, 100 s horizon, 3 levels): the adaptive run under three
+  // controller policies plus the static, minimum-mode and global baselines.
+  // One RT slack profile per iteration, shared by the six runs as
+  // exp::adaptive_detection_metrics shares it across a row.
+  gen::SyntheticConfig config;
+  config.num_cores = 2;
+  hydra::util::Xoshiro256 rng(5);
+  core::Instance instance;
+  core::Allocation allocation;
+  // The first draw contego places whose WCETs all survive tick rounding.
+  for (bool found = false; !found;) {
+    const auto drawn = gen::generate_filtered_instance(config, 1.0, rng);
+    if (!drawn.has_value()) continue;
+    instance = drawn->instance;
+    allocation = core::ContegoAllocator().allocate(instance);
+    found = allocation.feasible;
+    for (const auto& t : instance.rt_tasks) found = found && hydra::util::to_ticks(t.wcet) > 0;
+    for (const auto& t : instance.security_tasks) {
+      found = found && hydra::util::to_ticks(t.wcet) > 0;
+    }
+  }
+  const core::Allocation min_mode = core::min_mode_allocation(instance, allocation);
+  sim::DetectionConfig detection;
+  detection.horizon = 100u * 1000u * hydra::util::kTicksPerMilli;
+  detection.trials = 120;
+  sim::ModeControllerConfig controller;
+  controller.num_levels = 3;
+  for (auto _ : state) {
+    sim::RtSlackProfileCache profiles;
+    for (const char* policy : {"hysteresis", "boost", "never-switch"}) {
+      controller.policy = policy;
+      benchmark::DoNotOptimize(sim::measure_detection_times_adaptive(
+          instance, allocation, detection, controller, &profiles));
+    }
+    benchmark::DoNotOptimize(
+        sim::measure_detection_times(instance, allocation, detection, &profiles));
+    benchmark::DoNotOptimize(
+        sim::measure_detection_times(instance, min_mode, detection, &profiles));
+    benchmark::DoNotOptimize(
+        sim::measure_detection_times_global(instance, allocation, detection, &profiles));
+  }
+}
+BENCHMARK(BM_DetectionRow)->Unit(benchmark::kMillisecond);
 
 static void BM_SweepBatch(benchmark::State& state) {
   // One synthetic point of 100 instances (M = 4, mid utilization) through

@@ -7,6 +7,7 @@
 
 #include "core/mode_table.h"
 #include "io/taskset_io.h"
+#include "sim/slack_profile.h"
 #include "stats/summary.h"
 #include "util/units.h"
 
@@ -118,9 +119,14 @@ std::string adaptive_row_key(const core::Instance& instance, const core::DesignP
 AdaptiveRowResults compute_adaptive_row(const core::Instance& instance,
                                         const core::DesignPoint& point,
                                         const AdaptiveMetricsConfig& config) {
+  // One RT simulation per row: every run below, and the adaptive runs of the
+  // row's other policy families, schedule their monitors on the idle time of
+  // the same RT schedule.  Per thread and size 1 like the bundle memo; the
+  // profile is a pure function of its key, so sharing it changes no value.
+  thread_local sim::RtSlackProfileCache rt_profiles;
   AdaptiveRowResults out;
   const auto adaptive = sim::measure_detection_times_adaptive(
-      instance, point.allocation, config.detection, config.controller);
+      instance, point.allocation, config.detection, config.controller, &rt_profiles);
   out.adaptive_mean = mean_of(adaptive.detection, "adaptive");
   out.adaptive_p95 = stats::percentile(adaptive.detection.detection_ms, 0.95);
   out.switches = static_cast<double>(adaptive.modes.total_switches());
@@ -129,19 +135,21 @@ AdaptiveRowResults compute_adaptive_row(const core::Instance& instance,
   out.denied_budget = static_cast<double>(adaptive.modes.total_denied_budget());
   if (config.include_static) {
     out.static_mean = mean_of(
-        sim::measure_detection_times(instance, point.allocation, config.detection),
+        sim::measure_detection_times(instance, point.allocation, config.detection,
+                                     &rt_profiles),
         "static");
   }
   if (config.include_min_mode) {
     out.min_mode_mean = mean_of(
         sim::measure_detection_times(
             instance, core::min_mode_allocation(instance, point.allocation),
-            config.detection),
+            config.detection, &rt_profiles),
         "min-mode");
   }
   if (config.include_global) {
     out.global_mean = mean_of(
-        sim::measure_detection_times_global(instance, point.allocation, config.detection),
+        sim::measure_detection_times_global(instance, point.allocation, config.detection,
+                                            &rt_profiles),
         "global");
   }
   return out;

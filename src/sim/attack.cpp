@@ -5,9 +5,9 @@
 
 #include "core/mode_table.h"
 #include "rt/priority.h"
-#include "sim/engine.h"
 #include "sim/global_slack.h"
 #include "sim/mode_switch.h"
+#include "sim/slack_profile.h"
 #include "util/contracts.h"
 
 namespace hydra::sim {
@@ -142,18 +142,28 @@ DetectionResult sample_attacks(const Trace& trace, const std::vector<SimTask>& t
 
 DetectionResult measure_detection_times(const core::Instance& instance,
                                         const core::Allocation& allocation,
-                                        const DetectionConfig& config) {
+                                        const DetectionConfig& config,
+                                        RtSlackProfileCache* profiles) {
   const std::vector<SimTask> tasks = build_sim_tasks(instance, allocation);
-  SimOptions sim_options;
+  std::vector<ModeTask> fixed_rate;
+  fixed_rate.reserve(tasks.size());
+  for (const SimTask& task : tasks) fixed_rate.push_back(ModeTask{task, 0, {}});
+  ModeSwitchOptions sim_options;
   sim_options.horizon = config.horizon;
-  const Trace trace = simulate(tasks, sim_options);
-  return sample_attacks(trace, tasks, instance.rt_tasks.size(),
+  // Fixed-rate tasks consult no policy; naming the inert one keeps the run
+  // independent of the ambient ControllerScope.
+  sim_options.controller.policy = "never-switch";
+  RtSlackProfileCache own;
+  const ModeSwitchResult run = simulate_mode_band(
+      fixed_rate, instance.rt_tasks.size(), sim_options, profiles != nullptr ? *profiles : own);
+  return sample_attacks(run.trace, tasks, instance.rt_tasks.size(),
                         instance.security_tasks.size(), config);
 }
 
 DetectionResult measure_detection_times_global(const core::Instance& instance,
                                                const core::Allocation& allocation,
-                                               const DetectionConfig& config) {
+                                               const DetectionConfig& config,
+                                               RtSlackProfileCache* profiles) {
   const std::vector<SimTask> tasks = build_sim_tasks(instance, allocation);
   std::vector<GlobalSimTask> global_tasks;
   global_tasks.reserve(tasks.size());
@@ -163,14 +173,17 @@ DetectionResult measure_detection_times_global(const core::Instance& instance,
   GlobalSimOptions sim_options;
   sim_options.horizon = config.horizon;
   sim_options.num_cores = instance.num_cores;
-  const Trace trace = simulate_global_slack(global_tasks, sim_options);
+  RtSlackProfileCache own;
+  const Trace trace = simulate_global_band(global_tasks, sim_options,
+                                           profiles != nullptr ? *profiles : own);
   return sample_attacks(trace, tasks, instance.rt_tasks.size(),
                         instance.security_tasks.size(), config);
 }
 
 AdaptiveDetectionResult measure_detection_times_adaptive(
     const core::Instance& instance, const core::Allocation& allocation,
-    const DetectionConfig& config, const ModeControllerConfig& controller) {
+    const DetectionConfig& config, const ModeControllerConfig& controller,
+    RtSlackProfileCache* profiles) {
   controller.validate();
   const core::ModeTable table =
       core::build_mode_table(instance, allocation, controller.num_levels);
@@ -195,7 +208,9 @@ AdaptiveDetectionResult measure_detection_times_adaptive(
   sim_options.seed = config.seed;
   sim_options.controller = controller;
   sim_options.attack_times = plan.sorted_times();
-  ModeSwitchResult run = simulate_mode_switching(mode_tasks, sim_options);
+  RtSlackProfileCache own;
+  ModeSwitchResult run = simulate_mode_band(mode_tasks, instance.rt_tasks.size(), sim_options,
+                                            profiles != nullptr ? *profiles : own);
 
   AdaptiveDetectionResult result;
   result.detection = detect_planned_attacks(run.trace, instance.rt_tasks.size(),

@@ -53,18 +53,29 @@ std::vector<SimTask> build_sim_tasks(
     bool security_preemptive = true,
     const std::optional<std::vector<std::size_t>>& security_priority_order = std::nullopt);
 
+class RtSlackProfileCache;
+
 /// Runs the schedule once and samples `trials` attacks at uniformly random
-/// times.  Requires a feasible allocation.
+/// times.  Requires a feasible allocation.  The monitors run as fixed-rate
+/// tasks in the band engine (sim::simulate_mode_band) on the RT slack
+/// profile `profiles` supplies — one RT simulation per (RT task set,
+/// horizon), shared with the other measure_* calls given the same cache
+/// (nullptr: a private one).  Results are those of sim::simulate on
+/// build_sim_tasks, job for job.
 DetectionResult measure_detection_times(const core::Instance& instance,
                                         const core::Allocation& allocation,
-                                        const DetectionConfig& config);
+                                        const DetectionConfig& config,
+                                        RtSlackProfileCache* profiles = nullptr);
 
 /// Same experiment under global slack scheduling (paper §V): the security
 /// tasks keep the allocation's periods but their jobs may run on ANY core's
 /// idle slack (job-level migration).  The static core assignment is ignored.
+/// Runs sim::simulate_global_band on the RT slack profile, with the results
+/// of sim::simulate_global_slack.
 DetectionResult measure_detection_times_global(const core::Instance& instance,
                                                const core::Allocation& allocation,
-                                               const DetectionConfig& config);
+                                               const DetectionConfig& config,
+                                               RtSlackProfileCache* profiles = nullptr);
 
 /// One planned synthetic attack: the instant, plus the victim monitor index
 /// (security-task index, meaningful only under AttackScope::kSingleTask).
@@ -125,7 +136,9 @@ DetectionResult sample_attacks(const Trace& trace, const std::vector<SimTask>& t
 /// `boost` policy reacts to each attack and shortens the latency of the NEXT
 /// one.  The attack window is sized from the minimum-mode periods, so every
 /// trial also has a defined latency in the static minimum-mode baseline — the
-/// comparison the dominance property test makes.
+/// comparison the dominance property test makes.  The mode-switching run is
+/// sim::simulate_mode_band on the RT slack profile (results identical to
+/// sim::simulate_mode_switching, ModeStats included).
 struct AdaptiveDetectionResult {
   DetectionResult detection;
   ModeStats modes;  ///< indices are sim-task indices (security task s at NR+s)
@@ -136,6 +149,7 @@ struct AdaptiveDetectionResult {
 };
 AdaptiveDetectionResult measure_detection_times_adaptive(
     const core::Instance& instance, const core::Allocation& allocation,
-    const DetectionConfig& config, const ModeControllerConfig& controller = {});
+    const DetectionConfig& config, const ModeControllerConfig& controller = {},
+    RtSlackProfileCache* profiles = nullptr);
 
 }  // namespace hydra::sim

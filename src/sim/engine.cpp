@@ -18,6 +18,7 @@ constexpr util::SimTime kNever = std::numeric_limits<util::SimTime>::max();
 struct LiveJob {
   std::size_t task = 0;      ///< index into the task vector
   std::size_t job_index = 0; ///< index into trace.jobs[task]
+  util::SimTime release = 0;
   util::SimTime remaining = 0;
   bool started = false;
 };
@@ -69,7 +70,8 @@ void simulate_core(const std::vector<SimTask>& tasks, const std::vector<std::siz
         JobRecord rec;
         rec.release = next_release[ti];
         trace.jobs[ti].push_back(rec);
-        ready.push_back(LiveJob{ti, trace.jobs[ti].size() - 1, draw_exec(tasks[ti]), false});
+        ready.push_back(
+            LiveJob{ti, trace.jobs[ti].size() - 1, rec.release, draw_exec(tasks[ti]), false});
         util::SimTime gap = tasks[ti].period;
         if (tasks[ti].release_jitter > 0) {
           gap += rng.uniform_int(1, tasks[ti].release_jitter);
@@ -80,12 +82,15 @@ void simulate_core(const std::vector<SimTask>& tasks, const std::vector<std::siz
     }
   };
 
+  // Highest priority first; backlogged jobs of one task share its priority
+  // and run in release order.
   const auto pick = [&]() -> std::optional<std::size_t> {
     if (locked.has_value()) return locked;
     std::optional<std::size_t> best;
     for (std::size_t i = 0; i < ready.size(); ++i) {
-      if (!best.has_value() ||
-          tasks[ready[i].task].priority < tasks[ready[*best].task].priority) {
+      const int p = tasks[ready[i].task].priority;
+      if (!best.has_value() || p < tasks[ready[*best].task].priority ||
+          (p == tasks[ready[*best].task].priority && ready[i].release < ready[*best].release)) {
         best = i;
       }
     }

@@ -3,7 +3,8 @@
 // Cores are independent under partitioned scheduling with independent tasks,
 // so the engine simulates each core's timeline separately: releases are
 // strictly periodic; at every scheduling point (release or completion) the
-// highest-priority ready job runs; non-preemptive jobs, once started, run to
+// highest-priority ready job runs (a task's backlogged jobs in release
+// order); non-preemptive jobs, once started, run to
 // completion regardless of later higher-priority releases (paper §V
 // extension).
 #pragma once

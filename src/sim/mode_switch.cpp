@@ -6,9 +6,11 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <utility>
 
 #include "sim/attack.h"
 #include "sim/busy_window.h"
+#include "sim/slack_profile.h"
 #include "util/contracts.h"
 #include "util/rng.h"
 
@@ -40,33 +42,164 @@ struct TaskMode {
   std::size_t next_attack = 0;  ///< cursor into options.attack_times
 };
 
+void check_distinct_priorities(const std::vector<ModeTask>& tasks,
+                               const std::vector<std::size_t>& members, std::size_t core) {
+  std::set<int> prios;
+  for (const std::size_t ti : members) {
+    HYDRA_REQUIRE(prios.insert(tasks[ti].task.priority).second,
+                  "duplicate priority on core " + std::to_string(core));
+  }
+}
+
+/// The controller side of one core: the policy instance, each member's mode
+/// state and the ModeStats accounting.  The full engine and the band loop
+/// both drive it, so they make the same decisions from the same
+/// observations.
+class CoreController {
+ public:
+  CoreController(const std::vector<ModeTask>& tasks, const std::vector<std::size_t>& members,
+                 const ModeSwitchOptions& options, const std::string& policy_name,
+                 util::SimTime window, ModeStats& stats)
+      : tasks_(tasks),
+        options_(options),
+        window_(window),
+        stats_(stats),
+        policy_(ControllerRegistry::global().make(policy_name, options.controller,
+                                                  PolicyInit{tasks.size(), window})),
+        mode_(tasks.size()) {
+    for (const std::size_t ti : members) {
+      const ModeTask& mt = tasks[ti];
+      mode_[ti].switchable = mt.switchable();
+      mode_[ti].top = mt.num_levels() - 1;
+      mode_[ti].dwell =
+          options.controller.min_dwell > 0 ? options.controller.min_dwell : mt.task.period;
+    }
+  }
+
+  /// The controller decision at task ti's release boundary `at`: the
+  /// policy's desired level — a pure function of the core-local busy
+  /// history, ti's own mode state, and delivered detection events — filtered
+  /// through the dwell / budget machinery.  Denials are counted, never
+  /// silent.  `busy_in(from, to)` returns the core's busy ticks in
+  /// [from, to).
+  template <class BusyIn>
+  void decide(std::size_t ti, util::SimTime at, const BusyIn& busy_in) {
+    TaskMode& m = mode_[ti];
+    if (!m.switchable) return;
+    const util::SimTime span = std::min(at, window_);
+    if (span == 0) return;  // no observed history yet: stay conservative
+    const util::SimTime busy_ticks = busy_in(at - span, at);
+    const double idle_fraction =
+        static_cast<double>(span - busy_ticks) / static_cast<double>(span);
+    const std::size_t want =
+        policy_->decide(ti, LevelObservation{at, idle_fraction, m.level, m.top});
+    HYDRA_REQUIRE(want <= m.top,
+                  "policy '" + policy_->name() + "' asked for level " +
+                      std::to_string(want) + " above the analysis-feasible "
+                      "fastest level " + std::to_string(m.top) + " of task '" +
+                      tasks_[ti].task.name + "'");
+    if (want == m.level) return;
+    if (stats_.switches[ti] >= options_.controller.switch_budget) {
+      ++stats_.denied_budget[ti];
+      return;
+    }
+    if (m.last_switch.has_value() && at - *m.last_switch < m.dwell) {
+      ++stats_.denied_dwell[ti];
+      return;
+    }
+    stats_.events.push_back(ModeSwitchEvent{ti, at, want > m.level, m.level, want});
+    m.level = want;
+    m.last_switch = at;
+    ++stats_.switches[ti];
+  }
+
+  /// Accounts a job of ti released at its committed level; returns the
+  /// level's period (the gap to the next release) and the job's relative
+  /// deadline.  Implicit-deadline monitors track their current rate; fixed
+  /// tasks keep their configured deadline.
+  std::pair<util::SimTime, util::SimTime> release(std::size_t ti) {
+    const ModeTask& mt = tasks_[ti];
+    const std::size_t level = mode_[ti].level;
+    const util::SimTime period = mt.level_period(level);
+    if (level > 0) {
+      stats_.adapted_residency[ti] += period;
+      ++stats_.adapted_jobs[ti];
+    } else {
+      stats_.min_residency[ti] += period;
+      ++stats_.min_jobs[ti];
+    }
+    return {period, mode_[ti].switchable ? period : mt.task.deadline};
+  }
+
+  /// Detection delivery at job completion: the completed job is the first
+  /// fresh scan for every not-yet-delivered attack that precedes its release
+  /// (sim/attack.h semantics).  No RNG is touched, so policies that ignore
+  /// detections keep a byte-identical trace.
+  void deliver_detections(std::size_t ti, util::SimTime release, util::SimTime completion) {
+    TaskMode& m = mode_[ti];
+    if (!m.switchable) return;
+    while (m.next_attack < options_.attack_times.size() &&
+           options_.attack_times[m.next_attack] < release) {
+      policy_->on_detection(ti, completion);
+      ++stats_.detections[ti];
+      ++m.next_attack;
+    }
+  }
+
+ private:
+  const std::vector<ModeTask>& tasks_;
+  const ModeSwitchOptions& options_;
+  util::SimTime window_;
+  ModeStats& stats_;
+  std::unique_ptr<ControllerPolicy> policy_;
+  std::vector<TaskMode> mode_;
+};
+
+/// Records one job in the trace and returns its index there.
+std::size_t record_release(Trace& trace, std::size_t ti, util::SimTime at) {
+  JobRecord rec;
+  rec.release = at;
+  trace.jobs[ti].push_back(rec);
+  return trace.jobs[ti].size() - 1;
+}
+
+/// Marks a finished job's record and checks its deadline.
+void record_completion(JobRecord& rec, const LiveJob& job, util::SimTime at) {
+  rec.completed = true;
+  rec.completion = at;
+  rec.deadline_missed = at > rec.release + job.deadline;
+}
+
+/// Index (into `ready`) of the highest-priority job; nullopt when empty.
+/// Backlogged jobs of one task share its priority and run in release order,
+/// so the pick never depends on where a job sits in `ready`.
+std::optional<std::size_t> highest_priority(const std::vector<ModeTask>& tasks,
+                                            const std::vector<LiveJob>& ready) {
+  std::optional<std::size_t> best;
+  for (std::size_t i = 0; i < ready.size(); ++i) {
+    const int p = tasks[ready[i].task].task.priority;
+    if (!best.has_value() || p < tasks[ready[*best].task].task.priority ||
+        (p == tasks[ready[*best].task].task.priority && ready[i].release < ready[*best].release)) {
+      best = i;
+    }
+  }
+  return best;
+}
+
 void simulate_core(const std::vector<ModeTask>& tasks,
                    const std::vector<std::size_t>& members,
                    const ModeSwitchOptions& options,
                    const std::string& policy_name, util::SimTime window,
                    Trace& trace, ModeStats& stats, std::size_t core,
                    util::Xoshiro256 rng) {
-  {
-    std::set<int> prios;
-    for (const std::size_t ti : members) {
-      HYDRA_REQUIRE(prios.insert(tasks[ti].task.priority).second,
-                    "duplicate priority on core " + std::to_string(core));
-    }
-  }
-  const ModeControllerConfig& ctl = options.controller;
-  const std::unique_ptr<ControllerPolicy> policy = ControllerRegistry::global().make(
-      policy_name, ctl, PolicyInit{tasks.size(), window});
+  check_distinct_priorities(tasks, members, core);
+  CoreController control(tasks, members, options, policy_name, window, stats);
 
   std::vector<util::SimTime> next_release(tasks.size(), kNever);
-  std::vector<TaskMode> mode(tasks.size());
   for (const std::size_t ti : members) {
-    const ModeTask& mt = tasks[ti];
-    if (mt.task.release_offset < options.horizon) {
-      next_release[ti] = mt.task.release_offset;
+    if (tasks[ti].task.release_offset < options.horizon) {
+      next_release[ti] = tasks[ti].task.release_offset;
     }
-    mode[ti].switchable = mt.switchable();
-    mode[ti].top = mt.num_levels() - 1;
-    mode[ti].dwell = ctl.min_dwell > 0 ? ctl.min_dwell : mt.task.period;
   }
 
   std::vector<LiveJob> ready;
@@ -83,6 +216,9 @@ void simulate_core(const std::vector<ModeTask>& tasks,
     }
   }
   BusyWindow history(window + admission_lag);
+  const auto busy_in = [&history](util::SimTime from, util::SimTime to) {
+    return history.busy_in(from, to);
+  };
   std::optional<std::size_t> locked;  // started non-preemptive job, if any
 
   const auto earliest_release = [&]() {
@@ -96,56 +232,6 @@ void simulate_core(const std::vector<ModeTask>& tasks,
     const double fraction = rng.uniform(task.exec_fraction_min, 1.0);
     const double ticks = std::ceil(fraction * static_cast<double>(task.wcet));
     return std::max<util::SimTime>(1, static_cast<util::SimTime>(ticks));
-  };
-
-  // The controller decision at task ti's release boundary `at`: the policy's
-  // desired level — a pure function of the core-local busy history, ti's own
-  // mode state, and delivered detection events — filtered through the dwell /
-  // budget machinery.  Denials are counted, never silent.
-  const auto decide_mode = [&](std::size_t ti, util::SimTime at) {
-    TaskMode& m = mode[ti];
-    if (!m.switchable) return;
-    const util::SimTime span = std::min(at, window);
-    if (span == 0) return;  // no observed history yet: stay conservative
-    const util::SimTime busy_ticks = history.busy_in(at - span, at);
-    const double idle_fraction =
-        static_cast<double>(span - busy_ticks) / static_cast<double>(span);
-    const std::size_t want =
-        policy->decide(ti, LevelObservation{at, idle_fraction, m.level, m.top});
-    HYDRA_REQUIRE(want <= m.top,
-                  "policy '" + policy->name() + "' asked for level " +
-                      std::to_string(want) + " above the analysis-feasible "
-                      "fastest level " + std::to_string(m.top) + " of task '" +
-                      tasks[ti].task.name + "'");
-    if (want == m.level) return;
-    if (stats.switches[ti] >= ctl.switch_budget) {
-      ++stats.denied_budget[ti];
-      return;
-    }
-    if (m.last_switch.has_value() && at - *m.last_switch < m.dwell) {
-      ++stats.denied_dwell[ti];
-      return;
-    }
-    stats.events.push_back(ModeSwitchEvent{ti, at, want > m.level, m.level, want});
-    m.level = want;
-    m.last_switch = at;
-    ++stats.switches[ti];
-  };
-
-  // Detection delivery at job completion: the completed job is the first
-  // fresh scan for every not-yet-delivered attack that precedes its release
-  // (sim/attack.h semantics).  No RNG is touched, so policies that ignore
-  // detections keep a byte-identical trace.
-  const auto deliver_detections = [&](std::size_t ti, util::SimTime release,
-                                      util::SimTime completion) {
-    TaskMode& m = mode[ti];
-    if (!m.switchable) return;
-    while (m.next_attack < options.attack_times.size() &&
-           options.attack_times[m.next_attack] < release) {
-      policy->on_detection(ti, completion);
-      ++stats.detections[ti];
-      ++m.next_attack;
-    }
   };
 
   // Admits due releases strictly in release-time order (ties by member
@@ -162,53 +248,23 @@ void simulate_core(const std::vector<ModeTask>& tasks,
         }
       }
       if (!next.has_value()) break;
-      {
-        const std::size_t ti = *next;
-        const ModeTask& mt = tasks[ti];
-        const util::SimTime at = next_release[ti];
-        decide_mode(ti, at);
-        const std::size_t level = mode[ti].level;
-        const util::SimTime period = mt.level_period(level);
-        // Implicit-deadline monitors track their current rate; fixed tasks
-        // keep their configured deadline.
-        const util::SimTime deadline = mode[ti].switchable ? period : mt.task.deadline;
-        if (level > 0) {
-          stats.adapted_residency[ti] += period;
-          ++stats.adapted_jobs[ti];
-        } else {
-          stats.min_residency[ti] += period;
-          ++stats.min_jobs[ti];
-        }
-        JobRecord rec;
-        rec.release = at;
-        trace.jobs[ti].push_back(rec);
-        ready.push_back(LiveJob{ti, trace.jobs[ti].size() - 1, draw_exec(mt.task),
-                                deadline, at, false});
-        util::SimTime gap = period;
-        if (mt.task.release_jitter > 0) {
-          gap += rng.uniform_int(1, mt.task.release_jitter);
-        }
-        const util::SimTime nxt = at + gap;
-        next_release[ti] = (nxt < options.horizon) ? nxt : kNever;
-      }
+      const std::size_t ti = *next;
+      const SimTask& task = tasks[ti].task;
+      const util::SimTime at = next_release[ti];
+      control.decide(ti, at, busy_in);
+      const auto [period, deadline] = control.release(ti);
+      const std::size_t job_index = record_release(trace, ti, at);
+      ready.push_back(LiveJob{ti, job_index, draw_exec(task), deadline, at, false});
+      util::SimTime gap = period;
+      if (task.release_jitter > 0) gap += rng.uniform_int(1, task.release_jitter);
+      const util::SimTime nxt = at + gap;
+      next_release[ti] = (nxt < options.horizon) ? nxt : kNever;
     }
-  };
-
-  const auto pick = [&]() -> std::optional<std::size_t> {
-    if (locked.has_value()) return locked;
-    std::optional<std::size_t> best;
-    for (std::size_t i = 0; i < ready.size(); ++i) {
-      if (!best.has_value() ||
-          tasks[ready[i].task].task.priority < tasks[ready[*best].task].task.priority) {
-        best = i;
-      }
-    }
-    return best;
   };
 
   while (now < hard_stop) {
     admit_releases(now);
-    const auto chosen = pick();
+    const auto chosen = locked.has_value() ? locked : highest_priority(tasks, ready);
     if (!chosen.has_value()) {
       const util::SimTime nxt = earliest_release();
       if (nxt == kNever) break;
@@ -244,10 +300,8 @@ void simulate_core(const std::vector<ModeTask>& tasks,
     now = run_until;
 
     if (job.remaining == 0) {
-      rec.completed = true;
-      rec.completion = now;
-      rec.deadline_missed = now > rec.release + job.deadline;
-      deliver_detections(job.task, job.release, now);
+      record_completion(rec, job, now);
+      control.deliver_detections(job.task, job.release, now);
       if (locked.has_value() && *locked == *chosen) locked = std::nullopt;
       const std::size_t last = ready.size() - 1;
       if (*chosen != last) {
@@ -262,6 +316,197 @@ void simulate_core(const std::vector<ModeTask>& tasks,
     trace.jobs[job.task][job.job_index].deadline_missed = true;
   }
   trace.core_busy[core] = busy;
+}
+
+/// simulate_core for the monitors alone, on top of the core's RT schedule:
+/// `band` holds the core's monitors, which run by fixed priority on the idle
+/// axis of `rt` (idle position x = the x-th tick no RT job runs).  A job
+/// released at real time r is eligible from idle position idle_before(r);
+/// one that needs idle ticks up to x completes at time_at_idle(x).  Events
+/// are taken in real-time order: an idle position orders them except among
+/// releases inside one RT busy interval, which share an idle position and
+/// go by (release time, task index), and a completion precedes a release at
+/// the same position, as it does in the full engine.  The controller's
+/// window busy time is the RT busy time from the profile plus the
+/// monitors' own, kept in a BusyWindow on the idle axis.
+void simulate_band_core(const std::vector<ModeTask>& tasks,
+                        const std::vector<std::size_t>& band,
+                        const ModeSwitchOptions& options, const std::string& policy_name,
+                        util::SimTime window, const RtSlackProfile& rt, Trace& trace,
+                        ModeStats& stats, std::size_t core) {
+  CoreController control(tasks, band, options, policy_name, window, stats);
+  std::vector<util::SimTime> next_release(tasks.size(), kNever);
+  for (const std::size_t ti : band) {
+    if (tasks[ti].task.release_offset < options.horizon) {
+      next_release[ti] = tasks[ti].task.release_offset;
+    }
+  }
+  // The monitors' execution on the idle axis.  A query spans at most
+  // `window` idle ticks and ends at or after the latest add, so keeping
+  // `window` ticks is enough.
+  BusyWindow history(window);
+  const auto busy_in = [&](util::SimTime from, util::SimTime to) {
+    const util::SimTime idle_from = rt.idle_before(core, from);
+    const util::SimTime idle_to = rt.idle_before(core, to);
+    return (to - from) - (idle_to - idle_from) + history.busy_in(idle_from, idle_to);
+  };
+  const util::SimTime stop = rt.idle_before(core, options.horizon + options.grace);
+
+  std::vector<LiveJob> ready;
+  util::SimTime x = 0;  // the idle position the band has been scheduled up to
+  // Runs ready[i] over the idle ticks [x, until).
+  const auto run = [&](std::size_t i, util::SimTime until) {
+    LiveJob& job = ready[i];
+    if (until == x) return;
+    if (!job.started) {
+      trace.jobs[job.task][job.job_index].start = rt.time_at_idle(core, x + 1) - 1;
+      job.started = true;
+    }
+    history.add(x, until);
+    job.remaining -= until - x;
+    x = until;
+  };
+
+  while (true) {
+    std::optional<std::size_t> next;  // earliest release, ties by task index
+    for (const std::size_t ti : band) {
+      if (next_release[ti] != kNever &&
+          (!next.has_value() || next_release[ti] < next_release[*next])) {
+        next = ti;
+      }
+    }
+    const util::SimTime next_x =
+        next.has_value() ? rt.idle_before(core, next_release[*next]) : kNever;
+    const auto chosen = highest_priority(tasks, ready);
+    if (chosen.has_value() && x + ready[*chosen].remaining <= next_x) {
+      const util::SimTime done_x = x + ready[*chosen].remaining;
+      if (done_x > stop) {
+        run(*chosen, stop);  // still running at the hard stop
+        break;
+      }
+      run(*chosen, done_x);
+      const LiveJob& job = ready[*chosen];
+      const util::SimTime at = rt.time_at_idle(core, x);
+      record_completion(trace.jobs[job.task][job.job_index], job, at);
+      control.deliver_detections(job.task, job.release, at);
+      ready[*chosen] = ready.back();
+      ready.pop_back();
+      continue;
+    }
+    if (!next.has_value()) break;
+    if (chosen.has_value()) {
+      run(*chosen, next_x);
+    } else {
+      x = next_x;
+    }
+    const std::size_t ti = *next;
+    const util::SimTime at = next_release[ti];
+    control.decide(ti, at, busy_in);
+    const auto [period, deadline] = control.release(ti);
+    const std::size_t job_index = record_release(trace, ti, at);
+    ready.push_back(LiveJob{ti, job_index, tasks[ti].task.wcet, deadline, at, false});
+    const util::SimTime nxt = at + period;
+    next_release[ti] = (nxt < options.horizon) ? nxt : kNever;
+  }
+
+  for (const LiveJob& job : ready) {
+    trace.jobs[job.task][job.job_index].deadline_missed = true;
+  }
+}
+
+/// The input checks both entry points share; returns the resolved policy.
+std::string validate_inputs(const std::vector<ModeTask>& tasks,
+                            const ModeSwitchOptions& options) {
+  HYDRA_REQUIRE(options.horizon > 0, "simulation horizon must be positive");
+  options.controller.validate();
+  std::string policy_name = resolve_controller_policy(options.controller.policy);
+  ControllerRegistry::global().require(policy_name);
+  for (std::size_t i = 1; i < options.attack_times.size(); ++i) {
+    HYDRA_REQUIRE(options.attack_times[i - 1] <= options.attack_times[i],
+                  "attack_times must be ascending");
+  }
+  for (const auto& mt : tasks) {
+    const SimTask& t = mt.task;
+    HYDRA_REQUIRE(t.wcet > 0 && t.period > 0 && t.deadline > 0,
+                  "task '" + t.name + "' needs positive WCET/period/deadline");
+    HYDRA_REQUIRE(t.wcet <= t.deadline, "task '" + t.name + "' has WCET > deadline");
+    if (mt.adapted_period > 0) {
+      HYDRA_REQUIRE(mt.adapted_period >= t.wcet,
+                    "task '" + t.name + "' has adapted period below its WCET");
+      HYDRA_REQUIRE(mt.adapted_period <= t.period,
+                    "task '" + t.name + "' has adapted period above minimum mode");
+    }
+    if (mt.switchable()) {
+      util::SimTime prev = t.period;
+      for (const util::SimTime level : mt.levels) {
+        HYDRA_REQUIRE(level < prev && level > mt.adapted_period,
+                      "task '" + t.name + "' has a mode level outside the "
+                      "strictly decreasing (adapted, minimum) ladder");
+        prev = level;
+      }
+    }
+  }
+  return policy_name;
+}
+
+std::size_t core_count(const std::vector<ModeTask>& tasks) {
+  std::size_t num_cores = 0;
+  for (const auto& mt : tasks) num_cores = std::max(num_cores, mt.task.core + 1);
+  return num_cores;
+}
+
+std::vector<std::size_t> members_of(const std::vector<ModeTask>& tasks, std::size_t core) {
+  std::vector<std::size_t> members;
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    if (tasks[i].task.core == core) members.push_back(i);
+  }
+  return members;
+}
+
+/// The options with the auto grace resolved (largest minimum-mode deadline).
+ModeSwitchOptions with_grace(const std::vector<ModeTask>& tasks,
+                             const ModeSwitchOptions& options) {
+  ModeSwitchOptions effective = options;
+  if (effective.grace == 0) {
+    for (const auto& mt : tasks) {
+      effective.grace = std::max(effective.grace, mt.task.deadline);
+    }
+  }
+  return effective;
+}
+
+/// A result with every per-task vector sized and zeroed.
+ModeSwitchResult empty_result(std::size_t num_tasks, std::size_t num_cores,
+                              util::SimTime horizon) {
+  ModeSwitchResult result;
+  result.trace.horizon = horizon;
+  result.trace.jobs.assign(num_tasks, {});
+  result.trace.core_busy.assign(num_cores, 0);
+  result.stats.switches.assign(num_tasks, 0);
+  result.stats.min_residency.assign(num_tasks, 0);
+  result.stats.adapted_residency.assign(num_tasks, 0);
+  result.stats.min_jobs.assign(num_tasks, 0);
+  result.stats.adapted_jobs.assign(num_tasks, 0);
+  result.stats.denied_dwell.assign(num_tasks, 0);
+  result.stats.denied_budget.assign(num_tasks, 0);
+  result.stats.detections.assign(num_tasks, 0);
+  return result;
+}
+
+/// The core's slack window: the configured one, or 0 = auto — long enough
+/// that one minimum-mode hyperperiod of the slowest switchable monitor fits
+/// four times over.
+util::SimTime resolve_window(const std::vector<ModeTask>& tasks,
+                             const std::vector<std::size_t>& members,
+                             util::SimTime configured) {
+  util::SimTime window = configured;
+  if (window == 0) {
+    for (const std::size_t ti : members) {
+      if (tasks[ti].switchable()) window = std::max(window, 4 * tasks[ti].task.period);
+    }
+    if (window == 0) window = 1;  // no switchable task: value is irrelevant
+  }
+  return window;
 }
 
 std::size_t sum(const std::vector<std::size_t>& v) {
@@ -293,80 +538,82 @@ std::size_t ModeStats::total_detections() const { return sum(detections); }
 
 ModeSwitchResult simulate_mode_switching(const std::vector<ModeTask>& tasks,
                                          const ModeSwitchOptions& options) {
-  HYDRA_REQUIRE(options.horizon > 0, "simulation horizon must be positive");
-  options.controller.validate();
-  const std::string policy_name =
-      resolve_controller_policy(options.controller.policy);
-  ControllerRegistry::global().require(policy_name);
-  for (std::size_t i = 1; i < options.attack_times.size(); ++i) {
-    HYDRA_REQUIRE(options.attack_times[i - 1] <= options.attack_times[i],
-                  "attack_times must be ascending");
-  }
-  std::size_t num_cores = 0;
-  for (const auto& mt : tasks) {
-    const SimTask& t = mt.task;
-    HYDRA_REQUIRE(t.wcet > 0 && t.period > 0 && t.deadline > 0,
-                  "task '" + t.name + "' needs positive WCET/period/deadline");
-    HYDRA_REQUIRE(t.wcet <= t.deadline, "task '" + t.name + "' has WCET > deadline");
-    if (mt.adapted_period > 0) {
-      HYDRA_REQUIRE(mt.adapted_period >= t.wcet,
-                    "task '" + t.name + "' has adapted period below its WCET");
-      HYDRA_REQUIRE(mt.adapted_period <= t.period,
-                    "task '" + t.name + "' has adapted period above minimum mode");
-    }
-    if (mt.switchable()) {
-      util::SimTime prev = t.period;
-      for (const util::SimTime level : mt.levels) {
-        HYDRA_REQUIRE(level < prev && level > mt.adapted_period,
-                      "task '" + t.name + "' has a mode level outside the "
-                      "strictly decreasing (adapted, minimum) ladder");
-        prev = level;
-      }
-    }
-    num_cores = std::max(num_cores, t.core + 1);
-  }
-
-  ModeSwitchOptions effective = options;
-  if (effective.grace == 0) {
-    util::SimTime max_deadline = 0;
-    for (const auto& mt : tasks) max_deadline = std::max(max_deadline, mt.task.deadline);
-    effective.grace = max_deadline;
-  }
-
-  ModeSwitchResult result;
-  result.trace.horizon = options.horizon;
-  result.trace.jobs.assign(tasks.size(), {});
-  result.trace.core_busy.assign(num_cores, 0);
-  result.stats.switches.assign(tasks.size(), 0);
-  result.stats.min_residency.assign(tasks.size(), 0);
-  result.stats.adapted_residency.assign(tasks.size(), 0);
-  result.stats.min_jobs.assign(tasks.size(), 0);
-  result.stats.adapted_jobs.assign(tasks.size(), 0);
-  result.stats.denied_dwell.assign(tasks.size(), 0);
-  result.stats.denied_budget.assign(tasks.size(), 0);
-  result.stats.detections.assign(tasks.size(), 0);
+  const std::string policy_name = validate_inputs(tasks, options);
+  const std::size_t num_cores = core_count(tasks);
+  const ModeSwitchOptions effective = with_grace(tasks, options);
+  ModeSwitchResult result = empty_result(tasks.size(), num_cores, options.horizon);
 
   util::Xoshiro256 root_rng(options.seed);
   for (std::size_t core = 0; core < num_cores; ++core) {
     // Independent per-core streams, forked in core order — identical protocol
     // to sim::simulate, so one core's draws never shift another's schedule.
     util::Xoshiro256 core_rng = root_rng.fork();
-    std::vector<std::size_t> members;
-    for (std::size_t i = 0; i < tasks.size(); ++i) {
-      if (tasks[i].task.core == core) members.push_back(i);
-    }
+    const std::vector<std::size_t> members = members_of(tasks, core);
     if (members.empty()) continue;
-    util::SimTime window = effective.controller.slack_window;
-    if (window == 0) {
-      // Auto: long enough that one minimum-mode hyperperiod of the slowest
-      // switchable monitor fits four times over.
-      for (const std::size_t ti : members) {
-        if (tasks[ti].switchable()) window = std::max(window, 4 * tasks[ti].task.period);
-      }
-      if (window == 0) window = 1;  // no switchable task: value is irrelevant
-    }
+    const util::SimTime window =
+        resolve_window(tasks, members, effective.controller.slack_window);
     simulate_core(tasks, members, effective, policy_name, window, result.trace,
                   result.stats, core, std::move(core_rng));
+  }
+  return result;
+}
+
+ModeSwitchResult simulate_mode_band(const std::vector<ModeTask>& tasks, std::size_t num_rt,
+                                    const ModeSwitchOptions& options,
+                                    RtSlackProfileCache& profiles) {
+  const std::string policy_name = validate_inputs(tasks, options);
+  const std::size_t num_cores = core_count(tasks);
+  for (std::size_t core = 0; core < num_cores; ++core) {
+    check_distinct_priorities(tasks, members_of(tasks, core), core);
+  }
+  const ModeSwitchOptions effective = with_grace(tasks, options);
+
+  HYDRA_REQUIRE(num_rt <= tasks.size(), "more RT tasks than tasks");
+  std::vector<SimTask> rt_tasks;
+  rt_tasks.reserve(num_rt);
+  for (std::size_t i = 0; i < num_rt; ++i) {
+    const SimTask& t = tasks[i].task;
+    HYDRA_REQUIRE(!tasks[i].switchable(), "RT task '" + t.name + "' cannot switch modes");
+    HYDRA_REQUIRE(effective.grace >= t.deadline,
+                  "band run needs a grace of at least every RT deadline");
+    rt_tasks.push_back(t);
+  }
+  for (std::size_t i = num_rt; i < tasks.size(); ++i) {
+    const SimTask& t = tasks[i].task;
+    HYDRA_REQUIRE(t.preemptive && t.exec_fraction_min >= 1.0 && t.release_jitter == 0,
+                  "band task '" + t.name + "' must be preemptive, WCET-exact and jitter-free");
+    for (const SimTask& r : rt_tasks) {
+      HYDRA_REQUIRE(r.core != t.core || r.priority < t.priority,
+                    "band task '" + t.name + "' must rank below every RT task of its core");
+    }
+  }
+  const RtSlackProfile& rt = profiles.get(rt_tasks, options.horizon);
+
+  ModeSwitchResult result = empty_result(tasks.size(), num_cores, options.horizon);
+  result.trace.unrecorded_misses = rt.deadline_misses();
+  // RT tasks are fixed-rate and jitter-free: every release before the
+  // horizon is a minimum-mode job.
+  for (std::size_t i = 0; i < num_rt; ++i) {
+    const SimTask& t = tasks[i].task;
+    const std::size_t jobs =
+        t.release_offset < options.horizon
+            ? static_cast<std::size_t>((options.horizon - t.release_offset + t.period - 1) /
+                                       t.period)
+            : 0;
+    result.stats.min_jobs[i] = jobs;
+    result.stats.min_residency[i] = jobs * t.period;
+  }
+  for (std::size_t core = 0; core < num_cores; ++core) {
+    const std::vector<std::size_t> members = members_of(tasks, core);
+    std::vector<std::size_t> band;
+    for (const std::size_t ti : members) {
+      if (ti >= num_rt) band.push_back(ti);
+    }
+    if (band.empty()) continue;
+    const util::SimTime window =
+        resolve_window(tasks, members, effective.controller.slack_window);
+    simulate_band_core(tasks, band, effective, policy_name, window, rt, result.trace,
+                       result.stats, core);
   }
   return result;
 }

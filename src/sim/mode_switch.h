@@ -152,6 +152,23 @@ struct ModeSwitchResult {
 ModeSwitchResult simulate_mode_switching(const std::vector<ModeTask>& tasks,
                                          const ModeSwitchOptions& options);
 
+class RtSlackProfileCache;
+
+/// The same run with the RT schedule taken from an RT slack profile
+/// (sim/slack_profile.h): tasks [0, num_rt) are the RT tasks, which the
+/// profile simulates once, and only the monitors from num_rt on are
+/// scheduled, on the idle time the profile leaves.  Every monitor JobRecord,
+/// the ModeStats and deadline_misses() equal simulate_mode_switching's; the
+/// trace records only the monitors' jobs (the RT misses are in
+/// Trace::unrecorded_misses, core_busy stays 0).  Validates like
+/// simulate_mode_switching and asks `profiles` for the profile only after
+/// that, then additionally requires (std::invalid_argument): fixed-rate RT
+/// tasks; preemptive, WCET-exact, jitter-free tasks; monitors ranked below
+/// every RT task of their core; a grace of at least every RT deadline.
+ModeSwitchResult simulate_mode_band(const std::vector<ModeTask>& tasks, std::size_t num_rt,
+                                    const ModeSwitchOptions& options,
+                                    RtSlackProfileCache& profiles);
+
 /// Builds the mode-switching task list for an instance + feasible allocation:
 /// the same RT/security resolution as sim::build_sim_tasks, but security
 /// tasks run at their MINIMUM-mode (Tmax) period with the mode table's

@@ -61,8 +61,13 @@ struct Trace {
   /// Execution intervals in chronological order per core; filled only when
   /// the engine is asked to record them (SimOptions::record_segments).
   std::vector<ExecutionSegment> segments;
+  /// Deadline misses of jobs this trace does not record in `jobs`.  The band
+  /// engines (sim/slack_profile.h) record only the monitors' jobs and carry
+  /// the RT misses of the shared profile here; the full engines leave it 0.
+  std::size_t unrecorded_misses = 0;
 
   std::size_t total_jobs() const;
+  /// Missed jobs in `jobs` plus unrecorded_misses.
   std::size_t deadline_misses() const;
 
   /// Completion time of the first job of `task` released at or after `t`;

@@ -12,7 +12,7 @@ std::size_t Trace::total_jobs() const {
 }
 
 std::size_t Trace::deadline_misses() const {
-  std::size_t n = 0;
+  std::size_t n = unrecorded_misses;
   for (const auto& per_task : jobs) {
     for (const auto& rec : per_task) {
       if (rec.deadline_missed) ++n;

@@ -8,6 +8,7 @@
 #include "gen/uav.h"
 #include "sim/attack.h"
 #include "sim/global_slack.h"
+#include "sim/slack_profile.h"
 #include "stats/summary.h"
 
 namespace sim = hydra::sim;
@@ -119,6 +120,34 @@ TEST(GlobalSlack, TwoIdleCoresRunSecurityInParallel) {
   const auto trace = sim::simulate_global_slack({a, b}, opts);
   EXPECT_EQ(trace.jobs[0][0].completion, 50u);
   EXPECT_EQ(trace.jobs[1][0].completion, 50u);  // parallel, not serialized
+}
+
+TEST(GlobalSlack, BackloggedJobsOfOneTaskRunInReleaseOrder) {
+  // Both cores are RT-busy [0, 50) while `a` releases at 0, 20 and 40.  The
+  // RT completions at 50 swap-remove the backlog out of release order inside
+  // the engine's job list; with ties broken by release the jobs still run,
+  // and complete, oldest first.
+  const auto rt0 = rt_task("rt0", 50, 1000, 0, 0);
+  const auto rt1 = rt_task("rt1", 50, 1000, 1, 0);
+  const auto x = sec_task("x", 5, 100, 100);
+  const auto a = sec_task("a", 10, 20, 101);
+  sim::GlobalSimOptions opts;
+  opts.horizon = 50;
+  opts.num_cores = 2;
+  const std::vector<sim::GlobalSimTask> tasks = {rt0, rt1, x, a};
+  const auto trace = sim::simulate_global_slack(tasks, opts);
+  EXPECT_EQ(trace.jobs[2][0].completion, 55u);
+  ASSERT_EQ(trace.jobs[3].size(), 3u);
+  EXPECT_EQ(trace.jobs[3][0].completion, 60u);
+  EXPECT_EQ(trace.jobs[3][1].completion, 65u);
+  EXPECT_EQ(trace.jobs[3][2].completion, 70u);
+
+  // The band engine keeps the same rule.
+  sim::RtSlackProfileCache cache;
+  const auto band = sim::simulate_global_band(tasks, opts, cache);
+  for (std::size_t j = 0; j < 3; ++j) {
+    EXPECT_EQ(band.jobs[3][j].completion, trace.jobs[3][j].completion);
+  }
 }
 
 TEST(GlobalSlack, RtTasksNeverMigrateAndKeepTheirCore) {
