@@ -21,8 +21,9 @@ namespace core = hydra::core;
 namespace gen = hydra::gen;
 namespace io = hydra::io;
 
-int main(int argc, char** argv) {
-  const hydra::util::CliParser cli(argc, argv);
+namespace {
+
+int run(const hydra::util::CliParser& cli) {
   const auto m = cli.get_count("cores", 4);
   const int tasksets = static_cast<int>(cli.get_int("tasksets", 100));
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 3));
@@ -82,4 +83,10 @@ int main(int argc, char** argv) {
   std::cout << "\nReading: the paper's argmax-tightness rule should match or "
                "beat the alternatives on tightness at comparable acceptance.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return hydra::util::run_cli(argc, argv, {"cores", "tasksets", "seed", "csv"}, run);
 }

@@ -24,8 +24,9 @@ namespace core = hydra::core;
 namespace gen = hydra::gen;
 namespace io = hydra::io;
 
-int main(int argc, char** argv) {
-  const hydra::util::CliParser cli(argc, argv);
+namespace {
+
+int run(const hydra::util::CliParser& cli) {
   const auto m = cli.get_count("cores", 2);
   const int tasksets = static_cast<int>(cli.get_int("tasksets", 100));
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 23));
@@ -98,4 +99,10 @@ int main(int argc, char** argv) {
                "yields looser periods; the gap is the price of the paper's "
                "closed-form/GP-friendly bound.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return hydra::util::run_cli(argc, argv, {"cores", "tasksets", "seed", "csv"}, run);
 }

@@ -22,8 +22,9 @@ namespace core = hydra::core;
 namespace io = hydra::io;
 namespace sim = hydra::sim;
 
-int main(int argc, char** argv) {
-  const hydra::util::CliParser cli(argc, argv);
+namespace {
+
+int run(const hydra::util::CliParser& cli) {
   const auto cores = cli.get_int_list("cores", {2, 4, 8});
   const auto trials = cli.get_count("trials", 300);
   const auto horizon_s = static_cast<std::uint64_t>(cli.get_int("horizon-s", 300));
@@ -70,4 +71,10 @@ int main(int argc, char** argv) {
                "the margin bounds what a runtime (rather than design-time) "
                "mechanism could add over HYDRA's static placement.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return hydra::util::run_cli(argc, argv, {"cores", "trials", "horizon-s", "seed", "csv"}, run);
 }

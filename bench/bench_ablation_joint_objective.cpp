@@ -21,8 +21,9 @@ namespace core = hydra::core;
 namespace gen = hydra::gen;
 namespace io = hydra::io;
 
-int main(int argc, char** argv) {
-  const hydra::util::CliParser cli(argc, argv);
+namespace {
+
+int run(const hydra::util::CliParser& cli) {
   const int tasksets = static_cast<int>(cli.get_int("tasksets", 60));
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 5));
   const bool csv = cli.get_bool("csv", false);
@@ -95,4 +96,10 @@ int main(int argc, char** argv) {
                "trail it only slightly, justifying their use when a"
                " deterministic convex solve is preferred.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return hydra::util::run_cli(argc, argv, {"tasksets", "seed", "csv"}, run);
 }

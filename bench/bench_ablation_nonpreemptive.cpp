@@ -26,8 +26,9 @@ namespace gen = hydra::gen;
 namespace io = hydra::io;
 namespace sim = hydra::sim;
 
-int main(int argc, char** argv) {
-  const hydra::util::CliParser cli(argc, argv);
+namespace {
+
+int run(const hydra::util::CliParser& cli) {
   const auto cores = cli.get_int_list("cores", {2, 4});
   const auto trials = cli.get_count("trials", 300);
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 13));
@@ -121,4 +122,10 @@ int main(int argc, char** argv) {
   std::cout << "\nReading: the blocking term buys non-preemptable scans at a "
                "modest acceptance/tightness cost that grows with utilization.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return hydra::util::run_cli(argc, argv, {"cores", "trials", "seed", "tasksets", "csv"}, run);
 }

@@ -52,10 +52,7 @@ std::vector<std::size_t> by_utilization(const std::vector<rt::SecurityTask>& tas
   return order;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const hydra::util::CliParser cli(argc, argv);
+int run(const hydra::util::CliParser& cli) {
   const auto m = cli.get_count("cores", 2);
   const int tasksets = static_cast<int>(cli.get_int("tasksets", 120));
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 37));
@@ -113,4 +110,10 @@ int main(int argc, char** argv) {
                "Tdes rules coincide; utilization-first trades acceptance for "
                "protecting the heavyweight monitors.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return hydra::util::run_cli(argc, argv, {"cores", "tasksets", "seed", "csv"}, run);
 }

@@ -21,8 +21,9 @@ namespace core = hydra::core;
 namespace io = hydra::io;
 namespace sim = hydra::sim;
 
-int main(int argc, char** argv) {
-  const hydra::util::CliParser cli(argc, argv);
+namespace {
+
+int run(const hydra::util::CliParser& cli) {
   const auto cores = cli.get_int_list("cores", {4, 8});
   const auto trials = cli.get_count("trials", 300);
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 17));
@@ -68,4 +69,10 @@ int main(int argc, char** argv) {
                "spreading monitors pays off even when the analysis metric "
                "cannot see it.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return hydra::util::run_cli(argc, argv, {"cores", "trials", "seed", "csv"}, run);
 }

@@ -68,10 +68,7 @@ struct SampleCache {
   std::map<std::pair<std::string, std::string>, std::vector<double>> samples;
 };
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const hydra::util::CliParser cli(argc, argv);
+int run(const hydra::util::CliParser& cli) {
   const auto cores = cli.get_int_list("cores", {2, 4, 8});
   const auto scheme_names = cli.get_string_list("schemes", {"hydra", "single-core"});
   const auto trials = cli.get_count("trials", 500);
@@ -263,4 +260,14 @@ int main(int argc, char** argv) {
             << "'s, the improvement grows with the core count, and the "
                "global-slack bound is never slower than the partitioned mean.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return hydra::util::run_cli(
+      argc, argv,
+      {"cores", "schemes", "trials", "horizon-s", "seed", "cdf-points", "csv", "jobs", "resume",
+       "shard", "out"},
+      run);
 }

@@ -53,8 +53,9 @@ namespace hexp = hydra::exp;
 namespace gen = hydra::gen;
 namespace io = hydra::io;
 
-int main(int argc, char** argv) {
-  const hydra::util::CliParser cli(argc, argv);
+namespace {
+
+int run(const hydra::util::CliParser& cli) {
   const auto cores = cli.get_int_list("cores", {2, 4, 8});
   const auto tasksets = cli.get_count("tasksets", 250);
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 7));
@@ -170,4 +171,14 @@ int main(int argc, char** argv) {
                "toward 100% at high utilization (SingleCore runs out of RT "
                "capacity on M-1 cores and of security capacity on one core).\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return hydra::util::run_cli(
+      argc, argv,
+      {"cores", "tasksets", "seed", "schemes", "csv", "jobs", "resume", "gp-backend", "shard",
+       "agg-out", "out", "utilizations"},
+      run);
 }

@@ -31,8 +31,9 @@ namespace hexp = hydra::exp;
 namespace gen = hydra::gen;
 namespace io = hydra::io;
 
-int main(int argc, char** argv) {
-  const hydra::util::CliParser cli(argc, argv);
+namespace {
+
+int run(const hydra::util::CliParser& cli) {
   const auto tasksets = cli.get_count("tasksets", 50);
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 11));
   const auto scheme_names = cli.get_string_list("schemes", {"hydra", "optimal"});
@@ -134,4 +135,14 @@ int main(int argc, char** argv) {
   std::cout << "\nShape target: gap ~0 at low/medium utilization, growing at "
                "high utilization yet staying well below ~25% (paper: <= 22%).\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return hydra::util::run_cli(
+      argc, argv,
+      {"tasksets", "seed", "schemes", "csv", "jobs", "resume", "shard", "agg-out", "out",
+       "utilizations"},
+      run);
 }

@@ -37,8 +37,9 @@ namespace hexp = hydra::exp;
 namespace gen = hydra::gen;
 namespace io = hydra::io;
 
-int main(int argc, char** argv) {
-  const hydra::util::CliParser cli(argc, argv);
+namespace {
+
+int run(const hydra::util::CliParser& cli) {
   const auto tasksets = cli.get_count("tasksets", 40);
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 17));
   const auto cores = cli.get_count("cores", 2);
@@ -173,4 +174,14 @@ int main(int argc, char** argv) {
                "gap to the reference widens with utilization while the below-Tmax "
                "monitor count shows how much period freedom each family exercises.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return hydra::util::run_cli(
+      argc, argv,
+      {"tasksets", "seed", "cores", "schemes", "csv", "reference", "jobs", "resume", "shard",
+       "agg-out", "out", "utilizations"},
+      run);
 }

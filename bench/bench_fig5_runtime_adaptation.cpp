@@ -72,10 +72,7 @@ std::string metric_ci(const hexp::CellStats& cell, const std::string& name, int 
          ", " + io::fmt(it->second.ci95_hi, digits) + "]";
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const hydra::util::CliParser cli(argc, argv);
+int run(const hydra::util::CliParser& cli) {
   const auto tasksets = cli.get_count("tasksets", 12);
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 23));
   const auto cores = cli.get_count("cores", 2);
@@ -155,7 +152,6 @@ int main(int argc, char** argv) {
                         std::make_move_iterator(family_metrics.begin()),
                         std::make_move_iterator(family_metrics.end()));
   }
-  if (!multi_policy) spec.controller_policy = policy_names.front();
   spec.add_utilization_grid(config, utilizations);
   const hexp::Sweep sweep(std::move(spec));
 
@@ -234,4 +230,15 @@ int main(int argc, char** argv) {
                "detection latency; adapted residency shrinks as utilization grows "
                "and the controller finds less slack to spend.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return hydra::util::run_cli(
+      argc, argv,
+      {"tasksets", "seed", "cores", "schemes", "csv", "horizon-s", "trials", "det-seed",
+       "window-ms", "tighten", "relax", "dwell-ms", "switch-budget", "levels", "boost-window-ms",
+       "policies", "utilizations", "jobs", "resume", "shard", "agg-out", "out"},
+      run);
 }

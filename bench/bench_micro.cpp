@@ -126,8 +126,7 @@ BENCHMARK(BM_HydraAllocateSynthetic)->Arg(2)->Arg(4)->Arg(8);
 static void BM_JointPeriodScp(benchmark::State& state) {
   // One signomial SCP joint-period solve (condensation rounds over barrier
   // GP solves) for Arg security tasks sharing one core — the inner kernel of
-  // the exhaustive optimal search and the unit the SCP warm-start/scratch
-  // work accelerates.
+  // the exhaustive optimal search.
   hydra::util::Xoshiro256 rng(6);
   core::Instance instance;
   instance.num_cores = 1;

@@ -38,9 +38,9 @@
 
 namespace hexp = hydra::exp;
 
-int main(int argc, char** argv) {
-  const hydra::util::CliParser cli(argc, argv);
+namespace {
 
+int run(const hydra::util::CliParser& cli) {
   // --<prefix>catalog-md prints a registry catalog; --<prefix>catalog-out
   // writes it to a file.
   struct Catalog {
@@ -143,4 +143,14 @@ int main(int argc, char** argv) {
                "ARM Cortex-A8; absolute values scale the curves, contention "
                "drives the comparisons).\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return hydra::util::run_cli(
+      argc, argv,
+      {"cores", "schemes", "csv", "jobs", "out", "catalog-out", "catalog-md", "solver-catalog-out",
+       "solver-catalog-md", "controller-catalog-out", "controller-catalog-md"},
+      run);
 }

@@ -22,8 +22,9 @@ namespace core = hydra::core;
 namespace io = hydra::io;
 namespace sim = hydra::sim;
 
-int main(int argc, char** argv) {
-  const hydra::util::CliParser cli(argc, argv);
+namespace {
+
+int run(const hydra::util::CliParser& cli) {
   const auto m = cli.get_count("cores", 4);
   const auto trials = cli.get_count("trials", 200);
   const auto horizon_s = static_cast<std::uint64_t>(cli.get_int("horizon-s", 120));
@@ -91,4 +92,10 @@ int main(int argc, char** argv) {
   stats_table.print(std::cout);
   std::cout << "undetected attacks (horizon ran out): " << result.undetected << "\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return hydra::util::run_cli(argc, argv, {"cores", "trials", "horizon-s", "seed"}, run);
 }

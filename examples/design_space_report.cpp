@@ -30,9 +30,9 @@ namespace core = hydra::core;
 namespace hexp = hydra::exp;
 namespace io = hydra::io;
 
-int main(int argc, char** argv) {
-  const hydra::util::CliParser cli(argc, argv);
+namespace {
 
+int run(const hydra::util::CliParser& cli) {
   if (cli.get_bool("list-schemes", false)) {
     io::print_banner(std::cout, "registered allocation schemes");
     io::Table catalog({"name", "description"});
@@ -111,4 +111,10 @@ int main(int argc, char** argv) {
   }
   placement.print(std::cout);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return hydra::util::run_cli(argc, argv, {"list-schemes", "file", "cores", "schemes", "out"}, run);
 }

@@ -25,8 +25,9 @@ namespace io = hydra::io;
 namespace rt = hydra::rt;
 namespace sec = hydra::sec;
 
-int main(int argc, char** argv) {
-  const hydra::util::CliParser cli(argc, argv);
+namespace {
+
+int run(const hydra::util::CliParser& cli) {
   const auto m = cli.get_count("cores", 2);
 
   core::Instance instance;
@@ -85,4 +86,10 @@ int main(int argc, char** argv) {
   std::cout << "simulation (60 s): " << trace.total_jobs() << " jobs, "
             << trace.deadline_misses() << " deadline misses\n";
   return report.valid && trace.deadline_misses() == 0 ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return hydra::util::run_cli(argc, argv, {"cores"}, run);
 }

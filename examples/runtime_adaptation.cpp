@@ -28,8 +28,9 @@ namespace core = hydra::core;
 namespace io = hydra::io;
 namespace sim = hydra::sim;
 
-int main(int argc, char** argv) {
-  const hydra::util::CliParser cli(argc, argv);
+namespace {
+
+int run(const hydra::util::CliParser& cli) {
   const auto m = cli.get_count("cores", 2);
   const auto trials = cli.get_count("trials", 150);
   const auto horizon_s = static_cast<std::uint64_t>(cli.get_int("horizon-s", 300));
@@ -160,4 +161,13 @@ int main(int argc, char** argv) {
                "promise into monitoring frequency — without ever leaving the two "
                "analysis-feasible mode vectors.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return hydra::util::run_cli(
+      argc, argv,
+      {"cores", "trials", "horizon-s", "seed", "tighten", "relax"},
+      run);
 }

@@ -28,8 +28,9 @@ namespace hexp = hydra::exp;
 namespace gen = hydra::gen;
 namespace io = hydra::io;
 
-int main(int argc, char** argv) {
-  const hydra::util::CliParser cli(argc, argv);
+namespace {
+
+int run(const hydra::util::CliParser& cli) {
   const auto m = cli.get_count("cores", 4);
   const auto tasksets = cli.get_count("tasksets", 50);
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 21));
@@ -102,4 +103,13 @@ int main(int argc, char** argv) {
               << " cells from " << sweep.spec().resume_path << ".\n";
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return hydra::util::run_cli(
+      argc, argv,
+      {"cores", "tasksets", "seed", "schemes", "jobs", "resume", "utilizations", "out", "agg-out"},
+      run);
 }

@@ -37,10 +37,7 @@ void print_allocation(const std::string& scheme, const core::Instance& instance,
             << io::fmt(static_cast<double>(instance.security_tasks.size()), 0) << "\n";
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const hydra::util::CliParser cli(argc, argv);
+int run(const hydra::util::CliParser& cli) {
   const auto m = cli.get_count("cores", 2);
 
   const auto instance = hydra::gen::uav_case_study(m);
@@ -63,4 +60,10 @@ int main(int argc, char** argv) {
   print_allocation("Optimal (exhaustive + joint periods)", instance,
                    core::OptimalAllocator().allocate(instance));
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return hydra::util::run_cli(argc, argv, {"cores"}, run);
 }

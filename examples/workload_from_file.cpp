@@ -34,10 +34,7 @@ sec anomaly_detector   300  2500  25000  1
 sec log_tamper_check   200  4000  40000  1
 )";
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const hydra::util::CliParser cli(argc, argv);
+int run(const hydra::util::CliParser& cli) {
   std::string path = cli.get_string("file", "");
   if (path.empty()) {
     path = "/tmp/hydra_demo_taskset.txt";
@@ -72,4 +69,10 @@ int main(int argc, char** argv) {
   // Round-trip demonstration: re-serialize the instance.
   std::cout << "\ncanonical serialization:\n" << io::to_text(instance);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return hydra::util::run_cli(argc, argv, {"file"}, run);
 }

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "core/period_adaptation.h"
-#include "core/scp_warm.h"
 #include "gp/problem.h"
 #include "gp/scp.h"
 #include "gp/solver.h"
@@ -260,18 +259,8 @@ JointPeriodResult optimize_joint_periods(const Instance& instance,
         const gp::SolveResult sr = gp::solve_with_backend(problem, interior);
         if (sr.ok()) starts.push_back(sr.x);
       }
-      // Warm-start seam: extra start points from the innermost scope (for
-      // the sweep, a neighboring cell's converged periods).  Warm points are
-      // added to the cold set, never replacing it, and the gp-layer tie rule
-      // keeps the result byte-identical with the seam on or off unless a
-      // warm start is materially better (core/scp_warm.h).
-      std::vector<std::vector<double>> warm;
-      const ScpWarmStartHooks* hooks = ScpWarmStartScope::current();
-      if (hooks != nullptr && hooks->source) warm = hooks->source(sec.size());
       const gp::Posynomial objective = tightness_posynomial(instance, constraints);
-      const gp::ScpResult scp =
-          warm.empty() ? gp::maximize_posynomial_scp(constraints, objective, starts)
-                       : gp::maximize_posynomial_scp_warm(constraints, objective, starts, warm);
+      const gp::ScpResult scp = gp::maximize_posynomial_scp(constraints, objective, starts);
       if (scp.feasible) accept(scp.x);
       break;
     }

@@ -20,13 +20,8 @@ namespace {
 /// tell two configurations apart (and a shard merge would silently mix
 /// them).
 std::string controller_identity(const sim::ModeControllerConfig& config) {
-  // An empty policy resolves against the DEFAULT here, not the ambient
-  // ControllerScope: a metric identity must be a pure function of the config
-  // (the sweep fingerprints its ambient policy separately via
-  // SweepSpec::controller_policy).
-  const std::string policy =
-      config.policy.empty() ? sim::kDefaultControllerPolicy : config.policy;
-  return "ctl(p=" + policy + ",w=" + std::to_string(config.slack_window) +
+  return "ctl(p=" + sim::resolve_policy(config.policy) +
+         ",w=" + std::to_string(config.slack_window) +
          ",up=" + format_double(config.tighten_threshold) +
          ",down=" + format_double(config.relax_threshold) +
          ",dwell=" + std::to_string(config.min_dwell) +
@@ -103,10 +98,9 @@ std::string adaptive_row_key(const core::Instance& instance, const core::DesignP
   key << '\n'
       << config.detection.horizon << ' ' << config.detection.trials << ' '
       << config.detection.seed << ' ' << static_cast<int>(config.detection.scope) << ' '
-      // The policy the simulation will ACTUALLY run — resolved through the
-      // ambient ControllerScope at call time, so the thread-local memo can
-      // never serve a result simulated under a different ambient policy.
-      << sim::resolve_controller_policy(config.controller.policy) << ' '
+      // The policy the simulation will actually run ("" resolves to the
+      // default), so "" and an explicit "hysteresis" share one memo entry.
+      << sim::resolve_policy(config.controller.policy) << ' '
       << config.controller.slack_window << ' ' << config.controller.tighten_threshold
       << ' ' << config.controller.relax_threshold << ' ' << config.controller.min_dwell
       << ' ' << config.controller.switch_budget << ' ' << config.controller.num_levels

@@ -65,11 +65,9 @@ struct AdaptiveMetricsConfig {
 ///
 /// plus the baselines selected in the config (static = the frozen committed
 /// periods, min-mode = everything at Tmax, global = global-slack migration).
-/// The controller's policy / num_levels / boost_window are part of every
-/// adaptive metric's identity (resolved against the DEFAULT policy when the
-/// config leaves it empty — the sweep fingerprints its ambient policy
-/// separately via SweepSpec::controller_policy).  Throws on an invalid
-/// controller config at construction, not first evaluation.
+/// The controller's resolved policy / num_levels / boost_window are part of
+/// every adaptive metric's identity.  Throws on an invalid controller config
+/// at construction, not first evaluation.
 /// All hooks derive from one simulation bundle per row, memoized per worker
 /// thread — the cache only short-circuits recomputation of a pure function,
 /// so the sweep's byte-identity across --jobs is preserved.

@@ -14,10 +14,7 @@
 #include <utility>
 
 #include "core/registry.h"
-#include "core/scp_warm.h"
-#include "exp/scp_warm.h"
 #include "gp/solver_registry.h"
-#include "sim/controller.h"
 
 namespace hydra::exp {
 
@@ -136,11 +133,6 @@ std::string sweep_fingerprint(const SweepSpec& spec) {
   // fingerprint must stay a pure function of the spec.
   put("gp-backend=" +
       (spec.gp_backend.empty() ? std::string(gp::kDefaultGpBackend) : spec.gp_backend));
-  // Same resolution rule for the runtime controller policy the adaptive
-  // metrics simulate under.
-  put("controller-policy=" + (spec.controller_policy.empty()
-                                  ? std::string(sim::kDefaultControllerPolicy)
-                                  : spec.controller_policy));
   // Name AND identity: two metric families sharing names but baked with
   // different parameters (trials, horizons, thresholds) yield different row
   // bytes, and only the identity string reveals that.
@@ -385,9 +377,6 @@ Sweep::Sweep(SweepSpec spec) : spec_(std::move(spec)) {
   }
   core::AllocatorRegistry::global().make_all(spec_.schemes);  // typo check
   if (!spec_.gp_backend.empty()) gp::SolverRegistry::global().require(spec_.gp_backend);
-  if (!spec_.controller_policy.empty()) {
-    sim::ControllerRegistry::global().require(spec_.controller_policy);
-  }
   if (spec_.points.empty()) {
     throw std::invalid_argument("sweep needs at least one point");
   }
@@ -580,57 +569,12 @@ SweepSummary Sweep::run(const std::vector<ResultSink*>& sinks) const {
     }
   };
 
-  // Warm-start neighbor of one unit: the nearest preceding synthetic point
-  // with the same core count, read at the same instance index.  A pure
-  // function of the spec — preset/file points neither seed nor get seeded.
-  const auto warm_neighbor =
-      [this, &point_specs](
-          const SweepUnit& unit) -> std::optional<std::pair<const BatchSpec*, BatchItem>> {
-    if (!spec_.scp_warm_start) return std::nullopt;
-    const auto& point = spec_.points[unit.point];
-    if (point.instance.has_value() || !point.files.empty()) return std::nullopt;
-    for (std::size_t q = unit.point; q-- > 0;) {
-      const auto& other = spec_.points[q];
-      if (other.instance.has_value() || !other.files.empty()) continue;
-      if (other.synthetic.num_cores != point.synthetic.num_cores) continue;
-      BatchItem item;
-      item.index = unit.item.index;
-      item.seed = instance_seed(point_specs[q].base_seed, item.index);
-      item.label = "seed=" + std::to_string(item.seed);
-      return std::make_pair(&point_specs[q], std::move(item));
-    }
-    return std::nullopt;
-  };
-
-  const auto evaluate_unit = [this, &warm_neighbor](const SweepUnit& unit,
-                                                    const SchemeSet& schemes) {
+  const auto evaluate_unit = [this](const SweepUnit& unit, const SchemeSet& schemes) {
     static const BatchSpec kEmptySpec;
     // Pin every GP solve of this unit to the spec's backend ("" pins the
     // registry default).  Installed unconditionally so a stray outer scope
     // on a worker thread can never leak into row bytes.
     const gp::GpBackendScope backend_scope(spec_.gp_backend);
-    // Likewise for the runtime controller policy the unit's adaptive metrics
-    // resolve ("" pins the registry default).
-    const sim::ControllerScope controller_scope(spec_.controller_policy);
-    // Install the warm-start scope for the whole unit.  The neighbor's
-    // canonical solve is paid lazily on the FIRST signomial solve of the
-    // unit (memoized process-wide after that), so cells whose schemes never
-    // reach the SCP path never pay for it.
-    std::optional<core::ScpWarmStartScope> scope;
-    if (const auto neighbor = warm_neighbor(unit)) {
-      auto cache = std::make_shared<std::optional<std::vector<std::vector<double>>>>();
-      core::ScpWarmStartHooks hooks;
-      hooks.source = [cache, neighbor](std::size_t) {
-        if (!cache->has_value()) {
-          cache->emplace();
-          if (auto warm = sweep_warm_periods(*neighbor->first, neighbor->second)) {
-            (*cache)->push_back(std::move(*warm));
-          }
-        }
-        return **cache;
-      };
-      scope.emplace(std::move(hooks));
-    }
     auto rows = evaluate_batch_item(unit.point_spec ? *unit.point_spec : kEmptySpec,
                                     unit.item, unit.preloaded, schemes,
                                     spec_.optimal_budget, spec_.metrics);

@@ -70,19 +70,6 @@ struct SweepSpec {
   /// key, seed, or bytes — only which process computes it.
   std::size_t shard_index = 0;
   std::size_t shard_count = 1;
-  /// Seed each cell's signomial-SCP joint solves with the canonical
-  /// converged period vector of its grid neighbor — the nearest preceding
-  /// synthetic point with the same core count, at the same instance index
-  /// (exp/scp_warm.h).  The seed is a pure function of the spec (computed
-  /// on demand behind a process-wide memo, never taken from another
-  /// worker's live progress), so rows stay byte-identical for any --jobs,
-  /// sharding, resume, or work-stealing order; and warm-derived results are
-  /// adopted only when materially better than the cold solve (gp/scp.h), so
-  /// flipping this flag leaves rows byte-identical too unless a warm start
-  /// legitimately improves a cell's optimum.  Excluded from
-  /// sweep_fingerprint for exactly that reason: like jobs/resume/sharding
-  /// it is solver plumbing, not a row-byte input.
-  bool scp_warm_start = true;
   /// GP solver backend (gp::SolverRegistry name) every cell's GP solves run
   /// through, installed as a gp::GpBackendScope around each unit.  "" means
   /// the registry default (scp/barrier).  Unlike jobs/resume/sharding this IS
@@ -90,14 +77,6 @@ struct SweepSpec {
   /// different KKT points — so the RESOLVED name is stamped into
   /// sweep_fingerprint and differently-solved checkpoints refuse to merge.
   std::string gp_backend;
-  /// Runtime controller policy (sim::ControllerRegistry name) the adaptive
-  /// metrics of every cell resolve when their config names none, installed as
-  /// a sim::ControllerScope around each unit.  "" means the registry default
-  /// (hysteresis).  Like gp_backend this IS a row-byte input — two runs
-  /// simulating under different policies produce different adaptive columns —
-  /// so the RESOLVED name is stamped into sweep_fingerprint and
-  /// differently-controlled checkpoints refuse to merge.
-  std::string controller_policy;
 
   /// Appends a synthetic grid point per utilization value — the Fig. 2/3
   /// "sweep total utilization on platform `config`" idiom in one call.
@@ -146,11 +125,11 @@ ShardRef parse_shard_spec(const std::string& text);
 /// Stable fingerprint of everything that determines a sweep's row bytes:
 /// schemes (in order), every point's label and source (preset instances
 /// down to their task parameters, workload files down to their content),
-/// replications, base_seed, max_attempts, optimal_budget, and the metric
-/// names + identities (RowMetric::identity).  Sharding, job/resume
-/// plumbing, and the scp_warm_start accelerator are deliberately excluded —
-/// all shards of one logical sweep share the fingerprint, which is how the
-/// merge tool refuses to union checkpoints from different specs.  Expects
+/// replications, base_seed, max_attempts, optimal_budget, the metric
+/// names + identities (RowMetric::identity), and the resolved GP backend.
+/// Sharding and job/resume plumbing are deliberately excluded — all shards
+/// of one logical sweep share the fingerprint, which is how the merge tool
+/// refuses to union checkpoints from different specs.  Expects
 /// defaulted point labels (i.e. a `Sweep::spec()`, not a raw user spec).
 std::string sweep_fingerprint(const SweepSpec& spec);
 

@@ -90,62 +90,21 @@ std::optional<ScpResult> refine_from(ScpSetup& setup, const Posynomial& objectiv
   return best;
 }
 
-/// Best result over the cold start points (maximize_posynomial_scp's body).
-ScpResult best_cold_start(ScpSetup& setup, const GpProblem& constraints,
-                          const Posynomial& objective,
-                          const std::vector<std::vector<double>>& start_points,
-                          const ScpOptions& options) {
+}  // namespace
+
+ScpResult maximize_posynomial_scp(const GpProblem& constraints, const Posynomial& objective,
+                                  const std::vector<std::vector<double>>& start_points,
+                                  const ScpOptions& options) {
+  HYDRA_REQUIRE(objective.num_vars() == constraints.num_variables(),
+                "objective/constraint variable count mismatch");
+  HYDRA_REQUIRE(!start_points.empty(), "at least one start point required");
+  ScpSetup setup(constraints, options);
   ScpResult best;
   for (const auto& x0 : start_points) {
     HYDRA_REQUIRE(x0.size() == constraints.num_variables(), "start point size mismatch");
     const auto refined = refine_from(setup, objective, x0, options);
     if (refined.has_value() && refined->feasible &&
         (!best.feasible || refined->objective > best.objective)) {
-      best = *refined;
-    }
-  }
-  return best;
-}
-
-void require_scp_inputs(const GpProblem& constraints, const Posynomial& objective,
-                        const std::vector<std::vector<double>>& start_points) {
-  HYDRA_REQUIRE(objective.num_vars() == constraints.num_variables(),
-                "objective/constraint variable count mismatch");
-  HYDRA_REQUIRE(!start_points.empty(), "at least one start point required");
-}
-
-}  // namespace
-
-ScpResult maximize_posynomial_scp(const GpProblem& constraints, const Posynomial& objective,
-                                  const std::vector<std::vector<double>>& start_points,
-                                  const ScpOptions& options) {
-  require_scp_inputs(constraints, objective, start_points);
-  ScpSetup setup(constraints, options);
-  return best_cold_start(setup, constraints, objective, start_points, options);
-}
-
-ScpResult maximize_posynomial_scp_warm(const GpProblem& constraints, const Posynomial& objective,
-                                       const std::vector<std::vector<double>>& start_points,
-                                       const std::vector<std::vector<double>>& warm_start_points,
-                                       const ScpOptions& options) {
-  require_scp_inputs(constraints, objective, start_points);
-  ScpSetup setup(constraints, options);
-  ScpResult best = best_cold_start(setup, constraints, objective, start_points, options);
-
-  for (const auto& warm : warm_start_points) {
-    if (warm.size() != constraints.num_variables()) continue;
-    bool positive = true;
-    for (const double w : warm) {
-      if (!(w > 0.0) || !std::isfinite(w)) positive = false;
-    }
-    if (!positive) continue;
-
-    const auto refined = refine_from(setup, objective, warm, options);
-    if (!refined.has_value() || !refined->feasible) continue;
-    // Ties (within rel_tol) go to the cold-start result so warm starts can
-    // only change the answer when they are materially better — see header.
-    if (!best.feasible ||
-        refined->objective > best.objective * (1.0 + options.rel_tol) + options.rel_tol) {
       best = *refined;
     }
   }

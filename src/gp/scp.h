@@ -61,19 +61,4 @@ ScpResult maximize_posynomial_scp(const GpProblem& constraints, const Posynomial
                                   const std::vector<std::vector<double>>& start_points,
                                   const ScpOptions& options = {});
 
-/// maximize_posynomial_scp with additional *warm* start points (for example a
-/// neighboring sweep cell's converged period vector).  Warm starts are added
-/// to the start-point set, never replacing the cold starts, and a
-/// warm-derived result is adopted only when it beats the cold-start best by
-/// more than `options.rel_tol` relatively: within-tolerance differences are
-/// ties that go to the cold result, so enabling warm starts cannot perturb
-/// the answer through last-ulp objective noise — output is byte-identical
-/// with warm starts on or off unless a warm start finds a materially better
-/// KKT point (or a feasible one where every cold start failed).  Warm points
-/// whose size does not match, or with non-positive entries, are skipped.
-ScpResult maximize_posynomial_scp_warm(const GpProblem& constraints, const Posynomial& objective,
-                                       const std::vector<std::vector<double>>& start_points,
-                                       const std::vector<std::vector<double>>& warm_start_points,
-                                       const ScpOptions& options = {});
-
 }  // namespace hydra::gp

@@ -65,9 +65,7 @@ using SolverRegistry = util::Registry<SolverBackend, const SolveOptions&>;
 
 /// RAII thread-local backend selection (util::ThreadScope): scopes nest
 /// innermost-wins, and every solve resolves the ambient backend through
-/// `current()`.  An empty backend string re-selects the default, which is how
-/// the sweep-layer warm-start memo pins its canonical solves to scp/barrier
-/// regardless of the spec's backend.
+/// `current()`.  An empty backend string re-selects the default.
 class GpBackendScope : public util::ThreadScope<std::string, GpBackendScope> {
  public:
   explicit GpBackendScope(std::string backend)

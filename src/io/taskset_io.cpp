@@ -2,6 +2,8 @@
 
 #include <fstream>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "util/contracts.h"
 
@@ -12,6 +14,14 @@ namespace {
 [[noreturn]] void parse_error(std::size_t line_no, const std::string& why) {
   throw std::invalid_argument("taskset parse error at line " + std::to_string(line_no) + ": " +
                               why);
+}
+
+/// Parses one whitespace-separated field, which must be consumed whole:
+/// "2.5" is not an integer and "10x" is not a number.
+template <typename T>
+bool parse_field(const std::string& token, T& out) {
+  std::istringstream is(token);
+  return static_cast<bool>(is >> out) && is.peek() == std::istringstream::traits_type::eof();
 }
 
 /// Emits a double without trailing-zero noise (round-trips exactly).
@@ -54,32 +64,46 @@ core::Instance instance_from_text(const std::string& text) {
     const auto hash = line.find('#');
     if (hash != std::string::npos) line = line.substr(0, hash);
     std::istringstream fields(line);
-    std::string kind;
-    if (!(fields >> kind)) continue;  // blank/comment line
+    std::vector<std::string> tokens;
+    for (std::string token; fields >> token;) tokens.push_back(std::move(token));
+    if (tokens.empty()) continue;  // blank/comment line
+    const std::string& kind = tokens[0];
+
+    // The numeric fields after the kind and the name.  Every record must use
+    // up its whole line: a field is a number only if the whole token is, and
+    // no token may follow the last field.
+    const auto numbers = [&](std::size_t required, std::size_t optional, const char* usage) {
+      if (tokens.size() < 2 + required || tokens.size() > 2 + required + optional) {
+        parse_error(line_no, usage);
+      }
+      std::vector<double> values;
+      for (std::size_t k = 2; k < tokens.size(); ++k) {
+        double v = 0.0;
+        if (!parse_field(tokens[k], v)) {
+          parse_error(line_no, std::string(usage) + ", got '" + tokens[k] + "'");
+        }
+        values.push_back(v);
+      }
+      return values;
+    };
 
     if (kind == "cores") {
       long long m = 0;
-      if (!(fields >> m) || m < 1) parse_error(line_no, "cores expects a positive integer");
+      if (tokens.size() != 2 || !parse_field(tokens[1], m) || m < 1) {
+        parse_error(line_no, "cores expects a positive integer");
+      }
       instance.num_cores = static_cast<std::size_t>(m);
       saw_cores = true;
     } else if (kind == "rt") {
-      std::string name;
-      double wcet = 0.0, period = 0.0;
-      if (!(fields >> name >> wcet >> period)) {
-        parse_error(line_no, "rt expects: name wcet period [deadline]");
-      }
-      double deadline = period;
-      if (double d = 0.0; fields >> d) deadline = d;  // optional field
-      instance.rt_tasks.push_back(rt::RtTask{name, wcet, period, deadline});
+      const char* usage = "rt expects: name wcet period [deadline]";
+      const auto v = numbers(2, 1, usage);
+      const double deadline = v.size() == 3 ? v[2] : v[1];  // implicit by default
+      instance.rt_tasks.push_back(rt::RtTask{tokens[1], v[0], v[1], deadline});
     } else if (kind == "sec") {
-      std::string name;
-      double wcet = 0.0, t_des = 0.0, t_max = 0.0;
-      if (!(fields >> name >> wcet >> t_des >> t_max)) {
-        parse_error(line_no, "sec expects: name wcet tdes tmax [weight]");
-      }
-      double weight = 1.0;
-      if (double w = 0.0; fields >> w) weight = w;  // optional field
-      instance.security_tasks.push_back(rt::SecurityTask{name, wcet, t_des, t_max, weight});
+      const char* usage = "sec expects: name wcet tdes tmax [weight]";
+      const auto v = numbers(3, 1, usage);
+      const double weight = v.size() == 4 ? v[3] : 1.0;
+      instance.security_tasks.push_back(rt::SecurityTask{tokens[1], v[0], v[1], v[2], weight});
     } else {
       parse_error(line_no, "unknown record '" + kind + "'");
     }

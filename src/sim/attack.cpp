@@ -150,8 +150,7 @@ DetectionResult measure_detection_times(const core::Instance& instance,
   for (const SimTask& task : tasks) fixed_rate.push_back(ModeTask{task, 0, {}});
   ModeSwitchOptions sim_options;
   sim_options.horizon = config.horizon;
-  // Fixed-rate tasks consult no policy; naming the inert one keeps the run
-  // independent of the ambient ControllerScope.
+  // Fixed-rate tasks consult no policy; naming the inert one says so.
   sim_options.controller.policy = "never-switch";
   RtSlackProfileCache own;
   const ModeSwitchResult run = simulate_mode_band(

@@ -184,9 +184,8 @@ ControllerRegistry build_global() {
 
 }  // namespace
 
-const std::string& resolve_controller_policy(const std::string& configured) {
+const std::string& resolve_policy(const std::string& configured) {
   if (!configured.empty()) return configured;
-  if (const std::string* scoped = ControllerScope::current()) return *scoped;
   static const std::string kDefault = kDefaultControllerPolicy;
   return kDefault;
 }

@@ -1,7 +1,7 @@
 // Runtime controller policies and their registry (a util::Registry, like
 // core::AllocatorRegistry and gp::SolverRegistry): CLI flags like
-// `--policies hysteresis,boost` and SweepSpec::controller_policy pick the
-// decision rule the mode-switching engine (sim/mode_switch.h) runs each
+// `--policies hysteresis,boost` set ModeControllerConfig::policy, which picks
+// the decision rule the mode-switching engine (sim/mode_switch.h) runs each
 // monitor through, without compiling against policy internals.
 //
 // The global registry ships four policies:
@@ -19,13 +19,13 @@
 //                         `boost_window` ticks, after which it decays back
 //                         level-by-level toward what hysteresis/nlevel wants
 //
-// Registered names are stable identifiers: SweepSpec::controller_policy is
-// stamped into sweep_fingerprint, so rows simulated under different policies
-// disagree loudly.  Policy selection resolves explicit config > the
-// thread-local ControllerScope > kDefaultControllerPolicy, exactly like
-// gp::resolve_gp_backend.  docs/controller-catalog.md is the generated
-// catalog of this registry; the authoring path is documented in
-// docs/architecture.md ("Runtime adaptation").
+// Registered names are stable identifiers: the resolved policy is part of
+// every adaptive metric's RowMetric::identity, so rows simulated under
+// different policies disagree loudly in sweep_fingerprint.  The config's
+// policy field is the only selection path; "" means kDefaultControllerPolicy.
+// docs/controller-catalog.md is the generated catalog of this registry; the
+// authoring path is documented in docs/architecture.md ("Runtime
+// adaptation").
 #pragma once
 
 #include <cstddef>
@@ -35,14 +35,13 @@
 #include <utility>
 
 #include "util/registry.h"
-#include "util/thread_scope.h"
 #include "util/units.h"
 
 namespace hydra::sim {
 
-/// The policy every call site uses when neither a config field nor a
-/// ControllerScope names one.  Keeping this the incumbent rule preserves
-/// byte-identical fig5 rows across the registry refactor (tested).
+/// The policy every call site uses when its config names none.  Keeping this
+/// the incumbent rule preserves byte-identical fig5 rows across the registry
+/// refactor (tested).
 inline constexpr const char* kDefaultControllerPolicy = "hysteresis";
 
 /// Controller knobs, shared by every core's controller instance.  Validated
@@ -52,8 +51,7 @@ inline constexpr const char* kDefaultControllerPolicy = "hysteresis";
 /// a zero switch budget — fails loudly instead of yielding a controller that
 /// silently never switches.
 struct ModeControllerConfig {
-  /// ControllerRegistry policy name; "" resolves via the ambient
-  /// ControllerScope, else kDefaultControllerPolicy.
+  /// ControllerRegistry policy name; "" means kDefaultControllerPolicy.
   std::string policy;
   /// Sliding slack-window length; the idle fraction is measured over
   /// [t − window, t] at decision instant t.  0 = auto: per core, 4× the
@@ -140,21 +138,9 @@ struct PolicyInit {
 using ControllerRegistry =
     util::Registry<ControllerPolicy, const ModeControllerConfig&, const PolicyInit&>;
 
-/// RAII thread-local policy selection (util::ThreadScope): scopes nest
-/// innermost-wins, and call sites whose config carries no policy name
-/// resolve the ambient policy through `current()`.  The sweep layer installs
-/// one per unit from SweepSpec::controller_policy; an empty policy string
-/// re-selects the default.
-class ControllerScope : public util::ThreadScope<std::string, ControllerScope> {
- public:
-  explicit ControllerScope(std::string policy)
-      : ThreadScope(policy.empty() ? kDefaultControllerPolicy : std::move(policy)) {}
-};
-
-/// Resolves which policy a call site should use: an explicitly configured
-/// non-empty `configured` name wins, else the innermost ControllerScope, else
+/// The policy a config names: `configured` when non-empty, else
 /// kDefaultControllerPolicy.
-const std::string& resolve_controller_policy(const std::string& configured);
+const std::string& resolve_policy(const std::string& configured);
 
 /// Everything docs/controller-catalog.md holds above the policy rows; render
 /// the catalog with util::catalog_markdown(ControllerRegistry::global(), this).

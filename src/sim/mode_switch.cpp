@@ -419,7 +419,7 @@ std::string validate_inputs(const std::vector<ModeTask>& tasks,
                             const ModeSwitchOptions& options) {
   HYDRA_REQUIRE(options.horizon > 0, "simulation horizon must be positive");
   options.controller.validate();
-  std::string policy_name = resolve_controller_policy(options.controller.policy);
+  std::string policy_name = resolve_policy(options.controller.policy);
   ControllerRegistry::global().require(policy_name);
   for (std::size_t i = 1; i < options.attack_times.size(); ++i) {
     HYDRA_REQUIRE(options.attack_times[i - 1] <= options.attack_times[i],

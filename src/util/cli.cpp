@@ -1,6 +1,8 @@
 #include "util/cli.h"
 
 #include <algorithm>
+#include <exception>
+#include <iostream>
 #include <stdexcept>
 
 #include "util/contracts.h"
@@ -39,6 +41,16 @@ CliParser::CliParser(int argc, const char* const* argv, bool allow_positionals,
     } else {
       values_[arg] = "true";
     }
+  }
+}
+
+void CliParser::require_known(const std::vector<std::string>& known) const {
+  for (const auto& [name, value] : values_) {
+    if (std::find(known.begin(), known.end(), name) != known.end()) continue;
+    std::string listing;
+    for (const auto& option : known) listing += (listing.empty() ? "--" : ", --") + option;
+    throw std::invalid_argument("unknown option --" + name + " (known: " +
+                                (listing.empty() ? "none" : listing) + ")");
   }
 }
 
@@ -173,6 +185,20 @@ std::vector<std::string> CliParser::get_string_list(const std::string& name,
     throw std::invalid_argument("option --" + name + " expects a non-empty list");
   }
   return out;
+}
+
+int run_cli(int argc, const char* const* argv, const std::vector<std::string>& known,
+            const std::function<int(const CliParser&)>& body) {
+  std::string program = argc >= 1 && argv != nullptr ? argv[0] : "hydra";
+  program = program.substr(program.find_last_of('/') + 1);
+  try {
+    const CliParser cli(argc, argv);
+    cli.require_known(known);
+    return body(cli);
+  } catch (const std::exception& error) {
+    std::cerr << program << ": " << error.what() << "\n";
+    return 1;
+  }
 }
 
 }  // namespace hydra::util

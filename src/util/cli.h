@@ -1,12 +1,13 @@
 // Minimal command-line option parser shared by benches and examples.
 //
 // Supports `--name value` and `--name=value` long options plus `--flag`
-// booleans.  Unknown options are an error so typos in experiment sweeps fail
-// loudly instead of silently running defaults.
+// booleans.  Unknown options are an error (require_known, run_cli) so typos
+// in experiment sweeps fail loudly instead of silently running defaults.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -27,6 +28,12 @@ class CliParser {
   /// must mean "flag on, one positional", not "--allow-partial=s0.jsonl".
   CliParser(int argc, const char* const* argv, bool allow_positionals = false,
             std::vector<std::string> value_less_flags = {});
+
+  /// Throws std::invalid_argument naming the first given option that is not
+  /// in `known`.  `known` lists every option the binary reads on ANY branch
+  /// (an option read only with --shard, say, is still known), so the check
+  /// can run before any work starts.
+  void require_known(const std::vector<std::string>& known) const;
 
   /// True if --name was given (with or without a value).
   bool has(const std::string& name) const;
@@ -70,5 +77,12 @@ class CliParser {
   std::map<std::string, std::string> values_;
   std::vector<std::string> positionals_;
 };
+
+/// The main() of a bench or example: parses argv (no positionals), rejects
+/// every option not in `known`, then runs `body`.  An exception escaping the
+/// parse or the body becomes one "program: message" line on stderr and exit
+/// status 1, instead of std::terminate.
+int run_cli(int argc, const char* const* argv, const std::vector<std::string>& known,
+            const std::function<int(const CliParser&)>& body);
 
 }  // namespace hydra::util

@@ -1,7 +1,7 @@
 // RAII thread-local ambient values: the seam that reaches call sites without
-// options plumbing.  The sweep layer installs one scope per unit (GP backend,
-// controller policy, SCP warm-start hooks); code below reads the innermost
-// scope on its own thread through `current()`.
+// options plumbing.  The sweep layer installs one scope per unit (the GP
+// backend, gp::GpBackendScope); code below reads the innermost scope on its
+// own thread through `current()`.
 //
 // Scopes nest innermost-wins and restore the enclosing value on destruction.
 // `Tag` separates scopes that share a value type (two std::string selections

@@ -1,7 +1,7 @@
 // Keeps docs/controller-catalog.md in sync with
 // sim::ControllerRegistry::global(), checks the registry's mechanics through
 // the shared typed suite in tests/registry_catalog_suite.h, and pins the
-// controller's own rules: config validation at make() and ControllerScope
+// controller's own rules: config validation at make() and policy-name
 // resolution.  After an intentional registry change:
 //
 //     HYDRA_UPDATE_CATALOG=1 ./build/test_controller_catalog
@@ -11,11 +11,9 @@
 #include <string>
 #include <vector>
 
-#include "gp/solver_registry.h"
 #include "registry_catalog_suite.h"
 #include "sim/controller.h"
 
-namespace gp = hydra::gp;
 namespace sim = hydra::sim;
 
 namespace {
@@ -58,26 +56,7 @@ TEST(ControllerRegistry, MakeValidatesTheConfig) {
                std::invalid_argument);
 }
 
-TEST(ControllerRegistry, ScopeResolvesLikeGpBackendScope) {
-  // explicit > innermost scope > default; "" re-selects the default.
-  EXPECT_EQ(sim::resolve_controller_policy(""), sim::kDefaultControllerPolicy);
-  EXPECT_EQ(sim::resolve_controller_policy("boost"), "boost");
-  {
-    const sim::ControllerScope outer("never-switch");
-    EXPECT_EQ(sim::resolve_controller_policy(""), "never-switch");
-    EXPECT_EQ(sim::resolve_controller_policy("boost"), "boost");
-    {
-      const sim::ControllerScope inner("hysteresis/nlevel");
-      EXPECT_EQ(sim::resolve_controller_policy(""), "hysteresis/nlevel");
-    }
-    EXPECT_EQ(sim::resolve_controller_policy(""), "never-switch");
-    {
-      // Scopes of the two string selections never see each other.
-      const gp::GpBackendScope backend("ipm/filter");
-      EXPECT_EQ(sim::resolve_controller_policy(""), "never-switch");
-      const sim::ControllerScope blank("");
-      EXPECT_EQ(sim::resolve_controller_policy(""), sim::kDefaultControllerPolicy);
-    }
-  }
-  EXPECT_EQ(sim::resolve_controller_policy(""), sim::kDefaultControllerPolicy);
+TEST(ControllerRegistry, EmptyPolicyResolvesToTheDefault) {
+  EXPECT_EQ(sim::resolve_policy(""), sim::kDefaultControllerPolicy);
+  EXPECT_EQ(sim::resolve_policy("boost"), "boost");
 }

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "gp/scp.h"
 #include "util/rng.h"
@@ -164,67 +163,6 @@ TEST(Scp, ReturnsBestSeenIterateWhenRoundsAreNonMonotone) {
   // ...and the result is the best round, not the (worse) final one.
   EXPECT_DOUBLE_EQ(r.objective, best_round);
   EXPECT_NEAR(obj.eval(r.x), best_round, 1e-12);
-}
-
-TEST(ScpWarm, TiesWithinTolGoToTheColdStart) {
-  // A warm point in the same basin converges to the same optimum; the tie
-  // rule must keep the cold result bit-for-bit, so enabling warm starts
-  // cannot perturb output through last-ulp objective noise.
-  gp::GpProblem cons;
-  const auto x = cons.add_variable("x");
-  cons.add_bounds(x, 2.0, 50.0);
-  gp::Posynomial obj = cons.posynomial();
-  obj += cons.monomial(1.0).with(x, -1.0);
-
-  const auto cold = gp::maximize_posynomial_scp(cons, obj, {{10.0}});
-  const auto warm = gp::maximize_posynomial_scp_warm(cons, obj, {{10.0}}, {{7.0}, {23.0}});
-  ASSERT_TRUE(cold.feasible);
-  ASSERT_TRUE(warm.feasible);
-  EXPECT_EQ(cold.x, warm.x);  // exact, not approximate
-  EXPECT_EQ(cold.objective, warm.objective);
-  EXPECT_EQ(cold.rounds, warm.rounds);
-}
-
-TEST(ScpWarm, InvalidWarmPointsAreSkipped) {
-  gp::GpProblem cons;
-  const auto x = cons.add_variable("x");
-  cons.add_bounds(x, 2.0, 50.0);
-  gp::Posynomial obj = cons.posynomial();
-  obj += cons.monomial(1.0).with(x, -1.0);
-
-  const auto cold = gp::maximize_posynomial_scp(cons, obj, {{10.0}});
-  const auto warm = gp::maximize_posynomial_scp_warm(
-      cons, obj, {{10.0}},
-      {{},                                            // size mismatch
-       {5.0, 5.0},                                    // size mismatch
-       {-3.0},                                        // not positive
-       {0.0},                                         // not positive
-       {std::numeric_limits<double>::quiet_NaN()}});  // not finite
-  ASSERT_TRUE(warm.feasible);
-  EXPECT_EQ(cold.x, warm.x);
-  EXPECT_EQ(cold.objective, warm.objective);
-}
-
-TEST(ScpWarm, MateriallyBetterWarmBasinIsAdopted) {
-  // max x + 0.5/x on [0.1, 10]: two KKT points, one per endpoint (the
-  // objective is quasiconvex in x with an interior minimum).  A cold start
-  // at 0.15 condenses into the poor x = 0.1 basin (value 5.1); a warm point
-  // at 9 finds the x = 10 basin (value 10.05) and must win.
-  gp::GpProblem cons;
-  const auto x = cons.add_variable("x");
-  cons.add_bounds(x, 0.1, 10.0);
-  gp::Posynomial obj = cons.posynomial();
-  obj += cons.monomial(1.0).with(x, 1.0);
-  obj += cons.monomial(0.5).with(x, -1.0);
-
-  const auto cold = gp::maximize_posynomial_scp(cons, obj, {{0.15}});
-  ASSERT_TRUE(cold.feasible);
-  EXPECT_NEAR(cold.objective, 5.1, 1e-2);
-
-  const auto warm = gp::maximize_posynomial_scp_warm(cons, obj, {{0.15}}, {{9.0}});
-  ASSERT_TRUE(warm.feasible);
-  EXPECT_NEAR(warm.objective, 10.05, 1e-2);
-  EXPECT_NEAR(warm.x[0], 10.0, 1e-2);
 }
 
 TEST(Scp, RequiresAtLeastOneStart) {

@@ -3,6 +3,8 @@
 
 #include <cstdio>
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "gen/uav.h"
 #include "io/table.h"
@@ -136,6 +138,28 @@ TEST(TasksetIo, RejectsMalformedInput) {
   EXPECT_THROW(io::instance_from_text("cores 2\nrt a 1\n"), std::invalid_argument);
   // Semantic failure: WCET exceeds the period.
   EXPECT_THROW(io::instance_from_text("cores 2\nrt a 20 10\n"), std::invalid_argument);
+}
+
+TEST(TasksetIo, EveryRecordMustUseUpItsWholeLine) {
+  // Each of these used to parse silently: "2.5" read as 2 cores, "10x" left
+  // the deadline at the period, and the trailing "junk" was ignored.
+  const std::pair<const char*, const char*> cases[] = {
+      {"cores 2.5\nrt a 1 10\n", "line 1"},
+      {"cores 2\nrt a 1 10x\n", "line 2"},
+      {"cores 2\nrt a 1 10\nsec s 1 10 20 1 junk\n", "line 3"},
+      {"cores 2 4\n", "line 1"},
+      {"cores 2\nrt a 1 10 10 10\n", "line 2"},
+  };
+  for (const auto& [text, line] : cases) {
+    try {
+      io::instance_from_text(text);
+      FAIL() << "accepted: " << text;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("taskset parse error at ") + line),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(TasksetIo, ErrorNamesTheLine) {

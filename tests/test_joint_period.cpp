@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "core/joint_period.h"
-#include "core/scp_warm.h"
 #include "rt/partition.h"
 #include "rt/task.h"
 #include "util/rng.h"
@@ -212,59 +211,6 @@ TEST(JointPeriod, HugeBlockingMakesInfeasible) {
   opts.blocking = 1e6;  // larger than any Tmax
   const auto r = core::optimize_joint_periods(inst, part, {0, 0}, opts);
   EXPECT_FALSE(r.feasible);
-}
-
-TEST(JointPeriodWarm, ScopeIsConsultedAndResultUnchangedOnTies) {
-  // With an installed warm-start scope, the kSignomialScp path must consult
-  // source() on every solve and — because a same-basin warm point ties with
-  // the cold solve — return bit-identical periods to an unhooked run.
-  const auto inst = coupled_instance();
-  const auto part = trivial_partition(inst);
-  core::JointPeriodOptions opts;
-  opts.objective = core::JointObjective::kSignomialScp;
-  const auto cold = core::optimize_joint_periods(inst, part, {0, 0}, opts);
-  ASSERT_TRUE(cold.feasible);
-
-  std::size_t source_calls = 0;
-  core::ScpWarmStartHooks hooks;
-  hooks.source = [&](std::size_t num_periods) {
-    ++source_calls;
-    EXPECT_EQ(num_periods, 2u);
-    return std::vector<std::vector<double>>{cold.periods};
-  };
-  core::ScpWarmStartScope scope(std::move(hooks));
-  const auto warm = core::optimize_joint_periods(inst, part, {0, 0}, opts);
-  ASSERT_TRUE(warm.feasible);
-  EXPECT_GE(source_calls, 1u);
-  EXPECT_EQ(warm.periods, cold.periods);  // exact: the tie goes to cold
-}
-
-TEST(JointPeriodWarm, InnerScopeShadowsOuterHooks) {
-  // Installing an empty-hooks scope inside another scope must fully shadow
-  // it — this is how the sweep memo's canonical solves stay cold instead of
-  // re-entering the memo.
-  const auto inst = coupled_instance();
-  const auto part = trivial_partition(inst);
-  core::JointPeriodOptions opts;
-  opts.objective = core::JointObjective::kSignomialScp;
-
-  std::size_t outer_calls = 0;
-  core::ScpWarmStartHooks outer;
-  outer.source = [&](std::size_t) {
-    ++outer_calls;
-    return std::vector<std::vector<double>>{};
-  };
-  core::ScpWarmStartScope outer_scope(std::move(outer));
-  {
-    core::ScpWarmStartScope inner_scope{core::ScpWarmStartHooks{}};
-    const auto r = core::optimize_joint_periods(inst, part, {0, 0}, opts);
-    ASSERT_TRUE(r.feasible);
-    EXPECT_EQ(outer_calls, 0u);  // fully shadowed
-  }
-  // Scope restored on destruction: the outer hooks are live again.
-  const auto r = core::optimize_joint_periods(inst, part, {0, 0}, opts);
-  ASSERT_TRUE(r.feasible);
-  EXPECT_GE(outer_calls, 1u);
 }
 
 TEST(JointPeriodBound, InfeasibleExactlyWhenSolveIsAndNeverBelowTheOptimum) {

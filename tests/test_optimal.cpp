@@ -3,17 +3,17 @@
 // the bound-pruned search with a plain enumeration of every assignment.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "core/hydra.h"
 #include "core/optimal.h"
-#include "core/scp_warm.h"
 #include "core/validation.h"
+#include "gp/solver_registry.h"
 #include "rt/partition.h"
 #include "rt/task.h"
 #include "util/rng.h"
@@ -98,14 +98,45 @@ void expect_identical(const core::Allocation& expected, const core::Allocation& 
   }
 }
 
-/// A fixed warm start per solve: the geometric mean of each task's period
-/// range.  A pure function of the instance, as the sweep's sources are.
-core::ScpWarmStartHooks geometric_mean_source(const core::Instance& inst) {
-  std::vector<double> warm;
-  for (const auto& t : inst.security_tasks) warm.push_back(std::sqrt(t.period_des * t.period_max));
-  core::ScpWarmStartHooks hooks;
-  hooks.source = [warm](std::size_t) { return std::vector<std::vector<double>>{warm}; };
-  return hooks;
+/// GP solves made through the "test/counting" backend, which delegates every
+/// solve to the default scp/barrier backend.
+std::size_t g_gp_solves = 0;
+
+class CountingBackend final : public hydra::gp::SolverBackend {
+ public:
+  explicit CountingBackend(const hydra::gp::SolveOptions& options)
+      : inner_(hydra::gp::SolverRegistry::global().make(hydra::gp::kDefaultGpBackend,
+                                                          options)) {}
+
+  const std::string& name() const override { return name_; }
+
+  hydra::gp::SolveResult solve(
+      const hydra::gp::GpProblem& problem,
+      const std::optional<std::vector<double>>& initial_guess) const override {
+    ++g_gp_solves;
+    return inner_->solve(problem, initial_guess);
+  }
+
+ private:
+  std::string name_ = "test/counting";
+  std::unique_ptr<hydra::gp::SolverBackend> inner_;
+};
+
+/// GP solves `run` makes, counted through a GpBackendScope on the counting
+/// backend (registered on first use).
+template <typename Run>
+std::size_t count_gp_solves(Run run) {
+  auto& registry = hydra::gp::SolverRegistry::global();
+  if (!registry.contains("test/counting")) {
+    registry.add("test/counting", "counts solves, delegates to scp/barrier",
+                 [](const hydra::gp::SolveOptions& options) {
+                   return std::make_unique<CountingBackend>(options);
+                 });
+  }
+  const hydra::gp::GpBackendScope scope("test/counting");
+  const std::size_t before = g_gp_solves;
+  run();
+  return g_gp_solves - before;
 }
 
 constexpr core::JointObjective kObjectives[] = {core::JointObjective::kSignomialScp,
@@ -214,8 +245,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, OptimalProperty,
 
 // The bound-pruned, best-first search must return exactly the allocation of
 // the plain enumeration: same feasibility verdict, same assignment, and the
-// same period and tightness bits, for every objective, with and without a
-// warm-start source installed.
+// same period and tightness bits, for every objective.
 TEST(OptimalDifferential, PrunedSearchMatchesFullEnumerationBitForBit) {
   std::size_t feasible = 0;
   for (const std::size_t m : {2u, 3u}) {
@@ -228,18 +258,13 @@ TEST(OptimalDifferential, PrunedSearchMatchesFullEnumerationBitForBit) {
           core::OptimalOptions opts;
           opts.joint.objective = objective;
           const core::OptimalAllocator optimal(opts);
-          for (const bool warm : {false, true}) {
-            std::optional<core::ScpWarmStartScope> scope;
-            if (warm) scope.emplace(geometric_mean_source(inst));
-            const std::string where = "m " + std::to_string(m) + " ns " + std::to_string(ns) +
-                                      " seed " + std::to_string(seed) + " objective " +
-                                      std::to_string(static_cast<int>(objective)) +
-                                      (warm ? " warm" : " cold");
-            const auto expected = enumerate_every_assignment(inst, *part, opts.joint);
-            const auto actual = optimal.allocate(inst, *part);
-            expect_identical(expected, actual, where);
-            feasible += actual.feasible ? 1 : 0;
-          }
+          const std::string where = "m " + std::to_string(m) + " ns " + std::to_string(ns) +
+                                    " seed " + std::to_string(seed) + " objective " +
+                                    std::to_string(static_cast<int>(objective));
+          const auto expected = enumerate_every_assignment(inst, *part, opts.joint);
+          const auto actual = optimal.allocate(inst, *part);
+          expect_identical(expected, actual, where);
+          feasible += actual.feasible ? 1 : 0;
         }
       }
     }
@@ -298,28 +323,23 @@ TEST(OptimalDifferential, SymmetricCoresTieToTheLowestCode) {
   }
 }
 
-TEST(OptimalDifferential, SolvesFewerAssignmentsThanAreFeasible) {
-  // The pruning must actually skip solves: count kSignomialScp solves through
-  // a warm-start source (called once per solve, returning nothing) against
-  // the corner-feasible assignments the plain enumeration would solve.
-  std::size_t solves = 0;
-  std::size_t feasible = 0;
+TEST(OptimalDifferential, PrunedSearchMakesFewerGpSolvesThanFullEnumeration) {
+  // The pruning must actually skip solves: count every GP solve through a
+  // counting backend, for the pruned search and for the plain enumeration
+  // of the same instances, and check that both still agree.
+  std::size_t pruned = 0;
+  std::size_t full = 0;
   for (const std::uint64_t seed : {11u, 22u, 33u, 44u}) {
     const auto inst = contended_instance(seed, 4);
     const auto part = rt::partition_rt_tasks(inst.rt_tasks, 2);
     ASSERT_TRUE(part.has_value());
-    for (std::size_t code = 0; code < 16; ++code) {
-      std::vector<std::size_t> core_of(4);
-      for (std::size_t s = 0; s < 4; ++s) core_of[s] = (code >> s) & 1u;
-      feasible += core::joint_tightness_bound(inst, *part, core_of).has_value() ? 1 : 0;
-    }
-    core::ScpWarmStartHooks counting;
-    counting.source = [&solves](std::size_t) {
-      ++solves;
-      return std::vector<std::vector<double>>{};
-    };
-    const core::ScpWarmStartScope scope(std::move(counting));
-    core::OptimalAllocator().allocate(inst, *part);
+    core::Allocation actual;
+    core::Allocation expected;
+    pruned += count_gp_solves([&] { actual = core::OptimalAllocator().allocate(inst, *part); });
+    full += count_gp_solves(
+        [&] { expected = enumerate_every_assignment(inst, *part, core::JointPeriodOptions{}); });
+    expect_identical(expected, actual, "seed " + std::to_string(seed));
   }
-  EXPECT_LT(solves, feasible);
+  EXPECT_GT(pruned, 0u);
+  EXPECT_LT(pruned, full);
 }

@@ -90,41 +90,9 @@ TEST(SweepDeterminism, AggregatesAreByteIdenticalAcrossJobCounts) {
   EXPECT_EQ(agg1, agg8);
 }
 
-TEST(SweepDeterminism, WarmStartsDoNotChangeRowBytes) {
-  // The SCP warm-start accelerator must be output-invisible: the grid above
-  // includes the `optimal` scheme (which solves kSignomialScp per assignment
-  // code), and the warm-vs-cold tie rule has to keep every row byte-identical
-  // whether the accelerator is on, off, or racing across 8 workers.
-  auto cold = small_grid();
-  cold.scp_warm_start = false;
-  auto warm = small_grid();
-  warm.scp_warm_start = true;
-  warm.jobs = 1;
-  auto warm_parallel = small_grid();
-  warm_parallel.scp_warm_start = true;
-  warm_parallel.jobs = 8;
-
-  const auto rows_cold = run_rows(cold);
-  const auto rows_warm = run_rows(warm);
-  const auto rows_warm8 = run_rows(warm_parallel);
-  EXPECT_FALSE(rows_cold.empty());
-  EXPECT_EQ(rows_cold, rows_warm);
-  EXPECT_EQ(rows_warm, rows_warm8);
-}
-
-TEST(SweepDeterminism, WarmStartFlagDoesNotChangeFingerprint) {
-  // scp_warm_start is solver plumbing, not a row-byte input: toggling it must
-  // not invalidate checkpoints or shard merges.
-  auto on = small_grid();
-  on.scp_warm_start = true;
-  auto off = small_grid();
-  off.scp_warm_start = false;
-  EXPECT_EQ(hexp::sweep_fingerprint(on), hexp::sweep_fingerprint(off));
-}
-
 TEST(SweepDeterminism, GpBackendIsARowByteInput) {
   // The GP backend changes the numbers a sweep can produce, so it IS part of
-  // the fingerprint — unlike scp_warm_start/jobs above, which are plumbing.
+  // the fingerprint — unlike jobs, which is plumbing.
   // The empty spelling and the explicit default name are the same
   // configuration and must collide (the fingerprint stamps the resolved
   // name), so upgrading old specs to name the backend never orphans

@@ -5,6 +5,7 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/cli.h"
@@ -209,6 +210,44 @@ TEST(Cli, CountsRejectNegativesAndNameTheFlag) {
   EXPECT_EQ(cli.get_count("absent", 9), 9u);
   EXPECT_EQ(parse({"prog", "--jobs", "0"}).get_count("jobs", 1), 0u);
   EXPECT_THROW(parse({"prog", "--jobs", "two"}).get_count("jobs", 1), std::invalid_argument);
+}
+
+TEST(Cli, UnknownOptionsAreRejected) {
+  const std::vector<std::string> known = {"tasksets", "seed", "agg-out"};
+  // A typo or an option the binary never reads names itself in the error.
+  const std::vector<std::pair<std::vector<const char*>, std::string>> cases = {
+      {{"prog", "--tasksetz", "3"}, "--tasksetz"},
+      {{"prog", "--help"}, "--help"},
+      {{"prog", "--seed", "1", "--x=2"}, "--x"},
+  };
+  for (const auto& [argv, option] : cases) {
+    try {
+      parse(argv).require_known(known);
+      FAIL() << "unknown option accepted: " << option;
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find(option), std::string::npos) << error.what();
+    }
+  }
+  // Every known option passes, including ones a run reads only on some
+  // branches, and so does no option at all.
+  EXPECT_NO_THROW(parse({"prog", "--tasksets", "3", "--agg-out=a.jsonl"}).require_known(known));
+  EXPECT_NO_THROW(parse({"prog"}).require_known(known));
+  EXPECT_THROW(parse({"prog", "--seed", "1"}).require_known({}), std::invalid_argument);
+}
+
+TEST(Cli, RunCliReportsErrorsAsAnExitStatus) {
+  const std::vector<const char*> typo = {"dir/prog", "--tasksetz", "3"};
+  bool ran = false;
+  const auto body = [&ran](const hu::CliParser& cli) {
+    ran = true;
+    return static_cast<int>(cli.get_count("tasksets", 0));
+  };
+  EXPECT_EQ(hu::run_cli(3, typo.data(), {"tasksets"}, body), 1);
+  EXPECT_FALSE(ran);  // rejected before any work starts
+  const std::vector<const char*> bad_value = {"prog", "--tasksets", "-1"};
+  EXPECT_EQ(hu::run_cli(3, bad_value.data(), {"tasksets"}, body), 1);
+  const std::vector<const char*> good = {"prog", "--tasksets", "7"};
+  EXPECT_EQ(hu::run_cli(3, good.data(), {"tasksets"}, body), 7);
 }
 
 TEST(Cli, BooleanSpellings) {

@@ -25,6 +25,7 @@ int main(int argc, char** argv) {
   try {
     const hydra::util::CliParser cli(argc, argv, /*allow_positionals=*/true,
                                      /*value_less_flags=*/{"markdown"});
+    cli.require_known({"markdown", "fail-over"});
     if (cli.positionals().size() != 2) {
       std::cerr << "usage: " << cli.program()
                 << " [--markdown] [--fail-over PCT] baseline.json current.json\n";

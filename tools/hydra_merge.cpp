@@ -46,6 +46,7 @@ int main(int argc, char** argv) {
   try {
     const hydra::util::CliParser cli(argc, argv, /*allow_positionals=*/true,
                                      /*value_less_flags=*/{"allow-partial", "check"});
+    cli.require_known({"out", "allow-partial", "check", "expect-fingerprint"});
     const auto& shards = cli.positionals();
     if (shards.empty()) {
       std::cerr << "usage: " << cli.program()

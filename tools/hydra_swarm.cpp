@@ -61,6 +61,11 @@ int run_sweep(int argc, char** argv) {
     }
   }
   const hydra::util::CliParser cli(split, argv, /*allow_positionals=*/true);
+  // Only the orchestrator's own options; the worker command after `--` is
+  // passed through unchecked.
+  cli.require_known({"shards", "dir", "out", "partial", "poll", "merge-every", "max-attempts",
+                     "stall-timeout", "backoff", "expect-fingerprint", "chaos-kill-shard",
+                     "chaos-after-cells", "events"});
 
   swarm::SweepRunnerOptions options;
   options.shards = cli.get_count("shards", 2);
