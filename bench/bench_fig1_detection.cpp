@@ -21,8 +21,9 @@
 //
 // Usage: bench_fig1_detection [--cores 2,4,8] [--schemes hydra,single-core]
 //                             [--trials 500] [--horizon-s 500] [--seed 1]
-//                             [--cdf-points 11] [--jobs 1] [--out rows.jsonl]
-//                             [--resume rows.jsonl] [--shard i/N] [--csv]
+//                             [--cdf-points 26] [--csv]
+//                             [sweep flags: --jobs --resume --shard --out
+//                              --agg-out --gp-backend; see exp/sweep_cli.h]
 //
 // --shard i/N runs the i-th of N disjoint cell subsets (see exp/sweep.h);
 // shard outputs carry a self-describing header and are reunited with
@@ -32,16 +33,14 @@
 // aggregate row but skip the per-sample tables.
 #include <iostream>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <stdexcept>
 #include <vector>
 
 #include "core/allocator.h"
-#include "exp/aggregate.h"
 #include "exp/metrics.h"
-#include "exp/sweep.h"
+#include "exp/sweep_cli.h"
 #include "gen/uav.h"
 #include "io/table.h"
 #include "sim/attack.h"
@@ -91,18 +90,6 @@ int run(const hydra::util::CliParser& cli) {
   SampleCache cache;
   hexp::SweepSpec spec;
   spec.schemes = scheme_names;
-  spec.jobs = cli.get_count("jobs", 1);
-  spec.resume_path = cli.get_string("resume", "");
-  const auto shard = hexp::parse_shard_spec(cli.get_string("shard", "0/1"));
-  spec.shard_index = shard.index;
-  spec.shard_count = shard.count;
-  const std::string out_path = cli.get_string("out", "");
-  if (shard.count > 1 && out_path.size() >= 4 &&
-      out_path.compare(out_path.size() - 4, 4, ".csv") == 0) {
-    std::cerr << "--shard needs a JSONL --out (the shard header and "
-                 "hydra_merge have no CSV form)\n";
-    return 2;
-  }
   for (const auto m : cores) {
     hexp::SweepPoint point;
     point.instance = hydra::gen::uav_case_study(static_cast<std::size_t>(m));
@@ -127,33 +114,14 @@ int run(const hydra::util::CliParser& cli) {
   // The §V migration bound rides the same queue: identical periods, but
   // security jobs may use any core's idle slack.
   spec.metrics.push_back(hexp::global_detection_metric(config, kGlobalMetricName));
-  const hexp::Sweep sweep(std::move(spec));
-
-  hexp::Aggregator aggregator;
-  std::unique_ptr<hexp::ResultSink> file_sink;
-  std::vector<hexp::ResultSink*> sinks = {&aggregator};
-  if (cli.has("out")) {
-    // Sharded checkpoints open with a self-describing header so hydra_merge
-    // can verify the shard set belongs together and is complete.
-    const std::string header =
-        shard.count > 1 ? hexp::format_shard_header(sweep.shard_header()) : "";
-    file_sink = hexp::make_file_sink(cli.get_string("out", ""), header);
-    sinks.push_back(file_sink.get());
-  }
+  hexp::SweepCli sweep(cli, std::move(spec));
 
   io::print_banner(std::cout, "Fig. 1: empirical CDF of intrusion detection time (" +
                                   scheme_names[0] + " vs " + scheme_names[1] + ")");
   std::cout << "UAV control system + Table-I security tasks; " << horizon_s
             << " s schedules; " << trials << " attack trials per scheme.\n";
-  if (shard.count > 1) {
-    std::cout << "shard " << shard.index << "/" << shard.count << ": "
-              << sweep.shard_header().cells
-              << " of the grid's cells run here; merge the shard outputs with "
-                 "hydra_merge (tables below cover this shard only).\n";
-  }
-
-  sweep.run(sinks);
-  const auto cells = aggregator.cells();
+  sweep.run(std::cout);
+  const auto cells = sweep.cells();
 
   io::Table summary({"cores", "mean " + scheme_names[0] + " (ms)",
                      "mean " + scheme_names[1] + " (ms)", "detection improvement",
@@ -255,6 +223,7 @@ int run(const hydra::util::CliParser& cli) {
   } else {
     summary.print(std::cout);
   }
+  sweep.finish(std::cout);
   std::cout << "\nShape target: " << scheme_names[0] << "'s CDF dominates "
             << scheme_names[1]
             << "'s, the improvement grows with the core count, and the "
@@ -265,9 +234,7 @@ int run(const hydra::util::CliParser& cli) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return hydra::util::run_cli(
+  return hexp::run_sweep_cli(
       argc, argv,
-      {"cores", "schemes", "trials", "horizon-s", "seed", "cdf-points", "csv", "jobs", "resume",
-       "shard", "out"},
-      run);
+      {"cores", "schemes", "trials", "horizon-s", "seed", "cdf-points", "csv"}, run);
 }

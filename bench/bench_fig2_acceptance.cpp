@@ -26,25 +26,20 @@
 // cleanly via --resume to re-print the tables without recomputing.
 //
 // Usage: bench_fig2_acceptance [--cores 2,4,8] [--tasksets 250] [--seed 7]
-//                              [--schemes hydra,single-core] [--jobs 1]
-//                              [--shard 0/1] [--out sweep.jsonl]
-//                              [--resume sweep.jsonl]
-//                              [--agg-out cells.jsonl] [--csv]
-//                              [--gp-backend scp/barrier|ipm/filter|pick-best]
+//                              [--schemes hydra,single-core]
+//                              [--utilizations 0.05,0.1,...] [--csv]
+//                              [sweep flags: --jobs --resume --shard --out
+//                               --agg-out --gp-backend; see exp/sweep_cli.h]
 //
 // --gp-backend selects the GP solver backend every cell's period optimization
 // runs through (docs/solver-catalog.md lists the registry).  It is a row-byte
 // input: the fingerprint covers it, so shards and resumes must name the same
 // backend, and the default ("" = scp/barrier) reproduces historical outputs.
-#include <fstream>
 #include <iostream>
-#include <memory>
 #include <vector>
 
-#include "exp/aggregate.h"
-#include "exp/sweep.h"
+#include "exp/sweep_cli.h"
 #include "gen/synthetic.h"
-#include "gp/solver_registry.h"
 #include "io/table.h"
 #include "stats/summary.h"
 #include "util/cli.h"
@@ -74,34 +69,6 @@ int run(const hydra::util::CliParser& cli) {
   spec.schemes = scheme_names;
   spec.replications = tasksets;
   spec.base_seed = seed;
-  spec.jobs = cli.get_count("jobs", 1);
-  spec.resume_path = cli.get_string("resume", "");
-  spec.gp_backend = cli.get_string("gp-backend", "");
-  if (!spec.gp_backend.empty() &&
-      !hydra::gp::SolverRegistry::global().contains(spec.gp_backend)) {
-    std::cerr << "--gp-backend: unknown backend '" << spec.gp_backend
-              << "'; see docs/solver-catalog.md (or --solver-catalog-md on "
-                 "bench_table1_catalog)\n";
-    return 2;
-  }
-  const auto shard = hexp::parse_shard_spec(cli.get_string("shard", "0/1"));
-  spec.shard_index = shard.index;
-  spec.shard_count = shard.count;
-  if (shard.count > 1 && cli.has("agg-out")) {
-    // A shard sees a fraction of every cell's samples; its aggregate file
-    // would be indistinguishable from a full-grid one downstream.
-    std::cerr << "--agg-out is not available on a sharded run: merge the shard "
-                 "outputs with hydra_merge, then rerun with --resume "
-                 "merged.jsonl --agg-out\n";
-    return 2;
-  }
-  const std::string out_path = cli.get_string("out", "");
-  if (shard.count > 1 && out_path.size() >= 4 &&
-      out_path.compare(out_path.size() - 4, 4, ".csv") == 0) {
-    std::cerr << "--shard needs a JSONL --out (the shard header and "
-                 "hydra_merge have no CSV form)\n";
-    return 2;
-  }
   for (const auto m : cores) {
     gen::SyntheticConfig config;
     config.num_cores = static_cast<std::size_t>(m);
@@ -109,32 +76,13 @@ int run(const hydra::util::CliParser& cli) {
         config, cli.get_double_list("utilizations",
                                     hexp::utilization_axis(config.num_cores)));
   }
-  const hexp::Sweep sweep(std::move(spec));
-
-  hexp::Aggregator aggregator;
-  std::unique_ptr<hexp::ResultSink> file_sink;
-  std::vector<hexp::ResultSink*> sinks = {&aggregator};
-  if (cli.has("out")) {
-    // Sharded checkpoints open with a self-describing header so hydra_merge
-    // can verify the shard set belongs together and is complete.
-    const std::string header =
-        shard.count > 1 ? hexp::format_shard_header(sweep.shard_header()) : "";
-    file_sink = hexp::make_file_sink(cli.get_string("out", ""), header);
-    sinks.push_back(file_sink.get());
-  }
+  hexp::SweepCli sweep(cli, std::move(spec));
 
   io::print_banner(std::cout, "Fig. 2: improvement in acceptance ratio (" +
                                   scheme_names[0] + " vs " + scheme_names[1] + ")");
   std::cout << tasksets << " tasksets per utilization point.\n";
-  if (shard.count > 1) {
-    std::cout << "shard " << shard.index << "/" << shard.count << ": "
-              << sweep.shard_header().cells
-              << " of the grid's cells run here; merge the shard outputs with "
-                 "hydra_merge (tables below cover this shard only).\n";
-  }
-
-  const auto summary = sweep.run(sinks);
-  const auto cells = aggregator.cells();
+  sweep.run(std::cout);
+  const auto cells = sweep.cells();
 
   for (const auto m : cores) {
     io::Table table({"total utilization", "accept " + scheme_names[0],
@@ -159,14 +107,7 @@ int run(const hydra::util::CliParser& cli) {
     }
   }
 
-  if (cli.has("agg-out")) {
-    std::ofstream agg(cli.get_string("agg-out", ""));
-    aggregator.write_jsonl(agg);
-  }
-  if (summary.resumed_cells > 0) {
-    std::cout << "\nresumed " << summary.resumed_cells << " of " << summary.cells
-              << " cells from " << sweep.spec().resume_path << "\n";
-  }
+  sweep.finish(std::cout);
   std::cout << "\nShape target: improvement ~0 at low utilization, rising "
                "toward 100% at high utilization (SingleCore runs out of RT "
                "capacity on M-1 cores and of security capacity on one core).\n";
@@ -176,9 +117,7 @@ int run(const hydra::util::CliParser& cli) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return hydra::util::run_cli(
-      argc, argv,
-      {"cores", "tasksets", "seed", "schemes", "csv", "jobs", "resume", "gp-backend", "shard",
-       "agg-out", "out", "utilizations"},
-      run);
+  return hexp::run_sweep_cli(argc, argv,
+                             {"cores", "tasksets", "seed", "schemes", "csv", "utilizations"},
+                             run);
 }

@@ -11,18 +11,16 @@
 // ≈22 % at high utilization.
 //
 // Usage: bench_fig3_optimal_gap [--tasksets 50] [--seed 11]
-//                               [--schemes hydra,optimal] [--jobs 1]
-//                               [--out rows.jsonl] [--resume rows.jsonl]
-//                               [--shard i/N] [--agg-out cells.jsonl] [--csv]
+//                               [--schemes hydra,optimal]
+//                               [--utilizations 0.05,0.1,...] [--csv]
+//                               [sweep flags: --jobs --resume --shard --out
+//                                --agg-out --gp-backend; see exp/sweep_cli.h]
 //        (the paper's Fig. 3 uses M = 2; the exhaustive comparator is
 //         exponential, so per-point taskset counts are smaller than Fig. 2's)
-#include <fstream>
 #include <iostream>
-#include <memory>
 #include <vector>
 
-#include "exp/aggregate.h"
-#include "exp/sweep.h"
+#include "exp/sweep_cli.h"
 #include "gen/synthetic.h"
 #include "io/table.h"
 #include "util/cli.h"
@@ -54,57 +52,17 @@ int run(const hydra::util::CliParser& cli) {
   spec.schemes = scheme_names;
   spec.replications = tasksets;
   spec.base_seed = seed;
-  spec.jobs = cli.get_count("jobs", 1);
-  spec.resume_path = cli.get_string("resume", "");
-  const auto shard = hexp::parse_shard_spec(cli.get_string("shard", "0/1"));
-  spec.shard_index = shard.index;
-  spec.shard_count = shard.count;
-  if (shard.count > 1 && cli.has("agg-out")) {
-    // A shard sees a fraction of every cell's samples; its aggregate file
-    // would be indistinguishable from a full-grid one downstream.
-    std::cerr << "--agg-out is not available on a sharded run: merge the shard "
-                 "outputs with hydra_merge, then rerun with --resume "
-                 "merged.jsonl --agg-out\n";
-    return 2;
-  }
-  const std::string out_path = cli.get_string("out", "");
-  if (shard.count > 1 && out_path.size() >= 4 &&
-      out_path.compare(out_path.size() - 4, 4, ".csv") == 0) {
-    std::cerr << "--shard needs a JSONL --out (the shard header and "
-                 "hydra_merge have no CSV form)\n";
-    return 2;
-  }
   spec.add_utilization_grid(
       config, cli.get_double_list("utilizations", hexp::utilization_axis(2)));
-  const hexp::Sweep sweep(std::move(spec));
-
   hexp::AggregateOptions agg_options;
   agg_options.reference_scheme = scheme_names[1];
-  hexp::Aggregator aggregator(agg_options);
-
-  std::unique_ptr<hexp::ResultSink> file_sink;
-  std::vector<hexp::ResultSink*> sinks = {&aggregator};
-  if (cli.has("out")) {
-    // Sharded checkpoints open with a self-describing header so hydra_merge
-    // can verify the shard set belongs together and is complete.
-    const std::string header =
-        shard.count > 1 ? hexp::format_shard_header(sweep.shard_header()) : "";
-    file_sink = hexp::make_file_sink(cli.get_string("out", ""), header);
-    sinks.push_back(file_sink.get());
-  }
+  hexp::SweepCli sweep(cli, std::move(spec), agg_options);
 
   io::print_banner(std::cout, "Fig. 3: " + scheme_names[0] + " vs " + scheme_names[1] +
                                   " exhaustive assignment (M = 2, NS in [2, 6])");
   std::cout << tasksets << " tasksets per utilization point.\n";
-  if (shard.count > 1) {
-    std::cout << "shard " << shard.index << "/" << shard.count << ": "
-              << sweep.shard_header().cells
-              << " of the grid's cells run here; merge the shard outputs with "
-                 "hydra_merge (tables below cover this shard only).\n";
-  }
-
-  const auto summary = sweep.run(sinks);
-  const auto cells = aggregator.cells();
+  sweep.run(std::cout);
+  const auto cells = sweep.cells();
 
   io::Table table({"total utilization", "mean gap (%)", "max gap (%)", "samples"});
   for (std::size_t p = 0; p < sweep.spec().points.size(); ++p) {
@@ -124,14 +82,7 @@ int run(const hydra::util::CliParser& cli) {
     table.print(std::cout);
   }
 
-  if (cli.has("agg-out")) {
-    std::ofstream agg(cli.get_string("agg-out", ""));
-    aggregator.write_jsonl(agg);
-  }
-  if (summary.resumed_cells > 0) {
-    std::cout << "\nresumed " << summary.resumed_cells << " of " << summary.cells
-              << " cells from " << sweep.spec().resume_path << "\n";
-  }
+  sweep.finish(std::cout);
   std::cout << "\nShape target: gap ~0 at low/medium utilization, growing at "
                "high utilization yet staying well below ~25% (paper: <= 22%).\n";
   return 0;
@@ -140,9 +91,6 @@ int run(const hydra::util::CliParser& cli) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return hydra::util::run_cli(
-      argc, argv,
-      {"tasksets", "seed", "schemes", "csv", "jobs", "resume", "shard", "agg-out", "out",
-       "utilizations"},
-      run);
+  return hexp::run_sweep_cli(argc, argv,
+                             {"tasksets", "seed", "schemes", "csv", "utilizations"}, run);
 }

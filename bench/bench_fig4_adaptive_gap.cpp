@@ -18,17 +18,14 @@
 //
 // Usage: bench_fig4_adaptive_gap [--tasksets 40] [--seed 17] [--cores 2]
 //            [--schemes contego,period-adapt,util/worst-fit,hydra,optimal]
-//            [--reference optimal] [--utilizations 0.4,0.8,...] [--jobs 1]
-//            [--out rows.jsonl] [--resume rows.jsonl] [--shard i/N]
-//            [--agg-out cells.jsonl] [--csv]
-#include <fstream>
+//            [--reference optimal] [--utilizations 0.4,0.8,...] [--csv]
+//            [sweep flags: --jobs --resume --shard --out --agg-out
+//             --gp-backend; see exp/sweep_cli.h]
 #include <iostream>
-#include <memory>
 #include <vector>
 
-#include "exp/aggregate.h"
 #include "exp/metrics.h"
-#include "exp/sweep.h"
+#include "exp/sweep_cli.h"
 #include "gen/synthetic.h"
 #include "io/table.h"
 #include "util/cli.h"
@@ -70,59 +67,19 @@ int run(const hydra::util::CliParser& cli) {
   spec.schemes = scheme_names;
   spec.replications = tasksets;
   spec.base_seed = seed;
-  spec.jobs = cli.get_count("jobs", 1);
-  spec.resume_path = cli.get_string("resume", "");
   spec.metrics = hexp::period_mode_metrics();
-  const auto shard = hexp::parse_shard_spec(cli.get_string("shard", "0/1"));
-  spec.shard_index = shard.index;
-  spec.shard_count = shard.count;
-  if (shard.count > 1 && cli.has("agg-out")) {
-    // A shard sees a fraction of every cell's samples; its aggregate file
-    // would be indistinguishable from a full-grid one downstream.
-    std::cerr << "--agg-out is not available on a sharded run: merge the shard "
-                 "outputs with hydra_merge, then rerun with --resume "
-                 "merged.jsonl --agg-out\n";
-    return 2;
-  }
-  const std::string out_path = cli.get_string("out", "");
-  if (shard.count > 1 && out_path.size() >= 4 &&
-      out_path.compare(out_path.size() - 4, 4, ".csv") == 0) {
-    std::cerr << "--shard needs a JSONL --out (the shard header and "
-                 "hydra_merge have no CSV form)\n";
-    return 2;
-  }
   spec.add_utilization_grid(
       config, cli.get_double_list("utilizations", hexp::utilization_axis(cores)));
-  const hexp::Sweep sweep(std::move(spec));
-
   hexp::AggregateOptions agg_options;
   agg_options.reference_scheme = reference;
-  hexp::Aggregator aggregator(agg_options);
-
-  std::unique_ptr<hexp::ResultSink> file_sink;
-  std::vector<hexp::ResultSink*> sinks = {&aggregator};
-  if (cli.has("out")) {
-    // Sharded checkpoints open with a self-describing header so hydra_merge
-    // can verify the shard set belongs together and is complete.
-    const std::string header =
-        shard.count > 1 ? hexp::format_shard_header(sweep.shard_header()) : "";
-    file_sink = hexp::make_file_sink(cli.get_string("out", ""), header);
-    sinks.push_back(file_sink.get());
-  }
+  hexp::SweepCli sweep(cli, std::move(spec), agg_options);
 
   io::print_banner(std::cout, "Fig. 4: adaptive & period-adaptation families vs " +
                                   reference + " (M = " + std::to_string(cores) + ")");
   std::cout << tasksets << " tasksets per utilization point; reference scheme: "
             << reference << ".\n";
-  if (shard.count > 1) {
-    std::cout << "shard " << shard.index << "/" << shard.count << ": "
-              << sweep.shard_header().cells
-              << " of the grid's cells run here; merge the shard outputs with "
-                 "hydra_merge (tables below cover this shard only).\n";
-  }
-
-  const auto summary = sweep.run(sinks);
-  const auto cells = aggregator.cells();
+  sweep.run(std::cout);
+  const auto cells = sweep.cells();
 
   io::Table table({"total utilization", "scheme", "acceptance", "accept 95% CI",
                    "tightness mean", "gap vs ref (%)", "gap 95% CI",
@@ -162,14 +119,7 @@ int run(const hydra::util::CliParser& cli) {
     table.print(std::cout);
   }
 
-  if (cli.has("agg-out")) {
-    std::ofstream agg(cli.get_string("agg-out", ""));
-    aggregator.write_jsonl(agg);
-  }
-  if (summary.resumed_cells > 0) {
-    std::cout << "\nresumed " << summary.resumed_cells << " of " << summary.cells
-              << " cells from " << sweep.spec().resume_path << "\n";
-  }
+  sweep.finish(std::cout);
   std::cout << "\nShape target: hydra >= contego >= period-adapt on tightness; the "
                "gap to the reference widens with utilization while the below-Tmax "
                "monitor count shows how much period freedom each family exercises.\n";
@@ -179,9 +129,7 @@ int run(const hydra::util::CliParser& cli) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return hydra::util::run_cli(
-      argc, argv,
-      {"tasksets", "seed", "cores", "schemes", "csv", "reference", "jobs", "resume", "shard",
-       "agg-out", "out", "utilizations"},
+  return hexp::run_sweep_cli(
+      argc, argv, {"tasksets", "seed", "cores", "schemes", "csv", "reference", "utilizations"},
       run);
 }

@@ -38,22 +38,18 @@
 //            [--trials 120] [--horizon-s 200] [--det-seed 1]
 //            [--window-ms 0] [--tighten 0.25] [--relax 0.05]
 //            [--dwell-ms 0] [--switch-budget 0] [--boost-window-ms 0]
-//            [--jobs 1] [--shard 0/1] [--out rows.jsonl] [--resume rows.jsonl]
-//            [--agg-out cells.jsonl] [--csv]
+//            [--csv] [sweep flags: --jobs --resume --shard --out --agg-out
+//             --gp-backend; see exp/sweep_cli.h]
 //
 // `--shard i/N` fans the grid out across N processes (deterministic cell-key
 // partition; see exp/merge.h): merge the shard outputs with hydra_merge and
 // the result is byte-identical to the unsharded run.
-#include <fstream>
 #include <iostream>
 #include <iterator>
-#include <limits>
-#include <memory>
 #include <vector>
 
-#include "exp/aggregate.h"
 #include "exp/metrics.h"
-#include "exp/sweep.h"
+#include "exp/sweep_cli.h"
 #include "gen/synthetic.h"
 #include "io/table.h"
 #include "util/cli.h"
@@ -122,24 +118,6 @@ int run(const hydra::util::CliParser& cli) {
   spec.schemes = scheme_names;
   spec.replications = tasksets;
   spec.base_seed = seed;
-  spec.jobs = cli.get_count("jobs", 1);
-  spec.resume_path = cli.get_string("resume", "");
-  const auto shard = hexp::parse_shard_spec(cli.get_string("shard", "0/1"));
-  spec.shard_index = shard.index;
-  spec.shard_count = shard.count;
-  if (shard.count > 1 && cli.has("agg-out")) {
-    std::cerr << "--agg-out is not available on a sharded run: merge the shard "
-                 "outputs with hydra_merge, then rerun with --resume "
-                 "merged.jsonl --agg-out\n";
-    return 2;
-  }
-  const std::string out_path = cli.get_string("out", "");
-  if (shard.count > 1 && out_path.size() >= 4 &&
-      out_path.compare(out_path.size() - 4, 4, ".csv") == 0) {
-    std::cerr << "--shard needs a JSONL --out (the shard header and "
-                 "hydra_merge have no CSV form)\n";
-    return 2;
-  }
   for (std::size_t i = 0; i < policy_names.size(); ++i) {
     hexp::AdaptiveMetricsConfig family = metrics_config;
     family.controller.policy = policy_names[i];
@@ -153,17 +131,7 @@ int run(const hydra::util::CliParser& cli) {
                         std::make_move_iterator(family_metrics.end()));
   }
   spec.add_utilization_grid(config, utilizations);
-  const hexp::Sweep sweep(std::move(spec));
-
-  hexp::Aggregator aggregator;
-  std::unique_ptr<hexp::ResultSink> file_sink;
-  std::vector<hexp::ResultSink*> sinks = {&aggregator};
-  if (cli.has("out")) {
-    const std::string header =
-        shard.count > 1 ? hexp::format_shard_header(sweep.shard_header()) : "";
-    file_sink = hexp::make_file_sink(cli.get_string("out", ""), header);
-    sinks.push_back(file_sink.get());
-  }
+  hexp::SweepCli sweep(cli, std::move(spec));
 
   io::print_banner(std::cout,
                    "Fig. 5: detection latency under runtime adaptation (M = " +
@@ -171,15 +139,8 @@ int run(const hydra::util::CliParser& cli) {
   std::cout << tasksets << " tasksets per utilization point; "
             << metrics_config.detection.trials << " attacks per policy; horizon "
             << cli.get_int("horizon-s", 200) << " s.\n";
-  if (shard.count > 1) {
-    std::cout << "shard " << shard.index << "/" << shard.count << ": "
-              << sweep.shard_header().cells
-              << " of the grid's cells run here; merge the shard outputs with "
-                 "hydra_merge (tables below cover this shard only).\n";
-  }
-
-  const auto summary = sweep.run(sinks);
-  const auto cells = aggregator.cells();
+  sweep.run(std::cout);
+  const auto cells = sweep.cells();
 
   io::Table table({"total utilization", "scheme", "policy", "acceptance",
                    "min-mode mean (ms)", "adaptive mean (ms) [CI]",
@@ -218,14 +179,7 @@ int run(const hydra::util::CliParser& cli) {
     table.print(std::cout);
   }
 
-  if (cli.has("agg-out")) {
-    std::ofstream agg(cli.get_string("agg-out", ""));
-    aggregator.write_jsonl(agg);
-  }
-  if (summary.resumed_cells > 0) {
-    std::cout << "\nresumed " << summary.resumed_cells << " of " << summary.cells
-              << " cells from " << sweep.spec().resume_path << "\n";
-  }
+  sweep.finish(std::cout);
   std::cout << "\nShape target: min-mode >= adaptive >= static >= global on mean "
                "detection latency; adapted residency shrinks as utilization grows "
                "and the controller finds less slack to spend.\n";
@@ -235,10 +189,10 @@ int run(const hydra::util::CliParser& cli) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return hydra::util::run_cli(
+  return hexp::run_sweep_cli(
       argc, argv,
       {"tasksets", "seed", "cores", "schemes", "csv", "horizon-s", "trials", "det-seed",
        "window-ms", "tighten", "relax", "dwell-ms", "switch-budget", "levels", "boost-window-ms",
-       "policies", "utilizations", "jobs", "resume", "shard", "agg-out", "out"},
+       "policies", "utilizations"},
       run);
 }

@@ -10,16 +10,15 @@
 // its JSONL checkpoint without recomputing finished cells.
 //
 // Usage: ./build/synthetic_exploration [--cores 4] [--tasksets 50] [--seed 21]
-//                                      [--schemes hydra,single-core] [--jobs 4]
-//                                      [--out sweep.jsonl] [--resume sweep.jsonl]
-//                                      [--agg-out cells.jsonl]
-#include <fstream>
+//                                      [--schemes hydra,single-core]
+//                                      [--utilizations 0.4,0.8,...]
+//                                      [sweep flags: --jobs --resume --shard
+//                                       --out --agg-out --gp-backend; see
+//                                       exp/sweep_cli.h]
 #include <iostream>
-#include <memory>
 #include <vector>
 
-#include "exp/aggregate.h"
-#include "exp/sweep.h"
+#include "exp/sweep_cli.h"
 #include "gen/synthetic.h"
 #include "io/table.h"
 #include "util/cli.h"
@@ -45,27 +44,17 @@ int run(const hydra::util::CliParser& cli) {
   spec.schemes = scheme_names;
   spec.replications = tasksets;
   spec.base_seed = seed;
-  spec.jobs = cli.get_count("jobs", 1);
-  spec.resume_path = cli.get_string("resume", "");
   spec.add_utilization_grid(
       config, cli.get_double_list("utilizations", hexp::utilization_axis(m, 9, 0.1)));
-  const hexp::Sweep sweep(std::move(spec));
-
-  hexp::Aggregator aggregator;
-  std::unique_ptr<hexp::ResultSink> file_sink;
-  std::vector<hexp::ResultSink*> sinks = {&aggregator};
-  if (cli.has("out")) {
-    file_sink = hexp::make_file_sink(cli.get_string("out", ""));
-    sinks.push_back(file_sink.get());
-  }
+  hexp::SweepCli sweep(cli, std::move(spec));
 
   io::print_banner(std::cout, "Design-space sweep on M = " + std::to_string(m) +
                                   " cores (" + std::to_string(tasksets) +
                                   " tasksets per point, " +
                                   std::to_string(scheme_names.size()) + " schemes)");
 
-  const auto summary = sweep.run(sinks);
-  const auto cells = aggregator.cells();
+  sweep.run(std::cout);
+  const auto cells = sweep.cells();
 
   std::vector<std::string> headers = {"utilization"};
   for (const auto& name : scheme_names) {
@@ -89,18 +78,13 @@ int run(const hydra::util::CliParser& cli) {
 
   std::cout << "\ntightness columns are normalized by the upper bound (every "
                "monitor at its desired rate = 1.0).\n";
+  sweep.finish(std::cout);
   if (cli.has("out")) {
     std::cout << "per-(instance, scheme) rows written to " << cli.get_string("out", "")
               << ".\n";
   }
   if (cli.has("agg-out")) {
-    std::ofstream agg(cli.get_string("agg-out", ""));
-    aggregator.write_jsonl(agg);
     std::cout << "aggregated cells written to " << cli.get_string("agg-out", "") << ".\n";
-  }
-  if (summary.resumed_cells > 0) {
-    std::cout << "resumed " << summary.resumed_cells << " of " << summary.cells
-              << " cells from " << sweep.spec().resume_path << ".\n";
   }
   return 0;
 }
@@ -108,8 +92,6 @@ int run(const hydra::util::CliParser& cli) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return hydra::util::run_cli(
-      argc, argv,
-      {"cores", "tasksets", "seed", "schemes", "jobs", "resume", "utilizations", "out", "agg-out"},
-      run);
+  return hexp::run_sweep_cli(argc, argv,
+                             {"cores", "tasksets", "seed", "schemes", "utilizations"}, run);
 }

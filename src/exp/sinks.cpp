@@ -339,8 +339,7 @@ namespace {
 class FileSink : public ResultSink {
  public:
   FileSink(const std::string& path, bool jsonl, const std::string& header_line)
-      : stream_(path) {
-    if (!stream_) throw std::runtime_error("cannot open result file: " + path);
+      : path_(path), stream_(open_output_file(path)) {
     if (!header_line.empty()) stream_ << header_line << '\n';
     if (jsonl) {
       inner_ = std::make_unique<JsonlSink>(stream_);
@@ -350,13 +349,17 @@ class FileSink : public ResultSink {
   }
 
   void begin() override { inner_->begin(); }
-  void row(const BatchRow& row) override { inner_->row(row); }
+  void row(const BatchRow& row) override {
+    inner_->row(row);
+    stream_.flush();
+  }
   void end() override {
     inner_->end();
-    stream_.flush();
+    check_written(stream_, path_);
   }
 
  private:
+  std::string path_;
   std::ofstream stream_;
   std::unique_ptr<ResultSink> inner_;
 };
@@ -367,6 +370,17 @@ bool ends_with(const std::string& text, const std::string& suffix) {
 }
 
 }  // namespace
+
+std::ofstream open_output_file(const std::string& path) {
+  std::ofstream out(path, std::ios::binary);
+  if (!out) throw std::runtime_error("cannot open output file: " + path);
+  return out;
+}
+
+void check_written(std::ostream& os, const std::string& path) {
+  os.flush();
+  if (!os) throw std::runtime_error("cannot write output file: " + path);
+}
 
 std::unique_ptr<ResultSink> make_file_sink(const std::string& path,
                                            const std::string& header_line) {

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <fstream>
 #include <iosfwd>
 #include <memory>
 #include <optional>
@@ -119,10 +120,22 @@ std::string format_double(double value);
 /// so every emitted line stays parseable.
 std::string json_number(double value);
 
+/// Opens `path` for writing (truncating it); throws std::runtime_error naming
+/// the path when it cannot be opened.
+std::ofstream open_output_file(const std::string& path);
+
+/// Flushes `os`, then throws std::runtime_error naming `path` if any write to
+/// it failed (a full disk, a path onto /dev/full).  Every result file —
+/// make_file_sink's, a sweep's --agg-out, a merged checkpoint — closes with
+/// this check, so a lost write is an error instead of a short file.
+void check_written(std::ostream& os, const std::string& path);
+
 /// A sink that owns its output file stream.  The format follows the
 /// extension: ".jsonl"/".json" ⇒ JSONL, ".csv" ⇒ CSV; anything else throws
 /// std::invalid_argument.  Throws std::runtime_error when the file cannot be
-/// opened; flushes on destruction.
+/// opened, and from end() when a write failed (check_written).  Every row is
+/// flushed as it is written, so a checkpoint being tailed (hydra_swarm's
+/// progress probe) or resumed after a SIGKILL holds every finished row.
 ///
 /// A non-empty `header_line` (e.g. a formatted exp::SweepShardHeader) is
 /// written verbatim as the file's first line before any row — JSONL only;

@@ -10,6 +10,8 @@
 #include <thread>
 
 #include "exp/merge.h"
+#include "exp/sinks.h"
+#include "exp/sweep_cli.h"
 
 namespace fs = std::filesystem;
 
@@ -91,15 +93,11 @@ SweepRunResult SweepRunner::run(std::ostream& status) {
     checkpoints.push_back(checkpoint);
     WorkerSpec spec;
     spec.argv = options_.worker_command;
-    spec.argv.push_back("--shard");
-    spec.argv.push_back(std::to_string(i) + "/" + std::to_string(options_.shards));
-    spec.argv.push_back("--out");
-    spec.argv.push_back(checkpoint);
-    // Same path as --resume: a restart splices every durable cell of the
-    // dead predecessor (the Sweep reads the checkpoint before the sink
-    // truncates), so one argv serves cold start and recovery alike.
-    spec.argv.push_back("--resume");
-    spec.argv.push_back(checkpoint);
+    // --out and --resume name the same path, so a restart splices every
+    // durable cell of its dead predecessor: one argv serves cold start and
+    // recovery alike.
+    const auto shard_args = exp::shard_worker_args(i, options_.shards, checkpoint);
+    spec.argv.insert(spec.argv.end(), shard_args.begin(), shard_args.end());
     spec.stdout_path = options_.dir + "/shard_" + std::to_string(i) + ".log";
     spec.stderr_path = options_.dir + "/shard_" + std::to_string(i) + ".err";
     supervisor.add_task("shard-" + std::to_string(i), std::move(spec));
@@ -127,9 +125,10 @@ SweepRunResult SweepRunner::run(std::ostream& status) {
       const auto merged = exp::merge_checkpoints(present, merge_options);
       const std::string tmp = options_.partial_path + ".tmp";
       {
-        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        if (!out) throw std::runtime_error("cannot open " + tmp);
+        auto out = exp::open_output_file(tmp);
         exp::write_merged(merged, out);
+        // A failed write keeps the previous snapshot: no rename.
+        exp::check_written(out, tmp);
       }
       fs::rename(tmp, options_.partial_path);
       log_.emit(steady_seconds(), "partial-merged", options_.partial_path,
@@ -137,8 +136,9 @@ SweepRunResult SweepRunner::run(std::ostream& status) {
                     std::to_string(merged.rows) + " rows" +
                     (merged.complete ? ", complete" : ""));
     } catch (const std::exception& error) {
-      // A torn mid-write snapshot can be transiently unmergeable; the next
-      // timer tick retries.  Never fatal for the swarm itself.
+      // A torn mid-write snapshot can be transiently unmergeable, and a
+      // snapshot write can fail; the next timer tick retries.  Never fatal
+      // for the swarm itself.
       log_.emit(steady_seconds(), "partial-merge-failed", options_.partial_path,
                 error.what());
     }
@@ -226,10 +226,11 @@ SweepRunResult SweepRunner::run(std::ostream& status) {
   const auto merged = exp::merge_checkpoints(checkpoints, merge_options);
   if (options_.out_path.empty()) {
     exp::write_merged(merged, std::cout);
+    exp::check_written(std::cout, "standard output");
   } else {
-    std::ofstream out(options_.out_path, std::ios::binary | std::ios::trunc);
-    if (!out) throw std::runtime_error("cannot open output: " + options_.out_path);
+    auto out = exp::open_output_file(options_.out_path);
     exp::write_merged(merged, out);
+    exp::check_written(out, options_.out_path);
   }
   if (!options_.partial_path.empty()) merge_partial();
   result.ok = true;

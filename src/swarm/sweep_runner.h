@@ -8,16 +8,19 @@
 // Supervisor and merging in exp::merge_checkpoints:
 //
 //   * each shard runs `worker_command... --shard i/N --out <dir>/shard_i.jsonl
-//     --resume <dir>/shard_i.jsonl` — the resume-from-own-output idiom the
-//     Sweep layer supports (checkpoint is read before the sink truncates), so
-//     the SAME argv both cold-starts and resumes: a restarted worker splices
-//     every durable cell of its dead predecessor and recomputes nothing;
+//     --resume <dir>/shard_i.jsonl` (exp::shard_worker_args, the flags every
+//     grid-sweep binary takes through exp/sweep_cli.h) — the
+//     resume-from-own-output idiom the Sweep layer supports (checkpoint is
+//     read before the sink truncates), so the SAME argv both cold-starts and
+//     resumes: a restarted worker splices every durable cell of its dead
+//     predecessor and recomputes nothing;
 //   * progress is the shard checkpoint itself: the runner tails each file's
 //     growth (rows vs the header's declared cell count) and feeds byte sizes
 //     to the supervisor's stall detector — no worker-side protocol at all;
 //   * partial results: on a timer, the surviving rows of all shards are
 //     unioned via merge_checkpoints(allow-partial) into `partial_path`
-//     (atomic rename), usable as a --resume checkpoint at any moment;
+//     (atomic rename; a failed write keeps the previous snapshot), usable as
+//     a --resume checkpoint at any moment;
 //   * the final merge runs with require_complete and the spec fingerprint
 //     pinned, so a retry-exhausted swarm CANNOT silently present a partial
 //     stream as complete — it fails loudly and points at the salvage path.
@@ -87,7 +90,8 @@ class SweepRunner {
   /// Blocks until the swarm completes or fails.  `status` receives
   /// one-per-poll progress lines ("shard 2/3: 40/117 cells ...); pass a
   /// null-sink stream for quiet runs.  The merged stream is written to
-  /// out_path (or stdout) only on success.
+  /// out_path (or stdout) only on success; throws std::runtime_error when
+  /// that write fails.
   SweepRunResult run(std::ostream& status);
 
  private:

@@ -6,8 +6,10 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 
 #include "exp/sinks.h"
 
@@ -178,4 +180,24 @@ TEST(FileSink, DispatchesOnExtensionAndWritesTheFile) {
 
   EXPECT_THROW(hexp::make_file_sink("/tmp/out.txt"), std::invalid_argument);
   EXPECT_THROW(hexp::make_file_sink("/nonexistent-dir/x.csv"), std::runtime_error);
+}
+
+TEST(FileSink, WriteErrorsThrowNamingThePath) {
+  namespace fs = std::filesystem;
+  if (!fs::exists("/dev/full")) GTEST_SKIP() << "no /dev/full on this system";
+  const std::string dir = ::testing::TempDir() + "hydra_sink_full";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string path = dir + "/full.jsonl";
+  fs::create_symlink("/dev/full", path);
+  const auto sink = hexp::make_file_sink(path);
+  sink->begin();
+  sink->row(sample_row());
+  try {
+    sink->end();
+    ADD_FAILURE() << "rows lost to a full device must not pass silently";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find(path), std::string::npos) << error.what();
+  }
+  fs::remove_all(dir);
 }

@@ -23,6 +23,7 @@
 #include "exp/merge.h"
 #include "exp/sinks.h"
 #include "exp/sweep.h"
+#include "exp/sweep_cli.h"
 #include "gen/synthetic.h"
 #include "swarm/process.h"
 #include "swarm/sweep_runner.h"
@@ -51,42 +52,47 @@ hexp::SweepSpec swarm_grid() {
   return spec;
 }
 
-/// File sink that (optionally) sleeps before and flushes after every row, so
-/// the orchestrator's poll loop reliably observes durable rows while the
-/// worker is still alive — the chaos-injection test needs that window; the
-/// production make_file_sink buffers small runs entirely in memory.
-class ThrottledFileSink : public hexp::ResultSink {
+/// Fault injection riding the worker's sweep as one more sink, after the
+/// --out file (which flushes every row, so each row seen here is durable):
+///   --row-delay-ms N  sleep after every row, so the orchestrator's poll loop
+///                     observes durable rows while the worker is still alive
+///                     (chaos-injection timing);
+///   --crash-shard I   on shard I's FIRST attempt (marker file absent), after
+///                     --crash-rows complete rows append a torn (newline-less)
+///                     fragment and raise(SIGKILL) — exactly what a SIGKILL
+///                     mid-write leaves.
+class WorkerFaults : public hexp::ResultSink {
  public:
-  ThrottledFileSink(const std::string& path, const std::string& header,
-                    int row_delay_ms)
-      : out_(path, std::ios::binary | std::ios::trunc),
-        jsonl_(out_),
-        row_delay_ms_(row_delay_ms) {
-    if (!header.empty()) out_ << header << "\n";
-    out_.flush();
-  }
+  WorkerFaults(std::string out, int row_delay_ms, std::size_t crash_after_rows)
+      : out_(std::move(out)),
+        row_delay_ms_(row_delay_ms),
+        crash_after_rows_(crash_after_rows) {}
+
   void row(const hexp::BatchRow& row) override {
     if (row_delay_ms_ > 0) {
       std::this_thread::sleep_for(std::chrono::milliseconds(row_delay_ms_));
     }
-    jsonl_.row(row);
-    out_.flush();
+    if (crash_after_rows_ == 0 || ++rows_ < crash_after_rows_) return;
+    std::ostringstream line;
+    hexp::JsonlSink(line).row(row);
+    std::ofstream(out_, std::ios::binary | std::ios::app)
+        << line.str().substr(0, line.str().size() / 2);  // the torn FINAL line
+    std::ofstream(out_ + ".crashed") << "crashed\n";
+    raise(SIGKILL);
   }
 
  private:
-  std::ofstream out_;
-  hexp::JsonlSink jsonl_;
+  std::string out_;
   int row_delay_ms_;
+  std::size_t crash_after_rows_;  ///< 0 = never crash
+  std::size_t rows_ = 0;
 };
 
-/// The shard worker this binary becomes under `--swarm-worker`.  Flags beyond
-/// the orchestrator-appended --shard/--out/--resume:
-///   --crash-shard I   on shard I's FIRST attempt (marker file absent), write
-///                     --crash-rows complete rows plus a torn trailing
-///                     fragment and raise(SIGKILL) — a deterministic
-///                     mid-checkpoint death;
-///   --always-fail     exit 1 unconditionally (retry-exhaustion tests);
-///   --row-delay-ms N  throttle row emission (chaos-injection timing).
+/// The shard worker this binary becomes under `--swarm-worker`: the
+/// swarm_grid() sweep through the same front end the benches use
+/// (exp/sweep_cli.h reads the orchestrator-appended --shard/--out/--resume),
+/// plus the WorkerFaults flags and
+///   --always-fail     exit 1 unconditionally (retry-exhaustion tests).
 /// A clean run writes "<out>.summary" with resumed/cells/rows so tests can
 /// assert the zero-recompute property from outside the process.
 int worker_main(int argc, char** argv) {
@@ -94,49 +100,16 @@ int worker_main(int argc, char** argv) {
                                    /*value_less_flags=*/{"always-fail"});
   if (cli.get_bool("always-fail", false)) return 1;
 
-  auto spec = swarm_grid();
-  const auto shard = hexp::parse_shard_spec(cli.get_string("shard", "0/1"));
-  spec.shard_index = shard.index;
-  spec.shard_count = shard.count;
-  const std::string out = cli.get_string("out", "");
-
+  hexp::SweepCli sweep(cli, swarm_grid());
+  const std::string out = cli.get_string(hexp::kOutFlag, "");
   const int crash_shard = static_cast<int>(cli.get_int("crash-shard", -1));
-  const std::string marker = out + ".crashed";
-  if (crash_shard >= 0 && shard.index == static_cast<std::size_t>(crash_shard) &&
-      !fs::exists(marker)) {
-    // First attempt of the victim shard: lay down a checkpoint whose tail is
-    // a torn (newline-less) fragment — exactly what a SIGKILL mid-write
-    // leaves — then die by the same signal.
-    std::ostringstream rows;
-    hexp::JsonlSink sink(rows);
-    const hexp::Sweep sweep(spec);
-    const std::string header = hexp::format_shard_header(sweep.shard_header());
-    sweep.run({&sink});
-
-    std::istringstream lines(rows.str());
-    std::ofstream torn(out, std::ios::binary | std::ios::trunc);
-    torn << header << "\n";
-    std::string line;
-    for (int i = 0; i < static_cast<int>(cli.get_int("crash-rows", 4)) &&
-                    std::getline(lines, line);
-         ++i) {
-      torn << line << "\n";
-    }
-    if (std::getline(lines, line)) {
-      torn << line.substr(0, line.size() / 2);  // the torn FINAL line
-    }
-    torn.flush();
-    std::ofstream(marker) << "crashed\n";
-    raise(SIGKILL);
-  }
-
-  spec.resume_path = cli.get_string("resume", "");
-  const hexp::Sweep sweep(std::move(spec));
-  const std::string header =
-      shard.count > 1 ? hexp::format_shard_header(sweep.shard_header()) : "";
-  ThrottledFileSink sink(out, header,
-                         static_cast<int>(cli.get_int("row-delay-ms", 0)));
-  const auto summary = sweep.run({&sink});
+  const bool crash = crash_shard >= 0 &&
+                     sweep.spec().shard_index == static_cast<std::size_t>(crash_shard) &&
+                     !fs::exists(out + ".crashed");
+  WorkerFaults faults(out, static_cast<int>(cli.get_int("row-delay-ms", 0)),
+                      crash ? cli.get_count("crash-rows", 4) : 0);
+  const auto summary = sweep.run(std::cout, {&faults});
+  sweep.finish(std::cout);
   std::ofstream(out + ".summary")
       << "resumed=" << summary.resumed_cells << " cells=" << summary.cells
       << " rows=" << summary.rows.size() << "\n";
@@ -313,6 +286,49 @@ TEST(SwarmSweep, RunnerRejectsBusySpinPollIntervals) {
   auto bad_merge = base_options(dir.path);
   bad_merge.merge_interval_s = 0.0;
   EXPECT_THROW(swarm::SweepRunner(bad_merge, backend, log), std::invalid_argument);
+}
+
+TEST(SwarmSweep, FailedPartialWriteKeepsThePreviousSnapshot) {
+  if (!fs::exists("/dev/full")) GTEST_SKIP() << "no /dev/full on this system";
+  TempDir dir("swarm_partial_full");
+  auto options = base_options(dir.path);
+  options.partial_path = dir.path + "/partial.jsonl";
+  const std::string previous = "previous snapshot\n";
+  std::ofstream(options.partial_path) << previous;
+  // Every snapshot write lands on a full device.
+  fs::create_symlink("/dev/full", options.partial_path + ".tmp");
+
+  swarm::LocalProcessBackend backend;
+  swarm::EventLog log;
+  swarm::SweepRunner runner(options, backend, log);
+  std::ostringstream status;
+  const auto result = runner.run(status);
+
+  ASSERT_TRUE(result.ok) << result.error;
+  EXPECT_EQ(slurp(options.out_path), reference_rows());
+  EXPECT_EQ(slurp(options.partial_path), previous);
+  EXPECT_GE(log.count("partial-merge-failed"), 1u);
+  EXPECT_EQ(log.count("partial-merged"), 0u);
+}
+
+TEST(SwarmSweep, FailedFinalWriteThrowsNamingThePath) {
+  if (!fs::exists("/dev/full")) GTEST_SKIP() << "no /dev/full on this system";
+  TempDir dir("swarm_out_full");
+  auto options = base_options(dir.path);
+  fs::create_symlink("/dev/full", options.out_path);
+
+  swarm::LocalProcessBackend backend;
+  swarm::EventLog log;
+  swarm::SweepRunner runner(options, backend, log);
+  std::ostringstream status;
+  try {
+    runner.run(status);
+    FAIL() << "a merged stream lost to a full device must not count as success";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find(options.out_path), std::string::npos)
+        << error.what();
+  }
+  EXPECT_EQ(log.count("swarm-complete"), 0u);
 }
 
 TEST(SwarmSweep, ProbeCountsDurableRowsAndIgnoresTornTail) {

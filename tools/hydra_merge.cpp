@@ -32,12 +32,13 @@
 //   3  partial but consistent — no conflicts, but cells/shards are missing
 //      (only reachable with --allow-partial or --check; a bare run throws)
 //   1  inconsistent or unreadable inputs (conflicting duplicates, foreign
-//      fingerprints, corrupt lines, missing files)
+//      fingerprints, corrupt lines, missing files), or an output that
+//      cannot be written
 //   2  usage error
-#include <fstream>
 #include <iostream>
 
 #include "exp/merge.h"
+#include "exp/sinks.h"
 #include "util/cli.h"
 
 namespace hexp = hydra::exp;
@@ -81,14 +82,12 @@ int main(int argc, char** argv) {
 
     if (cli.has("out")) {
       const auto path = cli.get_string("out", "");
-      std::ofstream out(path, std::ios::binary | std::ios::trunc);
-      if (!out) {
-        std::cerr << "hydra_merge: cannot open output file: " << path << "\n";
-        return 1;
-      }
+      auto out = hexp::open_output_file(path);
       hexp::write_merged(merged, out);
+      hexp::check_written(out, path);
     } else {
       hexp::write_merged(merged, std::cout);
+      hexp::check_written(std::cout, "standard output");
     }
 
     // Provenance summary on stderr, so stdout stays a clean JSONL stream.

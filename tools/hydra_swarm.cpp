@@ -6,11 +6,12 @@
 // byte-identical to the single-process run:
 //
 //   hydra_swarm sweep --shards 3 --dir /tmp/swarm --out merged.jsonl
-//       -- ./build/bench_fig2_acceptance --replications 20
+//       -- ./build/bench_fig2_acceptance --tasksets 20
 //
 // Everything after `--` is the worker command; the orchestrator appends
 // `--shard i/N --out <dir>/shard_i.jsonl --resume <dir>/shard_i.jsonl` per
-// worker, so any sweep tool that understands those three flags can swarm.
+// worker.  Every grid-sweep binary (bench_fig1..fig5, synthetic_exploration)
+// takes those flags through exp/sweep_cli.h, so any of them can swarm.
 //
 // Exit codes: 0 success; 1 swarm failure (the salvage command is printed
 // before exiting); 2 usage error.
