@@ -167,7 +167,8 @@ namespace {
 /// a flat object of strings / numbers / booleans / null plus one optional
 /// nested "metrics" object — so the parser can stay tiny and strict: any
 /// deviation (truncated line, foreign producer) fails the whole row, which
-/// the resume loader treats as "recompute this cell".
+/// the resume loader treats as "recompute this cell" on the final line and
+/// as a corrupt checkpoint anywhere else.
 struct JsonCursor {
   const std::string& text;
   std::size_t pos = 0;

@@ -57,7 +57,8 @@ struct BatchRow {
 
 /// Parses one line previously produced by JsonlSink back into a BatchRow.
 /// Returns nullopt for anything malformed or truncated (the resume loader
-/// treats such lines as "cell not completed").  Round-trips exactly:
+/// treats such a final line as "cell not completed", and any other as a
+/// corrupt checkpoint).  Round-trips exactly:
 /// re-serializing the parsed row yields byte-identical JSONL, which is what
 /// lets --resume splice checkpointed rows into a fresh run.
 std::optional<BatchRow> parse_jsonl_row(const std::string& line);

@@ -294,12 +294,25 @@ std::map<std::string, std::vector<BatchRow>> load_sweep_checkpoint(
   std::map<std::string, std::vector<BatchRow>> cells;
   std::ifstream in(path);
   if (!in) return cells;  // cold start
-  std::string line;
-  while (std::getline(in, line)) {
+  std::string line, next;
+  bool more = static_cast<bool>(std::getline(in, line));
+  for (std::size_t n = 1; more; ++n, line.swap(next)) {
+    more = static_cast<bool>(std::getline(in, next));
+    // The Sweep constructor checks the shard header against the spec.
+    if (n == 1 && parse_shard_header(line).has_value()) continue;
     auto row = parse_jsonl_row(line);
-    // Unparseable lines (typically the truncated tail of a killed run) just
-    // leave their cell incomplete — it is re-evaluated, not trusted.
-    if (!row.has_value() || row->cell.empty()) continue;
+    const std::string where = path + ":" + std::to_string(n);
+    if (!row.has_value()) {
+      // A torn or blank final line is the write in flight when the run was
+      // killed: its cell stays incomplete and is re-evaluated, not trusted.
+      if (!more) break;
+      throw std::runtime_error(where + ": corrupt checkpoint line (only a torn FINAL "
+                               "line is tolerated)");
+    }
+    if (row->cell.empty()) {
+      throw std::runtime_error(where + ": row carries no sweep cell key; only sweep "
+                               "checkpoints can be resumed");
+    }
     cells[row->cell].push_back(std::move(*row));
   }
   return cells;

@@ -161,9 +161,11 @@ std::optional<SweepShardHeader> parse_shard_header(const std::string& line);
 std::optional<SweepShardHeader> read_shard_header(const std::string& path);
 
 /// Parses a JSONL checkpoint into rows grouped by cell key, tolerating a
-/// truncated final line (the row that was mid-write when the run died).
-/// A missing file yields an empty map — "resume from nothing" is a cold
-/// start, so the same command line works for the first and the Nth attempt.
+/// shard header on line 1 and a torn or blank final line (the row that was
+/// mid-write when the run died).  Any other unparseable line, and a row
+/// without a cell key, throws std::runtime_error naming `path:line`.  A
+/// missing file yields an empty map — "resume from nothing" is a cold start,
+/// so the same command line works for the first and the Nth attempt.
 std::map<std::string, std::vector<BatchRow>> load_sweep_checkpoint(
     const std::string& path);
 

@@ -45,13 +45,20 @@ std::string format_delta(double pct) {
 }  // namespace
 
 std::map<std::string, BenchResult> parse_bench_results(std::istream& in,
-                                                       const std::string& origin) {
+                                                       const std::string& origin,
+                                                       BenchContext* context) {
   std::map<std::string, BenchResult> rows;
   std::string line, current;
   bool in_benchmarks = false;
   while (std::getline(in, line)) {
     if (!in_benchmarks) {
       if (line.find("\"benchmarks\"") != std::string::npos) in_benchmarks = true;
+      if (context != nullptr) {
+        const std::string cpus = field_on_line(line, "num_cpus");
+        if (!cpus.empty()) context->num_cpus = cpus;
+        const std::string build = field_on_line(line, "library_build_type");
+        if (!build.empty()) context->library_build_type = build;
+      }
       continue;
     }
     const std::string name = field_on_line(line, "name");
@@ -75,10 +82,25 @@ std::map<std::string, BenchResult> parse_bench_results(std::istream& in,
   return rows;
 }
 
-std::map<std::string, BenchResult> load_bench_results(const std::string& path) {
+std::map<std::string, BenchResult> load_bench_results(const std::string& path,
+                                                      BenchContext* context) {
   std::ifstream in(path);
   if (!in) throw std::runtime_error("cannot read benchmark file: " + path);
-  return parse_bench_results(in, path);
+  return parse_bench_results(in, path, context);
+}
+
+std::string bench_context_mismatch(const BenchContext& baseline, const BenchContext& current) {
+  std::string fields;
+  const auto compare = [&fields](const char* name, const std::string& base,
+                                 const std::string& now) {
+    if (base == now) return;
+    fields += std::string(fields.empty() ? "" : ", ") + name + " " +
+              (base.empty() ? "?" : base) + " vs " + (now.empty() ? "?" : now);
+  };
+  compare("num_cpus", baseline.num_cpus, current.num_cpus);
+  compare("library_build_type", baseline.library_build_type, current.library_build_type);
+  if (fields.empty()) return "";
+  return "context mismatch (baseline vs current): " + fields;
 }
 
 std::vector<BenchDelta> diff_bench_results(
@@ -140,8 +162,10 @@ std::vector<std::string> bench_gate_violations(const std::vector<BenchDelta>& de
   return violations;
 }
 
-std::string render_bench_diff_markdown(const std::vector<BenchDelta>& deltas) {
+std::string render_bench_diff_markdown(const std::vector<BenchDelta>& deltas,
+                                       const std::string& mismatch) {
   std::ostringstream out;
+  if (!mismatch.empty()) out << "> " << mismatch << "\n\n";
   out << "| benchmark | baseline | current | real_time Δ | items/s Δ |\n"
       << "|---|---|---|---|---|\n";
   for (const auto& delta : deltas) {
@@ -172,8 +196,10 @@ std::string render_bench_diff_markdown(const std::vector<BenchDelta>& deltas) {
   return out.str();
 }
 
-std::string render_bench_diff_text(const std::vector<BenchDelta>& deltas) {
+std::string render_bench_diff_text(const std::vector<BenchDelta>& deltas,
+                                   const std::string& mismatch) {
   std::ostringstream out;
+  if (!mismatch.empty()) out << mismatch << "\n";
   out << std::left << std::setw(44) << "benchmark" << std::setw(16) << "baseline"
       << std::setw(16) << "current" << std::setw(12) << "time Δ" << "items/s Δ\n";
   for (const auto& delta : deltas) {

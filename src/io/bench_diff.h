@@ -16,6 +16,9 @@
 //   * A compared benchmark fails the gate when real_time grew more than
 //     the threshold OR items_per_second DROPPED more than the threshold —
 //     wall-time growth and throughput collapse are both regressions.
+//   * Two files whose context.num_cpus or context.library_build_type differ
+//     come from unlike machines or builds: the rendered table opens with one
+//     "context mismatch" line.  The gate itself does not change.
 #pragma once
 
 #include <istream>
@@ -31,13 +34,28 @@ struct BenchResult {
   double items_per_second = -1.0;  ///< -1 = not reported
 };
 
-/// Parses google-benchmark JSON from a stream (`origin` names it in errors).
-/// Throws std::runtime_error when no benchmarks are found.
+/// The fields of a file's "context" block that say whether two runs are
+/// comparable; "" when absent.
+struct BenchContext {
+  std::string num_cpus;
+  std::string library_build_type;
+};
+
+/// Parses google-benchmark JSON from a stream (`origin` names it in errors),
+/// and its context fields into `context` when given.  Throws
+/// std::runtime_error when no benchmarks are found.
 std::map<std::string, BenchResult> parse_bench_results(std::istream& in,
-                                                       const std::string& origin);
+                                                       const std::string& origin,
+                                                       BenchContext* context = nullptr);
 
 /// File convenience wrapper; throws std::runtime_error when unreadable.
-std::map<std::string, BenchResult> load_bench_results(const std::string& path);
+std::map<std::string, BenchResult> load_bench_results(const std::string& path,
+                                                      BenchContext* context = nullptr);
+
+/// One "context mismatch (baseline vs current): ..." line naming each
+/// differing field ("?" when absent), or "" when num_cpus and
+/// library_build_type both agree.
+std::string bench_context_mismatch(const BenchContext& baseline, const BenchContext& current);
 
 /// One benchmark's comparison verdict.
 struct BenchDelta {
@@ -71,10 +89,13 @@ std::vector<BenchDelta> diff_bench_results(
 std::vector<std::string> bench_gate_violations(const std::vector<BenchDelta>& deltas,
                                                double fail_over_pct);
 
-/// GitHub-flavored markdown table (for $GITHUB_STEP_SUMMARY).
-std::string render_bench_diff_markdown(const std::vector<BenchDelta>& deltas);
+/// GitHub-flavored markdown table (for $GITHUB_STEP_SUMMARY), opened by the
+/// `mismatch` line (bench_context_mismatch) as a quote when it is non-empty.
+std::string render_bench_diff_markdown(const std::vector<BenchDelta>& deltas,
+                                       const std::string& mismatch = "");
 
-/// Fixed-width terminal table.
-std::string render_bench_diff_text(const std::vector<BenchDelta>& deltas);
+/// Fixed-width terminal table, opened by the `mismatch` line when non-empty.
+std::string render_bench_diff_text(const std::vector<BenchDelta>& deltas,
+                                   const std::string& mismatch = "");
 
 }  // namespace hydra::io

@@ -145,16 +145,14 @@ DetectionResult measure_detection_times(const core::Instance& instance,
                                         const DetectionConfig& config,
                                         RtSlackProfileCache* profiles) {
   const std::vector<SimTask> tasks = build_sim_tasks(instance, allocation);
-  std::vector<ModeTask> fixed_rate;
-  fixed_rate.reserve(tasks.size());
-  for (const SimTask& task : tasks) fixed_rate.push_back(ModeTask{task, 0, {}});
   ModeSwitchOptions sim_options;
   sim_options.horizon = config.horizon;
   // Fixed-rate tasks consult no policy; naming the inert one says so.
   sim_options.controller.policy = "never-switch";
   RtSlackProfileCache own;
-  const ModeSwitchResult run = simulate_mode_band(
-      fixed_rate, instance.rt_tasks.size(), sim_options, profiles != nullptr ? *profiles : own);
+  const ModeSwitchResult run =
+      simulate_mode_band(fixed_rate_tasks(tasks), instance.rt_tasks.size(), sim_options,
+                         profiles != nullptr ? *profiles : own);
   return sample_attacks(run.trace, tasks, instance.rt_tasks.size(),
                         instance.security_tasks.size(), config);
 }

@@ -61,7 +61,7 @@ class RtSlackProfileCache;
 /// profile `profiles` supplies — one RT simulation per (RT task set,
 /// horizon), shared with the other measure_* calls given the same cache
 /// (nullptr: a private one).  Results are those of sim::simulate on
-/// build_sim_tasks, job for job.
+/// build_sim_tasks, job for job: both run fixed_rate_tasks of that list.
 DetectionResult measure_detection_times(const core::Instance& instance,
                                         const core::Allocation& allocation,
                                         const DetectionConfig& config,

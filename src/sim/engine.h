@@ -1,12 +1,13 @@
-// The discrete-event scheduling engine.
+// The partitioned fixed-priority schedule of one frozen period vector.
 //
 // Cores are independent under partitioned scheduling with independent tasks,
-// so the engine simulates each core's timeline separately: releases are
-// strictly periodic; at every scheduling point (release or completion) the
-// highest-priority ready job runs (a task's backlogged jobs in release
-// order); non-preemptive jobs, once started, run to
-// completion regardless of later higher-priority releases (paper §V
-// extension).
+// so each core's timeline is simulated separately: at every scheduling point
+// (release or completion) the highest-priority ready job runs (a task's
+// backlogged jobs in release order); non-preemptive jobs, once started, run
+// to completion regardless of later higher-priority releases (paper §V
+// extension), and the releases they hold back are admitted in release-time
+// order.  simulate is the fixed-rate, controller-free case of the
+// mode-switching engine's per-core loop (sim/mode_switch.cpp defines it).
 #pragma once
 
 #include <vector>
@@ -32,8 +33,8 @@ struct SimOptions {
   bool record_segments = false;
 };
 
-/// Runs the schedule.  Task priorities must be distinct per core (throws
-/// std::invalid_argument otherwise).  Returns the full trace.
+/// Runs the schedule.  Tasks must pass check_task and have distinct
+/// priorities per core (throws std::invalid_argument otherwise).
 Trace simulate(const std::vector<SimTask>& tasks, const SimOptions& options);
 
 }  // namespace hydra::sim

@@ -32,9 +32,7 @@ void validate_inputs(const std::vector<GlobalSimTask>& tasks, const GlobalSimOpt
   std::set<int> global_prios;
   for (const auto& gt : tasks) {
     const SimTask& t = gt.task;
-    HYDRA_REQUIRE(t.wcet > 0 && t.period > 0 && t.deadline > 0,
-                  "task '" + t.name + "' needs positive WCET/period/deadline");
-    HYDRA_REQUIRE(t.wcet <= t.deadline, "task '" + t.name + "' has WCET > deadline");
+    check_task(t);
     if (gt.global_band) {
       HYDRA_REQUIRE(t.preemptive,
                     "global-band task '" + t.name + "' must be preemptive (migration)");

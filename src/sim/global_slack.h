@@ -11,8 +11,8 @@
 // migration cost — the optimistic end of the design space; the bench
 // quantifies the gap to HYDRA's static placement).
 //
-// Unlike the partitioned engine (sim/engine.h) this cannot simulate cores
-// independently: a single global timeline drives all cores.
+// Unlike the partitioned loop (sim::simulate, simulate_mode_switching) this
+// cannot simulate cores independently: one global timeline drives all cores.
 #pragma once
 
 #include <vector>
@@ -36,7 +36,7 @@ struct GlobalSimOptions {
 
 /// Runs the global-slack schedule.  RT (non-global) tasks must carry distinct
 /// priorities per core; global tasks must carry distinct priorities among
-/// themselves.  Returns the same Trace shape as the partitioned engine.
+/// themselves.  Returns the same Trace shape as sim::simulate.
 Trace simulate_global_slack(const std::vector<GlobalSimTask>& tasks,
                             const GlobalSimOptions& options);
 

@@ -4,12 +4,13 @@
 #include <cmath>
 #include <limits>
 #include <optional>
-#include <set>
 #include <string>
+#include <tuple>
 #include <utility>
 
 #include "sim/attack.h"
 #include "sim/busy_window.h"
+#include "sim/engine.h"
 #include "sim/slack_profile.h"
 #include "util/contracts.h"
 #include "util/rng.h"
@@ -20,8 +21,8 @@ namespace {
 
 constexpr util::SimTime kNever = std::numeric_limits<util::SimTime>::max();
 
-/// A released-but-unfinished job on a core.  Unlike the fixed-rate engine the
-/// relative deadline is per job: it is the period the controller chose at the
+/// A released-but-unfinished job on a core.  The relative deadline is per
+/// job: a switchable monitor's is the period the controller chose at the
 /// job's release boundary.
 struct LiveJob {
   std::size_t task = 0;
@@ -44,15 +45,16 @@ struct TaskMode {
 
 void check_distinct_priorities(const std::vector<ModeTask>& tasks,
                                const std::vector<std::size_t>& members, std::size_t core) {
-  std::set<int> prios;
-  for (const std::size_t ti : members) {
-    HYDRA_REQUIRE(prios.insert(tasks[ti].task.priority).second,
-                  "duplicate priority on core " + std::to_string(core));
-  }
+  std::vector<int> prios;
+  prios.reserve(members.size());
+  for (const std::size_t ti : members) prios.push_back(tasks[ti].task.priority);
+  std::sort(prios.begin(), prios.end());
+  HYDRA_REQUIRE(std::adjacent_find(prios.begin(), prios.end()) == prios.end(),
+                "duplicate priority on core " + std::to_string(core));
 }
 
 /// The controller side of one core: the policy instance, each member's mode
-/// state and the ModeStats accounting.  The full engine and the band loop
+/// state and the ModeStats accounting.  The full loop and the band loop
 /// both drive it, so they make the same decisions from the same
 /// observations.
 class CoreController {
@@ -186,19 +188,70 @@ std::optional<std::size_t> highest_priority(const std::vector<ModeTask>& tasks,
   return best;
 }
 
+/// The core's slack window: the configured one, or 0 = auto — long enough
+/// that one minimum-mode hyperperiod of the slowest switchable monitor fits
+/// four times over.
+util::SimTime resolve_window(const std::vector<ModeTask>& tasks,
+                             const std::vector<std::size_t>& members,
+                             util::SimTime configured) {
+  util::SimTime window = configured;
+  if (window == 0) {
+    for (const std::size_t ti : members) {
+      if (tasks[ti].switchable()) window = std::max(window, 4 * tasks[ti].task.period);
+    }
+    if (window == 0) window = 1;  // no switchable task: value is irrelevant
+  }
+  return window;
+}
+
+/// What a controlled run adds to the partitioned loop: the mode options, the
+/// resolved policy and the stats its controllers fill.
+struct Controlled {
+  const ModeSwitchOptions& options;
+  const std::string& policy_name;
+  ModeStats& stats;
+};
+
+/// The partitioned loop of one core, behind both sim::simulate and
+/// simulate_mode_switching: releases are admitted in release-time order (ties
+/// by member order), the highest-priority ready job runs (a task's backlogged
+/// jobs in release order), a started non-preemptive job keeps the CPU to its
+/// completion, and anything unfinished at horizon + grace is incomplete.
+/// `controlled` null (sim::simulate): every job runs at its task's period and
+/// deadline, and the core builds no controller, keeps no busy history and
+/// fills no ModeStats.
 void simulate_core(const std::vector<ModeTask>& tasks,
-                   const std::vector<std::size_t>& members,
-                   const ModeSwitchOptions& options,
-                   const std::string& policy_name, util::SimTime window,
-                   Trace& trace, ModeStats& stats, std::size_t core,
+                   const std::vector<std::size_t>& members, const SimOptions& options,
+                   const Controlled* controlled, Trace& trace, std::size_t core,
                    util::Xoshiro256 rng) {
   check_distinct_priorities(tasks, members, core);
-  CoreController control(tasks, members, options, policy_name, window, stats);
+  std::optional<CoreController> control;
+  std::optional<BusyWindow> history;
+  if (controlled != nullptr) {
+    const util::SimTime window =
+        resolve_window(tasks, members, controlled->options.controller.slack_window);
+    control.emplace(tasks, members, controlled->options, controlled->policy_name, window,
+                    controlled->stats);
+    // A non-preemptive job delays release admission (and hence controller
+    // decisions) by up to its WCET past the clock; widen the retention guard
+    // so those late decisions still see their full window.
+    util::SimTime admission_lag = 0;
+    for (const std::size_t ti : members) {
+      if (!tasks[ti].task.preemptive) {
+        admission_lag = std::max(admission_lag, tasks[ti].task.wcet);
+      }
+    }
+    history.emplace(window + admission_lag);
+  }
 
   std::vector<util::SimTime> next_release(tasks.size(), kNever);
   for (const std::size_t ti : members) {
-    if (tasks[ti].task.release_offset < options.horizon) {
-      next_release[ti] = tasks[ti].task.release_offset;
+    const SimTask& task = tasks[ti].task;
+    if (task.release_offset < options.horizon) {
+      next_release[ti] = task.release_offset;
+      // The job count at the task's level-0 period: exact for a fixed-rate,
+      // jitter-free task, a bound for a jittered one.
+      trace.jobs[ti].reserve((options.horizon - task.release_offset - 1) / task.period + 1);
     }
   }
 
@@ -206,18 +259,8 @@ void simulate_core(const std::vector<ModeTask>& tasks,
   const util::SimTime hard_stop = options.horizon + options.grace;
   util::SimTime now = 0;
   util::SimTime busy = 0;
-  // A non-preemptive job delays release admission (and hence controller
-  // decisions) by up to its WCET past the clock; widen the retention guard so
-  // those late decisions still see their full window.
-  util::SimTime admission_lag = 0;
-  for (const std::size_t ti : members) {
-    if (!tasks[ti].task.preemptive) {
-      admission_lag = std::max(admission_lag, tasks[ti].task.wcet);
-    }
-  }
-  BusyWindow history(window + admission_lag);
   const auto busy_in = [&history](util::SimTime from, util::SimTime to) {
-    return history.busy_in(from, to);
+    return history->busy_in(from, to);
   };
   std::optional<std::size_t> locked;  // started non-preemptive job, if any
 
@@ -251,8 +294,12 @@ void simulate_core(const std::vector<ModeTask>& tasks,
       const std::size_t ti = *next;
       const SimTask& task = tasks[ti].task;
       const util::SimTime at = next_release[ti];
-      control.decide(ti, at, busy_in);
-      const auto [period, deadline] = control.release(ti);
+      util::SimTime period = task.period;
+      util::SimTime deadline = task.deadline;
+      if (control.has_value()) {
+        control->decide(ti, at, busy_in);
+        std::tie(period, deadline) = control->release(ti);
+      }
       const std::size_t job_index = record_release(trace, ti, at);
       ready.push_back(LiveJob{ti, job_index, draw_exec(task), deadline, at, false});
       util::SimTime gap = period;
@@ -282,11 +329,14 @@ void simulate_core(const std::vector<ModeTask>& tasks,
     }
 
     const util::SimTime completion_at = now + job.remaining;
+    // A preemptive job runs until it completes or the next release arrives;
+    // a non-preemptive job always runs to completion.
     util::SimTime run_until = completion_at;
     if (task.preemptive) run_until = std::min(run_until, earliest_release());
     run_until = std::min(run_until, hard_stop);
 
     if (options.record_segments && run_until > now) {
+      // Merge with the previous segment when the same job continues.
       if (!trace.segments.empty() && trace.segments.back().core == core &&
           trace.segments.back().task == job.task && trace.segments.back().to == now) {
         trace.segments.back().to = run_until;
@@ -294,15 +344,16 @@ void simulate_core(const std::vector<ModeTask>& tasks,
         trace.segments.push_back(ExecutionSegment{job.task, core, now, run_until});
       }
     }
-    history.add(now, run_until);
+    if (history.has_value()) history->add(now, run_until);
     busy += run_until - now;
     job.remaining -= run_until - now;
     now = run_until;
 
     if (job.remaining == 0) {
       record_completion(rec, job, now);
-      control.deliver_detections(job.task, job.release, now);
+      if (control.has_value()) control->deliver_detections(job.task, job.release, now);
       if (locked.has_value() && *locked == *chosen) locked = std::nullopt;
+      // Swap-remove; fix the locked index if the tail job was the locked one.
       const std::size_t last = ready.size() - 1;
       if (*chosen != last) {
         ready[*chosen] = ready[last];
@@ -326,7 +377,7 @@ void simulate_core(const std::vector<ModeTask>& tasks,
 /// are taken in real-time order: an idle position orders them except among
 /// releases inside one RT busy interval, which share an idle position and
 /// go by (release time, task index), and a completion precedes a release at
-/// the same position, as it does in the full engine.  The controller's
+/// the same position, as it does in the full loop.  The controller's
 /// window busy time is the RT busy time from the profile plus the
 /// monitors' own, kept in a BusyWindow on the idle axis.
 void simulate_band_core(const std::vector<ModeTask>& tasks,
@@ -414,22 +465,11 @@ void simulate_band_core(const std::vector<ModeTask>& tasks,
   }
 }
 
-/// The input checks both entry points share; returns the resolved policy.
-std::string validate_inputs(const std::vector<ModeTask>& tasks,
-                            const ModeSwitchOptions& options) {
-  HYDRA_REQUIRE(options.horizon > 0, "simulation horizon must be positive");
-  options.controller.validate();
-  std::string policy_name = resolve_policy(options.controller.policy);
-  ControllerRegistry::global().require(policy_name);
-  for (std::size_t i = 1; i < options.attack_times.size(); ++i) {
-    HYDRA_REQUIRE(options.attack_times[i - 1] <= options.attack_times[i],
-                  "attack_times must be ascending");
-  }
+/// The per-task checks of every partitioned run.
+void check_tasks(const std::vector<ModeTask>& tasks) {
   for (const auto& mt : tasks) {
     const SimTask& t = mt.task;
-    HYDRA_REQUIRE(t.wcet > 0 && t.period > 0 && t.deadline > 0,
-                  "task '" + t.name + "' needs positive WCET/period/deadline");
-    HYDRA_REQUIRE(t.wcet <= t.deadline, "task '" + t.name + "' has WCET > deadline");
+    check_task(t);
     if (mt.adapted_period > 0) {
       HYDRA_REQUIRE(mt.adapted_period >= t.wcet,
                     "task '" + t.name + "' has adapted period below its WCET");
@@ -446,6 +486,21 @@ std::string validate_inputs(const std::vector<ModeTask>& tasks,
       }
     }
   }
+}
+
+/// The input checks both mode-switching entry points share; returns the
+/// resolved policy.
+std::string validate_inputs(const std::vector<ModeTask>& tasks,
+                            const ModeSwitchOptions& options) {
+  HYDRA_REQUIRE(options.horizon > 0, "simulation horizon must be positive");
+  options.controller.validate();
+  std::string policy_name = resolve_policy(options.controller.policy);
+  ControllerRegistry::global().require(policy_name);
+  for (std::size_t i = 1; i < options.attack_times.size(); ++i) {
+    HYDRA_REQUIRE(options.attack_times[i - 1] <= options.attack_times[i],
+                  "attack_times must be ascending");
+  }
+  check_tasks(tasks);
   return policy_name;
 }
 
@@ -463,25 +518,30 @@ std::vector<std::size_t> members_of(const std::vector<ModeTask>& tasks, std::siz
   return members;
 }
 
-/// The options with the auto grace resolved (largest minimum-mode deadline).
-ModeSwitchOptions with_grace(const std::vector<ModeTask>& tasks,
-                             const ModeSwitchOptions& options) {
-  ModeSwitchOptions effective = options;
-  if (effective.grace == 0) {
-    for (const auto& mt : tasks) {
-      effective.grace = std::max(effective.grace, mt.task.deadline);
-    }
+/// The completion grace: the configured one, or 0 = auto (the largest
+/// minimum-mode deadline).
+util::SimTime resolve_grace(const std::vector<ModeTask>& tasks, util::SimTime configured) {
+  util::SimTime grace = configured;
+  if (grace == 0) {
+    for (const auto& mt : tasks) grace = std::max(grace, mt.task.deadline);
   }
-  return effective;
+  return grace;
+}
+
+/// A trace with every per-task and per-core vector sized and zeroed.
+Trace empty_trace(std::size_t num_tasks, std::size_t num_cores, util::SimTime horizon) {
+  Trace trace;
+  trace.horizon = horizon;
+  trace.jobs.assign(num_tasks, {});
+  trace.core_busy.assign(num_cores, 0);
+  return trace;
 }
 
 /// A result with every per-task vector sized and zeroed.
 ModeSwitchResult empty_result(std::size_t num_tasks, std::size_t num_cores,
                               util::SimTime horizon) {
   ModeSwitchResult result;
-  result.trace.horizon = horizon;
-  result.trace.jobs.assign(num_tasks, {});
-  result.trace.core_busy.assign(num_cores, 0);
+  result.trace = empty_trace(num_tasks, num_cores, horizon);
   result.stats.switches.assign(num_tasks, 0);
   result.stats.min_residency.assign(num_tasks, 0);
   result.stats.adapted_residency.assign(num_tasks, 0);
@@ -493,20 +553,19 @@ ModeSwitchResult empty_result(std::size_t num_tasks, std::size_t num_cores,
   return result;
 }
 
-/// The core's slack window: the configured one, or 0 = auto — long enough
-/// that one minimum-mode hyperperiod of the slowest switchable monitor fits
-/// four times over.
-util::SimTime resolve_window(const std::vector<ModeTask>& tasks,
-                             const std::vector<std::size_t>& members,
-                             util::SimTime configured) {
-  util::SimTime window = configured;
-  if (window == 0) {
-    for (const std::size_t ti : members) {
-      if (tasks[ti].switchable()) window = std::max(window, 4 * tasks[ti].task.period);
+/// Runs simulate_core on every core, in core order, each on its own RNG
+/// stream forked from `options.seed` in core order, so one core's draws never
+/// shift another's schedule.  `controlled` null: no core has a controller.
+void simulate_partitioned(const std::vector<ModeTask>& tasks, const SimOptions& options,
+                          const Controlled* controlled, Trace& trace) {
+  util::Xoshiro256 root_rng(options.seed);
+  for (std::size_t core = 0; core < trace.core_busy.size(); ++core) {
+    util::Xoshiro256 core_rng = root_rng.fork();
+    const std::vector<std::size_t> members = members_of(tasks, core);
+    if (!members.empty()) {
+      simulate_core(tasks, members, options, controlled, trace, core, std::move(core_rng));
     }
-    if (window == 0) window = 1;  // no switchable task: value is irrelevant
   }
-  return window;
 }
 
 std::size_t sum(const std::vector<std::size_t>& v) {
@@ -536,25 +595,32 @@ std::size_t ModeStats::total_denied_dwell() const { return sum(denied_dwell); }
 std::size_t ModeStats::total_denied_budget() const { return sum(denied_budget); }
 std::size_t ModeStats::total_detections() const { return sum(detections); }
 
+std::vector<ModeTask> fixed_rate_tasks(const std::vector<SimTask>& tasks) {
+  std::vector<ModeTask> fixed;
+  fixed.reserve(tasks.size());
+  for (const SimTask& task : tasks) fixed.push_back(ModeTask{task, 0, {}});
+  return fixed;
+}
+
+Trace simulate(const std::vector<SimTask>& tasks, const SimOptions& options) {
+  HYDRA_REQUIRE(options.horizon > 0, "simulation horizon must be positive");
+  const std::vector<ModeTask> fixed = fixed_rate_tasks(tasks);
+  check_tasks(fixed);
+  SimOptions effective = options;
+  effective.grace = resolve_grace(fixed, options.grace);
+  Trace trace = empty_trace(fixed.size(), core_count(fixed), options.horizon);
+  simulate_partitioned(fixed, effective, nullptr, trace);
+  return trace;
+}
+
 ModeSwitchResult simulate_mode_switching(const std::vector<ModeTask>& tasks,
                                          const ModeSwitchOptions& options) {
   const std::string policy_name = validate_inputs(tasks, options);
-  const std::size_t num_cores = core_count(tasks);
-  const ModeSwitchOptions effective = with_grace(tasks, options);
-  ModeSwitchResult result = empty_result(tasks.size(), num_cores, options.horizon);
-
-  util::Xoshiro256 root_rng(options.seed);
-  for (std::size_t core = 0; core < num_cores; ++core) {
-    // Independent per-core streams, forked in core order — identical protocol
-    // to sim::simulate, so one core's draws never shift another's schedule.
-    util::Xoshiro256 core_rng = root_rng.fork();
-    const std::vector<std::size_t> members = members_of(tasks, core);
-    if (members.empty()) continue;
-    const util::SimTime window =
-        resolve_window(tasks, members, effective.controller.slack_window);
-    simulate_core(tasks, members, effective, policy_name, window, result.trace,
-                  result.stats, core, std::move(core_rng));
-  }
+  ModeSwitchResult result = empty_result(tasks.size(), core_count(tasks), options.horizon);
+  const SimOptions run{options.horizon, resolve_grace(tasks, options.grace), options.seed,
+                       options.record_segments};
+  const Controlled controlled{options, policy_name, result.stats};
+  simulate_partitioned(tasks, run, &controlled, result.trace);
   return result;
 }
 
@@ -566,7 +632,8 @@ ModeSwitchResult simulate_mode_band(const std::vector<ModeTask>& tasks, std::siz
   for (std::size_t core = 0; core < num_cores; ++core) {
     check_distinct_priorities(tasks, members_of(tasks, core), core);
   }
-  const ModeSwitchOptions effective = with_grace(tasks, options);
+  ModeSwitchOptions effective = options;
+  effective.grace = resolve_grace(tasks, options.grace);
 
   HYDRA_REQUIRE(num_rt <= tasks.size(), "more RT tasks than tasks");
   std::vector<SimTask> rt_tasks;

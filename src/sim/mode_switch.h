@@ -1,7 +1,7 @@
 // Runtime mode-switching simulation (the Contego adaptive story executed,
 // not just allocated — arXiv:1705.00138 §runtime, arXiv:1911.11937).
 //
-// The partitioned engine (sim/engine.h) replays ONE frozen period vector.
+// sim::simulate replays ONE frozen period vector on this engine's loop.
 // This layer executes a *policy*: every security task carries the committed
 // period ladder of its core::ModeTable entry — level 0 is the minimum mode
 // (Tmax), the top level is the adapted mode (the allocator's tightened
@@ -31,8 +31,8 @@
 //     without attack_times.
 //
 // Determinism: cores are simulated independently (partitioned scheduling,
-// fixed placements) with per-core forked RNG streams exactly like the
-// partitioned engine, and every controller decision is a pure function of the
+// fixed placements) with per-core forked RNG streams exactly like
+// sim::simulate, and every controller decision is a pure function of the
 // core-local schedule history plus the delivered detection events — so a
 // fixed seed reproduces the trace, the level decisions, and the switch-event
 // stream byte-for-byte, and results can ride exp::Sweep worker threads
@@ -142,8 +142,8 @@ struct ModeSwitchResult {
   ModeStats stats;
 };
 
-/// Runs the mode-switching schedule.  Same task-validity rules as
-/// sim::simulate plus: a non-zero adapted_period must lie in
+/// Runs the mode-switching schedule.  sim::simulate's task-validity rules
+/// (the same check) plus: a non-zero adapted_period must lie in
 /// [wcet, minimum-mode period); intermediate levels must be strictly
 /// decreasing and strictly inside (adapted_period, minimum-mode period); the
 /// controller config must pass ModeControllerConfig::validate() and its
@@ -151,6 +151,10 @@ struct ModeSwitchResult {
 /// Throws std::invalid_argument on violations.
 ModeSwitchResult simulate_mode_switching(const std::vector<ModeTask>& tasks,
                                          const ModeSwitchOptions& options);
+
+/// `tasks` as fixed-rate ModeTasks ({task, 0, {}}): the list sim::simulate and
+/// the fixed-rate detection measurement run.
+std::vector<ModeTask> fixed_rate_tasks(const std::vector<SimTask>& tasks);
 
 class RtSlackProfileCache;
 

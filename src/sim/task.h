@@ -33,6 +33,11 @@ struct SimTask {
   double exec_fraction_min = 1.0;
 };
 
+/// The per-task input rules every engine shares: positive WCET, period and
+/// deadline, WCET <= deadline, and a finite exec_fraction_min in [0, 1].
+/// Throws std::invalid_argument naming the task otherwise.
+void check_task(const SimTask& task);
+
 /// What happened to one job.
 struct JobRecord {
   util::SimTime release = 0;
@@ -56,14 +61,14 @@ struct Trace {
   std::vector<util::SimTime> core_busy;      ///< busy ticks per core
   util::SimTime horizon = 0;
   /// Cross-core job resumptions; only the global-slack engine migrates, the
-  /// partitioned engine always reports 0.
+  /// partitioned runs always report 0.
   std::size_t migrations = 0;
   /// Execution intervals in chronological order per core; filled only when
   /// the engine is asked to record them (SimOptions::record_segments).
   std::vector<ExecutionSegment> segments;
   /// Deadline misses of jobs this trace does not record in `jobs`.  The band
   /// engines (sim/slack_profile.h) record only the monitors' jobs and carry
-  /// the RT misses of the shared profile here; the full engines leave it 0.
+  /// the RT misses of the shared profile here; the full runs leave it 0.
   std::size_t unrecorded_misses = 0;
 
   std::size_t total_jobs() const;

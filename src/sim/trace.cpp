@@ -5,6 +5,16 @@
 
 namespace hydra::sim {
 
+void check_task(const SimTask& t) {
+  HYDRA_REQUIRE(t.wcet > 0 && t.period > 0 && t.deadline > 0,
+                "task '" + t.name + "' needs positive WCET/period/deadline");
+  HYDRA_REQUIRE(t.wcet <= t.deadline, "task '" + t.name + "' has WCET > deadline");
+  // The range test fails for NaN too: the engines draw from
+  // U(exec_fraction_min, 1] and convert the result to ticks.
+  HYDRA_REQUIRE(t.exec_fraction_min >= 0.0 && t.exec_fraction_min <= 1.0,
+                "task '" + t.name + "' has exec_fraction_min outside [0, 1]");
+}
+
 std::size_t Trace::total_jobs() const {
   std::size_t n = 0;
   for (const auto& per_task : jobs) n += per_task.size();

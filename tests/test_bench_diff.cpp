@@ -14,11 +14,13 @@ namespace io = hydra::io;
 namespace {
 
 /// Minimal google-benchmark JSON with the fields the parser reads.
-std::string bench_json(const std::string& rows) {
+std::string bench_json(const std::string& rows, const std::string& num_cpus = "8",
+                       const std::string& build_type = "release") {
   return "{\n"
          "  \"context\": {\n"
          "    \"date\": \"2026-08-08T00:00:00\",\n"
-         "    \"num_cpus\": 8\n"
+         "    \"num_cpus\": " + num_cpus + ",\n"
+         "    \"library_build_type\": \"" + build_type + "\"\n"
          "  },\n"
          "  \"benchmarks\": [\n" +
          rows +
@@ -153,4 +155,44 @@ TEST(BenchDiff, MarkdownRendersComparedRowWithBothDeltas) {
   EXPECT_NE(md.find("| BM_A |"), std::string::npos);
   EXPECT_NE(md.find("-50.0%"), std::string::npos);
   EXPECT_NE(md.find("+100.0%"), std::string::npos);
+}
+
+TEST(BenchDiff, UnlikeMachinesAreFlaggedButNotGated) {
+  // A 1-CPU debug baseline against a 4-CPU release run: both renderings open
+  // with one "context mismatch" line naming the two fields; the gate is
+  // unchanged.
+  const auto context_of = [](const std::string& json) {
+    std::istringstream in(json);
+    io::BenchContext context;
+    io::parse_bench_results(in, "test", &context);
+    return context;
+  };
+  const std::string base_json = bench_json(bench_row("BM_A", 100.0, -1.0, true), "1", "debug");
+  const std::string now_json = bench_json(bench_row("BM_A", 180.0, -1.0, true), "4", "release");
+  const io::BenchContext base = context_of(base_json);
+  const io::BenchContext now = context_of(now_json);
+  EXPECT_EQ(base.num_cpus, "1");
+  EXPECT_EQ(base.library_build_type, "debug");
+
+  const std::string mismatch = io::bench_context_mismatch(base, now);
+  EXPECT_EQ(mismatch,
+            "context mismatch (baseline vs current): num_cpus 1 vs 4, "
+            "library_build_type debug vs release");
+  const auto deltas = io::diff_bench_results(parse(base_json), parse(now_json));
+  const std::string text = io::render_bench_diff_text(deltas, mismatch);
+  const std::string md = io::render_bench_diff_markdown(deltas, mismatch);
+  EXPECT_EQ(text.rfind(mismatch + "\n", 0), 0u) << text;
+  EXPECT_EQ(md.rfind("> " + mismatch + "\n", 0), 0u) << md;
+  EXPECT_EQ(text.find("context mismatch", 1), std::string::npos);
+  EXPECT_EQ(md.find("context mismatch", 3), std::string::npos);
+  EXPECT_EQ(io::bench_gate_violations(deltas, 90.0).size(), 0u);
+  EXPECT_EQ(io::bench_gate_violations(deltas, 50.0).size(), 1u);
+
+  // One differing field names only that field; like machines print nothing.
+  io::BenchContext same_cpus = now;
+  same_cpus.num_cpus = "1";
+  EXPECT_EQ(io::bench_context_mismatch(base, same_cpus),
+            "context mismatch (baseline vs current): library_build_type debug vs release");
+  EXPECT_EQ(io::bench_context_mismatch(now, now), "");
+  EXPECT_EQ(io::render_bench_diff_text(deltas).find("context mismatch"), std::string::npos);
 }

@@ -202,6 +202,8 @@ TEST(ControllerStress, ExhaustedBudgetDenialsAreCounted) {
 // never-switch ≡ static minimum mode, with and without attack injection
 // ---------------------------------------------------------------------------
 
+// sim::simulate runs the same per-core loop without a controller, so this
+// compares the loop's controller path with its controller-free path.
 TEST(ControllerStress, NeverSwitchMatchesStaticEngineJobForJobUnderAttack) {
   const auto w = load_workload("bursty_thrash_2core.txt");
   const auto table = core::build_mode_table(w.instance, w.allocation, 4);

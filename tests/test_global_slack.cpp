@@ -4,6 +4,9 @@
 // case study.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+
 #include "core/hydra.h"
 #include "gen/uav.h"
 #include "sim/attack.h"
@@ -179,6 +182,18 @@ TEST(GlobalSlack, ValidatesInputs) {
 
   auto misplaced = rt_task("r", 10, 100, 7, 0);
   EXPECT_THROW(sim::simulate_global_slack({misplaced}, opts), std::invalid_argument);
+
+  // An execution fraction the engine cannot draw from, named in the error.
+  for (const double fraction : {std::nan(""), -3.0, 1.5}) {
+    auto varying = sec_task("varying", 10, 100, 100);
+    varying.task.exec_fraction_min = fraction;
+    try {
+      sim::simulate_global_slack({varying}, opts);
+      ADD_FAILURE() << "exec_fraction_min " << fraction << " accepted";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find("varying"), std::string::npos) << error.what();
+    }
+  }
 }
 
 TEST(GlobalSlack, DetectionNeverWorseThanStaticOnCaseStudy) {

@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <sstream>
+#include <string>
 
 #include "core/contego.h"
 #include "core/mode_table.h"
@@ -289,6 +290,18 @@ TEST(ModeController, ValidatesInputs) {
   const auto dup_b = monitor_task("b", 10, 1000, 100, 0, 3);
   EXPECT_THROW(sim::simulate_mode_switching({dup_a, dup_b}, opts),
                std::invalid_argument);
+
+  // An execution fraction the engine cannot draw from, named in the error.
+  for (const double fraction : {std::nan(""), -3.0, 1.5}) {
+    auto varying = mon;
+    varying.task.exec_fraction_min = fraction;
+    try {
+      sim::simulate_mode_switching({varying}, opts);
+      ADD_FAILURE() << "exec_fraction_min " << fraction << " accepted";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find("'mon'"), std::string::npos) << error.what();
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -297,7 +310,9 @@ TEST(ModeController, ValidatesInputs) {
 
 TEST(ModeSwitchDeterminism, NeverSwitchingEqualsStaticMinimumMode) {
   // Under the never-switch policy the controller is inert: the trace must
-  // equal the plain engine's on the minimum-mode task list, job by job.
+  // equal sim::simulate's on the minimum-mode task list, job by job.  Both
+  // run the same per-core loop, so this compares its controller path (policy,
+  // busy history, ModeStats) with its controller-free path.
   // (Historically this test faked inertness with tighten_threshold = 1.5;
   // config validation now rejects out-of-[0,1] thresholds, and the registry
   // says it properly.)

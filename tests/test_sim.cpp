@@ -3,8 +3,12 @@
 // conservation, and trace queries.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+
 #include "sim/engine.h"
 #include "sim/task.h"
+#include "util/rng.h"
 
 namespace sim = hydra::sim;
 using hydra::util::SimTime;
@@ -137,6 +141,57 @@ TEST(Engine, InvalidTasksRejected) {
   bad = make("bad", 200, 100, 0, 0);  // wcet > deadline
   EXPECT_THROW(sim::simulate({bad}, {1000}), std::invalid_argument);
   EXPECT_THROW(sim::simulate({make("a", 1, 10, 0, 0)}, {0}), std::invalid_argument);
+  // An execution fraction the engine cannot draw from: NaN, or outside [0, 1]
+  // (a negative one used to turn into a huge unsigned job length).
+  for (const double fraction : {std::nan(""), -3.0, 1.5}) {
+    auto varying = make("varying", 10, 100, 0, 0);
+    varying.exec_fraction_min = fraction;
+    try {
+      sim::simulate({varying}, {1000});
+      ADD_FAILURE() << "exec_fraction_min " << fraction << " accepted";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find("varying"), std::string::npos) << error.what();
+    }
+  }
+}
+
+TEST(Engine, ReleasesHeldBackByNonPreemptiveJobAreAdmittedInReleaseTimeOrder) {
+  // The non-preemptive job runs [0, 100) and holds back `late` (released at
+  // 60) and `early` (released at 30), which come in the reverse order in the
+  // task list.  Both are admitted at 100 in release-time order: early's
+  // execution draw and jitter draw come first, then late's.  Late has the
+  // higher priority, so it runs first, then early.
+  const auto varying = [](const std::string& name, SimTime offset, int priority) {
+    auto t = make(name, 200, 1000, 0, priority, true, offset);
+    t.release_jitter = 50;
+    t.exec_fraction_min = 0.1;
+    return t;
+  };
+  const auto np = make("np", 100, 1000, 0, 9, /*preemptive=*/false);
+  sim::SimOptions opts;
+  opts.horizon = 1000;
+  opts.seed = 17;
+  const auto trace = sim::simulate({np, varying("late", 60, 1), varying("early", 30, 2)}, opts);
+
+  hydra::util::Xoshiro256 root(opts.seed);
+  hydra::util::Xoshiro256 rng = root.fork();  // core 0's stream
+  const auto draw_exec = [&rng]() {
+    return static_cast<SimTime>(std::ceil(rng.uniform(0.1, 1.0) * 200.0));
+  };
+  const SimTime early_exec = draw_exec();
+  rng.uniform_int(1, 50);  // early's jitter
+  const SimTime late_exec = draw_exec();
+
+  ASSERT_EQ(trace.jobs[1].size(), 1u);
+  ASSERT_EQ(trace.jobs[2].size(), 1u);
+  const auto& late = trace.jobs[1][0];
+  const auto& early = trace.jobs[2][0];
+  EXPECT_EQ(late.release, 60u);
+  EXPECT_EQ(early.release, 30u);
+  EXPECT_EQ(late.start, 100u);
+  EXPECT_EQ(late.completion, 100u + late_exec);
+  EXPECT_EQ(early.start, late.completion);
+  EXPECT_EQ(early.completion, early.start + early_exec);
 }
 
 TEST(Trace, FirstCompletionReleasedAfterQuery) {

@@ -2,9 +2,9 @@
 //
 // The detection measurements simulate the RT tasks once (sim::RtSlackProfile)
 // and schedule only the monitors on the idle time that leaves.  The full
-// engines — sim::simulate, sim::simulate_mode_switching and
-// sim::simulate_global_slack — stay the general API and serve here as the
-// oracle: on every input below the band path must reproduce each monitor's
+// engines — the per-core loop behind sim::simulate and
+// sim::simulate_mode_switching, and sim::simulate_global_slack — stay the
+// general API and serve here as the oracle: on every input below the band path must reproduce each monitor's
 // JobRecords (release, start, completion, completed, deadline_missed), the
 // deadline-miss count, every ModeStats vector and the switch-event stream,
 // and the measure_* entry points must return DetectionResults whose

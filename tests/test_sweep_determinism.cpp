@@ -275,6 +275,44 @@ TEST(SweepResume, TruncatedCheckpointReproducesUninterruptedRunExactly) {
   EXPECT_EQ(os.str(), full);
 }
 
+TEST(SweepResume, CorruptMiddleLineIsRejected) {
+  // Only the final line of a checkpoint can be a torn write; a corrupt line
+  // before it, or a row without a cell key, means the file is not what the
+  // sweep wrote.  That used to be skipped silently (its cell recomputed); it
+  // must throw, naming path:line.
+  const auto full = run_rows(small_grid());
+  const std::size_t second = full.find('\n') + 1;
+  const std::size_t third = full.find('\n', second) + 1;
+  ASSERT_LT(third, full.size());
+  const auto expect_rejected = [](const std::string& content, const std::string& what) {
+    const TempCheckpoint checkpoint(content);
+    auto spec = small_grid();
+    spec.resume_path = checkpoint.path;
+    try {
+      hexp::Sweep sweep(std::move(spec));
+      FAIL() << "should have thrown";
+    } catch (const std::runtime_error& error) {
+      const std::string message = error.what();
+      EXPECT_NE(message.find(checkpoint.path + ":2:"), std::string::npos) << message;
+      EXPECT_NE(message.find(what), std::string::npos) << message;
+    }
+  };
+  // Line 2 torn in the middle of the file.
+  expect_rejected(full.substr(0, second + 25) + "\n" + full.substr(third), "corrupt");
+  // Line 2 blank in the middle of the file.
+  expect_rejected(full.substr(0, second) + "\n" + full.substr(second), "corrupt");
+  // Line 2 a well-formed row with an empty cell key.
+  const std::size_t key = full.find("\"cell\":\"", second) + 8;
+  const std::size_t key_end = full.find('"', key);
+  expect_rejected(full.substr(0, key) + full.substr(key_end), "cell key");
+
+  // A blank final line is tolerated like a torn one.
+  auto spec = small_grid();
+  const TempCheckpoint blank_tail(full + "\n");
+  spec.resume_path = blank_tail.path;
+  EXPECT_EQ(hexp::Sweep(std::move(spec)).run().resumed_cells, 12u);
+}
+
 TEST(SweepResume, CompleteCheckpointSkipsEveryCell) {
   const auto full = run_rows(small_grid());
   const TempCheckpoint checkpoint(full);

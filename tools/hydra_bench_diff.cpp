@@ -11,6 +11,9 @@
 //                     than PCT percent, or its items_per_second dropped by
 //                     more than PCT percent (absent = report only, exit 0)
 //
+// A "context mismatch" line opens the table when the two files' num_cpus or
+// library_build_type differ (unlike machines); it never changes the exit code.
+//
 // Exit codes: 0 compared (no enforced regression), 4 regression over the
 // --fail-over threshold, 1 unreadable inputs, 2 usage.
 //
@@ -34,12 +37,16 @@ int main(int argc, char** argv) {
     const bool markdown = cli.get_bool("markdown", false);
     const double fail_over = cli.get_double("fail-over", -1.0);
 
-    const auto baseline = hydra::io::load_bench_results(cli.positionals()[0]);
-    const auto current = hydra::io::load_bench_results(cli.positionals()[1]);
+    hydra::io::BenchContext baseline_context, current_context;
+    const auto baseline =
+        hydra::io::load_bench_results(cli.positionals()[0], &baseline_context);
+    const auto current = hydra::io::load_bench_results(cli.positionals()[1], &current_context);
     const auto deltas = hydra::io::diff_bench_results(baseline, current);
+    const std::string mismatch =
+        hydra::io::bench_context_mismatch(baseline_context, current_context);
 
-    std::cout << (markdown ? hydra::io::render_bench_diff_markdown(deltas)
-                           : hydra::io::render_bench_diff_text(deltas));
+    std::cout << (markdown ? hydra::io::render_bench_diff_markdown(deltas, mismatch)
+                           : hydra::io::render_bench_diff_text(deltas, mismatch));
 
     const auto violations = hydra::io::bench_gate_violations(deltas, fail_over);
     if (!violations.empty()) {
