@@ -27,7 +27,7 @@
 //
 // --shard i/N runs the i-th of N disjoint cell subsets (see exp/sweep.h);
 // shard outputs carry a self-describing header and are reunited with
-// hydra_merge (or orchestrated end to end by hydra_swarm sweep).  The CDF
+// hydra_merge (README "Sharded sweeps on one host").  The CDF
 // tables need the raw detection samples, which only exist for cells
 // simulated in THIS process — resumed or foreign-shard cells print their
 // aggregate row but skip the per-sample tables.

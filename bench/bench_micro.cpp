@@ -153,8 +153,6 @@ static void BM_GpSolveBackend(benchmark::State& state, const std::string& backen
   // One plain-GP solve of the joint-period program (4 security tasks, one
   // loaded core) through each registered SolverRegistry backend — the
   // apples-to-apples backend cost comparison behind docs/solver-catalog.md.
-  // pick-best should track scp/barrier (its primary short-circuits on
-  // converged optimality); ipm/filter pays a different per-iteration cost.
   hydra::util::Xoshiro256 rng(6);
   core::Instance instance;
   instance.num_cores = 1;
@@ -182,7 +180,6 @@ static void BM_GpSolveBackend(benchmark::State& state, const std::string& backen
 }
 BENCHMARK_CAPTURE(BM_GpSolveBackend, scp_barrier, std::string("scp/barrier"));
 BENCHMARK_CAPTURE(BM_GpSolveBackend, ipm_filter, std::string("ipm/filter"));
-BENCHMARK_CAPTURE(BM_GpSolveBackend, pick_best, std::string("pick-best"));
 
 static void BM_OptimalExhaustive(benchmark::State& state) {
   // M = 2, NS = range: cost doubles per extra task (2^NS joint solves).

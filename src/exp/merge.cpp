@@ -65,47 +65,49 @@ MergeResult merge_checkpoints(const std::vector<std::string>& paths,
     const auto lines = read_lines(path);
 
     std::size_t start = 0;
-    if (!lines.empty()) {
-      if (auto header = parse_shard_header(lines[0])) {
-        start = 1;
-        if (!options.expect_fingerprint.empty() &&
-            header->fingerprint != options.expect_fingerprint) {
-          throw std::runtime_error("shard " + path + " has spec fingerprint " +
-                                   header->fingerprint + ", expected " +
-                                   options.expect_fingerprint);
-        }
-        if (result.header.has_value()) {
-          if (result.header->fingerprint != header->fingerprint) {
-            throw std::runtime_error(
-                "spec fingerprint mismatch: " + path + " has " +
-                header->fingerprint + ", earlier shards have " +
-                result.header->fingerprint + " — these checkpoints belong to "
-                "different sweeps");
-          }
-          if (result.header->shards != header->shards) {
-            throw std::runtime_error(
-                "shard-count mismatch: " + path + " says " +
-                std::to_string(header->shards) + " shards, earlier shards say " +
-                std::to_string(result.header->shards));
-          }
-          if (result.header->schemes != header->schemes) {
-            throw std::runtime_error("scheme-list mismatch between " + path +
-                                     " and earlier shards");
-          }
-        }
-        const auto [it, inserted] = declared.emplace(header->shard, header->cells);
-        if (!inserted && it->second != header->cells) {
-          throw std::runtime_error(
-              "shard " + std::to_string(header->shard) + " appears twice with "
-              "different declared cell counts (" + std::to_string(it->second) +
-              " vs " + std::to_string(header->cells) + ")");
-        }
-        if (!result.header.has_value()) result.header = std::move(*header);
-      } else {
-        all_have_headers = false;
-        if (headerless_path.empty()) headerless_path = path;
+    auto header = lines.empty() ? std::nullopt : parse_shard_header(lines[0]);
+    if (header.has_value()) {
+      start = 1;
+      if (!options.expect_fingerprint.empty() &&
+          header->fingerprint != options.expect_fingerprint) {
+        throw std::runtime_error("shard " + path + " has spec fingerprint " +
+                                 header->fingerprint + ", expected " +
+                                 options.expect_fingerprint);
       }
+      if (result.header.has_value()) {
+        if (result.header->fingerprint != header->fingerprint) {
+          throw std::runtime_error(
+              "spec fingerprint mismatch: " + path + " has " +
+              header->fingerprint + ", earlier shards have " +
+              result.header->fingerprint + " — these checkpoints belong to "
+              "different sweeps");
+        }
+        if (result.header->shards != header->shards) {
+          throw std::runtime_error(
+              "shard-count mismatch: " + path + " says " +
+              std::to_string(header->shards) + " shards, earlier shards say " +
+              std::to_string(result.header->shards));
+        }
+        if (result.header->schemes != header->schemes) {
+          throw std::runtime_error("scheme-list mismatch between " + path +
+                                   " and earlier shards");
+        }
+      }
+      const auto [it, inserted] = declared.emplace(header->shard, header->cells);
+      if (!inserted && it->second != header->cells) {
+        throw std::runtime_error(
+            "shard " + std::to_string(header->shard) + " appears twice with "
+            "different declared cell counts (" + std::to_string(it->second) +
+            " vs " + std::to_string(header->cells) + ")");
+      }
+      if (!result.header.has_value()) result.header = std::move(*header);
     } else {
+      if (!options.expect_fingerprint.empty()) {
+        // Its rows would join the merge with their spec never checked.
+        throw std::runtime_error(path + " has no shard header, so its spec "
+                                 "fingerprint cannot be checked against " +
+                                 options.expect_fingerprint);
+      }
       all_have_headers = false;
       if (headerless_path.empty()) headerless_path = path;
     }
@@ -155,9 +157,9 @@ MergeResult merge_checkpoints(const std::vector<std::string>& paths,
     }
   }
 
-  // Completeness is always COMPUTED (the orchestrator's progress loop polls
-  // it on partial merges); require_complete only decides whether a hole
-  // throws or is reported via MergeResult::complete/incomplete_reason.
+  // Completeness is always COMPUTED (hydra_merge --check reports it on
+  // partial merges); require_complete only decides whether a hole throws or
+  // is reported via MergeResult::complete/incomplete_reason.
   const auto completeness_hole = [&]() -> std::string {
     if (!all_have_headers) {
       return "cannot verify completeness: " + headerless_path + " has no shard "

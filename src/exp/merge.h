@@ -47,8 +47,10 @@ struct MergeOptions {
   /// e.g. to turn the surviving shards of a crashed fleet into a --resume
   /// checkpoint.
   bool require_complete = true;
-  /// Non-empty: every shard header must carry exactly this spec fingerprint
-  /// (hydra_merge --expect-fingerprint, for pipelines that know their spec).
+  /// Non-empty: every input must open with a shard header carrying exactly
+  /// this spec fingerprint (hydra_merge --expect-fingerprint, for pipelines
+  /// that know their spec); a headerless input throws, since its rows could
+  /// not be checked.
   std::string expect_fingerprint;
 };
 
@@ -76,9 +78,9 @@ struct MergeResult {
   /// sum to the distinct merged cells, every cell has one row per scheme).
   /// With `require_complete` an incomplete merge throws instead, so a
   /// returned result has complete == true; with allow-partial this flag is
-  /// how callers — the swarm orchestrator's progress loop, scripts driving
-  /// `hydra_merge --allow-partial`/`--check` — distinguish "done" from
-  /// "partial but consistent" without a second pass over the files.
+  /// how callers — scripts driving `hydra_merge --allow-partial`/`--check` —
+  /// distinguish "done" from "partial but consistent" without a second pass
+  /// over the files.
   bool complete = false;
   /// Empty when complete; else the first completeness hole found (the same
   /// message require_complete would have thrown).

@@ -135,8 +135,8 @@ void check_written(std::ostream& os, const std::string& path);
 /// extension: ".jsonl"/".json" ⇒ JSONL, ".csv" ⇒ CSV; anything else throws
 /// std::invalid_argument.  Throws std::runtime_error when the file cannot be
 /// opened, and from end() when a write failed (check_written).  Every row is
-/// flushed as it is written, so a checkpoint being tailed (hydra_swarm's
-/// progress probe) or resumed after a SIGKILL holds every finished row.
+/// flushed as it is written, so a shard checkpoint resumed after a SIGKILL
+/// holds every finished row.
 ///
 /// A non-empty `header_line` (e.g. a formatted exp::SweepShardHeader) is
 /// written verbatim as the file's first line before any row — JSONL only;

@@ -21,14 +21,6 @@ SweepSpec with_sweep_flags(const util::CliParser& cli, SweepSpec spec) {
 
 }  // namespace
 
-std::vector<std::string> shard_worker_args(std::size_t shard, std::size_t shards,
-                                           const std::string& checkpoint) {
-  const auto flag = [](const char* name) { return std::string("--") + name; };
-  return {flag(kShardFlag),  std::to_string(shard) + "/" + std::to_string(shards),
-          flag(kOutFlag),    checkpoint,
-          flag(kResumeFlag), checkpoint};
-}
-
 SweepCli::SweepCli(const util::CliParser& cli, SweepSpec spec,
                    const AggregateOptions& aggregate)
     : sweep_(with_sweep_flags(cli, std::move(spec))), aggregator_(aggregate) {

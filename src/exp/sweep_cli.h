@@ -40,19 +40,14 @@ inline constexpr const char* kOutFlag = "out";
 inline constexpr const char* kAggOutFlag = "agg-out";
 inline constexpr const char* kGpBackendFlag = "gp-backend";
 
-/// The arguments hydra_swarm appends to the command of worker `shard` out of
-/// `shards`: --shard i/N --out F --resume F.  Resuming from its own output is
-/// what lets one argv both cold-start and restart a worker (the Sweep reads
-/// the checkpoint before the --out sink truncates it).
-std::vector<std::string> shard_worker_args(std::size_t shard, std::size_t shards,
-                                           const std::string& checkpoint);
-
 /// One grid sweep driven from the command line: the Sweep, the Aggregator
 /// every table reads from, and the --out / --agg-out files.
 class SweepCli {
  public:
   /// Applies --jobs, --resume, --shard and --gp-backend to `spec`, builds the
-  /// Sweep, and opens --agg-out and --out.  Throws as described above.
+  /// Sweep, and opens --agg-out and --out.  Throws as described above.  The
+  /// Sweep reads --resume before --out truncates its file, so `--out F
+  /// --resume F` both cold-starts a shard and restarts it after a crash.
   SweepCli(const util::CliParser& cli, SweepSpec spec,
            const AggregateOptions& aggregate = {});
 

@@ -35,8 +35,7 @@ struct SolveResult {
                               ///< on any non-kOptimal status (tested)
   /// False when the solver hit its iteration budget and returned its best
   /// feasible iterate as kOptimal anyway (the point is usable, but KKT
-  /// conditions were not certified).  The pick-best meta-backend treats a
-  /// non-converged kOptimal as grounds to consult its fallback.
+  /// conditions were not certified).
   bool converged = true;
   /// Final scaled KKT error (max of stationarity, primal feasibility and
   /// complementarity residuals).  Filled by the primal-dual IPM backend;
@@ -44,8 +43,6 @@ struct SolveResult {
   double kkt_residual = std::numeric_limits<double>::quiet_NaN();
   /// Name of the registry backend that produced this result ("" when the
   /// solver was invoked directly rather than through gp::SolverRegistry).
-  /// pick-best stamps the backend whose answer it adopted, which is how the
-  /// differential tests observe a rescue.
   std::string backend;
 
   bool ok() const { return status == SolveStatus::kOptimal; }

@@ -55,62 +55,6 @@ class IpmBackend final : public SolverBackend {
   IpmOptions options_;
 };
 
-/// Meta-backend: primary first, secondary when the primary's answer is
-/// anything short of a converged optimum, keep the better result.  The
-/// adopted result keeps the inner backend's stamp, which is how the
-/// differential tests observe a rescue.
-class PickBestBackend final : public SolverBackend {
- public:
-  PickBestBackend(std::string name, std::unique_ptr<SolverBackend> primary,
-                  std::unique_ptr<SolverBackend> secondary)
-      : name_(std::move(name)),
-        primary_(std::move(primary)),
-        secondary_(std::move(secondary)) {}
-
-  const std::string& name() const override { return name_; }
-
-  SolveResult solve(const GpProblem& problem,
-                    const std::optional<std::vector<double>>& initial_guess) const override {
-    SolveResult first = primary_->solve(problem, initial_guess);
-    if (first.ok() && first.converged) return first;
-    SolveResult second = secondary_->solve(problem, initial_guess);
-    const int r1 = rank(first);
-    const int r2 = rank(second);
-    if (r2 > r1) return second;
-    if (r1 > r2) return first;
-    if (first.ok() && second.ok()) {
-      // Both usable: keep the better (lower) objective, ties to the primary.
-      return second.objective < first.objective ? std::move(second) : std::move(first);
-    }
-    if (first.status == SolveStatus::kError) {
-      first.message = "pick-best: both backends failed — " + primary_->name() + ": " +
-                      first.message + "; " + secondary_->name() + ": " + second.message;
-    }
-    // Matching non-optimal verdicts: the primary's diagnosis stands.
-    return first;
-  }
-
- private:
-  /// Converged optimum > budget-capped optimum > infeasible/unbounded
-  /// verdict > numerical error.
-  static int rank(const SolveResult& r) {
-    switch (r.status) {
-      case SolveStatus::kOptimal:
-        return r.converged ? 3 : 2;
-      case SolveStatus::kInfeasible:
-      case SolveStatus::kUnbounded:
-        return 1;
-      case SolveStatus::kError:
-        return 0;
-    }
-    return 0;
-  }
-
-  std::string name_;
-  std::unique_ptr<SolverBackend> primary_;
-  std::unique_ptr<SolverBackend> secondary_;
-};
-
 SolverRegistry build_global() {
   SolverRegistry registry("GP solver backend");
   registry.add("scp/barrier",
@@ -125,14 +69,6 @@ SolverRegistry build_global() {
                "line search; certifies a dual point (kkt_residual)",
                [](const SolveOptions& options) {
                  return std::make_unique<IpmBackend>("ipm/filter", options);
-               });
-  registry.add("pick-best",
-               "meta-backend: scp/barrier first, ipm/filter on error or "
-               "non-convergence, better objective wins",
-               [](const SolveOptions& options) {
-                 return std::make_unique<PickBestBackend>(
-                     "pick-best", std::make_unique<BarrierBackend>("scp/barrier", options),
-                     std::make_unique<IpmBackend>("ipm/filter", options));
                });
   return registry;
 }

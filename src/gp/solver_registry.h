@@ -4,16 +4,13 @@
 // every plain-GP solve in the process runs through, without compiling against
 // backend option structs.
 //
-// The global registry ships three backends:
+// The global registry ships two backends:
 //
 //     scp/barrier   log-space primal barrier with phase-I feasibility — the
 //                   incumbent stack the signomial SCP layer drives (default)
 //     ipm/filter    primal-dual interior point: perturbed KKT Newton system,
 //                   fraction-to-boundary rule, inertia-corrected Cholesky,
 //                   filter line search; certifies a dual point (kkt_residual)
-//     pick-best     meta-backend: runs scp/barrier, falls back to ipm/filter
-//                   on kError / non-convergence / infeasible verdicts, and
-//                   keeps the better objective when both are optimal
 //
 // Backend selection has one path: the thread-local GpBackendScope, which
 // exp::Sweep installs around each unit from SweepSpec::gp_backend and which

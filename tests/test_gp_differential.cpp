@@ -11,7 +11,7 @@
 //      construction, so "both optimal" is an assertion, not a hope),
 //   3. deliberately infeasible and unbounded programs,
 //   4. the gp_tinybox-class degenerate box where phase I fails and only the
-//      IPM survives — the `pick-best` rescue the meta-backend exists for.
+//      IPM survives.
 //
 // A 60+-iteration fuzz pass at the end exists for the sanitizer CI job: it
 // asserts nothing beyond "no crash, sane verdict, non-empty diagnostics".
@@ -199,52 +199,34 @@ TEST(GpDifferential, UnboundedBelowAgreesAcrossBackends) {
   EXPECT_FALSE(ipm.message.empty());
 }
 
-// --- 4. The pick-best rescue -------------------------------------------------
+// --- 4. Where the barrier's phase I fails -----------------------------------
 
-TEST(GpDifferential, PickBestRescuesTinyboxClassInstance) {
+TEST(GpDifferential, IpmSolvesTinyboxWherePhaseOneFails) {
   const gp::GpProblem p = tinybox_problem();
 
   // The incumbent stack genuinely fails this instance…
   const gp::SolveResult scp = solve_backend(p, "scp/barrier");
   ASSERT_EQ(scp.status, gp::SolveStatus::kInfeasible)
-      << "tinybox no longer defeats phase I — rescue test needs a new instance: "
+      << "tinybox no longer defeats phase I — this test needs a new instance: "
       << scp.message;
 
-  // …the IPM solves it…
+  // …and the IPM solves it.
   const gp::SolveResult ipm = solve_backend(p, "ipm/filter");
   ASSERT_EQ(ipm.status, gp::SolveStatus::kOptimal) << ipm.message;
   EXPECT_NEAR(ipm.objective, 2.0, 1e-6);
   EXPECT_TRUE(p.is_feasible(ipm.x, 1e-6));
-
-  // …and pick-best adopts the rescue, stamping the backend that won.
-  const gp::SolveResult best = solve_backend(p, "pick-best");
-  EXPECT_EQ(best.status, gp::SolveStatus::kOptimal) << best.message;
-  EXPECT_EQ(best.backend, "ipm/filter");
-  EXPECT_NEAR(best.objective, 2.0, 1e-6);
-}
-
-TEST(GpDifferential, PickBestPrefersPrimaryWhenBothSolve) {
-  hydra::util::Xoshiro256 rng(0x9E37u);
-  const testlib::RandomGp sample = testlib::make_random_gp(rng);
-  const gp::SolveResult scp = solve_backend(sample.problem, "scp/barrier");
-  const gp::SolveResult best = solve_backend(sample.problem, "pick-best");
-  ASSERT_EQ(scp.status, gp::SolveStatus::kOptimal) << scp.message;
-  ASSERT_EQ(best.status, gp::SolveStatus::kOptimal) << best.message;
-  // The primary short-circuits on converged optimality: same point, same stamp.
-  EXPECT_EQ(best.backend, "scp/barrier");
-  EXPECT_LE(rel_diff(best.objective, scp.objective), 1e-12);
 }
 
 // --- 5. Sanitizer fuzz pass --------------------------------------------------
 
 TEST(GpDifferential, FuzzSixtyPlusIterationsNoCrash) {
-  // Runs every backend (including the meta-backend) over mixed feasible /
-  // infeasible draws.  Under the ASan/UBSan CI job this is the crash net;
-  // assertions here are deliberately weak so sanitizers are the oracle.
+  // Runs every backend over mixed feasible / infeasible draws.  Under the
+  // ASan/UBSan CI job this is the crash net; assertions here are deliberately
+  // weak so sanitizers are the oracle.
   hydra::util::Xoshiro256 rng(0xF022u);
   const auto& registry = gp::SolverRegistry::global();
   const std::vector<std::string> backends = registry.names();
-  ASSERT_GE(backends.size(), 3u);
+  ASSERT_GE(backends.size(), 2u);
   for (int i = 0; i < 72; ++i) {
     const bool infeasible = (i % 3 == 2);
     const testlib::RandomGp sample =

@@ -243,6 +243,30 @@ TEST(MergeCheckpoints, ExpectFingerprintOptionIsEnforced) {
   EXPECT_THROW(merge_files({&s0, &s1}, mismatch), std::runtime_error);
 }
 
+TEST(MergeCheckpoints, ExpectFingerprintRejectsAHeaderlessInputEvenWhenPartial) {
+  // An unsharded file has no header to check the pin against.  Merging it
+  // anyway (as a "partial" result) would pass rows of an unchecked spec.
+  const auto& fix = fixture();
+  const TempFile s0("expect_headed.jsonl", fix.shard_content[0]);
+  const TempFile full("expect_headerless.jsonl", fix.full);
+  const TempFile empty("expect_empty.jsonl", "");
+  const auto header = hexp::parse_shard_header(fix.shard_lines[0][0]);
+  ASSERT_TRUE(header.has_value());
+
+  hexp::MergeOptions options;
+  options.require_complete = false;
+  options.expect_fingerprint = header->fingerprint;
+  for (const auto* headerless : {&full, &empty}) {
+    try {
+      merge_files({&s0, headerless}, options);
+      FAIL() << "a headerless input must not pass a fingerprint pin";
+    } catch (const std::runtime_error& error) {
+      EXPECT_NE(std::string(error.what()).find(headerless->path), std::string::npos)
+          << error.what();
+    }
+  }
+}
+
 TEST(MergeCheckpoints, ConflictingDuplicateCellIsRejectedLoudly) {
   const auto& fix = fixture();
   // Forge a second opinion about an existing (cell, scheme): same key, a

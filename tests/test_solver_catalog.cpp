@@ -26,7 +26,7 @@ struct Solvers {
   static constexpr const char* kNoun = "GP solver backend";
   static constexpr const char* kPreamble = gp::kSolverCatalogPreamble;
   static std::vector<std::string> shipped() {
-    return {"scp/barrier", "ipm/filter", "pick-best"};
+    return {"scp/barrier", "ipm/filter"};
   }
   static Registry::Factory factory() {
     return [](const gp::SolveOptions& options) {
@@ -45,13 +45,13 @@ INSTANTIATE_TYPED_TEST_SUITE_P(Solver, RegistryCatalog, Solvers);
 TEST(SolverRegistry, ScopeSelectsTheBackendInnermostWins) {
   // innermost scope > default; "" re-selects the default.
   EXPECT_EQ(gp::resolve_gp_backend(""), gp::kDefaultGpBackend);
-  EXPECT_EQ(gp::resolve_gp_backend("pick-best"), "pick-best");
+  EXPECT_EQ(gp::resolve_gp_backend("ipm/filter"), "ipm/filter");
   {
     const gp::GpBackendScope outer("ipm/filter");
     EXPECT_EQ(gp::resolve_gp_backend(""), "ipm/filter");
     {
-      const gp::GpBackendScope inner("pick-best");
-      EXPECT_EQ(gp::resolve_gp_backend(""), "pick-best");
+      const gp::GpBackendScope inner("scp/barrier");
+      EXPECT_EQ(gp::resolve_gp_backend(""), "scp/barrier");
     }
     EXPECT_EQ(gp::resolve_gp_backend(""), "ipm/filter");
     {

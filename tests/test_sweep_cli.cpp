@@ -1,8 +1,10 @@
 // The sweep front end every grid-sweep binary shares (exp/sweep_cli.h): the
 // --out shard header, the misconfigurations it refuses before any cell runs,
-// and the --agg-out file it writes and checks.
+// the --agg-out file it writes and checks, and the rerun that restarts a
+// crashed shard from its own torn output.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -161,8 +163,41 @@ TEST(SweepCli, FailedAggOutWriteThrowsNamingThePath) {
   }
 }
 
-TEST(SweepCli, ShardWorkerArgsResumeFromTheirOwnOutput) {
-  EXPECT_EQ(hexp::shard_worker_args(2, 3, "d/shard_2.jsonl"),
-            (std::vector<std::string>{"--shard", "2/3", "--out", "d/shard_2.jsonl",
-                                      "--resume", "d/shard_2.jsonl"}));
+TEST(SweepCli, ShardRerunOnItsOwnTornOutputResumesToTheUninterruptedBytes) {
+  // The restart recipe for a crashed shard is to rerun its command line,
+  // --out F --resume F.  That holds because the Sweep reads the checkpoint
+  // before make_file_sink truncates F; opened the other way round, the rerun
+  // would resume from an empty file and recompute every cell.
+  TempDir dir("sweep_cli_own_resume");
+  const std::string path = dir.path + "/s1.jsonl";
+  const auto args = std::vector<std::string>{"--shard", "1/2", "--out", path, "--resume", path};
+  const auto run = [&args] {
+    hexp::SweepCli shard(parse(args), small_grid());
+    std::ostringstream text;
+    shard.run(text);
+    shard.finish(text);
+    return text.str();
+  };
+  run();  // cold start: F does not exist yet
+  const std::string uninterrupted = slurp(path);
+
+  // A shard killed mid-write: cut F in the middle of a row.
+  const std::size_t cut = uninterrupted.find('\n', uninterrupted.size() / 2);
+  ASSERT_NE(cut, std::string::npos);
+  ASSERT_GT(uninterrupted.size(), cut + 1 + 25);
+  {
+    std::ofstream torn(path, std::ios::binary | std::ios::trunc);
+    torn << uninterrupted.substr(0, cut + 1 + 25);
+  }
+
+  const std::string text = run();
+  const std::size_t line = text.find("\nresumed ");
+  ASSERT_NE(line, std::string::npos) << text;
+  std::size_t resumed = 0;
+  std::size_t cells = 0;
+  ASSERT_EQ(std::sscanf(text.c_str() + line, "\nresumed %zu of %zu cells", &resumed, &cells), 2)
+      << text;
+  EXPECT_GT(resumed, 0u);
+  EXPECT_LT(resumed, cells);
+  EXPECT_EQ(slurp(path), uninterrupted);
 }

@@ -105,11 +105,6 @@ TEST(SweepDeterminism, GpBackendIsARowByteInput) {
   auto ipm = small_grid();
   ipm.gp_backend = "ipm/filter";
   EXPECT_NE(hexp::sweep_fingerprint(ipm), fp_default);
-
-  auto best = small_grid();
-  best.gp_backend = "pick-best";
-  EXPECT_NE(hexp::sweep_fingerprint(best), fp_default);
-  EXPECT_NE(hexp::sweep_fingerprint(best), hexp::sweep_fingerprint(ipm));
 }
 
 TEST(SweepDeterminism, UnknownGpBackendIsRejectedAtConstruction) {

@@ -25,15 +25,16 @@
 //                         one status line, write NOTHING (implies
 //                         --allow-partial) — the cheap form a watcher loop
 //                         polls between merges
-//   --expect-fingerprint  additionally pin the shards' spec fingerprint
+//   --expect-fingerprint  additionally pin the shards' spec fingerprint (an
+//                         input without a shard header is then an error)
 //
-// Exit codes (the scriptable contract orchestrators and CI poll on):
+// Exit codes (the scriptable contract shard scripts and CI check):
 //   0  complete — the merged stream provably reconstructs the full grid
 //   3  partial but consistent — no conflicts, but cells/shards are missing
 //      (only reachable with --allow-partial or --check; a bare run throws)
 //   1  inconsistent or unreadable inputs (conflicting duplicates, foreign
-//      fingerprints, corrupt lines, missing files), or an output that
-//      cannot be written
+//      or unverifiable fingerprints, corrupt lines, missing files), or an
+//      output that cannot be written
 //   2  usage error
 #include <iostream>
 
