@@ -113,7 +113,7 @@ std::string adaptive_row_key(const core::Instance& instance, const core::DesignP
 AdaptiveRowResults compute_adaptive_row(const core::Instance& instance,
                                         const core::DesignPoint& point,
                                         const AdaptiveMetricsConfig& config) {
-  // One RT simulation per row: every run below, and the adaptive runs of the
+  // One RT profile per row: every run below, and the adaptive runs of the
   // row's other policy families, schedule their monitors on the idle time of
   // the same RT schedule.  Per thread and size 1 like the bundle memo; the
   // profile is a pure function of its key, so sharing it changes no value.

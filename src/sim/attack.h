@@ -58,7 +58,7 @@ class RtSlackProfileCache;
 /// Runs the schedule once and samples `trials` attacks at uniformly random
 /// times.  Requires a feasible allocation.  The monitors run as fixed-rate
 /// tasks in the band engine (sim::simulate_mode_band) on the RT slack
-/// profile `profiles` supplies — one RT simulation per (RT task set,
+/// profile `profiles` supplies — one RT profile per (RT task set,
 /// horizon), shared with the other measure_* calls given the same cache
 /// (nullptr: a private one).  Results are those of sim::simulate on
 /// build_sim_tasks, job for job: both run fixed_rate_tasks of that list.

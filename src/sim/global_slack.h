@@ -43,7 +43,7 @@ Trace simulate_global_slack(const std::vector<GlobalSimTask>& tasks,
 class RtSlackProfileCache;
 
 /// The same run with the RT schedule taken from an RT slack profile
-/// (sim/slack_profile.h): the non-global tasks are simulated once by the
+/// (sim/slack_profile.h): the non-global tasks are scheduled once by the
 /// profile, and the global band is scheduled on the cores' idle gaps,
 /// stepping over gap edges only while a band job is pending.  Ready band
 /// jobs go by (priority, release), as in simulate_global_slack.  Every band

@@ -43,14 +43,12 @@ struct TaskMode {
   std::size_t next_attack = 0;  ///< cursor into options.attack_times
 };
 
-void check_distinct_priorities(const std::vector<ModeTask>& tasks,
-                               const std::vector<std::size_t>& members, std::size_t core) {
+void check_core_priorities(const std::vector<ModeTask>& tasks,
+                           const std::vector<std::size_t>& members, std::size_t core) {
   std::vector<int> prios;
   prios.reserve(members.size());
   for (const std::size_t ti : members) prios.push_back(tasks[ti].task.priority);
-  std::sort(prios.begin(), prios.end());
-  HYDRA_REQUIRE(std::adjacent_find(prios.begin(), prios.end()) == prios.end(),
-                "duplicate priority on core " + std::to_string(core));
+  check_distinct_priorities(std::move(prios), core);
 }
 
 /// The controller side of one core: the policy instance, each member's mode
@@ -224,7 +222,7 @@ void simulate_core(const std::vector<ModeTask>& tasks,
                    const std::vector<std::size_t>& members, const SimOptions& options,
                    const Controlled* controlled, Trace& trace, std::size_t core,
                    util::Xoshiro256 rng) {
-  check_distinct_priorities(tasks, members, core);
+  check_core_priorities(tasks, members, core);
   std::optional<CoreController> control;
   std::optional<BusyWindow> history;
   if (controlled != nullptr) {
@@ -630,7 +628,7 @@ ModeSwitchResult simulate_mode_band(const std::vector<ModeTask>& tasks, std::siz
   const std::string policy_name = validate_inputs(tasks, options);
   const std::size_t num_cores = core_count(tasks);
   for (std::size_t core = 0; core < num_cores; ++core) {
-    check_distinct_priorities(tasks, members_of(tasks, core), core);
+    check_core_priorities(tasks, members_of(tasks, core), core);
   }
   ModeSwitchOptions effective = options;
   effective.grace = resolve_grace(tasks, options.grace);

@@ -23,6 +23,39 @@ bool same_schedule_inputs(const SimTask& a, const SimTask& b) {
          a.exec_fraction_min == b.exec_fraction_min;
 }
 
+/// Exact response-time analysis of one core's RT tasks in integer ticks:
+/// true when every task's worst-case response R, the least fixed point of
+/// R = C + sum over higher-priority tasks h of ceil(R / T_h) * C_h (iterated
+/// from C plus every higher-priority WCET), is at most min(D, T).  The tasks
+/// must pass check_task and have distinct priorities (smaller value =
+/// higher).  They are preemptive, WCET-exact and jitter-free, so the
+/// synchronous critical instant bounds every job whatever the release
+/// offsets, and R <= T keeps the task's level busy period to one job, which
+/// keeps that bound valid when D > T.  A true answer therefore proves the
+/// simulated schedule misses no deadline.  A false one proves nothing:
+/// offsets can spare the critical instant.
+bool certified_by_rta(std::vector<SimTask> on_core) {
+  std::sort(on_core.begin(), on_core.end(),
+            [](const SimTask& a, const SimTask& b) { return a.priority < b.priority; });
+  util::SimTime hp_wcet = 0;
+  for (std::size_t i = 0; i < on_core.size(); ++i) {
+    const SimTask& task = on_core[i];
+    const util::SimTime limit = std::min(task.deadline, task.period);
+    util::SimTime r = task.wcet + hp_wcet;
+    while (r <= limit) {
+      util::SimTime next = task.wcet;
+      for (std::size_t h = 0; h < i; ++h) {
+        next += (r + on_core[h].period - 1) / on_core[h].period * on_core[h].wcet;
+      }
+      if (next == r) break;
+      r = next;
+    }
+    if (r > limit) return false;
+    hp_wcet += task.wcet;
+  }
+  return true;
+}
+
 }  // namespace
 
 RtSlackProfile::RtSlackProfile(std::vector<SimTask> rt_tasks, util::SimTime horizon)
@@ -38,8 +71,8 @@ RtSlackProfile::RtSlackProfile(std::vector<SimTask> rt_tasks, util::SimTime hori
   cores_.resize(num_cores);
 
   // Cores are independent and nothing draws from the RNG, so each core is
-  // simulated on its own: the peak memory is one core's jobs, not all of
-  // them.
+  // handled on its own: a simulated core's peak memory is its own jobs, not
+  // all of them.
   std::vector<SimTask> on_core;
   for (std::size_t core = 0; core < num_cores; ++core) {
     on_core.clear();
@@ -55,11 +88,24 @@ RtSlackProfile::RtSlackProfile(std::vector<SimTask> rt_tasks, util::SimTime hori
       }
     }
     if (on_core.empty()) continue;
-    SimOptions options;
-    options.horizon = horizon;
-    options.grace = std::max<util::SimTime>(demand, 1);
-    const Trace trace = simulate(on_core, options);
-    deadline_misses_ += trace.deadline_misses();
+    const util::SimTime grace = std::max<util::SimTime>(demand, 1);
+    // sim::simulate's checks, so an invalid core fails with its messages
+    // whether or not it is simulated.
+    std::vector<int> priorities;
+    for (const SimTask& t : on_core) {
+      check_task(t);
+      priorities.push_back(t.priority);
+    }
+    check_distinct_priorities(std::move(priorities), core);
+    // A core RTA certifies misses nothing; only the others are simulated to
+    // count their misses.
+    if (!certified_by_rta(on_core)) {
+      SimOptions options;
+      options.horizon = horizon;
+      options.grace = grace;
+      deadline_misses_ += simulate(on_core, options).deadline_misses();
+      ++simulated_cores_;
+    }
 
     // The engine is work-conserving, so the core is busy exactly while
     // released work is pending, whatever order it runs the jobs in: walk the
@@ -84,7 +130,7 @@ RtSlackProfile::RtSlackProfile(std::vector<SimTask> rt_tasks, util::SimTime hori
         busy.push_back(Busy{release, release + task.wcet, total_busy(busy)});
       }
     }
-    HYDRA_ASSERT(busy.empty() || busy.back().to <= horizon + options.grace,
+    HYDRA_ASSERT(busy.empty() || busy.back().to <= horizon + grace,
                  "RT slack profile did not drain its backlog");
   }
 }

@@ -1,4 +1,4 @@
-// The RT schedule's idle time, simulated once and shared by every monitor
+// The RT schedule's idle time, computed once and shared by every monitor
 // run on top of it.
 //
 // Monitors are preemptive, rank below every RT task on their core, run
@@ -6,7 +6,7 @@
 // sim::build_mode_tasks always build them that way).  Under those
 // preconditions the RT schedule does not depend on the monitors at all: RT
 // jobs preempt a monitor the instant they are released, and nothing draws
-// from an RNG.  So the RT tasks can be simulated ONCE, their busy intervals
+// from an RNG.  So the RT schedule can be computed ONCE, its busy intervals
 // merged per core, and each monitor run — static, minimum mode, every
 // controller policy, global slack — reduced to scheduling the security band
 // on the idle time that profile leaves.  The band engines
@@ -30,8 +30,12 @@ namespace hydra::sim {
 /// idle axis, time_at_idle(x) maps back.
 class RtSlackProfile {
  public:
-  /// Simulates `rt_tasks` alone with sim::simulate over `horizon`, one core
-  /// at a time, with enough grace to drain every backlog.  A consumer whose
+  /// The RT schedule of `rt_tasks` alone over `horizon`, one core at a
+  /// time, drained of every backlog.  A core whose tasks pass exact
+  /// integer-tick response-time analysis with R <= min(D, T) misses no
+  /// deadline (docs/architecture.md, "Detection: one RT profile per row"),
+  /// so only the other cores are simulated with sim::simulate, with enough
+  /// grace to drain every backlog, to count their misses.  A consumer whose
   /// hard stop is at least horizon + its largest RT deadline therefore sees
   /// exactly deadline_misses() RT misses: a job still running at that stop
   /// has passed its deadline in both runs.  The busy intervals are the busy
@@ -39,7 +43,8 @@ class RtSlackProfile {
   /// is busy exactly while some released job is unfinished.  Requires every
   /// task to be preemptive, WCET-exact (exec_fraction_min == 1) and
   /// jitter-free, so the schedule draws nothing from the RNG and fits any
-  /// consumer's seed.
+  /// consumer's seed; invalid tasks and duplicate priorities on a core throw
+  /// sim::simulate's messages.
   RtSlackProfile(std::vector<SimTask> rt_tasks, util::SimTime horizon);
 
   /// True when this profile is the schedule of `rt_tasks` over `horizon`
@@ -49,6 +54,10 @@ class RtSlackProfile {
   /// RT jobs that missed their deadline (or never completed) in the drained
   /// schedule.
   std::size_t deadline_misses() const { return deadline_misses_; }
+
+  /// Cores whose RT tasks the analysis could not certify, so that counting
+  /// their misses took a simulation.
+  std::size_t simulated_cores() const { return simulated_cores_; }
 
   /// Idle ticks of `core` in [0, t).  A core without RT tasks is always idle.
   util::SimTime idle_before(std::size_t core, util::SimTime t) const;
@@ -73,6 +82,7 @@ class RtSlackProfile {
   std::vector<SimTask> rt_tasks_;
   util::SimTime horizon_ = 0;
   std::size_t deadline_misses_ = 0;
+  std::size_t simulated_cores_ = 0;
   std::vector<std::vector<Busy>> cores_;
 };
 
@@ -81,7 +91,7 @@ class RtSlackProfile {
 /// an invalid task list fails with the full engine's message.  Not
 /// thread-safe: hold one per thread (exp/metrics.cpp keeps a thread_local
 /// one, so a row's static, minimum-mode, adaptive and global runs share a
-/// single RT simulation).
+/// single RT profile).
 class RtSlackProfileCache {
  public:
   /// The profile of `rt_tasks` over `horizon`, simulated on a miss.

@@ -38,6 +38,11 @@ struct SimTask {
 /// Throws std::invalid_argument naming the task otherwise.
 void check_task(const SimTask& task);
 
+/// The per-core rule of the partitioned engines: `priorities`, those of the
+/// tasks on `core` in any order, are distinct.  Throws
+/// std::invalid_argument naming the core otherwise.
+void check_distinct_priorities(std::vector<int> priorities, std::size_t core);
+
 /// What happened to one job.
 struct JobRecord {
   util::SimTime release = 0;

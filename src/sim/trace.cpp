@@ -1,4 +1,6 @@
 #include <algorithm>
+#include <string>
+#include <utility>
 
 #include "sim/task.h"
 #include "util/contracts.h"
@@ -13,6 +15,12 @@ void check_task(const SimTask& t) {
   // U(exec_fraction_min, 1] and convert the result to ticks.
   HYDRA_REQUIRE(t.exec_fraction_min >= 0.0 && t.exec_fraction_min <= 1.0,
                 "task '" + t.name + "' has exec_fraction_min outside [0, 1]");
+}
+
+void check_distinct_priorities(std::vector<int> priorities, std::size_t core) {
+  std::sort(priorities.begin(), priorities.end());
+  HYDRA_REQUIRE(std::adjacent_find(priorities.begin(), priorities.end()) == priorities.end(),
+                "duplicate priority on core " + std::to_string(core));
 }
 
 std::size_t Trace::total_jobs() const {

@@ -16,7 +16,10 @@
 // two inputs where RT jobs miss deadlines — the committed
 // tests/corpus_sim/ instance and a hand-built RT overload whose backlog runs
 // past horizon + grace.  The RtSlackProfile unit tests pin the idle-axis
-// mapping at its edges.
+// mapping at its edges, and the RTA certificate that spares a core its RT
+// simulation: on every input above the profile's miss count equals a direct
+// sim::simulate of the RT tasks, the seeded batches need no simulation, and
+// hand-built cores pin R == D, release offsets, R > T and invalid input.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -128,15 +131,36 @@ void expect_same_detection(const sim::DetectionResult& a, const sim::DetectionRe
       << what;
 }
 
-/// Every comparison for one feasible allocation; returns the full engines'
-/// static-run miss count.  `cache` is shared by all runs of the allocation,
-/// as exp/metrics.cpp shares it across a row.
-std::size_t check_allocation(const core::Instance& instance,
-                             const core::Allocation& allocation, SimTime horizon,
-                             const std::string& what, sim::RtSlackProfileCache& cache) {
+/// The profile's RT miss count against a direct sim::simulate of the same RT
+/// tasks over the same horizon, at the grace every band consumer uses (the
+/// largest deadline); returns the cores the profile had to simulate.
+std::size_t check_profile(const sim::RtSlackProfile& profile,
+                          const std::vector<sim::SimTask>& rt, SimTime horizon,
+                          const std::string& what) {
+  sim::SimOptions options;
+  options.horizon = horizon;
+  EXPECT_EQ(profile.deadline_misses(), sim::simulate(rt, options).deadline_misses()) << what;
+  return profile.simulated_cores();
+}
+
+struct AllocationCheck {
+  std::size_t static_misses = 0;    ///< the full engines' static-run misses
+  std::size_t simulated_cores = 0;  ///< cores the RT profile had to simulate
+};
+
+/// Every comparison for one feasible allocation.  `cache` is shared by all
+/// runs of the allocation, as exp/metrics.cpp shares it across a row.
+AllocationCheck check_allocation(const core::Instance& instance,
+                                 const core::Allocation& allocation, SimTime horizon,
+                                 const std::string& what, sim::RtSlackProfileCache& cache) {
   const std::size_t nr = instance.rt_tasks.size();
   const std::size_t ns = instance.security_tasks.size();
-  std::size_t static_misses = 0;
+  AllocationCheck result;
+  {
+    const auto tasks = sim::build_sim_tasks(instance, allocation);
+    const std::vector<sim::SimTask> rt(tasks.begin(), tasks.begin() + nr);
+    result.simulated_cores = check_profile(cache.get(rt, horizon), rt, horizon, what + " RT");
+  }
 
   const std::vector<std::pair<std::string, core::Allocation>> fixed = {
       {"static", allocation}, {"min-mode", core::min_mode_allocation(instance, allocation)}};
@@ -148,7 +172,7 @@ std::size_t check_allocation(const core::Instance& instance,
     const auto band =
         sim::simulate_mode_band(fixed_rate(tasks), nr, fixed_rate_options(horizon), cache);
     expect_same_jobs(full, band.trace, nr, what + " " + label);
-    if (label == "static") static_misses = full.deadline_misses();
+    if (label == "static") result.static_misses = full.deadline_misses();
     for (const auto scope : kScopes) {
       sim::DetectionConfig config;
       config.horizon = horizon;
@@ -219,7 +243,7 @@ std::size_t check_allocation(const core::Instance& instance,
       }
     }
   }
-  return static_misses;
+  return result;
 }
 
 /// A horizon long enough for plan_attacks: three minimum-mode periods of the
@@ -398,6 +422,83 @@ TEST(RtSlackProfile, RejectsTasksThatWouldDependOnTheMonitorsOrTheSeed) {
                std::invalid_argument);
 }
 
+// ---------------------------------------------------------------------------
+// RtSlackProfile: the RTA certificate
+// ---------------------------------------------------------------------------
+
+TEST(RtSlackProfile, ResponseTimeEqualToTheDeadlineIsCertified) {
+  // c's response-time iteration runs 3, 4, 5, 6: R = 6.  D = 6 is certified
+  // with no simulation; at D = 5 an iterate lands exactly on the deadline
+  // before the fixed point passes it, and the profile falls back to the
+  // engine, which sees c miss at the synchronous release.
+  const SimTime horizon = 300;
+  for (const SimTime deadline : {6u, 5u}) {
+    const std::vector<sim::SimTask> rt = {make_task("a", 1, 2, 2, 0, 0),
+                                          make_task("b", 1, 3, 3, 0, 1),
+                                          make_task("c", 1, 10, deadline, 0, 2)};
+    const std::string what = "D = " + std::to_string(deadline);
+    const sim::RtSlackProfile profile(rt, horizon);
+    EXPECT_EQ(check_profile(profile, rt, horizon, what), deadline == 6u ? 0u : 1u) << what;
+    if (deadline == 6u) {
+      EXPECT_EQ(profile.deadline_misses(), 0u);
+    } else {
+      EXPECT_GT(profile.deadline_misses(), 0u);
+    }
+  }
+}
+
+TEST(RtSlackProfile, ReleaseOffsetsTheAnalysisCannotSeeAreSimulated) {
+  // b is released 5 ticks after a, so it never meets a's demand and every job
+  // finishes exactly at its deadline.  RTA assumes the synchronous release
+  // (R = 10 > D = 5) and cannot certify the core; the simulation reports 0.
+  const SimTime horizon = 400;
+  const std::vector<sim::SimTask> rt = {make_task("a", 5, 10, 10, 0, 0),
+                                        make_task("b", 5, 10, 5, 0, 1, 5)};
+  const sim::RtSlackProfile profile(rt, horizon);
+  EXPECT_EQ(check_profile(profile, rt, horizon, "offset"), 1u);
+  EXPECT_EQ(profile.deadline_misses(), 0u);
+}
+
+TEST(RtSlackProfile, ResponseTimePastThePeriodIsSimulatedEvenWithinTheDeadline) {
+  // b's first job responds in 17 ticks, inside D = 30 but past T = 12, so its
+  // next job arrives into a backlog: U = 1.08, and later jobs miss.  Only
+  // the simulation sees that.
+  const SimTime horizon = 1200;
+  const std::vector<sim::SimTask> rt = {make_task("a", 5, 10, 10, 0, 0),
+                                        make_task("b", 7, 12, 30, 0, 1)};
+  const sim::RtSlackProfile profile(rt, horizon);
+  EXPECT_EQ(check_profile(profile, rt, horizon, "D > T"), 1u);
+  EXPECT_GT(profile.deadline_misses(), 0u);
+}
+
+TEST(RtSlackProfile, InvalidInputFailsWithTheEngineMessage) {
+  // Both task sets would pass RTA but for their defect; the profile must
+  // still throw what sim::simulate throws.
+  const std::vector<std::pair<std::vector<sim::SimTask>, std::string>> cases = {
+      {{make_task("a", 3, 10, 10, 0, 0), make_task("b", 3, 20, 20, 0, 0)},
+       "duplicate priority on core 0"},
+      {{make_task("a", 3, 10, 10, 0, 0), make_task("b", 0, 20, 20, 0, 1)},
+       "task 'b' needs positive WCET/period/deadline"}};
+  for (const auto& [rt, expected] : cases) {
+    std::string engine_message;
+    std::string profile_message;
+    sim::SimOptions options;
+    options.horizon = 100;
+    try {
+      sim::simulate(rt, options);
+    } catch (const std::invalid_argument& e) {
+      engine_message = e.what();
+    }
+    try {
+      sim::RtSlackProfile(rt, 100);
+    } catch (const std::invalid_argument& e) {
+      profile_message = e.what();
+    }
+    EXPECT_NE(engine_message.find(expected), std::string::npos) << engine_message;
+    EXPECT_EQ(profile_message, engine_message);
+  }
+}
+
 TEST(SlackBand, InvalidInputFailsWithTheFullEngineMessage) {
   // Two monitors share a priority on core 0 and two RT tasks on core 1.  The
   // full engine reports core 0 first; the band checks every core before it
@@ -448,8 +549,13 @@ TEST(SlackBand, SeededBatchesMatchTheFullEngines) {
         sim::RtSlackProfileCache cache;
         const std::string what = "M=" + std::to_string(m) + " U=" + std::to_string(load) +
                                  " draw " + std::to_string(draw);
-        check_allocation(drawn->instance, allocation, horizon_for(drawn->instance), what,
-                         cache);
+        // Contego's allocations pass RTA, so the certificate spares every
+        // core its simulation.
+        EXPECT_EQ(check_allocation(drawn->instance, allocation, horizon_for(drawn->instance),
+                                   what, cache)
+                      .simulated_cores,
+                  0u)
+            << what;
         ++checked;
       }
     }
@@ -481,7 +587,11 @@ TEST(SlackBand, RtDeadlineMissesOfTheCommittedInstanceMatch) {
   ASSERT_TRUE(allocation.feasible);
   sim::RtSlackProfileCache cache;
   const SimTime horizon = 100'000 * kMs;
-  EXPECT_GT(check_allocation(instance, allocation, horizon, "tick-rounding miss", cache), 0u);
+  const AllocationCheck checked =
+      check_allocation(instance, allocation, horizon, "tick-rounding miss", cache);
+  EXPECT_GT(checked.static_misses, 0u);
+  // The rounded RT set fails RTA, so its core still runs in the engine.
+  EXPECT_GT(checked.simulated_cores, 0u);
   sim::DetectionConfig config;
   config.horizon = horizon;
   EXPECT_GT(sim::measure_detection_times(instance, allocation, config, &cache).deadline_misses,
@@ -509,6 +619,9 @@ TEST(SlackBand, RtOverloadPastTheHardStopMatches) {
   }
   ASSERT_TRUE(cut_off) << "the RT backlog must run past horizon + grace";
   ASSERT_GT(full.deadline_misses(), 0u);
+  // Only the overloaded core needs the engine.
+  const std::vector<sim::SimTask> rt(tasks.begin(), tasks.begin() + nr);
+  EXPECT_EQ(check_profile(sim::RtSlackProfile(rt, horizon), rt, horizon, "overload RT"), 1u);
   sim::RtSlackProfileCache cache;
   const auto band = sim::simulate_mode_band(fixed_rate(tasks), nr, fixed_rate_options(horizon),
                                             cache);
