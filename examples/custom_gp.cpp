@@ -31,7 +31,7 @@ int main() {
   gp::Posynomial sched = problem.posynomial();                                 // Eq. (6)/Ts
   sched += problem.monomial(wcet + interference_const).with(ts, -1.0);
   sched += problem.monomial(interference_util);
-  problem.add_constraint_leq1(std::move(sched), "Cs + I(Ts) <= Ts");
+  problem.add_constraint_leq1(std::move(sched));                               // Cs + I(Ts) <= Ts
 
   const auto solution = gp::GpSolver().solve(problem, std::vector<double>{t_max});
   if (!solution.ok()) {
@@ -70,12 +70,12 @@ int main() {
     gp::Posynomial c0 = joint.posynomial();  // 400/T0 + 0.3 <= 1
     c0 += joint.monomial(400.0).with(t0, -1.0);
     c0 += joint.monomial(0.3);
-    joint.add_constraint_leq1(std::move(c0), "hp monitor");
+    joint.add_constraint_leq1(std::move(c0));
     gp::Posynomial c1 = joint.posynomial();  // (600+400)/T1 + 0.3 + 400/T0 <= 1
     c1 += joint.monomial(1000.0).with(t1, -1.0);
     c1 += joint.monomial(0.3);
     c1 += joint.monomial(400.0).with(t0, -1.0);
-    joint.add_constraint_leq1(std::move(c1), "lo monitor (coupled)");
+    joint.add_constraint_leq1(std::move(c1));
   }
   const auto joint_solution =
       gp::GpSolver().solve(joint, std::vector<double>{10000.0, 15000.0});

@@ -118,7 +118,7 @@ gp::GpProblem build_constraint_problem(const Instance& instance,
     for (const std::size_t h : shapes[s].hp_local) {
       sched += problem.monomial(sec[h].wcet).with(var[h], -1.0);
     }
-    problem.add_constraint_leq1(std::move(sched), "sched[" + sec[s].name + "]");
+    problem.add_constraint_leq1(std::move(sched));
   }
   return problem;
 }

@@ -44,7 +44,7 @@ PeriodAdaptation solve_gp(const rt::SecurityTask& task, const rt::InterferenceBo
   gp::Posynomial sched = problem.posynomial();
   sched += problem.monomial(task.wcet + bound.const_part).with(ts, -1.0);
   if (bound.util_part > 0.0) sched += problem.monomial(bound.util_part);
-  problem.add_constraint_leq1(std::move(sched), "Cs + I(Ts) <= Ts");
+  problem.add_constraint_leq1(std::move(sched));  // Cs + I(Ts) <= Ts
 
   // Start just inside the Tmax bound (the exact corner sits on the box
   // boundary and would trigger the solver's phase-I program needlessly).

@@ -66,8 +66,7 @@ PeriodAdaptation adapt_period_exact(const rt::SecurityTask& task,
 
 /// The smallest period satisfying Cs + A + B·Ts ≤ Ts, ignoring the
 /// [Tdes, Tmax] box: (Cs + A)/(1 − B).  nullopt when B ≥ 1 (interferers
-/// saturate the core).  Exposed for tests and for the joint optimizer's
-/// start-point construction.
+/// saturate the core).  The closed-form solver's core; exposed for tests.
 std::optional<util::Millis> min_feasible_period(const rt::SecurityTask& task,
                                                 const rt::InterferenceBound& bound);
 

@@ -1,7 +1,6 @@
 #include "exp/merge.h"
 
 #include <algorithm>
-#include <fstream>
 #include <map>
 #include <ostream>
 #include <stdexcept>
@@ -23,15 +22,6 @@ struct CellAcc {
   std::size_t point = 0;
   std::size_t instance = 0;
 };
-
-std::vector<std::string> read_lines(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot open shard checkpoint: " + path);
-  std::vector<std::string> lines;
-  std::string line;
-  while (std::getline(in, line)) lines.push_back(line);
-  return lines;
-}
 
 std::size_t scheme_position(const std::vector<std::string>& schemes,
                             const std::string& scheme, const std::string& cell) {
@@ -62,7 +52,9 @@ MergeResult merge_checkpoints(const std::vector<std::string>& paths,
 
   for (std::size_t f = 0; f < paths.size(); ++f) {
     const auto& path = paths[f];
-    const auto lines = read_lines(path);
+    auto read = read_checkpoint_lines(path);
+    if (!read.has_value()) throw std::runtime_error("no such shard checkpoint: " + path);
+    const auto lines = std::move(*read);
 
     std::size_t start = 0;
     auto header = lines.empty() ? std::nullopt : parse_shard_header(lines[0]);

@@ -52,30 +52,6 @@ std::string json_number(double value) {
 }
 
 // ---------------------------------------------------------------------------
-// TableSink
-// ---------------------------------------------------------------------------
-
-struct TableSink::Impl {
-  explicit Impl(std::ostream& os)
-      : os(os), table(std::vector<std::string>(std::begin(kColumns), std::end(kColumns))) {}
-  std::ostream& os;
-  io::Table table;
-};
-
-TableSink::TableSink(std::ostream& os) : impl_(std::make_unique<Impl>(os)) {}
-TableSink::~TableSink() = default;
-
-void TableSink::row(const BatchRow& row) { impl_->table.add_row(row_cells(row)); }
-
-void TableSink::end() {
-  if (impl_->table.num_rows() == 0) return;
-  impl_->table.print(impl_->os);
-  // Reset so a subsequent engine run prints its own table instead of
-  // re-printing accumulated rows.
-  impl_->table = io::Table(std::vector<std::string>(std::begin(kColumns), std::end(kColumns)));
-}
-
-// ---------------------------------------------------------------------------
 // CsvSink
 // ---------------------------------------------------------------------------
 

@@ -3,7 +3,6 @@
 // worker completion order — to every attached sink.
 //
 // Built-in sinks:
-//   * TableSink — buffers rows and renders a column-aligned io::Table;
 //   * CsvSink   — streams RFC-4180 CSV (header first);
 //   * JsonlSink — streams one JSON object per line, the machine-readable
 //     format downstream tooling and the determinism tests consume.
@@ -51,7 +50,7 @@ struct BatchRow {
 
   /// Extra per-row metrics a sweep's RowMetric hooks computed (e.g. mean
   /// detection latency from the attack simulator).  Emitted as a nested JSON
-  /// object; the table/CSV sinks omit them (their schema is fixed).
+  /// object; the CSV sink omits them (its schema is fixed).
   std::vector<std::pair<std::string, double>> metrics;
 };
 
@@ -72,19 +71,6 @@ class ResultSink {
   virtual void begin() {}
   virtual void row(const BatchRow& row) = 0;
   virtual void end() {}
-};
-
-/// Buffers rows and prints a column-aligned io::Table on end().
-class TableSink : public ResultSink {
- public:
-  explicit TableSink(std::ostream& os);
-  ~TableSink() override;
-  void row(const BatchRow& row) override;
-  void end() override;
-
- private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
 };
 
 /// Streams RFC-4180 CSV; the header is written once, on the first begin().

@@ -5,6 +5,7 @@
 #include <charconv>
 #include <chrono>
 #include <condition_variable>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <mutex>
@@ -182,7 +183,10 @@ std::string sweep_fingerprint(const SweepSpec& spec) {
     const auto& synth = point.synthetic;
     put("u=" + format_double(point.total_utilization));
     put("m=" + std::to_string(synth.num_cores));
-    put("gen=" + std::to_string(static_cast<int>(synth.util_generator)));
+    // Randfixedsum is the only generator now; the literal keeps fingerprints
+    // of existing shard headers and checkpoints (which hashed generator 0)
+    // unchanged, so they stay mergeable and resumable.
+    put("gen=0");
     put("rt=" + std::to_string(synth.min_rt_per_core) + ".." +
         std::to_string(synth.max_rt_per_core));
     put("sec=" + std::to_string(synth.min_sec_per_core) + ".." +
@@ -289,15 +293,27 @@ std::optional<SweepShardHeader> read_shard_header(const std::string& path) {
   return parse_shard_header(line);
 }
 
+std::optional<std::vector<std::string>> read_checkpoint_lines(const std::string& path) {
+  std::error_code ignored;
+  if (std::filesystem::status(path, ignored).type() == std::filesystem::file_type::not_found) {
+    return std::nullopt;
+  }
+  std::ifstream in(path, std::ios::binary);
+  std::vector<std::string> lines;
+  std::string line;
+  while (std::getline(in, line)) lines.push_back(line);
+  // A directory opens fine and then fails its first read.
+  if (!in.is_open() || in.bad()) throw std::runtime_error("cannot read checkpoint: " + path);
+  return lines;
+}
+
 std::map<std::string, std::vector<BatchRow>> load_sweep_checkpoint(
     const std::string& path) {
   std::map<std::string, std::vector<BatchRow>> cells;
-  std::ifstream in(path);
-  if (!in) return cells;  // cold start
-  std::string line, next;
-  bool more = static_cast<bool>(std::getline(in, line));
-  for (std::size_t n = 1; more; ++n, line.swap(next)) {
-    more = static_cast<bool>(std::getline(in, next));
+  const auto lines = read_checkpoint_lines(path);
+  if (!lines.has_value()) return cells;  // cold start
+  for (std::size_t n = 1; n <= lines->size(); ++n) {
+    const std::string& line = (*lines)[n - 1];
     // The Sweep constructor checks the shard header against the spec.
     if (n == 1 && parse_shard_header(line).has_value()) continue;
     auto row = parse_jsonl_row(line);
@@ -305,7 +321,7 @@ std::map<std::string, std::vector<BatchRow>> load_sweep_checkpoint(
     if (!row.has_value()) {
       // A torn or blank final line is the write in flight when the run was
       // killed: its cell stays incomplete and is re-evaluated, not trusted.
-      if (!more) break;
+      if (n == lines->size()) break;
       throw std::runtime_error(where + ": corrupt checkpoint line (only a torn FINAL "
                                "line is tolerated)");
     }

@@ -160,12 +160,18 @@ std::optional<SweepShardHeader> parse_shard_header(const std::string& line);
 /// when the file is missing, empty, or starts with a plain row.
 std::optional<SweepShardHeader> read_shard_header(const std::string& path);
 
+/// Reads a checkpoint file's lines.  nullopt only when nothing exists at
+/// `path`; anything else that cannot be read (a directory, a read error)
+/// throws std::runtime_error naming the path.
+std::optional<std::vector<std::string>> read_checkpoint_lines(const std::string& path);
+
 /// Parses a JSONL checkpoint into rows grouped by cell key, tolerating a
 /// shard header on line 1 and a torn or blank final line (the row that was
 /// mid-write when the run died).  Any other unparseable line, and a row
 /// without a cell key, throws std::runtime_error naming `path:line`.  A
 /// missing file yields an empty map — "resume from nothing" is a cold start,
-/// so the same command line works for the first and the Nth attempt.
+/// so the same command line works for the first and the Nth attempt — but a
+/// path that exists and cannot be read throws (read_checkpoint_lines).
 std::map<std::string, std::vector<BatchRow>> load_sweep_checkpoint(
     const std::string& path);
 

@@ -4,7 +4,6 @@
 #include <string>
 
 #include "gen/randfixedsum.h"
-#include "gen/uunifast.h"
 #include "rt/analysis.h"
 #include "util/contracts.h"
 
@@ -16,24 +15,6 @@ namespace {
 /// al. [23], which spreads periods evenly across magnitudes.
 double log_uniform(util::Xoshiro256& rng, double lo, double hi) {
   return std::exp(rng.uniform(std::log(lo), std::log(hi)));
-}
-
-/// Dispatches to the configured utilization generator.  UUniFast-Discard may
-/// fail on cap-tight draws; that surfaces as a redraw (nullopt upstream).
-std::optional<std::vector<double>> draw_utilizations(const SyntheticConfig& config,
-                                                     std::size_t n, double sum, double lo,
-                                                     util::Xoshiro256& rng) {
-  switch (config.util_generator) {
-    case UtilGenerator::kRandfixedsum:
-      return randfixedsum(n, sum, lo, config.max_task_utilization, rng);
-    case UtilGenerator::kUunifastDiscard:
-      try {
-        return uunifast_discard(n, sum, config.max_task_utilization, rng, 200);
-      } catch (const std::runtime_error&) {
-        return std::nullopt;
-      }
-  }
-  HYDRA_ASSERT(false, "unknown UtilGenerator");
 }
 
 }  // namespace
@@ -66,11 +47,8 @@ std::optional<SyntheticInstance> generate_instance(const SyntheticConfig& config
     return std::nullopt;
   }
 
-  const auto rt_utils_opt = draw_utilizations(config, n_rt, u_rt, u_floor, rng);
-  const auto sec_utils_opt = draw_utilizations(config, n_sec, u_sec, u_floor, rng);
-  if (!rt_utils_opt.has_value() || !sec_utils_opt.has_value()) return std::nullopt;
-  const auto& rt_utils = *rt_utils_opt;
-  const auto& sec_utils = *sec_utils_opt;
+  const auto rt_utils = randfixedsum(n_rt, u_rt, u_floor, config.max_task_utilization, rng);
+  const auto sec_utils = randfixedsum(n_sec, u_sec, u_floor, config.max_task_utilization, rng);
 
   SyntheticInstance out;
   out.instance.num_cores = m;

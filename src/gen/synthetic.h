@@ -19,16 +19,8 @@
 
 namespace hydra::gen {
 
-/// Which unbiased utilization generator to use (DESIGN.md: the paper uses
-/// Randfixedsum [23]; UUniFast-Discard is the common alternative).
-enum class UtilGenerator {
-  kRandfixedsum,
-  kUunifastDiscard,
-};
-
 struct SyntheticConfig {
   std::size_t num_cores = 2;  ///< M
-  UtilGenerator util_generator = UtilGenerator::kRandfixedsum;
 
   // Task counts, per-core multipliers as in the paper.
   std::size_t min_rt_per_core = 3;

@@ -24,25 +24,18 @@ void GpProblem::set_objective(Posynomial objective) {
   objective_ = std::move(objective);
 }
 
-void GpProblem::add_constraint_leq1(Posynomial p, std::string label) {
+void GpProblem::add_constraint_leq1(Posynomial p) {
   HYDRA_REQUIRE(p.num_vars() == num_variables(), "constraint variable count mismatch");
   HYDRA_REQUIRE(!p.empty(), "constraint must have at least one term");
   constraints_.push_back(std::move(p));
-  labels_.push_back(std::move(label));
-}
-
-void GpProblem::add_constraint(const Posynomial& lhs, const Monomial& rhs, std::string label) {
-  add_constraint_leq1(lhs.times(rhs.reciprocal()), std::move(label));
 }
 
 void GpProblem::add_bounds(VarId v, double lo, double hi) {
   HYDRA_REQUIRE(v < num_variables(), "variable id out of range");
   HYDRA_REQUIRE(lo > 0.0 && lo <= hi, "bounds must satisfy 0 < lo <= hi");
   // lo <= x  ⇔  lo · x⁻¹ <= 1 ;  x <= hi  ⇔  (1/hi) · x <= 1.
-  add_constraint_leq1(Posynomial(monomial(lo).with(v, -1.0)),
-                      variable_name(v) + " >= " + std::to_string(lo));
-  add_constraint_leq1(Posynomial(monomial(1.0 / hi).with(v, 1.0)),
-                      variable_name(v) + " <= " + std::to_string(hi));
+  add_constraint_leq1(Posynomial(monomial(lo).with(v, -1.0)));
+  add_constraint_leq1(Posynomial(monomial(1.0 / hi).with(v, 1.0)));
 }
 
 const Posynomial& GpProblem::objective() const {

@@ -34,11 +34,7 @@ class GpProblem {
   void set_objective(Posynomial objective);
 
   /// Adds the constraint `p <= 1`.
-  void add_constraint_leq1(Posynomial p, std::string label = {});
-
-  /// Adds `lhs <= rhs` for posynomial lhs and *monomial* rhs (a GP-compatible
-  /// form): stored as lhs · rhs⁻¹ <= 1.
-  void add_constraint(const Posynomial& lhs, const Monomial& rhs, std::string label = {});
+  void add_constraint_leq1(Posynomial p);
 
   /// Adds the box constraint lo <= x_v <= hi (lo > 0).
   void add_bounds(VarId v, double lo, double hi);
@@ -46,7 +42,6 @@ class GpProblem {
   bool has_objective() const { return objective_.has_value(); }
   const Posynomial& objective() const;
   const std::vector<Posynomial>& constraints() const { return constraints_; }
-  const std::vector<std::string>& constraint_labels() const { return labels_; }
 
   /// Checks a candidate point against every constraint with tolerance `tol`
   /// (multiplicative: f_i(x) <= 1 + tol).  Used by tests and by callers that
@@ -57,7 +52,6 @@ class GpProblem {
   std::vector<std::string> names_;
   std::optional<Posynomial> objective_;
   std::vector<Posynomial> constraints_;
-  std::vector<std::string> labels_;
 };
 
 }  // namespace hydra::gp

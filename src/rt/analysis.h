@@ -62,7 +62,8 @@ bool core_admits_rm(const std::vector<RtTask>& resident_by_priority, const RtTas
 bool core_schedulable_rm(const std::vector<RtTask>& tasks_on_core);
 
 /// Liu–Layland utilization bound n·(2^{1/n} − 1) for n tasks [14].  A cheaper
-/// sufficient test; used as a fast path and in tests against exact RTA.
+/// sufficient test, kept as a test oracle against exact RTA; the admission
+/// fast path uses the hyperbolic bound below, which dominates it.
 double liu_layland_bound(std::size_t n);
 
 /// Hyperbolic bound (Bini, Buttazzo & Buttazzo): Π(Ui + 1) ≤ 2 is sufficient

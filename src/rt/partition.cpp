@@ -28,15 +28,6 @@ std::vector<double> Partition::core_utilizations(const std::vector<RtTask>& task
 
 namespace {
 
-/// Feasibility of adding `candidate` to a core currently holding `resident`
-/// (kept in RM priority order): the whole core must remain RM-schedulable by
-/// exact RTA.  core_admits_rm re-analyzes only the candidate and the
-/// residents it preempts — placements are identical to rebuilding the trial
-/// set and running the full per-core test.
-bool fits(const std::vector<RtTask>& resident_by_priority, const RtTask& candidate) {
-  return core_admits_rm(resident_by_priority, candidate);
-}
-
 /// Inserts `task` after every resident with period <= its own, mirroring
 /// where rm_priority_order's stable sort places a last-appended task.
 void insert_by_priority(std::vector<RtTask>& resident_by_priority, const RtTask& task) {
@@ -49,71 +40,33 @@ void insert_by_priority(std::vector<RtTask>& resident_by_priority, const RtTask&
 }  // namespace
 
 std::optional<Partition> partition_rt_tasks(const std::vector<RtTask>& tasks,
-                                            std::size_t num_cores,
-                                            const PartitionOptions& options) {
+                                            std::size_t num_cores) {
   HYDRA_REQUIRE(num_cores >= 1, "need at least one core");
   validate(tasks);
 
   std::vector<std::size_t> order(tasks.size());
   std::iota(order.begin(), order.end(), 0);
-  if (options.decreasing_utilization) {
-    std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      return tasks[a].utilization() > tasks[b].utilization();
-    });
-  }
+  std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return tasks[a].utilization() > tasks[b].utilization();
+  });
 
   Partition partition;
   partition.num_cores = num_cores;
   partition.core_of.assign(tasks.size(), 0);
 
+  // Residents are kept in RM priority order, so core_admits_rm re-analyzes
+  // only the candidate and the residents it preempts.
   std::vector<std::vector<RtTask>> residents(num_cores);
   std::vector<double> load(num_cores, 0.0);
-  std::size_t next_fit_cursor = 0;
 
   for (const std::size_t ti : order) {
     const RtTask& task = tasks[ti];
     std::optional<std::size_t> chosen;
-
-    switch (options.strategy) {
-      case FitStrategy::kFirstFit: {
-        for (std::size_t c = 0; c < num_cores; ++c) {
-          if (fits(residents[c], task)) {
-            chosen = c;
-            break;
-          }
-        }
-        break;
-      }
-      case FitStrategy::kBestFit: {
-        double best_load = -1.0;
-        for (std::size_t c = 0; c < num_cores; ++c) {
-          if (fits(residents[c], task) && load[c] > best_load) {
-            best_load = load[c];
-            chosen = c;
-          }
-        }
-        break;
-      }
-      case FitStrategy::kWorstFit: {
-        double best_load = 2.0;  // any utilization is < 2
-        for (std::size_t c = 0; c < num_cores; ++c) {
-          if (fits(residents[c], task) && load[c] < best_load) {
-            best_load = load[c];
-            chosen = c;
-          }
-        }
-        break;
-      }
-      case FitStrategy::kNextFit: {
-        for (std::size_t probe = 0; probe < num_cores; ++probe) {
-          const std::size_t c = (next_fit_cursor + probe) % num_cores;
-          if (fits(residents[c], task)) {
-            chosen = c;
-            next_fit_cursor = c;
-            break;
-          }
-        }
-        break;
+    double best_load = -1.0;
+    for (std::size_t c = 0; c < num_cores; ++c) {
+      if (core_admits_rm(residents[c], task) && load[c] > best_load) {
+        best_load = load[c];
+        chosen = c;
       }
     }
 

@@ -13,20 +13,6 @@
 
 namespace hydra::rt {
 
-enum class FitStrategy {
-  kFirstFit,  ///< lowest-index feasible core
-  kBestFit,   ///< feasible core left with the least spare utilization
-  kWorstFit,  ///< feasible core left with the most spare utilization
-  kNextFit,   ///< rotating cursor, advance on failure
-};
-
-struct PartitionOptions {
-  FitStrategy strategy = FitStrategy::kBestFit;
-  /// Sort tasks by decreasing utilization before placing (the classic
-  /// "-decreasing" bin-packing variants); improves packing quality.
-  bool decreasing_utilization = true;
-};
-
 /// A completed RT partition: core_of[i] is the core (0-based) of task i.
 struct Partition {
   std::size_t num_cores = 0;
@@ -39,11 +25,12 @@ struct Partition {
   std::vector<double> core_utilizations(const std::vector<RtTask>& tasks) const;
 };
 
-/// Partitions `tasks` over `num_cores` cores; returns nullopt when the chosen
-/// heuristic cannot place some task such that every core stays RM-schedulable
-/// (exact RTA admission).
+/// Partitions `tasks` over `num_cores` cores by best-fit decreasing: tasks
+/// in decreasing utilization (stable, so equal utilizations keep input
+/// order), each onto the most loaded core that stays RM-schedulable by exact
+/// RTA; equal loads go to the lowest core index.  Returns nullopt when some
+/// task fits on no core.
 std::optional<Partition> partition_rt_tasks(const std::vector<RtTask>& tasks,
-                                            std::size_t num_cores,
-                                            const PartitionOptions& options = {});
+                                            std::size_t num_cores);
 
 }  // namespace hydra::rt

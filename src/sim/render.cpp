@@ -77,25 +77,4 @@ std::string render_gantt(const Trace& trace, const std::vector<SimTask>& tasks,
   return os.str();
 }
 
-void write_segments_csv(const Trace& trace, const std::vector<SimTask>& tasks,
-                        std::ostream& os) {
-  os << "task,name,core,from_us,to_us\n";
-  for (const auto& seg : trace.segments) {
-    os << seg.task << "," << tasks[seg.task].name << "," << seg.core << "," << seg.from << ","
-       << seg.to << "\n";
-  }
-}
-
-void write_jobs_csv(const Trace& trace, const std::vector<SimTask>& tasks, std::ostream& os) {
-  os << "task,name,job,release_us,start_us,completion_us,completed,deadline_missed\n";
-  for (std::size_t t = 0; t < trace.jobs.size(); ++t) {
-    for (std::size_t j = 0; j < trace.jobs[t].size(); ++j) {
-      const auto& rec = trace.jobs[t][j];
-      os << t << "," << tasks[t].name << "," << j << "," << rec.release << "," << rec.start
-         << "," << (rec.completed ? rec.completion : 0) << "," << (rec.completed ? 1 : 0)
-         << "," << (rec.deadline_missed ? 1 : 0) << "\n";
-    }
-  }
-}
-
 }  // namespace hydra::sim

@@ -1,9 +1,8 @@
-// Human-readable schedule inspection: ASCII Gantt charts and CSV export of
-// recorded execution segments.  Requires a trace captured with
+// Human-readable schedule inspection: ASCII Gantt charts of recorded
+// execution segments.  Requires a trace captured with
 // SimOptions::record_segments = true.
 #pragma once
 
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -23,13 +22,5 @@ struct GanttOptions {
 /// letters to task names.
 std::string render_gantt(const Trace& trace, const std::vector<SimTask>& tasks,
                          const GanttOptions& options = {});
-
-/// Writes segments as CSV: task,name,core,from_us,to_us.
-void write_segments_csv(const Trace& trace, const std::vector<SimTask>& tasks,
-                        std::ostream& os);
-
-/// Writes per-job records as CSV: task,name,job,release_us,start_us,
-/// completion_us,completed,deadline_missed.
-void write_jobs_csv(const Trace& trace, const std::vector<SimTask>& tasks, std::ostream& os);
 
 }  // namespace hydra::sim

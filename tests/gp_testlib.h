@@ -96,7 +96,7 @@ inline RandomGp make_random_gp(util::Xoshiro256& rng, const RandomGpOptions& opt
     for (const auto& mono : poly.terms()) {
       rescaled += mono.scaled(target / at_witness);
     }
-    p.add_constraint_leq1(rescaled, "rand" + std::to_string(c));
+    p.add_constraint_leq1(rescaled);
   }
 
   p.set_objective(draw_posynomial(opt.max_terms + 1));
@@ -117,7 +117,7 @@ inline RandomGp make_infeasible_gp(util::Xoshiro256& rng, const RandomGpOptions&
   // x_0 <= witness_0 * 20 always (scale < 20), so require x_0 >= 40*witness_0.
   gp::Posynomial contradiction = p.posynomial();
   contradiction += p.monomial(40.0 * out.witness[0]).with(0, -1.0);
-  p.add_constraint_leq1(contradiction, "contradiction");
+  p.add_constraint_leq1(contradiction);
   out.feasible_by_construction = false;
   return out;
 }

@@ -149,21 +149,6 @@ TEST(CsvSink, QuotesCellsAndWritesHeaderOnce) {
   EXPECT_NE(out.find("\"needs, quoting\""), std::string::npos);      // RFC-4180 quoted
 }
 
-TEST(TableSink, RendersRowsAndResetsBetweenRuns) {
-  std::ostringstream os;
-  hexp::TableSink sink(os);
-  sink.begin();
-  sink.row(sample_row());
-  sink.end();
-  const auto first_len = os.str().size();
-  EXPECT_NE(os.str().find("hydra/tie=lowest-index"), std::string::npos);
-  sink.begin();
-  sink.row(sample_row());
-  sink.end();
-  // The second run renders one table again, not an accumulation of both runs.
-  EXPECT_EQ(os.str().size(), 2 * first_len);
-}
-
 TEST(FileSink, DispatchesOnExtensionAndWritesTheFile) {
   const std::string jsonl_path = "/tmp/hydra_sink_test.jsonl";
   {

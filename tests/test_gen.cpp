@@ -8,7 +8,6 @@
 #include "gen/randfixedsum.h"
 #include "gen/synthetic.h"
 #include "gen/uav.h"
-#include "gen/uunifast.h"
 #include "rt/analysis.h"
 
 namespace gen = hydra::gen;
@@ -84,81 +83,6 @@ TEST(Randfixedsum, CustomBounds) {
   EXPECT_NEAR(sum, 2.0, 1e-9);
 }
 
-TEST(Uunifast, SumsExactly) {
-  hydra::util::Xoshiro256 rng(8);
-  for (int rep = 0; rep < 100; ++rep) {
-    const std::size_t n = 1 + static_cast<std::size_t>(rng.uniform_int(0, 9));
-    const double target = rng.uniform(0.1, 0.95);
-    const auto u = gen::uunifast(n, target, rng);
-    ASSERT_EQ(u.size(), n);
-    double sum = 0.0;
-    for (const double v : u) {
-      EXPECT_GE(v, 0.0);
-      sum += v;
-    }
-    EXPECT_NEAR(sum, target, 1e-12);
-  }
-}
-
-TEST(Uunifast, SingleValueIsTheSum) {
-  hydra::util::Xoshiro256 rng(9);
-  const auto u = gen::uunifast(1, 0.42, rng);
-  ASSERT_EQ(u.size(), 1u);
-  EXPECT_DOUBLE_EQ(u[0], 0.42);
-}
-
-TEST(Uunifast, MarginalsAreExchangeable) {
-  hydra::util::Xoshiro256 rng(10);
-  const std::size_t n = 5;
-  std::vector<double> mean(n, 0.0);
-  const int reps = 5000;
-  for (int rep = 0; rep < reps; ++rep) {
-    const auto u = gen::uunifast(n, 0.8, rng);
-    for (std::size_t i = 0; i < n; ++i) mean[i] += u[i];
-  }
-  for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(mean[i] / reps, 0.16, 0.01);
-}
-
-TEST(Uunifast, DiscardEnforcesCap) {
-  hydra::util::Xoshiro256 rng(11);
-  for (int rep = 0; rep < 50; ++rep) {
-    const auto u = gen::uunifast_discard(4, 1.6, 0.7, rng);
-    double sum = 0.0;
-    for (const double v : u) {
-      EXPECT_LE(v, 0.7);
-      sum += v;
-    }
-    EXPECT_NEAR(sum, 1.6, 1e-12);
-  }
-}
-
-TEST(Uunifast, ImpossibleCapRejected) {
-  hydra::util::Xoshiro256 rng(12);
-  // sum 3.0 over 4 values with cap 0.5 (max reachable 2.0) fails fast.
-  EXPECT_THROW(gen::uunifast_discard(4, 3.0, 0.5, rng), std::invalid_argument);
-  // cap 0.76 is reachable (3.04) but nearly tight: most draws rejected —
-  // small attempt budget makes the discard loop give up.
-  EXPECT_THROW(gen::uunifast_discard(4, 3.0, 0.76, rng, 2), std::runtime_error);
-}
-
-TEST(Uunifast, PlainCanExceedCapRandfixedsumRespects) {
-  // The documented difference between the generators: UUniFast has no
-  // per-value bound, Randfixedsum does.
-  hydra::util::Xoshiro256 rng(13);
-  bool uunifast_exceeded = false;
-  for (int rep = 0; rep < 2000 && !uunifast_exceeded; ++rep) {
-    for (const double v : gen::uunifast(4, 0.9, rng)) {
-      if (v > 0.5) uunifast_exceeded = true;
-    }
-  }
-  EXPECT_TRUE(uunifast_exceeded);
-  for (int rep = 0; rep < 200; ++rep) {
-    for (const double v : gen::randfixedsum(4, 0.9, 0.0, 0.5, rng)) {
-      EXPECT_LE(v, 0.5 + 1e-12);
-    }
-  }
-}
-
 TEST(Synthetic, RespectsSectionIvbRanges) {
   gen::SyntheticConfig config;
   config.num_cores = 2;
@@ -230,39 +154,6 @@ TEST(Synthetic, DeterministicGivenSeed) {
     EXPECT_DOUBLE_EQ(a->instance.rt_tasks[i].wcet, b->instance.rt_tasks[i].wcet);
     EXPECT_DOUBLE_EQ(a->instance.rt_tasks[i].period, b->instance.rt_tasks[i].period);
   }
-}
-
-TEST(Synthetic, UunifastGeneratorOptionWorks) {
-  gen::SyntheticConfig config;
-  config.num_cores = 2;
-  config.util_generator = gen::UtilGenerator::kUunifastDiscard;
-  hydra::util::Xoshiro256 rng(314);
-  const auto drawn = gen::generate_instance(config, 1.0, rng);
-  ASSERT_TRUE(drawn.has_value());
-  EXPECT_NEAR(drawn->rt_utilization + drawn->sec_utilization, 1.0, 1e-6);
-  for (const auto& t : drawn->instance.rt_tasks) {
-    EXPECT_LE(t.utilization(), config.max_task_utilization + 1e-9);
-  }
-  drawn->instance.validate();
-}
-
-TEST(Synthetic, GeneratorsProduceDifferentDraws) {
-  gen::SyntheticConfig rfs_config, uuf_config;
-  rfs_config.num_cores = uuf_config.num_cores = 2;
-  uuf_config.util_generator = gen::UtilGenerator::kUunifastDiscard;
-  hydra::util::Xoshiro256 rng_a(42), rng_b(42);
-  const auto a = gen::generate_instance(rfs_config, 1.0, rng_a);
-  const auto b = gen::generate_instance(uuf_config, 1.0, rng_b);
-  ASSERT_TRUE(a.has_value());
-  ASSERT_TRUE(b.has_value());
-  // Same seed, same counts, different utilization vectors (the generators
-  // consume the stream differently).
-  bool differs = a->instance.rt_tasks.size() != b->instance.rt_tasks.size();
-  for (std::size_t i = 0; !differs && i < a->instance.rt_tasks.size(); ++i) {
-    differs = !hydra::util::approx_equal(a->instance.rt_tasks[i].wcet,
-                                         b->instance.rt_tasks[i].wcet);
-  }
-  EXPECT_TRUE(differs);
 }
 
 TEST(Uav, SixValidControlTasks) {

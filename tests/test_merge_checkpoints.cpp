@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <random>
 #include <set>
@@ -353,6 +354,26 @@ TEST(MergeCheckpoints, MissingShardOrMissingFileIsAnError) {
       hexp::merge_checkpoints({::testing::TempDir() + "hydra_no_such.jsonl"}),
       std::runtime_error);
   EXPECT_THROW(hexp::merge_checkpoints({}), std::runtime_error);
+}
+
+TEST(MergeCheckpoints, DirectoryInputIsAnErrorNamingIt) {
+  // A directory opens like a file and then fails its first read; it used to
+  // count as an empty headerless shard, which --allow-partial merged anyway.
+  const auto& fix = fixture();
+  const TempFile s0("dir_input0.jsonl", fix.shard_content[0]);
+  const std::string dir = ::testing::TempDir() + "hydra_merge_dir";
+  std::filesystem::create_directories(dir);
+  hexp::MergeOptions partial;
+  partial.require_complete = false;
+  for (const auto& options : {hexp::MergeOptions{}, partial}) {
+    try {
+      hexp::merge_checkpoints({s0.path, dir}, options);
+      FAIL() << "should have thrown";
+    } catch (const std::runtime_error& error) {
+      EXPECT_NE(std::string(error.what()).find(dir), std::string::npos) << error.what();
+    }
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(MergeCheckpoints, SeededFuzzNeverSilentlyCorrupts) {

@@ -104,27 +104,3 @@ TEST(Gantt, RequiresSegmentsAndSaneWindow) {
   EXPECT_THROW(sim::render_gantt(trace, {a}, {100, 100, 50}), std::invalid_argument);
   EXPECT_THROW(sim::render_gantt(trace, {a}, {0, 200, 4}), std::invalid_argument);
 }
-
-TEST(TraceCsv, SegmentsAndJobsExport) {
-  const auto a = make("a", 10, 100, 0, 0);
-  sim::SimOptions opts;
-  opts.horizon = 300;
-  opts.record_segments = true;
-  const auto trace = sim::simulate({a}, opts);
-
-  std::ostringstream seg;
-  sim::write_segments_csv(trace, {a}, seg);
-  EXPECT_NE(seg.str().find("task,name,core,from_us,to_us"), std::string::npos);
-  EXPECT_NE(seg.str().find("0,a,0,0,10"), std::string::npos);
-
-  std::ostringstream jobs;
-  sim::write_jobs_csv(trace, {a}, jobs);
-  EXPECT_NE(jobs.str().find("deadline_missed"), std::string::npos);
-  EXPECT_NE(jobs.str().find("0,a,0,0,0,10,1,0"), std::string::npos);
-  // Three releases → header plus three rows.
-  int lines = 0;
-  std::string line;
-  std::istringstream stream(jobs.str());
-  while (std::getline(stream, line)) ++lines;
-  EXPECT_EQ(lines, 4);
-}

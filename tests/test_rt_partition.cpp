@@ -1,6 +1,6 @@
-// Tests for the partitioning heuristics: correctness invariants (every core
-// RM-schedulable, all tasks placed), strategy-specific behaviours, and
-// failure cases.
+// Tests for best-fit-decreasing RT partitioning: correctness invariants
+// (every core RM-schedulable, all tasks placed), placement and tie-breaking,
+// and failure cases.
 #include <gtest/gtest.h>
 
 #include "rt/analysis.h"
@@ -21,47 +21,36 @@ std::vector<rt::RtTask> uniform_tasks(int n, double util_each, double period) {
 
 }  // namespace
 
-TEST(Partition, SingleTaskGoesToCoreZeroFirstFit) {
-  const auto tasks = uniform_tasks(1, 0.5, 10.0);
-  rt::PartitionOptions opts;
-  opts.strategy = rt::FitStrategy::kFirstFit;
-  const auto p = rt::partition_rt_tasks(tasks, 4, opts);
-  ASSERT_TRUE(p.has_value());
-  EXPECT_EQ(p->core_of[0], 0u);
+TEST(Partition, SingleTaskAndEqualLoadTiesGoToTheLowestCore) {
+  // Best-fit prefers the most loaded feasible core; among equal loads the
+  // lowest index wins.  The golden sweep rows depend on this choice.
+  const auto one = uniform_tasks(1, 0.5, 10.0);
+  const auto p1 = rt::partition_rt_tasks(one, 4);
+  ASSERT_TRUE(p1.has_value());
+  EXPECT_EQ(p1->core_of[0], 0u);
+
+  // Three 0.6 tasks on three cores: each new task fits only on an empty
+  // core, and the empty cores tie at load 0, so they fill in index order.
+  const auto three = uniform_tasks(3, 0.6, 10.0);
+  const auto p3 = rt::partition_rt_tasks(three, 3);
+  ASSERT_TRUE(p3.has_value());
+  EXPECT_EQ(p3->core_of, (std::vector<std::size_t>{0, 1, 2}));
 }
 
 TEST(Partition, EveryCoreRemainsSchedulable) {
   hydra::util::Xoshiro256 rng(42);
-  for (const auto strategy :
-       {rt::FitStrategy::kFirstFit, rt::FitStrategy::kBestFit, rt::FitStrategy::kWorstFit,
-        rt::FitStrategy::kNextFit}) {
-    std::vector<rt::RtTask> tasks;
-    for (int i = 0; i < 16; ++i) {
-      const double period = rng.uniform(10.0, 200.0);
-      tasks.push_back(
-          rt::make_rt_task("t" + std::to_string(i), rng.uniform(0.05, 0.2) * period, period));
-    }
-    rt::PartitionOptions opts;
-    opts.strategy = strategy;
-    const auto p = rt::partition_rt_tasks(tasks, 4, opts);
-    ASSERT_TRUE(p.has_value());
-    ASSERT_EQ(p->core_of.size(), tasks.size());
-    for (std::size_t c = 0; c < 4; ++c) {
-      EXPECT_TRUE(rt::core_schedulable_rm(p->tasks_on_core(tasks, c)))
-          << "strategy " << static_cast<int>(strategy) << " core " << c;
-    }
+  std::vector<rt::RtTask> tasks;
+  for (int i = 0; i < 16; ++i) {
+    const double period = rng.uniform(10.0, 200.0);
+    tasks.push_back(
+        rt::make_rt_task("t" + std::to_string(i), rng.uniform(0.05, 0.2) * period, period));
   }
-}
-
-TEST(Partition, WorstFitSpreadsLoad) {
-  // Four identical tasks on four cores: worst-fit puts one per core.
-  const auto tasks = uniform_tasks(4, 0.4, 10.0);
-  rt::PartitionOptions opts;
-  opts.strategy = rt::FitStrategy::kWorstFit;
-  const auto p = rt::partition_rt_tasks(tasks, 4, opts);
+  const auto p = rt::partition_rt_tasks(tasks, 4);
   ASSERT_TRUE(p.has_value());
-  const auto util = p->core_utilizations(tasks);
-  for (const double u : util) EXPECT_NEAR(u, 0.4, 1e-12);
+  ASSERT_EQ(p->core_of.size(), tasks.size());
+  for (std::size_t c = 0; c < 4; ++c) {
+    EXPECT_TRUE(rt::core_schedulable_rm(p->tasks_on_core(tasks, c))) << "core " << c;
+  }
 }
 
 TEST(Partition, BestFitPacksTightly) {
@@ -72,9 +61,7 @@ TEST(Partition, BestFitPacksTightly) {
   std::vector<rt::RtTask> tasks{rt::make_rt_task("big", 6.0, 10.0),
                                 rt::make_rt_task("s1", 3.0, 10.0),
                                 rt::make_rt_task("s2", 3.0, 10.0)};
-  rt::PartitionOptions opts;
-  opts.strategy = rt::FitStrategy::kBestFit;
-  const auto p = rt::partition_rt_tasks(tasks, 2, opts);
+  const auto p = rt::partition_rt_tasks(tasks, 2);
   ASSERT_TRUE(p.has_value());
   EXPECT_EQ(p->core_of[0], p->core_of[1]);  // big + s1 share the packed core
   EXPECT_NE(p->core_of[2], p->core_of[0]);
@@ -84,28 +71,20 @@ TEST(Partition, BestFitPacksTightly) {
 
 TEST(Partition, InfeasibleReturnsNullopt) {
   // Three tasks of 0.8 cannot fit on two cores.
-  const auto tasks = uniform_tasks(3, 0.8, 10.0);
-  for (const auto strategy :
-       {rt::FitStrategy::kFirstFit, rt::FitStrategy::kBestFit, rt::FitStrategy::kWorstFit,
-        rt::FitStrategy::kNextFit}) {
-    rt::PartitionOptions opts;
-    opts.strategy = strategy;
-    EXPECT_FALSE(rt::partition_rt_tasks(tasks, 2, opts).has_value());
-  }
+  EXPECT_FALSE(rt::partition_rt_tasks(uniform_tasks(3, 0.8, 10.0), 2).has_value());
 }
 
-TEST(Partition, DecreasingUtilizationHelpsPacking) {
-  // 2 cores; tasks 0.55, 0.55, 0.35, 0.35, 0.2 (harmonic periods).  In input
-  // order first-fit places 0.55+0.35 on core0, 0.55+0.35 on core1, then 0.2
-  // fails on both.  Decreasing order packs 0.55/0.35 pairs plus 0.2 → fits.
+TEST(Partition, PlacesTasksInDecreasingUtilization) {
+  // 2 cores, harmonic periods; tasks 0.35, 0.35, 0.6, 0.6 in that input
+  // order.  Best-fit in input order would pack both 0.35s on core 0, put a
+  // 0.6 on core 1 and find no room for the second 0.6.  Decreasing order
+  // places the 0.6s first, one per core, and a 0.35 joins each (0.95).
   std::vector<rt::RtTask> tasks{
-      rt::make_rt_task("a", 5.5, 10.0), rt::make_rt_task("b", 5.5, 10.0),
-      rt::make_rt_task("c", 3.5, 10.0), rt::make_rt_task("d", 3.5, 10.0),
-      rt::make_rt_task("e", 2.0, 20.0)};
-  rt::PartitionOptions sorted;
-  sorted.strategy = rt::FitStrategy::kFirstFit;
-  sorted.decreasing_utilization = true;
-  EXPECT_TRUE(rt::partition_rt_tasks(tasks, 2, sorted).has_value());
+      rt::make_rt_task("s1", 3.5, 10.0), rt::make_rt_task("s2", 3.5, 10.0),
+      rt::make_rt_task("b1", 6.0, 10.0), rt::make_rt_task("b2", 6.0, 10.0)};
+  const auto p = rt::partition_rt_tasks(tasks, 2);
+  ASSERT_TRUE(p.has_value());
+  EXPECT_EQ(p->core_of, (std::vector<std::size_t>{0, 1, 0, 1}));
 }
 
 TEST(Partition, CoreUtilizationsSumToTotal) {

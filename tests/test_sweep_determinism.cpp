@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -353,6 +354,23 @@ TEST(SweepResume, MissingCheckpointIsAColdStart) {
   const auto summary = hexp::Sweep(std::move(spec)).run();
   EXPECT_EQ(summary.resumed_cells, 0u);
   EXPECT_EQ(summary.cells, 12u);  // 3 points × 4 replications
+}
+
+TEST(SweepResume, AnUnreadableCheckpointIsAnErrorNotAColdStart) {
+  // Only a path that does not exist is a cold start.  A directory opens like
+  // a file and then fails its first read; that used to look like an empty
+  // checkpoint and silently recompute every cell.
+  const std::string dir = ::testing::TempDir() + "hydra_resume_dir";
+  std::filesystem::create_directories(dir);
+  auto spec = small_grid();
+  spec.resume_path = dir;
+  try {
+    hexp::Sweep sweep(std::move(spec));
+    FAIL() << "should have thrown";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find(dir), std::string::npos) << error.what();
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(SweepResume, ForeignCellKeysAreALoudErrorNotASilentRecompute) {

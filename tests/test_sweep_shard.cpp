@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <set>
@@ -187,6 +188,45 @@ TEST(ShardSpec, FingerprintTracksSpecIdentityButNotExecutionKnobs) {
   auto other_grid = shard_grid();
   other_grid.points.pop_back();
   EXPECT_NE(hexp::Sweep(std::move(other_grid)).fingerprint(), fingerprint);
+}
+
+TEST(ShardSpec, FingerprintsOfFixedSpecsArePinned) {
+  // Shard headers and --resume checkpoints carry these hashes: a refactor
+  // that moves one makes every existing checkpoint unmergeable and
+  // unresumable, so a change here must be deliberate.
+  hexp::SweepSpec grid;
+  grid.schemes = {"hydra", "single-core", "optimal"};
+  hydra::gen::SyntheticConfig config;
+  config.num_cores = 4;
+  config.min_sec_per_core = 1;
+  grid.add_utilization_grid(config, {0.8, 1.6});
+  grid.replications = 5;
+  grid.base_seed = 2018;
+  EXPECT_EQ(hexp::sweep_fingerprint(grid), "76ce12ce8baa9a3d");
+
+  hydra::core::Instance instance;
+  instance.num_cores = 2;
+  instance.rt_tasks = {hydra::rt::make_rt_task("r1", 10.0, 40.0),
+                       hydra::rt::make_rt_task("r2", 3.5, 25.0)};
+  instance.security_tasks = {{"s1", 2.0, 500.0, 5000.0, 1.0}};
+  hexp::SweepSpec preset;
+  preset.schemes = {"hydra", "contego"};
+  hexp::SweepPoint preset_point;
+  preset_point.instance = instance;
+  preset_point.label = "preset";
+  preset.points.push_back(preset_point);
+  EXPECT_EQ(hexp::sweep_fingerprint(preset), "664c4a301a05897f");
+
+  // File paths are hashed as given, so the corpus is named relative to the
+  // source tree to keep the pin independent of where the tree is checked out.
+  const auto cwd = std::filesystem::current_path();
+  std::filesystem::current_path(HYDRA_SOURCE_DIR);
+  hexp::SweepSpec corpus;
+  corpus.schemes = {"hydra", "single-core", "period-adapt"};
+  corpus.add_corpus_point("tests/corpus", "corpus");
+  const auto corpus_fingerprint = hexp::sweep_fingerprint(corpus);
+  std::filesystem::current_path(cwd);
+  EXPECT_EQ(corpus_fingerprint, "36a4128d2e87a8e5");
 }
 
 TEST(ShardSpec, FingerprintTracksFileContentAndPresetTaskParameters) {
