@@ -25,7 +25,7 @@ int main() {
   const double interference_const = 350.0, interference_util = 0.55;
 
   gp::GpProblem problem;
-  const gp::VarId ts = problem.add_variable("Ts");
+  const gp::VarId ts = problem.add_variable();
   problem.set_objective(gp::Posynomial(problem.monomial(1.0).with(ts, 1.0)));  // min Ts
   problem.add_bounds(ts, t_des, t_max);                                        // Eq. (4)
   gp::Posynomial sched = problem.posynomial();                                 // Eq. (6)/Ts
@@ -58,8 +58,8 @@ int main() {
   // each one's schedulability, with the high-priority period T0 appearing in
   // the low-priority constraint (the C0/T0 coupling term).
   gp::GpProblem joint;
-  const gp::VarId t0 = joint.add_variable("T0");
-  const gp::VarId t1 = joint.add_variable("T1");
+  const gp::VarId t0 = joint.add_variable();
+  const gp::VarId t1 = joint.add_variable();
   gp::Posynomial objective = joint.posynomial();
   objective += joint.monomial(2.0 / 1000.0).with(t0, 1.0);  // weight 2, Tdes 1000
   objective += joint.monomial(1.0 / 1500.0).with(t1, 1.0);  // weight 1, Tdes 1500

@@ -107,9 +107,7 @@ gp::GpProblem build_constraint_problem(const Instance& instance,
   const auto& sec = instance.security_tasks;
   gp::GpProblem problem;
   std::vector<gp::VarId> var(sec.size());
-  for (std::size_t s = 0; s < sec.size(); ++s) {
-    var[s] = problem.add_variable("T[" + sec[s].name + "]");
-  }
+  for (std::size_t s = 0; s < sec.size(); ++s) var[s] = problem.add_variable();
   for (std::size_t s = 0; s < sec.size(); ++s) {
     problem.add_bounds(var[s], sec[s].period_des, sec[s].period_max);
     gp::Posynomial sched = problem.posynomial();

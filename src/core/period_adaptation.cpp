@@ -37,7 +37,7 @@ PeriodAdaptation solve_gp(const rt::SecurityTask& task, const rt::InterferenceBo
   //   min Ts   s.t.  Tdes·Ts⁻¹ ≤ 1,  (1/Tmax)·Ts ≤ 1,
   //                  (Cs + A)·Ts⁻¹ + B ≤ 1.
   gp::GpProblem problem;
-  const gp::VarId ts = problem.add_variable("Ts[" + task.name + "]");
+  const gp::VarId ts = problem.add_variable();
   problem.set_objective(gp::Posynomial(problem.monomial(1.0).with(ts, 1.0)));
   problem.add_bounds(ts, task.period_des, task.period_max);
 

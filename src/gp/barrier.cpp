@@ -1,6 +1,8 @@
 #include "gp/barrier.h"
 
 #include <cmath>
+#include <limits>
+#include <utility>
 
 #include "linalg/cholesky.h"
 #include "util/contracts.h"
@@ -9,60 +11,91 @@ namespace hydra::gp {
 
 namespace {
 
-/// One solve's evaluation scratch: the callbacks' shared output bundle plus
-/// the assembled barrier gradient and Hessian.  Reused by every Newton step
-/// and line-search probe, so the loop does no copies beyond these buffers.
-struct BarrierScratch {
-  FnEval fn;
-  linalg::Vector grad;
-  linalg::Matrix hess;
+/// Every function's evaluation at one point: the callback bundles (F0 first,
+/// then the constraints in order) and log(−Fi) of each constraint, kept so a
+/// rise of t re-sums φ_t without evaluating anything.
+struct PointEval {
+  std::vector<FnEval> fns;
+  std::vector<double> log_neg;
+
+  explicit PointEval(std::size_t num_constraints)
+      : fns(num_constraints + 1), log_neg(num_constraints) {}
 };
 
-/// Value-only φ_t(y) for line searches: no derivative work.  Returns false
-/// (leaving `value` unset) when y violates a constraint.
-bool eval_barrier_value(const SmoothFn& f0, const std::vector<SmoothFn>& cons, double t,
-                        const linalg::Vector& y, FnEval& fn, double& value) {
-  f0(y, EvalLevel::kValue, fn);
-  double acc = t * fn.value;
-  for (const auto& ci : cons) {
-    ci(y, EvalLevel::kValue, fn);
-    const double cv = fn.value;
-    if (!(cv < 0.0)) return false;  // infeasible
-    acc -= std::log(-cv);
+/// Value probe at y: every function at kValue, stopping at the first
+/// violated constraint.  Returns false (leaving `pt` partly stale) when y
+/// is not strictly feasible.
+bool probe(const SmoothFn& f0, const std::vector<SmoothFn>& cons, const linalg::Vector& y,
+           PointEval& pt) {
+  f0(y, EvalLevel::kValue, pt.fns[0]);
+  for (std::size_t i = 0; i < cons.size(); ++i) {
+    FnEval& fn = pt.fns[i + 1];
+    cons[i](y, EvalLevel::kValue, fn);
+    if (!(fn.value < 0.0)) return false;  // infeasible
+    pt.log_neg[i] = std::log(-fn.value);
   }
-  value = acc;
   return true;
 }
 
-/// Full barrier evaluation for Newton step assembly into `s.grad`/`s.hess`.
-/// Returns false when y violates a constraint.
-bool eval_barrier_full(const SmoothFn& f0, const std::vector<SmoothFn>& cons, double t,
-                       const linalg::Vector& y, BarrierScratch& s, double& value) {
-  const std::size_t n = y.size();
-  FnEval& fn = s.fn;
+/// Adds every function's derivatives at y to `pt`, which holds the probe at
+/// the same y (the kFull contract in barrier.h).
+void finish(const SmoothFn& f0, const std::vector<SmoothFn>& cons, const linalg::Vector& y,
+            PointEval& pt) {
+  f0(y, EvalLevel::kFull, pt.fns[0]);
+  for (std::size_t i = 0; i < cons.size(); ++i) {
+    cons[i](y, EvalLevel::kFull, pt.fns[i + 1]);
+    HYDRA_ASSERT(pt.fns[i + 1].value < 0.0, "iterate left the feasible region");
+  }
+}
 
-  f0(y, EvalLevel::kFull, fn);
-  double acc = t * fn.value;
-  s.grad = fn.grad;
-  s.grad *= t;
-  s.hess = fn.hess;
-  s.hess *= t;
+/// φ_t(y) = t·F0 − Σ log(−Fi), summed in constraint order.
+double barrier_value(const PointEval& pt, double t) {
+  double acc = t * pt.fns[0].value;
+  for (const double l : pt.log_neg) acc -= l;
+  return acc;
+}
 
-  double* grad = s.grad.raw();
-  for (const auto& ci : cons) {
-    ci(y, EvalLevel::kFull, fn);
-    if (!(fn.value < 0.0)) return false;  // infeasible
-    acc -= std::log(-fn.value);
+/// ∇φ_t and ∇²φ_t at a finished point: t·∇F0 and t·∇²F0, then per
+/// constraint (1/−Fi)·∇Fi, the outer product (1/Fi²)·∇Fi∇Fiᵀ and
+/// (1/−Fi)·∇²Fi.
+void assemble(const PointEval& pt, double t, std::size_t n, linalg::Vector& grad,
+              linalg::Matrix& hess) {
+  const FnEval& obj = pt.fns[0];
+  HYDRA_ASSERT(obj.grad.size() == n, "objective gradient size mismatch");
+  grad = obj.grad;
+  grad *= t;
+  // Adding a +0 Hessian, which a hess_zero constraint skips, changes an
+  // entry only if the entry is −0.0 (to +0) or the scale is +inf (to NaN).
+  // An entry can only be −0.0 if t·∇²F0 put it there, so that is tracked.
+  bool may_hold_neg_zero = false;
+  if (obj.hess_zero) {
+    hess.assign(n, n);  // t·(+0) = +0 for the finite t > 0
+  } else {
+    hess = obj.hess;
+    double* h = hess.raw();
+    for (std::size_t k = 0; k < n * n; ++k) {
+      h[k] *= t;
+      may_hold_neg_zero |= h[k] == 0.0 && std::signbit(h[k]);
+    }
+  }
+
+  double* g = grad.raw();
+  for (std::size_t i = 1; i < pt.fns.size(); ++i) {
+    const FnEval& fn = pt.fns[i];
     const double inv = 1.0 / (-fn.value);  // > 0
     HYDRA_ASSERT(fn.grad.size() == n, "constraint gradient size mismatch");
     const double* gi = fn.grad.raw();
-    for (std::size_t k = 0; k < n; ++k) grad[k] += inv * gi[k];
+    for (std::size_t k = 0; k < n; ++k) g[k] += inv * gi[k];
     // ∇² of −log(−Fi) = (1/Fi²)·g gᵀ + (1/(−Fi))·H.
-    s.hess.add_outer(fn.grad, inv * inv);
-    s.hess.add_scaled(fn.hess, inv);
+    hess.add_outer(fn.grad, inv * inv);
+    if (!fn.hess_zero) {
+      hess.add_scaled(fn.hess, inv);
+    } else if (may_hold_neg_zero || !(inv < std::numeric_limits<double>::infinity())) {
+      double* h = hess.raw();
+      for (std::size_t k = 0; k < n * n; ++k) h[k] += inv * 0.0;
+      may_hold_neg_zero = false;
+    }
   }
-  value = acc;
-  return true;
 }
 
 }  // namespace
@@ -70,18 +103,22 @@ bool eval_barrier_full(const SmoothFn& f0, const std::vector<SmoothFn>& cons, do
 BarrierResult barrier_minimize(const SmoothFn& f0, const std::vector<SmoothFn>& constraints,
                                const linalg::Vector& y0, const BarrierOptions& opts) {
   HYDRA_REQUIRE(y0.size() > 0, "barrier_minimize: empty start point");
-  // One scratch set for the whole solve: every Newton iteration and line
-  // search probe reuses these buffers instead of allocating.
-  BarrierScratch scratch;
-  double value = 0.0;
-  const bool start_feasible =
-      eval_barrier_value(f0, constraints, opts.t0, y0, scratch.fn, value);
-  HYDRA_REQUIRE(start_feasible, "barrier_minimize: start point is not strictly feasible");
+  const std::size_t n = y0.size();
+  // The current iterate and the line-search probe; an accepted probe swaps
+  // in as the next iterate.  Every Newton iteration and probe reuses these
+  // buffers instead of allocating.
+  PointEval cur(constraints.size());
+  PointEval trial(constraints.size());
+  HYDRA_REQUIRE(probe(f0, constraints, y0, cur),
+                "barrier_minimize: start point is not strictly feasible");
+  bool cur_finished = false;  // whether `cur` holds derivatives yet
 
   BarrierResult result;
   result.y = y0;
   double t = opts.t0;
   linalg::SpdWorkspace spd_ws;
+  linalg::Vector grad;
+  linalg::Matrix hess;
   linalg::Vector neg_grad;
   linalg::Vector cand;
   const double m = static_cast<double>(constraints.size());
@@ -94,30 +131,34 @@ BarrierResult barrier_minimize(const SmoothFn& f0, const std::vector<SmoothFn>& 
   while (true) {
     // --- Inner loop: damped Newton on φ_t. ---
     for (int it = 0; it < opts.max_newton_per_stage; ++it) {
-      double cur_value = 0.0;
-      const bool feasible = eval_barrier_full(f0, constraints, t, result.y, scratch, cur_value);
-      HYDRA_ASSERT(feasible, "iterate left the feasible region");
+      if (!cur_finished) {
+        finish(f0, constraints, result.y, cur);
+        cur_finished = true;
+      }
+      const double cur_value = barrier_value(cur, t);
+      assemble(cur, t, n, grad, hess);
 
-      neg_grad = scratch.grad;
+      neg_grad = grad;
       neg_grad *= -1.0;
-      const linalg::Vector& step = linalg::solve_spd_into(scratch.hess, neg_grad, spd_ws);
+      const linalg::Vector& step = linalg::solve_spd_into(hess, neg_grad, spd_ws);
       // Newton decrement λ² = gradᵀ H⁻¹ grad = −gradᵀ·step.
-      const double decrement = -dot(scratch.grad, step);
+      const double decrement = -dot(grad, step);
       if (decrement * 0.5 <= newton_tol) break;
 
       // Backtracking line search: stay strictly feasible + Armijo decrease.
       double step_len = 1.0;
       bool moved = false;
-      const std::size_t n = result.y.size();
       cand.assign(n);
       for (int bt = 0; bt < opts.max_backtracks; ++bt) {
         const double* yv = result.y.raw();
         const double* sv = step.raw();
         double* cv = cand.raw();
         for (std::size_t i = 0; i < n; ++i) cv[i] = yv[i] + step_len * sv[i];
-        if (eval_barrier_value(f0, constraints, t, cand, scratch.fn, value) &&
-            value <= cur_value - opts.armijo_alpha * step_len * decrement) {
+        if (probe(f0, constraints, cand, trial) &&
+            barrier_value(trial, t) <= cur_value - opts.armijo_alpha * step_len * decrement) {
           result.y = cand;
+          std::swap(cur, trial);
+          cur_finished = false;
           moved = true;
           break;
         }
@@ -126,8 +167,7 @@ BarrierResult barrier_minimize(const SmoothFn& f0, const std::vector<SmoothFn>& 
       ++result.newton_steps;
       if (!moved) break;  // step too small to make progress at this t
 
-      f0(result.y, EvalLevel::kValue, scratch.fn);
-      const double obj = scratch.fn.value;
+      const double obj = cur.fns[0].value;
       if (obj < opts.unbounded_below) {
         result.status = BarrierStatus::kUnbounded;
         result.objective = obj;
@@ -135,8 +175,7 @@ BarrierResult barrier_minimize(const SmoothFn& f0, const std::vector<SmoothFn>& 
       }
     }
 
-    f0(result.y, EvalLevel::kValue, scratch.fn);
-    result.objective = scratch.fn.value;
+    result.objective = cur.fns[0].value;
     if (m == 0.0 || m / t < opts.duality_gap_tol) {
       result.status = BarrierStatus::kOptimal;
       return result;
@@ -145,6 +184,7 @@ BarrierResult barrier_minimize(const SmoothFn& f0, const std::vector<SmoothFn>& 
       result.status = BarrierStatus::kMaxIterations;
       return result;
     }
+    // A rise of t keeps y: `cur` keeps its values, logs and derivatives.
     t *= opts.mu;
   }
 }

@@ -13,9 +13,13 @@
 // phase-II problem (log-sum-exp functions) and the phase-I feasibility
 // problem (log-sum-exp minus a slack variable) reuse the same machinery.
 // Line searches request value-only evaluations (EvalLevel::kValue), which
-// implementations should serve without computing derivatives.  Callbacks
-// write into a solver-owned FnEval, so one solve reuses one set of buffers
-// across every Newton step and line-search probe.
+// implementations should serve without computing derivatives.  Each function
+// writes into solver-owned bundles, one for the current iterate and one for
+// the line-search probe, so one solve reuses one set of buffers across every
+// Newton step and probe.  Every point is evaluated once: the accepted probe
+// becomes the next iterate, its value is not recomputed, and its
+// derivatives are added to the same bundle (see EvalLevel::kFull).  Raising
+// t re-sums the kept −log(−Fi) terms and reuses the derivatives.
 #pragma once
 
 #include <functional>
@@ -30,7 +34,13 @@ namespace hydra::gp {
 /// How much of the evaluation the solver needs at this point.
 enum class EvalLevel {
   kValue,  ///< value only (line searches); grad/hess may be left empty
-  kFull,   ///< value, gradient and Hessian (Newton step assembly)
+  /// Value, gradient and Hessian (Newton step assembly).  The solver asks
+  /// for it only at a point where the same callback has just been evaluated
+  /// at kValue into the same `out`, with no call to that callback between
+  /// the two.  So a callback may keep intermediates of its kValue call (in
+  /// `out` or in its own state) and finish from them; one that ignores this
+  /// and evaluates from scratch gets the same result.
+  kFull,
 };
 
 /// Value / gradient / Hessian bundle of a smooth scalar function.  It is the
@@ -40,8 +50,12 @@ using FnEval = LogEval;
 
 /// Callback evaluating a smooth convex function at y into `out`, which the
 /// solver owns and reuses between calls (so every field may hold a previous
-/// evaluation on entry).  kValue must set `out.value`; kFull must set
-/// `out.value`, `out.grad` (size n) and `out.hess` (n × n).
+/// evaluation on entry).  kValue must set `out.value`; kFull must leave
+/// `out.value` set and set `out.grad` (size n) and `out.hess` (n × n).
+/// Instead of writing `out.hess`, kFull may set `out.hess_zero` to report a
+/// Hessian that is +0 in every entry.  The solver's bundles start with the
+/// flag clear, so a callback that never touches it always writes the
+/// Hessian; one that does must set or clear it on every kFull call.
 using SmoothFn =
     std::function<void(const linalg::Vector& y, EvalLevel level, FnEval& out)>;
 

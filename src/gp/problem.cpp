@@ -6,16 +6,10 @@
 
 namespace hydra::gp {
 
-VarId GpProblem::add_variable(std::string name) {
+VarId GpProblem::add_variable() {
   HYDRA_REQUIRE(!objective_.has_value() && constraints_.empty(),
                 "add all variables before the objective and constraints");
-  names_.push_back(std::move(name));
-  return names_.size() - 1;
-}
-
-const std::string& GpProblem::variable_name(VarId v) const {
-  HYDRA_REQUIRE(v < names_.size(), "variable id out of range");
-  return names_[v];
+  return num_variables_++;
 }
 
 void GpProblem::set_objective(Posynomial objective) {

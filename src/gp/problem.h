@@ -11,7 +11,6 @@
 #pragma once
 
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "gp/terms.h"
@@ -21,10 +20,9 @@ namespace hydra::gp {
 class GpProblem {
  public:
   /// Registers a new positive decision variable and returns its id.
-  VarId add_variable(std::string name);
+  VarId add_variable();
 
-  std::size_t num_variables() const { return names_.size(); }
-  const std::string& variable_name(VarId v) const;
+  std::size_t num_variables() const { return num_variables_; }
 
   /// Convenience factories tied to this problem's variable count.
   Monomial monomial(double coeff) const { return Monomial(coeff, num_variables()); }
@@ -49,7 +47,7 @@ class GpProblem {
   bool is_feasible(const std::vector<double>& x, double tol = 1e-7) const;
 
  private:
-  std::vector<std::string> names_;
+  std::size_t num_variables_ = 0;
   std::optional<Posynomial> objective_;
   std::vector<Posynomial> constraints_;
 };

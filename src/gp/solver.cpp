@@ -19,13 +19,14 @@ std::string format_diag(double v) {
   return buffer;
 }
 
-/// Wraps a posynomial's log-space image as a SmoothFn.
+/// Wraps a posynomial's log-space image as a SmoothFn.  A kFull call
+/// finishes the kValue probe the barrier made at the same point.
 SmoothFn make_log_fn(const Posynomial& p) {
   return [&p](const linalg::Vector& y, EvalLevel level, FnEval& out) {
     if (level == EvalLevel::kValue) {
-      out.value = p.log_value(y);
+      p.log_probe(y, out);
     } else {
-      p.log_eval_into(y, /*need_hess=*/true, out);
+      p.log_finish(y, /*need_hess=*/true, out);
     }
   };
 }
@@ -82,33 +83,35 @@ Phase1Outcome run_phase1(const GpProblem& problem, const linalg::Vector& y_start
     if (level == EvalLevel::kFull) {
       out.grad.assign(ext);
       out.grad[n] = 1.0;
-      out.hess.assign(ext, ext);
+      out.hess_zero = true;
     }
   };
 
-  // The constraints share one scratch for the y-part of z and its
-  // log-space evaluation (the barrier calls them one at a time).
+  // The constraints share one scratch for the y-part of z; each keeps its
+  // own log-space evaluation, whose kValue probe a kFull call finishes.
   struct Scratch {
     linalg::Vector y;
-    LogEval le;
+    std::vector<LogEval> le;
   } scratch;
+  const auto& constraints = problem.constraints();
+  scratch.le.resize(constraints.size());
   std::vector<SmoothFn> cons;
-  cons.reserve(problem.constraints().size());
-  for (const auto& c : problem.constraints()) {
-    cons.push_back([&c, &scratch, n, ext](const linalg::Vector& z, EvalLevel level,
-                                          FnEval& out) {
+  cons.reserve(constraints.size());
+  for (std::size_t ci = 0; ci < constraints.size(); ++ci) {
+    cons.push_back([&c = constraints[ci], &le = scratch.le[ci], &scratch, n, ext](
+                       const linalg::Vector& z, EvalLevel level, FnEval& out) {
       scratch.y.assign(n);
       for (std::size_t i = 0; i < n; ++i) scratch.y[i] = z[i];
       if (level == EvalLevel::kValue) {
-        out.value = c.log_value(scratch.y) - z[n];
+        out.value = c.log_probe(scratch.y, le) - z[n];
         return;
       }
-      c.log_eval_into(scratch.y, /*need_hess=*/true, scratch.le);
-      const LogEval& le = scratch.le;
-      out.value = le.value - z[n];
+      c.log_finish(scratch.y, /*need_hess=*/true, le);
       out.grad.assign(ext);
       for (std::size_t i = 0; i < n; ++i) out.grad[i] = le.grad[i];
       out.grad[n] = -1.0;
+      out.hess_zero = le.hess_zero;
+      if (le.hess_zero) return;
       out.hess.assign(ext, ext);
       for (std::size_t i = 0; i < n; ++i) {
         for (std::size_t j = 0; j < n; ++j) out.hess(i, j) = le.hess(i, j);

@@ -120,43 +120,67 @@ LogEval Posynomial::log_eval(const linalg::Vector& y, bool need_hess) const {
 }
 
 void Posynomial::log_eval_into(const linalg::Vector& y, bool need_hess, LogEval& out) const {
+  log_probe(y, out);
+  log_finish(y, need_hess, out);
+  if (out.hess_zero) {
+    out.hess.assign(num_vars_, num_vars_);
+    out.has_hess = true;
+  }
+}
+
+double Posynomial::log_probe(const linalg::Vector& y, LogEval& out) const {
   HYDRA_REQUIRE(!terms_.empty(), "cannot evaluate the log of an empty posynomial");
+  HYDRA_REQUIRE(y.size() == num_vars_, "posynomial log point size mismatch");
+  const std::size_t k = terms_.size();
+  const double* yv = y.raw();
+  out.single_term = false;
+  if (k == 1) {
+    const double u = terms_[0].log_eval_unchecked(yv);
+    if (single_term_exact(u)) {
+      out.single_term = true;
+      return out.value = u + 0.0;
+    }
+  }
+  if (out.weights.size() < k) out.weights.resize(k);  // grow-only scratch
+  double u_max = 0.0;
+  out.wsum = shifted_weights(yv, out.weights.data(), u_max);
+  return out.value = u_max + std::log(out.wsum);
+}
+
+void Posynomial::log_finish(const linalg::Vector& y, bool need_hess, LogEval& out) const {
   HYDRA_REQUIRE(y.size() == num_vars_, "posynomial log point size mismatch");
   const std::size_t n = num_vars_;
   const std::size_t k = terms_.size();
-  const double* yv = y.raw();
   out.grad.assign(n);
   double* g = out.grad.raw();
   out.has_hess = false;
+  out.hess_zero = false;
 
-  if (k == 1) {
+  if (out.single_term) {
     // Single term (period bounds, condensed SCP objectives): p = 1, so
     // ∇F = 0 + a and ∇²F = a·aᵀ − a·aᵀ, which is +0 in every entry as long
     // as no product a_r·a_c overflows (x + (−x) = +0 for finite x).
-    const double u = terms_[0].log_eval_unchecked(yv);
-    if (single_term_exact(u)) {
-      const double* a = terms_[0].exponents().data();
-      double a_max = 0.0;
-      for (std::size_t i = 0; i < n; ++i) {
-        g[i] += a[i];
-        a_max = std::fmax(a_max, std::fabs(a[i]));
-      }
-      out.value = u + 0.0;
-      if (!need_hess) return;
-      if (a_max * a_max < std::numeric_limits<double>::infinity()) {
-        out.hess.assign(n, n);
-        out.has_hess = true;
-        return;
-      }
-      out.grad.assign(n);  // overflowing products: take the general path
+    const double* a = terms_[0].exponents().data();
+    double a_max = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      g[i] += a[i];
+      a_max = std::fmax(a_max, std::fabs(a[i]));
     }
+    if (!need_hess) return;
+    if (a_max * a_max < std::numeric_limits<double>::infinity()) {
+      out.hess_zero = true;
+      return;
+    }
+    // Overflowing products: take the general path, with the weights the
+    // probe skipped (its value is the general path's value too).
+    out.grad.assign(n);
+    if (out.weights.size() < k) out.weights.resize(k);
+    double u_max = 0.0;
+    out.wsum = shifted_weights(y.raw(), out.weights.data(), u_max);
   }
 
-  if (out.weights.size() < k) out.weights.resize(k);  // grow-only scratch
   double* w = out.weights.data();
-  double u_max = 0.0;
-  const double wsum = shifted_weights(yv, w, u_max);
-  out.value = u_max + std::log(wsum);
+  const double wsum = out.wsum;
   for (std::size_t t = 0; t < k; ++t) {
     w[t] /= wsum;  // softmax weight p_t
     const double* a = terms_[t].exponents().data();
@@ -173,17 +197,8 @@ void Posynomial::log_eval_into(const linalg::Vector& y, bool need_hess, LogEval&
 }
 
 double Posynomial::log_value(const linalg::Vector& y) const {
-  HYDRA_REQUIRE(!terms_.empty(), "cannot evaluate the log of an empty posynomial");
-  HYDRA_REQUIRE(y.size() == num_vars_, "posynomial log point size mismatch");
-  if (terms_.size() == 1) {
-    const double u = terms_[0].log_eval_unchecked(y.raw());
-    if (single_term_exact(u)) return u + 0.0;
-  }
-  thread_local std::vector<double> scratch;
-  if (scratch.size() < terms_.size()) scratch.resize(terms_.size());
-  double u_max = 0.0;
-  const double wsum = shifted_weights(y.raw(), scratch.data(), u_max);
-  return u_max + std::log(wsum);
+  thread_local LogEval scratch;
+  return log_probe(y, scratch);
 }
 
 Posynomial Posynomial::times(const Monomial& m) const {

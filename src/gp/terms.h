@@ -12,8 +12,9 @@
 //
 // The log-space evaluations are the solvers' inner loop, so they run as an
 // allocation-free kernel: each monomial caches log(c), `log_eval_into` reuses
-// the caller's buffers and evaluates every term once, and single-term
-// posynomials skip exp/log and the Hessian.  None of this changes a result
+// the caller's buffers and evaluates every term once, a value probe
+// (`log_probe`) keeps what `log_finish` needs to add the derivatives later,
+// and single-term posynomials skip exp/log and the Hessian.  None of this changes a result
 // bit — see docs/architecture.md, "Solver-level reuse", for the exactness
 // rule the kernel follows.
 #pragma once
@@ -86,7 +87,16 @@ struct LogEval {
   linalg::Vector grad;     ///< ∇F(y)
   linalg::Matrix hess;     ///< ∇²F(y); meaningful only when has_hess
   bool has_hess = false;
-  std::vector<double> weights;  ///< per-term scratch (softmax weights)
+  /// ∇²F(y) is +0 in every entry.  Posynomial::log_finish sets this instead
+  /// of writing `hess`; log_eval_into writes the zero matrix as well.
+  bool hess_zero = false;
+  /// What Posynomial::log_probe keeps for log_finish: the unnormalised
+  /// weights w_t = exp(u_t − u_max) (softmax weights after log_finish), their
+  /// sum in term order, and whether the single-term shortcut took the value
+  /// (then no weights were computed).
+  std::vector<double> weights;
+  double wsum = 0.0;
+  bool single_term = false;
 };
 
 class Posynomial {
@@ -115,12 +125,24 @@ class Posynomial {
   /// log_eval into caller-owned buffers: `out.grad` (and `out.hess` when
   /// need_hess) are reshaped in place, every term is evaluated once, and
   /// `out.has_hess` reports whether the Hessian was written.  Bit-identical
-  /// to the reference formulation for every input.
+  /// to the reference formulation for every input.  It is log_probe
+  /// followed by log_finish.
   void log_eval_into(const linalg::Vector& y, bool need_hess, LogEval& out) const;
 
-  /// Value-only fast path of log_eval — no gradient, each term evaluated
-  /// once into thread-local scratch.  Used by the solver's line searches,
-  /// which only test feasibility and descent.
+  /// Value-only first half of log_eval_into: sets and returns `out.value`
+  /// and keeps in `out` what log_finish needs (weights, their sum, the
+  /// single-term flag).  Leaves `out.grad`/`out.hess` alone.
+  double log_probe(const linalg::Vector& y, LogEval& out) const;
+
+  /// Second half of log_eval_into: `out` must hold log_probe at this same y.
+  /// Finishes the gradient and, when need_hess, the Hessian from what the
+  /// probe kept, without re-evaluating any term.  A Hessian that is +0 in
+  /// every entry (single-term posynomials) is reported by `out.hess_zero`
+  /// and not written; `out.has_hess` is set only when `hess` was written.
+  void log_finish(const linalg::Vector& y, bool need_hess, LogEval& out) const;
+
+  /// log_probe into thread-local scratch: the value alone, for callers that
+  /// will not ask for derivatives at the same point.
   double log_value(const linalg::Vector& y) const;
 
   /// Multiplies every term by a monomial (posynomial × monomial is closed).

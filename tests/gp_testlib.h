@@ -56,9 +56,7 @@ inline RandomGp make_random_gp(util::Xoshiro256& rng, const RandomGpOptions& opt
   const std::size_t n = rng.uniform_int(1, opt.max_variables);
   std::vector<std::size_t> vars;
   vars.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    vars.push_back(p.add_variable("x" + std::to_string(i)));
-  }
+  for (std::size_t i = 0; i < n; ++i) vars.push_back(p.add_variable());
 
   out.witness.resize(n);
   for (std::size_t i = 0; i < n; ++i) {

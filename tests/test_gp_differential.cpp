@@ -121,7 +121,7 @@ std::optional<gp::GpProblem> corpus_gp(const core::Instance& instance) {
 /// point and solves it.
 gp::GpProblem tinybox_problem() {
   gp::GpProblem p;
-  const auto x = p.add_variable("x");
+  const auto x = p.add_variable();
   p.add_bounds(x, 2.0, 2.0 + 2e-10);
   gp::Posynomial obj = p.posynomial();
   obj += p.monomial(1.0).with(x, 1.0);
@@ -183,7 +183,7 @@ TEST(GpDifferential, InfeasibleRandomGpsGetMatchingVerdicts) {
 TEST(GpDifferential, UnboundedBelowAgreesAcrossBackends) {
   // min 1/x with x >= 1 and no upper bound: infimum 0, never attained.
   gp::GpProblem p;
-  const auto x = p.add_variable("x");
+  const auto x = p.add_variable();
   gp::Posynomial lower = p.posynomial();
   lower += p.monomial(1.0).with(x, -1.0);  // 1/x <= 1, i.e. x >= 1
   p.add_constraint_leq1(lower);

@@ -92,8 +92,8 @@ TEST(GpRegression, BestIterateRuleReturnsBestObservedRound) {
   // starts (rounds are not guaranteed monotone, so "last iterate" would be
   // the wrong rule — that is exactly the regression this test pins).
   gp::GpProblem cons;
-  const auto x = cons.add_variable("x");
-  const auto y = cons.add_variable("y");
+  const auto x = cons.add_variable();
+  const auto y = cons.add_variable();
   cons.add_bounds(x, 1.5, 30.0);
   cons.add_bounds(y, 1.5, 30.0);
   gp::Posynomial budget = cons.posynomial();

@@ -46,8 +46,8 @@ TEST(Condense, SingleTermIsExact) {
 TEST(Scp, MaximizesInverseSumAgainstBoxOnly) {
   // max 1/x + 1/y with x, y >= 2: optimum at x = y = 2, value 1.
   gp::GpProblem cons;
-  const auto x = cons.add_variable("x");
-  const auto y = cons.add_variable("y");
+  const auto x = cons.add_variable();
+  const auto y = cons.add_variable();
   cons.add_bounds(x, 2.0, 50.0);
   cons.add_bounds(y, 2.0, 50.0);
   gp::Posynomial obj = cons.posynomial();
@@ -65,8 +65,8 @@ TEST(Scp, CoupledConstraintMatchesGridSearch) {
   // max 3/x + 1/y  s.t.  1/x + 1/y <= 0.8,  x,y ∈ [1.5, 30].
   // Weight favors x: the optimizer should spend the budget on 1/x.
   gp::GpProblem cons;
-  const auto x = cons.add_variable("x");
-  const auto y = cons.add_variable("y");
+  const auto x = cons.add_variable();
+  const auto y = cons.add_variable();
   cons.add_bounds(x, 1.5, 30.0);
   cons.add_bounds(y, 1.5, 30.0);
   gp::Posynomial budget = cons.posynomial();
@@ -96,7 +96,7 @@ TEST(Scp, CoupledConstraintMatchesGridSearch) {
 
 TEST(Scp, InfeasibleConstraintsGiveInfeasible) {
   gp::GpProblem cons;
-  const auto x = cons.add_variable("x");
+  const auto x = cons.add_variable();
   cons.add_constraint_leq1(gp::Posynomial(cons.monomial(5.0).with(x, -1.0)));  // x >= 5
   cons.add_constraint_leq1(gp::Posynomial(cons.monomial(0.5).with(x, 1.0)));   // x <= 2
   gp::Posynomial obj = cons.posynomial();
@@ -108,7 +108,7 @@ TEST(Scp, InfeasibleConstraintsGiveInfeasible) {
 TEST(Scp, MultiStartPicksBetterBasin) {
   // Even with one poor start, adding a good one must not hurt.
   gp::GpProblem cons;
-  const auto x = cons.add_variable("x");
+  const auto x = cons.add_variable();
   cons.add_bounds(x, 1.0, 100.0);
   gp::Posynomial obj = cons.posynomial();
   obj += cons.monomial(1.0).with(x, -1.0);
@@ -126,8 +126,8 @@ TEST(Scp, ReturnsBestSeenIterateWhenRoundsAreNonMonotone) {
   // duality gap 0.1) this problem's rounds peak at round 4 and then DECAY;
   // the fixed refine_from must return the best-seen iterate, not the last.
   gp::GpProblem cons;
-  const auto x = cons.add_variable("x");
-  const auto y = cons.add_variable("y");
+  const auto x = cons.add_variable();
+  const auto y = cons.add_variable();
   cons.add_bounds(x, 1.5, 30.0);
   cons.add_bounds(y, 1.5, 30.0);
   gp::Posynomial budget = cons.posynomial();
@@ -167,7 +167,7 @@ TEST(Scp, ReturnsBestSeenIterateWhenRoundsAreNonMonotone) {
 
 TEST(Scp, RequiresAtLeastOneStart) {
   gp::GpProblem cons;
-  const auto x = cons.add_variable("x");
+  const auto x = cons.add_variable();
   cons.add_bounds(x, 1.0, 2.0);
   gp::Posynomial obj = cons.posynomial();
   obj += cons.monomial(1.0).with(x, -1.0);

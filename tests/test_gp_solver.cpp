@@ -23,7 +23,7 @@ gp::SolveResult solve(const gp::GpProblem& p,
 TEST(GpSolver, MinimizeVariableWithLowerBound) {
   // min x s.t. x >= 3  →  x* = 3.
   gp::GpProblem p;
-  const auto x = p.add_variable("x");
+  const auto x = p.add_variable();
   p.set_objective(gp::Posynomial(p.monomial(1.0).with(x, 1.0)));
   p.add_bounds(x, 3.0, 100.0);
   const auto r = solve(p);
@@ -35,7 +35,7 @@ TEST(GpSolver, MinimizeVariableWithLowerBound) {
 TEST(GpSolver, ClassicXPlusInverseX) {
   // min x + 1/x over x > 0  →  x* = 1, objective 2.
   gp::GpProblem p;
-  const auto x = p.add_variable("x");
+  const auto x = p.add_variable();
   gp::Posynomial obj = p.posynomial();
   obj += p.monomial(1.0).with(x, 1.0);
   obj += p.monomial(1.0).with(x, -1.0);
@@ -50,7 +50,7 @@ TEST(GpSolver, WeightedGeometricTradeoff) {
   // min a/x + b·x  →  x* = sqrt(a/b), f* = 2·sqrt(ab).
   const double a = 8.0, b = 2.0;
   gp::GpProblem p;
-  const auto x = p.add_variable("x");
+  const auto x = p.add_variable();
   gp::Posynomial obj = p.posynomial();
   obj += p.monomial(a).with(x, -1.0);
   obj += p.monomial(b).with(x, 1.0);
@@ -66,8 +66,8 @@ TEST(GpSolver, TwoVariableVolumeProblem) {
   //   min x·y  s.t.  4/(x·y) <= 1 (x·y >= 4),  x/y <= 2,  y/x <= 2.
   // Optimum: x·y = 4 (any point on the hyperbola within aspect bounds).
   gp::GpProblem p;
-  const auto x = p.add_variable("x");
-  const auto y = p.add_variable("y");
+  const auto x = p.add_variable();
+  const auto y = p.add_variable();
   p.set_objective(gp::Posynomial(p.monomial(1.0).with(x, 1.0).with(y, 1.0)));
   p.add_constraint_leq1(gp::Posynomial(p.monomial(4.0).with(x, -1.0).with(y, -1.0)));
   p.add_constraint_leq1(gp::Posynomial(p.monomial(0.5).with(x, 1.0).with(y, -1.0)));
@@ -82,8 +82,8 @@ TEST(GpSolver, TwoVariableVolumeProblem) {
 TEST(GpSolver, PosynomialConstraintActiveAtOptimum) {
   // min 1/(x·y) s.t. x + y <= 1: symmetric, x* = y* = 1/2, f* = 4.
   gp::GpProblem p;
-  const auto x = p.add_variable("x");
-  const auto y = p.add_variable("y");
+  const auto x = p.add_variable();
+  const auto y = p.add_variable();
   p.set_objective(gp::Posynomial(p.monomial(1.0).with(x, -1.0).with(y, -1.0)));
   gp::Posynomial c = p.posynomial();
   c += p.monomial(1.0).with(x, 1.0);
@@ -99,7 +99,7 @@ TEST(GpSolver, PosynomialConstraintActiveAtOptimum) {
 TEST(GpSolver, InfeasibleBoxDetected) {
   // x >= 5 and x <= 2 cannot hold.
   gp::GpProblem p;
-  const auto x = p.add_variable("x");
+  const auto x = p.add_variable();
   p.set_objective(gp::Posynomial(p.monomial(1.0).with(x, 1.0)));
   p.add_constraint_leq1(gp::Posynomial(p.monomial(5.0).with(x, -1.0)));  // x >= 5
   p.add_constraint_leq1(gp::Posynomial(p.monomial(0.5).with(x, 1.0)));   // x <= 2
@@ -110,8 +110,8 @@ TEST(GpSolver, InfeasibleBoxDetected) {
 TEST(GpSolver, InfeasibleCoupledConstraintsDetected) {
   // x·y >= 10 and x <= 1, y <= 1.
   gp::GpProblem p;
-  const auto x = p.add_variable("x");
-  const auto y = p.add_variable("y");
+  const auto x = p.add_variable();
+  const auto y = p.add_variable();
   p.set_objective(gp::Posynomial(p.monomial(1.0).with(x, 1.0)));
   p.add_constraint_leq1(gp::Posynomial(p.monomial(10.0).with(x, -1.0).with(y, -1.0)));
   p.add_constraint_leq1(gp::Posynomial(p.monomial(1.0).with(x, 1.0)));
@@ -124,7 +124,7 @@ TEST(GpSolver, UnboundedObjectiveDetected) {
   // min 1/x with no constraints: inf is 0, attained at x → ∞ (log-space
   // unbounded below).
   gp::GpProblem p;
-  const auto x = p.add_variable("x");
+  const auto x = p.add_variable();
   p.set_objective(gp::Posynomial(p.monomial(1.0).with(x, -1.0)));
   const auto r = solve(p);
   // Either flagged unbounded or driven to a tiny objective — both acceptable;
@@ -139,7 +139,7 @@ TEST(GpSolver, UnboundedObjectiveDetected) {
 TEST(GpSolver, PhaseOneFindsInteriorFromInfeasibleGuess) {
   // Feasible region: 10 <= x <= 12; guess starts far outside.
   gp::GpProblem p;
-  const auto x = p.add_variable("x");
+  const auto x = p.add_variable();
   p.set_objective(gp::Posynomial(p.monomial(1.0).with(x, 1.0)));
   p.add_bounds(x, 10.0, 12.0);
   const auto r = solve(p, std::vector<double>{0.001});
@@ -152,8 +152,8 @@ TEST(GpSolver, SolutionIsFeasibleAndBetterThanRandomFeasiblePoints) {
   hydra::util::Xoshiro256 rng(4242);
   for (int rep = 0; rep < 8; ++rep) {
     gp::GpProblem p;
-    const auto x = p.add_variable("x");
-    const auto y = p.add_variable("y");
+    const auto x = p.add_variable();
+    const auto y = p.add_variable();
     const double cx = rng.uniform(0.5, 3.0);
     const double cy = rng.uniform(0.5, 3.0);
     gp::Posynomial obj = p.posynomial();
@@ -182,7 +182,7 @@ TEST(GpSolver, MatchesAnalyticSolutionOnConstrainedFamily) {
     const double a = rng.uniform(0.5, 50.0);
     const double u = rng.uniform(0.0, 0.9);
     gp::GpProblem p;
-    const auto x = p.add_variable("x");
+    const auto x = p.add_variable();
     p.set_objective(gp::Posynomial(p.monomial(1.0).with(x, 1.0)));
     gp::Posynomial c = p.posynomial();
     c += p.monomial(a).with(x, -1.0);
@@ -201,9 +201,9 @@ TEST(GpSolver, BoydBoxDesignProblem) {
   // aspect bounds.  Stated as a GP: minimize (hwd)^-1.
   const double a_wall = 200.0, a_flr = 50.0;
   gp::GpProblem p;
-  const auto h = p.add_variable("h");
-  const auto w = p.add_variable("w");
-  const auto d = p.add_variable("d");
+  const auto h = p.add_variable();
+  const auto w = p.add_variable();
+  const auto d = p.add_variable();
   p.set_objective(
       gp::Posynomial(p.monomial(1.0).with(h, -1.0).with(w, -1.0).with(d, -1.0)));
   gp::Posynomial wall = p.posynomial();
@@ -237,9 +237,9 @@ TEST(GpSolver, ActiveConstraintsAreTightAtOptimum) {
   // a complementary-slackness style optimality probe.
   const double a_wall = 200.0, a_flr = 50.0;
   gp::GpProblem p;
-  const auto h = p.add_variable("h");
-  const auto w = p.add_variable("w");
-  const auto d = p.add_variable("d");
+  const auto h = p.add_variable();
+  const auto w = p.add_variable();
+  const auto d = p.add_variable();
   p.set_objective(
       gp::Posynomial(p.monomial(1.0).with(h, -1.0).with(w, -1.0).with(d, -1.0)));
   gp::Posynomial wall = p.posynomial();
@@ -256,14 +256,14 @@ TEST(GpSolver, ActiveConstraintsAreTightAtOptimum) {
 TEST(GpSolver, RejectsMalformedPrograms) {
   gp::GpProblem p;
   EXPECT_THROW(solve(p), std::invalid_argument);  // no variables / objective
-  const auto x = p.add_variable("x");
+  const auto x = p.add_variable();
   (void)x;
   EXPECT_THROW(solve(p), std::invalid_argument);  // still no objective
 }
 
 TEST(GpProblem, IsFeasibleChecksAllConstraints) {
   gp::GpProblem p;
-  const auto x = p.add_variable("x");
+  const auto x = p.add_variable();
   p.set_objective(gp::Posynomial(p.monomial(1.0).with(x, 1.0)));
   p.add_bounds(x, 1.0, 2.0);
   EXPECT_TRUE(p.is_feasible({1.5}));
@@ -278,7 +278,7 @@ TEST(GpSolver, UnboundedWithConstraintCarriesDiagnostic) {
   // deterministic unbounded verdict (unlike the unconstrained variant above,
   // which may legitimately stop at a tiny objective).
   gp::GpProblem p;
-  const auto x = p.add_variable("x");
+  const auto x = p.add_variable();
   p.add_constraint_leq1(gp::Posynomial(p.monomial(1.0).with(x, -1.0)));  // x >= 1
   p.set_objective(gp::Posynomial(p.monomial(1.0).with(x, -1.0)));
   const auto r = solve(p);
@@ -294,7 +294,7 @@ TEST(GpSolver, Phase1MarginDecidesBothSidesOfTheBoundary) {
   // kInfeasible — with the margin spelled out in the diagnostic.
   const auto make_box = [] {
     gp::GpProblem p;
-    const auto x = p.add_variable("x");
+    const auto x = p.add_variable();
     p.add_bounds(x, 2.0, 2.2);
     p.set_objective(gp::Posynomial(p.monomial(1.0).with(x, 1.0)));
     return p;
@@ -317,7 +317,7 @@ TEST(GpSolver, DegenerateTinyboxReportsInfeasibleWithDiagnostic) {
   // with a diagnosed kInfeasible.  (The primal-dual IPM backend solves this
   // instance — that rescue lives in test_gp_differential.)
   gp::GpProblem p;
-  const auto x = p.add_variable("x");
+  const auto x = p.add_variable();
   p.add_bounds(x, 2.0, 2.0 + 2e-10);
   p.set_objective(gp::Posynomial(p.monomial(1.0).with(x, 1.0)));
   const auto r = solve(p);
@@ -330,7 +330,7 @@ TEST(GpSolver, EveryNonOptimalExitCarriesAMessage) {
   // Drive the two deterministic failure verdicts and assert it.
   {
     gp::GpProblem p;  // infeasible: x >= 5 and x <= 2
-    const auto x = p.add_variable("x");
+    const auto x = p.add_variable();
     p.set_objective(gp::Posynomial(p.monomial(1.0).with(x, 1.0)));
     p.add_constraint_leq1(gp::Posynomial(p.monomial(5.0).with(x, -1.0)));
     p.add_constraint_leq1(gp::Posynomial(p.monomial(0.5).with(x, 1.0)));
@@ -340,7 +340,7 @@ TEST(GpSolver, EveryNonOptimalExitCarriesAMessage) {
   }
   {
     gp::GpProblem p;  // unbounded: min 1/x, x >= 1
-    const auto x = p.add_variable("x");
+    const auto x = p.add_variable();
     p.add_constraint_leq1(gp::Posynomial(p.monomial(1.0).with(x, -1.0)));
     p.set_objective(gp::Posynomial(p.monomial(1.0).with(x, -1.0)));
     const auto r = solve(p);
@@ -351,7 +351,7 @@ TEST(GpSolver, EveryNonOptimalExitCarriesAMessage) {
 
 TEST(GpSolver, RejectsBadInitialGuesses) {
   gp::GpProblem p;
-  const auto x = p.add_variable("x");
+  const auto x = p.add_variable();
   p.set_objective(gp::Posynomial(p.monomial(1.0).with(x, 1.0)));
   p.add_bounds(x, 1.0, 2.0);
   // Wrong dimension.
@@ -363,7 +363,7 @@ TEST(GpSolver, RejectsBadInitialGuesses) {
 
 TEST(GpProblem, VariablesMustPrecedeConstraints) {
   gp::GpProblem p;
-  const auto x = p.add_variable("x");
+  const auto x = p.add_variable();
   p.add_bounds(x, 1.0, 2.0);
-  EXPECT_THROW(p.add_variable("y"), std::invalid_argument);
+  EXPECT_THROW(p.add_variable(), std::invalid_argument);
 }

@@ -242,8 +242,42 @@ bool same_array(const double* a, const double* b, std::size_t count) {
   return true;
 }
 
+/// The keep-then-finish path the barrier uses: log_probe, then log_finish
+/// at the same y from what the probe kept, into the same dirty bundle.
+/// Value, gradient and Hessian must match the reference bits; a Hessian
+/// reported by hess_zero instead of written must be +0 in every entry.
+void expect_probe_then_finish_exact(const gp::Posynomial& p, const la::Vector& y,
+                                    gp::LogEval& kept) {
+  const std::size_t n = p.num_vars();
+  for (const bool need_hess : {false, true}) {
+    const gp::LogEval ref = reference_log_eval(p, y, need_hess);
+    const double probed = p.log_probe(y, kept);
+    EXPECT_TRUE(same_array(&probed, &kept.value, 1)) << "log_probe's return";
+    EXPECT_TRUE(same_array(&kept.value, &ref.value, 1)) << "probe value";
+    p.log_finish(y, need_hess, kept);
+    EXPECT_TRUE(same_array(&kept.value, &ref.value, 1)) << "value after finish";
+    ASSERT_EQ(kept.grad.size(), n);
+    EXPECT_TRUE(same_array(kept.grad.raw(), ref.grad.raw(), n))
+        << "finished gradient, need_hess=" << need_hess;
+    if (!need_hess) {
+      EXPECT_FALSE(kept.has_hess || kept.hess_zero);
+      continue;
+    }
+    EXPECT_NE(kept.has_hess, kept.hess_zero) << "exactly one way to report the Hessian";
+    if (kept.hess_zero) {
+      const la::Matrix zero(n, n);
+      EXPECT_TRUE(same_array(zero.raw(), ref.hess.raw(), n * n)) << "hess_zero on a nonzero Hessian";
+    } else {
+      ASSERT_EQ(kept.hess.rows(), n);
+      ASSERT_EQ(kept.hess.cols(), n);
+      EXPECT_TRUE(same_array(kept.hess.raw(), ref.hess.raw(), n * n)) << "finished Hessian";
+    }
+  }
+}
+
 /// Compares the kernel against the reference at y, both through the
-/// returning wrapper and through a long-lived (dirty) caller buffer.
+/// returning wrapper and through a long-lived (dirty) caller buffer, and
+/// the keep-then-finish path through the same buffer.
 void expect_bit_exact(const gp::Posynomial& p, const la::Vector& y, gp::LogEval& reused,
                       const std::string& context) {
   SCOPED_TRACE(context);
@@ -268,6 +302,7 @@ void expect_bit_exact(const gp::Posynomial& p, const la::Vector& y, gp::LogEval&
       }
     }
   }
+  expect_probe_then_finish_exact(p, y, reused);
 }
 
 /// Seeded random posynomial: sparse exponents (so many are exactly 0.0),
@@ -349,4 +384,39 @@ TEST(Posynomial, SingleTermShortcutFallsBackOutsideItsExactDomain) {
   // inf − inf = NaN, so the zero-Hessian shortcut must not apply.
   const gp::Posynomial huge(gp::Monomial(2.0, 2).with(0, 1e200).with(1, -3.0));
   expect_bit_exact(huge, la::Vector(2, 0.0), reused, "overflowing exponent products");
+}
+
+TEST(Posynomial, FinishReportsZeroHessianOnlyWhereTheShortcutIsExact) {
+  gp::LogEval kept;
+  const auto finish_at = [&kept](const gp::Posynomial& p, double y0) {
+    const la::Vector y(p.num_vars(), y0);
+    p.log_probe(y, kept);
+    p.log_finish(y, /*need_hess=*/true, kept);
+  };
+  const gp::Posynomial bound(gp::Monomial(0.5, 2).with(1, -1.0));
+  finish_at(bound, 0.3);
+  EXPECT_TRUE(kept.hess_zero);
+  EXPECT_FALSE(kept.has_hess);
+
+  // Overflowing a_r·a_c: the probe took the shortcut, the finish must not.
+  const gp::Posynomial huge(gp::Monomial(2.0, 2).with(0, 1e200).with(1, -3.0));
+  finish_at(huge, 0.0);
+  EXPECT_FALSE(kept.hess_zero);
+  ASSERT_TRUE(kept.has_hess);
+  EXPECT_TRUE(std::isnan(kept.hess(0, 0)));  // inf − inf
+
+  // u = +inf is outside the shortcut's domain from the probe on.
+  const gp::Posynomial steep(gp::Monomial(1.0, 1).with(0, 4.0));
+  finish_at(steep, 1e308);
+  EXPECT_FALSE(kept.hess_zero);
+  EXPECT_TRUE(kept.has_hess);
+
+  // Several terms never report a zero Hessian, even on a dirty bundle.
+  gp::Posynomial two(2);
+  two += gp::Monomial(1.0, 2).with(0, 1.0);
+  two += gp::Monomial(3.0, 2).with(1, -2.0);
+  finish_at(bound, 0.0);
+  finish_at(two, 0.5);
+  EXPECT_FALSE(kept.hess_zero);
+  EXPECT_TRUE(kept.has_hess);
 }
