@@ -73,8 +73,8 @@ int run(const hydra::util::CliParser& cli) {
       if (via_exact.feasible) {
         exact_tightness.push_back(via_exact.cumulative_tightness(inst.security_tasks) / upper);
         // Exact allocations must re-validate under exact RTA.
-        const auto report = core::validate_allocation(
-            inst, via_exact, 0.0, std::nullopt, core::ScheduleTest::kExactRta);
+        const auto report = core::validate_allocation(inst, via_exact, std::nullopt,
+                                                      core::ScheduleTest::kExactRta);
         if (!report.valid) {
           std::cerr << "VALIDATION FAILURE: " << report.problem << "\n";
           return 1;

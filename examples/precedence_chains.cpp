@@ -76,10 +76,10 @@ int run(const hydra::util::CliParser& cli) {
   table.print(std::cout);
 
   // End-to-end checks with the SAME order threaded through.
-  const auto report = core::validate_allocation(instance, allocation, 0.0, consistent);
+  const auto report = core::validate_allocation(instance, allocation, consistent);
   std::cout << "validator: " << (report.valid ? "OK" : report.problem) << "\n";
 
-  const auto tasks = hydra::sim::build_sim_tasks(instance, allocation, true, consistent);
+  const auto tasks = hydra::sim::build_sim_tasks(instance, allocation, consistent);
   hydra::sim::SimOptions sim_opts;
   sim_opts.horizon = 60u * 1000u * hydra::util::kTicksPerMilli;
   const auto trace = hydra::sim::simulate(tasks, sim_opts);

@@ -29,8 +29,8 @@ DesignPoint finish(const Allocator& scheme, const Instance& instance,
     const double upper = sec::max_cumulative_tightness(instance.security_tasks);
     point.normalized_tightness = upper > 0.0 ? point.cumulative_tightness / upper : 0.0;
     const auto report =
-        validate_allocation(instance, point.allocation, scheme.blocking(),
-                            scheme.priority_order(), scheme.schedule_test());
+        validate_allocation(instance, point.allocation, scheme.priority_order(),
+                            scheme.schedule_test());
     point.validated = report.valid;
     point.validation_problem = report.problem;
   }

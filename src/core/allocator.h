@@ -6,7 +6,7 @@
 // This interface is the seam that workflow plugs into: a scheme exposes its
 // name, a human-readable description of its configuration, the two allocate
 // entry points, and the validation contract (which schedulability test it
-// promises to satisfy, its blocking term, and any priority-order override) so
+// promises to satisfy and any priority-order override) so
 // `evaluate_scheme` can re-check the result independently.
 //
 // Schemes are usually constructed by name through core/registry.h; the
@@ -55,7 +55,9 @@ class Allocator {
   /// The schedulability test this scheme's results satisfy (and hence the one
   /// an independent checker must re-run).
   virtual ScheduleTest schedule_test() const { return ScheduleTest::kLinearBound; }
-  /// Per-core non-preemptive blocking term the scheme accounted for.
+  /// Retired: no scheme overrides it and no library code reads it.  Kept
+  /// only because the benchmark harness's TracedAllocator still overrides
+  /// it; drop both together.
   virtual util::Millis blocking() const { return 0.0; }
   /// Security priority order the scheme used (absent = ascending Tmax).
   virtual std::optional<std::vector<std::size_t>> priority_order() const {

@@ -1,9 +1,5 @@
 #include "core/hydra.h"
 
-#include <algorithm>
-#include <limits>
-
-#include "rt/analysis.h"
 #include "rt/interference.h"
 #include "rt/priority.h"
 #include "util/contracts.h"
@@ -17,22 +13,12 @@ struct CoreState {
   std::vector<rt::RtTask> rt_tasks;                   ///< RT tasks partitioned here
   std::vector<rt::PlacedSecurityTask> placed;         ///< security tasks already assigned
   double utilization = 0.0;                           ///< RT + assigned security demand
-  util::Millis max_security_wcet = 0.0;               ///< longest hosted scan
 
   /// Eq. (5) interferer sums, maintained incrementally: seeded from the RT
-  /// tasks (+ blocking) once, then extended via add_interferer as monitors
-  /// commit — the same accumulation order interference_bound uses, so the
-  /// cached sums are bitwise identical to a fresh rebuild.
+  /// tasks once, then extended via add_interferer as monitors commit — the
+  /// same accumulation order interference_bound uses, so the cached sums are
+  /// bitwise identical to a fresh rebuild.
   rt::InterferenceBound interferers;
-
-  const rt::InterferenceBound& bound(util::Millis /*blocking*/) const { return interferers; }
-
-  /// Non-preemptive admission: the RT tasks must tolerate being blocked by
-  /// the longest scan that would live here if `candidate_wcet` joins.
-  bool rt_tolerates_blocking(util::Millis candidate_wcet) const {
-    const util::Millis worst = std::max(max_security_wcet, candidate_wcet);
-    return rt::core_schedulable_rm_with_blocking(rt_tasks, worst);
-  }
 };
 
 }  // namespace
@@ -49,7 +35,7 @@ Allocation HydraAllocator::allocate(const Instance& instance,
   for (std::size_t c = 0; c < instance.num_cores; ++c) {
     cores[c].rt_tasks = rt_partition.tasks_on_core(instance.rt_tasks, c);
     for (const auto& t : cores[c].rt_tasks) cores[c].utilization += t.utilization();
-    cores[c].interferers = rt::interference_bound(cores[c].rt_tasks, {}, options_.blocking);
+    cores[c].interferers = rt::interference_bound(cores[c].rt_tasks, {});
   }
 
   Allocation result;
@@ -67,40 +53,19 @@ Allocation HydraAllocator::allocate(const Instance& instance,
     std::optional<std::size_t> best_core;
     PeriodAdaptation best{};
     for (std::size_t c = 0; c < instance.num_cores; ++c) {
-      if (options_.non_preemptive_security && !cores[c].rt_tolerates_blocking(task.wcet)) {
-        continue;  // a scan this long would blow the RT deadlines here
-      }
       const PeriodAdaptation candidate =
           options_.solver == PeriodSolver::kExactRta
-              ? adapt_period_exact(task, cores[c].rt_tasks, cores[c].placed, options_.blocking,
+              ? adapt_period_exact(task, cores[c].rt_tasks, cores[c].placed,
                                    &cores[c].interferers)
-              : adapt_period(task, cores[c].bound(options_.blocking), options_.solver);
+              : adapt_period(task, cores[c].interferers, options_.solver);
       if (!candidate.feasible) continue;
 
-      bool take = false;
-      if (!best_core.has_value()) {
-        take = true;
-      } else {
-        switch (options_.core_pick) {
-          case CorePick::kMaxTightness:
-            if (candidate.tightness > best.tightness + 1e-12) {
-              take = true;
-            } else if (candidate.tightness > best.tightness - 1e-12 &&
-                       options_.tie_break == TieBreak::kLeastLoaded &&
-                       cores[c].utilization < cores[*best_core].utilization) {
-              take = true;
-            }
-            break;
-          case CorePick::kFirstFeasible:
-            break;  // first feasible core already held in `best`
-          case CorePick::kLeastLoaded:
-            if (cores[c].utilization < cores[*best_core].utilization) take = true;
-            break;
-          case CorePick::kWorstTightness:
-            if (candidate.tightness < best.tightness - 1e-12) take = true;
-            break;
-        }
-      }
+      // Line 11: argmax ηs, ties resolved by the TieBreak option.
+      const bool take =
+          !best_core.has_value() || candidate.tightness > best.tightness + 1e-12 ||
+          (candidate.tightness > best.tightness - 1e-12 &&
+           options_.tie_break == TieBreak::kLeastLoaded &&
+           cores[c].utilization < cores[*best_core].utilization);
       if (take) {
         best_core = c;
         best = candidate;
@@ -118,8 +83,6 @@ Allocation HydraAllocator::allocate(const Instance& instance,
     cores[*best_core].placed.push_back(rt::PlacedSecurityTask{task.wcet, best.period});
     cores[*best_core].interferers.add_interferer(task.wcet, best.period);
     cores[*best_core].utilization += task.wcet / best.period;
-    cores[*best_core].max_security_wcet = std::max(cores[*best_core].max_security_wcet,
-                                                   task.wcet);
   }
 
   result.feasible = true;
@@ -137,17 +100,7 @@ std::string HydraAllocator::describe() const {
     case PeriodSolver::kGeometricProgram: text += "GP subproblem"; break;
     case PeriodSolver::kExactRta: text += "exact-RTA subproblem"; break;
   }
-  switch (options_.core_pick) {
-    case CorePick::kMaxTightness: break;  // the paper's rule; not worth naming
-    case CorePick::kFirstFeasible: text += "; first-fit core pick"; break;
-    case CorePick::kLeastLoaded: text += "; least-loaded core pick"; break;
-    case CorePick::kWorstTightness: text += "; worst-tightness core pick (ablation)"; break;
-  }
-  if (options_.core_pick == CorePick::kMaxTightness &&
-      options_.tie_break == TieBreak::kLowestIndex) {
-    text += "; lowest-index tie break";
-  }
-  if (options_.non_preemptive_security) text += "; non-preemptive security";
+  if (options_.tie_break == TieBreak::kLowestIndex) text += "; lowest-index tie break";
   return text;
 }
 

@@ -10,12 +10,11 @@
 //
 // Knobs beyond the paper (defaults reproduce the paper's behaviour):
 //   * `solver`      — closed-form vs GP subproblem (identical results).
-//   * `core_pick`   — ablation of line 11's argmax-tightness rule.
 //   * `tie_break`   — the paper leaves η ties unspecified; the default
 //                     spreads load (least busy core), the ablation picks the
 //                     lowest index.
-//   * `blocking`    — per-core blocking term for non-preemptive security
-//                     tasks (paper §V future work).
+//   * `priority_order` — security priority override (e.g. §V precedence
+//                     chains).
 #pragma once
 
 #include <string>
@@ -27,15 +26,7 @@
 
 namespace hydra::core {
 
-/// How to choose among cores once Eq. (7) has been solved on each.
-enum class CorePick {
-  kMaxTightness,   ///< paper's line 11: argmax ηs
-  kFirstFeasible,  ///< first-fit: lowest-index feasible core
-  kLeastLoaded,    ///< feasible core with the least total utilization
-  kWorstTightness, ///< adversarial baseline: argmin ηs (for ablation)
-};
-
-/// Resolves equal-tightness candidates for kMaxTightness.
+/// Resolves equal-tightness candidates for line 11's argmax-ηs core pick.
 enum class TieBreak {
   kLeastLoaded,  ///< spread security load (default; helps detection latency)
   kLowestIndex,  ///< deterministic first-core rule
@@ -43,16 +34,7 @@ enum class TieBreak {
 
 struct HydraOptions {
   PeriodSolver solver = PeriodSolver::kClosedForm;
-  CorePick core_pick = CorePick::kMaxTightness;
   TieBreak tie_break = TieBreak::kLeastLoaded;
-  util::Millis blocking = 0.0;  ///< non-preemptive blocking per core (0 = paper)
-  /// Model non-preemptive security execution FULLY: in addition to the
-  /// `blocking` term on the security side, a candidate core is admissible
-  /// only if its RT tasks stay schedulable when a lower-priority scan may
-  /// block them for up to the longest security WCET hosted there.  Without
-  /// this the §V extension silently breaks the "do not perturb the RT tasks"
-  /// premise (the ablation bench demonstrates the resulting deadline misses).
-  bool non_preemptive_security = false;
   /// Security priority order override (highest first), e.g. a
   /// sec::chain_consistent_order honouring §V precedence chains.  Absent =
   /// the paper's ascending-Tmax rule.  Pass the same order to
@@ -80,7 +62,6 @@ class HydraAllocator : public Allocator {
     return options_.solver == PeriodSolver::kExactRta ? ScheduleTest::kExactRta
                                                       : ScheduleTest::kLinearBound;
   }
-  util::Millis blocking() const override { return options_.blocking; }
   std::optional<std::vector<std::size_t>> priority_order() const override {
     return options_.priority_order;
   }

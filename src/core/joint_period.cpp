@@ -32,15 +32,14 @@ void check_assignment(const Instance& instance, const std::vector<std::size_t>& 
 /// Static (assignment-independent-period) data for one task's constraint:
 /// (wcet_plus_const)·Ts⁻¹ + rt_util + Σ_h coupling_wcet[h]·T_h⁻¹ ≤ 1.
 struct ConstraintShape {
-  double wcet_plus_const = 0.0;           ///< Cs + blocking + Σ local Cr + Σ local hp Ch
+  double wcet_plus_const = 0.0;           ///< Cs + Σ local Cr + Σ local hp Ch
   double rt_util = 0.0;                   ///< Σ local Cr/Tr
   std::vector<std::size_t> hp_local;      ///< indices of local higher-priority security tasks
 };
 
 std::vector<ConstraintShape> build_shapes(const Instance& instance,
                                           const rt::Partition& rt_partition,
-                                          const std::vector<std::size_t>& core_of,
-                                          util::Millis blocking) {
+                                          const std::vector<std::size_t>& core_of) {
   const auto& sec = instance.security_tasks;
   const auto rank = rt::rank_of(rt::security_priority_order(sec));
 
@@ -56,7 +55,7 @@ std::vector<ConstraintShape> build_shapes(const Instance& instance,
   for (std::size_t s = 0; s < sec.size(); ++s) {
     ConstraintShape& shape = shapes[s];
     const std::size_t c = core_of[s];
-    shape.wcet_plus_const = sec[s].wcet + blocking + core_rt_const[c];
+    shape.wcet_plus_const = sec[s].wcet + core_rt_const[c];
     shape.rt_util = core_rt_util[c];
     for (std::size_t h = 0; h < sec.size(); ++h) {
       if (h != s && core_of[h] == c && rank[h] < rank[s]) {
@@ -146,7 +145,7 @@ gp::Posynomial tightness_posynomial(const Instance& instance, const gp::GpProble
 /// is feasible (tight high-priority periods squeeze lower tasks).
 std::optional<std::vector<util::Millis>> sequential_periods(
     const Instance& instance, const rt::Partition& rt_partition,
-    const std::vector<std::size_t>& core_of, util::Millis blocking) {
+    const std::vector<std::size_t>& core_of) {
   const auto& sec = instance.security_tasks;
   const auto order = rt::security_priority_order(sec);
   std::vector<std::vector<rt::PlacedSecurityTask>> placed(instance.num_cores);
@@ -155,8 +154,7 @@ std::optional<std::vector<util::Millis>> sequential_periods(
   for (const std::size_t s : order) {
     const std::size_t c = core_of[s];
     const auto bound =
-        rt::interference_bound(rt_partition.tasks_on_core(instance.rt_tasks, c), placed[c],
-                               blocking);
+        rt::interference_bound(rt_partition.tasks_on_core(instance.rt_tasks, c), placed[c]);
     const PeriodAdaptation pa = adapt_period(sec[s], bound, PeriodSolver::kClosedForm);
     if (!pa.feasible) return std::nullopt;
     periods[s] = pa.period;
@@ -180,7 +178,7 @@ JointPeriodResult optimize_joint_periods(const Instance& instance,
     return result;
   }
 
-  const auto shapes = build_shapes(instance, rt_partition, core_of, options.blocking);
+  const auto shapes = build_shapes(instance, rt_partition, core_of);
   const auto corner = feasible_corner(instance, shapes);
   if (!corner) return result;  // infeasible
 
@@ -247,7 +245,7 @@ JointPeriodResult optimize_joint_periods(const Instance& instance,
     }
     case JointObjective::kSignomialScp: {
       std::vector<std::vector<double>> starts{interior};
-      if (const auto seq = sequential_periods(instance, rt_partition, core_of, options.blocking)) {
+      if (const auto seq = sequential_periods(instance, rt_partition, core_of)) {
         starts.push_back(*seq);
       }
       // A SumSurrogate solution is a cheap, usually-excellent warm start.
@@ -268,13 +266,12 @@ JointPeriodResult optimize_joint_periods(const Instance& instance,
 
 std::optional<double> joint_tightness_bound(const Instance& instance,
                                             const rt::Partition& rt_partition,
-                                            const std::vector<std::size_t>& core_of,
-                                            util::Millis blocking) {
+                                            const std::vector<std::size_t>& core_of) {
   check_assignment(instance, core_of);
   const auto& sec = instance.security_tasks;
   if (sec.empty()) return 0.0;
 
-  const auto shapes = build_shapes(instance, rt_partition, core_of, blocking);
+  const auto shapes = build_shapes(instance, rt_partition, core_of);
   if (!feasible_corner(instance, shapes)) return std::nullopt;
 
   // An adopted period vector P has Tdes <= P <= Tmax and passes
@@ -294,12 +291,11 @@ std::optional<double> joint_tightness_bound(const Instance& instance,
 }
 
 gp::GpProblem make_joint_period_gp(const Instance& instance, const rt::Partition& rt_partition,
-                                   const std::vector<std::size_t>& core_of,
-                                   const JointPeriodOptions& options) {
+                                   const std::vector<std::size_t>& core_of) {
   check_assignment(instance, core_of);
   HYDRA_REQUIRE(!instance.security_tasks.empty(),
                 "joint-period GP needs at least one security task");
-  const auto shapes = build_shapes(instance, rt_partition, core_of, options.blocking);
+  const auto shapes = build_shapes(instance, rt_partition, core_of);
   gp::GpProblem problem = build_constraint_problem(instance, shapes);
   problem.set_objective(sum_surrogate_objective(instance, problem));
   return problem;

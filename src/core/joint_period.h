@@ -42,7 +42,6 @@ enum class JointObjective {
 
 struct JointPeriodOptions {
   JointObjective objective = JointObjective::kSignomialScp;
-  util::Millis blocking = 0.0;
 };
 
 struct JointPeriodResult {
@@ -66,13 +65,12 @@ JointPeriodResult optimize_joint_periods(const Instance& instance,
 /// solve.  nullopt exactly when optimize_joint_periods reports the
 /// assignment infeasible (the same Tmax-corner check, bit for bit).  Each
 /// task contributes ωs·max(Tdes_s/Tmax_s, min(1, Tdes_s·slack_s/K_s)), where
-/// K_s = Cs + blocking + local RT and hp WCETs, and slack_s is the Eq. (6)
+/// K_s = Cs + local RT and hp WCETs, and slack_s is the Eq. (6)
 /// constraint's acceptance slack left after the local RT utilization and
 /// every local hp task at its Tmax.  The sum is inflated by a relative 1e-9.
 std::optional<double> joint_tightness_bound(const Instance& instance,
                                             const rt::Partition& rt_partition,
-                                            const std::vector<std::size_t>& core_of,
-                                            util::Millis blocking = 0.0);
+                                            const std::vector<std::size_t>& core_of);
 
 /// The joint-period GP for the fixed assignment as a standalone problem:
 /// period bounds + per-task schedulability posynomials, with the rigorous
@@ -81,7 +79,6 @@ std::optional<double> joint_tightness_bound(const Instance& instance,
 /// solver tests can cross-check every registered backend on the real GP
 /// instances the corpus workloads induce.
 gp::GpProblem make_joint_period_gp(const Instance& instance, const rt::Partition& rt_partition,
-                                   const std::vector<std::size_t>& core_of,
-                                   const JointPeriodOptions& options = {});
+                                   const std::vector<std::size_t>& core_of);
 
 }  // namespace hydra::core

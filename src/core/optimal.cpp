@@ -48,8 +48,7 @@ Allocation OptimalAllocator::allocate(const Instance& instance,
   const std::size_t total = static_cast<std::size_t>(combos);
   for (std::size_t code = 0; code < total; ++code) {
     decode(code);
-    if (const auto bound =
-            joint_tightness_bound(instance, rt_partition, core_of, options_.joint.blocking)) {
+    if (const auto bound = joint_tightness_bound(instance, rt_partition, core_of)) {
       candidates.push_back(Candidate{*bound, code});
     }
   }

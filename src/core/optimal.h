@@ -41,7 +41,6 @@ class OptimalAllocator : public Allocator {
   Allocation allocate(const Instance& instance) const override;
 
   std::string describe() const override;
-  util::Millis blocking() const override { return options_.joint.blocking; }
   /// M^NS: the number of assignments the exhaustive search enumerates.
   double search_space(const Instance& instance) const override;
 

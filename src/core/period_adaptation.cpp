@@ -87,7 +87,7 @@ PeriodAdaptation adapt_period(const rt::SecurityTask& task, const rt::Interferen
 
 std::size_t tighten_core_periods(const std::vector<rt::RtTask>& rt_on_core,
                                  std::vector<CommittedSecurityTask>& tasks,
-                                 util::Millis blocking, std::size_t rounds) {
+                                 std::size_t rounds) {
   std::size_t changed = 0;
   for (std::size_t round = 0; round < rounds; ++round) {
     // Eq. (5) sums over the RT tasks plus the already-revisited (tightened)
@@ -95,7 +95,7 @@ std::size_t tighten_core_periods(const std::vector<rt::RtTask>& rt_on_core,
     // down the priority order — the same accumulation order a per-task
     // rebuild would use, so the sums match a rebuild bit-for-bit.  Rebuilt
     // each round because every period may have moved.
-    rt::InterferenceBound hp_sums = rt::interference_bound(rt_on_core, {}, blocking);
+    rt::InterferenceBound hp_sums = rt::interference_bound(rt_on_core, {});
     for (std::size_t i = 0; i < tasks.size(); ++i) {
       const rt::SecurityTask& task = tasks[i].task;
 
@@ -113,7 +113,7 @@ std::size_t tighten_core_periods(const std::vector<rt::RtTask>& rt_on_core,
       util::Millis floor = own.period;
       for (std::size_t j = i + 1; j < tasks.size(); ++j) {
         const util::Millis tj = tasks[j].period;
-        double aj = tasks[j].task.wcet + blocking;
+        double aj = tasks[j].task.wcet;
         for (const auto& r : rt_on_core) aj += (1.0 + tj / r.period) * r.wcet;
         for (std::size_t h = 0; h < j; ++h) {
           if (h == i) continue;
@@ -147,7 +147,7 @@ void tighten_core_placements(const std::vector<rt::RtTask>& rt_on_core,
   for (const std::size_t s : members) {
     committed.push_back(CommittedSecurityTask{security_tasks[s], placements[s].period});
   }
-  tighten_core_periods(rt_on_core, committed, 0.0, rounds);
+  tighten_core_periods(rt_on_core, committed, rounds);
   for (std::size_t k = 0; k < members.size(); ++k) {
     const std::size_t s = members[k];
     placements[s].period = committed[k].period;
@@ -158,12 +158,11 @@ void tighten_core_placements(const std::vector<rt::RtTask>& rt_on_core,
 PeriodAdaptation adapt_period_exact(const rt::SecurityTask& task,
                                     const std::vector<rt::RtTask>& rt_on_core,
                                     const std::vector<rt::PlacedSecurityTask>& hp_security,
-                                    util::Millis blocking,
                                     const rt::InterferenceBound* interferer_sums) {
   rt::validate(task);
   PeriodAdaptation out;
   const auto response = rt::security_response_time(task, task.period_max, rt_on_core,
-                                                   hp_security, blocking, interferer_sums);
+                                                   hp_security, interferer_sums);
   if (!response.has_value()) return out;
   out.feasible = true;
   out.period = std::clamp(*response, task.period_des, task.period_max);

@@ -55,13 +55,12 @@ PeriodAdaptation adapt_period(const rt::SecurityTask& task, const rt::Interferen
 /// The response time R of the lowest-priority-band task does not depend on
 /// its own period, so the optimum is simply clamp(R, Tdes, Tmax) — feasible
 /// iff R ≤ Tmax.  `interferer_sums`, when given, must equal
-/// interference_bound(rt_on_core, hp_security, blocking); allocators maintain
+/// interference_bound(rt_on_core, hp_security); allocators maintain
 /// it incrementally so the per-probe RTA preamble is O(1) (see
 /// rt::security_response_time).
 PeriodAdaptation adapt_period_exact(const rt::SecurityTask& task,
                                     const std::vector<rt::RtTask>& rt_on_core,
                                     const std::vector<rt::PlacedSecurityTask>& hp_security,
-                                    util::Millis blocking = 0.0,
                                     const rt::InterferenceBound* interferer_sums = nullptr);
 
 /// The smallest period satisfying Cs + A + B·Ts ≤ Ts, ignoring the
@@ -98,7 +97,7 @@ struct CommittedSecurityTask {
 /// (monotone in rounds — tested).  Returns the number of periods changed.
 std::size_t tighten_core_periods(const std::vector<rt::RtTask>& rt_on_core,
                                  std::vector<CommittedSecurityTask>& tasks,
-                                 util::Millis blocking = 0.0, std::size_t rounds = 1);
+                                 std::size_t rounds = 1);
 
 /// Allocation-level wrapper shared by the adaptive allocators: runs
 /// tighten_core_periods over the security tasks listed in `members`

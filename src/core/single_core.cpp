@@ -36,7 +36,7 @@ Allocation SingleCoreAllocator::allocate(const Instance& instance) const {
   // No RT interference there — only the higher-priority security tasks.
   // Eq. (5) sums over the placed monitors, extended per commit in the same
   // order a per-task rebuild would accumulate them (bitwise identical).
-  rt::InterferenceBound interferers = rt::interference_bound({}, {}, options_.blocking);
+  rt::InterferenceBound interferers = rt::interference_bound({}, {});
   const auto order = rt::security_priority_order(instance.security_tasks);
   for (const std::size_t s : order) {
     const rt::SecurityTask& task = instance.security_tasks[s];
@@ -59,11 +59,8 @@ Allocation SingleCoreAllocator::allocate(const Instance& instance,
 }
 
 std::string SingleCoreAllocator::describe() const {
-  std::string text =
-      "dedicated security core (RT on M-1 cores, security on core M-1); "
-      "closed-form subproblem";
-  if (options_.blocking > 0.0) text += "; blocking accounted";
-  return text;
+  return "dedicated security core (RT on M-1 cores, security on core M-1); "
+         "closed-form subproblem";
 }
 
 }  // namespace hydra::core

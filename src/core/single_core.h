@@ -16,14 +16,9 @@
 
 namespace hydra::core {
 
-struct SingleCoreOptions {
-  util::Millis blocking = 0.0;
-};
-
 class SingleCoreAllocator : public Allocator {
  public:
-  explicit SingleCoreAllocator(SingleCoreOptions options = {})
-      : Allocator("single-core"), options_(options) {}
+  SingleCoreAllocator() : Allocator("single-core") {}
 
   /// Requires M >= 2 (one core must remain for the RT workload).
   /// Infeasible when the RT tasks cannot be packed on M−1 cores or some
@@ -37,12 +32,6 @@ class SingleCoreAllocator : public Allocator {
                       const rt::Partition& rt_partition) const override;
 
   std::string describe() const override;
-  util::Millis blocking() const override { return options_.blocking; }
-
-  const SingleCoreOptions& options() const { return options_; }
-
- private:
-  SingleCoreOptions options_;
 };
 
 }  // namespace hydra::core

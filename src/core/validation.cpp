@@ -15,7 +15,7 @@ ValidationReport fail(std::string why) { return ValidationReport{false, std::mov
 }  // namespace
 
 ValidationReport validate_allocation(
-    const Instance& instance, const Allocation& allocation, util::Millis blocking,
+    const Instance& instance, const Allocation& allocation,
     const std::optional<std::vector<std::size_t>>& priority_order, ScheduleTest test) {
   if (!allocation.feasible) return fail("allocation is marked infeasible");
   if (allocation.placements.size() != instance.security_tasks.size()) {
@@ -71,8 +71,8 @@ ValidationReport validate_allocation(
 
     if (test == ScheduleTest::kLinearBound) {
       // Eq. (6), recomputed from scratch: Cs + Σ_RT (1 + Ts/Tr)·Cr
-      //   + Σ_hp-sec-local (1 + Ts/Th)·Ch (+ blocking) ≤ Ts.
-      double demand = task.wcet + blocking;
+      //   + Σ_hp-sec-local (1 + Ts/Th)·Ch ≤ Ts.
+      double demand = task.wcet;
       for (const auto& rt_task : local_rt) {
         demand += (1.0 + place.period / rt_task.period) * rt_task.wcet;
       }
@@ -85,7 +85,7 @@ ValidationReport validate_allocation(
       }
     } else {
       const auto response =
-          rt::security_response_time(task, place.period, local_rt, local_hp, blocking);
+          rt::security_response_time(task, place.period, local_rt, local_hp);
       if (!response.has_value()) {
         return fail("task '" + task.name + "' misses its deadline under exact RTA");
       }

@@ -31,7 +31,7 @@ enum class ScheduleTest {
 /// saying so.  `priority_order` must match the order the allocator used
 /// (absent = the paper's ascending-Tmax rule).
 ValidationReport validate_allocation(
-    const Instance& instance, const Allocation& allocation, util::Millis blocking = 0.0,
+    const Instance& instance, const Allocation& allocation,
     const std::optional<std::vector<std::size_t>>& priority_order = std::nullopt,
     ScheduleTest test = ScheduleTest::kLinearBound);
 

@@ -76,28 +76,26 @@ bool dbf_necessary_condition(const std::vector<RtTask>& tasks, std::size_t num_c
 
 namespace {
 
-/// Fixpoint R = C + B + Σ ⌈R/T_j⌉·C_j over the interferers
+/// Fixpoint R = C + Σ ⌈R/T_j⌉·C_j over the interferers
 /// `a[0..na) ++ {inserted?} ++ b[0..nb)`, accumulated in exactly that order.
 /// The split form lets core_admits_rm rebuild a resident's interferer list
 /// with the candidate spliced into its priority slot without copying tasks.
 ///
-/// The iterate is seeded at C + B + Σ C_j (every ceil term is ≥ 1 for any
+/// The iterate is seeded at C + Σ C_j (every ceil term is ≥ 1 for any
 /// positive iterate, so the seed sits at or below the least fixpoint); the
-/// monotone iteration converges to the same fixpoint as seeding at C + B —
+/// monotone iteration converges to the same fixpoint as seeding at C —
 /// the final value is the same ceil-stable sum either way — just in fewer
 /// rounds.
 std::optional<util::Millis> response_time_spliced(const RtTask& task, const RtTask* a,
                                                  std::size_t na, const RtTask* inserted,
-                                                 const RtTask* b, std::size_t nb,
-                                                 util::Millis blocking) {
-  HYDRA_REQUIRE(blocking >= 0.0, "blocking must be non-negative");
+                                                 const RtTask* b, std::size_t nb) {
   double hp_util = 0.0;
   for (std::size_t i = 0; i < na; ++i) hp_util += a[i].utilization();
   if (inserted != nullptr) hp_util += inserted->utilization();
   for (std::size_t i = 0; i < nb; ++i) hp_util += b[i].utilization();
   if (hp_util >= 1.0) return std::nullopt;
 
-  double r = task.wcet + blocking;
+  double r = task.wcet;
   for (std::size_t i = 0; i < na; ++i) r += a[i].wcet;
   if (inserted != nullptr) r += inserted->wcet;
   for (std::size_t i = 0; i < nb; ++i) r += b[i].wcet;
@@ -106,7 +104,7 @@ std::optional<util::Millis> response_time_spliced(const RtTask& task, const RtTa
     return acc + std::ceil(r_cur / hp.period - util::kTimeEpsilon) * hp.wcet;
   };
   for (int iter = 0; iter < 10000; ++iter) {
-    double next = task.wcet + blocking;
+    double next = task.wcet;
     for (std::size_t i = 0; i < na; ++i) next = add(next, r, a[i]);
     if (inserted != nullptr) next = add(next, r, *inserted);
     for (std::size_t i = 0; i < nb; ++i) next = add(next, r, b[i]);
@@ -119,13 +117,10 @@ std::optional<util::Millis> response_time_spliced(const RtTask& task, const RtTa
   return std::nullopt;
 }
 
-/// Hyperbolic-bound fast accept (sufficient only): valid for the fully
-/// preemptive model with deadlines no earlier than periods.  Uses the strict
-/// Π(Ui+1) ≤ 2 form — no epsilon slack — so an accept implies the exact RTA
-/// below would accept too.
-bool hyperbolic_fast_accept(const std::vector<RtTask>& tasks, const RtTask* extra,
-                            util::Millis blocking) {
-  if (blocking != 0.0) return false;
+/// Hyperbolic-bound fast accept (sufficient only): valid for deadlines no
+/// earlier than periods.  Uses the strict Π(Ui+1) ≤ 2 form — no epsilon
+/// slack — so an accept implies the exact RTA below would accept too.
+bool hyperbolic_fast_accept(const std::vector<RtTask>& tasks, const RtTask* extra) {
   double product = 1.0;
   for (const auto& t : tasks) {
     if (t.deadline < t.period) return false;
@@ -140,31 +135,24 @@ bool hyperbolic_fast_accept(const std::vector<RtTask>& tasks, const RtTask* extr
 
 }  // namespace
 
-std::optional<util::Millis> response_time(const RtTask& task, const std::vector<RtTask>& hp,
-                                          util::Millis blocking) {
-  return response_time_spliced(task, hp.data(), hp.size(), nullptr, nullptr, 0, blocking);
+std::optional<util::Millis> response_time(const RtTask& task, const std::vector<RtTask>& hp) {
+  return response_time_spliced(task, hp.data(), hp.size(), nullptr, nullptr, 0);
 }
 
 bool core_schedulable_rm(const std::vector<RtTask>& tasks_on_core) {
-  return core_schedulable_rm_with_blocking(tasks_on_core, 0.0);
-}
-
-bool core_schedulable_rm_with_blocking(const std::vector<RtTask>& tasks_on_core,
-                                       util::Millis blocking) {
-  if (hyperbolic_fast_accept(tasks_on_core, nullptr, blocking)) return true;
+  if (hyperbolic_fast_accept(tasks_on_core, nullptr)) return true;
   const auto order = rm_priority_order(tasks_on_core);
   std::vector<RtTask> hp;
   hp.reserve(tasks_on_core.size());
   for (const std::size_t idx : order) {
-    if (!response_time(tasks_on_core[idx], hp, blocking).has_value()) return false;
+    if (!response_time(tasks_on_core[idx], hp).has_value()) return false;
     hp.push_back(tasks_on_core[idx]);
   }
   return true;
 }
 
-bool core_admits_rm(const std::vector<RtTask>& resident_by_priority, const RtTask& candidate,
-                    util::Millis blocking) {
-  if (hyperbolic_fast_accept(resident_by_priority, &candidate, blocking)) return true;
+bool core_admits_rm(const std::vector<RtTask>& resident_by_priority, const RtTask& candidate) {
+  if (hyperbolic_fast_accept(resident_by_priority, &candidate)) return true;
 
   // The candidate slots in after every resident with period <= its own —
   // exactly where rm_priority_order's stable sort puts a last-appended task.
@@ -174,15 +162,14 @@ bool core_admits_rm(const std::vector<RtTask>& resident_by_priority, const RtTas
   while (pos < n && base[pos].period <= candidate.period) ++pos;
 
   // The candidate against everything that outranks it ...
-  if (!response_time_spliced(candidate, base, pos, nullptr, nullptr, 0, blocking).has_value()) {
+  if (!response_time_spliced(candidate, base, pos, nullptr, nullptr, 0).has_value()) {
     return false;
   }
   // ... and each resident it preempts, with the candidate spliced into its
   // interferer list.  Residents at positions < pos keep their interferer set
   // (and hence their already-verified response times) unchanged.
   for (std::size_t j = pos; j < n; ++j) {
-    if (!response_time_spliced(base[j], base, pos, &candidate, base + pos, j - pos, blocking)
-             .has_value()) {
+    if (!response_time_spliced(base[j], base, pos, &candidate, base + pos, j - pos).has_value()) {
       return false;
     }
   }
@@ -203,11 +190,11 @@ bool hyperbolic_bound_holds(const std::vector<RtTask>& tasks) {
 
 std::optional<util::Millis> security_response_time(
     const SecurityTask& task, util::Millis period, const std::vector<RtTask>& rt_on_core,
-    const std::vector<PlacedSecurityTask>& hp_security_on_core, util::Millis blocking,
+    const std::vector<PlacedSecurityTask>& hp_security_on_core,
     const InterferenceBound* interferer_sums) {
   HYDRA_REQUIRE(period > 0.0, "candidate period must be positive");
   double hp_util = 0.0;
-  double r = task.wcet + blocking;
+  double r = task.wcet;
   if (interferer_sums != nullptr) {
     hp_util = interferer_sums->util_part;
     r = task.wcet + interferer_sums->const_part;
@@ -220,7 +207,7 @@ std::optional<util::Millis> security_response_time(
   if (hp_util >= 1.0) return std::nullopt;
 
   for (int iter = 0; iter < 10000; ++iter) {
-    double next = task.wcet + blocking;
+    double next = task.wcet;
     for (const auto& hp : rt_on_core) {
       next += std::ceil(r / hp.period - util::kTimeEpsilon) * hp.wcet;
     }

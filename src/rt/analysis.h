@@ -28,34 +28,24 @@ bool dbf_necessary_condition(const std::vector<RtTask>& tasks, std::size_t num_c
 
 /// Exact worst-case response time of the task at `index` against the
 /// higher-priority interferers `hp` on the same core, via the standard
-/// fixed-point iteration R = C + B + Σ ⌈R/T_j⌉·C_j.  `blocking` is the
-/// longest non-preemptive section of any lower-priority task on the core
-/// (0 for the fully preemptive model).  Returns nullopt when the iteration
-/// exceeds the deadline (unschedulable) or higher-priority utilization
-/// is >= 1.
-std::optional<util::Millis> response_time(const RtTask& task, const std::vector<RtTask>& hp,
-                                          util::Millis blocking = 0.0);
-
-/// True iff every RT task on the core still meets its deadline when a
-/// lower-priority band may block it non-preemptively for up to `blocking`
-/// (the longest non-preemptive security WCET hosted there).
-bool core_schedulable_rm_with_blocking(const std::vector<RtTask>& tasks_on_core,
-                                       util::Millis blocking);
+/// fixed-point iteration R = C + Σ ⌈R/T_j⌉·C_j.  Returns nullopt when the
+/// iteration exceeds the deadline (unschedulable) or higher-priority
+/// utilization is >= 1.
+std::optional<util::Millis> response_time(const RtTask& task, const std::vector<RtTask>& hp);
 
 /// Incremental admission test for partitioning loops.  `resident_by_priority`
-/// must be RM-schedulable with `blocking` and sorted in RM priority order
+/// must be RM-schedulable and sorted in RM priority order
 /// (ascending period, earlier-placed first among equal periods — the order an
 /// `upper_bound`-by-period insertion maintains).  Returns whether the core
 /// stays schedulable with `candidate` added.
 ///
-/// Verdict-equivalent to core_schedulable_rm_with_blocking on the combined
-/// set: under preemptive fixed priorities a new task cannot disturb the tasks
-/// that outrank it, so only the candidate itself and the residents it
-/// preempts need fresh response times.  Interference sums are accumulated in
+/// Verdict-equivalent to core_schedulable_rm on the combined set: under
+/// preemptive fixed priorities a new task cannot disturb the tasks that
+/// outrank it, so only the candidate itself and the residents it preempts
+/// need fresh response times.  Interference sums are accumulated in
 /// the same priority order as the full test so marginal fixpoints agree
 /// bit-for-bit.
-bool core_admits_rm(const std::vector<RtTask>& resident_by_priority, const RtTask& candidate,
-                    util::Millis blocking = 0.0);
+bool core_admits_rm(const std::vector<RtTask>& resident_by_priority, const RtTask& candidate);
 
 /// True iff every task on one core meets its deadline under fixed-priority
 /// preemptive scheduling with rate-monotonic priorities.
@@ -77,7 +67,7 @@ bool hyperbolic_bound_holds(const std::vector<RtTask>& tasks);
 /// `period` is the security task's candidate period (= its deadline).
 ///
 /// `interferer_sums`, when given, must equal
-/// interference_bound(rt_on_core, hp_security_on_core, blocking); allocators
+/// interference_bound(rt_on_core, hp_security_on_core); allocators
 /// that probe many candidate periods against one core pass their incrementally
 /// maintained bound so the Σ WCET / Σ utilization preamble — and the
 /// utilization-overload early exit — run in O(1) instead of O(interferers)
@@ -86,7 +76,7 @@ bool hyperbolic_bound_holds(const std::vector<RtTask>& tasks);
 /// same ceil-stable sum regardless of the seed.
 std::optional<util::Millis> security_response_time(
     const SecurityTask& task, util::Millis period, const std::vector<RtTask>& rt_on_core,
-    const std::vector<PlacedSecurityTask>& hp_security_on_core, util::Millis blocking = 0.0,
+    const std::vector<PlacedSecurityTask>& hp_security_on_core,
     const InterferenceBound* interferer_sums = nullptr);
 
 }  // namespace hydra::rt

@@ -11,11 +11,8 @@ void InterferenceBound::add_interferer(util::Millis wcet, util::Millis period) {
 }
 
 InterferenceBound interference_bound(const std::vector<RtTask>& rt_on_core,
-                                     const std::vector<PlacedSecurityTask>& hp_security_on_core,
-                                     util::Millis blocking) {
-  HYDRA_REQUIRE(blocking >= 0.0, "blocking must be non-negative");
+                                     const std::vector<PlacedSecurityTask>& hp_security_on_core) {
   InterferenceBound bound;
-  bound.const_part = blocking;
   for (const auto& r : rt_on_core) bound.add_interferer(r.wcet, r.period);
   for (const auto& h : hp_security_on_core) bound.add_interferer(h.wcet, h.period);
   return bound;

@@ -13,8 +13,7 @@
 // The schedulability constraint (Eq. 6), Cs + I(Ts) ≤ Ts, therefore has the
 // closed-form minimum feasible period (Cs + A)/(1 − B) when B < 1 — this is
 // what makes the per-(task, core) subproblem solvable both analytically and
-// as a GP.  An optional blocking term extends the bound to non-preemptive
-// lower-priority execution (paper §V future work).
+// as a GP.
 #pragma once
 
 #include <vector>
@@ -26,7 +25,7 @@ namespace hydra::rt {
 
 /// Affine interference bound I(Ts) = const_part + util_part · Ts.
 struct InterferenceBound {
-  double const_part = 0.0;  ///< A: sum of interferer WCETs (+ blocking)
+  double const_part = 0.0;  ///< A: sum of interferer WCETs
   double util_part = 0.0;   ///< B: sum of interferer utilizations
 
   util::Millis eval(util::Millis period) const { return const_part + util_part * period; }
@@ -44,11 +43,9 @@ struct PlacedSecurityTask {
 
 /// Builds the Eq. (5) bound for a candidate core: `rt_on_core` are the RT
 /// tasks partitioned there, `hp_security_on_core` the higher-priority
-/// security tasks already assigned there.  `blocking` adds a constant
-/// non-preemption blocking term (0 for the paper's preemptive model).
+/// security tasks already assigned there.
 InterferenceBound interference_bound(const std::vector<RtTask>& rt_on_core,
-                                     const std::vector<PlacedSecurityTask>& hp_security_on_core,
-                                     util::Millis blocking = 0.0);
+                                     const std::vector<PlacedSecurityTask>& hp_security_on_core);
 
 /// The paper's Eq. (6) check: Cs + I(Ts) ≤ Ts (with the shared tolerance).
 bool security_schedulable(const SecurityTask& task, util::Millis period,

@@ -14,7 +14,6 @@ namespace hydra::sim {
 
 std::vector<SimTask> build_sim_tasks(
     const core::Instance& instance, const core::Allocation& allocation,
-    bool security_preemptive,
     const std::optional<std::vector<std::size_t>>& security_priority_order) {
   HYDRA_REQUIRE(allocation.feasible, "allocation must be feasible to simulate");
   instance.validate();
@@ -53,7 +52,6 @@ std::vector<SimTask> build_sim_tasks(
     st.deadline = st.period;
     st.core = place.core;
     st.priority = security_base + static_cast<int>(sec_rank[s]);
-    st.preemptive = security_preemptive;
     tasks.push_back(std::move(st));
   }
   return tasks;

@@ -50,7 +50,6 @@ struct DetectionResult {
 /// = the paper's ascending-Tmax rule).
 std::vector<SimTask> build_sim_tasks(
     const core::Instance& instance, const core::Allocation& allocation,
-    bool security_preemptive = true,
     const std::optional<std::vector<std::size_t>>& security_priority_order = std::nullopt);
 
 class RtSlackProfileCache;

@@ -5,13 +5,12 @@
 // execution intervals of one core with an advancing prune index, so a long
 // horizon costs O(window) live entries instead of O(horizon).
 //
-// Pruning contract: `keep` must cover the query window PLUS the furthest a
-// decision instant can lag the clock — a non-preemptive job admits the
-// releases it ran over only at its completion, so a query can reach back up
-// to `keep` ticks from an instant that itself trails the latest add() by the
-// admission lag.  The caller folds that lag into `keep`; under that contract
-// a pruned segment can never intersect a future query (property-tested
-// against a naive oracle in test_busy_window).
+// Pruning contract: a query reaches back at most `keep` ticks from an
+// instant that trails the latest add() by less than `keep`.  Under that
+// contract a pruned segment can never intersect a future query
+// (property-tested against a naive oracle in test_busy_window).  The
+// engines' decision instants never trail the latest add at all, so they
+// pass keep = the slack window.
 #pragma once
 
 #include <algorithm>
@@ -38,7 +37,7 @@ class BusyWindow {
     }
     // Drop segments that can no longer intersect any future query window:
     // queries end at decision instants in (to - keep_, to] and reach back at
-    // most keep_ ticks (the caller folded the admission lag into keep_).
+    // most keep_ ticks.
     const util::SimTime cutoff = to > 2 * keep_ ? to - 2 * keep_ : 0;
     while (head_ < segments_.size() && segments_[head_].second <= cutoff) ++head_;
     if (head_ > 1024 && head_ * 2 > segments_.size()) {

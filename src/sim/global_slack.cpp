@@ -34,8 +34,6 @@ void validate_inputs(const std::vector<GlobalSimTask>& tasks, const GlobalSimOpt
     const SimTask& t = gt.task;
     check_task(t);
     if (gt.global_band) {
-      HYDRA_REQUIRE(t.preemptive,
-                    "global-band task '" + t.name + "' must be preemptive (migration)");
       HYDRA_REQUIRE(global_prios.insert(t.priority).second,
                     "duplicate global-band priority for '" + t.name + "'");
     } else {
@@ -101,9 +99,7 @@ Trace simulate_global_slack(const std::vector<GlobalSimTask>& tasks,
               1, static_cast<util::SimTime>(std::ceil(fraction * static_cast<double>(t.wcet))));
         }
         ready.push_back(LiveJob{i, trace.jobs[i].size() - 1, exec, false, kNone});
-        util::SimTime gap = t.period;
-        if (t.release_jitter > 0) gap += rng.uniform_int(1, t.release_jitter);
-        const util::SimTime nxt = next_release[i] + gap;
+        const util::SimTime nxt = next_release[i] + t.period;
         next_release[i] = (nxt < effective.horizon) ? nxt : kNever;
       }
     }
@@ -214,9 +210,8 @@ Trace simulate_global_band(const std::vector<GlobalSimTask>& tasks,
   std::vector<std::size_t> band;
   for (std::size_t i = 0; i < tasks.size(); ++i) {
     const SimTask& t = tasks[i].task;
-    HYDRA_REQUIRE(t.preemptive && t.exec_fraction_min >= 1.0 && t.release_jitter == 0,
-                  "band run needs preemptive, WCET-exact, jitter-free tasks; '" + t.name +
-                      "' is not");
+    HYDRA_REQUIRE(t.exec_fraction_min >= 1.0,
+                  "band run needs WCET-exact tasks; '" + t.name + "' is not");
     if (tasks[i].global_band) {
       band.push_back(i);
     } else {

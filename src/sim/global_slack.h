@@ -51,8 +51,8 @@ class RtSlackProfileCache;
 /// records only the band's jobs (RT misses are in Trace::unrecorded_misses;
 /// core_busy and migrations stay 0).  Validates like simulate_global_slack
 /// and asks `profiles` for the profile only after that, then additionally
-/// requires (std::invalid_argument): preemptive, WCET-exact, jitter-free
-/// tasks and a grace of at least every RT deadline.
+/// requires (std::invalid_argument): WCET-exact tasks and a grace of at
+/// least every RT deadline.
 Trace simulate_global_band(const std::vector<GlobalSimTask>& tasks,
                            const GlobalSimOptions& options, RtSlackProfileCache& profiles);
 

@@ -211,10 +211,10 @@ struct Controlled {
 };
 
 /// The partitioned loop of one core, behind both sim::simulate and
-/// simulate_mode_switching: releases are admitted in release-time order (ties
-/// by member order), the highest-priority ready job runs (a task's backlogged
-/// jobs in release order), a started non-preemptive job keeps the CPU to its
-/// completion, and anything unfinished at horizon + grace is incomplete.
+/// simulate_mode_switching: releases are admitted as the clock reaches them
+/// (ties by member order), the highest-priority ready job runs (a task's
+/// backlogged jobs in release order) until it completes or the next release
+/// preempts it, and anything unfinished at horizon + grace is incomplete.
 /// `controlled` null (sim::simulate): every job runs at its task's period and
 /// deadline, and the core builds no controller, keeps no busy history and
 /// fills no ModeStats.
@@ -230,16 +230,7 @@ void simulate_core(const std::vector<ModeTask>& tasks,
         resolve_window(tasks, members, controlled->options.controller.slack_window);
     control.emplace(tasks, members, controlled->options, controlled->policy_name, window,
                     controlled->stats);
-    // A non-preemptive job delays release admission (and hence controller
-    // decisions) by up to its WCET past the clock; widen the retention guard
-    // so those late decisions still see their full window.
-    util::SimTime admission_lag = 0;
-    for (const std::size_t ti : members) {
-      if (!tasks[ti].task.preemptive) {
-        admission_lag = std::max(admission_lag, tasks[ti].task.wcet);
-      }
-    }
-    history.emplace(window + admission_lag);
+    history.emplace(window);
   }
 
   std::vector<util::SimTime> next_release(tasks.size(), kNever);
@@ -247,8 +238,7 @@ void simulate_core(const std::vector<ModeTask>& tasks,
     const SimTask& task = tasks[ti].task;
     if (task.release_offset < options.horizon) {
       next_release[ti] = task.release_offset;
-      // The job count at the task's level-0 period: exact for a fixed-rate,
-      // jitter-free task, a bound for a jittered one.
+      // The job count at the task's level-0 period: exact for a fixed-rate task.
       trace.jobs[ti].reserve((options.horizon - task.release_offset - 1) / task.period + 1);
     }
   }
@@ -260,7 +250,6 @@ void simulate_core(const std::vector<ModeTask>& tasks,
   const auto busy_in = [&history](util::SimTime from, util::SimTime to) {
     return history->busy_in(from, to);
   };
-  std::optional<std::size_t> locked;  // started non-preemptive job, if any
 
   const auto earliest_release = [&]() {
     util::SimTime t = kNever;
@@ -275,41 +264,30 @@ void simulate_core(const std::vector<ModeTask>& tasks,
     return std::max<util::SimTime>(1, static_cast<util::SimTime>(ticks));
   };
 
-  // Admits due releases strictly in release-time order (ties by member
-  // order), not per-task batches — a non-preemptive job can delay admission
-  // past several tasks' releases at once, and the switch-event stream is
-  // documented time-ascending per core.
-  const auto admit_releases = [&](util::SimTime up_to) {
-    while (true) {
-      std::optional<std::size_t> next;
-      for (const std::size_t ti : members) {
-        if (next_release[ti] <= up_to &&
-            (!next.has_value() || next_release[ti] < next_release[*next])) {
-          next = ti;
-        }
-      }
-      if (!next.has_value()) break;
-      const std::size_t ti = *next;
+  // Admits the releases due at `now`, in member order.  The clock never
+  // runs past a release (every job yields to it), so a due release falls
+  // exactly at `now`, and the next one of the same task lies a whole period
+  // later.
+  const auto admit_releases = [&]() {
+    for (const std::size_t ti : members) {
+      if (next_release[ti] > now) continue;
       const SimTask& task = tasks[ti].task;
-      const util::SimTime at = next_release[ti];
       util::SimTime period = task.period;
       util::SimTime deadline = task.deadline;
       if (control.has_value()) {
-        control->decide(ti, at, busy_in);
+        control->decide(ti, now, busy_in);
         std::tie(period, deadline) = control->release(ti);
       }
-      const std::size_t job_index = record_release(trace, ti, at);
-      ready.push_back(LiveJob{ti, job_index, draw_exec(task), deadline, at, false});
-      util::SimTime gap = period;
-      if (task.release_jitter > 0) gap += rng.uniform_int(1, task.release_jitter);
-      const util::SimTime nxt = at + gap;
+      const std::size_t job_index = record_release(trace, ti, now);
+      ready.push_back(LiveJob{ti, job_index, draw_exec(task), deadline, now, false});
+      const util::SimTime nxt = now + period;
       next_release[ti] = (nxt < options.horizon) ? nxt : kNever;
     }
   };
 
   while (now < hard_stop) {
-    admit_releases(now);
-    const auto chosen = locked.has_value() ? locked : highest_priority(tasks, ready);
+    admit_releases();
+    const auto chosen = highest_priority(tasks, ready);
     if (!chosen.has_value()) {
       const util::SimTime nxt = earliest_release();
       if (nxt == kNever) break;
@@ -318,20 +296,14 @@ void simulate_core(const std::vector<ModeTask>& tasks,
     }
 
     LiveJob& job = ready[*chosen];
-    const SimTask& task = tasks[job.task].task;
     JobRecord& rec = trace.jobs[job.task][job.job_index];
     if (!job.started) {
       rec.start = now;
       job.started = true;
-      if (!task.preemptive) locked = *chosen;
     }
 
-    const util::SimTime completion_at = now + job.remaining;
-    // A preemptive job runs until it completes or the next release arrives;
-    // a non-preemptive job always runs to completion.
-    util::SimTime run_until = completion_at;
-    if (task.preemptive) run_until = std::min(run_until, earliest_release());
-    run_until = std::min(run_until, hard_stop);
+    const util::SimTime run_until =
+        std::min({now + job.remaining, earliest_release(), hard_stop});
 
     if (options.record_segments && run_until > now) {
       // Merge with the previous segment when the same job continues.
@@ -350,13 +322,7 @@ void simulate_core(const std::vector<ModeTask>& tasks,
     if (job.remaining == 0) {
       record_completion(rec, job, now);
       if (control.has_value()) control->deliver_detections(job.task, job.release, now);
-      if (locked.has_value() && *locked == *chosen) locked = std::nullopt;
-      // Swap-remove; fix the locked index if the tail job was the locked one.
-      const std::size_t last = ready.size() - 1;
-      if (*chosen != last) {
-        ready[*chosen] = ready[last];
-        if (locked.has_value() && *locked == last) locked = *chosen;
-      }
+      ready[*chosen] = ready.back();  // swap-remove
       ready.pop_back();
     }
   }
@@ -645,8 +611,8 @@ ModeSwitchResult simulate_mode_band(const std::vector<ModeTask>& tasks, std::siz
   }
   for (std::size_t i = num_rt; i < tasks.size(); ++i) {
     const SimTask& t = tasks[i].task;
-    HYDRA_REQUIRE(t.preemptive && t.exec_fraction_min >= 1.0 && t.release_jitter == 0,
-                  "band task '" + t.name + "' must be preemptive, WCET-exact and jitter-free");
+    HYDRA_REQUIRE(t.exec_fraction_min >= 1.0,
+                  "band task '" + t.name + "' must be WCET-exact");
     for (const SimTask& r : rt_tasks) {
       HYDRA_REQUIRE(r.core != t.core || r.priority < t.priority,
                     "band task '" + t.name + "' must rank below every RT task of its core");
@@ -656,7 +622,7 @@ ModeSwitchResult simulate_mode_band(const std::vector<ModeTask>& tasks, std::siz
 
   ModeSwitchResult result = empty_result(tasks.size(), num_cores, options.horizon);
   result.trace.unrecorded_misses = rt.deadline_misses();
-  // RT tasks are fixed-rate and jitter-free: every release before the
+  // RT tasks are fixed-rate: every release before the
   // horizon is a minimum-mode job.
   for (std::size_t i = 0; i < num_rt; ++i) {
     const SimTask& t = tasks[i].task;

@@ -105,11 +105,8 @@ struct ModeSwitchEvent {
 /// What the controller did, task by task.  Residency is accounted per
 /// released job: a job released in mode m adds its CHOSEN PERIOD to mode m's
 /// residency — level 0 to min_residency, every faster level to
-/// adapted_residency.  The two fractions always sum to exactly 1; for
-/// jitter-free tasks the sum of both residencies additionally tiles the
-/// release timeline (with release_jitter > 0 the drawn extra gaps are
-/// attributed to neither mode, so the sum undercounts wall-clock coverage by
-/// the jitter total).
+/// adapted_residency.  The two fractions always sum to exactly 1, and the
+/// sum of both residencies tiles the release timeline.
 struct ModeStats {
   std::vector<std::size_t> switches;            ///< committed switches per task
   std::vector<util::SimTime> min_residency;     ///< ticks committed at min rate
@@ -167,8 +164,8 @@ class RtSlackProfileCache;
 /// Trace::unrecorded_misses, core_busy stays 0).  Validates like
 /// simulate_mode_switching and asks `profiles` for the profile only after
 /// that, then additionally requires (std::invalid_argument): fixed-rate RT
-/// tasks; preemptive, WCET-exact, jitter-free tasks; monitors ranked below
-/// every RT task of their core; a grace of at least every RT deadline.
+/// tasks; WCET-exact tasks; monitors ranked below every RT task of their
+/// core; a grace of at least every RT deadline.
 ModeSwitchResult simulate_mode_band(const std::vector<ModeTask>& tasks, std::size_t num_rt,
                                     const ModeSwitchOptions& options,
                                     RtSlackProfileCache& profiles);

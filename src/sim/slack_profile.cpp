@@ -18,8 +18,7 @@ util::SimTime total_busy(const std::vector<RtSlackProfile::Busy>& busy) {
 
 bool same_schedule_inputs(const SimTask& a, const SimTask& b) {
   return a.wcet == b.wcet && a.period == b.period && a.deadline == b.deadline &&
-         a.core == b.core && a.priority == b.priority && a.preemptive == b.preemptive &&
-         a.release_offset == b.release_offset && a.release_jitter == b.release_jitter &&
+         a.core == b.core && a.priority == b.priority && a.release_offset == b.release_offset &&
          a.exec_fraction_min == b.exec_fraction_min;
 }
 
@@ -28,7 +27,7 @@ bool same_schedule_inputs(const SimTask& a, const SimTask& b) {
 /// R = C + sum over higher-priority tasks h of ceil(R / T_h) * C_h (iterated
 /// from C plus every higher-priority WCET), is at most min(D, T).  The tasks
 /// must pass check_task and have distinct priorities (smaller value =
-/// higher).  They are preemptive, WCET-exact and jitter-free, so the
+/// higher).  They are WCET-exact and strictly periodic, so the
 /// synchronous critical instant bounds every job whatever the release
 /// offsets, and R <= T keeps the task's level busy period to one job, which
 /// keeps that bound valid when D > T.  A true answer therefore proves the
@@ -63,9 +62,8 @@ RtSlackProfile::RtSlackProfile(std::vector<SimTask> rt_tasks, util::SimTime hori
   HYDRA_REQUIRE(horizon > 0, "simulation horizon must be positive");
   std::size_t num_cores = 0;
   for (const SimTask& t : rt_tasks_) {
-    HYDRA_REQUIRE(t.preemptive && t.exec_fraction_min >= 1.0 && t.release_jitter == 0,
-                  "RT slack profile needs preemptive, WCET-exact, jitter-free tasks; '" +
-                      t.name + "' is not");
+    HYDRA_REQUIRE(t.exec_fraction_min >= 1.0,
+                  "RT slack profile needs WCET-exact tasks; '" + t.name + "' is not");
     num_cores = std::max(num_cores, t.core + 1);
   }
   cores_.resize(num_cores);
@@ -109,7 +107,7 @@ RtSlackProfile::RtSlackProfile(std::vector<SimTask> rt_tasks, util::SimTime hori
 
     // The engine is work-conserving, so the core is busy exactly while
     // released work is pending, whatever order it runs the jobs in: walk the
-    // releases (strictly periodic, no jitter) in time order and extend the
+    // releases (strictly periodic) in time order and extend the
     // current busy interval by each job's WCET.  test_slack_band checks the
     // result against the engine's recorded segments.
     constexpr util::SimTime kNone = std::numeric_limits<util::SimTime>::max();

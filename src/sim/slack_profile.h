@@ -1,8 +1,8 @@
 // The RT schedule's idle time, computed once and shared by every monitor
 // run on top of it.
 //
-// Monitors are preemptive, rank below every RT task on their core, run
-// exactly their WCET and have no release jitter (sim::build_sim_tasks and
+// Monitors rank below every RT task on their core, run exactly their WCET
+// and are released strictly periodically (sim::build_sim_tasks and
 // sim::build_mode_tasks always build them that way).  Under those
 // preconditions the RT schedule does not depend on the monitors at all: RT
 // jobs preempt a monitor the instant they are released, and nothing draws
@@ -41,10 +41,9 @@ class RtSlackProfile {
   /// has passed its deadline in both runs.  The busy intervals are the busy
   /// periods of the released work: the engine is work-conserving, so a core
   /// is busy exactly while some released job is unfinished.  Requires every
-  /// task to be preemptive, WCET-exact (exec_fraction_min == 1) and
-  /// jitter-free, so the schedule draws nothing from the RNG and fits any
-  /// consumer's seed; invalid tasks and duplicate priorities on a core throw
-  /// sim::simulate's messages.
+  /// task to be WCET-exact (exec_fraction_min == 1), so the schedule draws
+  /// nothing from the RNG and fits any consumer's seed; invalid tasks and
+  /// duplicate priorities on a core throw sim::simulate's messages.
   RtSlackProfile(std::vector<SimTask> rt_tasks, util::SimTime horizon);
 
   /// True when this profile is the schedule of `rt_tasks` over `horizon`

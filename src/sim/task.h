@@ -14,10 +14,8 @@
 namespace hydra::sim {
 
 /// A task as the simulator sees it: fully resolved (period fixed, core
-/// fixed, distinct priority).  With `release_jitter == 0` releases are
-/// strictly periodic from `release_offset` — the worst-case arrival pattern
-/// of a sporadic task; with jitter, each inter-arrival gap is
-/// period + U(0, jitter], preserving the sporadic minimum separation.
+/// fixed, distinct priority).  Releases are strictly periodic from
+/// `release_offset` — the worst-case arrival pattern of a sporadic task.
 struct SimTask {
   std::string name;
   util::SimTime wcet = 0;            ///< execution budget per job (ticks)
@@ -25,9 +23,7 @@ struct SimTask {
   util::SimTime deadline = 0;        ///< relative deadline (ticks)
   std::size_t core = 0;              ///< partitioned: fixed core
   int priority = 0;                  ///< smaller value = higher priority
-  bool preemptive = true;            ///< false: job runs to completion once started
   util::SimTime release_offset = 0;  ///< first release time
-  util::SimTime release_jitter = 0;  ///< extra random gap per release (sporadic)
   /// Each job executes wcet·U(exec_fraction_min, 1] — models actual execution
   /// times below the worst case.  1.0 = always the WCET (analysis-faithful).
   double exec_fraction_min = 1.0;

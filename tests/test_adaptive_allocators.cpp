@@ -76,7 +76,6 @@ TEST(AdaptiveFamilies, ValidationContractConformanceOnCaseStudyAndSynthetic) {
   for (const auto& scheme : schemes) {
     const std::string name = scheme->name();
     EXPECT_EQ(scheme->schedule_test(), core::ScheduleTest::kLinearBound) << name;
-    EXPECT_DOUBLE_EQ(scheme->blocking(), 0.0) << name;
     EXPECT_EQ(scheme->priority_order(), std::nullopt) << name;
     EXPECT_DOUBLE_EQ(scheme->search_space(instances.front()), 1.0) << name;
     for (std::size_t i = 0; i < instances.size(); ++i) {
@@ -151,7 +150,7 @@ TEST(AdaptiveFamilies, TightenCorePeriodsNeverLoosensAndStaysFeasible) {
       {hydra::rt::make_security_task("s3", 90.0, 900.0, 9000.0), 9000.0},
   };
   const auto before = tasks;
-  core::tighten_core_periods(rt, tasks, 0.0, 2);
+  core::tighten_core_periods(rt, tasks, 2);
 
   core::Instance instance;
   instance.num_cores = 1;

@@ -51,9 +51,6 @@ TEST(Allocator, ValidationContractMatchesOptions) {
   EXPECT_EQ(core::HydraAllocator(exact).schedule_test(), core::ScheduleTest::kExactRta);
   EXPECT_EQ(core::HydraAllocator().schedule_test(), core::ScheduleTest::kLinearBound);
 
-  core::SingleCoreOptions blocking;
-  blocking.blocking = 2.5;
-  EXPECT_DOUBLE_EQ(core::SingleCoreAllocator(blocking).blocking(), 2.5);
   EXPECT_EQ(core::SingleCoreAllocator().priority_order(), std::nullopt);
 }
 

@@ -2,12 +2,11 @@
 // busy history) against a naive O(n) oracle that never prunes.
 //
 // The pruning contract under test (busy_window.h): as long as every
-// busy_in(from, to) query satisfies  to <= latest add  and
-// to - from <= keep − admission-lag-folded-into-keep, a pruned segment can
-// never intersect the query window, so BusyWindow and the oracle agree
-// exactly — across random add/query sequences, merge-triggering adjacency,
-// compaction (head_ > 1024), and queries that lag the clock by the admission
-// lag.
+// busy_in(from, to) query ends in (latest add - keep, latest add] and spans
+// at most keep ticks, a pruned segment can never intersect the query window,
+// so BusyWindow and the oracle agree exactly — across random add/query
+// sequences, merge-triggering adjacency, compaction (head_ > 1024), and
+// queries that trail the latest add.
 #include <gtest/gtest.h>
 
 #include <utility>
@@ -127,10 +126,10 @@ TEST(BusyWindow, CompactionKeepsAnswersExact) {
   }
 }
 
-TEST(BusyWindow, AdmissionLagFoldedIntoKeepCoversLaggingQueries) {
-  // The engine widens keep by the worst non-preemptive WCET so a decision
-  // lagging the latest add still sees its full window.  Model that: adds run
-  // ahead of the query instant by up to `lag`, keep = window + lag.
+TEST(BusyWindow, KeepCoveringWindowPlusLagServesLaggingQueries) {
+  // A query instant may trail the latest add: with keep = window + lag, a
+  // query of `window` ticks ending up to `lag` behind the latest add still
+  // sees every segment it overlaps.
   const SimTime query_window = 100;
   const SimTime lag = 40;
   sim::BusyWindow window(query_window + lag);

@@ -172,10 +172,6 @@ TEST(GlobalSlack, ValidatesInputs) {
   sim::GlobalSimOptions opts;
   opts.horizon = 100;
   opts.num_cores = 1;
-  auto bad = sec_task("np", 10, 100, 100);
-  bad.task.preemptive = false;  // migration requires preemptivity
-  EXPECT_THROW(sim::simulate_global_slack({bad}, opts), std::invalid_argument);
-
   const auto dup1 = sec_task("a", 10, 100, 100);
   const auto dup2 = sec_task("b", 10, 100, 100);
   EXPECT_THROW(sim::simulate_global_slack({dup1, dup2}, opts), std::invalid_argument);

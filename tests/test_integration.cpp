@@ -1,9 +1,7 @@
 // Cross-module integration tests: the analysis ↔ simulation contract (the
-// library's most important invariant), reduced-scale versions of the Fig. 1/2/3
-// pipelines, and the non-preemptive extension end to end.
+// library's most important invariant) and reduced-scale versions of the
+// Fig. 1/2/3 pipelines.
 #include <gtest/gtest.h>
-
-#include <algorithm>
 
 #include "core/hydra.h"
 #include "core/optimal.h"
@@ -64,52 +62,6 @@ TEST(AnalysisVsSimulation, SingleCoreAllocationsAlsoHold) {
     const auto trace = sim::simulate(sim::build_sim_tasks(inst, allocation), opts);
     EXPECT_EQ(trace.deadline_misses(), 0u) << "M = " << m;
   }
-}
-
-TEST(AnalysisVsSimulation, NonPreemptiveExtensionEndToEnd) {
-  // Allocate with the full non-preemptive model (blocking term on the
-  // security side AND RT-blocking admission), then simulate the security
-  // tasks non-preemptively: still no misses — on either core count,
-  // including M = 2 where monitors must share cores with control tasks.
-  for (const std::size_t m : {2u, 4u}) {
-    const auto inst = gen::uav_case_study(m);
-    double max_sec_wcet = 0.0;
-    for (const auto& s : inst.security_tasks) max_sec_wcet = std::max(max_sec_wcet, s.wcet);
-
-    core::HydraOptions opts;
-    opts.blocking = max_sec_wcet;
-    opts.non_preemptive_security = true;
-    const auto allocation = core::HydraAllocator(opts).allocate(inst);
-    if (!allocation.feasible) continue;  // refusing is a legitimate outcome
-
-    const auto tasks = sim::build_sim_tasks(inst, allocation, /*security_preemptive=*/false);
-    sim::SimOptions sim_opts;
-    sim_opts.horizon = 120u * 1000u * hydra::util::kTicksPerMilli;
-    const auto trace = sim::simulate(tasks, sim_opts);
-    EXPECT_EQ(trace.deadline_misses(), 0u) << "M = " << m;
-  }
-}
-
-TEST(AnalysisVsSimulation, NonPreemptiveWithoutRtCheckDoesMissDeadlines) {
-  // Regression companion to the test above, documenting WHY the RT-blocking
-  // admission exists: with only the security-side blocking term (the naive
-  // reading of §V), the M = 2 case study allocates a 900 ms non-preemptive
-  // scan next to a 50 ms control loop — and the control loop misses.
-  const auto inst = gen::uav_case_study(2);
-  double max_sec_wcet = 0.0;
-  for (const auto& s : inst.security_tasks) max_sec_wcet = std::max(max_sec_wcet, s.wcet);
-
-  core::HydraOptions naive;
-  naive.blocking = max_sec_wcet;  // security side only
-  const auto allocation = core::HydraAllocator(naive).allocate(inst);
-  ASSERT_TRUE(allocation.feasible);
-
-  const auto tasks = sim::build_sim_tasks(inst, allocation, /*security_preemptive=*/false);
-  sim::SimOptions sim_opts;
-  sim_opts.horizon = 120u * 1000u * hydra::util::kTicksPerMilli;
-  const auto trace = sim::simulate(tasks, sim_opts);
-  EXPECT_GT(trace.deadline_misses(), 0u)
-      << "expected the naive non-preemptive model to break RT deadlines";
 }
 
 TEST(AnalysisVsSimulation, ObservedResponseTimesRespectAnalyticBounds) {

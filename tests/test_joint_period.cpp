@@ -190,29 +190,6 @@ TEST(JointPeriod, WeightsSteerTheTradeoff) {
   EXPECT_GE(eta1_weighted, eta1_unweighted - 1e-6);
 }
 
-TEST(JointPeriod, BlockingTermTightensTheProblem) {
-  const auto inst = coupled_instance();
-  const auto part = trivial_partition(inst);
-  core::JointPeriodOptions plain;
-  plain.objective = core::JointObjective::kSignomialScp;
-  core::JointPeriodOptions blocked = plain;
-  blocked.blocking = 50.0;
-  const auto without = core::optimize_joint_periods(inst, part, {0, 0}, plain);
-  const auto with = core::optimize_joint_periods(inst, part, {0, 0}, blocked);
-  ASSERT_TRUE(without.feasible);
-  ASSERT_TRUE(with.feasible);
-  EXPECT_LE(with.cumulative_tightness, without.cumulative_tightness + 1e-9);
-}
-
-TEST(JointPeriod, HugeBlockingMakesInfeasible) {
-  const auto inst = coupled_instance();
-  const auto part = trivial_partition(inst);
-  core::JointPeriodOptions opts;
-  opts.blocking = 1e6;  // larger than any Tmax
-  const auto r = core::optimize_joint_periods(inst, part, {0, 0}, opts);
-  EXPECT_FALSE(r.feasible);
-}
-
 TEST(JointPeriodBound, InfeasibleExactlyWhenSolveIsAndNeverBelowTheOptimum) {
   // For every assignment of seeded instances the bound must agree with the
   // solve on feasibility, and bound the tightness the solve reaches under
@@ -224,19 +201,17 @@ TEST(JointPeriodBound, InfeasibleExactlyWhenSolveIsAndNeverBelowTheOptimum) {
       const std::uint64_t seed = 1000 * m + ns;
       const auto inst = random_instance(seed, m, ns);
       const auto part = round_robin_partition(inst);
-      const double blocking = ns % 2 == 0 ? 3.0 : 0.0;
       std::size_t total = 1;
       for (std::size_t s = 0; s < ns; ++s) total *= m;
       std::vector<std::size_t> core_of(ns);
       for (std::size_t code = 0; code < total; ++code) {
         for (std::size_t s = 0, rem = code; s < ns; ++s, rem /= m) core_of[s] = rem % m;
-        const auto bound = core::joint_tightness_bound(inst, part, core_of, blocking);
+        const auto bound = core::joint_tightness_bound(inst, part, core_of);
         for (const auto mode : {core::JointObjective::kSumSurrogate,
                                 core::JointObjective::kLogUtility,
                                 core::JointObjective::kSignomialScp}) {
           core::JointPeriodOptions opts;
           opts.objective = mode;
-          opts.blocking = blocking;
           const auto r = core::optimize_joint_periods(inst, part, core_of, opts);
           ASSERT_EQ(bound.has_value(), r.feasible)
               << "seed " << seed << " code " << code << " mode " << static_cast<int>(mode);

@@ -348,10 +348,9 @@ TEST(ModeSwitchDeterminism, NeverSwitchingEqualsStaticMinimumMode) {
 }
 
 TEST(ModeSwitchDeterminism, FixedSeedReproducesTraceAndEvents) {
-  // Jitter + execution variation exercise every RNG path; two runs with the
-  // same seed must agree on every job, residency counter, and switch event.
+  // Execution variation exercises every RNG path; two runs with the same
+  // seed must agree on every job, residency counter, and switch event.
   auto rt = fixed_task("rt", 40, 100, 0, 0);
-  rt.task.release_jitter = 30;
   rt.task.exec_fraction_min = 0.5;
   auto mon = monitor_task("mon", 10, 1000, 100, 0, 1);
   mon.task.exec_fraction_min = 0.7;

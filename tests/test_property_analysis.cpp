@@ -64,24 +64,6 @@ TEST(PropertyRta, ResponseTimeMonotoneInAddedInterference) {
   EXPECT_GT(defined_pairs, 300u);
 }
 
-TEST(PropertyRta, ResponseTimeMonotoneInBlocking) {
-  std::size_t defined = 0;
-  for (std::uint64_t seed = 1; seed <= 1000; ++seed) {
-    hydra::util::Xoshiro256 rng(seed);
-    const auto task = random_task(rng, "task");
-    std::vector<rt::RtTask> hp = {random_task(rng, "hp0"), random_task(rng, "hp1")};
-    const double blocking = rng.uniform(0.0, 20.0);
-    const auto without = rt::response_time(task, hp, 0.0);
-    const auto with = rt::response_time(task, hp, blocking);
-    if (with.has_value()) {
-      ASSERT_TRUE(without.has_value()) << "seed " << seed;
-      EXPECT_LE(*without, *with + 1e-9) << "seed " << seed;
-      ++defined;
-    }
-  }
-  EXPECT_GT(defined, 300u);
-}
-
 TEST(PropertyAcceptance, RatioNonIncreasingInTotalUtilization) {
   // Acceptance over the same seed ladder at increasing utilization: with the
   // per-index seeds fixed, the measured ratios are deterministic, so the
@@ -139,9 +121,9 @@ TEST(PropertyHydra, NeverAcceptsWhatTheValidatorRejects) {
     const auto allocation = hydra_scheme->allocate(drawn->instance);
     if (!allocation.feasible) continue;
     ++feasible;
-    const auto report = core::validate_allocation(
-        drawn->instance, allocation, hydra_scheme->blocking(),
-        hydra_scheme->priority_order(), hydra_scheme->schedule_test());
+    const auto report =
+        core::validate_allocation(drawn->instance, allocation, hydra_scheme->priority_order(),
+                                  hydra_scheme->schedule_test());
     ASSERT_TRUE(report.valid) << "seed " << seed << " utilization " << u << ": "
                               << report.problem;
   }
@@ -168,8 +150,8 @@ TEST(PropertyHydra, ExactRtaVariantAlsoValidates) {
     if (!allocation.feasible) continue;
     ++feasible;
     const auto report =
-        core::validate_allocation(drawn->instance, allocation, scheme->blocking(),
-                                  scheme->priority_order(), scheme->schedule_test());
+        core::validate_allocation(drawn->instance, allocation, scheme->priority_order(),
+                                  scheme->schedule_test());
     ASSERT_TRUE(report.valid) << "seed " << seed << ": " << report.problem;
   }
   EXPECT_GT(feasible, 50u);

@@ -250,16 +250,6 @@ TEST(SecurityResponseTime, HandWorkedExample) {
   EXPECT_DOUBLE_EQ(*r, 6.0);
 }
 
-TEST(SecurityResponseTime, BlockingShiftsResponse) {
-  const auto task = rt::make_security_task("s", 3.0, 50.0, 500.0);
-  const auto plain = rt::security_response_time(task, 500.0, {}, {});
-  const auto blocked = rt::security_response_time(task, 500.0, {}, {}, 5.0);
-  ASSERT_TRUE(plain.has_value());
-  ASSERT_TRUE(blocked.has_value());
-  EXPECT_DOUBLE_EQ(*plain, 3.0);
-  EXPECT_DOUBLE_EQ(*blocked, 8.0);
-}
-
 TEST(SecurityResponseTime, DeadlineExceededReturnsNullopt) {
   const auto task = rt::make_security_task("s", 3.0, 50.0, 500.0);
   // RT load 0.9: R = 3 + ceil(R/10)·9 → grows past any small deadline.

@@ -25,17 +25,6 @@ TEST(Interference, MatchesEquationFiveByHand) {
   EXPECT_DOUBLE_EQ(b.eval(100.0), 41.0);
 }
 
-TEST(Interference, BlockingAddsConstantOnly) {
-  const auto plain = rt::interference_bound({rt::make_rt_task("a", 2.0, 10.0)}, {});
-  const auto blocked = rt::interference_bound({rt::make_rt_task("a", 2.0, 10.0)}, {}, 5.0);
-  EXPECT_DOUBLE_EQ(blocked.const_part, plain.const_part + 5.0);
-  EXPECT_DOUBLE_EQ(blocked.util_part, plain.util_part);
-}
-
-TEST(Interference, NegativeBlockingRejected) {
-  EXPECT_THROW(rt::interference_bound({}, {}, -1.0), std::invalid_argument);
-}
-
 TEST(Interference, EvalIsAffineInPeriod) {
   const auto b = rt::interference_bound({rt::make_rt_task("a", 1.0, 4.0)}, {{2.0, 8.0}});
   const double at0 = b.const_part;

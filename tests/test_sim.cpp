@@ -1,14 +1,12 @@
 // Tests for the discrete-event scheduler: hand-checkable schedules,
-// preemption semantics, non-preemptive jobs, deadline misses, execution
-// conservation, and trace queries.
+// preemption semantics, deadline misses, execution conservation, and trace
+// queries.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <string>
 
 #include "sim/engine.h"
 #include "sim/task.h"
-#include "util/rng.h"
 
 namespace sim = hydra::sim;
 using hydra::util::SimTime;
@@ -16,7 +14,7 @@ using hydra::util::SimTime;
 namespace {
 
 sim::SimTask make(const std::string& name, SimTime wcet, SimTime period, std::size_t core,
-                  int priority, bool preemptive = true, SimTime offset = 0) {
+                  int priority, SimTime offset = 0) {
   sim::SimTask t;
   t.name = name;
   t.wcet = wcet;
@@ -24,7 +22,6 @@ sim::SimTask make(const std::string& name, SimTime wcet, SimTime period, std::si
   t.deadline = period;
   t.core = core;
   t.priority = priority;
-  t.preemptive = preemptive;
   t.release_offset = offset;
   return t;
 }
@@ -50,23 +47,12 @@ TEST(Engine, PreemptionByHigherPriority) {
   // lo releases at 0 (wcet 50), hi at 10 (wcet 20): lo runs [0,10) with 40
   // remaining, is preempted [10,30), resumes [30,70) and completes at 70.
   const auto lo = make("lo", 50, 1000, 0, 5);
-  const auto hi = make("hi", 20, 1000, 0, 1, true, 10);
+  const auto hi = make("hi", 20, 1000, 0, 1, 10);
   const auto trace = sim::simulate({lo, hi}, {1000});
   EXPECT_EQ(trace.jobs[1][0].start, 10u);
   EXPECT_EQ(trace.jobs[1][0].completion, 30u);
   EXPECT_EQ(trace.jobs[0][0].start, 0u);
   EXPECT_EQ(trace.jobs[0][0].completion, 70u);
-}
-
-TEST(Engine, NonPreemptiveJobBlocksHigherPriority) {
-  // Non-preemptive lo starts at 0 and holds the CPU to 50; hi (release 10)
-  // must wait: starts 50, completes 70.
-  const auto lo = make("lo", 50, 1000, 0, 5, /*preemptive=*/false);
-  const auto hi = make("hi", 20, 1000, 0, 1, true, 10);
-  const auto trace = sim::simulate({lo, hi}, {1000});
-  EXPECT_EQ(trace.jobs[0][0].completion, 50u);
-  EXPECT_EQ(trace.jobs[1][0].start, 50u);
-  EXPECT_EQ(trace.jobs[1][0].completion, 70u);
 }
 
 TEST(Engine, CoresAreIndependent) {
@@ -119,7 +105,7 @@ TEST(Engine, ExecutionTimeIsConserved) {
 }
 
 TEST(Engine, ReleaseOffsetsHonoured) {
-  const auto a = make("a", 10, 100, 0, 0, true, 55);
+  const auto a = make("a", 10, 100, 0, 0, 55);
   const auto trace = sim::simulate({a}, {300});
   ASSERT_EQ(trace.jobs[0].size(), 3u);  // releases at 55, 155, 255
   EXPECT_EQ(trace.jobs[0][0].release, 55u);
@@ -128,7 +114,7 @@ TEST(Engine, ReleaseOffsetsHonoured) {
 
 TEST(Engine, JobsReleasedBeforeHorizonFinishInGracePeriod) {
   // Release at 90 (horizon 100), wcet 50: auto-grace lets it complete.
-  const auto a = make("a", 50, 100, 0, 0, true, 90);
+  const auto a = make("a", 50, 100, 0, 0, 90);
   const auto trace = sim::simulate({a}, {100});
   ASSERT_EQ(trace.jobs[0].size(), 1u);
   EXPECT_TRUE(trace.jobs[0][0].completed);
@@ -155,45 +141,6 @@ TEST(Engine, InvalidTasksRejected) {
   }
 }
 
-TEST(Engine, ReleasesHeldBackByNonPreemptiveJobAreAdmittedInReleaseTimeOrder) {
-  // The non-preemptive job runs [0, 100) and holds back `late` (released at
-  // 60) and `early` (released at 30), which come in the reverse order in the
-  // task list.  Both are admitted at 100 in release-time order: early's
-  // execution draw and jitter draw come first, then late's.  Late has the
-  // higher priority, so it runs first, then early.
-  const auto varying = [](const std::string& name, SimTime offset, int priority) {
-    auto t = make(name, 200, 1000, 0, priority, true, offset);
-    t.release_jitter = 50;
-    t.exec_fraction_min = 0.1;
-    return t;
-  };
-  const auto np = make("np", 100, 1000, 0, 9, /*preemptive=*/false);
-  sim::SimOptions opts;
-  opts.horizon = 1000;
-  opts.seed = 17;
-  const auto trace = sim::simulate({np, varying("late", 60, 1), varying("early", 30, 2)}, opts);
-
-  hydra::util::Xoshiro256 root(opts.seed);
-  hydra::util::Xoshiro256 rng = root.fork();  // core 0's stream
-  const auto draw_exec = [&rng]() {
-    return static_cast<SimTime>(std::ceil(rng.uniform(0.1, 1.0) * 200.0));
-  };
-  const SimTime early_exec = draw_exec();
-  rng.uniform_int(1, 50);  // early's jitter
-  const SimTime late_exec = draw_exec();
-
-  ASSERT_EQ(trace.jobs[1].size(), 1u);
-  ASSERT_EQ(trace.jobs[2].size(), 1u);
-  const auto& late = trace.jobs[1][0];
-  const auto& early = trace.jobs[2][0];
-  EXPECT_EQ(late.release, 60u);
-  EXPECT_EQ(early.release, 30u);
-  EXPECT_EQ(late.start, 100u);
-  EXPECT_EQ(late.completion, 100u + late_exec);
-  EXPECT_EQ(early.start, late.completion);
-  EXPECT_EQ(early.completion, early.start + early_exec);
-}
-
 TEST(Trace, FirstCompletionReleasedAfterQuery) {
   const auto a = make("a", 30, 100, 0, 0);
   const auto trace = sim::simulate({a}, {1000});
@@ -218,27 +165,12 @@ TEST(Trace, CountsTotals) {
   EXPECT_EQ(trace.deadline_misses(), 0u);
 }
 
-TEST(Engine, JitterPreservesMinimumSeparation) {
-  auto t = make("sporadic", 10, 100, 0, 0);
-  t.release_jitter = 50;
-  sim::SimOptions opts;
-  opts.horizon = 20000;
-  opts.seed = 99;
-  const auto trace = sim::simulate({t}, opts);
-  ASSERT_GT(trace.jobs[0].size(), 10u);
-  for (std::size_t k = 1; k < trace.jobs[0].size(); ++k) {
-    const auto gap = trace.jobs[0][k].release - trace.jobs[0][k - 1].release;
-    EXPECT_GE(gap, 100u);        // sporadic: separation >= period
-    EXPECT_LE(gap, 150u);        // and <= period + jitter
-  }
-}
-
-TEST(Engine, JitterZeroIsStrictlyPeriodic) {
+TEST(Engine, SeedDoesNotMoveAWcetExactSchedule) {
   const auto t = make("periodic", 10, 100, 0, 0);
   sim::SimOptions a, b;
   a.horizon = b.horizon = 5000;
   a.seed = 1;
-  b.seed = 2;  // different seeds must not matter without jitter
+  b.seed = 2;  // different seeds must not matter without execution variation
   const auto ta = sim::simulate({t}, a);
   const auto tb = sim::simulate({t}, b);
   ASSERT_EQ(ta.jobs[0].size(), tb.jobs[0].size());
@@ -277,22 +209,6 @@ TEST(Engine, ExecVariationReproducibleBySeed) {
   for (std::size_t k = 0; k < a.jobs[0].size(); ++k) {
     EXPECT_EQ(a.jobs[0][k].completion, b.jobs[0][k].completion);
   }
-}
-
-TEST(Engine, JitteredFeasibleSetStillMeetsDeadlines) {
-  // Sporadic arrivals only reduce load versus the synchronous periodic
-  // worst case; an RM-feasible set must stay miss-free under jitter.
-  auto t1 = make("t1", 1000, 4000, 0, 0);
-  auto t2 = make("t2", 2000, 6000, 0, 1);
-  auto t3 = make("t3", 3000, 12000, 0, 2);
-  t1.release_jitter = 2000;
-  t2.release_jitter = 3000;
-  t3.release_jitter = 6000;
-  sim::SimOptions opts;
-  opts.horizon = 240000;
-  opts.seed = 17;
-  const auto trace = sim::simulate({t1, t2, t3}, opts);
-  EXPECT_EQ(trace.deadline_misses(), 0u);
 }
 
 TEST(Engine, HeavyInterleavingMatchesHandSchedule) {

@@ -401,20 +401,11 @@ TEST(RtSlackProfile, CacheReusesAMatchingProfileAndRebuildsOtherwise) {
 }
 
 TEST(RtSlackProfile, RejectsTasksThatWouldDependOnTheMonitorsOrTheSeed) {
-  auto jittery = make_task("a", 3, 10, 10, 0, 0);
-  jittery.release_jitter = 2;
-  EXPECT_THROW(sim::RtSlackProfile({jittery}, 100), std::invalid_argument);
   auto varying = make_task("a", 3, 10, 10, 0, 0);
   varying.exec_fraction_min = 0.5;
   EXPECT_THROW(sim::RtSlackProfile({varying}, 100), std::invalid_argument);
 
-  // A non-preemptive monitor could block RT work: the band engine refuses.
-  auto blocking = make_task("mon", 3, 10, 10, 0, 1);
-  blocking.preemptive = false;
   sim::RtSlackProfileCache cache;
-  EXPECT_THROW(sim::simulate_mode_band(fixed_rate({make_task("rt", 3, 10, 10, 0, 0), blocking}),
-                                       1, fixed_rate_options(100), cache),
-               std::invalid_argument);
   // A monitor ranked above an RT task of its core is not a band task.
   EXPECT_THROW(sim::simulate_mode_band(fixed_rate({make_task("rt", 3, 10, 10, 0, 5),
                                                    make_task("mon", 3, 10, 10, 0, 1)}),
