@@ -39,7 +39,7 @@ int run(const hydra::util::CliParser& cli) {
   config.num_cores = m;
 
   core::HydraOptions exact_opts;
-  exact_opts.solver = core::PeriodSolver::kExactRta;
+  exact_opts.test = core::ScheduleTest::kExactRta;
   const core::HydraAllocator bound_alloc;             // paper's Eq. (5)
   const core::HydraAllocator exact_alloc(exact_opts); // exact RTA
 

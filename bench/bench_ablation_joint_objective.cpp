@@ -1,4 +1,5 @@
-// Ablation: the joint period-optimization objective (DESIGN.md §5).
+// Ablation: the joint period-optimization objective (docs/architecture.md,
+// "Substitutions and modelling choices", S5).
 //
 // The paper's appendix claims the joint maximization of Σ ω·Tdes/T is a
 // convex program; it is actually signomial.  This bench quantifies how much

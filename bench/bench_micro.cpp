@@ -1,6 +1,6 @@
 // Micro-benchmarks (google-benchmark): the building blocks whose cost decides
 // whether HYDRA-style design-space exploration is interactive — exact RTA,
-// Randfixedsum draws, the one-variable GP solve vs its closed form, full
+// Randfixedsum draws, the closed-form Eq. (7) period adaptation, full
 // HYDRA and SingleCore allocations, the exhaustive optimal search, the
 // discrete-event simulator, the detection bundle of one fig5 row, and a whole
 // sweep batch.
@@ -71,22 +71,10 @@ static void BM_PeriodAdaptationClosedForm(benchmark::State& state) {
   bound.const_part = 200.0;
   bound.util_part = 0.55;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::adapt_period(task, bound, core::PeriodSolver::kClosedForm));
+    benchmark::DoNotOptimize(core::adapt_period(task, bound));
   }
 }
 BENCHMARK(BM_PeriodAdaptationClosedForm);
-
-static void BM_PeriodAdaptationGp(benchmark::State& state) {
-  const auto task = rt::make_security_task("s", 50.0, 1000.0, 10000.0);
-  rt::InterferenceBound bound;
-  bound.const_part = 200.0;
-  bound.util_part = 0.55;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        core::adapt_period(task, bound, core::PeriodSolver::kGeometricProgram));
-  }
-}
-BENCHMARK(BM_PeriodAdaptationGp);
 
 static void BM_HydraAllocateUav(benchmark::State& state) {
   const auto instance = gen::uav_case_study(static_cast<std::size_t>(state.range(0)));

@@ -139,7 +139,8 @@ int run(const hydra::util::CliParser& cli) {
     integration.print(std::cout);
   }
   std::cout << "\nNote: WCETs are representative embedded-board scan costs "
-               "(DESIGN.md section 6: the paper measured Tripwire/Bro on an "
+               "(docs/architecture.md, Substitutions and modelling choices, "
+               "S6: the paper measured Tripwire/Bro on an "
                "ARM Cortex-A8; absolute values scale the curves, contention "
                "drives the comparisons).\n";
   return 0;

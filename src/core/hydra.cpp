@@ -54,10 +54,10 @@ Allocation HydraAllocator::allocate(const Instance& instance,
     PeriodAdaptation best{};
     for (std::size_t c = 0; c < instance.num_cores; ++c) {
       const PeriodAdaptation candidate =
-          options_.solver == PeriodSolver::kExactRta
+          options_.test == ScheduleTest::kExactRta
               ? adapt_period_exact(task, cores[c].rt_tasks, cores[c].placed,
                                    &cores[c].interferers)
-              : adapt_period(task, cores[c].interferers, options_.solver);
+              : adapt_period(task, cores[c].interferers);
       if (!candidate.feasible) continue;
 
       // Line 11: argmax ηs, ties resolved by the TieBreak option.
@@ -95,11 +95,8 @@ Allocation HydraAllocator::allocate(const Instance& instance) const {
 
 std::string HydraAllocator::describe() const {
   std::string text = "greedy joint allocation + period adaptation (Algorithm 1); ";
-  switch (options_.solver) {
-    case PeriodSolver::kClosedForm: text += "closed-form subproblem"; break;
-    case PeriodSolver::kGeometricProgram: text += "GP subproblem"; break;
-    case PeriodSolver::kExactRta: text += "exact-RTA subproblem"; break;
-  }
+  text += options_.test == ScheduleTest::kExactRta ? "exact-RTA subproblem"
+                                                    : "closed-form subproblem";
   if (options_.tie_break == TieBreak::kLowestIndex) text += "; lowest-index tie break";
   return text;
 }

@@ -9,7 +9,8 @@
 // paper's early-return on line 9.
 //
 // Knobs beyond the paper (defaults reproduce the paper's behaviour):
-//   * `solver`      — closed-form vs GP subproblem (identical results).
+//   * `test`        — the paper's linear Eq. (5) bound (closed-form Eq. 7)
+//                     or exact response-time analysis (hydra/exact-rta).
 //   * `tie_break`   — the paper leaves η ties unspecified; the default
 //                     spreads load (least busy core), the ablation picks the
 //                     lowest index.
@@ -33,7 +34,9 @@ enum class TieBreak {
 };
 
 struct HydraOptions {
-  PeriodSolver solver = PeriodSolver::kClosedForm;
+  /// The schedulability test the Eq. (7) subproblem is solved against, and
+  /// hence the one validate_allocation must re-check.
+  ScheduleTest test = ScheduleTest::kLinearBound;
   TieBreak tie_break = TieBreak::kLeastLoaded;
   /// Security priority order override (highest first), e.g. a
   /// sec::chain_consistent_order honouring §V precedence chains.  Absent =
@@ -58,10 +61,7 @@ class HydraAllocator : public Allocator {
   Allocation allocate(const Instance& instance) const override;
 
   std::string describe() const override;
-  ScheduleTest schedule_test() const override {
-    return options_.solver == PeriodSolver::kExactRta ? ScheduleTest::kExactRta
-                                                      : ScheduleTest::kLinearBound;
-  }
+  ScheduleTest schedule_test() const override { return options_.test; }
   std::optional<std::vector<std::size_t>> priority_order() const override {
     return options_.priority_order;
   }

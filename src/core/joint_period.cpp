@@ -155,7 +155,7 @@ std::optional<std::vector<util::Millis>> sequential_periods(
     const std::size_t c = core_of[s];
     const auto bound =
         rt::interference_bound(rt_partition.tasks_on_core(instance.rt_tasks, c), placed[c]);
-    const PeriodAdaptation pa = adapt_period(sec[s], bound, PeriodSolver::kClosedForm);
+    const PeriodAdaptation pa = adapt_period(sec[s], bound);
     if (!pa.feasible) return std::nullopt;
     periods[s] = pa.period;
     placed[c].push_back(rt::PlacedSecurityTask{sec[s].wcet, pa.period});

@@ -12,7 +12,8 @@
 // task to its higher-priority neighbours.
 //
 // The paper's literal objective (maximize Σ ωs·Tdes_s/Ts) is signomial, not
-// GP (DESIGN.md §5), so three documented objectives are offered:
+// GP (docs/architecture.md, "Substitutions and modelling choices", S5), so
+// three documented objectives are offered:
 //
 //   kSumSurrogate — minimize Σ (ωs/Tdes_s)·Ts (posynomial ⇒ rigorous GP)
 //   kLogUtility   — maximize Σ ωs·log ηs  ⇔  minimize Π Ts^{ωs}

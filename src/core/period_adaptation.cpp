@@ -1,20 +1,20 @@
 #include "core/period_adaptation.h"
 
 #include <algorithm>
-#include <cmath>
 
-#include "gp/problem.h"
-#include "gp/solver.h"
-#include "gp/solver_registry.h"
 #include "rt/analysis.h"
-#include "util/contracts.h"
 
 namespace hydra::core {
 
-namespace {
+std::optional<util::Millis> min_feasible_period(const rt::SecurityTask& task,
+                                                const rt::InterferenceBound& bound) {
+  const double slack_rate = 1.0 - bound.util_part;
+  if (slack_rate <= util::kTimeEpsilon) return std::nullopt;
+  return (task.wcet + bound.const_part) / slack_rate;
+}
 
-PeriodAdaptation solve_closed_form(const rt::SecurityTask& task,
-                                   const rt::InterferenceBound& bound) {
+PeriodAdaptation adapt_period(const rt::SecurityTask& task, const rt::InterferenceBound& bound) {
+  rt::validate(task);
   PeriodAdaptation out;
   const auto t_min = min_feasible_period(task, bound);
   if (!t_min.has_value()) return out;
@@ -28,61 +28,6 @@ PeriodAdaptation solve_closed_form(const rt::SecurityTask& task,
   out.period = std::min(period, task.period_max);  // clamp tolerance overshoot
   out.tightness = task.period_des / out.period;
   return out;
-}
-
-PeriodAdaptation solve_gp(const rt::SecurityTask& task, const rt::InterferenceBound& bound) {
-  PeriodAdaptation out;
-
-  // One-variable GP per the paper's appendix:
-  //   min Ts   s.t.  Tdes·Ts⁻¹ ≤ 1,  (1/Tmax)·Ts ≤ 1,
-  //                  (Cs + A)·Ts⁻¹ + B ≤ 1.
-  gp::GpProblem problem;
-  const gp::VarId ts = problem.add_variable();
-  problem.set_objective(gp::Posynomial(problem.monomial(1.0).with(ts, 1.0)));
-  problem.add_bounds(ts, task.period_des, task.period_max);
-
-  gp::Posynomial sched = problem.posynomial();
-  sched += problem.monomial(task.wcet + bound.const_part).with(ts, -1.0);
-  if (bound.util_part > 0.0) sched += problem.monomial(bound.util_part);
-  problem.add_constraint_leq1(std::move(sched));  // Cs + I(Ts) <= Ts
-
-  // Start just inside the Tmax bound (the exact corner sits on the box
-  // boundary and would trigger the solver's phase-I program needlessly).
-  const double start =
-      std::max(task.period_des * (1.0 + 1e-9), task.period_max * (1.0 - 1e-6));
-  // No options plumbing reaches this one-variable solve (contego and the
-  // tightening passes call adapt_period directly), so backend selection
-  // arrives ambiently through the innermost GpBackendScope.
-  const gp::SolveResult sr = gp::solve_with_backend(problem, std::vector<double>{start});
-  if (!sr.ok()) return out;
-
-  out.feasible = true;
-  out.period = std::clamp(sr.x[0], task.period_des, task.period_max);
-  out.tightness = task.period_des / out.period;
-  return out;
-}
-
-}  // namespace
-
-std::optional<util::Millis> min_feasible_period(const rt::SecurityTask& task,
-                                                const rt::InterferenceBound& bound) {
-  const double slack_rate = 1.0 - bound.util_part;
-  if (slack_rate <= util::kTimeEpsilon) return std::nullopt;
-  return (task.wcet + bound.const_part) / slack_rate;
-}
-
-PeriodAdaptation adapt_period(const rt::SecurityTask& task, const rt::InterferenceBound& bound,
-                              PeriodSolver solver) {
-  rt::validate(task);
-  switch (solver) {
-    case PeriodSolver::kClosedForm:
-      return solve_closed_form(task, bound);
-    case PeriodSolver::kGeometricProgram:
-      return solve_gp(task, bound);
-    case PeriodSolver::kExactRta:
-      HYDRA_REQUIRE(false, "kExactRta needs interferer lists; call adapt_period_exact");
-  }
-  HYDRA_ASSERT(false, "unknown PeriodSolver");
 }
 
 std::size_t tighten_core_periods(const std::vector<rt::RtTask>& rt_on_core,

@@ -7,15 +7,17 @@
 // I(Ts) = A + B·Ts is the affine Eq. (5) bound.  Since η is strictly
 // decreasing in Ts, the optimum is the smallest feasible period.
 //
-// Two interchangeable solution routes are provided:
+// Two routes answer it:
 //
-//   kClosedForm — the affine constraint yields T* = (Cs + A)/(1 − B) when
-//                 B < 1, so the answer is clamp(T*, Tdes, Tmax) directly.
-//   kGeometricProgram — the paper's route: a one-variable GP (minimize the
-//                 monomial Ts subject to posynomial constraints), solved with
-//                 the interior-point machinery in src/gp.  Exists to mirror
-//                 the publication faithfully and to cross-validate the
-//                 closed form; results agree to solver tolerance (tested).
+//   adapt_period       — the affine constraint yields T* = (Cs + A)/(1 − B)
+//                        when B < 1, so the answer is clamp(T*, Tdes, Tmax)
+//                        in closed form.
+//   adapt_period_exact — exact response-time analysis in place of the
+//                        linear bound (the hydra/exact-rta scheme).
+//
+// The paper states Eq. (7) as a one-variable GP; that route is the closed
+// form's test oracle, hydra::oracle::adapt_period_gp (tests/oracles), and
+// agrees with it to solver tolerance.
 #pragma once
 
 #include <optional>
@@ -27,31 +29,20 @@
 
 namespace hydra::core {
 
-enum class PeriodSolver {
-  kClosedForm,
-  kGeometricProgram,
-  /// Exact response-time analysis instead of the paper's linear Eq. (5)
-  /// bound.  Admits tighter periods (the bound is conservative); requires the
-  /// full interferer lists, so it is served by adapt_period_exact and, in the
-  /// allocators, selected via their options.  An ablation bench quantifies
-  /// the conservatism.
-  kExactRta,
-};
-
 struct PeriodAdaptation {
   bool feasible = false;
   util::Millis period = 0.0;  ///< optimal Ts when feasible
   double tightness = 0.0;     ///< Tdes/Ts when feasible
 };
 
-/// Solves Eq. (7) for `task` against the interference bound of a candidate
-/// core.  Never throws on infeasibility — that is a normal outcome.
-/// PeriodSolver::kExactRta is not servable from an aggregated bound and is
-/// rejected here — use adapt_period_exact.
-PeriodAdaptation adapt_period(const rt::SecurityTask& task, const rt::InterferenceBound& bound,
-                              PeriodSolver solver = PeriodSolver::kClosedForm);
+/// Solves Eq. (7) in closed form for `task` against the interference bound
+/// of a candidate core.  Never throws on infeasibility — that is a normal
+/// outcome.
+PeriodAdaptation adapt_period(const rt::SecurityTask& task, const rt::InterferenceBound& bound);
 
 /// Eq. (7) with exact response-time analysis in place of the linear bound.
+/// Admits tighter periods (the bound is conservative; an ablation bench
+/// quantifies by how much) but needs the full interferer lists.
 /// The response time R of the lowest-priority-band task does not depend on
 /// its own period, so the optimum is simply clamp(R, Tdes, Tmax) — feasible
 /// iff R ≤ Tmax.  `interferer_sums`, when given, must equal

@@ -20,7 +20,7 @@ AllocatorRegistry build_global() {
   registry.add("hydra/exact-rta",
                "HYDRA with exact response-time analysis (tighter periods)", [] {
                  HydraOptions options;
-                 options.solver = PeriodSolver::kExactRta;
+                 options.test = ScheduleTest::kExactRta;
                  return std::make_unique<HydraAllocator>(options);
                });
   registry.add("single-core", "all security tasks isolated on a dedicated core",

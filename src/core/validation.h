@@ -19,8 +19,8 @@ struct ValidationReport {
 
 /// Which schedulability test the allocator used (and hence which one the
 /// validator must re-check): the paper's linear Eq. (5)/(6) bound, or exact
-/// response-time analysis (PeriodSolver::kExactRta allocations satisfy the
-/// latter but not necessarily the conservative former).
+/// response-time analysis (hydra/exact-rta allocations satisfy the latter
+/// but not necessarily the conservative former).
 enum class ScheduleTest {
   kLinearBound,
   kExactRta,

@@ -2,7 +2,8 @@
 // Shin [18]): Guidance, Slow/Fast navigation, Controller, Missile control and
 // Reconnaissance tasks.
 //
-// SUBSTITUTION NOTE (DESIGN.md §6): the paper references [18, Tab. 1] without
+// SUBSTITUTION NOTE (docs/architecture.md, "Substitutions and modelling
+// choices", S6): the paper references [18, Tab. 1] without
 // reprinting the parameters.  The values here are representative of that
 // flight-control workload: rate-monotonic-friendly harmonic-ish periods from
 // 50 ms (inner control loop) to 1000 ms (reconnaissance), total utilization

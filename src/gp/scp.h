@@ -2,7 +2,8 @@
 // programming (monomial condensation).
 //
 // The paper's joint objective — maximize Σ ωs·Tdes_s/Ts — is a posynomial to
-// *maximize*, which is not a GP (see DESIGN.md §5).  The standard remedy
+// *maximize*, which is not a GP (docs/architecture.md, "Substitutions and
+// modelling choices", S5).  The standard remedy
 // (Boyd et al. [28], §9 "Signomial programming") replaces the posynomial
 // f(x) = Σ u_k(x) at the current iterate x̄ by its arithmetic-geometric-mean
 // monomial lower bound

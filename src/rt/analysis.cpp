@@ -9,12 +9,6 @@
 
 namespace hydra::rt {
 
-double dbf(const RtTask& task, util::Millis t) {
-  if (t < task.deadline) return 0.0;
-  const double jobs = std::floor((t - task.deadline) / task.period) + 1.0;
-  return jobs * task.wcet;
-}
-
 bool dbf_necessary_condition(const std::vector<RtTask>& tasks, std::size_t num_cores,
                              std::optional<util::Millis> horizon) {
   HYDRA_REQUIRE(num_cores >= 1, "need at least one core");
@@ -174,18 +168,6 @@ bool core_admits_rm(const std::vector<RtTask>& resident_by_priority, const RtTas
     }
   }
   return true;
-}
-
-double liu_layland_bound(std::size_t n) {
-  if (n == 0) return 1.0;
-  const double nd = static_cast<double>(n);
-  return nd * (std::pow(2.0, 1.0 / nd) - 1.0);
-}
-
-bool hyperbolic_bound_holds(const std::vector<RtTask>& tasks) {
-  double product = 1.0;
-  for (const auto& t : tasks) product *= t.utilization() + 1.0;
-  return product <= 2.0 + util::kTimeEpsilon;
 }
 
 std::optional<util::Millis> security_response_time(

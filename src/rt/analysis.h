@@ -1,6 +1,7 @@
-// Uniprocessor schedulability analysis: demand bound function (paper Eq. 1)
-// and exact response-time analysis for fixed-priority preemptive scheduling
-// (Audsley et al. [16], used by the paper's Eq. 5 reasoning).
+// Uniprocessor schedulability analysis: the demand-bound necessary condition
+// (paper Eq. 1) and exact response-time analysis for fixed-priority
+// preemptive scheduling (Audsley et al. [16], used by the paper's Eq. 5
+// reasoning).
 #pragma once
 
 #include <optional>
@@ -12,15 +13,12 @@
 
 namespace hydra::rt {
 
-/// DBF(τ, t) = max(0, (⌊(t − D)/T⌋ + 1)·C): the maximum cumulative execution
-/// demand of jobs of τ with both release and deadline inside any window of
-/// length t (Baruah & Fisher [15]).
-double dbf(const RtTask& task, util::Millis t);
-
 /// The paper's Eq. (1) necessary condition for M-core schedulability:
-/// Σ DBF(τr, t) ≤ M·t for all t > 0.  Checked at every absolute-deadline
-/// point D_i + k·T_i up to `horizon` (plus the asymptotic utilization bound
-/// ΣU ≤ M, which is the t → ∞ limit).  When `horizon` is not given it
+/// Σ DBF(τr, t) ≤ M·t for all t > 0, where DBF(τ, t) =
+/// max(0, (⌊(t − D)/T⌋ + 1)·C) is the demand of τ's jobs with release and
+/// deadline inside a window of length t (Baruah & Fisher [15]).  Checked at
+/// every absolute-deadline point D_i + k·T_i up to `horizon` (plus the
+/// asymptotic utilization bound ΣU ≤ M, which is the t → ∞ limit).  When `horizon` is not given it
 /// defaults to 2·max_i(D_i + T_i), enough to catch small-t violations that
 /// the utilization bound misses.
 bool dbf_necessary_condition(const std::vector<RtTask>& tasks, std::size_t num_cores,
@@ -48,17 +46,10 @@ std::optional<util::Millis> response_time(const RtTask& task, const std::vector<
 bool core_admits_rm(const std::vector<RtTask>& resident_by_priority, const RtTask& candidate);
 
 /// True iff every task on one core meets its deadline under fixed-priority
-/// preemptive scheduling with rate-monotonic priorities.
+/// preemptive scheduling with rate-monotonic priorities.  A set whose
+/// deadlines are all at least their periods and that passes the hyperbolic
+/// bound Π(Ui + 1) ≤ 2 (Bini, Buttazzo & Buttazzo) is accepted without RTA.
 bool core_schedulable_rm(const std::vector<RtTask>& tasks_on_core);
-
-/// Liu–Layland utilization bound n·(2^{1/n} − 1) for n tasks [14].  A cheaper
-/// sufficient test, kept as a test oracle against exact RTA; the admission
-/// fast path uses the hyperbolic bound below, which dominates it.
-double liu_layland_bound(std::size_t n);
-
-/// Hyperbolic bound (Bini, Buttazzo & Buttazzo): Π(Ui + 1) ≤ 2 is sufficient
-/// for RM schedulability and strictly dominates the Liu–Layland test.
-bool hyperbolic_bound_holds(const std::vector<RtTask>& tasks);
 
 /// Worst-case response time of a *security* task running below every RT task
 /// on its core (and below the already-placed higher-priority security tasks),

@@ -3,7 +3,8 @@
 // application's own binary may need to be examined first before checking the
 // system binary files").
 //
-// SUBSTITUTION NOTE (DESIGN.md §6): the paper measured WCETs of real Tripwire
+// SUBSTITUTION NOTE (docs/architecture.md, "Substitutions and modelling
+// choices", S6): the paper measured WCETs of real Tripwire
 // and Bro runs on a 1 GHz ARM Cortex-A8 with ARM cycle counters.  We ship
 // representative WCETs of the same order (tens to hundreds of ms for hash
 // scans over directory trees) chosen so that detection times land in the

@@ -69,8 +69,8 @@ DetectionResult measure_detection_times(const core::Instance& instance,
 /// Same experiment under global slack scheduling (paper §V): the security
 /// tasks keep the allocation's periods but their jobs may run on ANY core's
 /// idle slack (job-level migration).  The static core assignment is ignored.
-/// Runs sim::simulate_global_band on the RT slack profile, with the results
-/// of sim::simulate_global_slack.
+/// Runs sim::simulate_global_band on the RT slack profile; test_slack_band
+/// checks the results against the full global engine (tests/oracles).
 DetectionResult measure_detection_times_global(const core::Instance& instance,
                                                const core::Allocation& allocation,
                                                const DetectionConfig& config,

@@ -11,8 +11,11 @@
 // migration cost — the optimistic end of the design space; the bench
 // quantifies the gap to HYDRA's static placement).
 //
-// Unlike the partitioned loop (sim::simulate, simulate_mode_switching) this
-// cannot simulate cores independently: one global timeline drives all cores.
+// The RT schedule comes from an RT slack profile (sim/slack_profile.h), so
+// only the band is scheduled here, on the idle gaps the profile leaves.  The
+// full engine, which also schedules the RT jobs on one global timeline, is
+// test-only (tests/oracles/global_slack.h): test_slack_band checks this
+// engine against it job for job.
 #pragma once
 
 #include <vector>
@@ -34,25 +37,22 @@ struct GlobalSimOptions {
   std::size_t num_cores = 0;
 };
 
-/// Runs the global-slack schedule.  RT (non-global) tasks must carry distinct
-/// priorities per core; global tasks must carry distinct priorities among
-/// themselves.  Returns the same Trace shape as sim::simulate.
-Trace simulate_global_slack(const std::vector<GlobalSimTask>& tasks,
-                            const GlobalSimOptions& options);
-
 class RtSlackProfileCache;
 
-/// The same run with the RT schedule taken from an RT slack profile
-/// (sim/slack_profile.h): the non-global tasks are scheduled once by the
-/// profile, and the global band is scheduled on the cores' idle gaps,
-/// stepping over gap edges only while a band job is pending.  Ready band
-/// jobs go by (priority, release), as in simulate_global_slack.  Every band
-/// JobRecord and deadline_misses() equal simulate_global_slack's; the trace
-/// records only the band's jobs (RT misses are in Trace::unrecorded_misses;
-/// core_busy and migrations stay 0).  Validates like simulate_global_slack
-/// and asks `profiles` for the profile only after that, then additionally
-/// requires (std::invalid_argument): WCET-exact tasks and a grace of at
-/// least every RT deadline.
+/// Runs the global-slack schedule with the RT schedule taken from an RT
+/// slack profile: the non-global tasks are scheduled once by the profile,
+/// and the global band is scheduled on the cores' idle gaps, stepping over
+/// gap edges only while a band job is pending.  Ready band jobs go by
+/// (priority, release).  Every band JobRecord and deadline_misses() equal
+/// the full engine's; the trace records only the band's jobs (RT misses are
+/// in Trace::unrecorded_misses; core_busy and migrations stay 0).
+///
+/// Validates first, throwing std::invalid_argument: a positive horizon, at
+/// least one core, every task passing check_task, RT tasks on existing
+/// cores with priorities distinct per core, and band priorities distinct
+/// among themselves.  Asks `profiles` for the profile only after that, then
+/// additionally requires WCET-exact tasks and a grace of at least every RT
+/// deadline.  grace = 0 resolves to the largest deadline.
 Trace simulate_global_band(const std::vector<GlobalSimTask>& tasks,
                            const GlobalSimOptions& options, RtSlackProfileCache& profiles);
 

@@ -10,9 +10,11 @@
 // merged per core, and each monitor run — static, minimum mode, every
 // controller policy, global slack — reduced to scheduling the security band
 // on the idle time that profile leaves.  The band engines
-// (sim::simulate_mode_band, sim::simulate_global_band) reproduce the full
-// engines' monitor jobs tick for tick; test_slack_band is the differential
-// oracle (docs/architecture.md, "Detection: one RT profile per row").
+// (sim::simulate_mode_band, sim::simulate_global_band) reproduce the monitor
+// jobs of the full engines (sim::simulate_mode_switching, and the test-only
+// global engine in tests/oracles) tick for tick; test_slack_band is the
+// differential check (docs/architecture.md, "Detection: one RT profile per
+// row").
 #pragma once
 
 #include <cstddef>
@@ -87,7 +89,7 @@ class RtSlackProfile {
 
 /// A size-1 memo of the RT slack profile, keyed by its inputs.  The band
 /// engines ask it for the profile only after their own input validation, so
-/// an invalid task list fails with the full engine's message.  Not
+/// an invalid task list fails with the engine's message, not the profile's.  Not
 /// thread-safe: hold one per thread (exp/metrics.cpp keeps a thread_local
 /// one, so a row's static, minimum-mode, adaptive and global runs share a
 /// single RT profile).

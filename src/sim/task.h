@@ -1,6 +1,7 @@
 // Runtime task descriptors and per-job records for the discrete-event
 // simulator.  The simulator replaces the paper's ARM Cortex-A8 + Xenomai
-// testbed (DESIGN.md §6): it executes a partitioned fixed-priority
+// testbed (docs/architecture.md, "Substitutions and modelling choices",
+// S6): it executes a partitioned fixed-priority
 // preemptive schedule at microsecond resolution.
 #pragma once
 

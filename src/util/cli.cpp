@@ -1,6 +1,7 @@
 #include "util/cli.h"
 
 #include <algorithm>
+#include <cmath>
 #include <exception>
 #include <iostream>
 #include <stdexcept>
@@ -78,15 +79,37 @@ std::int64_t parse_int(const std::string& name, const std::string& token,
                               "'");
 }
 
+// std::stod also reads "nan" and "inf", which no option means: a NaN
+// utilization ran a sweep point with zero samples.
 double parse_double(const std::string& name, const std::string& token, const char* expects) {
   try {
     std::size_t used = 0;
     const double value = std::stod(token, &used);
-    if (used == token.size()) return value;
+    if (used == token.size() && std::isfinite(value)) return value;
   } catch (const std::exception&) {
   }
   throw std::invalid_argument("option --" + name + " expects " + expects + ", got '" + token +
                               "'");
+}
+
+// The comma-separated tokens of a list option.  An empty or whitespace-only
+// token ("2,,4", a trailing comma, an empty value) is an error naming the
+// flag, not a shorter list.
+std::vector<std::string> split_list(const std::string& name, const std::string& value) {
+  std::vector<std::string> tokens;
+  std::size_t pos = 0;
+  while (true) {
+    const auto comma = value.find(',', pos);
+    std::string token =
+        comma == std::string::npos ? value.substr(pos) : value.substr(pos, comma - pos);
+    if (token.find_first_not_of(" \t") == std::string::npos) {
+      throw std::invalid_argument("option --" + name + " has an empty entry in '" + value +
+                                  "'");
+    }
+    tokens.push_back(std::move(token));
+    if (comma == std::string::npos) return tokens;
+    pos = comma + 1;
+  }
 }
 
 }  // namespace
@@ -109,7 +132,7 @@ std::size_t CliParser::get_count(const std::string& name, std::size_t fallback) 
 
 double CliParser::get_double(const std::string& name, double fallback) const {
   const auto it = values_.find(name);
-  return it == values_.end() ? fallback : parse_double(name, it->second, "a number");
+  return it == values_.end() ? fallback : parse_double(name, it->second, "a finite number");
 }
 
 bool CliParser::get_bool(const std::string& name, bool fallback) const {
@@ -126,18 +149,8 @@ std::vector<std::int64_t> CliParser::get_int_list(const std::string& name,
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
   std::vector<std::int64_t> out;
-  const std::string& v = it->second;
-  std::size_t pos = 0;
-  while (pos <= v.size()) {
-    const auto comma = v.find(',', pos);
-    const std::string tok =
-        comma == std::string::npos ? v.substr(pos) : v.substr(pos, comma - pos);
-    if (!tok.empty()) out.push_back(parse_int(name, tok, "integers"));
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  if (out.empty()) {
-    throw std::invalid_argument("option --" + name + " expects a non-empty integer list");
+  for (const auto& token : split_list(name, it->second)) {
+    out.push_back(parse_int(name, token, "integers"));
   }
   return out;
 }
@@ -147,18 +160,8 @@ std::vector<double> CliParser::get_double_list(const std::string& name,
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
   std::vector<double> out;
-  const std::string& v = it->second;
-  std::size_t pos = 0;
-  while (pos <= v.size()) {
-    const auto comma = v.find(',', pos);
-    const std::string tok =
-        comma == std::string::npos ? v.substr(pos) : v.substr(pos, comma - pos);
-    if (!tok.empty()) out.push_back(parse_double(name, tok, "numbers"));
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  if (out.empty()) {
-    throw std::invalid_argument("option --" + name + " expects a non-empty number list");
+  for (const auto& token : split_list(name, it->second)) {
+    out.push_back(parse_double(name, token, "finite numbers"));
   }
   return out;
 }
@@ -168,21 +171,10 @@ std::vector<std::string> CliParser::get_string_list(const std::string& name,
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
   std::vector<std::string> out;
-  const std::string& v = it->second;
-  std::size_t pos = 0;
-  while (pos <= v.size()) {
-    const auto comma = v.find(',', pos);
-    std::string tok = comma == std::string::npos ? v.substr(pos) : v.substr(pos, comma - pos);
-    const auto begin = tok.find_first_not_of(" \t");
-    if (begin != std::string::npos) {
-      const auto end = tok.find_last_not_of(" \t");
-      out.push_back(tok.substr(begin, end - begin + 1));
-    }
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  if (out.empty()) {
-    throw std::invalid_argument("option --" + name + " expects a non-empty list");
+  for (const auto& token : split_list(name, it->second)) {
+    const auto begin = token.find_first_not_of(" \t");
+    const auto end = token.find_last_not_of(" \t");
+    out.push_back(token.substr(begin, end - begin + 1));
   }
   return out;
 }

@@ -39,7 +39,8 @@ class CliParser {
   bool has(const std::string& name) const;
 
   /// Numeric getters require the whole token to parse: `--tasksets 3x` and
-  /// `--poll 0.5s` throw instead of silently reading 3 and 0.5.
+  /// `--poll 0.5s` throw instead of silently reading 3 and 0.5.  Numbers
+  /// must be finite: `nan` and `inf` throw too.
   std::string get_string(const std::string& name, const std::string& fallback) const;
   std::int64_t get_int(const std::string& name, std::int64_t fallback) const;
   double get_double(const std::string& name, double fallback) const;
@@ -50,7 +51,9 @@ class CliParser {
   std::size_t get_count(const std::string& name, std::size_t fallback) const;
   bool get_bool(const std::string& name, bool fallback) const;
 
-  /// Comma-separated list of integers, e.g. --cores 2,4,8.
+  /// Comma-separated list of integers, e.g. --cores 2,4,8.  In every list
+  /// getter an empty or whitespace-only entry (`2,,4`, a trailing comma, an
+  /// empty value) throws, naming the flag.
   std::vector<std::int64_t> get_int_list(const std::string& name,
                                          std::vector<std::int64_t> fallback) const;
 
@@ -60,8 +63,7 @@ class CliParser {
                                       std::vector<double> fallback) const;
 
   /// Comma-separated list of strings with surrounding whitespace trimmed,
-  /// e.g. --schemes hydra,single-core,optimal.  Empty tokens are dropped; an
-  /// explicitly given but empty list is an error.
+  /// e.g. --schemes hydra,single-core,optimal.
   std::vector<std::string> get_string_list(const std::string& name,
                                            std::vector<std::string> fallback) const;
 

@@ -47,7 +47,7 @@ TEST(Allocator, SearchSpaceReflectsSchemeCost) {
 
 TEST(Allocator, ValidationContractMatchesOptions) {
   core::HydraOptions exact;
-  exact.solver = core::PeriodSolver::kExactRta;
+  exact.test = core::ScheduleTest::kExactRta;
   EXPECT_EQ(core::HydraAllocator(exact).schedule_test(), core::ScheduleTest::kExactRta);
   EXPECT_EQ(core::HydraAllocator().schedule_test(), core::ScheduleTest::kLinearBound);
 

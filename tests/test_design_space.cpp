@@ -94,7 +94,7 @@ TEST(DesignSpace, ConvenienceMatchesDirectAllocatorResults) {
                    direct_hydra.cumulative_tightness(instance.security_tasks));
 
   core::HydraOptions exact;
-  exact.solver = core::PeriodSolver::kExactRta;
+  exact.test = core::ScheduleTest::kExactRta;
   const auto direct_exact = core::HydraAllocator(exact).allocate(instance);
   EXPECT_DOUBLE_EQ(report.points[1].cumulative_tightness,
                    direct_exact.cumulative_tightness(instance.security_tasks));

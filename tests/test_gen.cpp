@@ -160,7 +160,8 @@ TEST(Uav, SixValidControlTasks) {
   const auto tasks = gen::uav_taskset();
   ASSERT_EQ(tasks.size(), 6u);
   EXPECT_NO_THROW(rt::validate(tasks));
-  // Representative mid-load avionics profile (DESIGN.md §6): U ≈ 0.6.
+  // Representative mid-load avionics profile (docs/architecture.md,
+  // "Substitutions and modelling choices", S6): U ≈ 0.6.
   EXPECT_NEAR(rt::total_utilization(tasks), 0.615, 0.01);
 }
 

@@ -9,11 +9,13 @@
 
 #include "core/hydra.h"
 #include "gen/uav.h"
+#include "oracles/global_slack.h"
 #include "sim/attack.h"
 #include "sim/global_slack.h"
 #include "sim/slack_profile.h"
 #include "stats/summary.h"
 
+namespace oracle = hydra::oracle;
 namespace sim = hydra::sim;
 namespace core = hydra::core;
 using hydra::util::SimTime;
@@ -53,7 +55,7 @@ TEST(GlobalSlack, SecurityRunsOnIdleCoreImmediately) {
   sim::GlobalSimOptions opts;
   opts.horizon = 100;
   opts.num_cores = 2;
-  const auto trace = sim::simulate_global_slack({rt, sec}, opts);
+  const auto trace = oracle::simulate_global_slack({rt, sec}, opts);
   EXPECT_EQ(trace.jobs[1][0].start, 0u);
   EXPECT_EQ(trace.jobs[1][0].completion, 10u);
   EXPECT_EQ(trace.migrations, 0u);
@@ -67,7 +69,7 @@ TEST(GlobalSlack, SecurityWaitsWhenAllCoresBusy) {
   sim::GlobalSimOptions opts;
   opts.horizon = 100;
   opts.num_cores = 2;
-  const auto trace = sim::simulate_global_slack({rt0, rt1, sec}, opts);
+  const auto trace = oracle::simulate_global_slack({rt0, rt1, sec}, opts);
   EXPECT_EQ(trace.jobs[2][0].start, 30u);
   EXPECT_EQ(trace.jobs[2][0].completion, 40u);
 }
@@ -91,7 +93,7 @@ TEST(GlobalSlack, JobMigratesAcrossSlackHoles) {
   opts.horizon = 200;
   opts.num_cores = 2;
   const auto trace =
-      sim::simulate_global_slack({rt0, sim::GlobalSimTask{rt1_task_, false}, sec}, opts);
+      oracle::simulate_global_slack({rt0, sim::GlobalSimTask{rt1_task_, false}, sec}, opts);
   // The monitor runs [0,?) somewhere: core 1 free at 0 (rt1 not yet released),
   // core 0 busy till 10.  Priority assignment gives it an idle core at 0.
   EXPECT_EQ(trace.jobs[2][0].start, 0u);
@@ -108,7 +110,7 @@ TEST(GlobalSlack, HigherPrioritySecurityGetsTheSlackFirst) {
   sim::GlobalSimOptions opts;
   opts.horizon = 200;
   opts.num_cores = 1;
-  const auto trace = sim::simulate_global_slack({hi, lo}, opts);
+  const auto trace = oracle::simulate_global_slack({hi, lo}, opts);
   EXPECT_EQ(trace.jobs[0][0].completion, 20u);
   EXPECT_EQ(trace.jobs[1][0].start, 20u);
   EXPECT_EQ(trace.jobs[1][0].completion, 40u);
@@ -120,7 +122,7 @@ TEST(GlobalSlack, TwoIdleCoresRunSecurityInParallel) {
   sim::GlobalSimOptions opts;
   opts.horizon = 200;
   opts.num_cores = 2;
-  const auto trace = sim::simulate_global_slack({a, b}, opts);
+  const auto trace = oracle::simulate_global_slack({a, b}, opts);
   EXPECT_EQ(trace.jobs[0][0].completion, 50u);
   EXPECT_EQ(trace.jobs[1][0].completion, 50u);  // parallel, not serialized
 }
@@ -138,7 +140,7 @@ TEST(GlobalSlack, BackloggedJobsOfOneTaskRunInReleaseOrder) {
   opts.horizon = 50;
   opts.num_cores = 2;
   const std::vector<sim::GlobalSimTask> tasks = {rt0, rt1, x, a};
-  const auto trace = sim::simulate_global_slack(tasks, opts);
+  const auto trace = oracle::simulate_global_slack(tasks, opts);
   EXPECT_EQ(trace.jobs[2][0].completion, 55u);
   ASSERT_EQ(trace.jobs[3].size(), 3u);
   EXPECT_EQ(trace.jobs[3][0].completion, 60u);
@@ -160,7 +162,7 @@ TEST(GlobalSlack, RtTasksNeverMigrateAndKeepTheirCore) {
   sim::GlobalSimOptions opts;
   opts.horizon = 600;
   opts.num_cores = 2;
-  const auto trace = sim::simulate_global_slack({rt0, rt1, sec}, opts);
+  const auto trace = oracle::simulate_global_slack({rt0, rt1, sec}, opts);
   EXPECT_EQ(trace.deadline_misses(), 0u);
   // RT busy time must land on the right cores: each core carries >= its own
   // RT demand (6 jobs x 40).
@@ -172,19 +174,20 @@ TEST(GlobalSlack, ValidatesInputs) {
   sim::GlobalSimOptions opts;
   opts.horizon = 100;
   opts.num_cores = 1;
+  sim::RtSlackProfileCache cache;
   const auto dup1 = sec_task("a", 10, 100, 100);
   const auto dup2 = sec_task("b", 10, 100, 100);
-  EXPECT_THROW(sim::simulate_global_slack({dup1, dup2}, opts), std::invalid_argument);
+  EXPECT_THROW(sim::simulate_global_band({dup1, dup2}, opts, cache), std::invalid_argument);
 
   auto misplaced = rt_task("r", 10, 100, 7, 0);
-  EXPECT_THROW(sim::simulate_global_slack({misplaced}, opts), std::invalid_argument);
+  EXPECT_THROW(sim::simulate_global_band({misplaced}, opts, cache), std::invalid_argument);
 
   // An execution fraction the engine cannot draw from, named in the error.
   for (const double fraction : {std::nan(""), -3.0, 1.5}) {
     auto varying = sec_task("varying", 10, 100, 100);
     varying.task.exec_fraction_min = fraction;
     try {
-      sim::simulate_global_slack({varying}, opts);
+      sim::simulate_global_band({varying}, opts, cache);
       ADD_FAILURE() << "exec_fraction_min " << fraction << " accepted";
     } catch (const std::invalid_argument& error) {
       EXPECT_NE(std::string(error.what()).find("varying"), std::string::npos) << error.what();

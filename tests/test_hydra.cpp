@@ -9,12 +9,14 @@
 #include "core/hydra.h"
 #include "core/validation.h"
 #include "gen/uav.h"
+#include "oracles/period_gp.h"
 #include "rt/interference.h"
 #include "rt/priority.h"
 #include "sec/catalog.h"
 #include "util/rng.h"
 
 namespace core = hydra::core;
+namespace oracle = hydra::oracle;
 namespace rt = hydra::rt;
 
 namespace {
@@ -132,40 +134,55 @@ TEST(Hydra, ExternalPartitionShapeChecked) {
   EXPECT_THROW(core::HydraAllocator().allocate(inst, wrong), std::invalid_argument);
 }
 
-TEST(Hydra, GpSolverOptionMatchesClosedForm) {
-  const auto inst = hydra::gen::uav_case_study(2);
-  core::HydraOptions gp_opts;
-  gp_opts.solver = core::PeriodSolver::kGeometricProgram;
-  const auto a_cf = core::HydraAllocator().allocate(inst);
-  const auto a_gp = core::HydraAllocator(gp_opts).allocate(inst);
-  ASSERT_TRUE(a_cf.feasible);
-  ASSERT_TRUE(a_gp.feasible);
-  ASSERT_EQ(a_cf.placements.size(), a_gp.placements.size());
-  for (std::size_t s = 0; s < a_cf.placements.size(); ++s) {
-    EXPECT_EQ(a_cf.placements[s].core, a_gp.placements[s].core);
-    EXPECT_NEAR(a_cf.placements[s].period, a_gp.placements[s].period,
-                a_cf.placements[s].period * 1e-3);
+TEST(Hydra, EveryClosedFormCallMatchesTheGpOracle) {
+  // HYDRA solves Eq. (7) in closed form for every task on every core.  Replay
+  // those calls (each task against each core's RT tasks plus the monitors
+  // already committed there) and check each one against the paper's GP
+  // route: the same verdict, and the same period to solver tolerance.
+  for (const std::size_t m : {2u, 4u}) {
+    const auto inst = hydra::gen::uav_case_study(m);
+    const auto allocation = core::HydraAllocator().allocate(inst);
+    ASSERT_TRUE(allocation.feasible) << "M = " << m;
+    std::vector<std::vector<rt::PlacedSecurityTask>> placed(m);
+    for (const std::size_t s : rt::security_priority_order(inst.security_tasks)) {
+      const auto& task = inst.security_tasks[s];
+      for (std::size_t c = 0; c < m; ++c) {
+        const auto bound = rt::interference_bound(
+            allocation.rt_partition.tasks_on_core(inst.rt_tasks, c), placed[c]);
+        const auto closed = core::adapt_period(task, bound);
+        const auto gp = oracle::adapt_period_gp(task, bound);
+        ASSERT_EQ(closed.feasible, gp.feasible) << "M = " << m << ", " << task.name
+                                                << " on core " << c;
+        if (closed.feasible) {
+          EXPECT_NEAR(closed.period, gp.period, closed.period * 1e-3)
+              << "M = " << m << ", " << task.name << " on core " << c;
+        }
+      }
+      const auto& placement = allocation.placements[s];
+      placed[placement.core].push_back(rt::PlacedSecurityTask{task.wcet, placement.period});
+    }
   }
 }
 
 TEST(Hydra, OptionAblationsStillValid) {
-  // The default options, the lowest-index tie break and the GP subproblem
-  // solver must give a feasible, independently validated allocation on the
+  // The default options, the lowest-index tie break and exact RTA must give
+  // a feasible allocation that validates under the scheme's own test on the
   // UAV case study at M = 2 (where the ablation benches start) and M = 4.
   std::vector<core::HydraOptions> variants{core::HydraOptions{}};
   core::HydraOptions lowest_index;
   lowest_index.tie_break = core::TieBreak::kLowestIndex;
   variants.push_back(lowest_index);
-  core::HydraOptions gp;
-  gp.solver = core::PeriodSolver::kGeometricProgram;
-  variants.push_back(gp);
+  core::HydraOptions exact;
+  exact.test = core::ScheduleTest::kExactRta;
+  variants.push_back(exact);
   for (const std::size_t m : {2u, 4u}) {
     const auto inst = hydra::gen::uav_case_study(m);
     for (const auto& opts : variants) {
       const core::HydraAllocator scheme(opts);
       const auto allocation = scheme.allocate(inst);
       ASSERT_TRUE(allocation.feasible) << "M = " << m << ", " << scheme.describe();
-      const auto report = core::validate_allocation(inst, allocation);
+      const auto report =
+          core::validate_allocation(inst, allocation, std::nullopt, scheme.schedule_test());
       EXPECT_TRUE(report.valid) << "M = " << m << ", " << scheme.describe() << ": "
                                 << report.problem;
     }

@@ -1,13 +1,16 @@
 // Tests for the Eq. (7) subproblem: hand-worked closed-form cases, boundary
-// behaviour, and a property sweep proving the GP route agrees with the
-// closed form on random instances.
+// behaviour, and a property sweep proving the paper's GP route
+// (hydra::oracle::adapt_period_gp) agrees with the closed form on random
+// instances.
 #include <gtest/gtest.h>
 
 #include "core/period_adaptation.h"
+#include "oracles/period_gp.h"
 #include "rt/interference.h"
 #include "util/rng.h"
 
 namespace core = hydra::core;
+namespace oracle = hydra::oracle;
 namespace rt = hydra::rt;
 
 namespace {
@@ -93,16 +96,14 @@ TEST(AdaptPeriod, TightnessIsMaximal) {
 
 TEST(AdaptPeriod, GpRouteMatchesHandCase) {
   const auto task = rt::make_security_task("s", 5.0, 100.0, 1000.0);
-  const auto r =
-      core::adapt_period(task, bound(50.0, 0.6), core::PeriodSolver::kGeometricProgram);
+  const auto r = oracle::adapt_period_gp(task, bound(50.0, 0.6));
   ASSERT_TRUE(r.feasible);
   EXPECT_NEAR(r.period, 137.5, 1e-3);
 }
 
 TEST(AdaptPeriod, GpRouteDetectsInfeasible) {
   const auto task = rt::make_security_task("s", 5.0, 100.0, 200.0);
-  const auto r =
-      core::adapt_period(task, bound(100.0, 0.6), core::PeriodSolver::kGeometricProgram);
+  const auto r = oracle::adapt_period_gp(task, bound(100.0, 0.6));
   EXPECT_FALSE(r.feasible);
 }
 
@@ -114,12 +115,6 @@ TEST(AdaptPeriodExact, MatchesResponseTimeDirectly) {
   ASSERT_TRUE(r.feasible);
   EXPECT_DOUBLE_EQ(r.period, 50.0);
   EXPECT_DOUBLE_EQ(r.tightness, 1.0);
-}
-
-TEST(AdaptPeriodExact, RejectsViaAggregatedBoundApi) {
-  const auto task = rt::make_security_task("s", 3.0, 50.0, 500.0);
-  EXPECT_THROW(core::adapt_period(task, bound(0.0, 0.0), core::PeriodSolver::kExactRta),
-               std::invalid_argument);
 }
 
 TEST(AdaptPeriodExact, NeverWorseThanLinearBound) {
@@ -175,8 +170,8 @@ TEST_P(ClosedFormVsGp, Agree) {
     const auto task = rt::make_security_task("s", wcet, t_des, t_max);
     const auto b = bound(rng.uniform(0.0, 500.0), rng.uniform(0.0, 0.95));
 
-    const auto cf = core::adapt_period(task, b, core::PeriodSolver::kClosedForm);
-    const auto gp = core::adapt_period(task, b, core::PeriodSolver::kGeometricProgram);
+    const auto cf = core::adapt_period(task, b);
+    const auto gp = oracle::adapt_period_gp(task, b);
 
     ASSERT_EQ(cf.feasible, gp.feasible)
         << "feasibility disagrees: Tdes=" << t_des << " Tmax=" << t_max << " C=" << wcet

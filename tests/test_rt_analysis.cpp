@@ -8,34 +8,36 @@
 #include <string>
 #include <vector>
 
+#include "oracles/rt_bounds.h"
 #include "rt/analysis.h"
 #include "rt/task.h"
 #include "util/rng.h"
 
+namespace oracle = hydra::oracle;
 namespace rt = hydra::rt;
 
 TEST(Dbf, StepsAtDeadlinePoints) {
   const auto t = rt::make_rt_task("a", 2.0, 10.0);  // D = 10
-  EXPECT_DOUBLE_EQ(rt::dbf(t, 0.0), 0.0);
-  EXPECT_DOUBLE_EQ(rt::dbf(t, 9.999), 0.0);
-  EXPECT_DOUBLE_EQ(rt::dbf(t, 10.0), 2.0);
-  EXPECT_DOUBLE_EQ(rt::dbf(t, 19.999), 2.0);
-  EXPECT_DOUBLE_EQ(rt::dbf(t, 20.0), 4.0);
-  EXPECT_DOUBLE_EQ(rt::dbf(t, 100.0), 20.0);
+  EXPECT_DOUBLE_EQ(oracle::dbf(t, 0.0), 0.0);
+  EXPECT_DOUBLE_EQ(oracle::dbf(t, 9.999), 0.0);
+  EXPECT_DOUBLE_EQ(oracle::dbf(t, 10.0), 2.0);
+  EXPECT_DOUBLE_EQ(oracle::dbf(t, 19.999), 2.0);
+  EXPECT_DOUBLE_EQ(oracle::dbf(t, 20.0), 4.0);
+  EXPECT_DOUBLE_EQ(oracle::dbf(t, 100.0), 20.0);
 }
 
 TEST(Dbf, ConstrainedDeadlineShiftsSteps) {
   const rt::RtTask t{"a", 2.0, 10.0, 6.0};
-  EXPECT_DOUBLE_EQ(rt::dbf(t, 5.0), 0.0);
-  EXPECT_DOUBLE_EQ(rt::dbf(t, 6.0), 2.0);
-  EXPECT_DOUBLE_EQ(rt::dbf(t, 16.0), 4.0);
+  EXPECT_DOUBLE_EQ(oracle::dbf(t, 5.0), 0.0);
+  EXPECT_DOUBLE_EQ(oracle::dbf(t, 6.0), 2.0);
+  EXPECT_DOUBLE_EQ(oracle::dbf(t, 16.0), 4.0);
 }
 
 TEST(Dbf, IsMonotoneNonDecreasing) {
   const auto t = rt::make_rt_task("a", 3.0, 7.0);
   double prev = 0.0;
   for (double x = 0.0; x < 100.0; x += 0.5) {
-    const double v = rt::dbf(t, x);
+    const double v = oracle::dbf(t, x);
     EXPECT_GE(v, prev);
     prev = v;
   }
@@ -113,7 +115,7 @@ TEST(NecessaryCondition, MatchesBruteForceOnRandomTaskSets) {
         const double t = task.deadline + static_cast<double>(j) * task.period;
         if (t > h) break;
         double demand = 0.0;
-        for (const auto& other : tasks) demand += rt::dbf(other, t);
+        for (const auto& other : tasks) demand += oracle::dbf(other, t);
         if (demand > static_cast<double>(m) * t + 1e-6) {
           reference = false;
           break;
@@ -169,12 +171,12 @@ TEST(CoreSchedulable, AcceptsAndRejects) {
 }
 
 TEST(LiuLayland, KnownValues) {
-  EXPECT_DOUBLE_EQ(rt::liu_layland_bound(0), 1.0);
-  EXPECT_DOUBLE_EQ(rt::liu_layland_bound(1), 1.0);
-  EXPECT_NEAR(rt::liu_layland_bound(2), 0.8284, 1e-4);
-  EXPECT_NEAR(rt::liu_layland_bound(3), 0.7798, 1e-4);
+  EXPECT_DOUBLE_EQ(oracle::liu_layland_bound(0), 1.0);
+  EXPECT_DOUBLE_EQ(oracle::liu_layland_bound(1), 1.0);
+  EXPECT_NEAR(oracle::liu_layland_bound(2), 0.8284, 1e-4);
+  EXPECT_NEAR(oracle::liu_layland_bound(3), 0.7798, 1e-4);
   // Limit: ln 2 ≈ 0.6931.
-  EXPECT_NEAR(rt::liu_layland_bound(1000), std::log(2.0), 1e-3);
+  EXPECT_NEAR(oracle::liu_layland_bound(1000), std::log(2.0), 1e-3);
 }
 
 TEST(LiuLayland, SufficiencyAgreesWithExactRta) {
@@ -183,7 +185,7 @@ TEST(LiuLayland, SufficiencyAgreesWithExactRta) {
   for (int rep = 0; rep < 50; ++rep) {
     const std::size_t n = 2 + static_cast<std::size_t>(rng.uniform_int(0, 4));
     std::vector<rt::RtTask> tasks;
-    double budget = rt::liu_layland_bound(n) * 0.98;
+    double budget = oracle::liu_layland_bound(n) * 0.98;
     for (std::size_t i = 0; i < n; ++i) {
       const double u = budget / static_cast<double>(n);
       const double period = rng.uniform(5.0, 500.0);
@@ -220,10 +222,10 @@ TEST(HyperbolicBound, DominatesLiuLayland) {
       total += u;
       tasks.push_back(rt::make_rt_task("t" + std::to_string(i), u * period, period));
     }
-    if (total <= rt::liu_layland_bound(n)) {
-      EXPECT_TRUE(rt::hyperbolic_bound_holds(tasks));
+    if (total <= oracle::liu_layland_bound(n)) {
+      EXPECT_TRUE(oracle::hyperbolic_bound_holds(tasks));
     }
-    if (rt::hyperbolic_bound_holds(tasks)) {
+    if (oracle::hyperbolic_bound_holds(tasks)) {
       EXPECT_TRUE(rt::core_schedulable_rm(tasks));  // sufficiency
     }
   }
@@ -233,11 +235,11 @@ TEST(HyperbolicBound, KnownCases) {
   // Two tasks at u = 0.41 each: (1.41)² = 1.9881 <= 2 → holds.
   std::vector<rt::RtTask> ok{rt::make_rt_task("a", 4.1, 10.0),
                              rt::make_rt_task("b", 8.2, 20.0)};
-  EXPECT_TRUE(rt::hyperbolic_bound_holds(ok));
+  EXPECT_TRUE(oracle::hyperbolic_bound_holds(ok));
   // Two at 0.45: (1.45)² = 2.1025 > 2 → fails (though RM may still work).
   std::vector<rt::RtTask> no{rt::make_rt_task("a", 4.5, 10.0),
                              rt::make_rt_task("b", 9.0, 20.0)};
-  EXPECT_FALSE(rt::hyperbolic_bound_holds(no));
+  EXPECT_FALSE(oracle::hyperbolic_bound_holds(no));
 }
 
 TEST(SecurityResponseTime, HandWorkedExample) {

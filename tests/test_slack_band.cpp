@@ -3,8 +3,9 @@
 // The detection measurements simulate the RT tasks once (sim::RtSlackProfile)
 // and schedule only the monitors on the idle time that leaves.  The full
 // engines — the per-core loop behind sim::simulate and
-// sim::simulate_mode_switching, and sim::simulate_global_slack — stay the
-// general API and serve here as the oracle: on every input below the band path must reproduce each monitor's
+// sim::simulate_mode_switching, and the test-only
+// hydra::oracle::simulate_global_slack — serve here as the oracle: on every
+// input below the band path must reproduce each monitor's
 // JobRecords (release, start, completion, completed, deadline_missed), the
 // deadline-miss count, every ModeStats vector and the switch-event stream,
 // and the measure_* entry points must return DetectionResults whose
@@ -33,6 +34,7 @@
 #include "gen/synthetic.h"
 #include "gp_testlib.h"
 #include "io/taskset_io.h"
+#include "oracles/global_slack.h"
 #include "sim/attack.h"
 #include "sim/engine.h"
 #include "sim/global_slack.h"
@@ -41,6 +43,7 @@
 #include "util/rng.h"
 
 namespace core = hydra::core;
+namespace oracle = hydra::oracle;
 namespace sim = hydra::sim;
 namespace testlib = hydra::testlib;
 using hydra::util::SimTime;
@@ -191,7 +194,7 @@ AllocationCheck check_allocation(const core::Instance& instance,
     sim::GlobalSimOptions options;
     options.horizon = horizon;
     options.num_cores = instance.num_cores;
-    const sim::Trace full = sim::simulate_global_slack(global, options);
+    const sim::Trace full = oracle::simulate_global_slack(global, options);
     expect_same_jobs(full, sim::simulate_global_band(global, options, cache), nr,
                      what + " global");
     for (const auto scope : kScopes) {
@@ -624,7 +627,7 @@ TEST(SlackBand, RtOverloadPastTheHardStopMatches) {
   sim::GlobalSimOptions global_options;
   global_options.horizon = horizon;
   global_options.num_cores = 2;
-  const sim::Trace global_full = sim::simulate_global_slack(global, global_options);
+  const sim::Trace global_full = oracle::simulate_global_slack(global, global_options);
   ASSERT_GT(global_full.deadline_misses(), 0u);
   expect_same_jobs(global_full, sim::simulate_global_band(global, global_options, cache), nr,
                    "overload global");
@@ -682,7 +685,7 @@ TEST(SlackBand, MonitorBacklogRunsInReleaseOrderOnBothPaths) {
   sim::GlobalSimOptions global_options;
   global_options.horizon = horizon;
   global_options.num_cores = 1;
-  expect_same_jobs(sim::simulate_global_slack(global, global_options),
+  expect_same_jobs(oracle::simulate_global_slack(global, global_options),
                    sim::simulate_global_band(global, global_options, cache), nr,
                    "monitor backlog, global");
 }

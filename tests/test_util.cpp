@@ -196,6 +196,60 @@ TEST(Cli, NumbersMustConsumeTheWholeToken) {
   EXPECT_DOUBLE_EQ(cli.get_double("n", 0.0), 7.0);
 }
 
+TEST(Cli, NonFiniteNumbersAreRejected) {
+  // std::stod reads these; a NaN utilization used to run a sweep point with
+  // zero samples and exit 0.
+  for (const char* token : {"nan", "NaN", "-nan", "inf", "-inf", "infinity"}) {
+    const auto cli = parse({"prog", "--x", token, "--utilizations", token});
+    EXPECT_THROW(cli.get_double("x", 0.0), std::invalid_argument) << token;
+    try {
+      cli.get_double_list("utilizations", {});
+      ADD_FAILURE() << token << " accepted in a list";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find("--utilizations"), std::string::npos)
+          << error.what();
+    }
+  }
+  EXPECT_THROW(parse({"prog", "--u", "0.5,nan,1.0"}).get_double_list("u", {}),
+               std::invalid_argument);
+  EXPECT_DOUBLE_EQ(parse({"prog", "--x", "-2.5e3"}).get_double("x", 0.0), -2500.0);
+}
+
+TEST(Cli, ListsRejectEmptyEntriesAndNameTheFlag) {
+  // An empty entry is a typo, not a shorter list: `--cores 2,,4` used to run
+  // cores {2, 4} without a word.
+  const auto expect_rejected = [](const hu::CliParser& cli, const std::string& flag,
+                                  const auto& get) {
+    try {
+      get(cli);
+      ADD_FAILURE() << "--" << flag << " accepted an empty entry";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find("--" + flag), std::string::npos) << error.what();
+    }
+  };
+  const auto ints = [](const hu::CliParser& cli) { return cli.get_int_list("cores", {}); };
+  const auto doubles = [](const hu::CliParser& cli) {
+    return cli.get_double_list("utilizations", {});
+  };
+  const auto strings = [](const hu::CliParser& cli) {
+    return cli.get_string_list("schemes", {});
+  };
+  for (const char* value : {"2,,4", "2,4,", ",2", " ", "", "2, ,4", "2,\t,4"}) {
+    expect_rejected(parse({"prog", "--cores", value}), "cores", ints);
+  }
+  for (const char* value : {"1.0,,1.2", "1.0,", " , ", ""}) {
+    expect_rejected(parse({"prog", "--utilizations", value}), "utilizations", doubles);
+  }
+  for (const char* value : {"hydra,,optimal", "hydra, ,optimal", "hydra,", "\t"}) {
+    expect_rejected(parse({"prog", "--schemes", value}), "schemes", strings);
+  }
+  // Whitespace around a real entry is still fine.
+  EXPECT_EQ(parse({"prog", "--cores", "2, 4"}).get_int_list("cores", {}),
+            (std::vector<std::int64_t>{2, 4}));
+  EXPECT_EQ(parse({"prog", "--utilizations", "0.5, 1.5"}).get_double_list("utilizations", {}),
+            (std::vector<double>{0.5, 1.5}));
+}
+
 TEST(Cli, CountsRejectNegativesAndNameTheFlag) {
   const auto cli = parse({"prog", "--tasksets", "-1", "--jobs=-3", "--shards", "4"});
   EXPECT_EQ(cli.get_int("tasksets", 0), -1);  // a plain integer may be negative
