@@ -2,11 +2,15 @@
 // whether HYDRA-style design-space exploration is interactive — exact RTA,
 // Randfixedsum draws, the closed-form Eq. (7) period adaptation, full
 // HYDRA and SingleCore allocations, the exhaustive optimal search, the
-// discrete-event simulator, the detection bundle of one fig5 row, and a whole
-// sweep batch.
+// discrete-event simulator, the detection bundle of one fig5 row and its
+// metric hooks, and a whole sweep batch.
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/contego.h"
 #include "core/hydra.h"
@@ -15,6 +19,7 @@
 #include "core/optimal.h"
 #include "core/period_adaptation.h"
 #include "core/single_core.h"
+#include "exp/metrics.h"
 #include "exp/sweep.h"
 #include "gen/randfixedsum.h"
 #include "gen/synthetic.h"
@@ -42,6 +47,30 @@ std::vector<rt::RtTask> random_rt_tasks(std::size_t n, double total_util,
     tasks.push_back(rt::make_rt_task("t" + std::to_string(i), utils[i] * period, period));
   }
   return tasks;
+}
+
+/// One row of a fig5 sweep: an instance and contego's design point on it.
+struct Fig5Row {
+  core::Instance instance;
+  core::DesignPoint point;
+};
+
+/// The next draw of `rng` (M = 2, total utilization 1.0) that contego places
+/// and whose WCETs all survive tick rounding.
+Fig5Row next_fig5_row(hydra::util::Xoshiro256& rng) {
+  gen::SyntheticConfig config;
+  config.num_cores = 2;
+  while (true) {
+    const auto drawn = gen::generate_filtered_instance(config, 1.0, rng);
+    if (!drawn.has_value()) continue;
+    Fig5Row row{drawn->instance, core::evaluate_scheme(core::ContegoAllocator(), drawn->instance)};
+    bool found = row.point.allocation.feasible;
+    for (const auto& t : row.instance.rt_tasks) found = found && hydra::util::to_ticks(t.wcet) > 0;
+    for (const auto& t : row.instance.security_tasks) {
+      found = found && hydra::util::to_ticks(t.wcet) > 0;
+    }
+    if (found) return row;
+  }
 }
 
 }  // namespace
@@ -206,23 +235,10 @@ static void BM_DetectionRow(benchmark::State& state) {
   // controller policies plus the static, minimum-mode and global baselines.
   // One RT slack profile per iteration, shared by the six runs as
   // exp::adaptive_detection_metrics shares it across a row.
-  gen::SyntheticConfig config;
-  config.num_cores = 2;
   hydra::util::Xoshiro256 rng(5);
-  core::Instance instance;
-  core::Allocation allocation;
-  // The first draw contego places whose WCETs all survive tick rounding.
-  for (bool found = false; !found;) {
-    const auto drawn = gen::generate_filtered_instance(config, 1.0, rng);
-    if (!drawn.has_value()) continue;
-    instance = drawn->instance;
-    allocation = core::ContegoAllocator().allocate(instance);
-    found = allocation.feasible;
-    for (const auto& t : instance.rt_tasks) found = found && hydra::util::to_ticks(t.wcet) > 0;
-    for (const auto& t : instance.security_tasks) {
-      found = found && hydra::util::to_ticks(t.wcet) > 0;
-    }
-  }
+  const Fig5Row row = next_fig5_row(rng);
+  const core::Instance& instance = row.instance;
+  const core::Allocation& allocation = row.point.allocation;
   const core::Allocation min_mode = core::min_mode_allocation(instance, allocation);
   sim::DetectionConfig detection;
   detection.horizon = 100u * 1000u * hydra::util::kTicksPerMilli;
@@ -245,6 +261,43 @@ static void BM_DetectionRow(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DetectionRow)->Unit(benchmark::kMillisecond);
+
+static void BM_AdaptiveRowHooks(benchmark::State& state) {
+  // One fig5 row's 21 metric hooks through exp::adaptive_detection_metrics,
+  // the path sweeps take: the detection runs of BM_DetectionRow as three
+  // policy families (hysteresis with the three baselines, boost,
+  // never-switch), plus the per-row bundle memo in front of them.  Two rows
+  // alternate, so every iteration builds one RT profile and misses the memo
+  // once per family, as a sweep's consecutive rows do; the other 18 hooks
+  // are memo hits.
+  hydra::util::Xoshiro256 rng(5);
+  const std::array<Fig5Row, 2> rows = {next_fig5_row(rng), next_fig5_row(rng)};
+  hydra::exp::AdaptiveMetricsConfig base;
+  base.detection.horizon = 100u * 1000u * hydra::util::kTicksPerMilli;
+  base.detection.trials = 120;
+  base.controller.num_levels = 3;
+  std::vector<hydra::exp::RowMetric> hooks;
+  bool first = true;
+  for (const char* policy : {"hysteresis", "boost", "never-switch"}) {
+    hydra::exp::AdaptiveMetricsConfig family = base;
+    family.controller.policy = policy;
+    family.name_suffix = std::string("/") + policy;
+    family.include_static = family.include_min_mode = family.include_global = first;
+    first = false;
+    for (auto& hook : hydra::exp::adaptive_detection_metrics(family)) {
+      hooks.push_back(std::move(hook));
+    }
+  }
+  std::size_t next = 0;
+  for (auto _ : state) {
+    const Fig5Row& row = rows[next++ % rows.size()];
+    for (const auto& hook : hooks) {
+      benchmark::DoNotOptimize(hook.compute(row.instance, row.point));
+    }
+  }
+  state.counters["hooks"] = static_cast<double>(hooks.size());
+}
+BENCHMARK(BM_AdaptiveRowHooks)->Unit(benchmark::kMillisecond);
 
 static void BM_SweepBatch(benchmark::State& state) {
   // One synthetic point of 100 instances (M = 4, mid utilization) through

@@ -1,12 +1,12 @@
 #include "exp/metrics.h"
 
-#include <limits>
-#include <sstream>
+#include <algorithm>
+#include <cstring>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
 #include "core/mode_table.h"
-#include "io/taskset_io.h"
 #include "sim/slack_profile.h"
 #include "stats/summary.h"
 #include "util/units.h"
@@ -83,32 +83,90 @@ double mean_of(const sim::DetectionResult& result, const char* what) {
   return stats::summarize(result.detection_ms).mean;
 }
 
-/// Cache key fully determining the bundle: the instance text round-trip, the
-/// scheme's committed placements, and every config field that feeds the
-/// simulations.  Collisions are impossible (the key IS the input), so the
-/// memo can never change a value — only skip recomputing it.
-std::string adaptive_row_key(const core::Instance& instance, const core::DesignPoint& point,
-                             const AdaptiveMetricsConfig& config) {
-  std::ostringstream key;
-  key.precision(std::numeric_limits<double>::max_digits10);
-  key << point.scheme << '\n';
-  for (const auto& place : point.allocation.placements) {
-    key << place.core << ':' << place.period << ';';
-  }
-  key << '\n'
-      << config.detection.horizon << ' ' << config.detection.trials << ' '
-      << config.detection.seed << ' ' << static_cast<int>(config.detection.scope) << ' '
-      // The policy the simulation will actually run ("" resolves to the
-      // default), so "" and an explicit "hysteresis" share one memo entry.
-      << sim::resolve_policy(config.controller.policy) << ' '
-      << config.controller.slack_window << ' ' << config.controller.tighten_threshold
-      << ' ' << config.controller.relax_threshold << ' ' << config.controller.min_dwell
-      << ' ' << config.controller.switch_budget << ' ' << config.controller.num_levels
-      << ' ' << config.controller.boost_window << ' ' << config.include_static << ' '
-      << config.include_min_mode << ' ' << config.include_global << '\n'
-      << io::to_text(instance);
-  return key.str();
+/// Bit-for-bit double equality, finer than both == and max_digits10 text:
+/// 0.0 and -0.0 (equal under ==) and distinct NaN payloads count as
+/// different inputs, so a memo hit never joins two inputs that differ.
+bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+bool same_input(const rt::RtTask& a, const rt::RtTask& b) {
+  return a.name == b.name && same_bits(a.wcet, b.wcet) && same_bits(a.period, b.period) &&
+         same_bits(a.deadline, b.deadline);
 }
+
+bool same_input(const rt::SecurityTask& a, const rt::SecurityTask& b) {
+  return a.name == b.name && same_bits(a.wcet, b.wcet) &&
+         same_bits(a.period_des, b.period_des) && same_bits(a.period_max, b.period_max) &&
+         same_bits(a.weight, b.weight);
+}
+
+/// The two placement fields the simulations read (the tightness is derived).
+bool same_input(const core::TaskPlacement& a, const core::TaskPlacement& b) {
+  return a.core == b.core && same_bits(a.period, b.period);
+}
+
+template <typename T>
+bool same_inputs(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         std::equal(a.begin(), a.end(), b.begin(),
+                    [](const T& x, const T& y) { return same_input(x, y); });
+}
+
+/// Everything that determines a row's bundle, held by value: the scheme,
+/// its committed placements and RT partition, the instance, and every
+/// config field that feeds the simulations, with the controller policy
+/// resolved ("" runs the default), so "" and an explicit "hysteresis" share
+/// one memo entry.  The name suffix only labels the hooks and is left out.
+struct AdaptiveRowKey {
+  std::string scheme;
+  std::vector<core::TaskPlacement> placements;
+  std::vector<std::size_t> rt_core_of;
+  core::Instance instance;
+  sim::DetectionConfig detection;
+  sim::ModeControllerConfig controller;
+  bool include_static = false;
+  bool include_min_mode = false;
+  bool include_global = false;
+
+  AdaptiveRowKey(const core::Instance& instance, const core::DesignPoint& point,
+                 const AdaptiveMetricsConfig& config)
+      : scheme(point.scheme),
+        placements(point.allocation.placements),
+        rt_core_of(point.allocation.rt_partition.core_of),
+        instance(instance),
+        detection(config.detection),
+        controller(config.controller),
+        include_static(config.include_static),
+        include_min_mode(config.include_min_mode),
+        include_global(config.include_global) {
+    controller.policy = sim::resolve_policy(controller.policy);
+  }
+
+  /// True when (instance, point, config) would compute this key's bundle:
+  /// every field equal, doubles bit for bit.
+  bool matches(const core::Instance& other, const core::DesignPoint& point,
+               const AdaptiveMetricsConfig& config) const {
+    const sim::DetectionConfig& det = config.detection;
+    const sim::ModeControllerConfig& ctl = config.controller;
+    return detection.horizon == det.horizon && detection.trials == det.trials &&
+           detection.seed == det.seed && detection.scope == det.scope &&
+           controller.policy == sim::resolve_policy(ctl.policy) &&
+           controller.slack_window == ctl.slack_window &&
+           same_bits(controller.tighten_threshold, ctl.tighten_threshold) &&
+           same_bits(controller.relax_threshold, ctl.relax_threshold) &&
+           controller.min_dwell == ctl.min_dwell &&
+           controller.switch_budget == ctl.switch_budget &&
+           controller.num_levels == ctl.num_levels &&
+           controller.boost_window == ctl.boost_window &&
+           include_static == config.include_static &&
+           include_min_mode == config.include_min_mode &&
+           include_global == config.include_global && scheme == point.scheme &&
+           same_inputs(placements, point.allocation.placements) &&
+           rt_core_of == point.allocation.rt_partition.core_of &&
+           instance.num_cores == other.num_cores &&
+           same_inputs(instance.rt_tasks, other.rt_tasks) &&
+           same_inputs(instance.security_tasks, other.security_tasks);
+  }
+};
 
 AdaptiveRowResults compute_adaptive_row(const core::Instance& instance,
                                         const core::DesignPoint& point,
@@ -149,6 +207,9 @@ AdaptiveRowResults compute_adaptive_row(const core::Instance& instance,
   return out;
 }
 
+/// Bundles this thread has computed: the memo's misses.
+thread_local std::size_t bundles_computed = 0;
+
 /// Memoized bundle lookup.  The cache is thread_local and size 1: the engine
 /// invokes a row's metric hooks back-to-back on the worker that owns the row,
 /// so consecutive hooks hit while concurrent workers never contend.  Values
@@ -156,17 +217,19 @@ AdaptiveRowResults compute_adaptive_row(const core::Instance& instance,
 const AdaptiveRowResults& cached_adaptive_row(const core::Instance& instance,
                                               const core::DesignPoint& point,
                                               const AdaptiveMetricsConfig& config) {
-  thread_local std::string cached_key;
+  thread_local std::optional<AdaptiveRowKey> cached_key;
   thread_local AdaptiveRowResults cached_results;
-  std::string key = adaptive_row_key(instance, point, config);
-  if (key != cached_key) {
+  if (!cached_key.has_value() || !cached_key->matches(instance, point, config)) {
+    ++bundles_computed;
     cached_results = compute_adaptive_row(instance, point, config);
-    cached_key = std::move(key);
+    cached_key.emplace(instance, point, config);
   }
   return cached_results;
 }
 
 }  // namespace
+
+std::size_t adaptive_bundles_computed() { return bundles_computed; }
 
 std::vector<RowMetric> adaptive_detection_metrics(const AdaptiveMetricsConfig& config) {
   // Fail at construction, not first evaluation: a bench wiring up an

@@ -6,6 +6,7 @@
 // the lambdas.
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
 #include "exp/engine.h"
@@ -70,8 +71,14 @@ struct AdaptiveMetricsConfig {
 /// at construction, not first evaluation.
 /// All hooks derive from one simulation bundle per row, memoized per worker
 /// thread — the cache only short-circuits recomputation of a pure function,
-/// so the sweep's byte-identity across --jobs is preserved.
+/// so the sweep's byte-identity across --jobs is preserved.  The memo keeps
+/// a copy of the inputs and compares them field by field, doubles bit for
+/// bit, so a hit means every input the bundle reads is unchanged.
 std::vector<RowMetric> adaptive_detection_metrics(const AdaptiveMetricsConfig& config);
+
+/// Simulation bundles the calling thread has computed for the hooks above,
+/// i.e. its memo misses; a hook answered from the memo leaves it unchanged.
+std::size_t adaptive_bundles_computed();
 
 /// Canonical RowMetric::identity string for a DetectionConfig — use it when
 /// hand-rolling a detection metric (bench_fig1) so the sweep fingerprint can

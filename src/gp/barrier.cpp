@@ -11,22 +11,26 @@ namespace hydra::gp {
 
 namespace {
 
-/// Every function's evaluation at one point: the callback bundles (F0 first,
-/// then the constraints in order) and log(−Fi) of each constraint, kept so a
-/// rise of t re-sums φ_t without evaluating anything.
-struct PointEval {
-  std::vector<FnEval> fns;
-  std::vector<double> log_neg;
-
-  explicit PointEval(std::size_t num_constraints)
-      : fns(num_constraints + 1), log_neg(num_constraints) {}
-};
+/// Sizes `pt` for `num_constraints` and clears each bundle's scalars and
+/// flags to a fresh bundle's; the buffers keep their capacity (and stale
+/// contents, which the SmoothFn contract already allows).
+void reset(BarrierPoint& pt, std::size_t num_constraints) {
+  pt.fns.resize(num_constraints + 1);
+  pt.log_neg.assign(num_constraints, 0.0);
+  for (FnEval& fn : pt.fns) {
+    fn.value = 0.0;
+    fn.has_hess = false;
+    fn.hess_zero = false;
+    fn.wsum = 0.0;
+    fn.single_term = false;
+  }
+}
 
 /// Value probe at y: every function at kValue, stopping at the first
 /// violated constraint.  Returns false (leaving `pt` partly stale) when y
 /// is not strictly feasible.
 bool probe(const SmoothFn& f0, const std::vector<SmoothFn>& cons, const linalg::Vector& y,
-           PointEval& pt) {
+           BarrierPoint& pt) {
   f0(y, EvalLevel::kValue, pt.fns[0]);
   for (std::size_t i = 0; i < cons.size(); ++i) {
     FnEval& fn = pt.fns[i + 1];
@@ -40,7 +44,7 @@ bool probe(const SmoothFn& f0, const std::vector<SmoothFn>& cons, const linalg::
 /// Adds every function's derivatives at y to `pt`, which holds the probe at
 /// the same y (the kFull contract in barrier.h).
 void finish(const SmoothFn& f0, const std::vector<SmoothFn>& cons, const linalg::Vector& y,
-            PointEval& pt) {
+            BarrierPoint& pt) {
   f0(y, EvalLevel::kFull, pt.fns[0]);
   for (std::size_t i = 0; i < cons.size(); ++i) {
     cons[i](y, EvalLevel::kFull, pt.fns[i + 1]);
@@ -49,7 +53,7 @@ void finish(const SmoothFn& f0, const std::vector<SmoothFn>& cons, const linalg:
 }
 
 /// φ_t(y) = t·F0 − Σ log(−Fi), summed in constraint order.
-double barrier_value(const PointEval& pt, double t) {
+double barrier_value(const BarrierPoint& pt, double t) {
   double acc = t * pt.fns[0].value;
   for (const double l : pt.log_neg) acc -= l;
   return acc;
@@ -58,7 +62,7 @@ double barrier_value(const PointEval& pt, double t) {
 /// ∇φ_t and ∇²φ_t at a finished point: t·∇F0 and t·∇²F0, then per
 /// constraint (1/−Fi)·∇Fi, the outer product (1/Fi²)·∇Fi∇Fiᵀ and
 /// (1/−Fi)·∇²Fi.
-void assemble(const PointEval& pt, double t, std::size_t n, linalg::Vector& grad,
+void assemble(const BarrierPoint& pt, double t, std::size_t n, linalg::Vector& grad,
               linalg::Matrix& hess) {
   const FnEval& obj = pt.fns[0];
   HYDRA_ASSERT(obj.grad.size() == n, "objective gradient size mismatch");
@@ -102,13 +106,22 @@ void assemble(const PointEval& pt, double t, std::size_t n, linalg::Vector& grad
 
 BarrierResult barrier_minimize(const SmoothFn& f0, const std::vector<SmoothFn>& constraints,
                                const linalg::Vector& y0, const BarrierOptions& opts) {
+  BarrierWorkspace workspace;
+  return barrier_minimize(f0, constraints, y0, opts, workspace);
+}
+
+BarrierResult barrier_minimize(const SmoothFn& f0, const std::vector<SmoothFn>& constraints,
+                               const linalg::Vector& y0, const BarrierOptions& opts,
+                               BarrierWorkspace& workspace) {
   HYDRA_REQUIRE(y0.size() > 0, "barrier_minimize: empty start point");
   const std::size_t n = y0.size();
   // The current iterate and the line-search probe; an accepted probe swaps
   // in as the next iterate.  Every Newton iteration and probe reuses these
   // buffers instead of allocating.
-  PointEval cur(constraints.size());
-  PointEval trial(constraints.size());
+  BarrierPoint& cur = workspace.cur;
+  BarrierPoint& trial = workspace.trial;
+  reset(cur, constraints.size());
+  reset(trial, constraints.size());
   HYDRA_REQUIRE(probe(f0, constraints, y0, cur),
                 "barrier_minimize: start point is not strictly feasible");
   bool cur_finished = false;  // whether `cur` holds derivatives yet
@@ -116,11 +129,11 @@ BarrierResult barrier_minimize(const SmoothFn& f0, const std::vector<SmoothFn>& 
   BarrierResult result;
   result.y = y0;
   double t = opts.t0;
-  linalg::SpdWorkspace spd_ws;
-  linalg::Vector grad;
-  linalg::Matrix hess;
-  linalg::Vector neg_grad;
-  linalg::Vector cand;
+  linalg::SpdWorkspace& spd_ws = workspace.spd;
+  linalg::Vector& grad = workspace.grad;
+  linalg::Matrix& hess = workspace.hess;
+  linalg::Vector& neg_grad = workspace.neg_grad;
+  linalg::Vector& cand = workspace.cand;
   const double m = static_cast<double>(constraints.size());
   // With no constraints the inner tolerance IS the final accuracy (there is
   // no outer loop to tighten things); Newton is quadratic near the optimum,

@@ -16,7 +16,8 @@
 // implementations should serve without computing derivatives.  Each function
 // writes into solver-owned bundles, one for the current iterate and one for
 // the line-search probe, so one solve reuses one set of buffers across every
-// Newton step and probe.  Every point is evaluated once: the accepted probe
+// Newton step and probe, and a caller-owned BarrierWorkspace carries them
+// from one solve to the next.  Every point is evaluated once: the accepted probe
 // becomes the next iterate, its value is not recomputed, and its
 // derivatives are added to the same bundle (see EvalLevel::kFull).  Raising
 // t re-sums the kept −log(−Fi) terms and reuses the derivatives.
@@ -26,6 +27,7 @@
 #include <vector>
 
 #include "gp/terms.h"
+#include "linalg/cholesky.h"
 #include "linalg/matrix.h"
 #include "linalg/vector.h"
 
@@ -88,8 +90,39 @@ struct BarrierResult {
   int newton_steps = 0;      ///< total Newton iterations across stages
 };
 
+/// Every function's evaluation at one point: the callback bundles (F0
+/// first, then the constraints in order) and log(−Fi) of each constraint,
+/// kept so a rise of t re-sums φ_t without evaluating anything.
+struct BarrierPoint {
+  std::vector<FnEval> fns;
+  std::vector<double> log_neg;
+};
+
+/// The buffers of one barrier_minimize call: the current iterate, the
+/// line-search probe and the Newton system.  A caller that solves many
+/// programs keeps one and passes it to each solve, so the buffers are
+/// allocated once, not per solve.  Each solve resets every bundle's scalars
+/// and flags to a fresh bundle's, so the result does not depend on what the
+/// workspace held.  One workspace serves one solve at a time: never share it
+/// between threads or with a solve a callback starts.
+struct BarrierWorkspace {
+  BarrierPoint cur;
+  BarrierPoint trial;
+  linalg::SpdWorkspace spd;
+  linalg::Vector grad;
+  linalg::Matrix hess;
+  linalg::Vector neg_grad;
+  linalg::Vector cand;
+};
+
 /// Minimizes F0 over {y : Fi(y) < 0 ∀i} starting from the *strictly feasible*
-/// point y0.  Throws std::invalid_argument if y0 is not strictly feasible.
+/// point y0, in the buffers of `workspace`.  Throws std::invalid_argument if
+/// y0 is not strictly feasible.
+BarrierResult barrier_minimize(const SmoothFn& f0, const std::vector<SmoothFn>& constraints,
+                               const linalg::Vector& y0, const BarrierOptions& opts,
+                               BarrierWorkspace& workspace);
+
+/// The same solve in a workspace of its own.
 BarrierResult barrier_minimize(const SmoothFn& f0, const std::vector<SmoothFn>& constraints,
                                const linalg::Vector& y0, const BarrierOptions& opts = {});
 

@@ -73,7 +73,7 @@ struct Phase1Outcome {
 };
 
 Phase1Outcome run_phase1(const GpProblem& problem, const linalg::Vector& y_start,
-                         const SolveOptions& options) {
+                         const SolveOptions& options, BarrierWorkspace& workspace) {
   const std::size_t n = problem.num_variables();
   const std::size_t ext = n + 1;  // extra slack variable s at index n
 
@@ -128,7 +128,7 @@ Phase1Outcome run_phase1(const GpProblem& problem, const linalg::Vector& y_start
   bopts.duality_gap_tol = std::fmax(bopts.duality_gap_tol, 1e-10);
 
   Phase1Outcome out;
-  const BarrierResult br = barrier_minimize(obj, cons, z0, bopts);
+  const BarrierResult br = barrier_minimize(obj, cons, z0, bopts, workspace);
   out.newton_steps = br.newton_steps;
   if (br.y[n] < -options.phase1_margin) {
     out.feasible = true;
@@ -154,6 +154,12 @@ SolveResult GpSolver::solve(const GpProblem& problem,
     y0 = to_log_point(*initial_guess);
   }
 
+  // One barrier workspace per phase and thread, reused by every solve the
+  // thread runs.  No SmoothFn below starts a solve, so neither is ever in
+  // use twice at once.
+  thread_local BarrierWorkspace phase1_workspace;
+  thread_local BarrierWorkspace phase2_workspace;
+
   // Establish strict feasibility, via phase I when the hint is not feasible.
   // Wrapped like phase II below: a numerical failure inside the phase-I
   // barrier (near-singular Hessians on degenerate boxes) must surface as a
@@ -161,7 +167,7 @@ SolveResult GpSolver::solve(const GpProblem& problem,
   int phase1_steps = 0;
   if (!problem.constraints().empty() && max_constraint_log(problem, y0) >= 0.0) {
     try {
-      const Phase1Outcome p1 = run_phase1(problem, y0, options_);
+      const Phase1Outcome p1 = run_phase1(problem, y0, options_, phase1_workspace);
       phase1_steps = p1.newton_steps;
       if (!p1.feasible) {
         result.status = SolveStatus::kInfeasible;
@@ -183,7 +189,8 @@ SolveResult GpSolver::solve(const GpProblem& problem,
   try {
     const SmoothFn obj = make_log_fn(problem.objective());
     const std::vector<SmoothFn> cons = make_constraint_fns(problem);
-    const BarrierResult br = barrier_minimize(obj, cons, y0, options_.barrier);
+    const BarrierResult br =
+        barrier_minimize(obj, cons, y0, options_.barrier, phase2_workspace);
     result.newton_steps = phase1_steps + br.newton_steps;
     switch (br.status) {
       case BarrierStatus::kOptimal:

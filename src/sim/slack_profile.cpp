@@ -111,17 +111,31 @@ RtSlackProfile::RtSlackProfile(std::vector<SimTask> rt_tasks, util::SimTime hori
     // current busy interval by each job's WCET.  test_slack_band checks the
     // result against the engine's recorded segments.
     constexpr util::SimTime kNone = std::numeric_limits<util::SimTime>::max();
-    std::vector<util::SimTime> next_release(on_core.size(), kNone);
-    for (std::size_t i = 0; i < on_core.size(); ++i) {
-      if (on_core[i].release_offset < horizon) next_release[i] = on_core[i].release_offset;
+    const std::size_t count = on_core.size();
+    std::vector<util::SimTime> next_release(count, kNone);
+    std::size_t releases = 0;  // every release opens at most one interval
+    for (std::size_t i = 0; i < count; ++i) {
+      const SimTask& t = on_core[i];
+      if (t.release_offset >= horizon) continue;
+      next_release[i] = t.release_offset;
+      releases += static_cast<std::size_t>((horizon - t.release_offset + t.period - 1) / t.period);
     }
     std::vector<Busy>& busy = cores_[core];
+    busy.reserve(releases);
+    const util::SimTime* next = next_release.data();
     while (true) {
-      const auto it = std::min_element(next_release.begin(), next_release.end());
-      const util::SimTime release = *it;
+      // The earliest pending release, the lowest index on a tie: a
+      // branch-free scan the compiler turns into conditional moves.
+      std::size_t first = 0;
+      util::SimTime release = next[0];
+      for (std::size_t i = 1; i < count; ++i) {
+        const bool earlier = next[i] < release;
+        first = earlier ? i : first;
+        release = earlier ? next[i] : release;
+      }
       if (release == kNone) break;
-      const SimTask& task = on_core[static_cast<std::size_t>(it - next_release.begin())];
-      *it = release + task.period < horizon ? release + task.period : kNone;
+      const SimTask& task = on_core[first];
+      next_release[first] = release + task.period < horizon ? release + task.period : kNone;
       if (!busy.empty() && release <= busy.back().to) {
         busy.back().to += task.wcet;
       } else {

@@ -1,14 +1,20 @@
 // Tests for the runtime mode-switching layer: mode-table construction, the
 // controller's tighten/relax/hysteresis/budget semantics, determinism (fixed
 // seed and --jobs byte-identity through a sweep), equivalence with the static
-// engine when switching is disabled, and the latency-dominance property —
-// mode-switching detection is never worse than the static minimum mode on
-// feasible seeded batches.
+// engine when switching is disabled, the adaptive metrics' per-thread bundle
+// memo (a hit only when every input is unchanged), and the latency-dominance
+// property — mode-switching detection is never worse than the static minimum
+// mode on feasible seeded batches.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <functional>
+#include <limits>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "core/contego.h"
 #include "core/mode_table.h"
@@ -491,4 +497,186 @@ TEST(AdaptiveDetection, TickRoundingCollapseYieldsFixedTask) {
   const auto tasks = sim::build_mode_tasks(instance, allocation, table);
   ASSERT_EQ(tasks.size(), 2u);
   EXPECT_EQ(tasks[1].adapted_period, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Adaptive metrics: the per-thread bundle memo
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// A row's hook values, or the message of the hook that threw.
+struct HookOutcome {
+  std::vector<double> values;
+  std::string error;
+
+  bool operator==(const HookOutcome& other) const {
+    return error == other.error && values.size() == other.values.size() &&
+           std::memcmp(values.data(), other.values.data(),
+                       values.size() * sizeof(double)) == 0;
+  }
+};
+
+void PrintTo(const HookOutcome& outcome, std::ostream* os) {
+  if (!outcome.error.empty()) *os << "error: " << outcome.error;
+  os->precision(17);
+  for (const double v : outcome.values) *os << v << ' ';
+}
+
+HookOutcome evaluate_hooks(const hexp::AdaptiveMetricsConfig& config,
+                           const core::Instance& instance, const core::DesignPoint& point) {
+  HookOutcome out;
+  try {
+    for (const auto& metric : hexp::adaptive_detection_metrics(config)) {
+      out.values.push_back(metric.compute(instance, point));
+    }
+  } catch (const std::exception& e) {
+    out.error = e.what();
+  }
+  return out;
+}
+
+/// The same evaluation on a thread of its own, whose memo starts empty.
+HookOutcome evaluate_hooks_cold(const hexp::AdaptiveMetricsConfig& config,
+                                const core::Instance& instance,
+                                const core::DesignPoint& point) {
+  HookOutcome out;
+  std::size_t computed = 0;
+  std::thread worker([&] {
+    out = evaluate_hooks(config, instance, point);
+    computed = hexp::adaptive_bundles_computed();
+  });
+  worker.join();
+  EXPECT_EQ(computed, 1u) << "a cold thread computes one bundle for all its hooks";
+  return out;
+}
+
+double ulp_up(double x) { return std::nextafter(x, std::numeric_limits<double>::infinity()); }
+double ulp_down(double x) { return std::nextafter(x, 0.0); }
+
+}  // namespace
+
+TEST(AdaptiveMetrics, BundleMemoSeesEveryInputField) {
+  // One fig5 row: contego at M = 2, total utilization 1.0, the bench's
+  // default detection and controller knobs, all three baselines.
+  hydra::gen::SyntheticConfig synth;
+  synth.num_cores = 2;
+  hydra::util::Xoshiro256 rng(23);
+  core::Instance instance;
+  core::DesignPoint point;
+  for (bool found = false; !found;) {
+    const auto drawn = hydra::gen::generate_filtered_instance(synth, 1.0, rng);
+    if (!drawn.has_value()) continue;
+    instance = drawn->instance;
+    point = core::evaluate_scheme(core::ContegoAllocator(), instance);
+    found = point.validated;
+  }
+  ASSERT_GE(instance.rt_tasks.size(), 2u);
+  ASSERT_GE(instance.security_tasks.size(), 1u);
+  hexp::AdaptiveMetricsConfig config;
+  config.detection.horizon = 200u * 1000u * kMs;
+  config.detection.trials = 120;
+  config.include_global = true;
+
+  const HookOutcome base = evaluate_hooks(config, instance, point);
+  ASSERT_TRUE(base.error.empty()) << base.error;
+  ASSERT_EQ(base.values.size(), 9u);
+  // Every hook of the family after the first is a hit.
+  std::size_t before = hexp::adaptive_bundles_computed();
+  EXPECT_EQ(evaluate_hooks(config, instance, point), base);
+  EXPECT_EQ(hexp::adaptive_bundles_computed(), before);
+  EXPECT_EQ(evaluate_hooks_cold(config, instance, point), base);
+
+  using Mutation =
+      std::function<void(core::Instance&, core::DesignPoint&, hexp::AdaptiveMetricsConfig&)>;
+  const std::vector<std::pair<std::string, Mutation>> mutations = {
+      {"rt C", [](auto& in, auto&, auto&) { in.rt_tasks[0].wcet = ulp_up(in.rt_tasks[0].wcet); }},
+      {"rt T",
+       [](auto& in, auto&, auto&) { in.rt_tasks[1].period = ulp_up(in.rt_tasks[1].period); }},
+      {"rt D",
+       [](auto& in, auto&, auto&) {
+         in.rt_tasks[0].deadline = ulp_down(in.rt_tasks[0].deadline);
+       }},
+      {"rt name", [](auto& in, auto&, auto&) { in.rt_tasks[0].name += "'"; }},
+      {"sec C",
+       [](auto& in, auto&, auto&) {
+         in.security_tasks[0].wcet = ulp_down(in.security_tasks[0].wcet);
+       }},
+      {"sec Tdes",
+       [](auto& in, auto&, auto&) {
+         in.security_tasks[0].period_des = ulp_down(in.security_tasks[0].period_des);
+       }},
+      {"sec Tmax",
+       [](auto& in, auto&, auto&) {
+         in.security_tasks[0].period_max = ulp_up(in.security_tasks[0].period_max);
+       }},
+      {"sec omega",
+       [](auto& in, auto&, auto&) {
+         in.security_tasks[0].weight = ulp_up(in.security_tasks[0].weight);
+       }},
+      {"sec name", [](auto& in, auto&, auto&) { in.security_tasks[0].name += "'"; }},
+      {"cores", [](auto& in, auto&, auto&) { ++in.num_cores; }},
+      {"placement core",
+       [](auto&, auto& pt, auto&) {
+         auto& place = pt.allocation.placements[0];
+         place.core = 1 - place.core;
+       }},
+      {"placement period",
+       [](auto& in, auto& pt, auto&) {
+         auto& place = pt.allocation.placements[0];
+         place.period = place.period < in.security_tasks[0].period_max ? ulp_up(place.period)
+                                                                       : ulp_down(place.period);
+       }},
+      {"rt partition",
+       [](auto&, auto& pt, auto&) {
+         auto& core_of = pt.allocation.rt_partition.core_of;
+         core_of[0] = 1 - core_of[0];
+       }},
+      {"scheme", [](auto&, auto& pt, auto&) { pt.scheme += "'"; }},
+      {"horizon", [](auto&, auto&, auto& c) { ++c.detection.horizon; }},
+      {"trials", [](auto&, auto&, auto& c) { ++c.detection.trials; }},
+      {"detection seed", [](auto&, auto&, auto& c) { ++c.detection.seed; }},
+      {"scope", [](auto&, auto&, auto& c) { c.detection.scope = sim::AttackScope::kSingleTask; }},
+      {"policy", [](auto&, auto&, auto& c) { c.controller.policy = "boost"; }},
+      {"slack window", [](auto&, auto&, auto& c) { ++c.controller.slack_window; }},
+      {"tighten",
+       [](auto&, auto&, auto& c) {
+         c.controller.tighten_threshold = ulp_down(c.controller.tighten_threshold);
+       }},
+      {"relax",
+       [](auto&, auto&, auto& c) {
+         c.controller.relax_threshold = ulp_up(c.controller.relax_threshold);
+       }},
+      {"dwell", [](auto&, auto&, auto& c) { ++c.controller.min_dwell; }},
+      {"switch budget", [](auto&, auto&, auto& c) { --c.controller.switch_budget; }},
+      {"levels", [](auto&, auto&, auto& c) { ++c.controller.num_levels; }},
+      {"boost window", [](auto&, auto&, auto& c) { ++c.controller.boost_window; }},
+      {"static", [](auto&, auto&, auto& c) { c.include_static = false; }},
+      {"min-mode", [](auto&, auto&, auto& c) { c.include_min_mode = false; }},
+      {"global", [](auto&, auto&, auto& c) { c.include_global = false; }},
+  };
+  for (const auto& [what, mutate] : mutations) {
+    core::Instance moved_instance = instance;
+    core::DesignPoint moved_point = point;
+    hexp::AdaptiveMetricsConfig moved_config = config;
+    mutate(moved_instance, moved_point, moved_config);
+    // The memo holds the base row; the moved input must miss it and agree
+    // with a thread that never saw the base row.
+    ASSERT_EQ(evaluate_hooks(config, instance, point), base) << what;
+    before = hexp::adaptive_bundles_computed();
+    const HookOutcome warm = evaluate_hooks(moved_config, moved_instance, moved_point);
+    EXPECT_EQ(hexp::adaptive_bundles_computed(), before + 1) << what << ": the memo hit";
+    EXPECT_EQ(warm, evaluate_hooks_cold(moved_config, moved_instance, moved_point)) << what;
+  }
+
+  // "" resolves to the default policy, and the name suffix only labels the
+  // hooks, so neither costs a second bundle.
+  ASSERT_TRUE(config.controller.policy.empty());
+  ASSERT_EQ(evaluate_hooks(config, instance, point), base);
+  hexp::AdaptiveMetricsConfig spelled = config;
+  spelled.controller.policy = sim::kDefaultControllerPolicy;
+  spelled.name_suffix = "/hysteresis";
+  before = hexp::adaptive_bundles_computed();
+  EXPECT_EQ(evaluate_hooks(spelled, instance, point), base);
+  EXPECT_EQ(hexp::adaptive_bundles_computed(), before);
 }

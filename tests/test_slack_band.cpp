@@ -17,14 +17,17 @@
 // two inputs where RT jobs miss deadlines — the committed
 // tests/corpus_sim/ instance and a hand-built RT overload whose backlog runs
 // past horizon + grace.  The RtSlackProfile unit tests pin the idle-axis
-// mapping at its edges, and the RTA certificate that spares a core its RT
-// simulation: on every input above the profile's miss count equals a direct
-// sim::simulate of the RT tasks, the seeded batches need no simulation, and
-// hand-built cores pin R == D, release offsets, R > T and invalid input.
+// mapping at its edges, the busy intervals of a seeded batch of tied
+// releases against the engine's segments, and the RTA certificate that
+// spares a core its RT simulation: on every input above the profile's miss
+// count equals a direct sim::simulate of the RT tasks, the seeded batches
+// need no simulation, and hand-built cores pin R == D, release offsets,
+// R > T and invalid input.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <filesystem>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -401,6 +404,74 @@ TEST(RtSlackProfile, CacheReusesAMatchingProfileAndRebuildsOtherwise) {
   slower[0].period = 11;
   EXPECT_TRUE(cache.get(slower, 100).matches(slower, 100));
   EXPECT_FALSE(cache.get(slower, 100).matches(rt, 100));
+}
+
+TEST(RtSlackProfile, TiedReleasesMatchTheEngineSegments) {
+  // Harmonic periods and a few shared offsets release several jobs of a core
+  // at one instant, so the release walk breaks many ties.  Its busy intervals
+  // must still be the engine's execution segments, merged where they touch,
+  // with the same busy prefix.  Loads reach past 1, so some cores miss
+  // deadlines and run a backlog; the engine gets grace to drain it all.
+  hydra::util::Xoshiro256 rng(4242);
+  const std::vector<SimTime> offsets = {0, 5, 20};
+  const SimTime horizon = 2'000;
+  std::size_t tied_instants = 0;
+  std::size_t simulated_cores = 0;
+  for (int draw = 0; draw < 40; ++draw) {
+    const std::size_t cores = 1 + rng.uniform_int(0, 2);
+    std::vector<sim::SimTask> rt;
+    SimTime demand = 0;
+    for (std::size_t core = 0; core < cores; ++core) {
+      const SimTime base = 10 * (1 + rng.uniform_int(0, 4));
+      const std::size_t count = 2 + rng.uniform_int(0, 4);
+      std::map<SimTime, std::size_t> releases_at;
+      for (std::size_t k = 0; k < count; ++k) {
+        const SimTime period = base << rng.uniform_int(0, 3);
+        const SimTime wcet = 1 + rng.uniform_int(0, period / count);
+        const SimTime offset = offsets[rng.uniform_int(0, offsets.size() - 1)];
+        rt.push_back(make_task("r" + std::to_string(rt.size()), wcet, period, period, core,
+                               static_cast<int>(k), offset));
+        for (SimTime r = offset; r < horizon; r += period) {
+          ++releases_at[r];
+          demand += wcet;
+        }
+      }
+      for (const auto& [at, n] : releases_at) tied_instants += n > 1 ? 1 : 0;
+    }
+    const std::string what = "draw " + std::to_string(draw);
+    const sim::RtSlackProfile profile(rt, horizon);
+    simulated_cores += check_profile(profile, rt, horizon, what);
+
+    sim::SimOptions options;
+    options.horizon = horizon;
+    options.grace = demand;
+    options.record_segments = true;
+    const sim::Trace trace = sim::simulate(rt, options);
+    for (std::size_t core = 0; core < cores; ++core) {
+      std::vector<sim::RtSlackProfile::Busy> merged;
+      SimTime busy_before = 0;
+      for (const auto& seg : trace.segments) {
+        if (seg.core != core) continue;
+        if (!merged.empty() && merged.back().to == seg.from) {
+          merged.back().to = seg.to;
+        } else {
+          merged.push_back({seg.from, seg.to, busy_before});
+        }
+        busy_before += seg.to - seg.from;
+      }
+      const auto& intervals = profile.busy(core);
+      ASSERT_EQ(intervals.size(), merged.size()) << what << " core " << core;
+      for (std::size_t k = 0; k < merged.size(); ++k) {
+        const std::string at = what + " core " + std::to_string(core) + " interval " +
+                               std::to_string(k);
+        EXPECT_EQ(intervals[k].from, merged[k].from) << at;
+        EXPECT_EQ(intervals[k].to, merged[k].to) << at;
+        EXPECT_EQ(intervals[k].busy_before, merged[k].busy_before) << at;
+      }
+    }
+  }
+  EXPECT_GE(tied_instants, 1'000u) << "the batch no longer ties releases";
+  EXPECT_GE(simulated_cores, 1u) << "the batch no longer overloads a core";
 }
 
 TEST(RtSlackProfile, RejectsTasksThatWouldDependOnTheMonitorsOrTheSeed) {
