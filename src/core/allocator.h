@@ -22,6 +22,7 @@
 
 #include "core/instance.h"
 #include "core/validation.h"
+#include "rt/interference.h"
 #include "rt/partition.h"
 #include "util/units.h"
 
@@ -40,9 +41,12 @@ class Allocator {
   /// One-line human-readable summary of the scheme and its configuration.
   virtual std::string describe() const = 0;
 
-  /// Runs the scheme with its own RT-partitioning policy (HYDRA/Optimal:
-  /// best-fit over all M cores; SingleCore: RT on M−1 cores).
-  virtual Allocation allocate(const Instance& instance) const = 0;
+  /// Runs the scheme with its own RT-partitioning policy.  The default
+  /// best-fit partitions the RT tasks over all M cores and delegates to
+  /// allocate(instance, partition); infeasible when the RT tasks alone cannot
+  /// be partitioned.  SingleCore overrides it (RT on M−1 cores).  A subclass
+  /// that only implements the pinned overload adds `using Allocator::allocate;`.
+  virtual Allocation allocate(const Instance& instance) const;
 
   /// Runs the scheme against an externally supplied RT partition so several
   /// schemes can be compared on identical footing (the Fig.-3 protocol).
@@ -76,15 +80,55 @@ class Allocator {
  protected:
   explicit Allocator(std::string default_name) : name_(std::move(default_name)) {}
 
-  /// Shared body for the paper-evaluation convenience overload: best-fit
-  /// partitions the RT tasks over all M cores and delegates to
-  /// allocate(instance, partition); infeasible when the RT tasks alone cannot
-  /// be partitioned.  Schemes whose placement dictates its own partition
-  /// shape (SingleCore) implement their overload directly instead.
-  Allocation allocate_with_default_partition(const Instance& instance) const;
-
  private:
   std::string name_;
+};
+
+/// Validates `instance` and that `rt_partition` places every RT task on one
+/// of its M cores; throws std::invalid_argument otherwise.
+void validate_rt_partition(const Instance& instance, const rt::Partition& rt_partition);
+
+/// The per-core state of one greedy pass over a pinned RT partition.
+/// Algorithm 1 and the adaptive baselines share one loop: walk the monitors
+/// in priority order, solve Eq. (7) on each core against that core's state,
+/// commit to the core their own rule picks.  The ledger is that state;
+/// building it validates the instance and the partition once.
+///
+/// The Eq. (5) sums are seeded from the core's RT tasks in input order and
+/// grown per commit, the accumulation order of a fresh interference_bound
+/// rebuild, so every sum is bitwise identical to one.
+class CoreLedger {
+ public:
+  struct Core {
+    std::vector<rt::RtTask> rt_tasks;            ///< partitioned here, input order
+    rt::InterferenceBound interferers;           ///< Eq. (5) sums: RT + committed monitors
+    double security_load = 0.0;                  ///< Σ Cs/Ts of the committed monitors
+    std::vector<rt::PlacedSecurityTask> placed;  ///< committed monitors, commit order
+    std::vector<std::size_t> members;            ///< their security indices
+
+    /// RT + security utilization, which is exactly the Eq. (5) B sum.
+    double utilization() const { return interferers.util_part; }
+  };
+
+  CoreLedger(const Instance& instance, const rt::Partition& rt_partition);
+
+  const Core& core(std::size_t c) const { return cores_[c]; }
+
+  /// Places security task `s` on `core` at `period` (tightness Tdes/period)
+  /// and makes it an interferer for every later commit there.
+  void commit(std::size_t s, std::size_t core, util::Millis period);
+
+  /// The allocation under construction: the pinned partition plus one
+  /// placement per committed task.
+  Allocation& allocation() { return allocation_; }
+
+  /// Marks the allocation feasible and hands it over.
+  Allocation finish() &&;
+
+ private:
+  const Instance& instance_;
+  std::vector<Core> cores_;
+  Allocation allocation_;
 };
 
 /// One evaluated design point: a scheme's allocation plus the derived

@@ -11,15 +11,15 @@
 //      (Admission solves the same Eq. (7) subproblem HYDRA uses; a task no
 //      core can host even at Tmax makes the set unschedulable.)
 //   2. Opportunistic tightening — on each core the committed periods are
-//      shrunk toward Tdes with the slack-aware pass in period_adaptation.h
-//      (`tighten_core_periods`): a monitor only tightens as far as its own
-//      Eq. (7) bound and the feasibility of every lower-priority monitor on
-//      that core allow, so the result is feasible by construction and every
-//      final period sits between the two Contego modes.
+//      shrunk toward Tdes with kAdaptationRounds (2) rounds of the
+//      slack-aware pass in period_adaptation.h (`tighten_core_periods`): a
+//      monitor only tightens as far as its own Eq. (7) bound and the
+//      feasibility of every lower-priority monitor on that core allow, so
+//      the result is feasible by construction and every final period sits
+//      between the two Contego modes.
 //
-// With `adaptation_rounds = 0` the scheme stops after step 1 (everything in
-// minimum mode), the lower anchor of the period-mode monotonicity property
-// test.
+// Step 1 alone (everything in minimum mode) is min_mode_allocation of the
+// result: tightening never moves a monitor's core.
 #pragma once
 
 #include <string>
@@ -29,32 +29,17 @@
 
 namespace hydra::core {
 
-struct ContegoOptions {
-  /// Tightening passes per core; more rounds only tighten further (the pass
-  /// is monotone), with quickly diminishing returns.  0 leaves every monitor
-  /// in minimum mode.
-  std::size_t adaptation_rounds = 2;
-};
-
 class ContegoAllocator : public Allocator {
  public:
-  explicit ContegoAllocator(ContegoOptions options = {})
-      : Allocator("contego"), options_(options) {}
+  ContegoAllocator() : Allocator("contego") {}
 
   /// Minimum-mode placement + per-core tightening against an externally
   /// supplied RT partition (same contract as HydraAllocator::allocate).
+  using Allocator::allocate;
   Allocation allocate(const Instance& instance,
                       const rt::Partition& rt_partition) const override;
 
-  /// Best-fit-partitions the RT tasks over all M cores first.
-  Allocation allocate(const Instance& instance) const override;
-
   std::string describe() const override;
-
-  const ContegoOptions& options() const { return options_; }
-
- private:
-  ContegoOptions options_;
 };
 
 }  // namespace hydra::core

@@ -51,14 +51,11 @@ class HydraAllocator : public Allocator {
       : Allocator("hydra"), options_(options) {}
 
   /// Runs Algorithm 1 against an externally supplied RT partition over all M
-  /// cores (the paper's input `I`).
+  /// cores (the paper's input `I`).  allocate(instance) best-fit partitions
+  /// the RT tasks first, the paper's evaluation setup.
+  using Allocator::allocate;
   Allocation allocate(const Instance& instance,
                       const rt::Partition& rt_partition) const override;
-
-  /// Convenience overload matching the paper's evaluation setup: partitions
-  /// the RT tasks over all M cores with best-fit first, then runs HYDRA.
-  /// Infeasible if the RT tasks alone cannot be partitioned.
-  Allocation allocate(const Instance& instance) const override;
 
   std::string describe() const override;
   ScheduleTest schedule_test() const override { return options_.test; }

@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/allocator.h"
 #include "core/period_adaptation.h"
 #include "gp/problem.h"
 #include "gp/scp.h"
 #include "gp/solver.h"
 #include "gp/solver_registry.h"
-#include "rt/interference.h"
 #include "rt/priority.h"
 #include "util/contracts.h"
 
@@ -20,8 +20,9 @@ namespace {
 /// in joint_tightness_bound is derived from this same re-check.
 constexpr double kAcceptTolerance = 1e-7;
 
-void check_assignment(const Instance& instance, const std::vector<std::size_t>& core_of) {
-  instance.validate();
+void check_assignment(const Instance& instance, const rt::Partition& rt_partition,
+                      const std::vector<std::size_t>& core_of) {
+  validate_rt_partition(instance, rt_partition);
   HYDRA_REQUIRE(core_of.size() == instance.security_tasks.size(),
                 "assignment must cover every security task");
   for (const std::size_t c : core_of) {
@@ -147,18 +148,15 @@ std::optional<std::vector<util::Millis>> sequential_periods(
     const Instance& instance, const rt::Partition& rt_partition,
     const std::vector<std::size_t>& core_of) {
   const auto& sec = instance.security_tasks;
-  const auto order = rt::security_priority_order(sec);
-  std::vector<std::vector<rt::PlacedSecurityTask>> placed(instance.num_cores);
-  std::vector<util::Millis> periods(sec.size(), 0.0);
-
-  for (const std::size_t s : order) {
-    const std::size_t c = core_of[s];
-    const auto bound =
-        rt::interference_bound(rt_partition.tasks_on_core(instance.rt_tasks, c), placed[c]);
-    const PeriodAdaptation pa = adapt_period(sec[s], bound);
+  CoreLedger ledger(instance, rt_partition);
+  for (const std::size_t s : rt::security_priority_order(sec)) {
+    const PeriodAdaptation pa = adapt_period(sec[s], ledger.core(core_of[s]).interferers);
     if (!pa.feasible) return std::nullopt;
-    periods[s] = pa.period;
-    placed[c].push_back(rt::PlacedSecurityTask{sec[s].wcet, pa.period});
+    ledger.commit(s, core_of[s], pa.period);
+  }
+  std::vector<util::Millis> periods(sec.size());
+  for (std::size_t s = 0; s < sec.size(); ++s) {
+    periods[s] = ledger.allocation().placements[s].period;
   }
   return periods;
 }
@@ -169,7 +167,7 @@ JointPeriodResult optimize_joint_periods(const Instance& instance,
                                          const rt::Partition& rt_partition,
                                          const std::vector<std::size_t>& core_of,
                                          const JointPeriodOptions& options) {
-  check_assignment(instance, core_of);
+  check_assignment(instance, rt_partition, core_of);
 
   JointPeriodResult result;
   const auto& sec = instance.security_tasks;
@@ -267,7 +265,7 @@ JointPeriodResult optimize_joint_periods(const Instance& instance,
 std::optional<double> joint_tightness_bound(const Instance& instance,
                                             const rt::Partition& rt_partition,
                                             const std::vector<std::size_t>& core_of) {
-  check_assignment(instance, core_of);
+  check_assignment(instance, rt_partition, core_of);
   const auto& sec = instance.security_tasks;
   if (sec.empty()) return 0.0;
 
@@ -292,7 +290,7 @@ std::optional<double> joint_tightness_bound(const Instance& instance,
 
 gp::GpProblem make_joint_period_gp(const Instance& instance, const rt::Partition& rt_partition,
                                    const std::vector<std::size_t>& core_of) {
-  check_assignment(instance, core_of);
+  check_assignment(instance, rt_partition, core_of);
   HYDRA_REQUIRE(!instance.security_tasks.empty(),
                 "joint-period GP needs at least one security task");
   const auto shapes = build_shapes(instance, rt_partition, core_of);

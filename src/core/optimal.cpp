@@ -10,9 +10,7 @@ namespace hydra::core {
 
 Allocation OptimalAllocator::allocate(const Instance& instance,
                                       const rt::Partition& rt_partition) const {
-  instance.validate();
-  HYDRA_REQUIRE(rt_partition.num_cores == instance.num_cores,
-                "RT partition core count must match the instance");
+  validate_rt_partition(instance, rt_partition);
 
   const std::size_t ns = instance.security_tasks.size();
   const std::size_t m = instance.num_cores;
@@ -88,10 +86,6 @@ Allocation OptimalAllocator::allocate(const Instance& instance,
     }
   }
   return best;
-}
-
-Allocation OptimalAllocator::allocate(const Instance& instance) const {
-  return allocate_with_default_partition(instance);
 }
 
 double OptimalAllocator::search_space(const Instance& instance) const {

@@ -34,11 +34,9 @@ class OptimalAllocator : public Allocator {
 
   /// Exhaustive search against an externally supplied RT partition (same
   /// contract as HydraAllocator::allocate).
+  using Allocator::allocate;
   Allocation allocate(const Instance& instance,
                       const rt::Partition& rt_partition) const override;
-
-  /// Best-fit-partitions the RT tasks over all M cores first.
-  Allocation allocate(const Instance& instance) const override;
 
   std::string describe() const override;
   /// M^NS: the number of assignments the exhaustive search enumerates.

@@ -9,11 +9,12 @@
 //      is exactly what separates this baseline from HYDRA's joint
 //      allocation-and-adaptation and makes the Fig.-4 comparison meaningful.
 //   2. Per-core period optimization — the committed Tmax periods are
-//      tightened with the slack-aware sequential pass shared with the
-//      Contego-style allocator (`tighten_core_periods`, closed-form Eq. (7)
-//      machinery).  The `/gp` variant additionally runs the joint GP
-//      optimizer (signomial SCP, src/gp) over the fixed assignment and keeps
-//      whichever period vector scores the higher cumulative tightness.
+//      tightened with kAdaptationRounds (2) rounds of the slack-aware
+//      sequential pass shared with the Contego-style allocator
+//      (`tighten_core_periods`, closed-form Eq. (7) machinery).  The `/gp`
+//      variant additionally runs the joint GP optimizer (signomial SCP,
+//      src/gp) over the fixed assignment and keeps whichever period vector
+//      scores the higher cumulative tightness.
 #pragma once
 
 #include <string>
@@ -27,8 +28,6 @@ struct PeriodAdaptOptions {
   /// Also optimize the fixed assignment's periods jointly (signomial SCP GP)
   /// and keep the better of the two period vectors.
   bool joint_gp = false;
-  /// Tightening passes per core (monotone; see tighten_core_periods).
-  std::size_t adaptation_rounds = 2;
 };
 
 class PeriodAdaptAllocator : public Allocator {
@@ -38,11 +37,9 @@ class PeriodAdaptAllocator : public Allocator {
 
   /// Fixed first-fit partition + per-core period optimization against an
   /// externally supplied RT partition.
+  using Allocator::allocate;
   Allocation allocate(const Instance& instance,
                       const rt::Partition& rt_partition) const override;
-
-  /// Best-fit-partitions the RT tasks over all M cores first.
-  Allocation allocate(const Instance& instance) const override;
 
   std::string describe() const override;
 

@@ -90,6 +90,11 @@ std::size_t tighten_core_periods(const std::vector<rt::RtTask>& rt_on_core,
                                  std::vector<CommittedSecurityTask>& tasks,
                                  std::size_t rounds = 1);
 
+/// Tightening passes per core the adaptive allocators (`contego`,
+/// `period-adapt`) run: the pass is monotone in rounds, with quickly
+/// diminishing returns after the second.
+inline constexpr std::size_t kAdaptationRounds = 2;
+
 /// Allocation-level wrapper shared by the adaptive allocators: runs
 /// tighten_core_periods over the security tasks listed in `members`
 /// (descending priority order, all on the same core), reading the committed

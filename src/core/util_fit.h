@@ -11,7 +11,7 @@
 // utilization).
 //
 // This file is also the worked example of docs/allocator-authoring.md: a
-// complete scheme against the core::Allocator contract in ~100 lines.
+// complete scheme against the core::Allocator contract in ~80 lines.
 #pragma once
 
 #include <string>
@@ -27,11 +27,9 @@ class UtilFitAllocator : public Allocator {
 
   /// Security-utilization-driven placement against an externally supplied RT
   /// partition (same contract as HydraAllocator::allocate).
+  using Allocator::allocate;
   Allocation allocate(const Instance& instance,
                       const rt::Partition& rt_partition) const override;
-
-  /// Best-fit-partitions the RT tasks over all M cores first.
-  Allocation allocate(const Instance& instance) const override;
 
   std::string describe() const override;
 };

@@ -25,6 +25,9 @@ ValidationReport validate_allocation(
       allocation.rt_partition.core_of.size() != instance.rt_tasks.size()) {
     return fail("RT partition shape mismatch");
   }
+  for (const std::size_t c : allocation.rt_partition.core_of) {
+    if (c >= instance.num_cores) return fail("RT partition shape mismatch");
+  }
 
   // Premise: the RT partition itself must be schedulable on every core.
   for (std::size_t c = 0; c < instance.num_cores; ++c) {

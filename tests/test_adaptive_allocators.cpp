@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "core/contego.h"
+#include "core/mode_table.h"
 #include "core/period_adapt.h"
 #include "core/period_adaptation.h"
 #include "core/registry.h"
@@ -17,6 +18,7 @@
 #include "exp/metrics.h"
 #include "gen/synthetic.h"
 #include "gen/uav.h"
+#include "rt/priority.h"
 #include "util/rng.h"
 
 namespace core = hydra::core;
@@ -26,11 +28,11 @@ namespace {
 
 const char* kNewSchemes[] = {"contego", "period-adapt", "period-adapt/gp", "util/worst-fit"};
 
-/// Contego with the tightening pass switched off: minimum-mode placement only.
-core::ContegoAllocator contego_without_adaptation() {
-  core::ContegoOptions options;
-  options.adaptation_rounds = 0;
-  return core::ContegoAllocator(options);
+/// Contego with the tightening pass switched off: minimum-mode placement
+/// only.  Tightening never moves a monitor's core, so this is the min-mode
+/// projection of Contego's result.  Requires a feasible Contego result.
+core::Allocation contego_without_adaptation(const core::Instance& instance) {
+  return core::min_mode_allocation(instance, core::ContegoAllocator().allocate(instance));
 }
 
 /// Seeded synthetic instances at one utilization: the deterministic batch the
@@ -72,7 +74,6 @@ TEST(AdaptiveFamilies, ValidationContractConformanceOnCaseStudyAndSynthetic) {
 
   std::vector<std::unique_ptr<core::Allocator>> schemes;
   for (const char* name : kNewSchemes) schemes.push_back(registry.make(name));
-  schemes.push_back(std::make_unique<core::ContegoAllocator>(contego_without_adaptation()));
   for (const auto& scheme : schemes) {
     const std::string name = scheme->name();
     EXPECT_EQ(scheme->schedule_test(), core::ScheduleTest::kLinearBound) << name;
@@ -86,16 +87,22 @@ TEST(AdaptiveFamilies, ValidationContractConformanceOnCaseStudyAndSynthetic) {
       EXPECT_GT(point.cumulative_tightness, 0.0) << name;
     }
   }
+  // Minimum mode alone (Contego's placement before tightening) validates too.
+  for (std::size_t i = 0; i < instances.size(); ++i) {
+    if (!core::ContegoAllocator().allocate(instances[i]).feasible) continue;
+    const auto report =
+        core::validate_allocation(instances[i], contego_without_adaptation(instances[i]));
+    EXPECT_TRUE(report.valid) << "minimum mode, instance " << i << ": " << report.problem;
+  }
 }
 
 TEST(AdaptiveFamilies, ContegoWithoutAdaptationLeavesEveryMonitorInMinimumMode) {
   const auto instance = hydra::gen::uav_case_study(2);
-  const auto point = core::evaluate_scheme(contego_without_adaptation(), instance);
-  ASSERT_TRUE(point.allocation.feasible);
-  ASSERT_TRUE(point.validated) << point.validation_problem;
+  const auto allocation = contego_without_adaptation(instance);
+  const auto report = core::validate_allocation(instance, allocation);
+  ASSERT_TRUE(report.valid) << report.problem;
   for (std::size_t s = 0; s < instance.security_tasks.size(); ++s) {
-    EXPECT_DOUBLE_EQ(point.allocation.placements[s].period,
-                     instance.security_tasks[s].period_max);
+    EXPECT_DOUBLE_EQ(allocation.placements[s].period, instance.security_tasks[s].period_max);
   }
 }
 
@@ -116,25 +123,44 @@ TEST(AdaptiveFamilies, ContegoPeriodsStayBetweenTheTwoModes) {
 TEST(AdaptiveFamilies, ContegoAdaptationIsMonotoneInRounds) {
   // Period-mode monotonicity: adaptation never loosens a period, so the
   // cumulative tightness is non-decreasing from zero rounds through increasing
-  // round counts, on every instance of a seeded batch.
+  // round counts, on every instance of a seeded batch.  The rounds run on
+  // Contego's minimum-mode placement, core by core, and kAdaptationRounds of
+  // them reproduce ContegoAllocator bit for bit.
+  std::size_t compared = 0;
   for (const auto& instance : seeded_batch(15, 1.3, 21)) {
+    const auto contego = core::ContegoAllocator().allocate(instance);
+    if (!contego.feasible) continue;  // placement infeasible: nothing to compare
+    ++compared;
+    const auto min_mode = core::min_mode_allocation(instance, contego);
+    const auto order = hydra::rt::security_priority_order(instance.security_tasks);
     double previous = -1.0;
     for (const std::size_t rounds : {std::size_t{0}, std::size_t{1}, std::size_t{2},
                                      std::size_t{4}}) {
-      core::ContegoOptions options;
-      options.adaptation_rounds = rounds;
-      const auto point =
-          core::evaluate_scheme(core::ContegoAllocator(options), instance);
-      if (!point.allocation.feasible) {
-        previous = -1.0;  // placement infeasible: nothing to compare
-        continue;
+      auto adapted = min_mode;
+      for (std::size_t c = 0; c < instance.num_cores; ++c) {
+        std::vector<std::size_t> members;
+        for (const std::size_t s : order) {
+          if (adapted.placements[s].core == c) members.push_back(s);
+        }
+        core::tighten_core_placements(
+            adapted.rt_partition.tasks_on_core(instance.rt_tasks, c), members,
+            instance.security_tasks, adapted.placements, rounds);
       }
-      ASSERT_TRUE(point.validated) << rounds << " rounds: " << point.validation_problem;
-      EXPECT_GE(point.cumulative_tightness, previous - 1e-9)
-          << "tightness regressed between rounds";
-      previous = point.cumulative_tightness;
+      const auto report = core::validate_allocation(instance, adapted);
+      ASSERT_TRUE(report.valid) << rounds << " rounds: " << report.problem;
+      const double tightness = adapted.cumulative_tightness(instance.security_tasks);
+      EXPECT_GE(tightness, previous - 1e-9) << "tightness regressed between rounds";
+      previous = tightness;
+      if (rounds != core::kAdaptationRounds) continue;
+      for (std::size_t s = 0; s < instance.security_tasks.size(); ++s) {
+        EXPECT_EQ(adapted.placements[s].core, contego.placements[s].core);
+        // Exact ==: positive finite doubles are equal iff their bits are.
+        EXPECT_EQ(adapted.placements[s].period, contego.placements[s].period);
+        EXPECT_EQ(adapted.placements[s].tightness, contego.placements[s].tightness);
+      }
     }
   }
+  EXPECT_GT(compared, 0u);
 }
 
 TEST(AdaptiveFamilies, TightenCorePeriodsNeverLoosensAndStaysFeasible) {
@@ -234,7 +260,9 @@ TEST(AdaptiveFamilies, PeriodModeMetricsPartitionTheTaskSet) {
   const auto instance = hydra::gen::uav_case_study(2);
   const auto metrics = hydra::exp::period_mode_metrics();
   ASSERT_EQ(metrics.size(), 3u);
-  const auto no_adapt = core::evaluate_scheme(contego_without_adaptation(), instance);
+  core::DesignPoint no_adapt;
+  no_adapt.scheme = "contego without adaptation";
+  no_adapt.allocation = contego_without_adaptation(instance);
   const auto& registry = core::AllocatorRegistry::global();
   for (const auto& point : {core::evaluate_scheme(*registry.make("contego"), instance),
                             no_adapt,

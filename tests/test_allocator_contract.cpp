@@ -1,5 +1,9 @@
 // Registry-wide allocator contract checks cheap enough for the fast set.
 //
+// A pinned RT partition must cover every RT task and name only existing
+// cores: every scheme that honours the hint rejects a malformed one, and the
+// independent validator refuses an allocation that carries one.
+//
 // The placement pin hashes what every registered scheme commits on the
 // committed corpus and on a small seeded M = 2 batch: each allocation's
 // `feasible` flag and `failed_task`, and each placement's core and the bits
@@ -14,9 +18,11 @@
 #include <vector>
 
 #include "core/allocator.h"
+#include "core/joint_period.h"
 #include "core/registry.h"
 #include "exp/batch.h"
 #include "gen/synthetic.h"
+#include "gen/uav.h"
 #include "io/taskset_io.h"
 #include "util/rng.h"
 
@@ -96,4 +102,40 @@ TEST(PlacementPin, EveryRegisteredSchemeCommitsThePinnedPlacements) {
   std::snprintf(hex, sizeof hex, "%016llx", static_cast<unsigned long long>(hash.value()));
   EXPECT_EQ(std::string(hex), "76b3377efd0d0c42")
       << "allocator placements moved; re-record only for an intended change";
+}
+
+TEST(MalformedPartition, EverySchemeThatHonoursTheHintRejectsIt) {
+  const auto instance = hydra::gen::uav_case_study(2);
+  const auto partition = hydra::rt::partition_rt_tasks(instance.rt_tasks, 2);
+  ASSERT_TRUE(partition.has_value());
+  auto too_short = *partition;
+  too_short.core_of.pop_back();
+  auto missing_core = *partition;
+  missing_core.core_of.front() = instance.num_cores;
+
+  const auto& registry = core::AllocatorRegistry::global();
+  for (const auto& name : registry.names()) {
+    if (name == "single-core") continue;  // documented: re-partitions, ignores the hint
+    const auto scheme = registry.make(name);
+    EXPECT_THROW(scheme->allocate(instance, too_short), std::invalid_argument) << name;
+    EXPECT_THROW(scheme->allocate(instance, missing_core), std::invalid_argument) << name;
+  }
+
+  const std::vector<std::size_t> core_of(instance.security_tasks.size(), 0);
+  EXPECT_THROW(core::joint_tightness_bound(instance, missing_core, core_of),
+               std::invalid_argument);
+  EXPECT_THROW(core::make_joint_period_gp(instance, missing_core, core_of),
+               std::invalid_argument);
+  EXPECT_THROW(core::optimize_joint_periods(instance, missing_core, core_of),
+               std::invalid_argument);
+}
+
+TEST(MalformedPartition, ValidatorRejectsAnRtTaskOnAMissingCore) {
+  const auto instance = hydra::gen::uav_case_study(2);
+  auto allocation = core::AllocatorRegistry::global().make("hydra")->allocate(instance);
+  ASSERT_TRUE(core::validate_allocation(instance, allocation).valid);
+  allocation.rt_partition.core_of.front() = instance.num_cores;
+  const auto report = core::validate_allocation(instance, allocation);
+  EXPECT_FALSE(report.valid);
+  EXPECT_EQ(report.problem, "RT partition shape mismatch");
 }
