@@ -3,7 +3,7 @@
 // Randfixedsum draws, the closed-form Eq. (7) period adaptation, full
 // HYDRA and SingleCore allocations, the exhaustive optimal search, the
 // discrete-event simulator, the detection bundle of one fig5 row and its
-// metric hooks, and a whole sweep batch.
+// metric hooks, a whole sweep batch, and one point query.
 #include <benchmark/benchmark.h>
 
 #include <array>
@@ -336,5 +336,42 @@ BENCHMARK(BM_SweepBatch)
     ->Arg(8)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
+
+static void BM_PointQuery(benchmark::State& state) {
+  // One query of a point-query client: a one-point exp::Sweep of hydra,
+  // single-core and contego on a seeded M = 4, U = 2.0 draw, from the
+  // Sweep's construction to the return of run(), so per-sweep fixed costs
+  // show next to the three allocations.  The draws are made up front and
+  // cycled; there are more of them than the RT partition memo holds, so no
+  // query starts with its own partitions cached.
+  gen::SyntheticConfig config;
+  config.num_cores = 4;
+  hydra::util::Xoshiro256 rng(11);
+  std::vector<core::Instance> draws;
+  while (draws.size() < 64) {
+    if (auto drawn = gen::generate_filtered_instance(config, 2.0, rng)) {
+      draws.push_back(std::move(drawn->instance));
+    }
+  }
+
+  std::size_t next = 0;
+  std::size_t feasible = 0;
+  for (auto _ : state) {
+    hydra::exp::SweepSpec spec;
+    spec.schemes = {"hydra", "single-core", "contego"};
+    hydra::exp::SweepPoint point;
+    point.instance = draws[next];
+    next = (next + 1) % draws.size();
+    spec.points.push_back(std::move(point));
+    const hydra::exp::Sweep sweep(std::move(spec));
+    feasible += sweep.run().feasible;
+    benchmark::DoNotOptimize(feasible);
+  }
+  state.counters["feasible"] =
+      static_cast<double>(feasible) / static_cast<double>(state.iterations());
+  // One item = one query.
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_PointQuery)->Unit(benchmark::kMicrosecond);
 
 BENCHMARK_MAIN();

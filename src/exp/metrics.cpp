@@ -1,7 +1,6 @@
 #include "exp/metrics.h"
 
 #include <algorithm>
-#include <cstring>
 #include <optional>
 #include <stdexcept>
 #include <utility>
@@ -59,6 +58,8 @@ double count_mode(const core::Instance& instance, const core::DesignPoint& point
 
 namespace {
 
+using util::same_bits;
+
 /// Everything the adaptive metric family reads off one row, computed in one
 /// pass so N hooks cost one simulation bundle, not N.
 struct AdaptiveRowResults {
@@ -82,11 +83,6 @@ double mean_of(const sim::DetectionResult& result, const char* what) {
   }
   return stats::summarize(result.detection_ms).mean;
 }
-
-/// Bit-for-bit double equality, finer than both == and max_digits10 text:
-/// 0.0 and -0.0 (equal under ==) and distinct NaN payloads count as
-/// different inputs, so a memo hit never joins two inputs that differ.
-bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
 
 bool same_input(const rt::RtTask& a, const rt::RtTask& b) {
   return a.name == b.name && same_bits(a.wcet, b.wcet) && same_bits(a.period, b.period) &&

@@ -31,13 +31,35 @@ SmoothFn make_log_fn(const Posynomial& p) {
   };
 }
 
+/// Phase I's state beside the barrier's: the problem, one scratch for the
+/// y-part of z, and one log-space evaluation per constraint, whose kValue
+/// probe a kFull call finishes.
+struct Phase1State {
+  const GpProblem* problem = nullptr;
+  linalg::Vector y;
+  std::vector<LogEval> le;  ///< grow-only: entries past the constraint count idle
+};
+
+/// What a solve needs besides the problem, kept per thread and reused by
+/// every solve the thread runs, the way the barrier workspaces are: those
+/// workspaces, each phase's constraint callbacks and phase I's state.  The
+/// callbacks capture a pointer or a pointer and an index, which std::function
+/// stores without a heap allocation, so refilling them allocates nothing once
+/// the vectors have grown.  Every buffer is overwritten before it is read, so
+/// no result depends on an earlier solve.
+struct SolveWorkspace {
+  BarrierWorkspace phase1;
+  BarrierWorkspace phase2;
+  Phase1State phase1_state;
+  std::vector<SmoothFn> phase1_constraints;
+  std::vector<SmoothFn> phase2_constraints;
+};
+
 /// Log-space constraint of a `p <= 1` posynomial constraint: F(y) = log p(e^y).
-/// Strict feasibility means F(y) < 0.
-std::vector<SmoothFn> make_constraint_fns(const GpProblem& problem) {
-  std::vector<SmoothFn> fns;
-  fns.reserve(problem.constraints().size());
+/// Strict feasibility means F(y) < 0.  Refills `fns` in place.
+void fill_constraint_fns(const GpProblem& problem, std::vector<SmoothFn>& fns) {
+  fns.clear();
   for (const auto& c : problem.constraints()) fns.push_back(make_log_fn(c));
-  return fns;
 }
 
 linalg::Vector to_log_point(const std::vector<double>& x) {
@@ -73,7 +95,7 @@ struct Phase1Outcome {
 };
 
 Phase1Outcome run_phase1(const GpProblem& problem, const linalg::Vector& y_start,
-                         const SolveOptions& options, BarrierWorkspace& workspace) {
+                         const SolveOptions& options, SolveWorkspace& workspace) {
   const std::size_t n = problem.num_variables();
   const std::size_t ext = n + 1;  // extra slack variable s at index n
 
@@ -87,26 +109,25 @@ Phase1Outcome run_phase1(const GpProblem& problem, const linalg::Vector& y_start
     }
   };
 
-  // The constraints share one scratch for the y-part of z; each keeps its
-  // own log-space evaluation, whose kValue probe a kFull call finishes.
-  struct Scratch {
-    linalg::Vector y;
-    std::vector<LogEval> le;
-  } scratch;
-  const auto& constraints = problem.constraints();
-  scratch.le.resize(constraints.size());
-  std::vector<SmoothFn> cons;
-  cons.reserve(constraints.size());
-  for (std::size_t ci = 0; ci < constraints.size(); ++ci) {
-    cons.push_back([&c = constraints[ci], &le = scratch.le[ci], &scratch, n, ext](
-                       const linalg::Vector& z, EvalLevel level, FnEval& out) {
-      scratch.y.assign(n);
-      for (std::size_t i = 0; i < n; ++i) scratch.y[i] = z[i];
+  Phase1State& state = workspace.phase1_state;
+  state.problem = &problem;
+  const std::size_t num_constraints = problem.constraints().size();
+  if (state.le.size() < num_constraints) state.le.resize(num_constraints);
+  std::vector<SmoothFn>& cons = workspace.phase1_constraints;
+  cons.clear();
+  for (std::size_t ci = 0; ci < num_constraints; ++ci) {
+    cons.push_back([st = &state, ci](const linalg::Vector& z, EvalLevel level, FnEval& out) {
+      const Posynomial& c = st->problem->constraints()[ci];
+      LogEval& le = st->le[ci];
+      const std::size_t n = st->problem->num_variables();
+      const std::size_t ext = n + 1;
+      st->y.assign(n);
+      for (std::size_t i = 0; i < n; ++i) st->y[i] = z[i];
       if (level == EvalLevel::kValue) {
-        out.value = c.log_probe(scratch.y, le) - z[n];
+        out.value = c.log_probe(st->y, le) - z[n];
         return;
       }
-      c.log_finish(scratch.y, /*need_hess=*/true, le);
+      c.log_finish(st->y, /*need_hess=*/true, le);
       out.grad.assign(ext);
       for (std::size_t i = 0; i < n; ++i) out.grad[i] = le.grad[i];
       out.grad[n] = -1.0;
@@ -128,7 +149,7 @@ Phase1Outcome run_phase1(const GpProblem& problem, const linalg::Vector& y_start
   bopts.duality_gap_tol = std::fmax(bopts.duality_gap_tol, 1e-10);
 
   Phase1Outcome out;
-  const BarrierResult br = barrier_minimize(obj, cons, z0, bopts, workspace);
+  const BarrierResult br = barrier_minimize(obj, cons, z0, bopts, workspace.phase1);
   out.newton_steps = br.newton_steps;
   if (br.y[n] < -options.phase1_margin) {
     out.feasible = true;
@@ -154,11 +175,9 @@ SolveResult GpSolver::solve(const GpProblem& problem,
     y0 = to_log_point(*initial_guess);
   }
 
-  // One barrier workspace per phase and thread, reused by every solve the
-  // thread runs.  No SmoothFn below starts a solve, so neither is ever in
-  // use twice at once.
-  thread_local BarrierWorkspace phase1_workspace;
-  thread_local BarrierWorkspace phase2_workspace;
+  // One workspace per thread, reused by every solve the thread runs.  No
+  // SmoothFn below starts a solve, so it is never in use twice at once.
+  thread_local SolveWorkspace workspace;
 
   // Establish strict feasibility, via phase I when the hint is not feasible.
   // Wrapped like phase II below: a numerical failure inside the phase-I
@@ -167,7 +186,7 @@ SolveResult GpSolver::solve(const GpProblem& problem,
   int phase1_steps = 0;
   if (!problem.constraints().empty() && max_constraint_log(problem, y0) >= 0.0) {
     try {
-      const Phase1Outcome p1 = run_phase1(problem, y0, options_, phase1_workspace);
+      const Phase1Outcome p1 = run_phase1(problem, y0, options_, workspace);
       phase1_steps = p1.newton_steps;
       if (!p1.feasible) {
         result.status = SolveStatus::kInfeasible;
@@ -188,9 +207,9 @@ SolveResult GpSolver::solve(const GpProblem& problem,
 
   try {
     const SmoothFn obj = make_log_fn(problem.objective());
-    const std::vector<SmoothFn> cons = make_constraint_fns(problem);
-    const BarrierResult br =
-        barrier_minimize(obj, cons, y0, options_.barrier, phase2_workspace);
+    fill_constraint_fns(problem, workspace.phase2_constraints);
+    const BarrierResult br = barrier_minimize(obj, workspace.phase2_constraints, y0,
+                                              options_.barrier, workspace.phase2);
     result.newton_steps = phase1_steps + br.newton_steps;
     switch (br.status) {
       case BarrierStatus::kOptimal:

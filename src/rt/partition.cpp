@@ -1,10 +1,13 @@
 #include "rt/partition.h"
 
 #include <algorithm>
+#include <array>
 #include <numeric>
+#include <utility>
 
 #include "rt/analysis.h"
 #include "util/contracts.h"
+#include "util/units.h"
 
 namespace hydra::rt {
 
@@ -37,11 +40,9 @@ void insert_by_priority(std::vector<RtTask>& resident_by_priority, const RtTask&
   resident_by_priority.insert(it, task);
 }
 
-}  // namespace
-
-std::optional<Partition> partition_rt_tasks(const std::vector<RtTask>& tasks,
+/// Best-fit decreasing itself; partition_rt_tasks below memoizes it.
+std::optional<Partition> best_fit_partition(const std::vector<RtTask>& tasks,
                                             std::size_t num_cores) {
-  HYDRA_REQUIRE(num_cores >= 1, "need at least one core");
   validate(tasks);
 
   std::vector<std::size_t> order(tasks.size());
@@ -77,5 +78,65 @@ std::optional<Partition> partition_rt_tasks(const std::vector<RtTask>& tasks,
   }
   return partition;
 }
+
+/// One memoized answer and its key: the core count and every task's C, T
+/// and D, held by value.  The names are left out: they reach only the
+/// messages of a set that throws, and such a set is never stored.
+struct PartitionMemoEntry {
+  std::size_t num_cores = 0;  ///< 0 = empty (partition_rt_tasks requires >= 1)
+  std::vector<double> times;  ///< C, T, D of each task, in input order
+  std::optional<Partition> answer;
+
+  bool matches(const std::vector<RtTask>& tasks, std::size_t cores) const {
+    if (num_cores != cores || times.size() != 3 * tasks.size()) return false;
+    const double* t = times.data();
+    for (const RtTask& task : tasks) {
+      if (!util::same_bits(t[0], task.wcet) || !util::same_bits(t[1], task.period) ||
+          !util::same_bits(t[2], task.deadline)) {
+        return false;
+      }
+      t += 3;
+    }
+    return true;
+  }
+
+  void store(const std::vector<RtTask>& tasks, std::size_t cores,
+             std::optional<Partition> partition) {
+    num_cores = cores;
+    times.clear();
+    for (const RtTask& task : tasks) {
+      times.insert(times.end(), {task.wcet, task.period, task.deadline});
+    }
+    answer = std::move(partition);
+  }
+};
+
+/// Partitions this thread has computed: the memo's misses.
+thread_local std::size_t partitions_computed_here = 0;
+
+}  // namespace
+
+std::optional<Partition> partition_rt_tasks(const std::vector<RtTask>& tasks,
+                                            std::size_t num_cores) {
+  HYDRA_REQUIRE(num_cores >= 1, "need at least one core");
+
+  // The last two answers of this thread, most recent first.  Two, so that a
+  // unit's M-core partition outlives SingleCore's M−1-core one in between.
+  // Per thread, so workers never contend; the answer is a pure function of
+  // the key, so a hit changes no result.
+  thread_local std::array<PartitionMemoEntry, 2> memo;
+  if (!memo[0].matches(tasks, num_cores)) {
+    if (!memo[1].matches(tasks, num_cores)) {
+      // Computed before anything is stored: a set that throws caches nothing.
+      auto answer = best_fit_partition(tasks, num_cores);
+      ++partitions_computed_here;
+      memo[1].store(tasks, num_cores, std::move(answer));
+    }
+    std::swap(memo[0], memo[1]);
+  }
+  return memo[0].answer;
+}
+
+std::size_t partitions_computed() { return partitions_computed_here; }
 
 }  // namespace hydra::rt

@@ -30,7 +30,18 @@ struct Partition {
 /// order), each onto the most loaded core that stays RM-schedulable by exact
 /// RTA; equal loads go to the lowest core index.  Returns nullopt when some
 /// task fits on no core.
+///
+/// Each thread remembers its last two answers.  The key is held by value and
+/// compared bit for bit: `num_cores` and every task's wcet, period and
+/// deadline, in order.  Names are left out, since they appear only in the
+/// messages of a set that throws, and a call that throws stores nothing.  So
+/// the schemes of one sweep unit share its M-core partition (SingleCore's
+/// M−1-core one sits in the second entry) and a hit changes no result.
 std::optional<Partition> partition_rt_tasks(const std::vector<RtTask>& tasks,
                                             std::size_t num_cores);
+
+/// Partitions the calling thread has computed, i.e. the memo's misses; a
+/// call answered from the memo leaves it unchanged.
+std::size_t partitions_computed();
 
 }  // namespace hydra::rt

@@ -10,6 +10,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 
 #include "util/contracts.h"
@@ -63,5 +64,10 @@ inline bool approx_equal(double a, double b, double abs_tol = 1e-9, double rel_t
   if (diff <= abs_tol) return true;
   return diff <= rel_tol * std::fmax(std::fabs(a), std::fabs(b));
 }
+
+/// Bit-for-bit double equality, finer than both == and max_digits10 text:
+/// 0.0 and -0.0 (equal under ==) and distinct NaN payloads count as
+/// different inputs, so a memo hit never joins two inputs that differ.
+inline bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
 
 }  // namespace hydra::util

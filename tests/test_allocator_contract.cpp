@@ -9,22 +9,29 @@
 // `feasible` flag and `failed_task`, and each placement's core and the bits
 // of its period.  A refactor of the allocators must leave the hash alone; a
 // change that moves GP numerics on purpose re-records it and says why.
+//
+// The RT partition memo: one sweep unit of hydra, single-core and contego
+// computes two partitions (M and M − 1 cores), and every scheme's design
+// point with a warm memo equals the one a memo-cold thread computes.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/allocator.h"
 #include "core/joint_period.h"
 #include "core/registry.h"
 #include "exp/batch.h"
+#include "exp/sweep.h"
 #include "gen/synthetic.h"
 #include "gen/uav.h"
 #include "io/taskset_io.h"
 #include "util/rng.h"
+#include "util/units.h"
 
 namespace core = hydra::core;
 
@@ -74,6 +81,29 @@ std::vector<core::Instance> pin_instances() {
     }
   }
   return out;
+}
+
+/// Every field of two design points equal, doubles bit for bit.
+bool same_design_point(const core::DesignPoint& a, const core::DesignPoint& b) {
+  const auto& x = a.allocation;
+  const auto& y = b.allocation;
+  if (a.scheme != b.scheme || x.feasible != y.feasible || x.failed_task != y.failed_task ||
+      x.failure_reason != y.failure_reason || x.placements.size() != y.placements.size() ||
+      x.rt_partition.num_cores != y.rt_partition.num_cores ||
+      x.rt_partition.core_of != y.rt_partition.core_of ||
+      !hydra::util::same_bits(a.cumulative_tightness, b.cumulative_tightness) ||
+      !hydra::util::same_bits(a.normalized_tightness, b.normalized_tightness) ||
+      a.validated != b.validated || a.validation_problem != b.validation_problem) {
+    return false;
+  }
+  for (std::size_t s = 0; s < x.placements.size(); ++s) {
+    if (x.placements[s].core != y.placements[s].core ||
+        !hydra::util::same_bits(x.placements[s].period, y.placements[s].period) ||
+        !hydra::util::same_bits(x.placements[s].tightness, y.placements[s].tightness)) {
+      return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace
@@ -138,4 +168,55 @@ TEST(MalformedPartition, ValidatorRejectsAnRtTaskOnAMissingCore) {
   const auto report = core::validate_allocation(instance, allocation);
   EXPECT_FALSE(report.valid);
   EXPECT_EQ(report.problem, "RT partition shape mismatch");
+}
+
+TEST(PartitionMemo, OneSweepUnitPartitionsEachCoreCountOnce) {
+  // Four seeded M = 4, U = 2.0 units of hydra, single-core and contego.
+  // hydra partitions on M cores, single-core on M − 1, and contego reuses
+  // hydra's answer: two partitions per unit, not three.
+  hydra::gen::SyntheticConfig config;
+  config.num_cores = 4;
+  hydra::util::Xoshiro256 rng(30);
+  hydra::exp::SweepSpec spec;
+  spec.schemes = {"hydra", "single-core", "contego"};
+  while (spec.points.size() < 4) {
+    if (auto drawn = hydra::gen::generate_filtered_instance(config, 2.0, rng)) {
+      hydra::exp::SweepPoint point;
+      point.instance = std::move(drawn->instance);
+      spec.points.push_back(std::move(point));
+    }
+  }
+  const std::size_t units = spec.points.size();
+  const hydra::exp::Sweep sweep(std::move(spec));
+
+  // jobs = 1 runs the units on the calling thread, whose counter is read.
+  std::size_t computed = 0;
+  std::size_t evaluated = 0;
+  std::thread([&] {
+    evaluated = sweep.run().evaluated;
+    computed = hydra::rt::partitions_computed();
+  }).join();
+  EXPECT_EQ(evaluated, 3 * units);
+  EXPECT_EQ(computed, 2 * units);
+}
+
+TEST(PartitionMemo, WarmMemoDesignPointsEqualMemoColdOnes) {
+  // Warm: every scheme in registry order on one thread, so each scheme after
+  // the first that partitions on the same core count reads the memo.  Cold:
+  // the same evaluation alone on a new thread.
+  const auto& registry = core::AllocatorRegistry::global();
+  std::size_t compared = 0;
+  for (const auto& instance : pin_instances()) {
+    for (const auto& name : registry.names()) {
+      const auto scheme = registry.make(name);
+      if (core::over_search_budget(*scheme, instance, kPinSearchBudget)) continue;
+      const auto warm = core::evaluate_scheme(*scheme, instance);
+      core::DesignPoint cold;
+      std::thread([&] { cold = core::evaluate_scheme(*scheme, instance); }).join();
+      EXPECT_TRUE(same_design_point(warm, cold)) << name << " on a " << instance.num_cores
+                                                  << "-core instance";
+      ++compared;
+    }
+  }
+  EXPECT_GT(compared, 0u);
 }

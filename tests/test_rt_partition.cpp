@@ -1,7 +1,15 @@
 // Tests for best-fit-decreasing RT partitioning: correctness invariants
 // (every core RM-schedulable, all tasks placed), placement and tie-breaking,
-// and failure cases.
+// failure cases, and the per-thread memo in front of it.
 #include <gtest/gtest.h>
+
+#include <cmath>
+#include <optional>
+#include <stdexcept>
+#include <string>
+#include <thread>
+#include <tuple>
+#include <vector>
 
 #include "rt/analysis.h"
 #include "rt/partition.h"
@@ -15,6 +23,34 @@ std::vector<rt::RtTask> uniform_tasks(int n, double util_each, double period) {
   std::vector<rt::RtTask> tasks;
   for (int i = 0; i < n; ++i) {
     tasks.push_back(rt::make_rt_task("t" + std::to_string(i), util_each * period, period));
+  }
+  return tasks;
+}
+
+/// The partition a thread with an empty memo computes.
+std::optional<rt::Partition> cold_partition(const std::vector<rt::RtTask>& tasks,
+                                            std::size_t cores) {
+  std::optional<rt::Partition> out;
+  std::thread([&] { out = rt::partition_rt_tasks(tasks, cores); }).join();
+  return out;
+}
+
+bool same_partition(const std::optional<rt::Partition>& a,
+                    const std::optional<rt::Partition>& b) {
+  if (a.has_value() != b.has_value()) return false;
+  return !a.has_value() || (a->num_cores == b->num_cores && a->core_of == b->core_of);
+}
+
+/// A seeded mixed set: 10 tasks, total utilization about 1.5, some with
+/// constrained deadlines, so every field reaches the admission test.
+std::vector<rt::RtTask> memo_tasks() {
+  hydra::util::Xoshiro256 rng(1711);
+  std::vector<rt::RtTask> tasks;
+  for (int i = 0; i < 10; ++i) {
+    const double period = rng.uniform(10.0, 200.0);
+    const double wcet = rng.uniform(0.05, 0.25) * period;
+    const double deadline = i % 3 == 0 ? rng.uniform(wcet, period) : period;
+    tasks.push_back(rt::RtTask{"t" + std::to_string(i), wcet, period, deadline});
   }
   return tasks;
 }
@@ -150,3 +186,124 @@ TEST_P(PartitionProperty, LowLoadAlwaysPlaceable) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PartitionProperty,
                          ::testing::Values(11, 22, 33, 44, 55, 66, 77, 88));
+
+// ---------------------------------------------------------------------------
+// The per-thread memo: a miss for every change of an input field, a hit for
+// equal inputs, and the answer a memo-cold thread computes either way.
+
+TEST(PartitionMemo, EveryInputFieldIsPartOfTheKey) {
+  const auto base = memo_tasks();
+  const std::size_t cores = 2;
+  // (inputs, core count, what changed); each must miss the memo.
+  std::vector<std::tuple<std::vector<rt::RtTask>, std::size_t, std::string>> cases;
+  for (std::size_t i = 0; i < base.size(); ++i) {
+    // One ulp in the direction that keeps 0 < C <= D <= T.
+    auto wcet = base;
+    wcet[i].wcet = std::nextafter(wcet[i].wcet, 0.0);
+    cases.emplace_back(wcet, cores, "wcet of task " + std::to_string(i));
+    auto period = base;
+    period[i].period = std::nextafter(period[i].period, 1e9);
+    cases.emplace_back(period, cores, "period of task " + std::to_string(i));
+    auto deadline = base;
+    deadline[i].deadline = std::nextafter(deadline[i].deadline, 0.0);
+    cases.emplace_back(deadline, cores, "deadline of task " + std::to_string(i));
+  }
+  auto appended = base;
+  appended.push_back(rt::make_rt_task("extra", 1.0, 50.0));
+  cases.emplace_back(appended, cores, "an appended task");
+  auto removed = base;
+  removed.pop_back();
+  cases.emplace_back(removed, cores, "a removed task");
+  cases.emplace_back(base, cores + 1, "the core count");
+
+  const auto cold_base = cold_partition(base, cores);
+  for (const auto& [tasks, m, what] : cases) {
+    // Prime the memo with the base set, then ask for the changed one.
+    EXPECT_TRUE(same_partition(rt::partition_rt_tasks(base, cores), cold_base));
+    const std::size_t before = rt::partitions_computed();
+    const auto got = rt::partition_rt_tasks(tasks, m);
+    EXPECT_EQ(rt::partitions_computed(), before + 1) << what << " did not miss the memo";
+    EXPECT_TRUE(same_partition(got, cold_partition(tasks, m))) << what;
+  }
+}
+
+TEST(PartitionMemo, EqualInputsHitAndNamesAreNotPartOfTheKey) {
+  const auto tasks = memo_tasks();
+  const auto first = rt::partition_rt_tasks(tasks, 2);
+  const std::size_t before = rt::partitions_computed();
+
+  // An equal copy and a renamed copy both hit.
+  const auto copy = tasks;
+  EXPECT_TRUE(same_partition(rt::partition_rt_tasks(copy, 2), first));
+  auto renamed = tasks;
+  for (auto& t : renamed) t.name += "-renamed";
+  EXPECT_TRUE(same_partition(rt::partition_rt_tasks(renamed, 2), first));
+  EXPECT_EQ(rt::partitions_computed(), before);
+  EXPECT_TRUE(same_partition(first, cold_partition(tasks, 2)));
+}
+
+TEST(PartitionMemo, TwoEntriesKeepTheMCoreAnswerAcrossAnMMinusOneCall) {
+  // hydra (M), single-core (M − 1), contego (M): the third call hits.  On
+  // a thread of its own, so no earlier test's answers are in its memo.
+  const auto tasks = memo_tasks();
+  std::optional<rt::Partition> on_three, on_two, again;
+  std::size_t computed = 0;
+  std::thread([&] {
+    on_three = rt::partition_rt_tasks(tasks, 3);
+    on_two = rt::partition_rt_tasks(tasks, 2);
+    again = rt::partition_rt_tasks(tasks, 3);
+    computed = rt::partitions_computed();
+  }).join();
+  EXPECT_EQ(computed, 2u);
+  EXPECT_TRUE(same_partition(again, on_three));
+  EXPECT_TRUE(same_partition(on_three, cold_partition(tasks, 3)));
+  EXPECT_TRUE(same_partition(on_two, cold_partition(tasks, 2)));
+}
+
+TEST(PartitionMemo, InfeasibleAnswersAreRememberedToo) {
+  const auto tasks = uniform_tasks(3, 0.8, 10.0);
+  EXPECT_FALSE(rt::partition_rt_tasks(tasks, 2).has_value());
+  const std::size_t before = rt::partitions_computed();
+  EXPECT_FALSE(rt::partition_rt_tasks(tasks, 2).has_value());
+  EXPECT_EQ(rt::partitions_computed(), before);
+}
+
+TEST(PartitionMemo, AnInvalidSetStillThrowsItsNamedMessageAfterAValidOne) {
+  const auto valid = memo_tasks();
+  ASSERT_TRUE(rt::partition_rt_tasks(valid, 2).has_value());
+
+  // Numerically different from the cached set: task 4's WCET exceeds its
+  // deadline.
+  auto invalid = valid;
+  invalid[4].wcet = invalid[4].deadline * 2.0;
+  for (int round = 0; round < 2; ++round) {  // the throw stored nothing
+    const std::size_t before = rt::partitions_computed();
+    try {
+      (void)rt::partition_rt_tasks(invalid, 2);
+      ADD_FAILURE() << "an invalid set was partitioned";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("RT task 't4'"), std::string::npos) << e.what();
+    }
+    EXPECT_EQ(rt::partitions_computed(), before);
+  }
+  // M = 0 throws before the memo is read, also for a cached set.
+  EXPECT_THROW(rt::partition_rt_tasks(valid, 0), std::invalid_argument);
+  const std::size_t before = rt::partitions_computed();
+  EXPECT_TRUE(rt::partition_rt_tasks(valid, 2).has_value());
+  EXPECT_EQ(rt::partitions_computed(), before) << "the valid set left the memo";
+}
+
+TEST(PartitionMemo, EachThreadCountsItsOwnMisses) {
+  const auto tasks = memo_tasks();
+  (void)rt::partition_rt_tasks(tasks, 2);
+  const std::size_t here = rt::partitions_computed();
+  std::size_t fresh_before = 1, fresh_after = 0;
+  std::thread([&] {
+    fresh_before = rt::partitions_computed();
+    (void)rt::partition_rt_tasks(tasks, 2);
+    fresh_after = rt::partitions_computed();
+  }).join();
+  EXPECT_EQ(fresh_before, 0u);
+  EXPECT_EQ(fresh_after, 1u) << "a new thread starts with an empty memo";
+  EXPECT_EQ(rt::partitions_computed(), here);
+}
