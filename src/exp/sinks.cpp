@@ -367,7 +367,8 @@ std::unique_ptr<ResultSink> make_file_sink(const std::string& path,
   if (ends_with(path, ".csv")) {
     if (!header_line.empty()) {
       throw std::invalid_argument(
-          "shard headers are a JSONL concept; cannot prepend one to " + path);
+          "a checkpoint header is a JSONL concept (CSV is no checkpoint); cannot "
+          "prepend one to " + path);
     }
     return std::make_unique<FileSink>(path, /*jsonl=*/false, header_line);
   }

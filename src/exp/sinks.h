@@ -124,9 +124,10 @@ void check_written(std::ostream& os, const std::string& path);
 /// flushed as it is written, so a shard checkpoint resumed after a SIGKILL
 /// holds every finished row.
 ///
-/// A non-empty `header_line` (e.g. a formatted exp::SweepShardHeader) is
-/// written verbatim as the file's first line before any row — JSONL only;
-/// CSV has its own header row, so combining the two throws.
+/// A non-empty `header_line` (a formatted exp::SweepShardHeader, which makes
+/// the file a sweep checkpoint) is written verbatim as the file's first line
+/// before any row — JSONL only; CSV has its own header row, so combining the
+/// two throws.
 std::unique_ptr<ResultSink> make_file_sink(const std::string& path,
                                            const std::string& header_line = "");
 

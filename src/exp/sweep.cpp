@@ -9,7 +9,7 @@
 #include <fstream>
 #include <memory>
 #include <mutex>
-#include <set>
+#include <sstream>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -118,14 +118,13 @@ std::string sweep_fingerprint(const SweepSpec& spec) {
   // Canonical serialization of the row-byte-determining spec fields.  Fields
   // are length-delimited by '\x1f' separators (never produced by
   // format_double or registry names) so adjacent values cannot alias.
-  std::string canon = "hydra-sweep-v1";
+  std::string canon = kRowSemanticsVersion;
   const auto put = [&canon](const std::string& field) {
     canon += '\x1f';
     canon += field;
   };
   for (const auto& scheme : spec.schemes) put("s=" + scheme);
   put("seed=" + std::to_string(spec.base_seed));
-  put("reps=" + std::to_string(spec.replications));
   put("attempts=" + std::to_string(spec.max_attempts));
   put("budget=" + std::to_string(spec.optimal_budget));
   // The resolved backend name, so "" and an explicit "scp/barrier" agree —
@@ -183,10 +182,6 @@ std::string sweep_fingerprint(const SweepSpec& spec) {
     const auto& synth = point.synthetic;
     put("u=" + format_double(point.total_utilization));
     put("m=" + std::to_string(synth.num_cores));
-    // Randfixedsum is the only generator now; the literal keeps fingerprints
-    // of existing shard headers and checkpoints (which hashed generator 0)
-    // unchanged, so they stay mergeable and resumable.
-    put("gen=0");
     put("rt=" + std::to_string(synth.min_rt_per_core) + ".." +
         std::to_string(synth.max_rt_per_core));
     put("sec=" + std::to_string(synth.min_sec_per_core) + ".." +
@@ -207,7 +202,8 @@ std::string format_shard_header(const SweepShardHeader& header) {
                     json_escape(header.fingerprint) +
                     "\",\"shard\":" + std::to_string(header.shard) +
                     ",\"shards\":" + std::to_string(header.shards) +
-                    ",\"cells\":" + std::to_string(header.cells) + ",\"schemes\":[";
+                    ",\"grid_cells\":" + std::to_string(header.grid_cells) +
+                    ",\"schemes\":[";
   bool first = true;
   for (const auto& scheme : header.schemes) {
     if (!first) out += ',';
@@ -220,9 +216,7 @@ std::string format_shard_header(const SweepShardHeader& header) {
 
 namespace {
 
-/// Mini-cursor for the strict shard-header grammar (exactly what
-/// format_shard_header emits — we are the only producer, so any deviation
-/// means "not a header").
+/// Mini-cursor for the shard-header grammar.
 struct HeaderCursor {
   const std::string& text;
   std::size_t pos = 0;
@@ -270,7 +264,7 @@ std::optional<SweepShardHeader> parse_shard_header(const std::string& line) {
   if (!cur.quoted(header.fingerprint)) return std::nullopt;
   if (!cur.literal(",\"shard\":") || !cur.uint(header.shard)) return std::nullopt;
   if (!cur.literal(",\"shards\":") || !cur.uint(header.shards)) return std::nullopt;
-  if (!cur.literal(",\"cells\":") || !cur.uint(header.cells)) return std::nullopt;
+  if (!cur.literal(",\"grid_cells\":") || !cur.uint(header.grid_cells)) return std::nullopt;
   if (!cur.literal(",\"schemes\":[")) return std::nullopt;
   if (!cur.literal("]")) {
     do {
@@ -282,18 +276,13 @@ std::optional<SweepShardHeader> parse_shard_header(const std::string& line) {
   }
   if (!cur.literal("}}") || cur.pos != line.size()) return std::nullopt;
   if (header.shards == 0 || header.shard >= header.shards) return std::nullopt;
+  // We are the only producer: a line that parses but would be written
+  // differently (a leading zero, an unescaped control byte) is not ours.
+  if (format_shard_header(header) != line) return std::nullopt;
   return header;
 }
 
-std::optional<SweepShardHeader> read_shard_header(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
-  std::string line;
-  if (!std::getline(in, line)) return std::nullopt;
-  return parse_shard_header(line);
-}
-
-std::optional<std::vector<std::string>> read_checkpoint_lines(const std::string& path) {
+std::optional<SweepCheckpoint> read_sweep_checkpoint(const std::string& path) {
   std::error_code ignored;
   if (std::filesystem::status(path, ignored).type() == std::filesystem::file_type::not_found) {
     return std::nullopt;
@@ -301,37 +290,50 @@ std::optional<std::vector<std::string>> read_checkpoint_lines(const std::string&
   std::ifstream in(path, std::ios::binary);
   std::vector<std::string> lines;
   std::string line;
-  while (std::getline(in, line)) lines.push_back(line);
+  while (std::getline(in, line)) lines.push_back(std::move(line));
   // A directory opens fine and then fails its first read.
   if (!in.is_open() || in.bad()) throw std::runtime_error("cannot read checkpoint: " + path);
-  return lines;
-}
+  if (lines.empty()) return std::nullopt;
 
-std::map<std::string, std::vector<BatchRow>> load_sweep_checkpoint(
-    const std::string& path) {
-  std::map<std::string, std::vector<BatchRow>> cells;
-  const auto lines = read_checkpoint_lines(path);
-  if (!lines.has_value()) return cells;  // cold start
-  for (std::size_t n = 1; n <= lines->size(); ++n) {
-    const std::string& line = (*lines)[n - 1];
-    // The Sweep constructor checks the shard header against the spec.
-    if (n == 1 && parse_shard_header(line).has_value()) continue;
-    auto row = parse_jsonl_row(line);
-    const std::string where = path + ":" + std::to_string(n);
+  SweepCheckpoint checkpoint;
+  const auto header = parse_shard_header(lines[0]);
+  if (!header.has_value()) {
+    throw std::runtime_error(path + ":1: no sweep checkpoint header; every sweep JSONL "
+                             "opens with one, and a file without it cannot be "
+                             "resumed or merged");
+  }
+  checkpoint.header = *header;
+  std::ostringstream canonical;
+  for (std::size_t n = 1; n < lines.size(); ++n) {
+    const std::string where = path + ":" + std::to_string(n + 1);
+    auto row = parse_jsonl_row(lines[n]);
     if (!row.has_value()) {
+      if (parse_shard_header(lines[n]).has_value()) {
+        throw std::runtime_error(where + ": a second checkpoint header — files must "
+                                 "be merged, not concatenated");
+      }
       // A torn or blank final line is the write in flight when the run was
       // killed: its cell stays incomplete and is re-evaluated, not trusted.
-      if (n == lines->size()) break;
+      if (n + 1 == lines.size()) {
+        checkpoint.torn_tail = true;
+        break;
+      }
       throw std::runtime_error(where + ": corrupt checkpoint line (only a torn FINAL "
                                "line is tolerated)");
     }
     if (row->cell.empty()) {
       throw std::runtime_error(where + ": row carries no sweep cell key; only sweep "
-                               "checkpoints can be resumed");
+                               "checkpoints can be resumed or merged");
     }
-    cells[row->cell].push_back(std::move(*row));
+    canonical.str("");
+    JsonlSink(canonical).row(*row);
+    if (canonical.str() != lines[n] + '\n') {
+      throw std::runtime_error(where + ": row does not re-serialize to its own bytes, "
+                               "so a sweep did not write it");
+    }
+    checkpoint.rows.push_back(CheckpointRow{std::move(*row), std::move(lines[n])});
   }
-  return cells;
+  return checkpoint;
 }
 
 namespace {
@@ -343,14 +345,57 @@ using SchemeSet = std::vector<std::unique_ptr<core::Allocator>>;
 struct SweepUnit {
   std::size_t point = 0;
   BatchItem item;
-  const BatchSpec* point_spec = nullptr;       // synthetic/file source
-  const core::Instance* preloaded = nullptr;   // preset-instance source
+  const core::Instance* preloaded = nullptr;  // preset-instance source
   std::string cell;
   double target_utilization = 0.0;
 };
 
-/// Stamps the sweep context onto freshly evaluated (or re-validated cached)
-/// rows, so every emission path produces identical bytes.
+/// A spec's flattened grid: one BatchSpec per point (the synthetic or file
+/// source) and one unit per (point, instance) in emission order, across
+/// every shard.
+struct Grid {
+  std::vector<BatchSpec> point_specs;
+  std::vector<SweepUnit> units;
+};
+
+Grid expand_grid(const SweepSpec& spec) {
+  Grid grid;
+  grid.point_specs.resize(spec.points.size());
+  for (std::size_t p = 0; p < spec.points.size(); ++p) {
+    const auto& point = spec.points[p];
+    auto& point_spec = grid.point_specs[p];
+    point_spec.synthetic = point.synthetic;
+    point_spec.total_utilization = point.total_utilization;
+    point_spec.base_seed = sweep_point_seed(spec.base_seed, p);
+    point_spec.max_attempts = spec.max_attempts;
+    if (point.instance.has_value()) {
+      SweepUnit unit;
+      unit.point = p;
+      unit.item.index = 0;
+      unit.item.label = "instance";
+      unit.preloaded = &*point.instance;
+      unit.cell = sweep_cell_key(p, point.label, 0);
+      grid.units.push_back(std::move(unit));
+      continue;
+    }
+    if (!point.files.empty()) {
+      point_spec.files = point.files;
+    } else {
+      point_spec.count = spec.replications;
+    }
+    for (auto& item : enumerate(point_spec)) {
+      SweepUnit unit;
+      unit.point = p;
+      unit.cell = sweep_cell_key(p, point.label, item.index);
+      unit.target_utilization = point.files.empty() ? point.total_utilization : 0.0;
+      unit.item = std::move(item);
+      grid.units.push_back(std::move(unit));
+    }
+  }
+  return grid;
+}
+
+/// Stamps the sweep context onto freshly evaluated rows.
 void stamp_rows(std::vector<BatchRow>& rows, const SweepUnit& unit,
                 const std::string& point_label) {
   for (auto& row : rows) {
@@ -364,17 +409,19 @@ void stamp_rows(std::vector<BatchRow>& rows, const SweepUnit& unit,
   }
 }
 
-/// A checkpointed cell is only spliced in when it provably matches what the
-/// current spec would compute: same scheme list in order, same per-instance
-/// seed and label, and the full metric set on every validated row.  Anything
-/// else (edited spec, different seed, added metric) silently falls back to
-/// re-evaluation — resume must never resurrect stale results.
+/// Whether a checkpointed cell holds what this spec would emit for `unit`:
+/// one row per scheme in spec order, each already carrying the stamp_rows
+/// context, and the full metric set on every validated row.
 bool cached_cell_matches(const std::vector<BatchRow>& rows, const SweepUnit& unit,
                          const SweepSpec& spec) {
   if (rows.size() != spec.schemes.size()) return false;
   for (std::size_t j = 0; j < rows.size(); ++j) {
     const auto& row = rows[j];
     if (row.scheme != spec.schemes[j]) return false;
+    if (row.point_index != unit.point || row.point_label != spec.points[unit.point].label ||
+        row.target_utilization != unit.target_utilization) {
+      return false;
+    }
     if (row.seed != unit.item.seed || row.instance_label != unit.item.label) return false;
     if (row.instance_index != unit.item.index) return false;
     if (row.status == "ok" && row.feasible && row.validated) {
@@ -435,113 +482,59 @@ Sweep::Sweep(SweepSpec spec) : spec_(std::move(spec)) {
   }
   // Read the checkpoint now so callers can reuse the same path for the
   // (truncating) output sink they open between construction and run().
-  if (!spec_.resume_path.empty()) {
-    // A shard header in the checkpoint must describe THIS run: same spec
-    // fingerprint and the same shard position.  (A merged or unsharded
-    // checkpoint carries no header and is welcome for any shard — the cell
-    // splice below simply uses the subset this shard owns.)
-    if (const auto header = read_shard_header(spec_.resume_path)) {
-      const std::string fingerprint = sweep_fingerprint(spec_);
-      if (header->fingerprint != fingerprint) {
-        throw std::runtime_error(
-            "resume checkpoint " + spec_.resume_path +
-            " was written by a different sweep spec (fingerprint " +
-            header->fingerprint + ", this spec is " + fingerprint + ")");
-      }
-      if (header->shard != spec_.shard_index || header->shards != spec_.shard_count) {
-        throw std::runtime_error(
-            "resume checkpoint " + spec_.resume_path + " belongs to shard " +
-            std::to_string(header->shard) + "/" + std::to_string(header->shards) +
-            ", but this run is shard " + std::to_string(spec_.shard_index) + "/" +
-            std::to_string(spec_.shard_count));
-      }
-    }
-    checkpoint_ = load_sweep_checkpoint(spec_.resume_path);
-    // A checkpoint whose cells do not even belong to this spec's grid is a
-    // misconfiguration (wrong file, edited grid): fail loudly instead of
-    // silently recomputing everything.
-    if (!checkpoint_.empty()) {
-      const auto keys = all_cell_keys();
-      const std::set<std::string> valid(keys.begin(), keys.end());
-      for (const auto& [cell, rows] : checkpoint_) {
-        (void)rows;
-        if (valid.count(cell) == 0) {
-          throw std::runtime_error(
-              "resume checkpoint " + spec_.resume_path + " contains cell '" +
-              cell + "', which is outside this sweep's grid — refusing to "
-              "resume from a checkpoint of a different spec");
-        }
-      }
-    }
+  if (spec_.resume_path.empty()) return;
+  const std::string& path = spec_.resume_path;
+  auto checkpoint = read_sweep_checkpoint(path);
+  if (!checkpoint.has_value()) return;  // cold start
+  const auto& header = checkpoint->header;
+  const std::string fingerprint = sweep_fingerprint(spec_);
+  if (header.fingerprint != fingerprint) {
+    throw std::runtime_error("resume checkpoint " + path +
+                             " was written by a different sweep spec (fingerprint " +
+                             header.fingerprint + ", this spec is " + fingerprint + ")");
   }
-}
-
-std::vector<std::string> Sweep::all_cell_keys() const {
-  // Mirrors run()'s unit expansion: one unit per preset instance, per corpus
-  // file, or per synthetic replication, indexed exactly like enumerate().
-  std::vector<std::string> keys;
-  for (std::size_t p = 0; p < spec_.points.size(); ++p) {
-    const auto& point = spec_.points[p];
-    const std::size_t count = point.instance.has_value() ? 1
-                              : !point.files.empty()     ? point.files.size()
-                                                         : spec_.replications;
-    for (std::size_t i = 0; i < count; ++i) {
-      keys.push_back(sweep_cell_key(p, point.label, i));
-    }
+  // A whole run or a merge (shard 0 of 1) seeds any shard, which splices
+  // the cells it owns; a shard's own file seeds only that shard.
+  if (header.shards != 1 &&
+      (header.shard != spec_.shard_index || header.shards != spec_.shard_count)) {
+    throw std::runtime_error(
+        "resume checkpoint " + path + " belongs to shard " + std::to_string(header.shard) +
+        "/" + std::to_string(header.shards) + ", but this run is shard " +
+        std::to_string(spec_.shard_index) + "/" + std::to_string(spec_.shard_count));
   }
-  return keys;
+  std::map<std::string, std::vector<BatchRow>> cells;
+  for (auto& entry : checkpoint->rows) {
+    cells[entry.row.cell].push_back(std::move(entry.row));
+  }
+  const auto grid = expand_grid(spec_);
+  std::map<std::string, const SweepUnit*> units;
+  for (const auto& unit : grid.units) units.emplace(unit.cell, &unit);
+  for (auto& [cell, rows] : cells) {
+    const auto unit = units.find(cell);
+    if (unit == units.end()) {
+      throw std::runtime_error("resume checkpoint " + path + " contains cell '" + cell +
+                               "', which is outside this sweep's grid");
+    }
+    // Fewer rows than schemes: the cell was torn by a kill; re-evaluate it.
+    if (rows.size() < spec_.schemes.size()) continue;
+    if (!cached_cell_matches(rows, *unit->second, spec_)) {
+      throw std::runtime_error("resume checkpoint " + path + " is corrupt: cell '" + cell +
+                               "' disagrees with the spec its fingerprint names");
+    }
+    checkpoint_.emplace(cell, std::move(rows));
+  }
 }
 
 SweepShardHeader Sweep::shard_header() const {
-  SweepShardHeader header;
-  header.fingerprint = sweep_fingerprint(spec_);
-  header.shard = spec_.shard_index;
-  header.shards = spec_.shard_count;
-  header.schemes = spec_.schemes;
-  for (const auto& key : all_cell_keys()) {
-    if (sweep_shard_of(key, spec_.shard_count) == spec_.shard_index) ++header.cells;
-  }
-  return header;
+  return SweepShardHeader{sweep_fingerprint(spec_), spec_.shard_index, spec_.shard_count,
+                          expand_grid(spec_).units.size(), spec_.schemes};
 }
 
 SweepSummary Sweep::run(const std::vector<ResultSink*>& sinks) const {
   const auto started = std::chrono::steady_clock::now();
 
-  // Expand the grid into per-point BatchSpecs and the flat unit list.
-  std::vector<BatchSpec> point_specs(spec_.points.size());
-  std::vector<SweepUnit> units;
-  for (std::size_t p = 0; p < spec_.points.size(); ++p) {
-    const auto& point = spec_.points[p];
-    auto& point_spec = point_specs[p];
-    point_spec.synthetic = point.synthetic;
-    point_spec.total_utilization = point.total_utilization;
-    point_spec.base_seed = sweep_point_seed(spec_.base_seed, p);
-    point_spec.max_attempts = spec_.max_attempts;
-    if (point.instance.has_value()) {
-      SweepUnit unit;
-      unit.point = p;
-      unit.item.index = 0;
-      unit.item.label = "instance";
-      unit.preloaded = &*point.instance;
-      unit.cell = sweep_cell_key(p, point.label, 0);
-      units.push_back(std::move(unit));
-      continue;
-    }
-    if (!point.files.empty()) {
-      point_spec.files = point.files;
-    } else {
-      point_spec.count = spec_.replications;
-    }
-    for (auto& item : enumerate(point_spec)) {
-      SweepUnit unit;
-      unit.point = p;
-      unit.cell = sweep_cell_key(p, point.label, item.index);
-      unit.target_utilization = point.files.empty() ? point.total_utilization : 0.0;
-      unit.item = std::move(item);
-      unit.point_spec = &point_specs[p];
-      units.push_back(std::move(unit));
-    }
-  }
+  auto grid = expand_grid(spec_);
+  auto& units = grid.units;
 
   // Sharded run: keep only the units the cell-key partition assigns to this
   // shard.  Dropping units here — after keys are fixed, before any queue or
@@ -569,9 +562,7 @@ SweepSummary Sweep::run(const std::vector<ResultSink*>& sinks) const {
   for (std::size_t i = 0; i < units.size() && !checkpoint_.empty(); ++i) {
     const auto found = checkpoint_.find(units[i].cell);
     if (found == checkpoint_.end()) continue;
-    if (!cached_cell_matches(found->second, units[i], spec_)) continue;
     results[i] = found->second;
-    stamp_rows(results[i], units[i], spec_.points[units[i].point].label);
     done[i] = 1;
     ++summary.resumed_cells;
   }
@@ -598,13 +589,13 @@ SweepSummary Sweep::run(const std::vector<ResultSink*>& sinks) const {
     }
   };
 
-  const auto evaluate_unit = [this](const SweepUnit& unit, const SchemeSet& schemes) {
+  const auto evaluate_unit = [this, &grid](const SweepUnit& unit, const SchemeSet& schemes) {
     static const BatchSpec kEmptySpec;
     // Pin every GP solve of this unit to the spec's backend ("" pins the
     // registry default).  Installed unconditionally so a stray outer scope
     // on a worker thread can never leak into row bytes.
     const gp::GpBackendScope backend_scope(spec_.gp_backend);
-    auto rows = evaluate_batch_item(unit.point_spec ? *unit.point_spec : kEmptySpec,
+    auto rows = evaluate_batch_item(unit.preloaded ? kEmptySpec : grid.point_specs[unit.point],
                                     unit.item, unit.preloaded, schemes,
                                     spec_.optimal_budget, spec_.metrics);
     stamp_rows(rows, unit, spec_.points[unit.point].label);

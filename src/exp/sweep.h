@@ -16,10 +16,9 @@
 //     scheme order, via a reorder buffer.
 //   * Resumability — every row is stamped with a deterministic cell key
 //     ("p<point>:<label>:i<instance>").  `resume_path` points at the JSONL of
-//     a previous (possibly killed mid-run) invocation; cells whose full
-//     scheme row-set is present and matches the spec are spliced in verbatim
-//     instead of re-evaluated, and the final output is byte-identical to an
-//     uninterrupted run.
+//     a previous (possibly killed mid-run) invocation of the same spec; its
+//     complete cells are spliced in verbatim instead of re-evaluated, and
+//     the final output is byte-identical to an uninterrupted run.
 //   * Shardability — `shard_index`/`shard_count` restrict a run to the cells
 //     `sweep_shard_of` assigns to that shard.  The partition is a pure
 //     function of the cell key, so shards are disjoint, exhaustive, and
@@ -61,8 +60,9 @@ struct SweepSpec {
   /// Per-scheme search-space skip budget (core::over_search_budget).
   std::size_t optimal_budget = core::kDefaultOptimalBudget;
   std::vector<RowMetric> metrics;     ///< extra per-row metric hooks
-  /// JSONL checkpoint of a previous invocation; completed cells are spliced
-  /// in instead of re-evaluated.  "" (or a missing file) means a cold start.
+  /// JSONL checkpoint of a previous invocation of this spec; completed cells
+  /// are spliced in instead of re-evaluated.  "" (or a missing or empty
+  /// file) means a cold start.
   std::string resume_path;
   /// Multi-process sharding: this run evaluates only the cells
   /// `sweep_shard_of` maps to `shard_index` out of `shard_count`.  The
@@ -98,10 +98,7 @@ std::vector<double> utilization_axis(std::size_t num_cores, std::size_t steps = 
 /// instance_seed, so point p's instance k never collides with point q's.
 std::uint64_t sweep_point_seed(std::uint64_t base_seed, std::size_t point_index);
 
-/// The cell key stamped on every row: "p<point>:<label>:i<instance>".  The
-/// resume loader only splices a checkpointed cell whose key, seed, labels and
-/// scheme set all match the current spec, so editing the spec invalidates
-/// exactly the cells it changes.
+/// The cell key stamped on every row: "p<point>:<label>:i<instance>".
 std::string sweep_cell_key(std::size_t point_index, const std::string& point_label,
                            std::size_t instance_index);
 
@@ -122,58 +119,70 @@ struct ShardRef {
 /// including i >= N.
 ShardRef parse_shard_spec(const std::string& text);
 
-/// Stable fingerprint of everything that determines a sweep's row bytes:
-/// schemes (in order), every point's label and source (preset instances
-/// down to their task parameters, workload files down to their content),
-/// replications, base_seed, max_attempts, optimal_budget, the metric
+/// What a row's bytes mean.  It opens every sweep_fingerprint, so bumping it
+/// makes every checkpoint of the old rows refuse to resume or merge.  Bump it
+/// in any change that moves row bytes; test_sweep_golden pins it next to the
+/// digest of tests/corpus/golden_cells.jsonl to catch a re-record without one.
+inline constexpr const char* kRowSemanticsVersion = "hydra-sweep-v1";
+
+/// Stable fingerprint of everything that determines a cell's row bytes:
+/// kRowSemanticsVersion, schemes (in order), every point's label and source
+/// (preset instances down to their task parameters, workload files down to
+/// their content), base_seed, max_attempts, optimal_budget, the metric
 /// names + identities (RowMetric::identity), and the resolved GP backend.
-/// Sharding and job/resume plumbing are deliberately excluded — all shards
-/// of one logical sweep share the fingerprint, which is how the merge tool
-/// refuses to union checkpoints from different specs.  Expects
-/// defaulted point labels (i.e. a `Sweep::spec()`, not a raw user spec).
+/// Execution plumbing (jobs, resume, shard position) is excluded, and so is
+/// the replication count: seeds are positional, so a cell's rows do not
+/// depend on how many replications follow it.  All shards of one logical
+/// sweep share the fingerprint, which is how resume and merge refuse rows of
+/// a different spec.  Expects defaulted point labels (i.e. a `Sweep::spec()`,
+/// not a raw user spec).
 std::string sweep_fingerprint(const SweepSpec& spec);
 
-/// The self-description line a sharded run prepends to its JSONL checkpoint:
+/// The first line of every sweep JSONL file (the checkpoint format):
 ///
 ///   {"hydra_sweep_shard":{"fingerprint":"...","shard":0,"shards":3,
-///    "cells":117,"schemes":["hydra","single-core"]}}
+///    "grid_cells":351,"schemes":["hydra","single-core"]}}
 ///
-/// `cells` is the number of (point, instance) units assigned to the shard,
-/// so the merge tool can prove a shard set is complete.  parse_jsonl_row
-/// rejects the line (unknown key), which is what lets the resume loader skip
-/// it transparently.
+/// An unsharded run and a merge are shard 0 of 1.  `grid_cells` counts the
+/// (point, instance) units of the whole grid, the same in every shard, so a
+/// merge can prove it is complete.  parse_jsonl_row rejects the line
+/// (unknown key), so it can never be taken for a row.
 struct SweepShardHeader {
   std::string fingerprint;
   std::size_t shard = 0;
   std::size_t shards = 1;
-  std::size_t cells = 0;
+  std::size_t grid_cells = 0;
   std::vector<std::string> schemes;
 };
 
 std::string format_shard_header(const SweepShardHeader& header);
 
-/// Strict inverse of format_shard_header (we are the only producer); returns
-/// nullopt for anything else, including ordinary row lines.
+/// Strict inverse of format_shard_header: nullopt for any line that
+/// format_shard_header would not write byte for byte, ordinary rows included.
 std::optional<SweepShardHeader> parse_shard_header(const std::string& line);
 
-/// Reads the first line of `path` and parses it as a shard header; nullopt
-/// when the file is missing, empty, or starts with a plain row.
-std::optional<SweepShardHeader> read_shard_header(const std::string& path);
+/// One row of a checkpoint file and the exact line it was read from.
+struct CheckpointRow {
+  BatchRow row;
+  std::string line;
+};
 
-/// Reads a checkpoint file's lines.  nullopt only when nothing exists at
-/// `path`; anything else that cannot be read (a directory, a read error)
-/// throws std::runtime_error naming the path.
-std::optional<std::vector<std::string>> read_checkpoint_lines(const std::string& path);
+/// A sweep checkpoint file as read back.
+struct SweepCheckpoint {
+  SweepShardHeader header;
+  std::vector<CheckpointRow> rows;  ///< file order
+  bool torn_tail = false;           ///< an unparseable final line was dropped
+};
 
-/// Parses a JSONL checkpoint into rows grouped by cell key, tolerating a
-/// shard header on line 1 and a torn or blank final line (the row that was
-/// mid-write when the run died).  Any other unparseable line, and a row
-/// without a cell key, throws std::runtime_error naming `path:line`.  A
-/// missing file yields an empty map — "resume from nothing" is a cold start,
-/// so the same command line works for the first and the Nth attempt — but a
-/// path that exists and cannot be read throws (read_checkpoint_lines).
-std::map<std::string, std::vector<BatchRow>> load_sweep_checkpoint(
-    const std::string& path);
+/// The one reader of sweep checkpoints, for --resume and hydra_merge alike.
+/// nullopt when nothing exists at `path` or the file is empty.  Otherwise
+/// line 1 must be a header and every later line a row that carries a cell
+/// key and re-serializes to exactly its own bytes.  Only the final line may
+/// fail to parse: it is the write in flight when a run died, and it is
+/// dropped.  Anything else (an unreadable path, a missing header, a second
+/// header, a corrupt or non-canonical row) throws std::runtime_error naming
+/// the file.
+std::optional<SweepCheckpoint> read_sweep_checkpoint(const std::string& path);
 
 struct SweepSummary {
   std::size_t points = 0;         ///< grid points in the spec
@@ -197,11 +206,13 @@ class Sweep {
   /// The resume checkpoint (if any) is read HERE, not in run() — so callers
   /// may pass the same path as checkpoint and output file: construct the
   /// Sweep first, then open the (truncating) output sink, then run.  A
-  /// checkpoint that provably belongs to a different run — a cell key outside
-  /// the spec's grid, or a shard header whose fingerprint or shard position
-  /// does not match — throws std::runtime_error instead of silently
-  /// recomputing: resuming the wrong file is a misconfiguration, not a cold
-  /// start.
+  /// missing or empty checkpoint is a cold start.  Any other file must be a
+  /// checkpoint of this spec: a header with this fingerprint, written by
+  /// this shard or by a whole run or merge (shard 0 of 1).  A cell with fewer
+  /// rows than schemes was torn by a kill and is re-evaluated; every other
+  /// cell is spliced verbatim.  A checkpoint of another spec, a cell outside
+  /// the grid, or a cell whose rows disagree with the spec throws
+  /// std::runtime_error naming the file.
   explicit Sweep(SweepSpec spec);
 
   /// Runs the whole grid, streaming rows to every sink in stable order.
@@ -214,16 +225,13 @@ class Sweep {
   /// sweep_fingerprint of the defaulted spec.
   std::string fingerprint() const { return sweep_fingerprint(spec_); }
 
-  /// The header describing this run's shard (cells = units this shard owns).
-  /// Callers writing a sharded checkpoint prepend format_shard_header of this
-  /// to the JSONL output (make_file_sink's header argument).
+  /// The header that opens this run's JSONL checkpoint (make_file_sink's
+  /// header argument).
   SweepShardHeader shard_header() const;
 
  private:
-  /// Every cell key of the FULL grid, in emission order (all shards).
-  std::vector<std::string> all_cell_keys() const;
-
   SweepSpec spec_;
+  /// The complete checkpointed cells to splice, by cell key.
   std::map<std::string, std::vector<BatchRow>> checkpoint_;
 };
 

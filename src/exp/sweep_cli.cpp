@@ -37,24 +37,28 @@ SweepCli::SweepCli(const util::CliParser& cli, SweepSpec spec,
     agg_ = open_output_file(agg_path_);
   }
   if (cli.has(kOutFlag)) {
-    // make_file_sink refuses the shard header on a CSV file.
-    out_ = make_file_sink(cli.get_string(kOutFlag, ""),
-                          sharded ? format_shard_header(sweep_.shard_header()) : "");
+    // A JSONL --out is a checkpoint and opens with the header.  CSV is not
+    // one and stays headerless; a shard must write a checkpoint, so it
+    // passes the header anyway and make_file_sink refuses it on CSV.
+    const auto path = cli.get_string(kOutFlag, "");
+    const bool csv = path.size() >= 4 && path.compare(path.size() - 4, 4, ".csv") == 0;
+    out_ = make_file_sink(path, csv && !sharded ? ""
+                                                : format_shard_header(sweep_.shard_header()));
   }
 }
 
 SweepSummary SweepCli::run(std::ostream& os, const std::vector<ResultSink*>& extra) {
-  const auto& spec = sweep_.spec();
-  if (spec.shard_count > 1) {
-    os << "shard " << spec.shard_index << "/" << spec.shard_count << ": "
-       << sweep_.shard_header().cells
-       << " of the grid's cells run here; merge the shard outputs with "
-          "hydra_merge (tables below cover this shard only).\n";
-  }
   std::vector<ResultSink*> sinks = {&aggregator_};
   if (out_) sinks.push_back(out_.get());
   sinks.insert(sinks.end(), extra.begin(), extra.end());
   auto summary = sweep_.run(sinks);
+  const auto& spec = sweep_.spec();
+  if (spec.shard_count > 1) {
+    os << "shard " << spec.shard_index << "/" << spec.shard_count << ": "
+       << summary.cells
+       << " of the grid's cells ran here; merge the shard outputs with "
+          "hydra_merge (tables below cover this shard only).\n";
+  }
   cells_ = summary.cells;
   resumed_cells_ = summary.resumed_cells;
   return summary;

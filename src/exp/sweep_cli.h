@@ -7,8 +7,9 @@
 //   --resume F        splice the completed cells of checkpoint F
 //   --shard i/N       run only the cells exp::sweep_shard_of gives shard i
 //   --out F           per-(instance, scheme) rows, .jsonl/.json or .csv; a
-//                     sharded run's JSONL opens with the shard header that
-//                     hydra_merge checks
+//                     JSONL file is a checkpoint and opens with the header
+//                     that --resume and hydra_merge check (CSV is not one,
+//                     so a shard cannot write it)
 //   --agg-out F       the aggregated cells as JSONL (not on a shard: merge
 //                     the shards, then rerun with --resume merged.jsonl)
 //   --gp-backend B    GP solver backend (docs/solver-catalog.md)
@@ -54,8 +55,8 @@ class SweepCli {
   const Sweep& sweep() const { return sweep_; }
   const SweepSpec& spec() const { return sweep_.spec(); }
 
-  /// Prints the shard note (sharded runs only) on `os`, then runs the sweep
-  /// into the aggregator, the --out file and `extra`.
+  /// Runs the sweep into the aggregator, the --out file and `extra`, then
+  /// prints the shard note (sharded runs only) on `os`.
   SweepSummary run(std::ostream& os, const std::vector<ResultSink*>& extra = {});
 
   /// The aggregated cells of the run.

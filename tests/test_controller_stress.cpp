@@ -422,6 +422,8 @@ TEST(MultiPolicySweep, TwoShardMergeMatchesSingleProcessRun) {
   EXPECT_TRUE(merged.complete) << merged.incomplete_reason;
   std::ostringstream merged_rows;
   hexp::write_merged(merged, merged_rows);
-  EXPECT_EQ(merged_rows.str(), unsharded);
+  EXPECT_EQ(merged_rows.str(),
+            hexp::format_shard_header(hexp::Sweep(multi_policy_spec()).shard_header()) +
+                "\n" + unsharded);
   for (const auto& path : paths) std::remove(path.c_str());
 }

@@ -1,15 +1,17 @@
-// Checkpoint-robustness suite for exp::merge_checkpoints and
-// parse_jsonl_row: a seeded corpus of mutated shard checkpoints (truncated,
-// duplicated, reordered, interleaved, stale fingerprints, mid-file garbage)
-// pinning the merge contract — order-insensitive, idempotent, tolerant of a
-// torn FINAL line, and loud (std::runtime_error) on conflicting duplicates,
-// corruption, and holes, never silently dropping or inventing cells.
+// Checkpoint-robustness suite for exp::merge_checkpoints, the shared
+// checkpoint reader and parse_jsonl_row: a seeded corpus of mutated shard
+// checkpoints (truncated, duplicated, reordered, interleaved, stale
+// fingerprints, mid-file garbage, flipped bytes) pinning the merge contract —
+// order-insensitive, idempotent, tolerant of a torn FINAL line, and loud
+// (std::runtime_error) on conflicting duplicates, corruption, missing
+// headers and holes, never silently dropping or inventing cells.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <random>
 #include <set>
 #include <sstream>
@@ -72,7 +74,7 @@ struct TempFile {
 /// checkpoints, computed once (evaluation is deterministic, so sharing is
 /// safe and keeps the fuzz loop fast).
 struct Fixture {
-  std::string full;                        // single-process row stream
+  std::string full;                        // single-process file, header first
   std::vector<std::string> shard_content;  // shard files incl. header line
   std::vector<std::vector<std::string>> shard_lines;
 
@@ -80,9 +82,11 @@ struct Fixture {
     {
       auto spec = small_spec();
       spec.jobs = 1;
+      const hexp::Sweep sweep(std::move(spec));
       std::ostringstream os;
+      os << hexp::format_shard_header(sweep.shard_header()) << "\n";
       hexp::JsonlSink sink(os);
-      hexp::Sweep(std::move(spec)).run({&sink});
+      sweep.run({&sink});
       full = os.str();
     }
     for (std::size_t s = 0; s < 2; ++s) {
@@ -136,13 +140,12 @@ TEST(MergeCheckpoints, IsIdempotentUnderRepeatedInputsAndSelfMerge) {
   EXPECT_EQ(os.str(), fix.full);
   EXPECT_GT(twice.duplicate_rows, 0u);
 
-  // Merging a merge (headerless, so completeness is unprovable) changes
-  // nothing either.
+  // Merging a merge (its 0/1 header proves it complete) changes nothing
+  // either, alone, twice, or together with the shards it came from.
   const TempFile merged("idem_merged.jsonl", fix.full);
-  hexp::MergeOptions partial;
-  partial.require_complete = false;
-  EXPECT_EQ(merge_files({&merged}, partial), fix.full);
-  EXPECT_EQ(merge_files({&merged, &merged}, partial), fix.full);
+  EXPECT_EQ(merge_files({&merged}), fix.full);
+  EXPECT_EQ(merge_files({&merged, &merged}), fix.full);
+  EXPECT_EQ(merge_files({&s1, &merged, &s0}), fix.full);
 }
 
 TEST(MergeCheckpoints, OrderInsensitiveUnderInterleavingAndReordering) {
@@ -245,25 +248,30 @@ TEST(MergeCheckpoints, ExpectFingerprintOptionIsEnforced) {
 }
 
 TEST(MergeCheckpoints, ExpectFingerprintRejectsAHeaderlessInputEvenWhenPartial) {
-  // An unsharded file has no header to check the pin against.  Merging it
-  // anyway (as a "partial" result) would pass rows of an unchecked spec.
+  // A file without a header has no spec to check, with or without a pin:
+  // merging it anyway (as a "partial" result) would pass rows of an
+  // unchecked spec.  An empty file is no checkpoint either.
   const auto& fix = fixture();
   const TempFile s0("expect_headed.jsonl", fix.shard_content[0]);
-  const TempFile full("expect_headerless.jsonl", fix.full);
+  const TempFile rows("expect_headerless.jsonl", fix.full.substr(fix.full.find('\n') + 1));
   const TempFile empty("expect_empty.jsonl", "");
   const auto header = hexp::parse_shard_header(fix.shard_lines[0][0]);
   ASSERT_TRUE(header.has_value());
 
-  hexp::MergeOptions options;
-  options.require_complete = false;
-  options.expect_fingerprint = header->fingerprint;
-  for (const auto* headerless : {&full, &empty}) {
-    try {
-      merge_files({&s0, headerless}, options);
-      FAIL() << "a headerless input must not pass a fingerprint pin";
-    } catch (const std::runtime_error& error) {
-      EXPECT_NE(std::string(error.what()).find(headerless->path), std::string::npos)
-          << error.what();
+  hexp::MergeOptions pinned;
+  pinned.require_complete = false;
+  pinned.expect_fingerprint = header->fingerprint;
+  hexp::MergeOptions unpinned;
+  unpinned.require_complete = false;
+  for (const auto& options : {pinned, unpinned}) {
+    for (const auto* headerless : {&rows, &empty}) {
+      try {
+        merge_files({&s0, headerless}, options);
+        FAIL() << "a headerless input must never be merged";
+      } catch (const std::runtime_error& error) {
+        EXPECT_NE(std::string(error.what()).find(headerless->path), std::string::npos)
+            << error.what();
+      }
     }
   }
 }
@@ -329,7 +337,7 @@ TEST(MergeCheckpoints, RowsWithoutCellKeysAreRejected) {
   keyless = "{\"cell\":\"" + keyless.substr(cell_end);
   ASSERT_TRUE(hexp::parse_jsonl_row(keyless).has_value());
 
-  const TempFile engine_rows("keyless.jsonl", keyless + "\n");
+  const TempFile engine_rows("keyless.jsonl", fix.shard_lines[0][0] + "\n" + keyless + "\n");
   hexp::MergeOptions partial;
   partial.require_complete = false;
   EXPECT_THROW(hexp::merge_checkpoints({engine_rows.path}, partial),
@@ -343,7 +351,8 @@ TEST(MergeCheckpoints, MissingShardOrMissingFileIsAnError) {
     hexp::merge_checkpoints({s0.path});
     FAIL() << "should have thrown";
   } catch (const std::runtime_error& error) {
-    EXPECT_NE(std::string(error.what()).find("missing shard"), std::string::npos);
+    EXPECT_NE(std::string(error.what()).find("cells missing"), std::string::npos)
+        << error.what();
   }
   // The lone shard still unions under --allow-partial.
   hexp::MergeOptions partial;
@@ -517,13 +526,181 @@ TEST(MergeCheckpoints, CompleteFlagDistinguishesFullFromPartialUnions) {
 }
 
 TEST(MergeCheckpoints, HeaderlessInputsAreNeverComplete) {
-  // A bare row stream (no shard headers) can be a fine resume checkpoint,
-  // but nothing proves full-grid coverage — complete must stay false.
+  // A bare row stream (no header) proves nothing about its spec, so it is
+  // refused outright, even by a partial merge, and the error names it.
   const auto& fix = fixture();
-  const TempFile bare("noheader.jsonl", fix.full);
+  const TempFile bare("noheader.jsonl", fix.full.substr(fix.full.find('\n') + 1));
   hexp::MergeOptions allow_partial;
   allow_partial.require_complete = false;
-  const auto merged = hexp::merge_checkpoints({bare.path}, allow_partial);
+  try {
+    hexp::merge_checkpoints({bare.path}, allow_partial);
+    FAIL() << "a headerless input must be refused";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find(bare.path), std::string::npos) << error.what();
+  }
+}
+
+TEST(MergeCheckpoints, PartialMergeMergedAgainAloneIsStillPartial) {
+  // The merged header keeps the whole grid's cell count, so a partial union
+  // written out and merged again on its own cannot pass for the full grid.
+  const auto& fix = fixture();
+  const TempFile s0("repartial0.jsonl", fix.shard_content[0]);
+  hexp::MergeOptions allow_partial;
+  allow_partial.require_complete = false;
+  const auto half = hexp::merge_checkpoints({s0.path}, allow_partial);
+  ASSERT_FALSE(half.complete);
+  std::ostringstream os;
+  hexp::write_merged(half, os);
+  const TempFile partial("repartial_out.jsonl", os.str());
+
+  const auto again = hexp::merge_checkpoints({partial.path}, allow_partial);
+  EXPECT_FALSE(again.complete);
+  EXPECT_NE(again.incomplete_reason.find("cells missing"), std::string::npos)
+      << again.incomplete_reason;
+  EXPECT_THROW(hexp::merge_checkpoints({partial.path}), std::runtime_error);
+
+  // Adding the missing shard completes it: shard files and merged files
+  // combine freely.
+  const TempFile s1("repartial1.jsonl", fix.shard_content[1]);
+  EXPECT_EQ(merge_files({&partial, &s1}), fix.full);
+}
+
+TEST(MergeCheckpoints, HeadersDisagreeingOnGridCellsAreNeverComplete) {
+  // The replication count is outside the fingerprint (seeds are positional),
+  // so two runs of one spec with different counts share a fingerprint but
+  // not a grid: their union is consistent, never complete.
+  const auto& fix = fixture();
+  auto spec = small_spec();
+  spec.replications = 1;
+  const hexp::Sweep smaller(std::move(spec));
+  std::ostringstream os;
+  os << hexp::format_shard_header(smaller.shard_header()) << "\n";
+  hexp::JsonlSink sink(os);
+  smaller.run({&sink});
+  ASSERT_EQ(smaller.shard_header().fingerprint,
+            hexp::parse_shard_header(fix.shard_lines[0][0])->fingerprint);
+
+  const TempFile fewer("grid_fewer.jsonl", os.str());
+  const TempFile full("grid_full.jsonl", fix.full);
+  hexp::MergeOptions allow_partial;
+  allow_partial.require_complete = false;
+  const auto merged = hexp::merge_checkpoints({full.path, fewer.path}, allow_partial);
   EXPECT_FALSE(merged.complete);
-  EXPECT_FALSE(merged.incomplete_reason.empty());
+  EXPECT_NE(merged.incomplete_reason.find("grid"), std::string::npos)
+      << merged.incomplete_reason;
+  EXPECT_GT(merged.duplicate_rows, 0u);
+  std::ostringstream rows;
+  hexp::write_merged(merged, rows);
+  EXPECT_EQ(rows.str(), fix.full);  // every cell of the smaller grid is a duplicate
+}
+
+namespace {
+
+/// Applies one random byte-level mutation to a checkpoint file's text.
+std::string mutate_bytes(std::string text, std::mt19937_64& rng) {
+  const auto lines = split_lines(text);
+  switch (rng() % 6) {
+    case 0: {  // flip one byte to a random value
+      if (!text.empty()) text[rng() % text.size()] = static_cast<char>(rng() % 256);
+      break;
+    }
+    case 1: {  // flip one byte to a JSON-significant character
+      static const char kSignificant[] = "{}[]\":,\\\n0123456789.-eE x";
+      if (!text.empty()) {
+        text[rng() % text.size()] = kSignificant[rng() % (sizeof(kSignificant) - 1)];
+      }
+      break;
+    }
+    case 2:  // truncate anywhere
+      text.resize(text.empty() ? 0 : rng() % text.size());
+      break;
+    case 3: {  // insert a foreign line
+      auto copy = lines;
+      const std::size_t at = rng() % (copy.size() + 1);
+      const char* kForeign[] = {"", "{}", "{\"cell\":\"p0:x:i0\"}", "garbage", "[1,2]"};
+      copy.insert(copy.begin() + static_cast<std::ptrdiff_t>(at), kForeign[rng() % 5]);
+      text = join_lines(copy);
+      break;
+    }
+    case 4: {  // duplicate a line, the header included, somewhere
+      auto copy = lines;
+      if (copy.empty()) break;
+      const auto line = copy[rng() % copy.size()];
+      copy.insert(copy.begin() + static_cast<std::ptrdiff_t>(rng() % (copy.size() + 1)), line);
+      text = join_lines(copy);
+      break;
+    }
+    case 5: {  // swap two adjacent bytes
+      if (text.size() > 1) {
+        const std::size_t at = rng() % (text.size() - 1);
+        std::swap(text[at], text[at + 1]);
+      }
+      break;
+    }
+  }
+  return text;
+}
+
+}  // namespace
+
+TEST(CheckpointReader, SeededByteFuzzEitherNamesTheFileOrRoundTrips) {
+  // Every mutated checkpoint has one of two outcomes through the shared
+  // reader: a runtime_error that names the file, or a header and rows whose
+  // every line re-serializes to exactly its own bytes.  Nothing else — no
+  // crash, no other exception, no row the sweep could not have written.
+  const auto& fix = fixture();
+  const TempFile file("fuzz_bytes.jsonl", "");
+  std::mt19937_64 rng(20180131);
+  std::size_t refused = 0, read = 0, torn = 0;
+  for (int iteration = 0; iteration < 600; ++iteration) {
+    std::string text = fix.shard_content[rng() % 2];
+    const int mutations = 1 + static_cast<int>(rng() % 3);
+    for (int m = 0; m < mutations; ++m) text = mutate_bytes(std::move(text), rng);
+    file.write(text);
+
+    // The header parser alone never accepts a line it would not write.
+    const auto first = text.substr(0, text.find('\n'));
+    if (const auto header = hexp::parse_shard_header(first)) {
+      EXPECT_EQ(hexp::format_shard_header(*header), first);
+    }
+
+    std::optional<hexp::SweepCheckpoint> checkpoint;
+    try {
+      checkpoint = hexp::read_sweep_checkpoint(file.path);
+    } catch (const std::runtime_error& error) {
+      EXPECT_NE(std::string(error.what()).find(file.path), std::string::npos)
+          << error.what();
+      ++refused;
+      continue;
+    }
+    if (!checkpoint.has_value()) {
+      EXPECT_TRUE(text.empty()) << "only an empty file reads as no checkpoint";
+      continue;
+    }
+    ++read;
+    if (checkpoint->torn_tail) ++torn;
+    EXPECT_EQ(hexp::format_shard_header(checkpoint->header), first);
+    for (const auto& [row, line] : checkpoint->rows) {
+      std::ostringstream os;
+      hexp::JsonlSink(os).row(row);
+      EXPECT_EQ(os.str(), line + "\n");
+      EXPECT_FALSE(row.cell.empty());
+    }
+  }
+  // The corpus must exercise every outcome.
+  EXPECT_GT(refused, 0u);
+  EXPECT_GT(read, 0u);
+  EXPECT_GT(torn, 0u);
+}
+
+TEST(CheckpointReader, MissingAndEmptyFilesAreNoCheckpoint) {
+  EXPECT_FALSE(hexp::read_sweep_checkpoint(::testing::TempDir() + "hydra_no_such.jsonl")
+                   .has_value());
+  const TempFile empty("reader_empty.jsonl", "");
+  EXPECT_FALSE(hexp::read_sweep_checkpoint(empty.path).has_value());
+  const TempFile header_only("reader_header.jsonl", fixture().shard_lines[0][0] + "\n");
+  const auto checkpoint = hexp::read_sweep_checkpoint(header_only.path);
+  ASSERT_TRUE(checkpoint.has_value());
+  EXPECT_TRUE(checkpoint->rows.empty());
+  EXPECT_FALSE(checkpoint->torn_tail);
 }

@@ -1,7 +1,8 @@
 // The sweep front end every grid-sweep binary shares (exp/sweep_cli.h): the
-// --out shard header, the misconfigurations it refuses before any cell runs,
-// the --agg-out file it writes and checks, and the rerun that restarts a
-// crashed shard from its own torn output.
+// header on every JSONL --out, the misconfigurations it refuses before any
+// cell runs, the --agg-out file it writes and checks, the checkpoints
+// --resume accepts and refuses, and the rerun that restarts a crashed shard
+// from its own torn output.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -64,7 +65,7 @@ struct TempDir {
 
 }  // namespace
 
-TEST(SweepCli, ShardedOutStartsWithTheShardHeaderAndUnshardedHasNone) {
+TEST(SweepCli, EveryJsonlOutStartsWithTheHeaderAndCsvHasNone) {
   TempDir dir("sweep_cli_header");
   const std::string sharded = dir.path + "/s1.jsonl";
   hexp::SweepCli shard(parse({"--shard", "1/2", "--out", sharded}), small_grid());
@@ -73,14 +74,26 @@ TEST(SweepCli, ShardedOutStartsWithTheShardHeaderAndUnshardedHasNone) {
   EXPECT_EQ(first_line(sharded), hexp::format_shard_header(shard.sweep().shard_header()));
   EXPECT_NE(note.str().find("shard 1/2"), std::string::npos);
 
+  // An unsharded JSONL is shard 0 of 1, with the same fingerprint and grid.
   const std::string whole = dir.path + "/full.jsonl";
   hexp::SweepCli full(parse({"--out", whole, "--jobs", "2"}), small_grid());
   std::ostringstream quiet;
   const auto summary = full.run(quiet);
   EXPECT_EQ(quiet.str(), "");
-  EXPECT_FALSE(hexp::parse_shard_header(first_line(whole)).has_value());
-  EXPECT_TRUE(hexp::parse_jsonl_row(first_line(whole)).has_value());
+  const auto header = hexp::parse_shard_header(first_line(whole));
+  ASSERT_TRUE(header.has_value());
+  EXPECT_EQ(header->shard, 0u);
+  EXPECT_EQ(header->shards, 1u);
+  EXPECT_EQ(header->grid_cells, 2u * 3u);
+  EXPECT_EQ(header->fingerprint, shard.sweep().fingerprint());
+  EXPECT_EQ(header->grid_cells, shard.sweep().shard_header().grid_cells);
   EXPECT_EQ(summary.rows.size(), 2u * 2u * 3u);
+
+  // CSV is not a checkpoint: its first line is the column header.
+  const std::string csv = dir.path + "/full.csv";
+  hexp::SweepCli table(parse({"--out", csv}), small_grid());
+  table.run(quiet);
+  EXPECT_EQ(first_line(csv).rfind("cell,instance,", 0), 0u) << first_line(csv);
 }
 
 TEST(SweepCli, AggOutOnAShardThrowsBeforeAnythingIsOpened) {
@@ -200,4 +213,62 @@ TEST(SweepCli, ShardRerunOnItsOwnTornOutputResumesToTheUninterruptedBytes) {
   EXPECT_GT(resumed, 0u);
   EXPECT_LT(resumed, cells);
   EXPECT_EQ(slurp(path), uninterrupted);
+}
+
+TEST(SweepCli, ResumeRefusesAHeaderlessFileButColdStartsFromAMissingOrEmptyOne) {
+  TempDir dir("sweep_cli_resume_files");
+  const std::string rows = dir.path + "/rows.jsonl";
+  hexp::SweepCli direct(parse({"--out", rows}), small_grid());
+  std::ostringstream text;
+  direct.run(text);
+  const std::string full = slurp(rows);
+
+  // The same rows without their header: refused before --out is touched.
+  const std::string headerless = dir.path + "/headerless.jsonl";
+  std::ofstream(headerless, std::ios::binary) << full.substr(full.find('\n') + 1);
+  try {
+    hexp::SweepCli(parse({"--out", headerless, "--resume", headerless}), small_grid());
+    FAIL() << "a headerless checkpoint must be refused";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find(headerless), std::string::npos) << error.what();
+  }
+  EXPECT_EQ(slurp(headerless), full.substr(full.find('\n') + 1));
+
+  // A missing file and an empty one (a run killed before its first flush)
+  // are cold starts, and end with the uninterrupted bytes.
+  for (const bool exists : {false, true}) {
+    const std::string path = dir.path + (exists ? "/empty.jsonl" : "/missing.jsonl");
+    if (exists) std::ofstream(path, std::ios::binary).flush();
+    hexp::SweepCli cold(parse({"--out", path, "--resume", path}), small_grid());
+    std::ostringstream cold_text;
+    EXPECT_EQ(cold.run(cold_text).resumed_cells, 0u);
+    cold.finish(cold_text);
+    EXPECT_EQ(slurp(path), full);
+  }
+}
+
+TEST(SweepCli, AShardResumesFromAWholeRunsFile) {
+  // A whole run's --out (shard 0 of 1, like a merged file) seeds any shard,
+  // which splices exactly the cells it owns and recomputes nothing.
+  TempDir dir("sweep_cli_shard_from_whole");
+  const std::string whole = dir.path + "/full.jsonl";
+  hexp::SweepCli full(parse({"--out", whole}), small_grid());
+  std::ostringstream text;
+  full.run(text);
+
+  const std::string fresh = dir.path + "/fresh_s1.jsonl";
+  hexp::SweepCli cold(parse({"--shard", "1/2", "--out", fresh}), small_grid());
+  cold.run(text);
+
+  const std::string resumed = dir.path + "/resumed_s1.jsonl";
+  hexp::SweepCli shard(parse({"--shard", "1/2", "--out", resumed, "--resume", whole}),
+                       small_grid());
+  const auto summary = shard.run(text);
+  EXPECT_GT(summary.cells, 0u);
+  EXPECT_EQ(summary.resumed_cells, summary.cells);
+  EXPECT_EQ(slurp(resumed), slurp(fresh));
+
+  // The other direction does not hold: a shard's file cannot seed the whole
+  // run, whose other cells it never held.
+  EXPECT_THROW(hexp::SweepCli(parse({"--resume", fresh}), small_grid()), std::runtime_error);
 }

@@ -1,11 +1,12 @@
 // Determinism and resume tests for the sweep layer:
 //   * --jobs 1 and --jobs 8 produce byte-identical row and aggregate JSONL;
 //   * resuming from a truncated checkpoint (a run killed mid-write)
-//     reproduces the uninterrupted output byte for byte;
-//   * a checkpoint from a different spec is rejected, never spliced — and a
-//     checkpoint that provably belongs to a DIFFERENT grid (cell keys
-//     outside the spec, or a shard header with a foreign fingerprint/shard
-//     position) throws instead of silently recomputing;
+//     reproduces the uninterrupted output byte for byte, also after the
+//     replication count grew;
+//   * a checkpoint that is not this spec's — no header, a foreign
+//     fingerprint (another metric identity included) or shard position,
+//     cell keys outside the grid, rows that disagree with the spec — throws
+//     naming the file instead of being spliced or silently recomputed;
 //   * JSONL rows round-trip exactly through parse_jsonl_row;
 //   * row order, budget-skipped rows and no-instance rows of a plain sweep.
 #include <gtest/gtest.h>
@@ -46,6 +47,34 @@ std::string run_rows(hexp::SweepSpec spec) {
   hexp::JsonlSink sink(os);
   hexp::Sweep(std::move(spec)).run({&sink});
   return os.str();
+}
+
+/// What a --out of `spec` holds: the header, then the rows.
+std::string run_checkpoint(hexp::SweepSpec spec) {
+  const hexp::Sweep sweep(std::move(spec));
+  std::ostringstream os;
+  os << hexp::format_shard_header(sweep.shard_header()) << "\n";
+  hexp::JsonlSink sink(os);
+  sweep.run({&sink});
+  return os.str();
+}
+
+/// The rows of a checkpoint, without its header line.
+std::string rows_of(const std::string& checkpoint) {
+  return checkpoint.substr(checkpoint.find('\n') + 1);
+}
+
+/// Expects constructing a Sweep over `spec` to throw std::runtime_error
+/// whose message contains `path` and `what`.
+void expect_refused(hexp::SweepSpec spec, const std::string& path, const std::string& what) {
+  try {
+    hexp::Sweep sweep(std::move(spec));
+    FAIL() << "should have thrown";
+  } catch (const std::runtime_error& error) {
+    const std::string message = error.what();
+    EXPECT_NE(message.find(path), std::string::npos) << message;
+    EXPECT_NE(message.find(what), std::string::npos) << message;
+  }
 }
 
 std::string run_aggregate(hexp::SweepSpec spec) {
@@ -248,8 +277,8 @@ TEST(SweepDeterminism, RowsRoundTripThroughParser) {
 }
 
 TEST(SweepResume, TruncatedCheckpointReproducesUninterruptedRunExactly) {
-  const auto full = run_rows(small_grid());
-  ASSERT_FALSE(full.empty());
+  const auto full = run_checkpoint(small_grid());
+  ASSERT_FALSE(rows_of(full).empty());
 
   // Simulate a run killed mid-write: keep roughly 40% of the stream and cut
   // in the MIDDLE of the next line — the torn line must be discarded, its
@@ -268,7 +297,7 @@ TEST(SweepResume, TruncatedCheckpointReproducesUninterruptedRunExactly) {
 
   EXPECT_GT(summary.resumed_cells, 0u);
   EXPECT_LT(summary.resumed_cells, summary.cells);
-  EXPECT_EQ(os.str(), full);
+  EXPECT_EQ(os.str(), rows_of(full));
 }
 
 TEST(SweepResume, CorruptMiddleLineIsRejected) {
@@ -276,22 +305,15 @@ TEST(SweepResume, CorruptMiddleLineIsRejected) {
   // before it, or a row without a cell key, means the file is not what the
   // sweep wrote.  That used to be skipped silently (its cell recomputed); it
   // must throw, naming path:line.
-  const auto full = run_rows(small_grid());
-  const std::size_t second = full.find('\n') + 1;
+  const auto full = run_checkpoint(small_grid());
+  const std::size_t second = full.find('\n') + 1;  // the first row
   const std::size_t third = full.find('\n', second) + 1;
   ASSERT_LT(third, full.size());
   const auto expect_rejected = [](const std::string& content, const std::string& what) {
     const TempCheckpoint checkpoint(content);
     auto spec = small_grid();
     spec.resume_path = checkpoint.path;
-    try {
-      hexp::Sweep sweep(std::move(spec));
-      FAIL() << "should have thrown";
-    } catch (const std::runtime_error& error) {
-      const std::string message = error.what();
-      EXPECT_NE(message.find(checkpoint.path + ":2:"), std::string::npos) << message;
-      EXPECT_NE(message.find(what), std::string::npos) << message;
-    }
+    expect_refused(std::move(spec), checkpoint.path + ":2:", what);
   };
   // Line 2 torn in the middle of the file.
   expect_rejected(full.substr(0, second + 25) + "\n" + full.substr(third), "corrupt");
@@ -301,6 +323,10 @@ TEST(SweepResume, CorruptMiddleLineIsRejected) {
   const std::size_t key = full.find("\"cell\":\"", second) + 8;
   const std::size_t key_end = full.find('"', key);
   expect_rejected(full.substr(0, key) + full.substr(key_end), "cell key");
+  // Line 2 a row that parses but that the sweep would have written
+  // differently (a trailing zero on a number).
+  const std::size_t number = full.find("\"target_utilization\":0.8", second) + 24;
+  expect_rejected(full.substr(0, number) + "0" + full.substr(number), "re-serialize");
 
   // A blank final line is tolerated like a torn one.
   auto spec = small_grid();
@@ -310,7 +336,7 @@ TEST(SweepResume, CorruptMiddleLineIsRejected) {
 }
 
 TEST(SweepResume, CompleteCheckpointSkipsEveryCell) {
-  const auto full = run_rows(small_grid());
+  const auto full = run_checkpoint(small_grid());
   const TempCheckpoint checkpoint(full);
 
   auto resumed_spec = small_grid();
@@ -319,33 +345,120 @@ TEST(SweepResume, CompleteCheckpointSkipsEveryCell) {
   hexp::JsonlSink sink(os);
   const auto summary = hexp::Sweep(std::move(resumed_spec)).run({&sink});
   EXPECT_EQ(summary.resumed_cells, summary.cells);
-  EXPECT_EQ(os.str(), full);
+  EXPECT_EQ(os.str(), rows_of(full));
+}
+
+TEST(SweepResume, GrowingReplicationsResumesTheOldCellsByteIdentically) {
+  // Seeds are positional, so the replication count is outside the
+  // fingerprint: a checkpoint of 2 replications per point seeds a run of 4,
+  // which evaluates only the new instances and ends with a fresh run's bytes.
+  auto fewer = small_grid();
+  fewer.replications = 2;
+  const TempCheckpoint checkpoint(run_checkpoint(fewer));
+
+  auto grown = small_grid();
+  grown.resume_path = checkpoint.path;
+  std::ostringstream os;
+  hexp::JsonlSink sink(os);
+  const auto summary = hexp::Sweep(std::move(grown)).run({&sink});
+  EXPECT_EQ(summary.resumed_cells, 3u * 2u);
+  EXPECT_EQ(summary.cells, 3u * 4u);
+  EXPECT_EQ(os.str(), run_rows(small_grid()));
+
+  // Shrinking is not resuming: the old file's extra cells are outside the grid.
+  const TempCheckpoint more(run_checkpoint(small_grid()));
+  auto shrunk = small_grid();
+  shrunk.replications = 2;
+  shrunk.resume_path = more.path;
+  expect_refused(std::move(shrunk), more.path, "outside");
+}
+
+TEST(SweepResume, HeaderlessCheckpointIsRefusedButMissingOrEmptyIsAColdStart) {
+  // A checkpoint without a header (a file from before every --out carried
+  // one) cannot show which spec wrote it, so it is refused, not trusted.
+  const auto full = run_checkpoint(small_grid());
+  const TempCheckpoint headerless(rows_of(full));
+  auto spec = small_grid();
+  spec.resume_path = headerless.path;
+  expect_refused(std::move(spec), headerless.path + ":1:", "header");
+
+  const TempCheckpoint empty("");
+  auto cold = small_grid();
+  cold.resume_path = empty.path;
+  std::ostringstream os;
+  hexp::JsonlSink sink(os);
+  EXPECT_EQ(hexp::Sweep(std::move(cold)).run({&sink}).resumed_cells, 0u);
+  EXPECT_EQ(os.str(), rows_of(full));
 }
 
 TEST(SweepResume, CheckpointFromDifferentSeedIsRejected) {
-  const auto full = run_rows(small_grid());
-  const TempCheckpoint checkpoint(full);
+  const TempCheckpoint checkpoint(run_checkpoint(small_grid()));
 
   auto other = small_grid();
   other.base_seed = 78;  // different instances ⇒ every cached cell is stale
   other.resume_path = checkpoint.path;
-  const auto summary = hexp::Sweep(std::move(other)).run();
-  EXPECT_EQ(summary.resumed_cells, 0u);
+  expect_refused(std::move(other), checkpoint.path, "fingerprint");
 }
 
 TEST(SweepResume, CheckpointWithFewerSchemesIsRejected) {
   auto partial_spec = small_grid();
   partial_spec.schemes = {"hydra", "single-core"};  // no optimal rows
-  const auto partial = run_rows(partial_spec);
-  const TempCheckpoint checkpoint(partial);
+  const TempCheckpoint checkpoint(run_checkpoint(partial_spec));
 
   auto resumed_spec = small_grid();  // wants hydra, single-core AND optimal
   resumed_spec.resume_path = checkpoint.path;
+  expect_refused(std::move(resumed_spec), checkpoint.path, "fingerprint");
+}
+
+TEST(SweepResume, CheckpointOfAnotherMetricIdentityIsRejected) {
+  // Two metric families with the same names but different parameters (fig5
+  // --trials 50 vs 100) write rows that differ only in their values.  The
+  // checkpoint of one must not resume the other; before every --out carried
+  // the fingerprint, it resumed every cell.
+  const auto metric = [](double scale) {
+    hexp::RowMetric row_metric;
+    row_metric.name = "scaled_tightness";
+    row_metric.identity = "scale=" + hexp::format_double(scale);
+    row_metric.compute = [scale](const hydra::core::Instance&,
+                                 const hydra::core::DesignPoint& point) {
+      return scale * point.cumulative_tightness;
+    };
+    return row_metric;
+  };
+  auto fifty = small_grid();
+  fifty.metrics = {metric(50)};
+  const TempCheckpoint checkpoint(run_checkpoint(fifty));
+
+  auto hundred = small_grid();
+  hundred.metrics = {metric(100)};
+  hundred.resume_path = checkpoint.path;
+  expect_refused(std::move(hundred), checkpoint.path, "different sweep spec");
+}
+
+TEST(SweepResume, RowsDisagreeingWithAMatchingFingerprintAreCorruption) {
+  // Under a matching fingerprint the rows are the spec's; a complete cell
+  // whose rows say otherwise (here: another seed) is a corrupt file, not a
+  // cell to recompute quietly.
+  auto full = run_checkpoint(small_grid());
+  const std::size_t second = full.find('\n') + 1;
+  const std::size_t seed = full.find("\"seed\":", second) + 7;
+  full[seed] = full[seed] == '1' ? '2' : '1';
+  const TempCheckpoint checkpoint(full);
+  auto spec = small_grid();
+  spec.resume_path = checkpoint.path;
+  expect_refused(std::move(spec), checkpoint.path, "corrupt");
+
+  // A cell with fewer rows than schemes was torn by a kill and is simply
+  // re-evaluated, wherever it sits in the file.
+  const auto clean = run_checkpoint(small_grid());
+  const std::size_t third = clean.find('\n', second) + 1;
+  const TempCheckpoint gap(clean.substr(0, second) + clean.substr(third));
+  auto regap = small_grid();
+  regap.resume_path = gap.path;
   std::ostringstream os;
   hexp::JsonlSink sink(os);
-  const auto summary = hexp::Sweep(std::move(resumed_spec)).run({&sink});
-  EXPECT_EQ(summary.resumed_cells, 0u);
-  EXPECT_EQ(os.str(), run_rows(small_grid()));
+  EXPECT_EQ(hexp::Sweep(std::move(regap)).run({&sink}).resumed_cells, 11u);
+  EXPECT_EQ(os.str(), rows_of(clean));
 }
 
 TEST(SweepResume, MissingCheckpointIsAColdStart) {
@@ -364,12 +477,7 @@ TEST(SweepResume, AnUnreadableCheckpointIsAnErrorNotAColdStart) {
   std::filesystem::create_directories(dir);
   auto spec = small_grid();
   spec.resume_path = dir;
-  try {
-    hexp::Sweep sweep(std::move(spec));
-    FAIL() << "should have thrown";
-  } catch (const std::runtime_error& error) {
-    EXPECT_NE(std::string(error.what()).find(dir), std::string::npos) << error.what();
-  }
+  expect_refused(std::move(spec), dir, "");
   std::filesystem::remove_all(dir);
 }
 
@@ -378,7 +486,7 @@ TEST(SweepResume, ForeignCellKeysAreALoudErrorNotASilentRecompute) {
   // grid means the caller resumed the wrong file (or edited the grid).  That
   // used to fall through to "0 cells resumed, recompute everything" —
   // indistinguishable from a cold start.  It must throw, naming the key.
-  auto full = run_rows(small_grid());
+  auto full = run_checkpoint(small_grid());
   const auto at = full.find("\"cell\":\"p0:");
   ASSERT_NE(at, std::string::npos);
   full.replace(at, std::string("\"cell\":\"p0:").size(), "\"cell\":\"p9:");
@@ -386,18 +494,12 @@ TEST(SweepResume, ForeignCellKeysAreALoudErrorNotASilentRecompute) {
 
   auto spec = small_grid();
   spec.resume_path = checkpoint.path;
-  try {
-    hexp::Sweep sweep(std::move(spec));
-    FAIL() << "should have thrown";
-  } catch (const std::runtime_error& error) {
-    EXPECT_NE(std::string(error.what()).find("p9:"), std::string::npos)
-        << error.what();
-    EXPECT_NE(std::string(error.what()).find("outside"), std::string::npos);
-  }
+  expect_refused(spec, "p9:", "outside");
+  expect_refused(std::move(spec), checkpoint.path, "outside");
 }
 
 TEST(SweepResume, ShardHeaderFromDifferentSpecIsRejected) {
-  // The shard header pins the spec fingerprint; resuming a checkpoint whose
+  // The header pins the spec fingerprint; resuming a checkpoint whose
   // header disagrees (here: a different base seed) must throw up front.
   auto other = small_grid();
   other.base_seed = 123;
@@ -409,13 +511,7 @@ TEST(SweepResume, ShardHeaderFromDifferentSpecIsRejected) {
   auto spec = small_grid();
   spec.shard_count = 2;
   spec.resume_path = checkpoint.path;
-  try {
-    hexp::Sweep sweep(std::move(spec));
-    FAIL() << "should have thrown";
-  } catch (const std::runtime_error& error) {
-    EXPECT_NE(std::string(error.what()).find("fingerprint"), std::string::npos)
-        << error.what();
-  }
+  expect_refused(std::move(spec), checkpoint.path, "fingerprint");
 }
 
 TEST(SweepResume, ShardHeaderFromWrongShardPositionIsRejected) {
@@ -431,17 +527,11 @@ TEST(SweepResume, ShardHeaderFromWrongShardPositionIsRejected) {
   auto shard0 = small_grid();
   shard0.shard_count = 2;  // shard 0 of 2
   shard0.resume_path = checkpoint.path;
-  try {
-    hexp::Sweep sweep(std::move(shard0));
-    FAIL() << "should have thrown";
-  } catch (const std::runtime_error& error) {
-    EXPECT_NE(std::string(error.what()).find("shard"), std::string::npos)
-        << error.what();
-  }
+  expect_refused(std::move(shard0), checkpoint.path, "shard");
 
   auto unsharded = small_grid();
   unsharded.resume_path = checkpoint.path;
-  EXPECT_THROW(hexp::Sweep(std::move(unsharded)), std::runtime_error);
+  expect_refused(std::move(unsharded), checkpoint.path, "shard");
 }
 
 TEST(SweepResume, OwnShardCheckpointStillResumesExactly) {
@@ -450,28 +540,25 @@ TEST(SweepResume, OwnShardCheckpointStillResumesExactly) {
   auto spec = small_grid();
   spec.shard_index = 1;
   spec.shard_count = 2;
-  const hexp::Sweep sweep(spec);
-  const auto header_line = hexp::format_shard_header(sweep.shard_header());
-  std::ostringstream os;
-  hexp::JsonlSink sink(os);
-  sweep.run({&sink});
-  const auto full = os.str();
-  ASSERT_FALSE(full.empty());
+  const auto full = run_checkpoint(spec);
+  const auto rows = rows_of(full);
+  ASSERT_FALSE(rows.empty());
 
-  // Keep the first complete cell: one row per scheme, emitted contiguously.
+  // Keep the header and the first complete cell: one row per scheme,
+  // emitted contiguously.
   std::size_t cut = std::string::npos;
-  for (std::size_t line = 0, pos = 0; line < 3; ++line) {
+  for (std::size_t line = 0, pos = 0; line < 4; ++line) {
     cut = full.find('\n', pos);
     ASSERT_NE(cut, std::string::npos);
     pos = cut + 1;
   }
-  const TempCheckpoint checkpoint(header_line + "\n" + full.substr(0, cut + 1));
+  const TempCheckpoint checkpoint(full.substr(0, cut + 1));
 
   auto resumed_spec = spec;
   resumed_spec.resume_path = checkpoint.path;
   std::ostringstream resumed;
   hexp::JsonlSink resumed_sink(resumed);
   const auto summary = hexp::Sweep(std::move(resumed_spec)).run({&resumed_sink});
-  EXPECT_GT(summary.resumed_cells, 0u);
-  EXPECT_EQ(resumed.str(), full);
+  EXPECT_EQ(summary.resumed_cells, 1u);
+  EXPECT_EQ(resumed.str(), rows);
 }

@@ -10,6 +10,7 @@
 // and review the diff like any other code change.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -212,6 +213,34 @@ TEST(SweepGolden, AggregatedResultsMatchCommittedGolden) {
       << "aggregated corpus sweep diverged from the committed golden JSONL; "
          "if the change is intentional, regenerate with HYDRA_UPDATE_GOLDEN=1 "
          "and review the diff";
+}
+
+TEST(SweepGolden, RowSemanticsVersionIsPinnedToTheGoldenDigest) {
+  // Resume and merge trust a checkpoint whose fingerprint matches, and the
+  // fingerprint opens with exp::kRowSemanticsVersion.  A change that moves
+  // row bytes re-records the golden; unless it also bumps the version,
+  // checkpoints of the old rows still resume and merge into the new ones.
+  // So the version and the golden's FNV-1a digest are pinned together:
+  // re-pin both, never the digest alone.
+  constexpr const char* kPinnedVersion = "hydra-sweep-v1";
+  constexpr std::uint64_t kPinnedGoldenDigest = 0x350d9873c4cb79acULL;
+
+  std::ifstream in(kGoldenPath, std::ios::binary);
+  ASSERT_TRUE(in) << "missing golden file " << kGoldenPath;
+  std::uint64_t digest = 1469598103934665603ULL;
+  for (char c; in.get(c);) {
+    digest ^= static_cast<unsigned char>(c);
+    digest *= 1099511628211ULL;
+  }
+  EXPECT_STREQ(hexp::kRowSemanticsVersion, kPinnedVersion)
+      << "exp::kRowSemanticsVersion moved: pin the new version here together "
+         "with the digest of the golden re-recorded with it";
+  EXPECT_EQ(digest, kPinnedGoldenDigest)
+      << "tests/corpus/golden_cells.jsonl was re-recorded: row bytes moved, so "
+         "bump exp::kRowSemanticsVersion (src/exp/sweep.h), which stops "
+         "checkpoints of the old rows from resuming or merging, then pin the "
+         "new version and this digest (0x"
+      << std::hex << digest << ") here";
 }
 
 TEST(SweepGolden, RowStreamIsIndependentOfJobCount) {

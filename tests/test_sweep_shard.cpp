@@ -60,6 +60,16 @@ std::string run_rows(hexp::SweepSpec spec) {
   return os.str();
 }
 
+/// What an unsharded --out of `spec` holds: the shard 0/1 header, then rows.
+std::string run_file(hexp::SweepSpec spec) {
+  const hexp::Sweep sweep(std::move(spec));
+  std::ostringstream os;
+  os << hexp::format_shard_header(sweep.shard_header()) << "\n";
+  hexp::JsonlSink sink(os);
+  sweep.run({&sink});
+  return os.str();
+}
+
 /// RAII shard-checkpoint directory: runs every shard of `spec` (each with its
 /// own worker count) and writes header-stamped per-shard JSONL files.
 struct ShardFiles {
@@ -143,7 +153,7 @@ TEST(ShardSpec, HeaderRoundTripsAndRejectsForeignLines) {
   header.fingerprint = "0123456789abcdef";
   header.shard = 1;
   header.shards = 3;
-  header.cells = 42;
+  header.grid_cells = 42;
   header.schemes = {"hydra", "util/worst-fit"};
   const auto line = hexp::format_shard_header(header);
   const auto parsed = hexp::parse_shard_header(line);
@@ -151,17 +161,26 @@ TEST(ShardSpec, HeaderRoundTripsAndRejectsForeignLines) {
   EXPECT_EQ(parsed->fingerprint, header.fingerprint);
   EXPECT_EQ(parsed->shard, 1u);
   EXPECT_EQ(parsed->shards, 3u);
-  EXPECT_EQ(parsed->cells, 42u);
+  EXPECT_EQ(parsed->grid_cells, 42u);
   EXPECT_EQ(parsed->schemes, header.schemes);
 
   EXPECT_FALSE(hexp::parse_shard_header("").has_value());
   EXPECT_FALSE(hexp::parse_shard_header(line + "x").has_value());
+  // Lines that parse but that format_shard_header would write differently.
+  auto padded = line;
+  padded.replace(padded.find("\"shard\":1"), 9, "\"shard\":01");
+  EXPECT_FALSE(hexp::parse_shard_header(padded).has_value());
+  auto control = header;
+  control.fingerprint = "0123\x01";
+  auto raw_control = hexp::format_shard_header(control);
+  raw_control.replace(raw_control.find("\\u0001"), 6, "\x01");
+  EXPECT_FALSE(hexp::parse_shard_header(raw_control).has_value());
   EXPECT_FALSE(hexp::parse_shard_header("{\"cell\":\"p0:x:i0\"}").has_value());
   // An ordinary row line must never be mistaken for a header...
   const auto rows = run_rows(shard_grid(1));
   const auto first_row = rows.substr(0, rows.find('\n'));
   EXPECT_FALSE(hexp::parse_shard_header(first_row).has_value());
-  // ...and the resume loader must skip a header transparently (unknown key).
+  // ...nor a header for a row (unknown key).
   EXPECT_FALSE(hexp::parse_jsonl_row(line).has_value());
 }
 
@@ -171,11 +190,14 @@ TEST(ShardSpec, FingerprintTracksSpecIdentityButNotExecutionKnobs) {
   EXPECT_EQ(fingerprint.size(), 16u);
 
   // Execution knobs (jobs, shard position) leave the fingerprint alone: all
-  // shards of one logical sweep must agree on it.
+  // shards of one logical sweep must agree on it.  So does the replication
+  // count: seeds are positional, so a cell's rows do not depend on it, and a
+  // checkpoint of fewer replications resumes a run of more.
   auto knobs = shard_grid();
   knobs.jobs = 8;
   knobs.shard_index = 1;
   knobs.shard_count = 3;
+  knobs.replications = 7;
   EXPECT_EQ(hexp::Sweep(std::move(knobs)).fingerprint(), fingerprint);
 
   // Identity changes move it.
@@ -191,9 +213,9 @@ TEST(ShardSpec, FingerprintTracksSpecIdentityButNotExecutionKnobs) {
 }
 
 TEST(ShardSpec, FingerprintsOfFixedSpecsArePinned) {
-  // Shard headers and --resume checkpoints carry these hashes: a refactor
-  // that moves one makes every existing checkpoint unmergeable and
-  // unresumable, so a change here must be deliberate.
+  // Every checkpoint header carries these hashes: a refactor that moves one
+  // makes every existing checkpoint unmergeable and unresumable, so a change
+  // here must be deliberate.
   hexp::SweepSpec grid;
   grid.schemes = {"hydra", "single-core", "optimal"};
   hydra::gen::SyntheticConfig config;
@@ -202,7 +224,7 @@ TEST(ShardSpec, FingerprintsOfFixedSpecsArePinned) {
   grid.add_utilization_grid(config, {0.8, 1.6});
   grid.replications = 5;
   grid.base_seed = 2018;
-  EXPECT_EQ(hexp::sweep_fingerprint(grid), "76ce12ce8baa9a3d");
+  EXPECT_EQ(hexp::sweep_fingerprint(grid), "be99b433ae9cecf6");
 
   hydra::core::Instance instance;
   instance.num_cores = 2;
@@ -215,7 +237,7 @@ TEST(ShardSpec, FingerprintsOfFixedSpecsArePinned) {
   preset_point.instance = instance;
   preset_point.label = "preset";
   preset.points.push_back(preset_point);
-  EXPECT_EQ(hexp::sweep_fingerprint(preset), "664c4a301a05897f");
+  EXPECT_EQ(hexp::sweep_fingerprint(preset), "34af86a56f72eae4");
 
   // File paths are hashed as given, so the corpus is named relative to the
   // source tree to keep the pin independent of where the tree is checked out.
@@ -226,7 +248,7 @@ TEST(ShardSpec, FingerprintsOfFixedSpecsArePinned) {
   corpus.add_corpus_point("tests/corpus", "corpus");
   const auto corpus_fingerprint = hexp::sweep_fingerprint(corpus);
   std::filesystem::current_path(cwd);
-  EXPECT_EQ(corpus_fingerprint, "36a4128d2e87a8e5");
+  EXPECT_EQ(corpus_fingerprint, "b3a4049bb31d2fb0");
 }
 
 TEST(ShardSpec, FingerprintTracksFileContentAndPresetTaskParameters) {
@@ -329,14 +351,15 @@ TEST(ShardPartition, IsDisjointExhaustiveAndJobsIndependent) {
 TEST(ShardDifferential, MergedShardsByteIdenticalToSingleProcessForAnyN) {
   auto reference_spec = shard_grid();
   reference_spec.jobs = 1;
-  const auto reference = run_rows(std::move(reference_spec));
+  const auto reference = run_file(std::move(reference_spec));
   ASSERT_FALSE(reference.empty());
 
   for (const std::size_t shards : {1u, 2u, 3u, 5u}) {
     const ShardFiles files(shard_grid(), shards, "diff" + std::to_string(shards));
     const auto merged = hexp::merge_checkpoints(files.paths);
-    ASSERT_TRUE(merged.header.has_value());
-    EXPECT_EQ(merged.header->shards, shards);
+    EXPECT_EQ(merged.header.shard, 0u);
+    EXPECT_EQ(merged.header.shards, 1u);
+    EXPECT_EQ(merged.header.grid_cells, 9u);
     EXPECT_EQ(merged.torn_lines, 0u);
     std::ostringstream os;
     hexp::write_merged(merged, os);
@@ -350,14 +373,15 @@ TEST(ShardDifferential, TinyGridLeavesSomeShardsEmptyAndStillMerges) {
   tiny.points.pop_back();  // 2 points × 1 replication
   auto reference_spec = tiny;
   reference_spec.jobs = 1;
-  const auto reference = run_rows(std::move(reference_spec));
+  const auto reference = run_file(std::move(reference_spec));
 
   const ShardFiles files(tiny, 5, "tiny");
   std::size_t empty_shards = 0;
   for (const auto& path : files.paths) {
-    const auto header = hexp::read_shard_header(path);
-    ASSERT_TRUE(header.has_value());
-    if (header->cells == 0) ++empty_shards;
+    const auto checkpoint = hexp::read_sweep_checkpoint(path);
+    ASSERT_TRUE(checkpoint.has_value());
+    EXPECT_EQ(checkpoint->header.grid_cells, 2u);
+    if (checkpoint->rows.empty()) ++empty_shards;
   }
   EXPECT_GE(empty_shards, 3u);
   EXPECT_EQ(merge_to_string(files.paths), reference);
@@ -366,7 +390,7 @@ TEST(ShardDifferential, TinyGridLeavesSomeShardsEmptyAndStillMerges) {
 TEST(ShardDifferential, GoldenCorpusShardedMergeMatchesUnshardedAndGolden) {
   auto reference_spec = corpus_spec();
   reference_spec.jobs = 1;
-  const auto reference = run_rows(std::move(reference_spec));
+  const auto reference = run_file(std::move(reference_spec));
   ASSERT_FALSE(reference.empty());
 
   const ShardFiles files(corpus_spec(), 3, "corpus");
@@ -380,6 +404,8 @@ TEST(ShardDifferential, GoldenCorpusShardedMergeMatchesUnshardedAndGolden) {
   hexp::Aggregator aggregator(options);
   std::istringstream in(merged_rows);
   std::string line;
+  std::getline(in, line);  // the header
+  ASSERT_TRUE(hexp::parse_shard_header(line).has_value()) << line;
   while (std::getline(in, line)) {
     const auto row = hexp::parse_jsonl_row(line);
     ASSERT_TRUE(row.has_value()) << line;
@@ -408,10 +434,10 @@ TEST(ShardDifferential, MergedCheckpointResumesWholeRunWithoutRecompute) {
   hexp::JsonlSink sink(os);
   const auto summary = hexp::Sweep(std::move(resumed_spec)).run({&sink});
   EXPECT_EQ(summary.resumed_cells, summary.cells);
-  EXPECT_EQ(os.str(), merged);
+  EXPECT_EQ(os.str(), merged.substr(merged.find('\n') + 1));
 
-  // The permissive direction: a merged (headerless) checkpoint also seeds a
-  // SHARDED re-run, which splices exactly its own subset.
+  // A merged checkpoint (shard 0 of 1) also seeds a SHARDED re-run, which
+  // splices exactly its own subset.
   auto shard_spec = shard_grid();
   shard_spec.shard_index = 1;
   shard_spec.shard_count = 3;

@@ -1,7 +1,8 @@
-// hydra_merge: union per-shard sweep checkpoints back into the single JSONL
-// stream a one-process run would have written (see exp/merge.h for the
-// contract: order-insensitive, idempotent, loud on conflicts, torn trailing
-// lines discarded).
+// hydra_merge: union sweep checkpoints (shard outputs, merged files, partial
+// merges) back into the single JSONL stream a one-process run would have
+// written (see exp/merge.h for the contract: every input opens with a
+// header of one spec fingerprint; order-insensitive, idempotent, loud on
+// conflicts, torn trailing lines discarded).
 //
 // Typical fan-out, three processes then one merge:
 //
@@ -10,9 +11,9 @@
 //     bench_fig2_acceptance --shard 2/3 --out s2.jsonl   # machine 2
 //     hydra_merge --out merged.jsonl s0.jsonl s1.jsonl s2.jsonl
 //
-// merged.jsonl is byte-identical to the unsharded run's --out and doubles as
-// a complete --resume checkpoint (e.g. to re-print tables without
-// recomputing anything).
+// merged.jsonl, header included, is byte-identical to the unsharded run's
+// --out and doubles as a complete --resume checkpoint (e.g. to re-print
+// tables without recomputing anything).
 //
 // Usage: hydra_merge [--out merged.jsonl] [--allow-partial] [--check]
 //                    [--expect-fingerprint HEX] shard0.jsonl shard1.jsonl ...
@@ -25,16 +26,18 @@
 //                         one status line, write NOTHING (implies
 //                         --allow-partial) — the cheap form a watcher loop
 //                         polls between merges
-//   --expect-fingerprint  additionally pin the shards' spec fingerprint (an
-//                         input without a shard header is then an error)
+//   --expect-fingerprint  additionally pin the inputs' spec fingerprint
 //
 // Exit codes (the scriptable contract shard scripts and CI check):
-//   0  complete — the merged stream provably reconstructs the full grid
-//   3  partial but consistent — no conflicts, but cells/shards are missing
-//      (only reachable with --allow-partial or --check; a bare run throws)
+//   0  complete — the merged stream provably reconstructs the full grid: the
+//      headers agree on grid_cells, that many distinct cells were merged,
+//      and every cell has one row per scheme
+//   3  partial but consistent — no conflicts, but cells or rows are missing
+//      (only reachable with --allow-partial or --check; a bare run throws);
+//      a partial merge merged again on its own is still partial
 //   1  inconsistent or unreadable inputs (conflicting duplicates, foreign
-//      or unverifiable fingerprints, corrupt lines, missing files), or an
-//      output that cannot be written
+//      fingerprints, a missing header, corrupt lines, missing or empty
+//      files), or an output that cannot be written
 //   2  usage error
 #include <iostream>
 
@@ -71,12 +74,9 @@ int main(int argc, char** argv) {
       // One greppable status line on stdout; the exit code carries the same
       // verdict for scripts that do not parse.
       std::cout << (merged.complete ? "complete" : "partial") << " cells="
-                << merged.cells.size() << " rows=" << merged.rows;
-      if (merged.header.has_value()) {
-        std::cout << " shards=" << merged.header->shards << " fingerprint="
-                  << merged.header->fingerprint;
-      }
-      std::cout << "\n";
+                << merged.cells.size() << " rows=" << merged.rows
+                << " grid_cells=" << merged.header.grid_cells
+                << " fingerprint=" << merged.header.fingerprint << "\n";
       if (!merged.complete) std::cerr << "hydra_merge: " << merged.incomplete_reason << "\n";
       return merged.complete ? 0 : 3;
     }
@@ -93,11 +93,9 @@ int main(int argc, char** argv) {
 
     // Provenance summary on stderr, so stdout stays a clean JSONL stream.
     std::cerr << "merged " << merged.cells.size() << " cells (" << merged.rows
-              << " rows) from " << merged.shard_files << " shard file(s)";
-    if (merged.header.has_value()) {
-      std::cerr << ", spec fingerprint " << merged.header->fingerprint << ", "
-                << merged.header->shards << " shard(s) declared";
-    }
+              << " rows) from " << merged.shard_files << " shard file(s), spec fingerprint "
+              << merged.header.fingerprint << ", grid of " << merged.header.grid_cells
+              << " cells";
     if (merged.duplicate_rows > 0) {
       std::cerr << "; coalesced " << merged.duplicate_rows << " duplicate row(s)";
     }
