@@ -1,11 +1,12 @@
 // Micro-benchmarks (google-benchmark): the building blocks whose cost decides
 // whether HYDRA-style design-space exploration is interactive — exact RTA,
-// Randfixedsum draws, the closed-form Eq. (7) period adaptation, full
-// HYDRA and SingleCore allocations, the exhaustive optimal search, the
-// discrete-event simulator, the detection bundle of one fig5 row and its
-// metric hooks, a whole sweep batch, and one point query.
+// Randfixedsum draws, the Eq. (1) filter, the closed-form Eq. (7) period
+// adaptation, full HYDRA and SingleCore allocations, the exhaustive optimal
+// search, the discrete-event simulator, the detection bundle of one fig5 row
+// and its metric hooks, a whole sweep batch, and one point query.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <string>
@@ -123,19 +124,63 @@ static void BM_SingleCoreAllocateUav(benchmark::State& state) {
 }
 BENCHMARK(BM_SingleCoreAllocateUav)->Arg(2)->Arg(4)->Arg(8);
 
+static void BM_NecessaryCondition(benchmark::State& state) {
+  // The generator's Eq. (1) filter on 64 unfiltered fig2 draws at M cores,
+  // one per utilization point of the fig2 axis in turn, cycled.  With
+  // `constrained` = 1 every deadline is cut to max(C, 0.9·T): L_a is then
+  // positive and the capped deadline walk still runs.
+  const auto m = static_cast<std::size_t>(state.range(0));
+  const bool constrained = state.range(1) != 0;
+  gen::SyntheticConfig config;
+  config.num_cores = m;
+  const auto axis = hydra::exp::utilization_axis(m);
+  hydra::util::Xoshiro256 rng(12);
+  std::vector<std::vector<rt::RtTask>> draws;
+  for (std::size_t i = 0; draws.size() < 64; ++i) {
+    if (auto drawn = gen::generate_instance(config, axis[i % axis.size()], rng)) {
+      auto tasks = std::move(drawn->instance.rt_tasks);
+      if (constrained) {
+        for (auto& task : tasks) task.deadline = std::max(task.wcet, 0.9 * task.period);
+      }
+      draws.push_back(std::move(tasks));
+    }
+  }
+
+  std::size_t next = 0;
+  std::size_t passed = 0;
+  for (auto _ : state) {
+    passed += rt::dbf_necessary_condition(draws[next], m);
+    next = (next + 1) % draws.size();
+    benchmark::DoNotOptimize(passed);
+  }
+  state.counters["passed"] =
+      static_cast<double>(passed) / static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_NecessaryCondition)
+    ->ArgNames({"cores", "constrained"})
+    ->Args({2, 0})
+    ->Args({4, 0})
+    ->Args({8, 0})
+    ->Args({4, 1});
+
 static void BM_HydraAllocateSynthetic(benchmark::State& state) {
+  // 64 seeded draws at U = M/2, cycled: more than the RT partition memo
+  // holds, so every allocation partitions afresh.
   hydra::util::Xoshiro256 rng(4);
   gen::SyntheticConfig config;
   config.num_cores = static_cast<std::size_t>(state.range(0));
-  const auto drawn =
-      gen::generate_filtered_instance(config, 0.5 * static_cast<double>(state.range(0)), rng);
-  if (!drawn.has_value()) {
-    state.SkipWithError("no instance drawn");
-    return;
+  std::vector<core::Instance> draws;
+  while (draws.size() < 64) {
+    if (auto drawn = gen::generate_filtered_instance(
+            config, 0.5 * static_cast<double>(state.range(0)), rng)) {
+      draws.push_back(std::move(drawn->instance));
+    }
   }
   const core::HydraAllocator allocator;
+  std::size_t next = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(allocator.allocate(drawn->instance));
+    benchmark::DoNotOptimize(allocator.allocate(draws[next]));
+    next = (next + 1) % draws.size();
   }
 }
 BENCHMARK(BM_HydraAllocateSynthetic)->Arg(2)->Arg(4)->Arg(8);

@@ -59,7 +59,10 @@ std::optional<SyntheticInstance> generate_instance(const SyntheticConfig& config
                                                    util::Xoshiro256& rng);
 
 /// The paper's pre-filter: Eq. (1) over the RT tasks on M cores.  (Security
-/// tasks enter the schedulability analysis proper, not this filter.)
+/// tasks enter the schedulability analysis proper, not this filter.)  Drawn
+/// RT tasks have implicit deadlines, so rt::dbf_necessary_condition settles
+/// every draw with U ≤ M in O(n), without a deadline walk (its L_a bound is
+/// 0); only draws with U in (M, M + ε] still walk.
 bool satisfies_necessary_condition(const core::Instance& instance);
 
 /// Draws instances until one passes `satisfies_necessary_condition`, up to

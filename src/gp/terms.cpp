@@ -179,10 +179,14 @@ void Posynomial::log_finish(const linalg::Vector& y, bool need_hess, LogEval& ou
     out.wsum = shifted_weights(y.raw(), out.weights.data(), u_max);
   }
 
+  // wsum is +0 only when every weight underflowed (every log-term value is
+  // −inf or far below the shift floor).  The softmax is undefined there, so
+  // each p_t is NaN, as 0/0 would give, but without dividing by zero.
   double* w = out.weights.data();
   const double wsum = out.wsum;
+  const double undefined = std::numeric_limits<double>::quiet_NaN();
   for (std::size_t t = 0; t < k; ++t) {
-    w[t] /= wsum;  // softmax weight p_t
+    w[t] = wsum == 0.0 ? undefined : w[t] / wsum;  // softmax weight p_t
     const double* a = terms_[t].exponents().data();
     for (std::size_t i = 0; i < n; ++i) g[i] += w[t] * a[i];
   }

@@ -3,11 +3,41 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 
 #include "rt/priority.h"
 #include "util/contracts.h"
 
 namespace hydra::rt {
+
+namespace {
+
+/// The last t that dbf_necessary_condition's walk must test: min(h, L_a) when
+/// the L_a argument of analysis.h holds, else h itself (the full walk).
+/// `utilization` is total_utilization(tasks), already at most m + ε.
+util::Millis demand_walk_stop(const std::vector<RtTask>& tasks, double m, double utilization,
+                              util::Millis h) {
+  double numerator = 0.0;  // Σ U_i·max(0, T_i − D_i)
+  double points = 0.0;     // at least the number of deadline points up to h
+  for (const auto& task : tasks) {
+    if (!(task.wcet >= 0.0 && task.deadline > 0.0 && task.period > 0.0)) return h;
+    if (task.period > task.deadline) {
+      numerator += task.utilization() * (task.period - task.deadline);
+    }
+    points += std::max(0.0, (h - task.deadline) / task.period + 1.0);
+  }
+  // The rounding budget of analysis.h; NaN or overflow fails it too.
+  const double n = static_cast<double>(tasks.size());
+  const double rounding =
+      m * h * (2.0 * n + points + 12.0) * std::numeric_limits<double>::epsilon();
+  if (!(rounding <= util::kTimeEpsilon)) return h;
+  if (numerator == 0.0 && utilization <= m) return 0.0;
+  if (!(utilization < m)) return h;
+  const util::Millis l_a = numerator / (m - utilization);
+  return l_a < h ? l_a : h;  // not std::min: a NaN L_a must walk to h
+}
+
+}  // namespace
 
 bool dbf_necessary_condition(const std::vector<RtTask>& tasks, std::size_t num_cores,
                              std::optional<util::Millis> horizon) {
@@ -16,13 +46,21 @@ bool dbf_necessary_condition(const std::vector<RtTask>& tasks, std::size_t num_c
 
   const double m = static_cast<double>(num_cores);
   // Asymptotic limit of Eq. (1): total utilization at most M.
-  if (total_utilization(tasks) > m + util::kTimeEpsilon) return false;
+  const double utilization = total_utilization(tasks);
+  if (utilization > m + util::kTimeEpsilon) return false;
 
   util::Millis h = 0.0;
   if (horizon.has_value()) {
     h = *horizon;
   } else {
     for (const auto& task : tasks) h = std::max(h, 2.0 * (task.deadline + task.period));
+  }
+  // No point past `stop` can fail; when none lies at or before it either
+  // (every implicit-deadline set with U ≤ M), the walk has nothing to test.
+  const util::Millis stop = demand_walk_stop(tasks, m, utilization, h);
+  if (std::none_of(tasks.begin(), tasks.end(),
+                   [&](const RtTask& task) { return task.deadline <= stop; })) {
+    return true;
   }
 
   // Demand only changes at absolute deadline points D_i + k·T_i, so those are
@@ -31,7 +69,10 @@ bool dbf_necessary_condition(const std::vector<RtTask>& tasks, std::size_t num_c
   // incrementally — crossing D_i + k·T_i raises Σ DBF by exactly C_i.  The
   // k-th checkpoint is computed as D + k·T by multiplication: the previous
   // `t += period` accumulation drifts for non-representable periods and can
-  // skip or duplicate the deadline point nearest the horizon.
+  // skip or duplicate the deadline point nearest the horizon.  Streams enter
+  // the heap up to h, not `stop`, and the loop ends at the first point past
+  // `stop`: the points it does test, and the order coincident demand is
+  // summed in, are exactly those of the walk to h.
   const std::size_t n = tasks.size();
   std::vector<util::Millis> next(n);
   std::vector<std::uint64_t> jobs(n, 0);
@@ -47,7 +88,7 @@ bool dbf_necessary_condition(const std::vector<RtTask>& tasks, std::size_t num_c
   std::make_heap(heap.begin(), heap.end(), later);
 
   double demand = 0.0;
-  while (!heap.empty()) {
+  while (!heap.empty() && next[heap.front()] <= stop) {
     const util::Millis t = next[heap.front()];
     // Drain every stream whose checkpoint equals t before testing Eq. (1):
     // demand steps by the whole coincident batch at once.

@@ -16,11 +16,34 @@ namespace hydra::rt {
 /// The paper's Eq. (1) necessary condition for M-core schedulability:
 /// Σ DBF(τr, t) ≤ M·t for all t > 0, where DBF(τ, t) =
 /// max(0, (⌊(t − D)/T⌋ + 1)·C) is the demand of τ's jobs with release and
-/// deadline inside a window of length t (Baruah & Fisher [15]).  Checked at
-/// every absolute-deadline point D_i + k·T_i up to `horizon` (plus the
-/// asymptotic utilization bound ΣU ≤ M, which is the t → ∞ limit).  When `horizon` is not given it
-/// defaults to 2·max_i(D_i + T_i), enough to catch small-t violations that
-/// the utilization bound misses.
+/// deadline inside a window of length t (Baruah & Fisher [15]).  Checked
+/// first as the asymptotic utilization bound ΣU ≤ M (the t → ∞ limit), then
+/// at every absolute-deadline point D_i + k·T_i up to `horizon`, each within
+/// util::kTimeEpsilon.  When `horizon` is not given it defaults to
+/// 2·max_i(D_i + T_i), enough to catch small-t violations that the
+/// utilization bound misses.
+///
+/// The walk stops at L_a = Σ U_i·max(0, T_i − D_i) / (M − U).  Since
+/// DBF_i(t) ≤ U_i·(t + max(0, T_i − D_i)), Σ DBF(t) ≤ U·t + Σ U_i·max(0,
+/// T_i − D_i) ≤ M·t for every t ≥ L_a once U < M.  So only the points up to
+/// min(horizon, L_a) are tested, in the same order and with the same running
+/// sums as the walk to the horizon.  When the numerator is 0 (every D ≥ T,
+/// as in every make_rt_task set) and U ≤ M, L_a is 0 and the function
+/// returns true without a walk.  U in (M, M + ε], and U == M with a nonzero
+/// numerator, walk to the horizon.
+///
+/// The verdict equals the walk to the horizon bit for bit.  Past L_a the
+/// exact margin M·t − Σ DBF(t) is ≥ 0, and the walk fails a point only when
+/// its computed demand exceeds M·t by more than ε = 1e-6.  The computed
+/// demand and M·t err from the exact ones by at most about
+/// u·M·h·(2n + K + 12) together, where u is the unit roundoff, h the
+/// horizon, n the task count and K the number of deadline points up to h:
+/// U, the numerator and L_a each carry O(n·u) relative error, a point
+/// D + k·T carries 2u, and the running demand sum K·u.  The cap applies
+/// only when twice that budget is at most ε, and only when every task has
+/// C ≥ 0, D > 0 and T > 0; anything else (NaN, infinities, malformed tasks,
+/// huge horizons) takes the full walk.  The generator's draws (M ≤ 8, at
+/// most 80 tasks, T in [10, 1000] ms) stay below 2.3e-7.
 bool dbf_necessary_condition(const std::vector<RtTask>& tasks, std::size_t num_cores,
                              std::optional<util::Millis> horizon = std::nullopt);
 

@@ -199,18 +199,22 @@ gp::LogEval reference_log_eval(const gp::Posynomial& p, const la::Vector& y, boo
     w[t] = std::exp(u[t] - u_max);
     wsum += w[t];
   }
+  // Softmax weights p_t = w_t / wsum; NaN when every weight underflowed.
+  const auto softmax = [&](std::size_t t) {
+    return wsum == 0.0 ? std::numeric_limits<double>::quiet_NaN() : w[t] / wsum;
+  };
   gp::LogEval out;
   out.value = u_max + std::log(wsum);
   out.grad = la::Vector(n);
   for (std::size_t t = 0; t < k; ++t) {
-    const double pt = w[t] / wsum;
+    const double pt = softmax(t);
     for (std::size_t i = 0; i < n; ++i) out.grad[i] += pt * terms[t].exponent(i);
   }
   if (need_hess) {
     out.hess = la::Matrix(n, n);
     la::Vector a(n);
     for (std::size_t t = 0; t < k; ++t) {
-      const double pt = w[t] / wsum;
+      const double pt = softmax(t);
       for (std::size_t i = 0; i < n; ++i) a[i] = terms[t].exponent(i);
       out.hess.add_outer(a, pt);
     }

@@ -5,9 +5,14 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "exp/batch.h"
+#include "exp/sweep.h"
+#include "gen/synthetic.h"
+#include "io/taskset_io.h"
 #include "oracles/rt_bounds.h"
 #include "rt/analysis.h"
 #include "rt/task.h"
@@ -56,10 +61,6 @@ TEST(NecessaryCondition, FailsWhenUtilizationExceedsCores) {
                                       rt::make_rt_task("c", 9.0, 10.0)};
   EXPECT_FALSE(rt::dbf_necessary_condition(tasks, 2));  // U = 2.7 > 2
   EXPECT_TRUE(rt::dbf_necessary_condition(tasks, 3));
-}
-
-TEST(NecessaryCondition, EmptySetTriviallyHolds) {
-  EXPECT_TRUE(rt::dbf_necessary_condition({}, 1));
 }
 
 TEST(NecessaryCondition, ChecksTheDeadlinePointNearestTheHorizon) {
@@ -123,6 +124,261 @@ TEST(NecessaryCondition, MatchesBruteForceOnRandomTaskSets) {
       }
     }
     EXPECT_EQ(rt::dbf_necessary_condition(tasks, m), reference) << "rep " << rep;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The walk stops at L_a = Σ U_i·max(0, T_i − D_i) / (M − U): every verdict
+// below must equal the uncapped walk of oracle::dbf_necessary_condition_full_walk.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+enum class DeadlineShape { kImplicit, kConstrained, kPastPeriod, kMixed };
+
+/// A seeded set of `n` tasks with total utilization near `target`.  Half the
+/// draws take periods from a small integer set, so deadline points coincide
+/// and the demand meets its U·t + Σ U_i·max(0, T_i − D_i) bound exactly.
+std::vector<rt::RtTask> seeded_task_set(hydra::util::Xoshiro256& rng, std::size_t n,
+                                        double target, DeadlineShape shape) {
+  static constexpr double kCoincident[] = {10.0, 20.0, 25.0, 40.0, 50.0, 100.0};
+  const bool integer_periods = rng.uniform01() < 0.5;
+  std::vector<double> weights(n);
+  double total = 0.0;
+  for (auto& w : weights) total += (w = rng.uniform(0.1, 1.0));
+  std::vector<rt::RtTask> tasks;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double period = integer_periods ? kCoincident[rng.uniform_int(0, 5)]
+                                          : std::exp(rng.uniform(0.0, std::log(500.0)));
+    auto task_shape = shape;
+    if (shape == DeadlineShape::kMixed) {
+      task_shape = static_cast<DeadlineShape>(rng.uniform_int(0, 2));
+    }
+    double deadline = period;
+    if (task_shape == DeadlineShape::kConstrained) deadline = rng.uniform(0.2, 1.0) * period;
+    if (task_shape == DeadlineShape::kPastPeriod) deadline = rng.uniform(1.0, 3.0) * period;
+    if (integer_periods && task_shape != DeadlineShape::kImplicit) {
+      deadline = std::max(1.0, std::round(deadline));
+    }
+    tasks.push_back(rt::RtTask{"t" + std::to_string(i), target * weights[i] / total * period,
+                               period, deadline});
+  }
+  return tasks;
+}
+
+/// Expects the production verdict to equal the full walk's; returns it.
+bool expect_full_walk_verdict(const std::vector<rt::RtTask>& tasks, std::size_t m,
+                              std::optional<double> horizon, const std::string& what) {
+  const bool full_walk = oracle::dbf_necessary_condition_full_walk(tasks, m, horizon);
+  EXPECT_EQ(rt::dbf_necessary_condition(tasks, m, horizon), full_walk) << what;
+  return full_walk;
+}
+
+/// Whether L_a = Σ U_i·max(0, T_i − D_i) / (M − U) lies strictly between 0
+/// and the horizon, so the capped walk runs but stops short of the horizon.
+bool cap_cuts_walk(const std::vector<rt::RtTask>& tasks, std::size_t m,
+                   std::optional<double> horizon) {
+  double h = 0.0;
+  for (const auto& task : tasks) h = std::max(h, 2.0 * (task.deadline + task.period));
+  h = horizon.value_or(h);
+  double numerator = 0.0;
+  for (const auto& task : tasks) {
+    numerator += task.utilization() * std::max(0.0, task.period - task.deadline);
+  }
+  const double slack = static_cast<double>(m) - rt::total_utilization(tasks);
+  return numerator > 0.0 && slack > 0.0 && numerator / slack < h;
+}
+
+struct BatchOutcome {
+  int accepted = 0;  ///< sets the full walk accepted
+  int cut = 0;       ///< sets on which the cap stopped a running walk early
+};
+
+/// Runs `count` seeded sets of one shape, about half with an explicit
+/// horizon, and checks each verdict against the full walk.
+BatchOutcome differential_batch(std::uint64_t seed, int count, DeadlineShape shape,
+                                double lo_share, double hi_share) {
+  hydra::util::Xoshiro256 rng(seed);
+  BatchOutcome outcome;
+  for (int rep = 0; rep < count; ++rep) {
+    const std::size_t m = std::size_t{1} << rng.uniform_int(0, 3);
+    const std::size_t n = m + rng.uniform_int(1, 3 * m);
+    const double target = static_cast<double>(m) * rng.uniform(lo_share, hi_share);
+    const auto tasks = seeded_task_set(rng, n, target, shape);
+    std::optional<double> horizon;
+    if (rng.uniform01() < 0.5) horizon = rng.uniform(0.0, 2000.0);
+    outcome.accepted += expect_full_walk_verdict(tasks, m, horizon, "rep " + std::to_string(rep));
+    outcome.cut += cap_cuts_walk(tasks, m, horizon);
+  }
+  return outcome;
+}
+
+}  // namespace
+
+TEST(NecessaryConditionCap, MatchesFullWalkOnImplicitSetsPackedNearM) {
+  // U in [M − 1e-3, M + 2e-6]: the early return below M, the walk above it,
+  // and the exact-M draws whose computed U lands on either side.
+  hydra::util::Xoshiro256 rng(20261019);
+  int accepted = 0;
+  int rejected = 0;
+  for (int rep = 0; rep < 800; ++rep) {
+    const std::size_t m = std::size_t{1} << rng.uniform_int(0, 3);
+    const std::size_t n = 2 * m + rng.uniform_int(0, 2 * m);
+    const double mf = static_cast<double>(m);
+    double target = mf;
+    switch (rep % 4) {
+      case 0: target = rng.uniform(mf - 1e-3, mf); break;
+      case 1: break;
+      default: target = rng.uniform(mf, mf + 2e-6); break;
+    }
+    const auto tasks = seeded_task_set(rng, n, target, DeadlineShape::kImplicit);
+    const bool verdict = expect_full_walk_verdict(tasks, m, std::nullopt,
+                                                  "rep " + std::to_string(rep));
+    (verdict ? accepted : rejected) += 1;
+  }
+  // Both verdicts occur.
+  EXPECT_GT(accepted, 400);
+  EXPECT_GT(rejected, 50);
+}
+
+TEST(NecessaryConditionCap, MatchesFullWalkOnConstrainedDeadlines) {
+  // Both verdicts occur, and on most sets the cap stops a running walk.
+  const auto outcome = differential_batch(7, 600, DeadlineShape::kConstrained, 0.2, 1.0);
+  EXPECT_GT(outcome.accepted, 50);
+  EXPECT_GT(600 - outcome.accepted, 50);
+  EXPECT_GT(outcome.cut, 300);
+}
+
+TEST(NecessaryConditionCap, MatchesFullWalkOnDeadlinesPastThePeriodAndMixedSets) {
+  // Every D ≥ T set has L_a = 0: accepted without a walk unless U > M.
+  const auto past = differential_batch(8, 400, DeadlineShape::kPastPeriod, 0.5, 1.0 + 2e-6);
+  EXPECT_EQ(past.cut, 0);
+  const auto mixed = differential_batch(9, 600, DeadlineShape::kMixed, 0.6, 1.0 + 2e-6);
+  EXPECT_GT(mixed.accepted, 50);
+  EXPECT_GT(600 - mixed.accepted, 20);
+  EXPECT_GT(mixed.cut, 300);
+}
+
+TEST(NecessaryConditionCap, MatchesFullWalkOnTheCorpora) {
+  int sets = 0;
+  for (const char* dir : {"/tests/corpus", "/tests/corpus_controller", "/tests/corpus_sim"}) {
+    for (const auto& file :
+         hydra::exp::expand_workload_files(std::string(HYDRA_SOURCE_DIR) + dir)) {
+      const auto instance = hydra::io::load_instance(file);
+      for (std::size_t m = 1; m <= instance.num_cores; ++m) {
+        expect_full_walk_verdict(instance.rt_tasks, m, std::nullopt,
+                                 file + " on " + std::to_string(m) + " cores");
+      }
+      ++sets;
+    }
+  }
+  EXPECT_GE(sets, 14);
+}
+
+TEST(NecessaryConditionCap, MatchesFullWalkOnUnfilteredFigureDraws) {
+  // The generator's configurations of fig2 (M = 2, 4, 8), fig3 and fig5,
+  // drawn without the Eq. (1) filter.
+  struct Figure {
+    std::string name;
+    hydra::gen::SyntheticConfig config;
+    std::vector<double> utilizations;
+  };
+  std::vector<Figure> figures;
+  for (const std::size_t m : {2, 4, 8}) {
+    hydra::gen::SyntheticConfig config;
+    config.num_cores = m;
+    figures.push_back({"fig2 M=" + std::to_string(m), config, hydra::exp::utilization_axis(m)});
+  }
+  hydra::gen::SyntheticConfig fig3;
+  fig3.num_cores = 2;
+  fig3.min_sec_per_core = 1;
+  fig3.max_sec_per_core = 3;
+  figures.push_back({"fig3", fig3, hydra::exp::utilization_axis(2)});
+  hydra::gen::SyntheticConfig fig5;
+  fig5.num_cores = 2;
+  figures.push_back({"fig5", fig5, {0.6, 1.0, 1.4}});
+
+  hydra::util::Xoshiro256 rng(5);
+  int drawn = 0;
+  for (const auto& figure : figures) {
+    for (const double u : figure.utilizations) {
+      for (int rep = 0; rep < 4; ++rep) {
+        const auto draw = hydra::gen::generate_instance(figure.config, u, rng);
+        if (!draw.has_value()) continue;
+        expect_full_walk_verdict(draw->instance.rt_tasks, figure.config.num_cores, std::nullopt,
+                                 figure.name + " u=" + std::to_string(u));
+        ++drawn;
+      }
+    }
+  }
+  EXPECT_GT(drawn, 400);
+}
+
+TEST(NecessaryConditionCap, UtilizationExactlyMWithImplicitDeadlines) {
+  // 3/12 + 6/8 = 1 exactly: L_a = 0, so no deadline point is walked.
+  const std::vector<rt::RtTask> tasks{rt::make_rt_task("a", 3.0, 12.0),
+                                      rt::make_rt_task("b", 6.0, 8.0)};
+  ASSERT_EQ(rt::total_utilization(tasks), 1.0);
+  EXPECT_TRUE(expect_full_walk_verdict(tasks, 1, std::nullopt, "U = 1"));
+  std::vector<rt::RtTask> four(4, rt::make_rt_task("c", 5.0, 10.0));
+  ASSERT_EQ(rt::total_utilization(four), 2.0);
+  EXPECT_TRUE(expect_full_walk_verdict(four, 2, std::nullopt, "U = 2"));
+}
+
+TEST(NecessaryConditionCap, UtilizationJustAboveMStillWalks) {
+  // U = 1 + 5e-7 is within ε of M, so the utilization check passes, but
+  // the common deadline t = 10 carries 5e-6 more demand than M·t.
+  const std::vector<rt::RtTask> over{rt::make_rt_task("a", 5.0, 10.0),
+                                     rt::make_rt_task("b", 5.0 + 5e-6, 10.0)};
+  ASSERT_GT(rt::total_utilization(over), 1.0);
+  ASSERT_LE(rt::total_utilization(over), 1.0 + 1e-6);
+  EXPECT_FALSE(expect_full_walk_verdict(over, 1, std::nullopt, "fails at t = 10"));
+  // U = 1 + 2e-7 with T = 1: the excess reaches only 8e-7 by the horizon.
+  const std::vector<rt::RtTask> within{rt::make_rt_task("a", 1.0 + 2e-7, 1.0)};
+  EXPECT_TRUE(expect_full_walk_verdict(within, 1, std::nullopt, "within ε up to h"));
+}
+
+TEST(NecessaryConditionCap, ViolationJustBelowLaIsNotCut) {
+  // Deadline points 5, 15 (a) and 25 (a and b): Σ DBF(25) = 12 + C_b meets
+  // its U·t + Σ U_i·(T_i − D_i) bound, so the only violation, 1e-4 at
+  // t = 25, sits 6e-4 below L_a.
+  const rt::RtTask a{"a", 4.0, 10.0, 5.0};
+  const rt::RtTask b{"b", 13.0 + 1e-4, 30.0, 25.0};
+  const double l_a = (a.utilization() * 5.0 + b.utilization() * 5.0) /
+                     (1.0 - a.utilization() - b.utilization());
+  ASSERT_GT(l_a, 25.0);
+  ASSERT_LT(l_a, 25.001);
+  EXPECT_FALSE(expect_full_walk_verdict({a, b}, 1, std::nullopt, "violation at 25"));
+  EXPECT_TRUE(expect_full_walk_verdict({a, b}, 1, 24.9, "horizon short of 25"));
+
+  // A task with D > T adds nothing to the numerator; it must not pull L_a
+  // below 25 (−U_c·(D_c − T_c) would put it at about 20.2).
+  const rt::RtTask c{"c", 1.0, 100.0, 200.0};
+  EXPECT_FALSE(expect_full_walk_verdict({a, b, c}, 1, std::nullopt, "with a D > T task"));
+}
+
+TEST(NecessaryConditionCap, ViolationPastAnExplicitHorizonButBelowLa) {
+  const rt::RtTask a{"a", 4.0, 10.0, 5.0};
+  const rt::RtTask b{"b", 13.0 + 1e-4, 30.0, 25.0};
+  EXPECT_TRUE(expect_full_walk_verdict({a, b}, 1, 20.0, "horizon 20 < 25 < L_a"));
+  EXPECT_FALSE(expect_full_walk_verdict({a, b}, 1, 25.0, "horizon on the violation"));
+}
+
+TEST(NecessaryConditionCap, SingleTask) {
+  EXPECT_TRUE(expect_full_walk_verdict({rt::make_rt_task("a", 7.0, 10.0)}, 1, std::nullopt,
+                                       "implicit"));
+  EXPECT_TRUE(expect_full_walk_verdict({rt::RtTask{"a", 3.0, 10.0, 4.0}}, 1, std::nullopt,
+                                       "constrained, C < D"));
+  EXPECT_FALSE(expect_full_walk_verdict({rt::RtTask{"a", 5.0, 10.0, 4.0}}, 1, std::nullopt,
+                                        "constrained, C > D"));
+  EXPECT_TRUE(expect_full_walk_verdict({rt::RtTask{"a", 5.0, 10.0, 40.0}}, 1, std::nullopt,
+                                       "D > T"));
+}
+
+TEST(NecessaryConditionCap, EmptySet) {
+  for (const std::size_t m : {1, 3}) {
+    EXPECT_TRUE(expect_full_walk_verdict({}, m, std::nullopt, "default horizon"));
+    EXPECT_TRUE(expect_full_walk_verdict({}, m, 50.0, "explicit horizon"));
   }
 }
 
