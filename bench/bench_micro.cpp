@@ -3,7 +3,8 @@
 // Randfixedsum draws, the Eq. (1) filter, the closed-form Eq. (7) period
 // adaptation, full HYDRA and SingleCore allocations, the exhaustive optimal
 // search, the discrete-event simulator, the detection bundle of one fig5 row
-// and its metric hooks, a whole sweep batch, and one point query.
+// and its metric hooks, a whole sweep batch, one point query, and the
+// independent validation of one allocation.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -20,6 +21,7 @@
 #include "core/optimal.h"
 #include "core/period_adaptation.h"
 #include "core/single_core.h"
+#include "core/validation.h"
 #include "exp/metrics.h"
 #include "exp/sweep.h"
 #include "gen/randfixedsum.h"
@@ -79,7 +81,7 @@ Fig5Row next_fig5_row(hydra::util::Xoshiro256& rng) {
 static void BM_ResponseTimeAnalysis(benchmark::State& state) {
   hydra::util::Xoshiro256 rng(1);
   const auto n = static_cast<std::size_t>(state.range(0));
-  const auto tasks = random_rt_tasks(n, 0.6, rng);
+  const auto tasks = rt::timings_of(random_rt_tasks(n, 0.6, rng));
   for (auto _ : state) {
     benchmark::DoNotOptimize(rt::core_schedulable_rm(tasks));
   }
@@ -418,5 +420,46 @@ static void BM_PointQuery(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_PointQuery)->Unit(benchmark::kMicrosecond);
+
+static void BM_ValidateAllocation(benchmark::State& state) {
+  // The independent re-check of one design point: 192 feasible hydra,
+  // single-core and contego allocations of seeded M = 4, U = 2.0 draws, each
+  // validated under its scheme's own contract, cycled.
+  gen::SyntheticConfig config;
+  config.num_cores = 4;
+  hydra::util::Xoshiro256 rng(13);
+  const core::HydraAllocator hydra_scheme;
+  const core::SingleCoreAllocator single_core;
+  const core::ContegoAllocator contego;
+  const std::array<const core::Allocator*, 3> schemes{&hydra_scheme, &single_core, &contego};
+  struct Case {
+    core::Instance instance;
+    core::Allocation allocation;
+    const core::Allocator* scheme;
+  };
+  std::vector<Case> cases;
+  while (cases.size() < 3 * 64) {
+    auto drawn = gen::generate_filtered_instance(config, 2.0, rng);
+    if (!drawn.has_value()) continue;
+    for (const core::Allocator* scheme : schemes) {
+      auto allocation = scheme->allocate(drawn->instance);
+      if (allocation.feasible) cases.push_back({drawn->instance, std::move(allocation), scheme});
+    }
+  }
+
+  std::size_t next = 0;
+  std::size_t valid = 0;
+  for (auto _ : state) {
+    const Case& c = cases[next];
+    next = (next + 1) % cases.size();
+    valid += core::validate_allocation(c.instance, c.allocation, c.scheme->priority_order(),
+                                       c.scheme->schedule_test())
+                 .valid;
+    benchmark::DoNotOptimize(valid);
+  }
+  state.counters["valid"] =
+      static_cast<double>(valid) / static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_ValidateAllocation)->Unit(benchmark::kMicrosecond);
 
 BENCHMARK_MAIN();

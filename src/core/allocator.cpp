@@ -36,7 +36,7 @@ CoreLedger::CoreLedger(const Instance& instance, const rt::Partition& rt_partiti
   for (std::size_t i = 0; i < instance.rt_tasks.size(); ++i) {
     const rt::RtTask& task = instance.rt_tasks[i];
     Core& core = cores_[rt_partition.core_of[i]];
-    core.rt_tasks.push_back(task);
+    core.rt_tasks.push_back(rt::timing_of(task));
     core.interferers.add_interferer(task.wcet, task.period);
   }
   allocation_.rt_partition = rt_partition;

@@ -100,7 +100,7 @@ void validate_rt_partition(const Instance& instance, const rt::Partition& rt_par
 class CoreLedger {
  public:
   struct Core {
-    std::vector<rt::RtTask> rt_tasks;            ///< partitioned here, input order
+    std::vector<rt::RtTiming> rt_tasks;          ///< partitioned here, input order
     rt::InterferenceBound interferers;           ///< Eq. (5) sums: RT + committed monitors
     double security_load = 0.0;                  ///< Σ Cs/Ts of the committed monitors
     std::vector<rt::PlacedSecurityTask> placed;  ///< committed monitors, commit order

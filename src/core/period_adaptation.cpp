@@ -30,7 +30,7 @@ PeriodAdaptation adapt_period(const rt::SecurityTask& task, const rt::Interferen
   return out;
 }
 
-std::size_t tighten_core_periods(const std::vector<rt::RtTask>& rt_on_core,
+std::size_t tighten_core_periods(rt::TimingSpan rt_on_core,
                                  std::vector<CommittedSecurityTask>& tasks,
                                  std::size_t rounds) {
   std::size_t changed = 0;
@@ -82,7 +82,7 @@ std::size_t tighten_core_periods(const std::vector<rt::RtTask>& rt_on_core,
   return changed;
 }
 
-void tighten_core_placements(const std::vector<rt::RtTask>& rt_on_core,
+void tighten_core_placements(rt::TimingSpan rt_on_core,
                              const std::vector<std::size_t>& members,
                              const std::vector<rt::SecurityTask>& security_tasks,
                              std::vector<TaskPlacement>& placements, std::size_t rounds) {
@@ -101,7 +101,7 @@ void tighten_core_placements(const std::vector<rt::RtTask>& rt_on_core,
 }
 
 PeriodAdaptation adapt_period_exact(const rt::SecurityTask& task,
-                                    const std::vector<rt::RtTask>& rt_on_core,
+                                    rt::TimingSpan rt_on_core,
                                     const std::vector<rt::PlacedSecurityTask>& hp_security,
                                     const rt::InterferenceBound* interferer_sums) {
   rt::validate(task);

@@ -50,7 +50,7 @@ PeriodAdaptation adapt_period(const rt::SecurityTask& task, const rt::Interferen
 /// it incrementally so the per-probe RTA preamble is O(1) (see
 /// rt::security_response_time).
 PeriodAdaptation adapt_period_exact(const rt::SecurityTask& task,
-                                    const std::vector<rt::RtTask>& rt_on_core,
+                                    rt::TimingSpan rt_on_core,
                                     const std::vector<rt::PlacedSecurityTask>& hp_security,
                                     const rt::InterferenceBound* interferer_sums = nullptr);
 
@@ -86,7 +86,7 @@ struct CommittedSecurityTask {
 /// Periods therefore never loosen, the set stays feasible by construction
 /// after every single commit, and extra `rounds` only tighten further
 /// (monotone in rounds — tested).  Returns the number of periods changed.
-std::size_t tighten_core_periods(const std::vector<rt::RtTask>& rt_on_core,
+std::size_t tighten_core_periods(rt::TimingSpan rt_on_core,
                                  std::vector<CommittedSecurityTask>& tasks,
                                  std::size_t rounds = 1);
 
@@ -100,7 +100,7 @@ inline constexpr std::size_t kAdaptationRounds = 2;
 /// (descending priority order, all on the same core), reading the committed
 /// periods from `placements` and writing the tightened periods and
 /// tightnesses back.
-void tighten_core_placements(const std::vector<rt::RtTask>& rt_on_core,
+void tighten_core_placements(rt::TimingSpan rt_on_core,
                              const std::vector<std::size_t>& members,
                              const std::vector<rt::SecurityTask>& security_tasks,
                              std::vector<TaskPlacement>& placements,

@@ -29,16 +29,38 @@ ValidationReport validate_allocation(
     if (c >= instance.num_cores) return fail("RT partition shape mismatch");
   }
 
+  // Each core's RT timings, gathered once: core c holds
+  // by_core[start[c] .. start[c + 1]), in input order.
+  const auto& core_of = allocation.rt_partition.core_of;
+  std::vector<rt::RtTiming> by_core;
+  by_core.reserve(core_of.size());
+  std::vector<std::size_t> start(instance.num_cores + 1, 0);
+  for (std::size_t c = 0; c < instance.num_cores; ++c) {
+    start[c] = by_core.size();
+    for (std::size_t r = 0; r < core_of.size(); ++r) {
+      if (core_of[r] == c) by_core.push_back(rt::timing_of(instance.rt_tasks[r]));
+    }
+  }
+  start[instance.num_cores] = by_core.size();
+  const auto on_core = [&](std::size_t c) {
+    return rt::TimingSpan(by_core.data() + start[c], start[c + 1] - start[c]);
+  };
+
   // Premise: the RT partition itself must be schedulable on every core.
   for (std::size_t c = 0; c < instance.num_cores; ++c) {
-    const auto on_core = allocation.rt_partition.tasks_on_core(instance.rt_tasks, c);
-    if (!rt::core_schedulable_rm(on_core)) {
+    if (!rt::core_schedulable_rm(on_core(c))) {
       return fail("RT tasks on core " + std::to_string(c) + " are not RM-schedulable");
     }
   }
 
   const auto& sec = instance.security_tasks;
   const auto rank = rt::rank_of(rt::resolve_security_order(sec, priority_order));
+  // A security task is interfered with by a monitor on its core that outranks it.
+  const auto outranks = [&](std::size_t h, std::size_t s) {
+    return h != s && allocation.placements[h].core == allocation.placements[s].core &&
+           rank[h] < rank[s];
+  };
+  std::vector<rt::PlacedSecurityTask> local_hp;  // exact RTA's interferers, reused
 
   for (std::size_t s = 0; s < sec.size(); ++s) {
     const auto& task = sec[s];
@@ -56,22 +78,9 @@ ValidationReport validate_allocation(
       return fail("task '" + task.name + "' reports inconsistent tightness");
     }
 
-    // Gather this task's interferers: local RT tasks and local higher-
-    // priority security tasks at their assigned periods.
-    std::vector<rt::RtTask> local_rt;
-    for (std::size_t r = 0; r < instance.rt_tasks.size(); ++r) {
-      if (allocation.rt_partition.core_of[r] == place.core) {
-        local_rt.push_back(instance.rt_tasks[r]);
-      }
-    }
-    std::vector<rt::PlacedSecurityTask> local_hp;
-    for (std::size_t h = 0; h < sec.size(); ++h) {
-      if (h == s || allocation.placements[h].core != place.core) continue;
-      if (rank[h] >= rank[s]) continue;
-      local_hp.push_back(
-          rt::PlacedSecurityTask{sec[h].wcet, allocation.placements[h].period});
-    }
-
+    // This task's interferers: the RT tasks on its core and the higher-
+    // priority security tasks there at their assigned periods.
+    const rt::TimingSpan local_rt = on_core(place.core);
     if (test == ScheduleTest::kLinearBound) {
       // Eq. (6), recomputed from scratch: Cs + Σ_RT (1 + Ts/Tr)·Cr
       //   + Σ_hp-sec-local (1 + Ts/Th)·Ch ≤ Ts.
@@ -79,14 +88,21 @@ ValidationReport validate_allocation(
       for (const auto& rt_task : local_rt) {
         demand += (1.0 + place.period / rt_task.period) * rt_task.wcet;
       }
-      for (const auto& hp : local_hp) {
-        demand += (1.0 + place.period / hp.period) * hp.wcet;
+      for (std::size_t h = 0; h < sec.size(); ++h) {
+        if (!outranks(h, s)) continue;
+        demand += (1.0 + place.period / allocation.placements[h].period) * sec[h].wcet;
       }
       if (!util::leq_tol(demand, place.period, 1e-4)) {
         return fail("task '" + task.name + "' violates Eq. (6): demand " +
                     std::to_string(demand) + " > period " + std::to_string(place.period));
       }
     } else {
+      local_hp.clear();
+      for (std::size_t h = 0; h < sec.size(); ++h) {
+        if (!outranks(h, s)) continue;
+        local_hp.push_back(
+            rt::PlacedSecurityTask{sec[h].wcet, allocation.placements[h].period});
+      }
       const auto response =
           rt::security_response_time(task, place.period, local_rt, local_hp);
       if (!response.has_value()) {

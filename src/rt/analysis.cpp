@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <limits>
 
-#include "rt/priority.h"
 #include "util/contracts.h"
 
 namespace hydra::rt {
@@ -111,19 +110,20 @@ bool dbf_necessary_condition(const std::vector<RtTask>& tasks, std::size_t num_c
 
 namespace {
 
-/// Fixpoint R = C + Σ ⌈R/T_j⌉·C_j over the interferers
-/// `a[0..na) ++ {inserted?} ++ b[0..nb)`, accumulated in exactly that order.
-/// The split form lets core_admits_rm rebuild a resident's interferer list
-/// with the candidate spliced into its priority slot without copying tasks.
+/// The one response-time fixpoint for RT tasks: R = C + Σ ⌈R/T_j⌉·C_j over
+/// the interferers `a[0..na) ++ {inserted?} ++ b[0..nb)`, accumulated in
+/// exactly that order.  The split form lets core_admits_rm rebuild a
+/// resident's interferer list with the candidate spliced into its priority
+/// slot without copying tasks.
 ///
 /// The iterate is seeded at C + Σ C_j (every ceil term is ≥ 1 for any
 /// positive iterate, so the seed sits at or below the least fixpoint); the
 /// monotone iteration converges to the same fixpoint as seeding at C —
 /// the final value is the same ceil-stable sum either way — just in fewer
 /// rounds.
-std::optional<util::Millis> response_time_spliced(const RtTask& task, const RtTask* a,
-                                                 std::size_t na, const RtTask* inserted,
-                                                 const RtTask* b, std::size_t nb) {
+std::optional<util::Millis> response_time_spliced(const RtTiming& task, const RtTiming* a,
+                                                 std::size_t na, const RtTiming* inserted,
+                                                 const RtTiming* b, std::size_t nb) {
   double hp_util = 0.0;
   for (std::size_t i = 0; i < na; ++i) hp_util += a[i].utilization();
   if (inserted != nullptr) hp_util += inserted->utilization();
@@ -135,7 +135,7 @@ std::optional<util::Millis> response_time_spliced(const RtTask& task, const RtTa
   if (inserted != nullptr) r += inserted->wcet;
   for (std::size_t i = 0; i < nb; ++i) r += b[i].wcet;
 
-  const auto add = [](double acc, double r_cur, const RtTask& hp) {
+  const auto add = [](double acc, double r_cur, const RtTiming& hp) {
     return acc + std::ceil(r_cur / hp.period - util::kTimeEpsilon) * hp.wcet;
   };
   for (int iter = 0; iter < 10000; ++iter) {
@@ -155,7 +155,7 @@ std::optional<util::Millis> response_time_spliced(const RtTask& task, const RtTa
 /// Hyperbolic-bound fast accept (sufficient only): valid for deadlines no
 /// earlier than periods.  Uses the strict Π(Ui+1) ≤ 2 form — no epsilon
 /// slack — so an accept implies the exact RTA below would accept too.
-bool hyperbolic_fast_accept(const std::vector<RtTask>& tasks, const RtTask* extra) {
+bool hyperbolic_fast_accept(TimingSpan tasks, const RtTiming* extra) {
   double product = 1.0;
   for (const auto& t : tasks) {
     if (t.deadline < t.period) return false;
@@ -170,28 +170,39 @@ bool hyperbolic_fast_accept(const std::vector<RtTask>& tasks, const RtTask* extr
 
 }  // namespace
 
-std::optional<util::Millis> response_time(const RtTask& task, const std::vector<RtTask>& hp) {
+std::optional<util::Millis> response_time(const RtTiming& task, TimingSpan hp) {
   return response_time_spliced(task, hp.data(), hp.size(), nullptr, nullptr, 0);
 }
 
-bool core_schedulable_rm(const std::vector<RtTask>& tasks_on_core) {
+void insert_by_rm_priority(std::vector<RtTiming>& by_priority, const RtTiming& task) {
+  const auto it = std::upper_bound(
+      by_priority.begin(), by_priority.end(), task,
+      [](const RtTiming& x, const RtTiming& y) { return x.period < y.period; });
+  by_priority.insert(it, task);
+}
+
+bool core_schedulable_rm(TimingSpan tasks_on_core) {
   if (hyperbolic_fast_accept(tasks_on_core, nullptr)) return true;
-  const auto order = rm_priority_order(tasks_on_core);
-  std::vector<RtTask> hp;
-  hp.reserve(tasks_on_core.size());
-  for (const std::size_t idx : order) {
-    if (!response_time(tasks_on_core[idx], hp).has_value()) return false;
-    hp.push_back(tasks_on_core[idx]);
+  // In RM order each task's interferers are exactly the tasks before it.
+  // The buffer is per thread, so a call allocates only when a core outgrows
+  // every earlier one.
+  thread_local std::vector<RtTiming> by_priority;
+  by_priority.clear();
+  for (const RtTiming& task : tasks_on_core) insert_by_rm_priority(by_priority, task);
+  for (std::size_t i = 0; i < by_priority.size(); ++i) {
+    if (!response_time(by_priority[i], TimingSpan(by_priority.data(), i)).has_value()) {
+      return false;
+    }
   }
   return true;
 }
 
-bool core_admits_rm(const std::vector<RtTask>& resident_by_priority, const RtTask& candidate) {
+bool core_admits_rm(TimingSpan resident_by_priority, const RtTiming& candidate) {
   if (hyperbolic_fast_accept(resident_by_priority, &candidate)) return true;
 
   // The candidate slots in after every resident with period <= its own —
-  // exactly where rm_priority_order's stable sort puts a last-appended task.
-  const auto* base = resident_by_priority.data();
+  // exactly where insert_by_rm_priority puts it.
+  const RtTiming* base = resident_by_priority.data();
   const std::size_t n = resident_by_priority.size();
   std::size_t pos = 0;
   while (pos < n && base[pos].period <= candidate.period) ++pos;
@@ -212,7 +223,7 @@ bool core_admits_rm(const std::vector<RtTask>& resident_by_priority, const RtTas
 }
 
 std::optional<util::Millis> security_response_time(
-    const SecurityTask& task, util::Millis period, const std::vector<RtTask>& rt_on_core,
+    const SecurityTask& task, util::Millis period, TimingSpan rt_on_core,
     const std::vector<PlacedSecurityTask>& hp_security_on_core,
     const InterferenceBound* interferer_sums) {
   HYDRA_REQUIRE(period > 0.0, "candidate period must be positive");

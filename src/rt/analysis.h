@@ -47,18 +47,24 @@ namespace hydra::rt {
 bool dbf_necessary_condition(const std::vector<RtTask>& tasks, std::size_t num_cores,
                              std::optional<util::Millis> horizon = std::nullopt);
 
-/// Exact worst-case response time of the task at `index` against the
-/// higher-priority interferers `hp` on the same core, via the standard
-/// fixed-point iteration R = C + Σ ⌈R/T_j⌉·C_j.  Returns nullopt when the
-/// iteration exceeds the deadline (unschedulable) or higher-priority
+/// Exact worst-case response time of `task` against the higher-priority
+/// interferers `hp` on the same core, via the standard fixed-point iteration
+/// R = C + Σ ⌈R/T_j⌉·C_j with the sum taken in `hp` order.  Returns nullopt
+/// when the iteration exceeds the deadline (unschedulable) or higher-priority
 /// utilization is >= 1.
-std::optional<util::Millis> response_time(const RtTask& task, const std::vector<RtTask>& hp);
+std::optional<util::Millis> response_time(const RtTiming& task, TimingSpan hp);
+
+/// Inserts `task` after every entry of `by_priority` with period <= its own:
+/// the slot rm_priority_order's stable sort gives a last-appended task.
+/// Inserting a core's tasks in input order so yields its RM priority order,
+/// the order core_admits_rm reads its residents in.
+void insert_by_rm_priority(std::vector<RtTiming>& by_priority, const RtTiming& task);
 
 /// Incremental admission test for partitioning loops.  `resident_by_priority`
 /// must be RM-schedulable and sorted in RM priority order
-/// (ascending period, earlier-placed first among equal periods — the order an
-/// `upper_bound`-by-period insertion maintains).  Returns whether the core
-/// stays schedulable with `candidate` added.
+/// (ascending period, earlier-placed first among equal periods — the order
+/// insert_by_rm_priority maintains).  Returns whether the core stays
+/// schedulable with `candidate` added.
 ///
 /// Verdict-equivalent to core_schedulable_rm on the combined set: under
 /// preemptive fixed priorities a new task cannot disturb the tasks that
@@ -66,13 +72,13 @@ std::optional<util::Millis> response_time(const RtTask& task, const std::vector<
 /// need fresh response times.  Interference sums are accumulated in
 /// the same priority order as the full test so marginal fixpoints agree
 /// bit-for-bit.
-bool core_admits_rm(const std::vector<RtTask>& resident_by_priority, const RtTask& candidate);
+bool core_admits_rm(TimingSpan resident_by_priority, const RtTiming& candidate);
 
 /// True iff every task on one core meets its deadline under fixed-priority
 /// preemptive scheduling with rate-monotonic priorities.  A set whose
 /// deadlines are all at least their periods and that passes the hyperbolic
 /// bound Π(Ui + 1) ≤ 2 (Bini, Buttazzo & Buttazzo) is accepted without RTA.
-bool core_schedulable_rm(const std::vector<RtTask>& tasks_on_core);
+bool core_schedulable_rm(TimingSpan tasks_on_core);
 
 /// Worst-case response time of a *security* task running below every RT task
 /// on its core (and below the already-placed higher-priority security tasks),
@@ -89,7 +95,7 @@ bool core_schedulable_rm(const std::vector<RtTask>& tasks_on_core);
 /// fixpoint iteration seeds at or below the least fixpoint and lands on the
 /// same ceil-stable sum regardless of the seed.
 std::optional<util::Millis> security_response_time(
-    const SecurityTask& task, util::Millis period, const std::vector<RtTask>& rt_on_core,
+    const SecurityTask& task, util::Millis period, TimingSpan rt_on_core,
     const std::vector<PlacedSecurityTask>& hp_security_on_core,
     const InterferenceBound* interferer_sums = nullptr);
 

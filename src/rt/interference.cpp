@@ -10,7 +10,7 @@ void InterferenceBound::add_interferer(util::Millis wcet, util::Millis period) {
   util_part += wcet / period;
 }
 
-InterferenceBound interference_bound(const std::vector<RtTask>& rt_on_core,
+InterferenceBound interference_bound(TimingSpan rt_on_core,
                                      const std::vector<PlacedSecurityTask>& hp_security_on_core) {
   InterferenceBound bound;
   for (const auto& r : rt_on_core) bound.add_interferer(r.wcet, r.period);

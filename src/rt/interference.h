@@ -44,7 +44,7 @@ struct PlacedSecurityTask {
 /// Builds the Eq. (5) bound for a candidate core: `rt_on_core` are the RT
 /// tasks partitioned there, `hp_security_on_core` the higher-priority
 /// security tasks already assigned there.
-InterferenceBound interference_bound(const std::vector<RtTask>& rt_on_core,
+InterferenceBound interference_bound(TimingSpan rt_on_core,
                                      const std::vector<PlacedSecurityTask>& hp_security_on_core);
 
 /// The paper's Eq. (6) check: Cs + I(Ts) ≤ Ts (with the shared tolerance).

@@ -11,17 +11,6 @@
 
 namespace hydra::rt {
 
-std::vector<RtTask> Partition::tasks_on_core(const std::vector<RtTask>& tasks,
-                                             std::size_t core) const {
-  HYDRA_REQUIRE(tasks.size() == core_of.size(), "partition does not match task set");
-  HYDRA_REQUIRE(core < num_cores, "core index out of range");
-  std::vector<RtTask> out;
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    if (core_of[i] == core) out.push_back(tasks[i]);
-  }
-  return out;
-}
-
 std::vector<double> Partition::core_utilizations(const std::vector<RtTask>& tasks) const {
   HYDRA_REQUIRE(tasks.size() == core_of.size(), "partition does not match task set");
   std::vector<double> u(num_cores, 0.0);
@@ -30,15 +19,6 @@ std::vector<double> Partition::core_utilizations(const std::vector<RtTask>& task
 }
 
 namespace {
-
-/// Inserts `task` after every resident with period <= its own, mirroring
-/// where rm_priority_order's stable sort places a last-appended task.
-void insert_by_priority(std::vector<RtTask>& resident_by_priority, const RtTask& task) {
-  auto it = std::upper_bound(
-      resident_by_priority.begin(), resident_by_priority.end(), task,
-      [](const RtTask& a, const RtTask& b) { return a.period < b.period; });
-  resident_by_priority.insert(it, task);
-}
 
 /// Best-fit decreasing itself; partition_rt_tasks below memoizes it.
 std::optional<Partition> best_fit_partition(const std::vector<RtTask>& tasks,
@@ -55,13 +35,13 @@ std::optional<Partition> best_fit_partition(const std::vector<RtTask>& tasks,
   partition.num_cores = num_cores;
   partition.core_of.assign(tasks.size(), 0);
 
-  // Residents are kept in RM priority order, so core_admits_rm re-analyzes
-  // only the candidate and the residents it preempts.
-  std::vector<std::vector<RtTask>> residents(num_cores);
+  // Residents are kept as timings in RM priority order, so core_admits_rm
+  // re-analyzes only the candidate and the residents it preempts.
+  std::vector<std::vector<RtTiming>> residents(num_cores);
   std::vector<double> load(num_cores, 0.0);
 
   for (const std::size_t ti : order) {
-    const RtTask& task = tasks[ti];
+    const RtTiming task = timing_of(tasks[ti]);
     std::optional<std::size_t> chosen;
     double best_load = -1.0;
     for (std::size_t c = 0; c < num_cores; ++c) {
@@ -72,7 +52,7 @@ std::optional<Partition> best_fit_partition(const std::vector<RtTask>& tasks,
     }
 
     if (!chosen.has_value()) return std::nullopt;
-    insert_by_priority(residents[*chosen], task);
+    insert_by_rm_priority(residents[*chosen], task);
     load[*chosen] += task.utilization();
     partition.core_of[ti] = *chosen;
   }
@@ -84,18 +64,17 @@ std::optional<Partition> best_fit_partition(const std::vector<RtTask>& tasks,
 /// messages of a set that throws, and such a set is never stored.
 struct PartitionMemoEntry {
   std::size_t num_cores = 0;  ///< 0 = empty (partition_rt_tasks requires >= 1)
-  std::vector<double> times;  ///< C, T, D of each task, in input order
+  std::vector<RtTiming> times;  ///< each task's timing, in input order
   std::optional<Partition> answer;
 
   bool matches(const std::vector<RtTask>& tasks, std::size_t cores) const {
-    if (num_cores != cores || times.size() != 3 * tasks.size()) return false;
-    const double* t = times.data();
-    for (const RtTask& task : tasks) {
-      if (!util::same_bits(t[0], task.wcet) || !util::same_bits(t[1], task.period) ||
-          !util::same_bits(t[2], task.deadline)) {
+    if (num_cores != cores || times.size() != tasks.size()) return false;
+    for (std::size_t i = 0; i < tasks.size(); ++i) {
+      if (!util::same_bits(times[i].wcet, tasks[i].wcet) ||
+          !util::same_bits(times[i].period, tasks[i].period) ||
+          !util::same_bits(times[i].deadline, tasks[i].deadline)) {
         return false;
       }
-      t += 3;
     }
     return true;
   }
@@ -104,9 +83,7 @@ struct PartitionMemoEntry {
              std::optional<Partition> partition) {
     num_cores = cores;
     times.clear();
-    for (const RtTask& task : tasks) {
-      times.insert(times.end(), {task.wcet, task.period, task.deadline});
-    }
+    for (const RtTask& task : tasks) times.push_back(timing_of(task));
     answer = std::move(partition);
   }
 };

@@ -18,9 +18,6 @@ struct Partition {
   std::size_t num_cores = 0;
   std::vector<std::size_t> core_of;
 
-  /// Tasks assigned to a given core, in input order.
-  std::vector<RtTask> tasks_on_core(const std::vector<RtTask>& tasks, std::size_t core) const;
-
   /// Per-core total utilization.
   std::vector<double> core_utilizations(const std::vector<RtTask>& tasks) const;
 };

@@ -38,6 +38,13 @@ void validate(const std::vector<SecurityTask>& tasks) {
   for (const auto& t : tasks) validate(t);
 }
 
+std::vector<RtTiming> timings_of(const std::vector<RtTask>& tasks) {
+  std::vector<RtTiming> out;
+  out.reserve(tasks.size());
+  for (const auto& t : tasks) out.push_back(timing_of(t));
+  return out;
+}
+
 double total_utilization(const std::vector<RtTask>& tasks) {
   double u = 0.0;
   for (const auto& t : tasks) u += t.utilization();

@@ -8,6 +8,7 @@
 // All times are util::Millis (double milliseconds).
 #pragma once
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -30,6 +31,45 @@ struct RtTask {
 inline RtTask make_rt_task(std::string name, util::Millis wcet, util::Millis period) {
   return RtTask{std::move(name), wcet, period, period};
 }
+
+/// An RT task's timing without its name: everything the RM analysis and the
+/// Eq. (5) sums read.  The analysis takes these records, so a core's task
+/// list is a run of 24-byte values instead of copies of named tasks.
+struct RtTiming {
+  util::Millis wcet = 0.0;
+  util::Millis period = 0.0;
+  util::Millis deadline = 0.0;
+
+  double utilization() const { return wcet / period; }
+};
+
+inline RtTiming timing_of(const RtTask& task) {
+  return RtTiming{task.wcet, task.period, task.deadline};
+}
+
+/// The timings of `tasks`, in order.
+std::vector<RtTiming> timings_of(const std::vector<RtTask>& tasks);
+
+/// A read-only run of consecutive timings, such as one core's share of a
+/// list grouped by core (std::span is C++20).  It does not own the records:
+/// they must outlive it.
+class TimingSpan {
+ public:
+  TimingSpan() = default;
+  TimingSpan(const RtTiming* first, std::size_t size) : first_(first), size_(size) {}
+  // Implicit, so a std::vector<RtTiming> passes where a span is expected.
+  TimingSpan(const std::vector<RtTiming>& tasks)
+      : first_(tasks.data()), size_(tasks.size()) {}
+
+  const RtTiming* begin() const { return first_; }
+  const RtTiming* end() const { return first_ + size_; }
+  const RtTiming* data() const { return first_; }
+  std::size_t size() const { return size_; }
+
+ private:
+  const RtTiming* first_ = nullptr;
+  std::size_t size_ = 0;
+};
 
 /// A sporadic security monitoring task (paper §II-C).
 struct SecurityTask {

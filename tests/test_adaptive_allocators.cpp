@@ -18,6 +18,7 @@
 #include "exp/metrics.h"
 #include "gen/synthetic.h"
 #include "gen/uav.h"
+#include "oracles/named_rt.h"
 #include "rt/priority.h"
 #include "util/rng.h"
 
@@ -143,7 +144,7 @@ TEST(AdaptiveFamilies, ContegoAdaptationIsMonotoneInRounds) {
           if (adapted.placements[s].core == c) members.push_back(s);
         }
         core::tighten_core_placements(
-            adapted.rt_partition.tasks_on_core(instance.rt_tasks, c), members,
+            hydra::oracle::timings_on_core(instance.rt_tasks, adapted.rt_partition, c), members,
             instance.security_tasks, adapted.placements, rounds);
       }
       const auto report = core::validate_allocation(instance, adapted);
@@ -176,7 +177,7 @@ TEST(AdaptiveFamilies, TightenCorePeriodsNeverLoosensAndStaysFeasible) {
       {hydra::rt::make_security_task("s3", 90.0, 900.0, 9000.0), 9000.0},
   };
   const auto before = tasks;
-  core::tighten_core_periods(rt, tasks, 2);
+  core::tighten_core_periods(hydra::rt::timings_of(rt), tasks, 2);
 
   core::Instance instance;
   instance.num_cores = 1;

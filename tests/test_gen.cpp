@@ -175,5 +175,5 @@ TEST(Uav, CaseStudyBundlesCatalog) {
 
 TEST(Uav, ScheduleableOnOneCore) {
   // The whole control workload fits a single core under RM.
-  EXPECT_TRUE(rt::core_schedulable_rm(gen::uav_taskset()));
+  EXPECT_TRUE(rt::core_schedulable_rm(rt::timings_of(gen::uav_taskset())));
 }

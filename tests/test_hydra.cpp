@@ -9,6 +9,7 @@
 #include "core/hydra.h"
 #include "core/validation.h"
 #include "gen/uav.h"
+#include "oracles/named_rt.h"
 #include "oracles/period_gp.h"
 #include "rt/interference.h"
 #include "rt/priority.h"
@@ -148,7 +149,7 @@ TEST(Hydra, EveryClosedFormCallMatchesTheGpOracle) {
       const auto& task = inst.security_tasks[s];
       for (std::size_t c = 0; c < m; ++c) {
         const auto bound = rt::interference_bound(
-            allocation.rt_partition.tasks_on_core(inst.rt_tasks, c), placed[c]);
+            oracle::timings_on_core(inst.rt_tasks, allocation.rt_partition, c), placed[c]);
         const auto closed = core::adapt_period(task, bound);
         const auto gp = oracle::adapt_period_gp(task, bound);
         ASSERT_EQ(closed.feasible, gp.feasible) << "M = " << m << ", " << task.name
@@ -202,7 +203,7 @@ TEST(Hydra, MaxTightnessPickOptimalForFirstPlacedTask) {
     const auto& task = inst.security_tasks[first];
     std::optional<double> best;
     for (std::size_t c = 0; c < m; ++c) {
-      const auto on_core = allocation.rt_partition.tasks_on_core(inst.rt_tasks, c);
+      const auto on_core = oracle::timings_on_core(inst.rt_tasks, allocation.rt_partition, c);
       const auto pa = core::adapt_period(task, rt::interference_bound(on_core, {}));
       if (pa.feasible && (!best.has_value() || pa.tightness > *best)) best = pa.tightness;
     }

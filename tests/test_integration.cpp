@@ -82,14 +82,14 @@ TEST(AnalysisVsSimulation, ObservedResponseTimesRespectAnalyticBounds) {
   const auto rt_order = rt::rm_priority_order(inst.rt_tasks);
   for (std::size_t pos = 0; pos < rt_order.size(); ++pos) {
     const std::size_t i = rt_order[pos];
-    std::vector<rt::RtTask> hp;
+    std::vector<rt::RtTiming> hp;
     for (std::size_t q = 0; q < pos; ++q) {
       const std::size_t j = rt_order[q];
       if (allocation.rt_partition.core_of[j] == allocation.rt_partition.core_of[i]) {
-        hp.push_back(inst.rt_tasks[j]);
+        hp.push_back(rt::timing_of(inst.rt_tasks[j]));
       }
     }
-    const auto bound = rt::response_time(inst.rt_tasks[i], hp);
+    const auto bound = rt::response_time(rt::timing_of(inst.rt_tasks[i]), hp);
     ASSERT_TRUE(bound.has_value());
     const auto observed = trace.max_response_time_ms(i);
     ASSERT_TRUE(observed.has_value());
@@ -100,9 +100,11 @@ TEST(AnalysisVsSimulation, ObservedResponseTimesRespectAnalyticBounds) {
   const auto sec_rank = rt::rank_of(rt::security_priority_order(inst.security_tasks));
   for (std::size_t s = 0; s < inst.security_tasks.size(); ++s) {
     const auto& place = allocation.placements[s];
-    std::vector<rt::RtTask> local_rt;
+    std::vector<rt::RtTiming> local_rt;
     for (std::size_t r = 0; r < inst.rt_tasks.size(); ++r) {
-      if (allocation.rt_partition.core_of[r] == place.core) local_rt.push_back(inst.rt_tasks[r]);
+      if (allocation.rt_partition.core_of[r] == place.core) {
+        local_rt.push_back(rt::timing_of(inst.rt_tasks[r]));
+      }
     }
     std::vector<rt::PlacedSecurityTask> local_hp;
     for (std::size_t h = 0; h < inst.security_tasks.size(); ++h) {

@@ -109,7 +109,7 @@ TEST(AdaptPeriod, GpRouteDetectsInfeasible) {
 
 TEST(AdaptPeriodExact, MatchesResponseTimeDirectly) {
   const auto task = rt::make_security_task("s", 3.0, 50.0, 500.0);
-  const std::vector<rt::RtTask> rts{rt::make_rt_task("r", 2.0, 10.0)};
+  const std::vector<rt::RtTiming> rts{{2.0, 10.0, 10.0}};
   // Exact response is 6 (< Tdes), so the period clamps to Tdes.
   const auto r = core::adapt_period_exact(task, rts, {});
   ASSERT_TRUE(r.feasible);
@@ -122,12 +122,11 @@ TEST(AdaptPeriodExact, NeverWorseThanLinearBound) {
   // tighter (or equal) period.
   hydra::util::Xoshiro256 rng(515);
   for (int rep = 0; rep < 30; ++rep) {
-    std::vector<rt::RtTask> rts;
+    std::vector<rt::RtTiming> rts;
     const int nr = static_cast<int>(rng.uniform_int(1, 4));
     for (int i = 0; i < nr; ++i) {
       const double period = rng.uniform(10.0, 200.0);
-      rts.push_back(rt::make_rt_task("r" + std::to_string(i),
-                                     rng.uniform(0.05, 0.25) * period, period));
+      rts.push_back({rng.uniform(0.05, 0.25) * period, period, period});
     }
     const double t_des = rng.uniform(300.0, 2000.0);
     const auto task =
@@ -148,7 +147,7 @@ TEST(AdaptPeriodExact, AdmitsInstancesTheBoundRejects) {
   // far beyond the candidate range inflates the bound's utilization term —
   // (50 + 60)/(1 − 0.06) ≈ 117 > Tmax = 115 — while exact RTA sees a single
   // preemption and fits comfortably (R = 110).
-  const std::vector<rt::RtTask> rts{rt::make_rt_task("r", 60.0, 1000.0)};
+  const std::vector<rt::RtTiming> rts{{60.0, 1000.0, 1000.0}};
   const auto tight = rt::make_security_task("s", 50.0, 100.0, 115.0);
   const auto linear = core::adapt_period(tight, rt::interference_bound(rts, {}));
   const auto exact = core::adapt_period_exact(tight, rts, {});

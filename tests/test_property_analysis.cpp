@@ -46,9 +46,9 @@ TEST(PropertyRta, ResponseTimeMonotoneInAddedInterference) {
       hp.push_back(random_task(rng, "hp" + std::to_string(i)));
     }
 
-    const auto base = rt::response_time(task, hp);
+    const auto base = rt::response_time(rt::timing_of(task), rt::timings_of(hp));
     hp.push_back(random_task(rng, "extra"));
-    const auto extended = rt::response_time(task, hp);
+    const auto extended = rt::response_time(rt::timing_of(task), rt::timings_of(hp));
 
     if (extended.has_value()) {
       // Adding interference can only be observed if the base was schedulable

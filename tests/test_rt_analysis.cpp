@@ -384,7 +384,7 @@ TEST(NecessaryConditionCap, EmptySet) {
 
 TEST(ResponseTime, NoInterferenceEqualsWcet) {
   const auto t = rt::make_rt_task("a", 3.0, 10.0);
-  const auto r = rt::response_time(t, {});
+  const auto r = rt::response_time(rt::timing_of(t), {});
   ASSERT_TRUE(r.has_value());
   EXPECT_DOUBLE_EQ(*r, 3.0);
 }
@@ -396,8 +396,8 @@ TEST(ResponseTime, ClassicTextbookExample) {
   const auto t1 = rt::make_rt_task("t1", 1.0, 4.0);
   const auto t2 = rt::make_rt_task("t2", 2.0, 6.0);
   const auto t3 = rt::make_rt_task("t3", 3.0, 12.0);
-  EXPECT_DOUBLE_EQ(*rt::response_time(t2, {t1}), 3.0);
-  const auto r3 = rt::response_time(t3, {t1, t2});
+  EXPECT_DOUBLE_EQ(*rt::response_time(rt::timing_of(t2), rt::timings_of({t1})), 3.0);
+  const auto r3 = rt::response_time(rt::timing_of(t3), rt::timings_of({t1, t2}));
   ASSERT_TRUE(r3.has_value());
   EXPECT_DOUBLE_EQ(*r3, 10.0);
 }
@@ -405,24 +405,23 @@ TEST(ResponseTime, ClassicTextbookExample) {
 TEST(ResponseTime, UnschedulableReturnsNullopt) {
   const auto hp = rt::make_rt_task("hp", 5.0, 10.0);
   const auto lo = rt::make_rt_task("lo", 6.0, 10.0);  // 0.5 + 0.6 > 1
-  EXPECT_FALSE(rt::response_time(lo, {hp}).has_value());
+  EXPECT_FALSE(rt::response_time(rt::timing_of(lo), rt::timings_of({hp})).has_value());
 }
 
 TEST(ResponseTime, ExactlyFullUtilizationBoundary) {
   // τ1 = (5, 10), τ2 = (5, 10): U = 1.0; R2 would never converge below D.
   const auto hp = rt::make_rt_task("hp", 5.0, 10.0);
   const auto lo = rt::make_rt_task("lo", 5.0, 10.0);
-  const auto r = rt::response_time(lo, {hp});
+  const auto r = rt::response_time(rt::timing_of(lo), rt::timings_of({hp}));
   ASSERT_TRUE(r.has_value());
   EXPECT_DOUBLE_EQ(*r, 10.0);  // completes exactly at the deadline
 }
 
 TEST(CoreSchedulable, AcceptsAndRejects) {
-  EXPECT_TRUE(rt::core_schedulable_rm({rt::make_rt_task("a", 1.0, 4.0),
-                                       rt::make_rt_task("b", 2.0, 6.0),
-                                       rt::make_rt_task("c", 3.0, 12.0)}));
-  EXPECT_FALSE(rt::core_schedulable_rm({rt::make_rt_task("a", 5.0, 10.0),
-                                        rt::make_rt_task("b", 5.1, 10.0)}));
+  EXPECT_TRUE(rt::core_schedulable_rm(std::vector<rt::RtTiming>{
+      {1.0, 4.0, 4.0}, {2.0, 6.0, 6.0}, {3.0, 12.0, 12.0}}));
+  EXPECT_FALSE(rt::core_schedulable_rm(std::vector<rt::RtTiming>{
+      {5.0, 10.0, 10.0}, {5.1, 10.0, 10.0}}));
   EXPECT_TRUE(rt::core_schedulable_rm({}));
 }
 
@@ -447,7 +446,7 @@ TEST(LiuLayland, SufficiencyAgreesWithExactRta) {
       const double period = rng.uniform(5.0, 500.0);
       tasks.push_back(rt::make_rt_task("t" + std::to_string(i), u * period, period));
     }
-    EXPECT_TRUE(rt::core_schedulable_rm(tasks));
+    EXPECT_TRUE(rt::core_schedulable_rm(rt::timings_of(tasks)));
   }
 }
 
@@ -457,7 +456,7 @@ TEST(ResponseTime, MonotoneInInterferenceSweep) {
   std::vector<rt::RtTask> hp;
   double prev = 0.0;
   for (int i = 0; i < 5; ++i) {
-    const auto r = rt::response_time(task, hp);
+    const auto r = rt::response_time(rt::timing_of(task), rt::timings_of(hp));
     ASSERT_TRUE(r.has_value());
     EXPECT_GE(*r, prev);
     prev = *r;
@@ -482,7 +481,7 @@ TEST(HyperbolicBound, DominatesLiuLayland) {
       EXPECT_TRUE(oracle::hyperbolic_bound_holds(tasks));
     }
     if (oracle::hyperbolic_bound_holds(tasks)) {
-      EXPECT_TRUE(rt::core_schedulable_rm(tasks));  // sufficiency
+      EXPECT_TRUE(rt::core_schedulable_rm(rt::timings_of(tasks)));  // sufficiency
     }
   }
 }
@@ -502,8 +501,8 @@ TEST(SecurityResponseTime, HandWorkedExample) {
   // Security task C = 3 below RT (2, 10) and hp security (1, 20):
   // R = 3 + ceil(R/10)·2 + ceil(R/20)·1 → R = 3+2+1 = 6 → 6 ✓.
   const auto task = rt::make_security_task("s", 3.0, 50.0, 500.0);
-  const auto r = rt::security_response_time(task, 500.0, {rt::make_rt_task("r", 2.0, 10.0)},
-                                            {{1.0, 20.0}});
+  const std::vector<rt::RtTiming> rts{{2.0, 10.0, 10.0}};
+  const auto r = rt::security_response_time(task, 500.0, rts, {{1.0, 20.0}});
   ASSERT_TRUE(r.has_value());
   EXPECT_DOUBLE_EQ(*r, 6.0);
 }
@@ -512,7 +511,8 @@ TEST(SecurityResponseTime, DeadlineExceededReturnsNullopt) {
   const auto task = rt::make_security_task("s", 3.0, 50.0, 500.0);
   // RT load 0.9: R = 3 + ceil(R/10)·9 → grows past any small deadline.
   EXPECT_FALSE(
-      rt::security_response_time(task, 20.0, {rt::make_rt_task("r", 9.0, 10.0)}, {}).has_value());
+      rt::security_response_time(task, 20.0, std::vector<rt::RtTiming>{{9.0, 10.0, 10.0}}, {})
+                   .has_value());
 }
 
 // Property: the paper's linear Eq. (5) bound is conservative with respect to
@@ -523,12 +523,11 @@ class BoundVsExact : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(BoundVsExact, LinearBoundIsConservative) {
   hydra::util::Xoshiro256 rng(GetParam());
   for (int rep = 0; rep < 20; ++rep) {
-    std::vector<rt::RtTask> rts;
+    std::vector<rt::RtTiming> rts;
     const int nr = static_cast<int>(rng.uniform_int(0, 4));
     for (int i = 0; i < nr; ++i) {
       const double period = rng.uniform(10.0, 300.0);
-      rts.push_back(rt::make_rt_task("r" + std::to_string(i),
-                                     rng.uniform(0.05, 0.2) * period, period));
+      rts.push_back({rng.uniform(0.05, 0.2) * period, period, period});
     }
     std::vector<rt::PlacedSecurityTask> hp;
     const int nh = static_cast<int>(rng.uniform_int(0, 2));
@@ -572,7 +571,7 @@ TEST_P(RtaFixedPoint, FixedPointHolds) {
   if (util >= 0.85) return;  // keep the low-priority task feasible
   const double period = rng.uniform(100.0, 1000.0);
   const auto task = rt::make_rt_task("x", 0.1 * period, period);
-  const auto r = rt::response_time(task, hp);
+  const auto r = rt::response_time(rt::timing_of(task), rt::timings_of(hp));
   ASSERT_TRUE(r.has_value());
   double expected = task.wcet;
   for (const auto& h : hp) {

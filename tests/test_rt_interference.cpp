@@ -16,8 +16,7 @@ TEST(Interference, MatchesEquationFiveByHand) {
   // RT: (2, 10) and (3, 30); hp security: (1, 20).
   // I(Ts) = (1 + Ts/10)·2 + (1 + Ts/30)·3 + (1 + Ts/20)·1
   //       = 6 + Ts·(0.2 + 0.1 + 0.05) = 6 + 0.35·Ts.
-  const std::vector<rt::RtTask> rts{rt::make_rt_task("a", 2.0, 10.0),
-                                    rt::make_rt_task("b", 3.0, 30.0)};
+  const std::vector<rt::RtTiming> rts{{2.0, 10.0, 10.0}, {3.0, 30.0, 30.0}};
   const std::vector<rt::PlacedSecurityTask> hp{{1.0, 20.0}};
   const auto b = rt::interference_bound(rts, hp);
   EXPECT_DOUBLE_EQ(b.const_part, 6.0);
@@ -26,7 +25,7 @@ TEST(Interference, MatchesEquationFiveByHand) {
 }
 
 TEST(Interference, EvalIsAffineInPeriod) {
-  const auto b = rt::interference_bound({rt::make_rt_task("a", 1.0, 4.0)}, {{2.0, 8.0}});
+  const auto b = rt::interference_bound(std::vector<rt::RtTiming>{{1.0, 4.0, 4.0}}, {{2.0, 8.0}});
   const double at0 = b.const_part;
   EXPECT_DOUBLE_EQ(b.eval(0.0), at0);
   EXPECT_DOUBLE_EQ(b.eval(10.0) - b.eval(0.0), 10.0 * b.util_part);

@@ -3,6 +3,7 @@
 // failure cases, and the per-thread memo in front of it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <optional>
 #include <stdexcept>
@@ -11,10 +12,16 @@
 #include <tuple>
 #include <vector>
 
+#include "exp/batch.h"
+#include "exp/sweep.h"
+#include "gen/synthetic.h"
+#include "io/taskset_io.h"
+#include "oracles/named_rt.h"
 #include "rt/analysis.h"
 #include "rt/partition.h"
 #include "util/rng.h"
 
+namespace oracle = hydra::oracle;
 namespace rt = hydra::rt;
 
 namespace {
@@ -85,7 +92,7 @@ TEST(Partition, EveryCoreRemainsSchedulable) {
   ASSERT_TRUE(p.has_value());
   ASSERT_EQ(p->core_of.size(), tasks.size());
   for (std::size_t c = 0; c < 4; ++c) {
-    EXPECT_TRUE(rt::core_schedulable_rm(p->tasks_on_core(tasks, c))) << "core " << c;
+    EXPECT_TRUE(rt::core_schedulable_rm(oracle::timings_on_core(tasks, *p, c))) << "core " << c;
   }
 }
 
@@ -141,14 +148,12 @@ TEST(Partition, CoreUtilizationsSumToTotal) {
   EXPECT_NEAR(sum, total, 1e-9);
 }
 
-TEST(Partition, TasksOnCoreRoundTrips) {
+TEST(Partition, EveryTaskLandsOnAnExistingCore) {
   const auto tasks = uniform_tasks(6, 0.1, 30.0);
   const auto p = rt::partition_rt_tasks(tasks, 2);
   ASSERT_TRUE(p.has_value());
-  std::size_t covered = 0;
-  for (std::size_t c = 0; c < 2; ++c) covered += p->tasks_on_core(tasks, c).size();
-  EXPECT_EQ(covered, tasks.size());
-  EXPECT_THROW(p->tasks_on_core(tasks, 5), std::invalid_argument);
+  ASSERT_EQ(p->core_of.size(), tasks.size());
+  for (const std::size_t c : p->core_of) EXPECT_LT(c, 2u);
 }
 
 TEST(Partition, ZeroCoresRejected) {
@@ -180,12 +185,64 @@ TEST_P(PartitionProperty, LowLoadAlwaysPlaceable) {
   const auto p = rt::partition_rt_tasks(tasks, cores);
   ASSERT_TRUE(p.has_value());
   for (std::size_t c = 0; c < cores; ++c) {
-    EXPECT_TRUE(rt::core_schedulable_rm(p->tasks_on_core(tasks, c)));
+    EXPECT_TRUE(rt::core_schedulable_rm(oracle::timings_on_core(tasks, *p, c)));
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PartitionProperty,
                          ::testing::Values(11, 22, 33, 44, 55, 66, 77, 88));
+
+// The (M−1)-core partition is a prefix of the M-core run: best-fit opens
+// core M−1 only for a task that cores 0..M−2 all reject, and until then both
+// runs make the same choices.  So the M−1-core answer is the M-core core_of
+// when that leaves core M−1 empty, and nullopt otherwise.  A partitioner
+// that derives single-core's partition from hydra's relies on this.
+TEST(PartitionPrefix, FewerCoresGiveTheMCorePartitionOrNone) {
+  std::vector<std::vector<rt::RtTask>> sets;
+  std::vector<std::size_t> cores;
+  for (const char* dir : {"/tests/corpus", "/tests/corpus_controller", "/tests/corpus_sim"}) {
+    for (const auto& file :
+         hydra::exp::expand_workload_files(std::string(HYDRA_SOURCE_DIR) + dir)) {
+      const auto instance = hydra::io::load_instance(file);
+      sets.push_back(instance.rt_tasks);
+      cores.push_back(instance.num_cores);
+    }
+  }
+  for (std::size_t m = 2; m <= 8; ++m) {
+    hydra::gen::SyntheticConfig config;
+    config.num_cores = m;
+    hydra::util::Xoshiro256 rng(4400 + m);
+    for (const double u : hydra::exp::utilization_axis(m)) {
+      if (auto drawn = hydra::gen::generate_filtered_instance(config, u, rng)) {
+        sets.push_back(drawn->instance.rt_tasks);
+        cores.push_back(m);
+      }
+    }
+  }
+
+  std::size_t derived = 0;
+  std::size_t none = 0;
+  for (std::size_t i = 0; i < sets.size(); ++i) {
+    const std::size_t m = cores[i];
+    if (m < 2) continue;
+    const auto full = rt::partition_rt_tasks(sets[i], m);
+    const auto fewer = rt::partition_rt_tasks(sets[i], m - 1);
+    const bool last_core_empty =
+        full.has_value() &&
+        std::find(full->core_of.begin(), full->core_of.end(), m - 1) == full->core_of.end();
+    if (last_core_empty) {
+      ASSERT_TRUE(fewer.has_value()) << "set " << i << ", M = " << m;
+      EXPECT_EQ(fewer->core_of, full->core_of) << "set " << i << ", M = " << m;
+      ++derived;
+    } else {
+      EXPECT_FALSE(fewer.has_value()) << "set " << i << ", M = " << m;
+      ++none;
+    }
+  }
+  // Both branches are exercised.
+  EXPECT_GT(derived, 20u);
+  EXPECT_GT(none, 20u);
+}
 
 // ---------------------------------------------------------------------------
 // The per-thread memo: a miss for every change of an input field, a hit for
