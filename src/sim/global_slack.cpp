@@ -93,8 +93,17 @@ Trace simulate_global_band(const std::vector<GlobalSimTask>& tasks,
   // Pending monitor jobs, kept in (priority, release) order: the first k of
   // them run whenever k cores are RT-idle.
   std::vector<LiveJob> ready;
-  // Per core, the first RT busy interval that ends after `now`.
-  std::vector<std::size_t> cursor(options.num_cores, 0);
+  // A forward cursor over each core with RT tasks.  The cores without any
+  // are always idle, so while the pending jobs are no more than those, every
+  // pending job runs and no RT edge can change that: the RT cores are not
+  // read.
+  std::vector<bool> has_rt(options.num_cores, false);
+  for (const SimTask& t : rt_tasks) has_rt[t.core] = true;
+  std::vector<RtSlackProfile::Cursor> rt_cores;
+  for (std::size_t core = 0; core < options.num_cores; ++core) {
+    if (has_rt[core]) rt_cores.emplace_back(rt, core);
+  }
+  const std::size_t rt_free = options.num_cores - rt_cores.size();
   util::SimTime now = 0;
   while (now < hard_stop) {
     for (const std::size_t i : band) {
@@ -118,21 +127,18 @@ Trace simulate_global_band(const std::vector<GlobalSimTask>& tasks,
       continue;
     }
 
-    // Count the RT-idle cores and find the next instant any core changes
-    // between busy and idle.
-    std::size_t running = 0;
+    // Count the idle cores and find the next instant an RT core that matters
+    // changes between busy and idle.
+    std::size_t idle = rt_free;
     util::SimTime until = std::min(release_at, hard_stop);
-    for (std::size_t core = 0; core < options.num_cores; ++core) {
-      const std::vector<RtSlackProfile::Busy>& busy = rt.busy(core);
-      std::size_t& k = cursor[core];
-      while (k < busy.size() && busy[k].to <= now) ++k;
-      if (k < busy.size() && busy[k].from <= now) {
-        until = std::min(until, busy[k].to);
-        continue;
+    if (ready.size() > rt_free) {
+      for (RtSlackProfile::Cursor& cursor : rt_cores) {
+        const RtSlackProfile::Cursor::State state = cursor.at(now);
+        until = std::min(until, state.until);
+        if (!state.busy) ++idle;
       }
-      if (k < busy.size()) until = std::min(until, busy[k].from);
-      running = std::min(running + 1, ready.size());
     }
+    const std::size_t running = std::min(idle, ready.size());
     for (std::size_t j = 0; j < running; ++j) {
       until = std::min(until, now + ready[j].remaining);
     }

@@ -42,8 +42,11 @@ class RtSlackProfileCache;
 /// Runs the global-slack schedule with the RT schedule taken from an RT
 /// slack profile: the non-global tasks are scheduled once by the profile,
 /// and the global band is scheduled on the cores' idle gaps, stepping over
-/// gap edges only while a band job is pending.  Ready band jobs go by
-/// (priority, release).  Every band JobRecord and deadline_misses() equal
+/// gap edges only while a band job is pending, and over an RT core's edges
+/// only while the pending jobs outnumber the cores without RT tasks (until
+/// then every pending job runs).  The RT cores are read through forward
+/// cursors, which walk their releases only around those stretches.  Ready
+/// band jobs go by (priority, release).  Every band JobRecord and deadline_misses() equal
 /// the full engine's; the trace records only the band's jobs (RT misses are
 /// in Trace::unrecorded_misses; core_busy and migrations stay 0).
 ///

@@ -55,6 +55,12 @@ bool certified_by_rta(std::vector<SimTask> on_core) {
   return true;
 }
 
+constexpr util::SimTime kNever = std::numeric_limits<util::SimTime>::max();
+
+/// Releases walked and cursor restarts on this thread.
+thread_local std::size_t releases_walked_here = 0;
+thread_local std::size_t walk_restarts_here = 0;
+
 }  // namespace
 
 RtSlackProfile::RtSlackProfile(std::vector<SimTask> rt_tasks, util::SimTime horizon)
@@ -74,19 +80,10 @@ RtSlackProfile::RtSlackProfile(std::vector<SimTask> rt_tasks, util::SimTime hori
   std::vector<SimTask> on_core;
   for (std::size_t core = 0; core < num_cores; ++core) {
     on_core.clear();
-    // Every job released before the horizon has completed by horizon +
-    // demand: from the horizon on, the core works without pause until its
-    // backlog is gone, and the backlog is at most its whole released demand.
-    util::SimTime demand = 0;
     for (const SimTask& t : rt_tasks_) {
-      if (t.core != core) continue;
-      on_core.push_back(t);
-      if (t.period > 0 && t.release_offset < horizon) {
-        demand += (horizon - t.release_offset + t.period - 1) / t.period * t.wcet;
-      }
+      if (t.core == core) on_core.push_back(t);
     }
     if (on_core.empty()) continue;
-    const util::SimTime grace = std::max<util::SimTime>(demand, 1);
     // sim::simulate's checks, so an invalid core fails with its messages
     // whether or not it is simulated.
     std::vector<int> priorities;
@@ -95,56 +92,30 @@ RtSlackProfile::RtSlackProfile(std::vector<SimTask> rt_tasks, util::SimTime hori
       priorities.push_back(t.priority);
     }
     check_distinct_priorities(std::move(priorities), core);
+    for (const SimTask& t : on_core) {
+      cores_[core].tasks.push_back(Periodic{t.wcet, t.period, t.release_offset});
+    }
     // A core RTA certifies misses nothing; only the others are simulated to
-    // count their misses.
+    // count their misses, with a grace that drains every backlog: from the
+    // horizon on the core works without pause until its backlog, at most
+    // its whole released demand, is gone.
     if (!certified_by_rta(on_core)) {
       SimOptions options;
       options.horizon = horizon;
-      options.grace = grace;
+      options.grace = std::max<util::SimTime>(released_demand(cores_[core].tasks, horizon), 1);
       deadline_misses_ += simulate(on_core, options).deadline_misses();
       ++simulated_cores_;
     }
-
-    // The engine is work-conserving, so the core is busy exactly while
-    // released work is pending, whatever order it runs the jobs in: walk the
-    // releases (strictly periodic) in time order and extend the
-    // current busy interval by each job's WCET.  test_slack_band checks the
-    // result against the engine's recorded segments.
-    constexpr util::SimTime kNone = std::numeric_limits<util::SimTime>::max();
-    const std::size_t count = on_core.size();
-    std::vector<util::SimTime> next_release(count, kNone);
-    std::size_t releases = 0;  // every release opens at most one interval
-    for (std::size_t i = 0; i < count; ++i) {
-      const SimTask& t = on_core[i];
-      if (t.release_offset >= horizon) continue;
-      next_release[i] = t.release_offset;
-      releases += static_cast<std::size_t>((horizon - t.release_offset + t.period - 1) / t.period);
-    }
-    std::vector<Busy>& busy = cores_[core];
-    busy.reserve(releases);
-    const util::SimTime* next = next_release.data();
-    while (true) {
-      // The earliest pending release, the lowest index on a tie: a
-      // branch-free scan the compiler turns into conditional moves.
-      std::size_t first = 0;
-      util::SimTime release = next[0];
-      for (std::size_t i = 1; i < count; ++i) {
-        const bool earlier = next[i] < release;
-        first = earlier ? i : first;
-        release = earlier ? next[i] : release;
-      }
-      if (release == kNone) break;
-      const SimTask& task = on_core[first];
-      next_release[first] = release + task.period < horizon ? release + task.period : kNone;
-      if (!busy.empty() && release <= busy.back().to) {
-        busy.back().to += task.wcet;
-      } else {
-        busy.push_back(Busy{release, release + task.wcet, total_busy(busy)});
-      }
-    }
-    HYDRA_ASSERT(busy.empty() || busy.back().to <= horizon + grace,
-                 "RT slack profile did not drain its backlog");
   }
+}
+
+util::SimTime RtSlackProfile::released_demand(const std::vector<Periodic>& tasks,
+                                              util::SimTime horizon) {
+  util::SimTime demand = 0;
+  for (const Periodic& t : tasks) {
+    if (t.offset < horizon) demand += (horizon - t.offset + t.period - 1) / t.period * t.wcet;
+  }
+  return demand;
 }
 
 bool RtSlackProfile::matches(const std::vector<SimTask>& rt_tasks,
@@ -154,11 +125,79 @@ bool RtSlackProfile::matches(const std::vector<SimTask>& rt_tasks,
                     same_schedule_inputs);
 }
 
-const std::vector<RtSlackProfile::Busy>& RtSlackProfile::busy(std::size_t core) const {
-  static const std::vector<Busy> kNone;
-  return core < cores_.size() ? cores_[core] : kNone;
+RtSlackProfile::ReleaseWalk::ReleaseWalk(const std::vector<Periodic>* tasks,
+                                         util::SimTime horizon)
+    : tasks_(tasks), horizon_(horizon), next_release_(tasks != nullptr ? tasks->size() : 0) {
+  restart(0);
 }
 
+void RtSlackProfile::ReleaseWalk::restart(util::SimTime at) {
+  for (std::size_t i = 0; i < next_release_.size(); ++i) {
+    const Periodic& t = (*tasks_)[i];
+    const util::SimTime first =
+        t.offset >= at ? t.offset : t.offset + (at - t.offset + t.period - 1) / t.period * t.period;
+    next_release_[i] = first < horizon_ ? first : kNever;
+  }
+  find_earliest();
+}
+
+void RtSlackProfile::ReleaseWalk::find_earliest() {
+  // The earliest pending release, the lowest index on a tie: a branch-free
+  // scan the compiler turns into conditional moves.
+  const util::SimTime* next = next_release_.data();
+  std::size_t first = 0;
+  util::SimTime release = next_release_.empty() ? kNever : next[0];
+  for (std::size_t i = 1; i < next_release_.size(); ++i) {
+    const bool earlier = next[i] < release;
+    first = earlier ? i : first;
+    release = earlier ? next[i] : release;
+  }
+  first_ = first;
+  release_ = release;
+}
+
+bool RtSlackProfile::ReleaseWalk::next(util::SimTime& from, util::SimTime& to) {
+  if (release_ == kNever) return false;
+  from = release_;
+  to = release_;
+  std::size_t walked = 0;
+  // The merge rule: a release at or before the end of the interval joins it.
+  // The tie order among releases cannot move an interval, since tied jobs
+  // join the same busy period.
+  do {
+    const Periodic& task = (*tasks_)[first_];
+    to += task.wcet;
+    next_release_[first_] = release_ + task.period < horizon_ ? release_ + task.period : kNever;
+    ++walked;
+    find_earliest();
+  } while (release_ <= to);
+  releases_walked_here += walked;
+  return true;
+}
+
+const std::vector<RtSlackProfile::Busy>& RtSlackProfile::busy(std::size_t core) const {
+  static const std::vector<Busy> kNone;
+  if (core >= cores_.size()) return kNone;
+  const Core& c = cores_[core];
+  if (!c.walked && !c.tasks.empty()) {
+    // Every release opens at most one interval.
+    std::size_t releases = 0;
+    for (const Periodic& t : c.tasks) {
+      if (t.offset < horizon_) {
+        releases += static_cast<std::size_t>((horizon_ - t.offset + t.period - 1) / t.period);
+      }
+    }
+    c.busy.reserve(releases);
+    ReleaseWalk walk(&c.tasks, horizon_);
+    util::SimTime from = 0;
+    util::SimTime to = 0;
+    while (walk.next(from, to)) c.busy.push_back(Busy{from, to, total_busy(c.busy)});
+    HYDRA_ASSERT(total_busy(c.busy) == released_demand(c.tasks, horizon_),
+                 "RT slack profile did not drain its backlog");
+  }
+  c.walked = true;
+  return c.busy;
+}
 util::SimTime RtSlackProfile::idle_before(std::size_t core, util::SimTime t) const {
   const std::vector<Busy>& busy = this->busy(core);
   // Every interval before the first one ending after t lies wholly before t.
@@ -179,6 +218,62 @@ util::SimTime RtSlackProfile::time_at_idle(std::size_t core, util::SimTime x) co
   });
   return x + (it == busy.end() ? total_busy(busy) : it->busy_before);
 }
+
+RtSlackProfile::Cursor::Cursor(const RtSlackProfile& profile, std::size_t core)
+    : walk_(core < profile.cores_.size() ? &profile.cores_[core].tasks : nullptr,
+            profile.horizon_),
+      longest_busy_(kNever) {
+  if (core >= profile.cores_.size()) return;
+  const Core& c = profile.cores_[core];
+  if (c.walked) walked_ = &c.busy;
+  // Least fixed point of L = sum ceil(L / T) * C, iterated from the sum of
+  // the WCETs.  It is the longest busy period: a busy period of length x
+  // needs x ticks of work released inside a window of length x, and no
+  // window of length x holds more than sum ceil(x / T) * C.
+  util::SimTime length = 0;
+  for (const Periodic& t : c.tasks) length += t.wcet;
+  while (length < profile.horizon_) {
+    util::SimTime demand = 0;
+    for (const Periodic& t : c.tasks) demand += (length + t.period - 1) / t.period * t.wcet;
+    if (demand == length) {
+      longest_busy_ = length;
+      break;
+    }
+    length = demand;
+  }
+}
+
+RtSlackProfile::Cursor::State RtSlackProfile::Cursor::at(util::SimTime t) {
+  if (walked_ != nullptr) {
+    const std::vector<Busy>& busy = *walked_;
+    while (index_ < busy.size() && busy[index_].to <= t) ++index_;
+    if (index_ == busy.size()) return State{false, kNever};
+    const Busy& b = busy[index_];
+    return b.from <= t ? State{true, b.to} : State{false, b.from};
+  }
+  if (to_ <= t) {
+    // Every busy period is at most L long, so the backlog empties somewhere
+    // in [t - L, t) whatever came before: walking from there with no
+    // backlog gives the same busy ticks from t on.
+    if (longest_busy_ != kNever && t > longest_busy_ && walk_.frontier() < t - longest_busy_) {
+      walk_.restart(t - longest_busy_);
+      ++walk_restarts_here;
+    }
+    bool found = false;
+    while (walk_.next(from_, to_)) {
+      if (to_ > t) {
+        found = true;
+        break;
+      }
+    }
+    if (!found) from_ = to_ = kNever;
+  }
+  return from_ <= t ? State{true, to_} : State{false, from_};
+}
+
+std::size_t rt_releases_walked() { return releases_walked_here; }
+
+std::size_t rt_walk_restarts() { return walk_restarts_here; }
 
 const RtSlackProfile& RtSlackProfileCache::get(const std::vector<SimTask>& rt_tasks,
                                                util::SimTime horizon) {

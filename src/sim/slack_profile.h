@@ -30,6 +30,13 @@ namespace hydra::sim {
 /// The idle axis of a core counts only the ticks no RT job runs on: idle
 /// position x is the x-th idle tick.  idle_before(t) maps real time to the
 /// idle axis, time_at_idle(x) maps back.
+///
+/// What decides a row is computed at construction: the input checks, the RTA
+/// certificate and the miss count of uncertified cores.  The busy intervals
+/// are not: a core's list is walked on the first busy(), idle_before() or
+/// time_at_idle() of that core, and a Cursor reads the busy state forward
+/// without the list.  The list fills behind `const`, so a profile is not
+/// thread-safe; RtSlackProfileCache keeps one per thread.
 class RtSlackProfile {
  public:
   /// The RT schedule of `rt_tasks` alone over `horizon`, one core at a
@@ -77,15 +84,108 @@ class RtSlackProfile {
 
   /// The merged busy intervals of `core`, chronological and disjoint, with
   /// an idle gap between any two neighbours (empty for a core without RT).
+  /// Walked on the core's first call.
   const std::vector<Busy>& busy(std::size_t core) const;
 
+  class Cursor;
+
  private:
+  /// The timing of one RT task, all the release walk reads.
+  struct Periodic {
+    util::SimTime wcet = 0;
+    util::SimTime period = 0;
+    util::SimTime offset = 0;
+  };
+
+  /// One core's releases (strictly periodic, each before the horizon) in
+  /// time order, merged into busy intervals: a release at or before the end
+  /// of the current interval extends it by its WCET, a later one opens the
+  /// next.  The core is work-conserving, so these are its busy periods,
+  /// whatever order it runs the jobs in.
+  class ReleaseWalk {
+   public:
+    /// The releases of `tasks` (none when null) before `horizon`.
+    ReleaseWalk(const std::vector<Periodic>* tasks, util::SimTime horizon);
+    /// Forgets every release and backlog and continues from each task's
+    /// first release at or after `at`, as if the core were idle before it.
+    void restart(util::SimTime at);
+    /// The next merged interval [from, to); false once every release is
+    /// walked.
+    bool next(util::SimTime& from, util::SimTime& to);
+    /// The earliest release not walked yet (the maximum SimTime when none).
+    util::SimTime frontier() const { return release_; }
+
+   private:
+    void find_earliest();
+
+    const std::vector<Periodic>* tasks_;
+    util::SimTime horizon_;
+    std::vector<util::SimTime> next_release_;
+    std::size_t first_ = 0;     // the task of the earliest pending release
+    util::SimTime release_ = 0;  // that release
+  };
+
+  /// The work `tasks` release before `horizon`.
+  static util::SimTime released_demand(const std::vector<Periodic>& tasks,
+                                       util::SimTime horizon);
+
+  struct Core {
+    std::vector<Periodic> tasks;
+    mutable bool walked = false;
+    mutable std::vector<Busy> busy;
+  };
+
   std::vector<SimTask> rt_tasks_;
   util::SimTime horizon_ = 0;
   std::size_t deadline_misses_ = 0;
   std::size_t simulated_cores_ = 0;
-  std::vector<std::vector<Busy>> cores_;
+  std::vector<Core> cores_;
 };
+
+/// One core's RT busy state read forward in time, walking the releases only
+/// as far as the reads reach.  For a consumer whose query instants never
+/// decrease (the global band's clock).  A read that lands more than the
+/// core's longest busy period L past the walk restarts the walk at t - L
+/// with no backlog instead of walking the releases in between.  That is
+/// exact: no busy period (backlog without a break) is longer than L, so the
+/// true backlog empties at some instant in [t - L, t), the restarted one,
+/// never larger, empties there too, and from then on both see the same
+/// releases (docs/architecture.md, "Detection: one RT profile per row").
+/// A core whose list busy() has already walked is read from that list.
+class RtSlackProfile::Cursor {
+ public:
+  Cursor(const RtSlackProfile& profile, std::size_t core);
+
+  /// Whether an RT job runs on the core at tick t, and the next instant
+  /// that changes (the maximum SimTime when it never does).  t must not
+  /// decrease between calls.
+  struct State {
+    bool busy = false;
+    util::SimTime until = 0;
+  };
+  State at(util::SimTime t);
+
+  /// The core's longest busy period L in ticks: the least fixed point of
+  /// L = sum of ceil(L / T) * C, or the maximum SimTime when the iteration
+  /// reaches the horizon (always when U > 1), in which case the walk never
+  /// restarts.
+  util::SimTime longest_busy() const { return longest_busy_; }
+
+ private:
+  const std::vector<Busy>* walked_ = nullptr;  // busy()'s list, when it exists
+  std::size_t index_ = 0;                      // into *walked_
+  ReleaseWalk walk_;
+  util::SimTime longest_busy_;
+  util::SimTime from_ = 0;  // the walk's latest interval
+  util::SimTime to_ = 0;
+};
+
+/// RT releases the calling thread has walked, by busy() and by cursors: a
+/// test reads it to see how much of a schedule was never walked.
+std::size_t rt_releases_walked();
+
+/// Cursor restarts on the calling thread (read by tests).
+std::size_t rt_walk_restarts();
 
 /// A size-1 memo of the RT slack profile, keyed by its inputs.  The band
 /// engines ask it for the profile only after their own input validation, so

@@ -5,10 +5,14 @@
 // busy_in(from, to) query ends in (latest add - keep, latest add] and spans
 // at most keep ticks, a pruned segment can never intersect the query window,
 // so BusyWindow and the oracle agree exactly — across random add/query
-// sequences, merge-triggering adjacency, compaction (head_ > 1024), and
-// queries that trail the latest add.
+// sequences, merge-triggering adjacency, compaction (head_ > 1024), a keep
+// longer than the whole run (no pruning, queries from 0), and queries that
+// trail the latest add.  Queries are differences of prefix sums found by
+// binary search, so the oracle also pins every segment edge: a query
+// boundary inside, at the start of, or at the end of a segment.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -72,14 +76,21 @@ TEST(BusyWindow, MatchesOracleOnRandomScheduleShapedSequences) {
   // contract.  Several (keep, density) regimes, fixed seeds.
   const struct {
     SimTime keep;
+    SimTime min_gap;
     SimTime max_gap;
     SimTime max_len;
     std::uint64_t seed;
   } regimes[] = {
-      {50, 10, 8, 1},      // dense, tiny retention: constant pruning
-      {400, 30, 20, 2},    // moderate
-      {2000, 200, 150, 3}, // sparse long segments
-      {64, 2, 3, 4},       // near-saturated core, many merges
+      {50, 0, 10, 8, 1},       // dense, tiny retention: constant pruning
+      {400, 0, 30, 20, 2},     // moderate
+      {2000, 0, 200, 150, 3},  // sparse long segments
+      {64, 0, 2, 3, 4},        // near-saturated core, many merges
+      // keep >= the horizon (fig5's window): nothing is ever pruned, and
+      // queries reach back to 0 across every segment.
+      {SimTime{1} << 40, 0, 10, 8, 5},
+      // Spaced segments that never merge with retention for about 20 of
+      // them: head_ passes 1,024 and the vector compacts every ~1,000 adds.
+      {200, 1, 30, 5, 6},
   };
 
   for (const auto& regime : regimes) {
@@ -89,7 +100,7 @@ TEST(BusyWindow, MatchesOracleOnRandomScheduleShapedSequences) {
 
     SimTime clock = 0;
     for (int step = 0; step < 20000; ++step) {
-      const SimTime gap = rng.uniform_int(0, regime.max_gap);
+      const SimTime gap = rng.uniform_int(regime.min_gap, regime.max_gap);
       const SimTime len = rng.uniform_int(1, regime.max_len);
       window.add(clock + gap, clock + gap + len);
       oracle.add(clock + gap, clock + gap + len);
@@ -98,10 +109,10 @@ TEST(BusyWindow, MatchesOracleOnRandomScheduleShapedSequences) {
       if (step % 3 == 0) {
         // A query ending at a decision instant within (clock - keep, clock],
         // reaching back at most `keep` — the engine's usage pattern.
-        const SimTime lag = rng.uniform_int(0, regime.keep / 2);
+        const SimTime lag = rng.uniform_int(0, std::min(regime.keep / 2, clock));
         const SimTime at = clock > lag ? clock - lag : 0;
         const SimTime span_cap = regime.keep - lag;
-        const SimTime span = span_cap > 0 ? rng.uniform_int(1, span_cap) : 1;
+        const SimTime span = span_cap > 0 ? rng.uniform_int(1, std::min(span_cap, at + 1)) : 1;
         const SimTime from = at > span ? at - span : 0;
         ASSERT_EQ(window.busy_in(from, at), oracle.busy_in(from, at))
             << "keep=" << regime.keep << " step=" << step << " query=[" << from

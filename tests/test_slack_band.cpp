@@ -25,7 +25,9 @@
 // R > T and invalid input.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <limits>
 #include <filesystem>
 #include <map>
 #include <string>
@@ -260,6 +262,41 @@ SimTime horizon_for(const core::Instance& instance) {
   return hydra::util::to_ticks_ceil(3.0 * slowest) + 2'000 * kMs;
 }
 
+/// The full list's answer to a cursor read at t: whether tick t is busy, and
+/// the next instant that changes.  Only the first interval ending after t
+/// decides it.
+sim::RtSlackProfile::Cursor::State state_at(const std::vector<sim::RtSlackProfile::Busy>& busy,
+                                            SimTime t) {
+  const auto it = std::upper_bound(
+      busy.begin(), busy.end(), t,
+      [](SimTime value, const sim::RtSlackProfile::Busy& b) { return value < b.to; });
+  if (it == busy.end()) return {false, std::numeric_limits<SimTime>::max()};
+  return it->from <= t ? sim::RtSlackProfile::Cursor::State{true, it->to}
+                       : sim::RtSlackProfile::Cursor::State{false, it->from};
+}
+
+/// RT releases of `rt` before `horizon`.
+std::size_t releases_of(const std::vector<sim::SimTask>& rt, SimTime horizon) {
+  std::size_t releases = 0;
+  for (const auto& t : rt) {
+    if (t.release_offset < horizon) {
+      releases += static_cast<std::size_t>((horizon - t.release_offset + t.period - 1) / t.period);
+    }
+  }
+  return releases;
+}
+
+/// `tasks` (RT first, `nr` of them) with the RT tasks dealt round-robin over
+/// `cores` cores and the monitors after them, so every core runs RT work and
+/// every monitor shares a core with some.
+std::vector<sim::SimTask> spread_over_every_core(std::vector<sim::SimTask> tasks, std::size_t nr,
+                                                 std::size_t cores) {
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    tasks[i].core = (i < nr ? i : i - nr) % cores;
+  }
+  return tasks;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -487,6 +524,121 @@ TEST(RtSlackProfile, RejectsTasksThatWouldDependOnTheMonitorsOrTheSeed) {
                std::invalid_argument);
 }
 
+TEST(RtSlackProfile, CursorMatchesTheFullListAcrossRestarts) {
+  // A cursor walks only as far as its reads reach and restarts at t - L
+  // when a read lands more than the longest busy period L past its walk.
+  // Each read must equal the full list's answer.  Reads step by a little,
+  // or jump to the walk's frontier (the next interval's start) plus L - 1
+  // .. L + 2, so they land on both sides of the restart threshold.  Cores:
+  // seeded M = 2 and 4 draws with RT on every core, harmonic periods and
+  // shared offsets (releases landing exactly at an interval's end, which
+  // extend it), a core whose releases chain busy periods into intervals
+  // longer than L (so a restart can land inside one), and a U = 1 core whose
+  // L reaches the horizon (it never restarts and walks every release).
+  const SimTime horizon = 20'000;
+  const std::vector<SimTime> offsets = {0, 3, 10};
+  hydra::util::Xoshiro256 rng(77);
+  std::size_t restarting_cores = 0;
+  for (const std::size_t m : {2u, 4u}) {
+    for (int draw = 0; draw < 6; ++draw) {
+      std::vector<sim::SimTask> rt;
+      for (std::size_t core = 0; core < m; ++core) {
+        const SimTime base = 10 * (1 + rng.uniform_int(0, 3));
+        const std::size_t count = 2 + rng.uniform_int(0, 3);
+        for (std::size_t k = 0; k < count; ++k) {
+          const SimTime period = base << rng.uniform_int(0, 3);
+          const SimTime wcet = 1 + rng.uniform_int(0, period * 9 / (10 * count));
+          rt.push_back(make_task("r" + std::to_string(rt.size()), wcet, period, period, core,
+                                 static_cast<int>(k),
+                                 offsets[rng.uniform_int(0, offsets.size() - 1)]));
+        }
+      }
+      if (draw == 0) {
+        // Core 0 becomes the chained core: L = 10, but b's release at 5
+        // and a's at 10 each land exactly where the backlog empties, so
+        // [0, 15) is one interval.  Core 1 is the U = 1 core that never
+        // restarts: 101/202 + 103/206, whose hyperperiod 20,806 (its L)
+        // passes the horizon.
+        rt.erase(std::remove_if(rt.begin(), rt.end(),
+                                [](const sim::SimTask& t) { return t.core < 2; }),
+                 rt.end());
+        rt.push_back(make_task("chain_a", 5, 10, 10, 0, 0));
+        rt.push_back(make_task("chain_b", 5, 40, 40, 0, 1, 5));
+        rt.push_back(make_task("lcm_a", 101, 202, 202, 1, 0));
+        rt.push_back(make_task("lcm_b", 103, 206, 206, 1, 1));
+      }
+      const sim::RtSlackProfile full(rt, horizon);
+      const sim::RtSlackProfile lazy(rt, horizon);
+      for (std::size_t core = 0; core < m; ++core) {
+        const std::string what = "M=" + std::to_string(m) + " draw " + std::to_string(draw) +
+                                 " core " + std::to_string(core);
+        std::vector<sim::SimTask> on_core;
+        for (const auto& t : rt) {
+          if (t.core == core) on_core.push_back(t);
+        }
+        const std::size_t walked_before = sim::rt_releases_walked();
+        const std::size_t restarts_before = sim::rt_walk_restarts();
+        sim::RtSlackProfile::Cursor cursor(lazy, core);
+        const SimTime longest = cursor.longest_busy();
+        const auto& busy = full.busy(core);
+        // The walk of the full list is not the cursor's.
+        const std::size_t walked_mid = sim::rt_releases_walked();
+        SimTime t = 0;
+        std::size_t reads = 0;
+        while (t < horizon + 1'000) {
+          const auto expected = state_at(busy, t);
+          const auto got = cursor.at(t);
+          ASSERT_EQ(got.busy, expected.busy) << what << " t " << t;
+          ASSERT_EQ(got.until, expected.until) << what << " t " << t;
+          ++reads;
+          // The walk's frontier: the start of the interval after the one
+          // the read landed in or before.
+          const auto it = std::upper_bound(
+              busy.begin(), busy.end(), t,
+              [](SimTime value, const sim::RtSlackProfile::Busy& b) { return value < b.to; });
+          const bool jump = longest != std::numeric_limits<SimTime>::max() &&
+                            it != busy.end() && it + 1 != busy.end() && rng.uniform_int(0, 2) == 0;
+          t = jump ? (it + 1)->from + longest - 1 + rng.uniform_int(0, 3)
+                   : t + 1 + rng.uniform_int(0, 40);
+        }
+        EXPECT_GT(reads, 100u) << what;
+        const std::size_t restarts = sim::rt_walk_restarts() - restarts_before;
+        const std::size_t walked = sim::rt_releases_walked() - walked_mid;
+        // busy() walked every release of the core once.
+        EXPECT_EQ(walked_mid - walked_before, releases_of(on_core, horizon)) << what;
+        if (longest == std::numeric_limits<SimTime>::max()) {
+          EXPECT_EQ(restarts, 0u) << what;
+          EXPECT_EQ(walked, releases_of(on_core, horizon)) << what;
+        } else {
+          EXPECT_LE(walked, releases_of(on_core, horizon)) << what;
+          restarting_cores += restarts > 0 ? 1 : 0;
+        }
+        if (draw == 0 && core == 0) {
+          EXPECT_EQ(longest, 10u);
+          ASSERT_FALSE(busy.empty());
+          EXPECT_EQ(busy[0].to, 15u) << "the releases no longer chain past L";
+          EXPECT_GT(restarts, 0u) << what;
+        }
+        if (draw == 0 && core == 1) {
+          EXPECT_EQ(longest, std::numeric_limits<SimTime>::max()) << what;
+        }
+
+        // A cursor over a core whose list exists reads the list.
+        sim::RtSlackProfile::Cursor listed(full, core);
+        const std::size_t walked_listed = sim::rt_releases_walked();
+        for (SimTime u = 0; u < horizon + 1'000; u += 1 + rng.uniform_int(0, 200)) {
+          const auto expected = state_at(busy, u);
+          const auto got = listed.at(u);
+          ASSERT_EQ(got.busy, expected.busy) << what << " listed t " << u;
+          ASSERT_EQ(got.until, expected.until) << what << " listed t " << u;
+        }
+        EXPECT_EQ(sim::rt_releases_walked(), walked_listed) << what;
+      }
+    }
+  }
+  EXPECT_GE(restarting_cores, 20u) << "the batch no longer restarts its cursors";
+}
+
 // ---------------------------------------------------------------------------
 // RtSlackProfile: the RTA certificate
 // ---------------------------------------------------------------------------
@@ -595,6 +747,7 @@ TEST(SlackBand, InvalidInputFailsWithTheFullEngineMessage) {
 
 TEST(SlackBand, SeededBatchesMatchTheFullEngines) {
   std::size_t checked = 0;
+  const std::size_t restarts_before = sim::rt_walk_restarts();
   for (const std::size_t m : {2u, 4u}) {
     hydra::gen::SyntheticConfig config;
     config.num_cores = m;
@@ -622,10 +775,134 @@ TEST(SlackBand, SeededBatchesMatchTheFullEngines) {
                   0u)
             << what;
         ++checked;
+
+        // The same tasks with RT work on every core and each monitor on a
+        // core with RT work: the partitioned band builds the monitors'
+        // cores' lists, and the global band has no RT-free core, so it
+        // reads the RT cores whenever a monitor job is pending and its
+        // cursors restart across the gaps between monitor episodes.
+        const std::size_t nr = drawn->instance.rt_tasks.size();
+        const SimTime horizon = horizon_for(drawn->instance);
+        const auto tasks = spread_over_every_core(
+            sim::build_sim_tasks(drawn->instance, allocation), nr, m);
+        sim::RtSlackProfileCache spread_cache;
+        sim::SimOptions options;
+        options.horizon = horizon;
+        expect_same_jobs(sim::simulate(tasks, options),
+                         sim::simulate_mode_band(fixed_rate(tasks), nr,
+                                                 fixed_rate_options(horizon), spread_cache)
+                             .trace,
+                         nr, what + " spread static");
+        std::vector<sim::GlobalSimTask> global;
+        for (std::size_t i = 0; i < tasks.size(); ++i) global.push_back({tasks[i], i >= nr});
+        sim::GlobalSimOptions global_options;
+        global_options.horizon = horizon;
+        global_options.num_cores = m;
+        expect_same_jobs(oracle::simulate_global_slack(global, global_options),
+                         sim::simulate_global_band(global, global_options, spread_cache), nr,
+                         what + " spread global");
       }
     }
   }
   EXPECT_GE(checked, 8u) << "the seeded batches no longer reach the band engines";
+  EXPECT_GT(sim::rt_walk_restarts(), restarts_before)
+      << "the global band's cursors no longer restart";
+}
+
+TEST(SlackBand, GlobalBandWithRtFreeCoresSkipsTheRtWalk) {
+  // Cursors only: a fresh profile's global band with every RT core walked
+  // from scratch.  With RT on every core and each monitor job pending
+  // alone most of the time, the cursors restart instead of walking the
+  // gaps; the walk stays short of the releases.
+  const std::size_t nr = 4;
+  const SimTime horizon = 200'000;
+  const std::vector<sim::SimTask> tasks = {
+      make_task("r0", 3, 20, 20, 0, 0), make_task("r1", 5, 50, 50, 0, 1),
+      make_task("r2", 4, 25, 25, 1, 0), make_task("r3", 9, 100, 100, 1, 1),
+      make_task("mon", 30, 5'000, 5'000, 0, 2)};
+  std::vector<sim::GlobalSimTask> global;
+  for (std::size_t i = 0; i < tasks.size(); ++i) global.push_back({tasks[i], i >= nr});
+  sim::GlobalSimOptions options;
+  options.horizon = horizon;
+  options.num_cores = 2;
+  sim::RtSlackProfileCache cache;
+  const std::size_t walked_before = sim::rt_releases_walked();
+  const sim::Trace band = sim::simulate_global_band(global, options, cache);
+  const std::size_t walked = sim::rt_releases_walked() - walked_before;
+  expect_same_jobs(oracle::simulate_global_slack(global, options), band, nr, "two RT cores");
+  const std::vector<sim::SimTask> rt(tasks.begin(), tasks.begin() + nr);
+  EXPECT_LT(walked * 10, releases_of(rt, horizon)) << walked;
+
+  // A third, RT-free core holds every pending job, so no RT core is read.
+  options.num_cores = 3;
+  const std::size_t walked_free = sim::rt_releases_walked();
+  expect_same_jobs(oracle::simulate_global_slack(global, options),
+                   sim::simulate_global_band(global, options, cache), nr, "an RT-free core");
+  EXPECT_EQ(sim::rt_releases_walked(), walked_free);
+}
+
+TEST(SlackBand, Fig5RowsWithRtFreeMonitorCoresWalkAFifthOfTheirReleases) {
+  // Fig. 5 rows as perfbench's runtime-adapt draws them (M = 2, contego,
+  // total utilization 0.5, 0.75 and 1.0, 100 s, 3 levels), each row's six
+  // measurements (three policies plus the static, minimum-mode and global
+  // baselines) on one profile, as exp/metrics.cpp runs them.  Contego packs
+  // the RT tasks onto one core and the monitors onto the other, so the
+  // partitioned runs read only the RT-free core and the global band reads
+  // the RT core only while both cores are needed.  Building each core's list
+  // eagerly would walk every release of every row.
+  hydra::util::Xoshiro256 rng(5);
+  hydra::gen::SyntheticConfig config;
+  config.num_cores = 2;
+  std::size_t walked_total = 0;
+  std::size_t releases_total = 0;
+  for (const double load : {0.5, 0.75, 1.0}) {
+    for (std::size_t rows = 0; rows < 4;) {
+      const auto drawn = hydra::gen::generate_filtered_instance(config, load, rng);
+      if (!drawn.has_value()) continue;
+      const core::Instance& instance = drawn->instance;
+      const auto allocation = core::ContegoAllocator().allocate(instance);
+      if (!allocation.feasible) continue;
+      bool ticks = true;
+      for (const auto& t : instance.rt_tasks) ticks = ticks && hydra::util::to_ticks(t.wcet) > 0;
+      for (const auto& t : instance.security_tasks) {
+        ticks = ticks && hydra::util::to_ticks(t.wcet) > 0;
+      }
+      if (!ticks) continue;
+      const auto tasks = sim::build_sim_tasks(instance, allocation);
+      const std::size_t nr = instance.rt_tasks.size();
+      const std::vector<sim::SimTask> rt(tasks.begin(), tasks.begin() + nr);
+      for (std::size_t i = nr; i < tasks.size(); ++i) {
+        for (const auto& r : rt) {
+          ASSERT_NE(r.core, tasks[i].core) << "contego no longer keeps the monitors off RT";
+        }
+      }
+
+      sim::DetectionConfig detection;
+      detection.horizon = 100'000 * kMs;
+      detection.trials = 120;
+      sim::ModeControllerConfig controller;
+      controller.num_levels = 3;
+      sim::RtSlackProfileCache profiles;
+      const std::size_t walked_before = sim::rt_releases_walked();
+      for (const char* policy : {"hysteresis", "boost", "never-switch"}) {
+        controller.policy = policy;
+        sim::measure_detection_times_adaptive(instance, allocation, detection, controller,
+                                              &profiles);
+      }
+      sim::measure_detection_times(instance, allocation, detection, &profiles);
+      sim::measure_detection_times(instance, core::min_mode_allocation(instance, allocation),
+                                   detection, &profiles);
+      sim::measure_detection_times_global(instance, allocation, detection, &profiles);
+      const std::size_t walked = sim::rt_releases_walked() - walked_before;
+      const std::size_t releases = releases_of(rt, detection.horizon);
+      // Rows where the monitors often need both cores walk up to about 40%.
+      EXPECT_LT(walked * 2, releases) << "U = " << load << " row " << rows;
+      walked_total += walked;
+      releases_total += releases;
+      ++rows;
+    }
+  }
+  EXPECT_LT(walked_total * 5, releases_total) << walked_total << " of " << releases_total;
 }
 
 TEST(SlackBand, CorpusWorkloadsMatchTheFullEngines) {
