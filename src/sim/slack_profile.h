@@ -151,7 +151,6 @@ class RtSlackProfile {
 /// true backlog empties at some instant in [t - L, t), the restarted one,
 /// never larger, empties there too, and from then on both see the same
 /// releases (docs/architecture.md, "Detection: one RT profile per row").
-/// A core whose list busy() has already walked is read from that list.
 class RtSlackProfile::Cursor {
  public:
   Cursor(const RtSlackProfile& profile, std::size_t core);
@@ -165,16 +164,12 @@ class RtSlackProfile::Cursor {
   };
   State at(util::SimTime t);
 
-  /// The core's longest busy period L in ticks: the least fixed point of
-  /// L = sum of ceil(L / T) * C, or the maximum SimTime when the iteration
-  /// reaches the horizon (always when U > 1), in which case the walk never
-  /// restarts.
-  util::SimTime longest_busy() const { return longest_busy_; }
-
  private:
-  const std::vector<Busy>* walked_ = nullptr;  // busy()'s list, when it exists
-  std::size_t index_ = 0;                      // into *walked_
   ReleaseWalk walk_;
+  // The core's longest busy period L in ticks: the least fixed point of
+  // L = sum of ceil(L / T) * C, or the maximum SimTime when the iteration
+  // reaches the horizon (always when U > 1), in which case the walk never
+  // restarts.
   util::SimTime longest_busy_;
   util::SimTime from_ = 0;  // the walk's latest interval
   util::SimTime to_ = 0;

@@ -275,6 +275,22 @@ sim::RtSlackProfile::Cursor::State state_at(const std::vector<sim::RtSlackProfil
                        : sim::RtSlackProfile::Cursor::State{false, it->from};
 }
 
+/// The longest busy period of one core's RT tasks, as the cursor restarts
+/// by it: the least fixed point of L = sum of ceil(L / T) * C, iterated from
+/// the sum of the WCETs, or the maximum SimTime once the iteration reaches
+/// the horizon.
+SimTime longest_busy_of(const std::vector<sim::SimTask>& on_core, SimTime horizon) {
+  SimTime length = 0;
+  for (const auto& t : on_core) length += t.wcet;
+  while (length < horizon) {
+    SimTime demand = 0;
+    for (const auto& t : on_core) demand += (length + t.period - 1) / t.period * t.wcet;
+    if (demand == length) return length;
+    length = demand;
+  }
+  return std::numeric_limits<SimTime>::max();
+}
+
 /// RT releases of `rt` before `horizon`.
 std::size_t releases_of(const std::vector<sim::SimTask>& rt, SimTime horizon) {
   std::size_t releases = 0;
@@ -579,7 +595,7 @@ TEST(RtSlackProfile, CursorMatchesTheFullListAcrossRestarts) {
         const std::size_t walked_before = sim::rt_releases_walked();
         const std::size_t restarts_before = sim::rt_walk_restarts();
         sim::RtSlackProfile::Cursor cursor(lazy, core);
-        const SimTime longest = cursor.longest_busy();
+        const SimTime longest = longest_busy_of(on_core, horizon);
         const auto& busy = full.busy(core);
         // The walk of the full list is not the cursor's.
         const std::size_t walked_mid = sim::rt_releases_walked();
@@ -622,17 +638,6 @@ TEST(RtSlackProfile, CursorMatchesTheFullListAcrossRestarts) {
         if (draw == 0 && core == 1) {
           EXPECT_EQ(longest, std::numeric_limits<SimTime>::max()) << what;
         }
-
-        // A cursor over a core whose list exists reads the list.
-        sim::RtSlackProfile::Cursor listed(full, core);
-        const std::size_t walked_listed = sim::rt_releases_walked();
-        for (SimTime u = 0; u < horizon + 1'000; u += 1 + rng.uniform_int(0, 200)) {
-          const auto expected = state_at(busy, u);
-          const auto got = listed.at(u);
-          ASSERT_EQ(got.busy, expected.busy) << what << " listed t " << u;
-          ASSERT_EQ(got.until, expected.until) << what << " listed t " << u;
-        }
-        EXPECT_EQ(sim::rt_releases_walked(), walked_listed) << what;
       }
     }
   }
