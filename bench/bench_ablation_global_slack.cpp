@@ -3,8 +3,9 @@
 //
 // Both runs use HYDRA's periods; the global run lets security jobs migrate to
 // any core with idle slack (job-level migration, zero migration cost — the
-// optimistic bound on what migration can buy).  Reported: mean/p95 detection
-// time and the migration count per simulated minute.
+// optimistic bound on what migration can buy).  Reported per core count:
+// mean and p95 detection time of each scheduler, and the global run's
+// improvement over the static one.
 //
 // Usage: bench_ablation_global_slack [--cores 2,4,8] [--trials 300]
 //                                    [--horizon-s 300] [--seed 29] [--csv]

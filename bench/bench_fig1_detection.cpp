@@ -23,7 +23,7 @@
 //                             [--trials 500] [--horizon-s 500] [--seed 1]
 //                             [--cdf-points 26] [--csv]
 //                             [sweep flags: --jobs --resume --shard --out
-//                              --agg-out --gp-backend; see exp/sweep_cli.h]
+//                              --agg-out; see exp/sweep_cli.h]
 //
 // --shard i/N runs the i-th of N disjoint cell subsets (see exp/sweep.h);
 // shard outputs carry a self-describing header and are reunited with

@@ -30,12 +30,7 @@
 //                              [--schemes hydra,single-core]
 //                              [--utilizations 0.05,0.1,...] [--csv]
 //                              [sweep flags: --jobs --resume --shard --out
-//                               --agg-out --gp-backend; see exp/sweep_cli.h]
-//
-// --gp-backend selects the GP solver backend every cell's period optimization
-// runs through (docs/solver-catalog.md lists the registry).  It is a row-byte
-// input: the fingerprint covers it, so shards and resumes must name the same
-// backend, and the default ("" = scp/barrier) reproduces historical outputs.
+//                               --agg-out; see exp/sweep_cli.h]
 #include <iostream>
 #include <vector>
 

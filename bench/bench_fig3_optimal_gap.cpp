@@ -14,7 +14,7 @@
 //                               [--schemes hydra,optimal]
 //                               [--utilizations 0.05,0.1,...] [--csv]
 //                               [sweep flags: --jobs --resume --shard --out
-//                                --agg-out --gp-backend; see exp/sweep_cli.h]
+//                                --agg-out; see exp/sweep_cli.h]
 //        (the paper's Fig. 3 uses M = 2; the exhaustive comparator is
 //         exponential, so per-point taskset counts are smaller than Fig. 2's)
 #include <iostream>

@@ -19,8 +19,8 @@
 // Usage: bench_fig4_adaptive_gap [--tasksets 40] [--seed 17] [--cores 2]
 //            [--schemes contego,period-adapt,util/worst-fit,hydra,optimal]
 //            [--reference optimal] [--utilizations 0.4,0.8,...] [--csv]
-//            [sweep flags: --jobs --resume --shard --out --agg-out
-//             --gp-backend; see exp/sweep_cli.h]
+//            [sweep flags: --jobs --resume --shard --out --agg-out;
+//             see exp/sweep_cli.h]
 #include <iostream>
 #include <vector>
 

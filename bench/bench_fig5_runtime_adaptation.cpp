@@ -38,8 +38,8 @@
 //            [--trials 120] [--horizon-s 200] [--det-seed 1]
 //            [--window-ms 0] [--tighten 0.25] [--relax 0.05]
 //            [--dwell-ms 0] [--switch-budget 0] [--boost-window-ms 0]
-//            [--csv] [sweep flags: --jobs --resume --shard --out --agg-out
-//             --gp-backend; see exp/sweep_cli.h]
+//            [--csv] [sweep flags: --jobs --resume --shard --out --agg-out;
+//             see exp/sweep_cli.h]
 //
 // `--shard i/N` fans the grid out across N processes (deterministic cell-key
 // partition; see exp/merge.h): merge the shard outputs with hydra_merge and

@@ -215,8 +215,8 @@ BENCHMARK(BM_JointPeriodScp)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
 
 static void BM_GpSolveBackend(benchmark::State& state, const std::string& backend) {
   // One plain-GP solve of the joint-period program (4 security tasks, one
-  // loaded core) through each registered SolverRegistry backend — the
-  // apples-to-apples backend cost comparison behind docs/solver-catalog.md.
+  // loaded core) through a SolverRegistry backend, constructed by name as
+  // the sweep constructs it.
   hydra::util::Xoshiro256 rng(6);
   core::Instance instance;
   instance.num_cores = 1;
@@ -243,7 +243,6 @@ static void BM_GpSolveBackend(benchmark::State& state, const std::string& backen
   }
 }
 BENCHMARK_CAPTURE(BM_GpSolveBackend, scp_barrier, std::string("scp/barrier"));
-BENCHMARK_CAPTURE(BM_GpSolveBackend, ipm_filter, std::string("ipm/filter"));
 
 static void BM_OptimalExhaustive(benchmark::State& state) {
   // M = 2, NS = range: cost doubles per extra task (2^NS joint solves).

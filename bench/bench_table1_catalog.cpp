@@ -8,32 +8,18 @@
 // Usage: bench_table1_catalog [--cores 2,4,8]
 //                             [--schemes hydra,single-core,optimal]
 //                             [--jobs 1] [--out rows.jsonl] [--csv]
-//                             [--catalog-md] [--catalog-out docs/scheme-catalog.md]
-//                             [--solver-catalog-md]
-//                             [--solver-catalog-out docs/solver-catalog.md]
-//                             [--controller-catalog-md]
-//                             [--controller-catalog-out docs/controller-catalog.md]
 //
-// --catalog-md prints the full allocator registry (name + description) as the
-// markdown scheme catalog and exits; --catalog-out writes it to a file — the
-// committed docs/scheme-catalog.md is generated this way and kept in sync by
-// the test_scheme_catalog ctest suite.  --solver-catalog-md/--solver-catalog-out
-// do the same for the GP solver registry (docs/solver-catalog.md), and
-// --controller-catalog-md/--controller-catalog-out for the runtime
-// controller-policy registry (docs/controller-catalog.md).
-#include <fstream>
+// docs/scheme-catalog.md and docs/controller-catalog.md are regenerated by
+// their ctest suites, e.g. HYDRA_UPDATE_CATALOG=1 ./build/test_scheme_catalog.
 #include <iostream>
 #include <memory>
 #include <vector>
 
-#include "core/registry.h"
 #include "exp/aggregate.h"
 #include "exp/sweep.h"
-#include "gp/solver_registry.h"
 #include "gen/uav.h"
 #include "io/table.h"
 #include "sec/catalog.h"
-#include "sim/controller.h"
 #include "util/cli.h"
 
 namespace hexp = hydra::exp;
@@ -41,41 +27,6 @@ namespace hexp = hydra::exp;
 namespace {
 
 int run(const hydra::util::CliParser& cli) {
-  // --<prefix>catalog-md prints a registry catalog; --<prefix>catalog-out
-  // writes it to a file.
-  struct Catalog {
-    std::string prefix;
-    const char* kind;
-    std::string markdown;
-  };
-  const Catalog catalogs[] = {
-      {"", "scheme",
-       hydra::util::catalog_markdown(hydra::core::AllocatorRegistry::global(),
-                                     hydra::core::kSchemeCatalogPreamble)},
-      {"solver-", "solver",
-       hydra::util::catalog_markdown(hydra::gp::SolverRegistry::global(),
-                                     hydra::gp::kSolverCatalogPreamble)},
-      {"controller-", "controller",
-       hydra::util::catalog_markdown(hydra::sim::ControllerRegistry::global(),
-                                     hydra::sim::kControllerCatalogPreamble)},
-  };
-  for (const auto& catalog : catalogs) {
-    if (cli.has(catalog.prefix + "catalog-out")) {
-      const std::string path = cli.get_string(catalog.prefix + "catalog-out", "");
-      std::ofstream out(path);
-      if (!out) {
-        std::cerr << "cannot open " << path << " for writing\n";
-        return 2;
-      }
-      out << catalog.markdown;
-      std::cout << "wrote " << catalog.kind << " catalog to " << path << "\n";
-      return 0;
-    }
-    if (cli.get_bool(catalog.prefix + "catalog-md", false)) {
-      std::cout << catalog.markdown;
-      return 0;
-    }
-  }
   const auto cores = cli.get_int_list("cores", {2, 4, 8});
   const auto scheme_names =
       cli.get_string_list("schemes", {"hydra", "single-core", "optimal"});
@@ -149,9 +100,5 @@ int run(const hydra::util::CliParser& cli) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return hydra::util::run_cli(
-      argc, argv,
-      {"cores", "schemes", "csv", "jobs", "out", "catalog-out", "catalog-md", "solver-catalog-out",
-       "solver-catalog-md", "controller-catalog-out", "controller-catalog-md"},
-      run);
+  return hydra::util::run_cli(argc, argv, {"cores", "schemes", "csv", "jobs", "out"}, run);
 }

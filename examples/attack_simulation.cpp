@@ -3,8 +3,8 @@
 // latency distribution — a miniature of the paper's Fig. 1 experiment with
 // the full trace inspection the bench omits.
 //
-// Usage: ./build/examples/attack_simulation [--cores 4] [--trials 200]
-//                                           [--horizon-s 120] [--seed 42]
+// Usage: ./build/attack_simulation [--cores 4] [--trials 200]
+//                                  [--horizon-s 120] [--seed 42]
 #include <iostream>
 
 #include "core/hydra.h"

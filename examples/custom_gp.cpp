@@ -7,7 +7,7 @@
 // then solves a small multi-variable design problem to show the API scales
 // past one variable.
 //
-// Usage: ./build/examples/custom_gp
+// Usage: ./build/custom_gp
 #include <iostream>
 
 #include "core/period_adaptation.h"

@@ -7,7 +7,7 @@
 // order VIOLATES that requirement, derives a chain-consistent order, runs
 // HYDRA with it, and verifies the result end to end (validator + simulator).
 //
-// Usage: ./build/examples/precedence_chains [--cores 2]
+// Usage: ./build/precedence_chains [--cores 2]
 #include <iostream>
 
 #include "core/hydra.h"

@@ -6,7 +6,7 @@
 //   3. run the HYDRA allocator,
 //   4. read back each monitor's core, period and tightness.
 //
-// Build & run:  ./build/examples/quickstart
+// Build & run:  ./build/quickstart
 #include <iostream>
 
 #include "core/hydra.h"

@@ -13,8 +13,7 @@
 //                                      [--schemes hydra,single-core]
 //                                      [--utilizations 0.4,0.8,...]
 //                                      [sweep flags: --jobs --resume --shard
-//                                       --out --agg-out --gp-backend; see
-//                                       exp/sweep_cli.h]
+//                                       --out --agg-out; see exp/sweep_cli.h]
 #include <iostream>
 #include <vector>
 

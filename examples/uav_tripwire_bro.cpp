@@ -2,7 +2,7 @@
 // with the Table-I Tripwire/Bro monitors, compared across all three
 // allocation schemes (HYDRA, SingleCore, Optimal) on a chosen core count.
 //
-// Usage: ./build/examples/uav_tripwire_bro [--cores 2]
+// Usage: ./build/uav_tripwire_bro [--cores 2]
 #include <iostream>
 
 #include "core/hydra.h"

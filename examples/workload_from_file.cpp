@@ -3,7 +3,7 @@
 // Writes a demo file if none is given, then loads it, allocates with HYDRA,
 // and prints the resulting security configuration.
 //
-// Usage: ./build/examples/workload_from_file [--file path/to/taskset.txt]
+// Usage: ./build/workload_from_file [--file path/to/taskset.txt]
 #include <fstream>
 #include <iostream>
 

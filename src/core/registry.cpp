@@ -58,9 +58,9 @@ const char kSchemeCatalogPreamble[] =
     "registration order.  The name is the stable identifier accepted by every\n"
     "`--schemes` flag and stamped verbatim on result rows.\n\n"
     "**Generated file — do not edit by hand.**  Regenerate after touching the\n"
-    "registry with `./build/bench_table1_catalog --catalog-out docs/scheme-catalog.md`\n"
-    "(or `HYDRA_UPDATE_CATALOG=1 ./build/test_scheme_catalog`); the ctest suite\n"
-    "`test_scheme_catalog` fails whenever this file and the registry disagree.\n\n"
+    "registry with `HYDRA_UPDATE_CATALOG=1 ./build/test_scheme_catalog`; the\n"
+    "ctest suite `test_scheme_catalog` fails whenever this file and the\n"
+    "registry disagree.\n\n"
     "| Name | Description |\n|---|---|\n";
 
 }  // namespace hydra::core

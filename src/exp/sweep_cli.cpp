@@ -14,8 +14,6 @@ SweepSpec with_sweep_flags(const util::CliParser& cli, SweepSpec spec) {
   const auto shard = parse_shard_spec(cli.get_string(kShardFlag, "0/1"));
   spec.shard_index = shard.index;
   spec.shard_count = shard.count;
-  // Sweep::Sweep checks the name against gp::SolverRegistry.
-  spec.gp_backend = cli.get_string(kGpBackendFlag, "");
   return spec;
 }
 
@@ -77,8 +75,7 @@ void SweepCli::finish(std::ostream& os) {
 
 int run_sweep_cli(int argc, const char* const* argv, std::vector<std::string> known,
                   const std::function<int(const util::CliParser&)>& body) {
-  known.insert(known.end(), {kJobsFlag, kResumeFlag, kShardFlag, kOutFlag, kAggOutFlag,
-                             kGpBackendFlag});
+  known.insert(known.end(), {kJobsFlag, kResumeFlag, kShardFlag, kOutFlag, kAggOutFlag});
   return util::run_cli(argc, argv, known, body);
 }
 

@@ -12,9 +12,8 @@
 //                     so a shard cannot write it)
 //   --agg-out F       the aggregated cells as JSONL (not on a shard: merge
 //                     the shards, then rerun with --resume merged.jsonl)
-//   --gp-backend B    GP solver backend (docs/solver-catalog.md)
 //
-// Every misconfiguration — a malformed value, an unknown backend, a CSV --out
+// Every misconfiguration — a malformed value, a CSV --out
 // on a shard, --agg-out on a shard, an output file that cannot be opened —
 // throws from the SweepCli constructor, before any cell runs.  A failed write
 // on --out or --agg-out throws when the file is closed.
@@ -39,13 +38,12 @@ inline constexpr const char* kResumeFlag = "resume";
 inline constexpr const char* kShardFlag = "shard";
 inline constexpr const char* kOutFlag = "out";
 inline constexpr const char* kAggOutFlag = "agg-out";
-inline constexpr const char* kGpBackendFlag = "gp-backend";
 
 /// One grid sweep driven from the command line: the Sweep, the Aggregator
 /// every table reads from, and the --out / --agg-out files.
 class SweepCli {
  public:
-  /// Applies --jobs, --resume, --shard and --gp-backend to `spec`, builds the
+  /// Applies --jobs, --resume and --shard to `spec`, builds the
   /// Sweep, and opens --agg-out and --out.  Throws as described above.  The
   /// Sweep reads --resume before --out truncates its file, so `--out F
   /// --resume F` both cold-starts a shard and restarts it after a crash.

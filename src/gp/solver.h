@@ -38,8 +38,9 @@ struct SolveResult {
   /// conditions were not certified).
   bool converged = true;
   /// Final scaled KKT error (max of stationarity, primal feasibility and
-  /// complementarity residuals).  Filled by the primal-dual IPM backend;
-  /// NaN from solvers that do not certify a dual point (the primal barrier).
+  /// complementarity residuals).  Filled by backends that certify a dual
+  /// point (the primal-dual reference of the differential GP suites); NaN
+  /// from those that do not (the primal barrier).
   double kkt_residual = std::numeric_limits<double>::quiet_NaN();
   /// Name of the registry backend that produced this result ("" when the
   /// solver was invoked directly rather than through gp::SolverRegistry).

@@ -1,24 +1,22 @@
 // Name-indexed construction of GP solver backends (a util::Registry, like
-// core::AllocatorRegistry one layer up): CLI flags like
-// `--gp-backend ipm/filter` and SweepSpec::gp_backend pick the solver that
-// every plain-GP solve in the process runs through, without compiling against
-// backend option structs.
+// core::AllocatorRegistry one layer up): SweepSpec::gp_backend picks the
+// solver that every plain-GP solve in the process runs through, without
+// compiling against backend option structs.
 //
-// The global registry ships two backends:
+// The global registry ships one backend, the default:
 //
 //     scp/barrier   log-space primal barrier with phase-I feasibility — the
-//                   incumbent stack the signomial SCP layer drives (default)
-//     ipm/filter    primal-dual interior point: perturbed KKT Newton system,
-//                   fraction-to-boundary rule, inertia-corrected Cholesky,
-//                   filter line search; certifies a dual point (kkt_residual)
+//                   incumbent stack the signomial SCP layer drives
+//
+// Tests add their own (the interior-point reference of the differential GP
+// suites, a counting delegate); docs/architecture.md ("GP solver backends")
+// states the SolveResult contract every backend keeps.
 //
 // Backend selection has one path: the thread-local GpBackendScope, which
 // exp::Sweep installs around each unit from SweepSpec::gp_backend and which
 // reaches every GP solve below it without options plumbing.  Registered
 // names are stable identifiers: the sweep stamps the backend into
 // sweep_fingerprint, so rows solved by different backends disagree loudly.
-// docs/solver-authoring.md walks through adding a backend end to end;
-// docs/solver-catalog.md is the generated catalog of this registry.
 #pragma once
 
 #include <memory>
@@ -81,10 +79,6 @@ SolveResult solve_with_backend(const GpProblem& problem,
                                const std::optional<std::vector<double>>& initial_guess =
                                    std::nullopt,
                                const SolveOptions& options = {});
-
-/// Everything docs/solver-catalog.md holds above the backend rows; render the
-/// catalog with util::catalog_markdown(SolverRegistry::global(), this).
-extern const char kSolverCatalogPreamble[];
 
 }  // namespace hydra::gp
 

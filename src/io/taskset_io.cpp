@@ -88,6 +88,7 @@ core::Instance instance_from_text(const std::string& text) {
     };
 
     if (kind == "cores") {
+      if (saw_cores) parse_error(line_no, "second 'cores' record");
       long long m = 0;
       if (tokens.size() != 2 || !parse_field(tokens[1], m) || m < 1) {
         parse_error(line_no, "cores expects a positive integer");

@@ -3,7 +3,7 @@
 //
 // Format (one record per line, '#' starts a comment):
 //
-//     cores 4
+//     cores 4          (exactly once)
 //     rt   <name> <wcet_ms> <period_ms> [deadline_ms]
 //     sec  <name> <wcet_ms> <tdes_ms> <tmax_ms> [weight]
 //

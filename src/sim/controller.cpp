@@ -194,10 +194,9 @@ const char kControllerCatalogPreamble[] =
     "# Controller policy catalog\n"
     "\n"
     "Generated from `sim::ControllerRegistry::global()` by\n"
-    "`bench_table1_catalog --controller-catalog-out docs/controller-catalog.md`\n"
-    "— regenerate after registering or re-describing a policy\n"
-    "(`test_controller_catalog` fails when this file is stale; "
-    "`HYDRA_UPDATE_CATALOG=1 ./build/test_controller_catalog` rewrites it).\n"
+    "`HYDRA_UPDATE_CATALOG=1 ./build/test_controller_catalog` — regenerate\n"
+    "after registering or re-describing a policy (`test_controller_catalog`\n"
+    "fails when this file is stale).\n"
     "\n"
     "| policy | description |\n"
     "|---|---|\n";

@@ -48,7 +48,7 @@ class RtSlackProfileCache;
 /// cursors, which walk their releases only around those stretches.  Ready
 /// band jobs go by (priority, release).  Every band JobRecord and deadline_misses() equal
 /// the full engine's; the trace records only the band's jobs (RT misses are
-/// in Trace::unrecorded_misses; core_busy and migrations stay 0).
+/// in Trace::unrecorded_misses; core_busy stays 0).
 ///
 /// Validates first, throwing std::invalid_argument: a positive horizon, at
 /// least one core, every task passing check_task, RT tasks on existing

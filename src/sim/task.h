@@ -62,9 +62,6 @@ struct Trace {
   std::vector<std::vector<JobRecord>> jobs;  ///< jobs[task_index], release order
   std::vector<util::SimTime> core_busy;      ///< busy ticks per core
   util::SimTime horizon = 0;
-  /// Cross-core job resumptions; only the global-slack engine migrates, the
-  /// partitioned runs always report 0.
-  std::size_t migrations = 0;
   /// Execution intervals in chronological order per core; filled only when
   /// the engine is asked to record them (SimOptions::record_segments).
   std::vector<ExecutionSegment> segments;

@@ -5,6 +5,7 @@
 #include <exception>
 #include <iostream>
 #include <stdexcept>
+#include <utility>
 
 #include "util/contracts.h"
 
@@ -18,6 +19,13 @@ CliParser::CliParser(int argc, const char* const* argv, bool allow_positionals,
     return std::find(value_less_flags.begin(), value_less_flags.end(), name) !=
            value_less_flags.end();
   };
+  // A repeated option is an error, not a silent override: `--tasksets 1
+  // --tasksets 3` used to run 3 tasksets.
+  const auto set = [this](const std::string& name, std::string value) {
+    if (!values_.emplace(name, std::move(value)).second) {
+      throw std::invalid_argument("option --" + name + " given more than once");
+    }
+  };
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg.rfind("--", 0) != 0 || arg.size() <= 2) {
@@ -30,7 +38,7 @@ CliParser::CliParser(int argc, const char* const* argv, bool allow_positionals,
     arg = arg.substr(2);
     const auto eq = arg.find('=');
     if (eq != std::string::npos) {
-      values_[arg.substr(0, eq)] = arg.substr(eq + 1);
+      set(arg.substr(0, eq), arg.substr(eq + 1));
       continue;
     }
     // `--name value` form: consume the next token as value unless it is
@@ -38,9 +46,9 @@ CliParser::CliParser(int argc, const char* const* argv, bool allow_positionals,
     // boolean flag (and the token, if any, a positional in its own right).
     if (!is_value_less(arg) && i + 1 < argc &&
         std::string(argv[i + 1]).rfind("--", 0) != 0) {
-      values_[arg] = argv[++i];
+      set(arg, argv[++i]);
     } else {
-      values_[arg] = "true";
+      set(arg, "true");
     }
   }
 }

@@ -1,8 +1,9 @@
 // Minimal command-line option parser shared by benches and examples.
 //
 // Supports `--name value` and `--name=value` long options plus `--flag`
-// booleans.  Unknown options are an error (require_known, run_cli) so typos
-// in experiment sweeps fail loudly instead of silently running defaults.
+// booleans, each given at most once.  Unknown options are an error
+// (require_known, run_cli) so typos in experiment sweeps fail loudly instead
+// of silently running defaults.
 #pragma once
 
 #include <cstddef>
@@ -16,7 +17,8 @@ namespace hydra::util {
 
 class CliParser {
  public:
-  /// Parses argv.  Throws std::invalid_argument on malformed input.
+  /// Parses argv.  Throws std::invalid_argument on malformed input and on an
+  /// option given more than once, in any mix of forms, naming the option.
   /// Positional (non `--`) arguments are an error unless `allow_positionals`
   /// is set — benches stay typo-strict, while file-consuming tools
   /// (hydra_merge shard0.jsonl shard1.jsonl ...) opt in and read them back

@@ -15,7 +15,6 @@ namespace {
 using sim::GlobalSimTask;
 using sim::JobRecord;
 using sim::SimTask;
-using sim::Trace;
 
 constexpr util::SimTime kNever = std::numeric_limits<util::SimTime>::max();
 constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
@@ -30,15 +29,15 @@ struct LiveJob {
 
 }  // namespace
 
-Trace simulate_global_slack(const std::vector<GlobalSimTask>& tasks,
-                            const sim::GlobalSimOptions& options) {
+GlobalSlackTrace simulate_global_slack(const std::vector<GlobalSimTask>& tasks,
+                                       const sim::GlobalSimOptions& options) {
   util::SimTime grace = options.grace;
   if (grace == 0) {
     for (const auto& gt : tasks) grace = std::max(grace, gt.task.deadline);
   }
   const util::SimTime hard_stop = options.horizon + grace;
 
-  Trace trace;
+  GlobalSlackTrace trace;
   trace.horizon = options.horizon;
   trace.jobs.assign(tasks.size(), {});
   trace.core_busy.assign(options.num_cores, 0);

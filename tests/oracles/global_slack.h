@@ -11,17 +11,24 @@
 // exec_fraction_min < 1.
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
 #include "sim/global_slack.h"
 
 namespace hydra::oracle {
 
+/// A full global-slack run: every job's record plus the migration count.
+struct GlobalSlackTrace : sim::Trace {
+  /// Cross-core job resumptions.
+  std::size_t migrations = 0;
+};
+
 /// Runs the global-slack schedule and records every job.  Inputs are not
 /// re-checked: pass only what sim::simulate_global_band's validation
 /// accepts (RT priorities distinct per core, band priorities distinct among
 /// themselves, cores in range).  grace = 0 resolves to the largest deadline.
-sim::Trace simulate_global_slack(const std::vector<sim::GlobalSimTask>& tasks,
-                                 const sim::GlobalSimOptions& options);
+GlobalSlackTrace simulate_global_slack(const std::vector<sim::GlobalSimTask>& tasks,
+                                       const sim::GlobalSimOptions& options);
 
 }  // namespace hydra::oracle

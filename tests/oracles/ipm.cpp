@@ -1,21 +1,26 @@
-#include "gp/ipm.h"
+#include "oracles/ipm.h"
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
 #include <cstdio>
+#include <deque>
 #include <limits>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "gp/barrier.h"
+#include "gp/solver_registry.h"
 #include "linalg/cholesky.h"
 #include "linalg/matrix.h"
 #include "linalg/vector.h"
 #include "util/contracts.h"
 
-namespace hydra::gp {
+namespace hydra::oracle {
+
+// The solver is written against the gp vocabulary throughout.
+using namespace gp;
 
 namespace {
 
@@ -428,4 +433,39 @@ SolveResult ipm_solve(const GpProblem& problem,
   return result;
 }
 
-}  // namespace hydra::gp
+namespace {
+
+class IpmBackend final : public SolverBackend {
+ public:
+  explicit IpmBackend(const SolveOptions& options) {
+    options_.tol = options.barrier.duality_gap_tol;
+    options_.unbounded_below = options.barrier.unbounded_below;
+  }
+
+  const std::string& name() const override { return name_; }
+
+  SolveResult solve(const GpProblem& problem,
+                    const std::optional<std::vector<double>>& initial_guess) const override {
+    SolveResult result = ipm_solve(problem, initial_guess, options_);
+    result.backend = name_;
+    return result;
+  }
+
+ private:
+  std::string name_ = kIpmBackend;
+  IpmOptions options_;
+};
+
+}  // namespace
+
+void register_ipm_backend() {
+  auto& registry = SolverRegistry::global();
+  if (registry.contains(kIpmBackend)) return;
+  registry.add(kIpmBackend,
+               "primal-dual interior point: perturbed KKT Newton system, "
+               "fraction-to-boundary rule, inertia-corrected Cholesky, filter "
+               "line search; certifies a dual point (kkt_residual)",
+               [](const SolveOptions& options) { return std::make_unique<IpmBackend>(options); });
+}
+
+}  // namespace hydra::oracle

@@ -1,8 +1,11 @@
-// Primal-dual interior-point solver for geometric programs.
+// Primal-dual interior-point solver for geometric programs: the reference
+// the differential GP suites check the production backend (`scp/barrier`,
+// gp/solver.h) against.  No binary reaches it; a suite that wants it under
+// its registry name `ipm/filter` calls register_ipm_backend() first.
 //
-// Second GP backend alongside the primal barrier (gp/solver.h), in the style
-// of filter-line-search IPM codes (Wächter & Biegler; Uno's InteriorPoint,
-// MFEM's IPsolver).  It works on the same log-space convex transform
+// Written in the style of filter-line-search IPM codes (Wächter & Biegler;
+// Uno's InteriorPoint, MFEM's IPsolver).  It works on the same log-space
+// convex transform
 //
 //     minimize    F0(y)                      F(y) = log p(e^y)
 //     subject to  Fi(y) <= 0,  i = 1..m
@@ -29,7 +32,7 @@
 #include "gp/problem.h"
 #include "gp/solver.h"
 
-namespace hydra::gp {
+namespace hydra::oracle {
 
 struct IpmOptions {
   /// Convergence: scaled KKT error (stationarity, primal feasibility,
@@ -63,8 +66,17 @@ struct IpmOptions {
 /// GpSolver::solve: throws std::invalid_argument on malformed programs
 /// (no variables / no objective / non-positive or mis-sized guess); every
 /// non-kOptimal result carries a non-empty diagnostic message.
-SolveResult ipm_solve(const GpProblem& problem,
-                      const std::optional<std::vector<double>>& initial_guess = std::nullopt,
-                      const IpmOptions& options = {});
+gp::SolveResult ipm_solve(const gp::GpProblem& problem,
+                          const std::optional<std::vector<double>>& initial_guess = std::nullopt,
+                          const IpmOptions& options = {});
 
-}  // namespace hydra::gp
+/// Registered name of the IPM in gp::SolverRegistry::global().
+inline constexpr const char* kIpmBackend = "ipm/filter";
+
+/// Adds kIpmBackend to gp::SolverRegistry::global() unless it is already
+/// there.  The shared SolveOptions map onto the IPM knobs that have a barrier
+/// counterpart; everything else keeps the IpmOptions defaults.  An explicit
+/// call, not a static registrar, so the linker cannot drop it.
+void register_ipm_backend();
+
+}  // namespace hydra::oracle

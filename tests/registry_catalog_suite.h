@@ -1,16 +1,15 @@
-// One typed gtest suite for the three name registries — allocation schemes,
-// GP solver backends and runtime controller policies.  They share one
-// util::Registry template, so they share its mechanics checks and the
-// generated-catalog sync check; each registry's ctest executable
-// (test_scheme_catalog, test_solver_catalog, test_controller_catalog)
-// instantiates the suite with a traits struct and adds its own rules.
+// One typed gtest suite for the catalogued name registries — allocation
+// schemes and runtime controller policies.  They share one util::Registry
+// template, so they share its mechanics checks and the generated-catalog sync
+// check; each registry's ctest executable (test_scheme_catalog,
+// test_controller_catalog) instantiates the suite with a traits struct and
+// adds its own rules.
 //
 // A traits struct provides:
 //   Registry            the util::Registry alias
 //   kLabel              short name used in messages
 //   kSuite              the ctest executable that instantiates it
 //   kDoc                committed catalog path, relative to the source tree
-//   kFlag               the bench_table1_catalog flag that writes kDoc
 //   kTitle              the catalog's first line
 //   kNoun               the noun in the registry's unknown-name error
 //   kPreamble           the catalog preamble passed to catalog_markdown
@@ -22,8 +21,7 @@
 // fails whenever a registry gains, loses or re-describes an entry without its
 // doc being regenerated.  After an intentional registry change,
 // HYDRA_UPDATE_CATALOG=1 ./build/<kSuite> rewrites kDoc in place (review the
-// diff like any other code change); bench_table1_catalog <kFlag> <kDoc>
-// writes the same bytes.
+// diff like any other code change).
 #pragma once
 
 #include <gtest/gtest.h>
@@ -116,12 +114,10 @@ TYPED_TEST_P(RegistryCatalog, CommittedDocMatchesTheLiveRegistry) {
 
   const std::string committed = read_catalog_file(path);
   ASSERT_FALSE(committed.empty()) << "missing " << path << " — generate it with "
-                                  << "./build/bench_table1_catalog " << TypeParam::kFlag
-                                  << " " << TypeParam::kDoc;
+                                  << "HYDRA_UPDATE_CATALOG=1 ./build/" << TypeParam::kSuite;
   EXPECT_EQ(committed, expected)
       << TypeParam::kDoc << " is out of sync with its registry; regenerate with "
-      << "HYDRA_UPDATE_CATALOG=1 ./build/" << TypeParam::kSuite << " or "
-      << "./build/bench_table1_catalog " << TypeParam::kFlag << " " << TypeParam::kDoc;
+      << "HYDRA_UPDATE_CATALOG=1 ./build/" << TypeParam::kSuite;
 }
 
 REGISTER_TYPED_TEST_SUITE_P(RegistryCatalog, ShipsTheDocumentedNamesInOrder,

@@ -23,7 +23,6 @@ struct Controllers {
   static constexpr const char* kLabel = "controller";
   static constexpr const char* kSuite = "test_controller_catalog";
   static constexpr const char* kDoc = "docs/controller-catalog.md";
-  static constexpr const char* kFlag = "--controller-catalog-out";
   static constexpr const char* kTitle = "# Controller policy catalog";
   static constexpr const char* kNoun = "controller policy";
   static constexpr const char* kPreamble = sim::kControllerCatalogPreamble;

@@ -99,6 +99,7 @@ TEST(GlobalSlack, JobMigratesAcrossSlackHoles) {
   EXPECT_EQ(trace.jobs[2][0].start, 0u);
   EXPECT_TRUE(trace.jobs[2][0].completed);
   EXPECT_EQ(trace.jobs[2][0].completion, 30u);
+  EXPECT_EQ(trace.migrations, 1u);
   EXPECT_EQ(trace.deadline_misses(), 0u);
 }
 

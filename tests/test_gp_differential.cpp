@@ -1,9 +1,10 @@
-// Differential testing harness for the GP solver registry: the incumbent
-// barrier stack (`scp/barrier`) and the primal-dual interior-point backend
-// (`ipm/filter`) are run on the same problems and must agree — on objective
-// value at mutual optimality (1e-6 relative), on feasibility of every
-// returned point (re-verified against the problem, never trusted from the
-// solver), and on infeasible/unbounded verdicts.  Problem sources:
+// Differential testing harness for the GP solver registry: the production
+// barrier stack (`scp/barrier`) and the primal-dual interior-point reference
+// (`ipm/filter`, tests/oracles/ipm.h, registered here) are run on the same
+// problems and must agree — on objective value at mutual optimality (1e-6
+// relative), on feasibility of every returned point (re-verified against the
+// problem, never trusted from the solver), and on infeasible/unbounded
+// verdicts.  Problem sources:
 //
 //   1. every committed corpus workload's joint-period GP (the production
 //      problem shape, via core::make_joint_period_gp),
@@ -26,6 +27,7 @@
 #include "gp/solver_registry.h"
 #include "gp_testlib.h"
 #include "io/taskset_io.h"
+#include "oracles/ipm.h"
 #include "util/rng.h"
 
 namespace core = hydra::core;
@@ -41,8 +43,14 @@ double rel_diff(double a, double b) {
   return std::fabs(a - b) / std::fmax(1.0, std::fmax(std::fabs(a), std::fabs(b)));
 }
 
+/// The global registry with the reference IPM added.
+const gp::SolverRegistry& backends() {
+  hydra::oracle::register_ipm_backend();
+  return gp::SolverRegistry::global();
+}
+
 gp::SolveResult solve_backend(const gp::GpProblem& problem, const std::string& backend) {
-  return gp::SolverRegistry::global().make(backend)->solve(problem);
+  return backends().make(backend)->solve(problem);
 }
 
 /// The full differential contract for one problem.  `expect_optimal` is set
@@ -224,14 +232,13 @@ TEST(GpDifferential, FuzzSixtyPlusIterationsNoCrash) {
   // ASan/UBSan CI job this is the crash net; assertions here are deliberately
   // weak so sanitizers are the oracle.
   hydra::util::Xoshiro256 rng(0xF022u);
-  const auto& registry = gp::SolverRegistry::global();
-  const std::vector<std::string> backends = registry.names();
-  ASSERT_GE(backends.size(), 2u);
+  const std::vector<std::string> names = backends().names();
+  ASSERT_GE(names.size(), 2u);
   for (int i = 0; i < 72; ++i) {
     const bool infeasible = (i % 3 == 2);
     const testlib::RandomGp sample =
         infeasible ? testlib::make_infeasible_gp(rng) : testlib::make_random_gp(rng);
-    const std::string& backend = backends[static_cast<std::size_t>(i) % backends.size()];
+    const std::string& backend = names[static_cast<std::size_t>(i) % names.size()];
     const gp::SolveResult r = solve_backend(sample.problem, backend);
     SCOPED_TRACE("fuzz #" + std::to_string(i) + " backend=" + backend);
     EXPECT_FALSE(r.backend.empty());

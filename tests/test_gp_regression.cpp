@@ -22,6 +22,7 @@
 #include "gp/solver_registry.h"
 #include "gp_testlib.h"
 #include "io/taskset_io.h"
+#include "oracles/ipm.h"
 
 namespace core = hydra::core;
 namespace gp = hydra::gp;
@@ -188,6 +189,7 @@ const BitPin kBitPins[] = {
 }  // namespace
 
 TEST(GpRegression, GoldenBitPinsOnCorpusJointPeriodGps) {
+  hydra::oracle::register_ipm_backend();
   std::string observed;
   std::size_t checked = 0;
   for (const auto& file : testlib::corpus_workloads(kCorpusDir)) {

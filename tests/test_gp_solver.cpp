@@ -1,12 +1,15 @@
 // Tests for the GP interior-point solver against problems with known
 // analytic optima, plus infeasibility/unboundedness detection and KKT-style
-// optimality probes.
+// optimality probes, and for the backend registry that serves it.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "gp/problem.h"
 #include "gp/solver.h"
+#include "gp/solver_registry.h"
 #include "util/rng.h"
 
 namespace gp = hydra::gp;
@@ -314,8 +317,9 @@ TEST(GpSolver, Phase1MarginDecidesBothSidesOfTheBoundary) {
 TEST(GpSolver, DegenerateTinyboxReportsInfeasibleWithDiagnostic) {
   // Width 2e-10 around 2.0: the deepest interior point clears the constraints
   // by less than the default phase-I margin, so the primal barrier gives up
-  // with a diagnosed kInfeasible.  (The primal-dual IPM backend solves this
-  // instance — that rescue lives in test_gp_differential.)
+  // with a diagnosed kInfeasible.  (The primal-dual reference solver of the
+  // differential suite solves this instance — that rescue lives in
+  // test_gp_differential.)
   gp::GpProblem p;
   const auto x = p.add_variable();
   p.add_bounds(x, 2.0, 2.0 + 2e-10);
@@ -366,4 +370,33 @@ TEST(GpProblem, VariablesMustPrecedeConstraints) {
   const auto x = p.add_variable();
   p.add_bounds(x, 1.0, 2.0);
   EXPECT_THROW(p.add_variable(), std::invalid_argument);
+}
+
+TEST(SolverRegistry, ShipsOnlyTheDefaultBackend) {
+  // Other backends (the differential suites' reference, counting delegates)
+  // are registered by the tests that use them; this suite registers none.
+  const auto& registry = gp::SolverRegistry::global();
+  EXPECT_EQ(registry.names(), std::vector<std::string>{gp::kDefaultGpBackend});
+  EXPECT_EQ(registry.make(gp::kDefaultGpBackend)->name(), gp::kDefaultGpBackend);
+  EXPECT_THROW(registry.make("ipm/filter"), std::invalid_argument);
+}
+
+TEST(SolverRegistry, ScopeSelectsTheBackendInnermostWins) {
+  // innermost scope > default; "" re-selects the default.
+  EXPECT_EQ(gp::resolve_gp_backend(""), gp::kDefaultGpBackend);
+  EXPECT_EQ(gp::resolve_gp_backend("ipm/filter"), "ipm/filter");
+  {
+    const gp::GpBackendScope outer("ipm/filter");
+    EXPECT_EQ(gp::resolve_gp_backend(""), "ipm/filter");
+    {
+      const gp::GpBackendScope inner("scp/barrier");
+      EXPECT_EQ(gp::resolve_gp_backend(""), "scp/barrier");
+    }
+    EXPECT_EQ(gp::resolve_gp_backend(""), "ipm/filter");
+    {
+      const gp::GpBackendScope blank("");
+      EXPECT_EQ(gp::resolve_gp_backend(""), gp::kDefaultGpBackend);
+    }
+  }
+  EXPECT_EQ(gp::GpBackendScope::current(), nullptr);
 }

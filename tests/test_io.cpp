@@ -140,6 +140,18 @@ TEST(TasksetIo, RejectsMalformedInput) {
   EXPECT_THROW(io::instance_from_text("cores 2\nrt a 20 10\n"), std::invalid_argument);
 }
 
+TEST(TasksetIo, ASecondCoresRecordIsAnErrorNamingItsLine) {
+  // Used to parse, with the last record's core count winning.
+  try {
+    io::instance_from_text("cores 2\nrt a 1 10\n# platform\ncores 4\n");
+    FAIL() << "a second cores record was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("taskset parse error at line 4"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(io::instance_from_text("cores 2\ncores 2\n"), std::invalid_argument);
+}
+
 TEST(TasksetIo, EveryRecordMustUseUpItsWholeLine) {
   // Each of these used to parse silently: "2.5" read as 2 cores, "10x" left
   // the deadline at the period, and the trailing "junk" was ignored.

@@ -22,7 +22,6 @@ struct Schemes {
   static constexpr const char* kLabel = "scheme";
   static constexpr const char* kSuite = "test_scheme_catalog";
   static constexpr const char* kDoc = "docs/scheme-catalog.md";
-  static constexpr const char* kFlag = "--catalog-out";
   static constexpr const char* kTitle = "# Scheme catalog";
   static constexpr const char* kNoun = "allocation scheme";
   static constexpr const char* kPreamble = core::kSchemeCatalogPreamble;

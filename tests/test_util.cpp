@@ -266,6 +266,26 @@ TEST(Cli, CountsRejectNegativesAndNameTheFlag) {
   EXPECT_THROW(parse({"prog", "--jobs", "two"}).get_count("jobs", 1), std::invalid_argument);
 }
 
+TEST(Cli, RepeatedOptionsAreRejectedNamingTheOption) {
+  // `--tasksets 1 --tasksets 3` used to keep the last value silently.
+  const std::vector<std::vector<const char*>> cases = {
+      {"prog", "--tasksets", "1", "--tasksets", "3"},
+      {"prog", "--tasksets=1", "--tasksets=3"},
+      {"prog", "--tasksets", "1", "--seed", "2", "--tasksets=1"},
+      {"prog", "--tasksets=1", "--tasksets"},
+  };
+  for (const auto& argv : cases) {
+    try {
+      parse(argv);
+      FAIL() << "a repeated option was accepted";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find("--tasksets"), std::string::npos) << error.what();
+    }
+  }
+  const std::vector<const char*> twice = {"prog", "--csv", "--csv"};
+  EXPECT_EQ(hu::run_cli(3, twice.data(), {"csv"}, [](const hu::CliParser&) { return 0; }), 1);
+}
+
 TEST(Cli, UnknownOptionsAreRejected) {
   const std::vector<std::string> known = {"tasksets", "seed", "agg-out"};
   // A typo or an option the binary never reads names itself in the error.
