@@ -1,6 +1,6 @@
 // Tests for the GP interior-point solver against problems with known
 // analytic optima, plus infeasibility/unboundedness detection and KKT-style
-// optimality probes, and for the backend registry that serves it.
+// optimality probes.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,7 +9,6 @@
 
 #include "gp/problem.h"
 #include "gp/solver.h"
-#include "gp/solver_registry.h"
 #include "util/rng.h"
 
 namespace gp = hydra::gp;
@@ -370,33 +369,4 @@ TEST(GpProblem, VariablesMustPrecedeConstraints) {
   const auto x = p.add_variable();
   p.add_bounds(x, 1.0, 2.0);
   EXPECT_THROW(p.add_variable(), std::invalid_argument);
-}
-
-TEST(SolverRegistry, ShipsOnlyTheDefaultBackend) {
-  // Other backends (the differential suites' reference, counting delegates)
-  // are registered by the tests that use them; this suite registers none.
-  const auto& registry = gp::SolverRegistry::global();
-  EXPECT_EQ(registry.names(), std::vector<std::string>{gp::kDefaultGpBackend});
-  EXPECT_EQ(registry.make(gp::kDefaultGpBackend)->name(), gp::kDefaultGpBackend);
-  EXPECT_THROW(registry.make("ipm/filter"), std::invalid_argument);
-}
-
-TEST(SolverRegistry, ScopeSelectsTheBackendInnermostWins) {
-  // innermost scope > default; "" re-selects the default.
-  EXPECT_EQ(gp::resolve_gp_backend(""), gp::kDefaultGpBackend);
-  EXPECT_EQ(gp::resolve_gp_backend("ipm/filter"), "ipm/filter");
-  {
-    const gp::GpBackendScope outer("ipm/filter");
-    EXPECT_EQ(gp::resolve_gp_backend(""), "ipm/filter");
-    {
-      const gp::GpBackendScope inner("scp/barrier");
-      EXPECT_EQ(gp::resolve_gp_backend(""), "scp/barrier");
-    }
-    EXPECT_EQ(gp::resolve_gp_backend(""), "ipm/filter");
-    {
-      const gp::GpBackendScope blank("");
-      EXPECT_EQ(gp::resolve_gp_backend(""), gp::kDefaultGpBackend);
-    }
-  }
-  EXPECT_EQ(gp::GpBackendScope::current(), nullptr);
 }
