@@ -2,9 +2,9 @@
 // whether HYDRA-style design-space exploration is interactive — exact RTA,
 // Randfixedsum draws, the Eq. (1) filter, the closed-form Eq. (7) period
 // adaptation, full HYDRA and SingleCore allocations, the exhaustive optimal
-// search, the discrete-event simulator, the detection bundle of one fig5 row
-// and its metric hooks, a whole sweep batch, one point query, and the
-// independent validation of one allocation.
+// search, the discrete-event simulator, the detection bundle of one fig5 row,
+// the scoring of its attacks and its metric hooks, a whole sweep batch, one
+// point query, and the independent validation of one allocation.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -32,6 +32,7 @@
 #include "rt/partition.h"
 #include "sim/attack.h"
 #include "sim/engine.h"
+#include "sim/mode_switch.h"
 #include "sim/slack_profile.h"
 
 namespace core = hydra::core;
@@ -307,6 +308,37 @@ static void BM_DetectionRow(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DetectionRow)->Unit(benchmark::kMillisecond);
+
+static void BM_DetectPlannedAttacks(benchmark::State& state) {
+  // Scoring one fig5 row's 120 planned attacks against its static schedule
+  // (M = 2, contego, total utilization 1.0, 100 s horizon), both scopes: the
+  // pass each detection run of the row ends with.
+  hydra::util::Xoshiro256 rng(5);
+  const Fig5Row row = next_fig5_row(rng);
+  const std::size_t nr = row.instance.rt_tasks.size();
+  const std::size_t ns = row.instance.security_tasks.size();
+  sim::DetectionConfig detection;
+  detection.horizon = 100u * 1000u * hydra::util::kTicksPerMilli;
+  detection.trials = 120;
+  detection.scope = static_cast<sim::AttackScope>(state.range(0));
+  const auto tasks = sim::build_sim_tasks(row.instance, row.point.allocation);
+  sim::ModeSwitchOptions options;
+  options.horizon = detection.horizon;
+  options.controller.policy = sim::kInertControllerPolicy;
+  sim::RtSlackProfileCache profiles;
+  // The band engine records the monitors' jobs only, as the row's runs do.
+  const sim::Trace trace =
+      sim::simulate_mode_band(sim::fixed_rate_tasks(tasks), nr, options, profiles).trace;
+  const sim::AttackPlan plan = sim::plan_attacks(tasks, nr, ns, detection);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sim::detect_planned_attacks(trace, nr, ns, detection, plan));
+  }
+  state.counters["monitor_jobs"] = static_cast<double>(trace.total_jobs());
+}
+BENCHMARK(BM_DetectPlannedAttacks)
+    ->Arg(static_cast<int>(sim::AttackScope::kSingleTask))
+    ->Arg(static_cast<int>(sim::AttackScope::kAllTasks))
+    ->Unit(benchmark::kMicrosecond);
 
 static void BM_AdaptiveRowHooks(benchmark::State& state) {
   // One fig5 row's 21 metric hooks through exp::adaptive_detection_metrics,

@@ -52,17 +52,6 @@ AllocatorRegistry build_global() {
 
 }  // namespace
 
-const char kSchemeCatalogPreamble[] =
-    "# Scheme catalog\n\n"
-    "Every allocation scheme registered in `AllocatorRegistry::global()`, in\n"
-    "registration order.  The name is the stable identifier accepted by every\n"
-    "`--schemes` flag and stamped verbatim on result rows.\n\n"
-    "**Generated file — do not edit by hand.**  Regenerate after touching the\n"
-    "registry with `HYDRA_UPDATE_CATALOG=1 ./build/test_scheme_catalog`; the\n"
-    "ctest suite `test_scheme_catalog` fails whenever this file and the\n"
-    "registry disagree.\n\n"
-    "| Name | Description |\n|---|---|\n";
-
 }  // namespace hydra::core
 
 template <>

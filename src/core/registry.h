@@ -22,10 +22,6 @@ namespace hydra::core {
 /// (Allocator::name() reports exactly the name it was made under).
 using AllocatorRegistry = util::Registry<Allocator>;
 
-/// Everything docs/scheme-catalog.md holds above the scheme rows; render the
-/// catalog with util::catalog_markdown(AllocatorRegistry::global(), this).
-extern const char kSchemeCatalogPreamble[];
-
 }  // namespace hydra::core
 
 template <>

@@ -107,17 +107,42 @@ bool same_inputs(const std::vector<T>& a, const std::vector<T>& b) {
                     [](const T& x, const T& y) { return same_input(x, y); });
 }
 
-/// Everything that determines a row's bundle, held by value: the scheme,
-/// its committed placements and RT partition, the instance, and every
-/// config field that feeds the simulations, with the controller policy
-/// resolved ("" runs the default), so "" and an explicit "hysteresis" share
-/// one memo entry.  The name suffix only labels the hooks and is left out.
-struct AdaptiveRowKey {
-  std::string scheme;
+/// What every detection run of a row reads, held by value: the instance, the
+/// committed placements and RT partition, and the detection config.
+struct DetectionInputs {
   std::vector<core::TaskPlacement> placements;
   std::vector<std::size_t> rt_core_of;
   core::Instance instance;
   sim::DetectionConfig detection;
+
+  DetectionInputs(const core::Instance& instance, const core::DesignPoint& point,
+                  const sim::DetectionConfig& detection)
+      : placements(point.allocation.placements),
+        rt_core_of(point.allocation.rt_partition.core_of),
+        instance(instance),
+        detection(detection) {}
+
+  /// Every field equal, doubles bit for bit.
+  bool matches(const core::Instance& other, const core::DesignPoint& point,
+               const sim::DetectionConfig& det) const {
+    return detection.horizon == det.horizon && detection.trials == det.trials &&
+           detection.seed == det.seed && detection.scope == det.scope &&
+           same_inputs(placements, point.allocation.placements) &&
+           rt_core_of == point.allocation.rt_partition.core_of &&
+           instance.num_cores == other.num_cores &&
+           same_inputs(instance.rt_tasks, other.rt_tasks) &&
+           same_inputs(instance.security_tasks, other.security_tasks);
+  }
+};
+
+/// Everything that determines a row's bundle: the scheme, the detection
+/// inputs, and every config field that feeds the simulations, with the
+/// controller policy resolved ("" runs the default), so "" and an explicit
+/// "hysteresis" share one memo entry.  The name suffix only labels the
+/// hooks and is left out.
+struct AdaptiveRowKey {
+  std::string scheme;
+  DetectionInputs inputs;
   sim::ModeControllerConfig controller;
   bool include_static = false;
   bool include_min_mode = false;
@@ -126,10 +151,7 @@ struct AdaptiveRowKey {
   AdaptiveRowKey(const core::Instance& instance, const core::DesignPoint& point,
                  const AdaptiveMetricsConfig& config)
       : scheme(point.scheme),
-        placements(point.allocation.placements),
-        rt_core_of(point.allocation.rt_partition.core_of),
-        instance(instance),
-        detection(config.detection),
+        inputs(instance, point, config.detection),
         controller(config.controller),
         include_static(config.include_static),
         include_min_mode(config.include_min_mode),
@@ -141,11 +163,8 @@ struct AdaptiveRowKey {
   /// every field equal, doubles bit for bit.
   bool matches(const core::Instance& other, const core::DesignPoint& point,
                const AdaptiveMetricsConfig& config) const {
-    const sim::DetectionConfig& det = config.detection;
     const sim::ModeControllerConfig& ctl = config.controller;
-    return detection.horizon == det.horizon && detection.trials == det.trials &&
-           detection.seed == det.seed && detection.scope == det.scope &&
-           controller.policy == sim::resolve_policy(ctl.policy) &&
+    return controller.policy == sim::resolve_policy(ctl.policy) &&
            controller.slack_window == ctl.slack_window &&
            same_bits(controller.tighten_threshold, ctl.tighten_threshold) &&
            same_bits(controller.relax_threshold, ctl.relax_threshold) &&
@@ -156,13 +175,32 @@ struct AdaptiveRowKey {
            include_static == config.include_static &&
            include_min_mode == config.include_min_mode &&
            include_global == config.include_global && scheme == point.scheme &&
-           same_inputs(placements, point.allocation.placements) &&
-           rt_core_of == point.allocation.rt_partition.core_of &&
-           instance.num_cores == other.num_cores &&
-           same_inputs(instance.rt_tasks, other.rt_tasks) &&
-           same_inputs(instance.security_tasks, other.security_tasks);
+           inputs.matches(other, point, config.detection);
   }
 };
+
+/// Minimum-mode runs this thread has simulated: the memo's misses.
+thread_local std::size_t min_mode_runs = 0;
+
+/// The row's minimum-mode detection run, memoized per thread and size 1 like
+/// the bundle below: the min-mode baseline and every inert policy family of
+/// the row read this one run.  A pure function of its key, so sharing it
+/// changes no value.
+const sim::DetectionResult& cached_min_mode(const core::Instance& instance,
+                                            const core::DesignPoint& point,
+                                            const sim::DetectionConfig& detection,
+                                            sim::RtSlackProfileCache& profiles) {
+  thread_local std::optional<DetectionInputs> cached_key;
+  thread_local sim::DetectionResult cached_result;
+  if (!cached_key.has_value() || !cached_key->matches(instance, point, detection)) {
+    ++min_mode_runs;
+    cached_result = sim::measure_detection_times(
+        instance, core::min_mode_allocation(instance, point.allocation), detection,
+        &profiles);
+    cached_key.emplace(instance, point, detection);
+  }
+  return cached_result;
+}
 
 AdaptiveRowResults compute_adaptive_row(const core::Instance& instance,
                                         const core::DesignPoint& point,
@@ -173,14 +211,26 @@ AdaptiveRowResults compute_adaptive_row(const core::Instance& instance,
   // profile is a pure function of its key, so sharing it changes no value.
   thread_local sim::RtSlackProfileCache rt_profiles;
   AdaptiveRowResults out;
-  const auto adaptive = sim::measure_detection_times_adaptive(
-      instance, point.allocation, config.detection, config.controller, &rt_profiles);
-  out.adaptive_mean = mean_of(adaptive.detection, "adaptive");
-  out.adaptive_p95 = stats::percentile(adaptive.detection.detection_ms, 0.95);
-  out.switches = static_cast<double>(adaptive.modes.total_switches());
-  out.adapted_residency = adaptive.modes.mean_adapted_fraction(adaptive.switchable_tasks);
-  out.denied_dwell = static_cast<double>(adaptive.modes.total_denied_dwell());
-  out.denied_budget = static_cast<double>(adaptive.modes.total_denied_budget());
+  // The runs go adaptive, static, min-mode, global, each failure labelled by
+  // its run, so an error row's note names the run that failed first.
+  if (sim::is_inert_policy(config.controller.policy)) {
+    // The inert run is the minimum-mode run job for job: its latency is the
+    // shared run's, and it never switches, is never denied and never leaves
+    // minimum mode.
+    const sim::DetectionResult& min_mode =
+        cached_min_mode(instance, point, config.detection, rt_profiles);
+    out.adaptive_mean = mean_of(min_mode, "adaptive");
+    out.adaptive_p95 = stats::percentile(min_mode.detection_ms, 0.95);
+  } else {
+    const auto adaptive = sim::measure_detection_times_adaptive(
+        instance, point.allocation, config.detection, config.controller, &rt_profiles);
+    out.adaptive_mean = mean_of(adaptive.detection, "adaptive");
+    out.adaptive_p95 = stats::percentile(adaptive.detection.detection_ms, 0.95);
+    out.switches = static_cast<double>(adaptive.modes.total_switches());
+    out.adapted_residency = adaptive.modes.mean_adapted_fraction(adaptive.switchable_tasks);
+    out.denied_dwell = static_cast<double>(adaptive.modes.total_denied_dwell());
+    out.denied_budget = static_cast<double>(adaptive.modes.total_denied_budget());
+  }
   if (config.include_static) {
     out.static_mean = mean_of(
         sim::measure_detection_times(instance, point.allocation, config.detection,
@@ -188,11 +238,8 @@ AdaptiveRowResults compute_adaptive_row(const core::Instance& instance,
         "static");
   }
   if (config.include_min_mode) {
-    out.min_mode_mean = mean_of(
-        sim::measure_detection_times(
-            instance, core::min_mode_allocation(instance, point.allocation),
-            config.detection, &rt_profiles),
-        "min-mode");
+    out.min_mode_mean =
+        mean_of(cached_min_mode(instance, point, config.detection, rt_profiles), "min-mode");
   }
   if (config.include_global) {
     out.global_mean = mean_of(
@@ -226,6 +273,8 @@ const AdaptiveRowResults& cached_adaptive_row(const core::Instance& instance,
 }  // namespace
 
 std::size_t adaptive_bundles_computed() { return bundles_computed; }
+
+std::size_t min_mode_runs_computed() { return min_mode_runs; }
 
 std::vector<RowMetric> adaptive_detection_metrics(const AdaptiveMetricsConfig& config) {
   // Fail at construction, not first evaluation: a bench wiring up an

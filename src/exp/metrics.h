@@ -66,6 +66,8 @@ struct AdaptiveMetricsConfig {
 ///
 /// plus the baselines selected in the config (static = the frozen committed
 /// periods, min-mode = everything at Tmax, global = global-slack migration).
+/// An inert policy's family (sim::is_inert_policy) reports the min-mode
+/// run's latency and exact zeros for switches, residency and denials.
 /// The controller's resolved policy / num_levels / boost_window are part of
 /// every adaptive metric's identity.  Throws on an invalid controller config
 /// at construction, not first evaluation.
@@ -79,6 +81,12 @@ std::vector<RowMetric> adaptive_detection_metrics(const AdaptiveMetricsConfig& c
 /// Simulation bundles the calling thread has computed for the hooks above,
 /// i.e. its memo misses; a hook answered from the memo leaves it unchanged.
 std::size_t adaptive_bundles_computed();
+
+/// Minimum-mode detection runs the calling thread has simulated for the
+/// hooks above.  A row's min-mode baseline and its inert-policy families
+/// (sim::is_inert_policy) share one run, memoized per thread like the
+/// bundle, so a row costs at most one.
+std::size_t min_mode_runs_computed();
 
 /// Canonical RowMetric::identity string for a DetectionConfig — use it when
 /// hand-rolling a detection metric (bench_fig1) so the sweep fingerprint can

@@ -1,7 +1,9 @@
 #include "sim/attack.h"
 
 #include <algorithm>
-#include <cmath>
+#include <limits>
+#include <numeric>
+#include <utility>
 
 #include "core/mode_table.h"
 #include "rt/priority.h"
@@ -57,11 +59,18 @@ std::vector<SimTask> build_sim_tasks(
   return tasks;
 }
 
+AttackPlan::AttackPlan(std::vector<AttackTrial> trials)
+    : trials_(std::move(trials)), order_(trials_.size()) {
+  std::iota(order_.begin(), order_.end(), std::size_t{0});
+  std::stable_sort(order_.begin(), order_.end(), [this](std::size_t a, std::size_t b) {
+    return trials_[a].at < trials_[b].at;
+  });
+}
+
 std::vector<util::SimTime> AttackPlan::sorted_times() const {
   std::vector<util::SimTime> times;
-  times.reserve(trials.size());
-  for (const auto& trial : trials) times.push_back(trial.at);
-  std::sort(times.begin(), times.end());
+  times.reserve(order_.size());
+  for (const std::size_t i : order_) times.push_back(trials_[i].at);
   return times;
 }
 
@@ -81,8 +90,8 @@ AttackPlan plan_attacks(const std::vector<SimTask>& tasks, std::size_t nr,
   }
   HYDRA_REQUIRE(latest_attack > 0, "horizon too short for the security periods");
 
-  AttackPlan plan;
-  plan.trials.reserve(config.trials);
+  std::vector<AttackTrial> trials;
+  trials.reserve(config.trials);
   for (std::size_t trial = 0; trial < config.trials; ++trial) {
     // Per-trial draw order (instant, then victim) is the historical
     // sample_attacks order — a fixed seed plans the attacks it always did.
@@ -91,42 +100,52 @@ AttackPlan plan_attacks(const std::vector<SimTask>& tasks, std::size_t nr,
     if (config.scope == AttackScope::kSingleTask) {
       t.victim = static_cast<std::size_t>(rng.uniform_int(0, ns - 1));
     }
-    plan.trials.push_back(t);
+    trials.push_back(t);
   }
-  return plan;
+  return AttackPlan(std::move(trials));
 }
 
 DetectionResult detect_planned_attacks(const Trace& trace, std::size_t nr,
                                        std::size_t ns, const DetectionConfig& config,
                                        const AttackPlan& plan) {
   HYDRA_REQUIRE(ns > 0, "detection experiment needs at least one security task");
+  HYDRA_REQUIRE(nr + ns <= trace.jobs.size(), "task index out of range");
+  const std::vector<AttackTrial>& trials = plan.trials();
+  const bool single = config.scope == AttackScope::kSingleTask;
+  if (single) {
+    for (const AttackTrial& trial : trials) {
+      HYDRA_REQUIRE(trial.victim < ns, "attack victim is not a monitor");
+    }
+  }
+
+  // Per trial, the latest detecting completion over the monitors it needs;
+  // kUndetected once one of them never detects it.
+  constexpr util::SimTime kUndetected = std::numeric_limits<util::SimTime>::max();
+  std::vector<util::SimTime> detected_at(trials.size(), 0);
+  for (std::size_t s = 0; s < ns; ++s) {
+    // Both cursors only move forward as the instants ascend: `fresh` is the
+    // first job released at or after the instant, `scan` the first
+    // completed job from `fresh` on (jobs.size() when there is none).
+    const std::vector<JobRecord>& jobs = trace.jobs[nr + s];
+    std::size_t fresh = 0;
+    std::size_t scan = 0;
+    for (const std::size_t i : plan.order()) {
+      if (single && trials[i].victim != s) continue;
+      while (fresh < jobs.size() && jobs[fresh].release < trials[i].at) ++fresh;
+      scan = std::max(scan, fresh);
+      while (scan < jobs.size() && !jobs[scan].completed) ++scan;
+      detected_at[i] = std::max(
+          detected_at[i], scan < jobs.size() ? jobs[scan].completion : kUndetected);
+    }
+  }
+
   DetectionResult result;
   result.deadline_misses = trace.deadline_misses();
-
-  for (const AttackTrial& trial : plan.trials) {
-    std::optional<util::SimTime> detected_at;
-    bool undetected = false;
-    if (config.scope == AttackScope::kSingleTask) {
-      detected_at = trace.first_completion_released_after(nr + trial.victim, trial.at);
-      undetected = !detected_at.has_value();
-    } else {
-      // Worst case over all monitors: the last fresh scan to complete.
-      util::SimTime worst = 0;
-      for (std::size_t s = 0; s < ns && !undetected; ++s) {
-        const auto done = trace.first_completion_released_after(nr + s, trial.at);
-        if (!done.has_value()) {
-          undetected = true;
-        } else {
-          worst = std::max(worst, *done);
-        }
-      }
-      if (!undetected) detected_at = worst;
-    }
-
-    if (undetected || !detected_at.has_value()) {
+  for (std::size_t i = 0; i < trials.size(); ++i) {
+    if (detected_at[i] == kUndetected) {
       ++result.undetected;
     } else {
-      result.detection_ms.push_back(util::to_millis(*detected_at - trial.at));
+      result.detection_ms.push_back(util::to_millis(detected_at[i] - trials[i].at));
     }
   }
   return result;
@@ -143,16 +162,21 @@ DetectionResult measure_detection_times(const core::Instance& instance,
                                         const DetectionConfig& config,
                                         RtSlackProfileCache* profiles) {
   const std::vector<SimTask> tasks = build_sim_tasks(instance, allocation);
+  // Planned before simulating, as measure_detection_times_adaptive does, so
+  // both fail their checks in one order: the inert policy family reports
+  // the minimum-mode run of this function as its adaptive run.
+  const AttackPlan plan =
+      plan_attacks(tasks, instance.rt_tasks.size(), instance.security_tasks.size(), config);
   ModeSwitchOptions sim_options;
   sim_options.horizon = config.horizon;
   // Fixed-rate tasks consult no policy; naming the inert one says so.
-  sim_options.controller.policy = "never-switch";
+  sim_options.controller.policy = kInertControllerPolicy;
   RtSlackProfileCache own;
   const ModeSwitchResult run =
       simulate_mode_band(fixed_rate_tasks(tasks), instance.rt_tasks.size(), sim_options,
                          profiles != nullptr ? *profiles : own);
-  return sample_attacks(run.trace, tasks, instance.rt_tasks.size(),
-                        instance.security_tasks.size(), config);
+  return detect_planned_attacks(run.trace, instance.rt_tasks.size(),
+                                instance.security_tasks.size(), config, plan);
 }
 
 DetectionResult measure_detection_times_global(const core::Instance& instance,

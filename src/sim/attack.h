@@ -6,7 +6,8 @@
 // is assumed perfect (no false positives/negatives) — the experiment isolates
 // the *scheduling* contribution to detection latency: an attack at time t is
 // detected when the first monitoring job that *starts a fresh scan after t*
-// completes.
+// completes.  Ties go to the monitor: a job released exactly at the attack
+// instant starts a fresh scan and detects it.
 #pragma once
 
 #include <cstdint>
@@ -90,12 +91,26 @@ struct AttackTrial {
 /// seam the attack-triggered `boost` controller policy needs.  The draw order
 /// is identical to the historical sample_attacks (per trial: instant, then
 /// victim), so a fixed seed plans the same attacks it always sampled.
-struct AttackPlan {
-  std::vector<AttackTrial> trials;
+class AttackPlan {
+ public:
+  AttackPlan() = default;
+  /// Keeps `trials` in draw order and sorts their indices by instant once.
+  explicit AttackPlan(std::vector<AttackTrial> trials);
+
+  /// The trials in draw order, the order detection results report them in.
+  const std::vector<AttackTrial>& trials() const { return trials_; }
+
+  /// Trial indices by ascending instant, equal instants in draw order: the
+  /// order detect_planned_attacks walks a monitor's jobs in.
+  const std::vector<std::size_t>& order() const { return order_; }
 
   /// The attack instants, ascending (duplicates kept) — the shape
   /// ModeSwitchOptions::attack_times wants.
   std::vector<util::SimTime> sorted_times() const;
+
+ private:
+  std::vector<AttackTrial> trials_;
+  std::vector<std::size_t> order_;
 };
 
 /// Draws `config.trials` attacks uniformly over the horizon minus a detection
@@ -105,10 +120,14 @@ struct AttackPlan {
 AttackPlan plan_attacks(const std::vector<SimTask>& tasks, std::size_t num_rt,
                         std::size_t num_security, const DetectionConfig& config);
 
-/// Reads a planned attack schedule off a completed trace: an attack is
-/// detected when the first monitoring job released after it completes
-/// (worst-case over all monitors under kAllTasks, the planned victim alone
-/// under kSingleTask).
+/// Reads a planned attack schedule off a completed trace: an attack at t is
+/// detected by a monitor at the completion of its first completed job
+/// released at or after t (worst case over all monitors under kAllTasks, the
+/// planned victim alone under kSingleTask); a trial some monitor it needs
+/// never detects is undetected.  Walks each monitor's jobs once, against
+/// plan.order(), and reports detection_ms in draw order.  Throws
+/// std::invalid_argument when the trace has no jobs list for some monitor
+/// or a kSingleTask victim is not a monitor.
 DetectionResult detect_planned_attacks(const Trace& trace, std::size_t num_rt,
                                        std::size_t num_security,
                                        const DetectionConfig& config,

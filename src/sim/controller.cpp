@@ -166,11 +166,11 @@ ControllerRegistry build_global() {
           return std::make_unique<NLevelHysteresisPolicy>(config,
                                                           "hysteresis/nlevel");
         });
-  r.add("never-switch",
+  r.add(kInertControllerPolicy,
         "Inert baseline: every monitor stays in minimum mode, job-for-job "
         "identical to the static engine on the minimum-mode task list.",
         [](const ModeControllerConfig&, const PolicyInit&) {
-          return std::make_unique<NeverSwitchPolicy>("never-switch");
+          return std::make_unique<NeverSwitchPolicy>(kInertControllerPolicy);
         });
   r.add("boost",
         "Attack-triggered boosting (Contego): a detection event pins the "
@@ -190,16 +190,9 @@ const std::string& resolve_policy(const std::string& configured) {
   return kDefault;
 }
 
-const char kControllerCatalogPreamble[] =
-    "# Controller policy catalog\n"
-    "\n"
-    "Generated from `sim::ControllerRegistry::global()` by\n"
-    "`HYDRA_UPDATE_CATALOG=1 ./build/test_controller_catalog` — regenerate\n"
-    "after registering or re-describing a policy (`test_controller_catalog`\n"
-    "fails when this file is stale).\n"
-    "\n"
-    "| policy | description |\n"
-    "|---|---|\n";
+bool is_inert_policy(const std::string& policy) {
+  return resolve_policy(policy) == kInertControllerPolicy;
+}
 
 }  // namespace hydra::sim
 

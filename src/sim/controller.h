@@ -142,9 +142,16 @@ using ControllerRegistry =
 /// kDefaultControllerPolicy.
 const std::string& resolve_policy(const std::string& configured);
 
-/// Everything docs/controller-catalog.md holds above the policy rows; render
-/// the catalog with util::catalog_markdown(ControllerRegistry::global(), this).
-extern const char kControllerCatalogPreamble[];
+/// The registered inert policy: it keeps every monitor at level 0 (minimum
+/// mode) and ignores detection events.
+inline constexpr const char* kInertControllerPolicy = "never-switch";
+
+/// True when `policy` resolves to the inert policy, whose run is the fixed-rate
+/// run of the minimum-mode task list job for job (test_mode_switch and
+/// test_controller_stress pin it), with no switches, denials or adapted
+/// residency.  exp::adaptive_detection_metrics answers such a family from
+/// the row's minimum-mode run instead of simulating it again.
+bool is_inert_policy(const std::string& policy);
 
 }  // namespace hydra::sim
 

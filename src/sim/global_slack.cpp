@@ -76,8 +76,10 @@ Trace simulate_global_band(const std::vector<GlobalSimTask>& tasks,
 
   std::vector<util::SimTime> next_release(tasks.size(), kNever);
   for (const std::size_t i : band) {
-    if (tasks[i].task.release_offset < effective.horizon) {
-      next_release[i] = tasks[i].task.release_offset;
+    const SimTask& t = tasks[i].task;
+    if (t.release_offset < effective.horizon) {
+      next_release[i] = t.release_offset;
+      trace.jobs[i].reserve(releases_before(effective.horizon, t.release_offset, t.period));
     }
   }
   const auto earliest_release = [&]() {

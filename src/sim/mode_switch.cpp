@@ -239,7 +239,7 @@ void simulate_core(const std::vector<ModeTask>& tasks,
     if (task.release_offset < options.horizon) {
       next_release[ti] = task.release_offset;
       // The job count at the task's level-0 period: exact for a fixed-rate task.
-      trace.jobs[ti].reserve((options.horizon - task.release_offset - 1) / task.period + 1);
+      trace.jobs[ti].reserve(releases_before(options.horizon, task.release_offset, task.period));
     }
   }
 
@@ -352,8 +352,12 @@ void simulate_band_core(const std::vector<ModeTask>& tasks,
   CoreController control(tasks, band, options, policy_name, window, stats);
   std::vector<util::SimTime> next_release(tasks.size(), kNever);
   for (const std::size_t ti : band) {
-    if (tasks[ti].task.release_offset < options.horizon) {
-      next_release[ti] = tasks[ti].task.release_offset;
+    const ModeTask& mt = tasks[ti];
+    if (mt.task.release_offset < options.horizon) {
+      next_release[ti] = mt.task.release_offset;
+      // The job count at the task's fastest level bounds its releases.
+      trace.jobs[ti].reserve(releases_before(options.horizon, mt.task.release_offset,
+                                             mt.level_period(mt.num_levels() - 1)));
     }
   }
   // The monitors' execution on the idle axis.  A query spans at most
@@ -626,11 +630,7 @@ ModeSwitchResult simulate_mode_band(const std::vector<ModeTask>& tasks, std::siz
   // horizon is a minimum-mode job.
   for (std::size_t i = 0; i < num_rt; ++i) {
     const SimTask& t = tasks[i].task;
-    const std::size_t jobs =
-        t.release_offset < options.horizon
-            ? static_cast<std::size_t>((options.horizon - t.release_offset + t.period - 1) /
-                                       t.period)
-            : 0;
+    const std::size_t jobs = releases_before(options.horizon, t.release_offset, t.period);
     result.stats.min_jobs[i] = jobs;
     result.stats.min_residency[i] = jobs * t.period;
   }

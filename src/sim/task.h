@@ -30,6 +30,13 @@ struct SimTask {
   double exec_fraction_min = 1.0;
 };
 
+/// Jobs a task releases strictly before `horizon` when it releases at
+/// `offset` and then every `period` ticks.
+inline std::size_t releases_before(util::SimTime horizon, util::SimTime offset,
+                                   util::SimTime period) {
+  return offset < horizon ? static_cast<std::size_t>((horizon - offset - 1) / period + 1) : 0;
+}
+
 /// The per-task input rules every engine shares: positive WCET, period and
 /// deadline, WCET <= deadline, and a finite exec_fraction_min in [0, 1].
 /// Throws std::invalid_argument naming the task otherwise.
@@ -73,11 +80,6 @@ struct Trace {
   std::size_t total_jobs() const;
   /// Missed jobs in `jobs` plus unrecorded_misses.
   std::size_t deadline_misses() const;
-
-  /// Completion time of the first job of `task` released at or after `t`;
-  /// nullopt if no such job completed within the trace.
-  std::optional<util::SimTime> first_completion_released_after(std::size_t task,
-                                                              util::SimTime t) const;
 
   /// Observed response times (completion − release) of `task`'s completed
   /// jobs, in milliseconds.  The empirical counterpart of response-time

@@ -55,18 +55,4 @@ std::optional<double> Trace::max_response_time_ms(std::size_t task) const {
   return *std::max_element(all.begin(), all.end());
 }
 
-std::optional<util::SimTime> Trace::first_completion_released_after(std::size_t task,
-                                                                    util::SimTime t) const {
-  HYDRA_REQUIRE(task < jobs.size(), "task index out of range");
-  const auto& per_task = jobs[task];
-  // Releases are chronological, so binary-search the first release >= t.
-  const auto it = std::lower_bound(
-      per_task.begin(), per_task.end(), t,
-      [](const JobRecord& rec, util::SimTime value) { return rec.release < value; });
-  for (auto j = it; j != per_task.end(); ++j) {
-    if (j->completed) return j->completion;
-  }
-  return std::nullopt;
-}
-
 }  // namespace hydra::sim

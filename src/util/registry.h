@@ -15,7 +15,6 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
-#include <string_view>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -125,20 +124,5 @@ class Registry {
   Finish finish_;
   std::vector<Entry> entries_;
 };
-
-/// Renders a registry as a generated markdown catalog: `preamble` (title,
-/// prose and table header) followed by one "| `name` | description |" row per
-/// entry, in registration order.  A pure function of the registry contents,
-/// so the test_*_catalog suites can diff the committed docs/*-catalog.md files
-/// against the live registries byte for byte.
-template <typename Product, typename... Args>
-std::string catalog_markdown(const Registry<Product, Args...>& registry,
-                             std::string_view preamble) {
-  std::string out(preamble);
-  for (const auto& name : registry.names()) {
-    out += "| `" + name + "` | " + registry.description(name) + " |\n";
-  }
-  return out;
-}
 
 }  // namespace hydra::util

@@ -12,7 +12,7 @@
 //   kDoc                committed catalog path, relative to the source tree
 //   kTitle              the catalog's first line
 //   kNoun               the noun in the registry's unknown-name error
-//   kPreamble           the catalog preamble passed to catalog_markdown
+//   kPreamble           everything the catalog holds above its entry rows
 //   shipped()           the registered names, in order
 //   factory()           a valid factory for private add() checks
 //   make(registry, n)   registry.make(n, <valid args>)
@@ -31,8 +31,24 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 #include "util/registry.h"
+
+/// Renders a registry as its generated markdown catalog: `preamble` (title,
+/// prose and table header) followed by one "| `name` | description |" row per
+/// entry, in registration order.  A pure function of the registry contents,
+/// so the suite can diff the committed docs/*-catalog.md files against the
+/// live registries byte for byte.
+template <typename Product, typename... Args>
+std::string catalog_markdown(const hydra::util::Registry<Product, Args...>& registry,
+                             std::string_view preamble) {
+  std::string out(preamble);
+  for (const auto& name : registry.names()) {
+    out += "| `" + name + "` | " + registry.description(name) + " |\n";
+  }
+  return out;
+}
 
 inline std::string read_catalog_file(const std::string& path) {
   std::ifstream in(path);
@@ -92,7 +108,7 @@ TYPED_TEST_P(RegistryCatalog, UnknownNameThrowsListingTheRegisteredOnes) {
 TYPED_TEST_P(RegistryCatalog, MarkdownContainsEveryEntry) {
   const auto& registry = TypeParam::Registry::global();
   const std::string markdown =
-      hydra::util::catalog_markdown(registry, TypeParam::kPreamble);
+      catalog_markdown(registry, TypeParam::kPreamble);
   EXPECT_EQ(markdown.rfind(TypeParam::kTitle, 0), 0u);
   for (const auto& name : registry.names()) {
     EXPECT_NE(markdown.find("| `" + name + "` | " + registry.description(name) + " |\n"),
@@ -104,7 +120,7 @@ TYPED_TEST_P(RegistryCatalog, MarkdownContainsEveryEntry) {
 TYPED_TEST_P(RegistryCatalog, CommittedDocMatchesTheLiveRegistry) {
   const std::string path = std::string(HYDRA_SOURCE_DIR) + "/" + TypeParam::kDoc;
   const std::string expected =
-      hydra::util::catalog_markdown(TypeParam::Registry::global(), TypeParam::kPreamble);
+      catalog_markdown(TypeParam::Registry::global(), TypeParam::kPreamble);
 
   if (std::getenv("HYDRA_UPDATE_CATALOG") != nullptr) {
     std::ofstream out(path);

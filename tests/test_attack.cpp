@@ -1,14 +1,19 @@
 // Tests for attack injection and detection-time measurement (the Fig. 1
-// machinery): sim-task construction, detection bounds, and scheme comparison.
+// machinery): sim-task construction, detection bounds, scheme comparison,
+// and the one-pass scoring of a plan against the per-attack lookup oracle.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
 
 #include "core/hydra.h"
 #include "core/single_core.h"
 #include "gen/uav.h"
+#include "oracles/detection.h"
 #include "sim/attack.h"
+#include "sim/engine.h"
 #include "stats/summary.h"
+#include "util/rng.h"
 
 namespace core = hydra::core;
 namespace sim = hydra::sim;
@@ -142,4 +147,172 @@ TEST(Detection, RejectsDegenerateConfigs) {
   config = quick_config();
   config.horizon = 1000;  // 1 ms — far below the security periods
   EXPECT_THROW(sim::measure_detection_times(inst, allocation, config), std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// One forward pass per monitor against the per-(trial, monitor) lookup
+// ---------------------------------------------------------------------------
+
+namespace {
+
+using hydra::util::SimTime;
+
+sim::JobRecord job(SimTime release, std::optional<SimTime> completion) {
+  sim::JobRecord rec;
+  rec.release = release;
+  rec.completed = completion.has_value();
+  rec.completion = completion.value_or(0);
+  rec.deadline_missed = !completion.has_value();
+  return rec;
+}
+
+sim::DetectionConfig scoped(sim::AttackScope scope) {
+  sim::DetectionConfig config;
+  config.scope = scope;
+  return config;
+}
+
+void expect_same_detection(const sim::DetectionResult& got,
+                           const sim::DetectionResult& want) {
+  EXPECT_EQ(got.detection_ms, want.detection_ms);
+  EXPECT_EQ(got.undetected, want.undetected);
+  EXPECT_EQ(got.deadline_misses, want.deadline_misses);
+}
+
+/// Both scopes of `plan` on `trace`: the one-pass scoring must equal the
+/// lookup oracle's, value for value and in draw order.
+void expect_pass_matches_lookup(const sim::Trace& trace, std::size_t nr, std::size_t ns,
+                                const sim::AttackPlan& plan) {
+  for (const auto scope : {sim::AttackScope::kAllTasks, sim::AttackScope::kSingleTask}) {
+    SCOPED_TRACE(scope == sim::AttackScope::kAllTasks ? "all tasks" : "single task");
+    const sim::DetectionConfig config = scoped(scope);
+    expect_same_detection(sim::detect_planned_attacks(trace, nr, ns, config, plan),
+                          hydra::oracle::detect_by_lookup(trace, nr, ns, config, plan));
+  }
+}
+
+}  // namespace
+
+TEST(DetectionOracle, FirstCompletionReleasedAfterBoundaries) {
+  sim::Trace trace;
+  trace.jobs = {{job(0, 30), job(100, 130), job(200, 230), job(300, std::nullopt)}};
+  // Attack at t = 150: the first job released after is at 200, done at 230.
+  EXPECT_EQ(hydra::oracle::first_completion_released_after(trace, 0, 150), 230u);
+  // Attack exactly at a release boundary counts that release.
+  EXPECT_EQ(hydra::oracle::first_completion_released_after(trace, 0, 200), 230u);
+  // Only an unfinished job released after: no detection.
+  EXPECT_FALSE(hydra::oracle::first_completion_released_after(trace, 0, 250).has_value());
+  EXPECT_THROW(hydra::oracle::first_completion_released_after(trace, 7, 0),
+               std::invalid_argument);
+}
+
+TEST(DetectPlannedAttacks, ScoresTheBoundaryCasesInDrawOrder) {
+  // Monitor 0 releases every 100 ticks; its job at 100 never completes.
+  // Monitor 1 releases at 50 and 250 and completes both.
+  sim::Trace trace;
+  trace.jobs = {{job(0, 30), job(100, std::nullopt), job(200, 260), job(300, 320)},
+                {job(50, 90), job(250, 280)}};
+  // Drawn out of order, with a duplicate instant, one attack exactly at a
+  // release of each monitor, and one after monitor 1's last release.
+  const sim::AttackPlan plan({{200, 0}, {0, 1}, {100, 1}, {100, 0}, {50, 1}, {260, 1}});
+  EXPECT_EQ(plan.sorted_times(), (std::vector<SimTime>{0, 50, 100, 100, 200, 260}));
+  EXPECT_EQ(plan.order(), (std::vector<std::size_t>{1, 4, 2, 3, 0, 5}));
+  const auto ms = [](SimTime ticks) { return hydra::util::to_millis(ticks); };
+
+  // All tasks: the later of the two monitors' detecting completions.
+  //   200: monitor 0's job released at 200 (260), monitor 1's at 250 (280);
+  //   0: monitor 0's at 0 (30), monitor 1's at 50 (90);
+  //   100, twice: monitor 0 skips its unfinished job to the one at 200
+  //     (260), monitor 1's at 250 (280);
+  //   50: monitor 0 again 260, monitor 1's own release (90);
+  //   260: monitor 1 releases nothing after it, so it is undetected.
+  const auto all =
+      sim::detect_planned_attacks(trace, 0, 2, scoped(sim::AttackScope::kAllTasks), plan);
+  EXPECT_EQ(all.detection_ms,
+            (std::vector<double>{ms(80), ms(90), ms(180), ms(180), ms(210)}));
+  EXPECT_EQ(all.undetected, 1u);
+  EXPECT_EQ(all.deadline_misses, 1u);
+
+  // Single task: each trial's victim alone.
+  const auto single =
+      sim::detect_planned_attacks(trace, 0, 2, scoped(sim::AttackScope::kSingleTask), plan);
+  EXPECT_EQ(single.detection_ms, (std::vector<double>{ms(60), ms(90), ms(180), ms(160), ms(40)}));
+  EXPECT_EQ(single.undetected, 1u);
+  expect_pass_matches_lookup(trace, 0, 2, plan);
+}
+
+TEST(DetectPlannedAttacks, RejectsMissingMonitorsAndVictims) {
+  sim::Trace trace;
+  trace.jobs = {{job(0, 10)}};
+  const sim::AttackPlan plan({{0, 1}});
+  EXPECT_THROW(sim::detect_planned_attacks(trace, 0, 2, scoped(sim::AttackScope::kAllTasks), plan),
+               std::invalid_argument);
+  EXPECT_THROW(
+      sim::detect_planned_attacks(trace, 0, 1, scoped(sim::AttackScope::kSingleTask), plan),
+      std::invalid_argument);
+  EXPECT_THROW(sim::detect_planned_attacks(trace, 0, 0, scoped(sim::AttackScope::kAllTasks), plan),
+               std::invalid_argument);
+}
+
+TEST(DetectPlannedAttacks, OnePassMatchesTheLookupOnSeededTraces) {
+  // Random monitor histories with duplicate and release-aligned attack
+  // instants, unfinished jobs, empty monitors and attacks past the last
+  // release; RT slots ahead of the monitors stay empty, as in band traces.
+  hydra::util::Xoshiro256 rng(37);
+  std::size_t detected = 0, undetected = 0;
+  for (std::size_t round = 0; round < 400; ++round) {
+    const std::size_t nr = rng.uniform_int(0, 2);
+    const std::size_t ns = rng.uniform_int(1, 4);
+    sim::Trace trace;
+    trace.jobs.assign(nr + ns, {});
+    std::vector<SimTime> releases;
+    for (std::size_t s = 0; s < ns; ++s) {
+      const std::size_t jobs = rng.uniform_int(0, 12);
+      SimTime at = rng.uniform_int(0, 20);
+      const std::uint64_t done_percent = rng.uniform_int(0, 100);
+      for (std::size_t j = 0; j < jobs; ++j) {
+        const bool completes = rng.uniform_int(1, 100) <= done_percent;
+        trace.jobs[nr + s].push_back(
+            job(at, completes ? std::optional(at + rng.uniform_int(1, 40)) : std::nullopt));
+        releases.push_back(at);
+        at += rng.uniform_int(1, 25);
+      }
+    }
+    std::vector<sim::AttackTrial> trials(rng.uniform_int(1, 40));
+    for (auto& trial : trials) {
+      // A third of the attacks land exactly on some monitor's release.
+      trial.at = !releases.empty() && rng.uniform_int(0, 2) == 0
+                     ? releases[rng.uniform_int(0, releases.size() - 1)]
+                     : rng.uniform_int(0, 320);
+      trial.victim = rng.uniform_int(0, ns - 1);
+    }
+    const sim::AttackPlan plan(std::move(trials));
+    SCOPED_TRACE("round " + std::to_string(round));
+    expect_pass_matches_lookup(trace, nr, ns, plan);
+    const auto all =
+        sim::detect_planned_attacks(trace, nr, ns, scoped(sim::AttackScope::kAllTasks), plan);
+    detected += all.detection_ms.size();
+    undetected += all.undetected;
+  }
+  // The draws exercise both outcomes, not just one.
+  EXPECT_GT(detected, 1000u);
+  EXPECT_GT(undetected, 1000u);
+}
+
+TEST(DetectPlannedAttacks, OnePassMatchesTheLookupOnSimulatedSchedules) {
+  for (const std::size_t m : {2u, 4u}) {
+    const auto inst = hydra::gen::uav_case_study(m);
+    const auto allocation = core::HydraAllocator().allocate(inst);
+    ASSERT_TRUE(allocation.feasible);
+    const auto tasks = sim::build_sim_tasks(inst, allocation);
+    const sim::Trace trace = sim::simulate(tasks, {quick_config().horizon});
+    const std::size_t nr = inst.rt_tasks.size();
+    const std::size_t ns = inst.security_tasks.size();
+    for (const auto scope : {sim::AttackScope::kAllTasks, sim::AttackScope::kSingleTask}) {
+      auto config = quick_config();
+      config.scope = scope;
+      config.trials = 500;
+      expect_pass_matches_lookup(trace, nr, ns, sim::plan_attacks(tasks, nr, ns, config));
+    }
+  }
 }

@@ -25,7 +25,16 @@ struct Controllers {
   static constexpr const char* kDoc = "docs/controller-catalog.md";
   static constexpr const char* kTitle = "# Controller policy catalog";
   static constexpr const char* kNoun = "controller policy";
-  static constexpr const char* kPreamble = sim::kControllerCatalogPreamble;
+  static constexpr const char* kPreamble =
+      "# Controller policy catalog\n"
+      "\n"
+      "Generated from `sim::ControllerRegistry::global()` by\n"
+      "`HYDRA_UPDATE_CATALOG=1 ./build/test_controller_catalog` — regenerate\n"
+      "after registering or re-describing a policy (`test_controller_catalog`\n"
+      "fails when this file is stale).\n"
+      "\n"
+      "| policy | description |\n"
+      "|---|---|\n";
   static std::vector<std::string> shipped() {
     return {"hysteresis", "hysteresis/nlevel", "never-switch", "boost"};
   }
@@ -58,4 +67,11 @@ TEST(ControllerRegistry, MakeValidatesTheConfig) {
 TEST(ControllerRegistry, EmptyPolicyResolvesToTheDefault) {
   EXPECT_EQ(sim::resolve_policy(""), sim::kDefaultControllerPolicy);
   EXPECT_EQ(sim::resolve_policy("boost"), "boost");
+}
+
+TEST(ControllerRegistry, NeverSwitchIsTheOnlyInertPolicy) {
+  for (const auto& name : sim::ControllerRegistry::global().names()) {
+    EXPECT_EQ(sim::is_inert_policy(name), name == "never-switch") << name;
+  }
+  EXPECT_FALSE(sim::is_inert_policy(""));  // the default, hysteresis
 }

@@ -2,7 +2,8 @@
 // controller's tighten/relax/hysteresis/budget semantics, determinism (fixed
 // seed and --jobs byte-identity through a sweep), equivalence with the static
 // engine when switching is disabled, the adaptive metrics' per-thread bundle
-// memo (a hit only when every input is unchanged), and the latency-dominance
+// memo (a hit only when every input is unchanged) and the minimum-mode run
+// the never-switch family shares with the baseline, and the latency-dominance
 // property — mode-switching detection is never worse than the static minimum
 // mode on feasible seeded batches.
 #include <gtest/gtest.h>
@@ -11,6 +12,8 @@
 #include <cstring>
 #include <functional>
 #include <limits>
+#include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -23,6 +26,8 @@
 #include "exp/sweep.h"
 #include "gen/synthetic.h"
 #include "gen/uav.h"
+#include "gp_testlib.h"
+#include "io/taskset_io.h"
 #include "sim/attack.h"
 #include "sim/engine.h"
 #include "sim/mode_switch.h"
@@ -535,18 +540,23 @@ HookOutcome evaluate_hooks(const hexp::AdaptiveMetricsConfig& config,
   return out;
 }
 
-/// The same evaluation on a thread of its own, whose memo starts empty.
+/// The same evaluation on a thread of its own, whose memos start empty.
 HookOutcome evaluate_hooks_cold(const hexp::AdaptiveMetricsConfig& config,
                                 const core::Instance& instance,
                                 const core::DesignPoint& point) {
   HookOutcome out;
   std::size_t computed = 0;
+  std::size_t min_mode_runs = 0;
   std::thread worker([&] {
     out = evaluate_hooks(config, instance, point);
     computed = hexp::adaptive_bundles_computed();
+    min_mode_runs = hexp::min_mode_runs_computed();
   });
   worker.join();
   EXPECT_EQ(computed, 1u) << "a cold thread computes one bundle for all its hooks";
+  const bool reads_min_mode =
+      config.include_min_mode || sim::is_inert_policy(config.controller.policy);
+  EXPECT_EQ(min_mode_runs, reads_min_mode ? 1u : 0u) << "one minimum-mode run per row";
   return out;
 }
 
@@ -637,6 +647,8 @@ TEST(AdaptiveMetrics, BundleMemoSeesEveryInputField) {
       {"detection seed", [](auto&, auto&, auto& c) { ++c.detection.seed; }},
       {"scope", [](auto&, auto&, auto& c) { c.detection.scope = sim::AttackScope::kSingleTask; }},
       {"policy", [](auto&, auto&, auto& c) { c.controller.policy = "boost"; }},
+      {"inert policy",
+       [](auto&, auto&, auto& c) { c.controller.policy = sim::kInertControllerPolicy; }},
       {"slack window", [](auto&, auto&, auto& c) { ++c.controller.slack_window; }},
       {"tighten",
        [](auto&, auto&, auto& c) {
@@ -654,17 +666,26 @@ TEST(AdaptiveMetrics, BundleMemoSeesEveryInputField) {
       {"min-mode", [](auto&, auto&, auto& c) { c.include_min_mode = false; }},
       {"global", [](auto&, auto&, auto& c) { c.include_global = false; }},
   };
+  // The fields the minimum-mode run does not read: the rest feed its memo
+  // too, which must then miss as well.
+  const std::set<std::string> outside_min_mode = {
+      "scheme", "policy", "inert policy", "slack window", "tighten", "relax", "dwell",
+      "switch budget", "levels", "boost window", "static", "min-mode", "global"};
   for (const auto& [what, mutate] : mutations) {
     core::Instance moved_instance = instance;
     core::DesignPoint moved_point = point;
     hexp::AdaptiveMetricsConfig moved_config = config;
     mutate(moved_instance, moved_point, moved_config);
-    // The memo holds the base row; the moved input must miss it and agree
+    // The memos hold the base row; the moved input must miss them and agree
     // with a thread that never saw the base row.
     ASSERT_EQ(evaluate_hooks(config, instance, point), base) << what;
     before = hexp::adaptive_bundles_computed();
+    const std::size_t min_mode_before = hexp::min_mode_runs_computed();
     const HookOutcome warm = evaluate_hooks(moved_config, moved_instance, moved_point);
     EXPECT_EQ(hexp::adaptive_bundles_computed(), before + 1) << what << ": the memo hit";
+    EXPECT_EQ(hexp::min_mode_runs_computed(),
+              min_mode_before + (outside_min_mode.count(what) == 0 ? 1 : 0))
+        << what << ": the minimum-mode memo";
     EXPECT_EQ(warm, evaluate_hooks_cold(moved_config, moved_instance, moved_point)) << what;
   }
 
@@ -678,4 +699,185 @@ TEST(AdaptiveMetrics, BundleMemoSeesEveryInputField) {
   before = hexp::adaptive_bundles_computed();
   EXPECT_EQ(evaluate_hooks(spelled, instance, point), base);
   EXPECT_EQ(hexp::adaptive_bundles_computed(), before);
+}
+
+// ---------------------------------------------------------------------------
+// Adaptive metrics: the inert family reads the row's minimum-mode run
+// ---------------------------------------------------------------------------
+
+namespace {
+
+using hydra::util::same_bits;
+
+/// A clean bit-for-bit +0.0.
+void expect_exact_zero(double v, const std::string& what) {
+  EXPECT_EQ(v, 0.0) << what;
+  EXPECT_FALSE(std::signbit(v)) << what;
+}
+
+/// The never-switch family with every baseline, evaluated on a fresh thread
+/// (one bundle, one minimum-mode run), against the engine's own never-switch
+/// run, which the family no longer simulates: an error row carries the
+/// engine run's failure, a clean row its mean and p95, exact zeros for the
+/// controller counters, and the minimum-mode baseline's mean.  Returns true
+/// for an error row.
+bool expect_inert_family_matches_the_engine(const core::Instance& instance,
+                                            const core::DesignPoint& point,
+                                            const sim::DetectionConfig& detection,
+                                            const std::string& what) {
+  hexp::AdaptiveMetricsConfig config;
+  config.detection = detection;
+  config.controller.policy = sim::kInertControllerPolicy;
+  config.controller.num_levels = 3;
+  config.include_global = true;
+  const HookOutcome inert = evaluate_hooks_cold(config, instance, point);
+
+  sim::AdaptiveDetectionResult engine;
+  try {
+    engine = sim::measure_detection_times_adaptive(instance, point.allocation, detection,
+                                                   config.controller);
+  } catch (const std::exception& e) {
+    EXPECT_EQ(inert.error, e.what()) << what;
+    return true;
+  }
+  if (engine.detection.deadline_misses != 0) {
+    EXPECT_EQ(inert.error, "adaptive: simulation missed deadlines") << what;
+    return true;
+  }
+  if (engine.detection.detection_ms.empty()) {
+    EXPECT_EQ(inert.error, "adaptive: no attack was ever detected") << what;
+    return true;
+  }
+  const sim::DetectionResult min_mode = sim::measure_detection_times(
+      instance, core::min_mode_allocation(instance, point.allocation), detection);
+  EXPECT_EQ(engine.detection.detection_ms, min_mode.detection_ms) << what;
+  EXPECT_EQ(engine.detection.undetected, min_mode.undetected) << what;
+  EXPECT_EQ(engine.modes.total_switches(), 0u) << what;
+  EXPECT_EQ(engine.modes.total_denied_dwell(), 0u) << what;
+  EXPECT_EQ(engine.modes.total_denied_budget(), 0u) << what;
+  expect_exact_zero(engine.modes.mean_adapted_fraction(engine.switchable_tasks), what);
+
+  EXPECT_TRUE(inert.error.empty()) << what << ": " << inert.error;
+  if (inert.values.size() != 9u) {
+    ADD_FAILURE() << what << ": " << inert.values.size() << " hook values";
+    return false;
+  }
+  const double mean = hydra::stats::summarize(engine.detection.detection_ms).mean;
+  EXPECT_TRUE(same_bits(inert.values[0], mean)) << what;
+  EXPECT_TRUE(same_bits(inert.values[1],
+                        hydra::stats::percentile(engine.detection.detection_ms, 0.95)))
+      << what;
+  for (std::size_t i = 2; i < 6; ++i) expect_exact_zero(inert.values[i], what);
+  EXPECT_TRUE(same_bits(inert.values[7], mean)) << what << ": the min-mode baseline";
+  return false;
+}
+
+}  // namespace
+
+TEST(AdaptiveMetrics, InertFamilyIsTheMinimumModeRunOnTheCorpora) {
+  std::size_t clean = 0;
+  std::size_t errors = 0;
+  for (const char* dir : {"/tests/corpus", "/tests/corpus_controller", "/tests/corpus_sim"}) {
+    for (const auto& file :
+         hydra::testlib::corpus_workloads(std::string(HYDRA_SOURCE_DIR) + dir)) {
+      const core::Instance instance = hydra::io::load_instance(file.string());
+      if (instance.security_tasks.empty()) continue;
+      const core::DesignPoint point = core::evaluate_scheme(core::ContegoAllocator(), instance);
+      if (!point.validated) continue;
+      // Long enough for plan_attacks: three minimum-mode periods and then some.
+      double slowest = 0.0;
+      for (const auto& s : instance.security_tasks) slowest = std::max(slowest, s.period_max);
+      sim::DetectionConfig detection;
+      detection.horizon = hydra::util::to_ticks_ceil(3.0 * slowest) + 2'000 * kMs;
+      detection.trials = 120;
+      if (expect_inert_family_matches_the_engine(instance, point, detection,
+                                                 file.filename().string())) {
+        ++errors;
+      } else {
+        ++clean;
+      }
+    }
+  }
+  EXPECT_GE(clean, 8u) << "the corpora no longer reach the adaptive metrics";
+  // The tick-rounding instance of tests/corpus_sim misses RT deadlines.
+  EXPECT_GE(errors, 1u) << "no error row checked";
+}
+
+TEST(AdaptiveMetrics, InertFamilyIsTheMinimumModeRunOnSeededFig5Draws) {
+  // fig5's runtime-adaptation rows: contego at M = 2, a 100 s horizon and
+  // 120 attacks, in both scopes.
+  hydra::gen::SyntheticConfig synth;
+  synth.num_cores = 2;
+  hydra::util::Xoshiro256 rng(61);
+  std::size_t clean = 0;
+  for (const double load : {0.5, 0.75, 1.0, 1.2}) {
+    for (std::size_t rows = 0; rows < 6;) {
+      const auto drawn = hydra::gen::generate_filtered_instance(synth, load, rng);
+      if (!drawn.has_value()) continue;
+      const core::DesignPoint point =
+          core::evaluate_scheme(core::ContegoAllocator(), drawn->instance);
+      if (!point.validated) continue;
+      sim::DetectionConfig detection;
+      detection.horizon = 100'000 * kMs;
+      detection.trials = 120;
+      detection.scope = rows % 2 == 0 ? sim::AttackScope::kAllTasks
+                                      : sim::AttackScope::kSingleTask;
+      const std::string what = "U = " + std::to_string(load) + " row " + std::to_string(rows);
+      if (!expect_inert_family_matches_the_engine(drawn->instance, point, detection, what)) {
+        ++clean;
+      }
+      ++rows;
+    }
+  }
+  EXPECT_GE(clean, 18u);
+}
+
+TEST(AdaptiveMetrics, AFig5RowSimulatesItsMinimumModeScheduleOnce) {
+  // perfbench's runtime-adapt families: hysteresis with the three baselines,
+  // then boost and never-switch without.  Three bundles, one minimum-mode
+  // run, shared by the min-mode baseline and the never-switch family.
+  hydra::gen::SyntheticConfig synth;
+  synth.num_cores = 2;
+  hydra::util::Xoshiro256 rng(7);
+  core::Instance instance;
+  core::DesignPoint point;
+  for (bool found = false; !found;) {
+    const auto drawn = hydra::gen::generate_filtered_instance(synth, 0.75, rng);
+    if (!drawn.has_value()) continue;
+    instance = drawn->instance;
+    point = core::evaluate_scheme(core::ContegoAllocator(), instance);
+    found = point.validated;
+  }
+  hexp::AdaptiveMetricsConfig base;
+  base.detection.horizon = 100'000 * kMs;
+  base.detection.trials = 120;
+  base.controller.num_levels = 3;
+  std::vector<hexp::RowMetric> hooks;
+  for (const char* policy : {"hysteresis", "boost", "never-switch"}) {
+    hexp::AdaptiveMetricsConfig family = base;
+    family.controller.policy = policy;
+    family.name_suffix = std::string("/") + policy;
+    family.include_static = family.include_min_mode = family.include_global = hooks.empty();
+    for (auto& hook : hexp::adaptive_detection_metrics(family)) hooks.push_back(std::move(hook));
+  }
+  ASSERT_EQ(hooks.size(), 21u);
+
+  std::map<std::string, double> values;
+  std::size_t bundles = 0;
+  std::size_t min_mode_runs = 0;
+  std::thread worker([&] {
+    for (const auto& hook : hooks) values[hook.name] = hook.compute(instance, point);
+    bundles = hexp::adaptive_bundles_computed();
+    min_mode_runs = hexp::min_mode_runs_computed();
+  });
+  worker.join();
+  EXPECT_EQ(bundles, 3u);
+  EXPECT_EQ(min_mode_runs, 1u);
+  EXPECT_TRUE(same_bits(values.at("adaptive_mean_detection_ms/never-switch"),
+                        values.at("min_mode_mean_detection_ms")));
+  for (const char* counter : {"adaptive_switches/never-switch", "adapted_residency/never-switch",
+                              "adaptive_denied_dwell/never-switch",
+                              "adaptive_denied_budget/never-switch"}) {
+    expect_exact_zero(values.at(counter), counter);
+  }
 }

@@ -24,7 +24,16 @@ struct Schemes {
   static constexpr const char* kDoc = "docs/scheme-catalog.md";
   static constexpr const char* kTitle = "# Scheme catalog";
   static constexpr const char* kNoun = "allocation scheme";
-  static constexpr const char* kPreamble = core::kSchemeCatalogPreamble;
+  static constexpr const char* kPreamble =
+      "# Scheme catalog\n\n"
+      "Every allocation scheme registered in `AllocatorRegistry::global()`, in\n"
+      "registration order.  The name is the stable identifier accepted by every\n"
+      "`--schemes` flag and stamped verbatim on result rows.\n\n"
+      "**Generated file — do not edit by hand.**  Regenerate after touching the\n"
+      "registry with `HYDRA_UPDATE_CATALOG=1 ./build/test_scheme_catalog`; the\n"
+      "ctest suite `test_scheme_catalog` fails whenever this file and the\n"
+      "registry disagree.\n\n"
+      "| Name | Description |\n|---|---|\n";
   static std::vector<std::string> shipped() {
     return {"hydra",        "hydra/exact-rta", "single-core",     "optimal",
             "contego",      "period-adapt",    "period-adapt/gp", "util/worst-fit"};

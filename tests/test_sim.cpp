@@ -141,22 +141,6 @@ TEST(Engine, InvalidTasksRejected) {
   }
 }
 
-TEST(Trace, FirstCompletionReleasedAfterQuery) {
-  const auto a = make("a", 30, 100, 0, 0);
-  const auto trace = sim::simulate({a}, {1000});
-  // Attack at t = 150: the first job released after is at 200, done at 230.
-  const auto hit = trace.first_completion_released_after(0, 150);
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(*hit, 230u);
-  // Attack exactly at a release boundary counts that release.
-  const auto boundary = trace.first_completion_released_after(0, 200);
-  ASSERT_TRUE(boundary.has_value());
-  EXPECT_EQ(*boundary, 230u);
-  // Attack beyond the last release: no detection.
-  EXPECT_FALSE(trace.first_completion_released_after(0, 950).has_value());
-  EXPECT_THROW(trace.first_completion_released_after(7, 0), std::invalid_argument);
-}
-
 TEST(Trace, CountsTotals) {
   const auto a = make("a", 10, 100, 0, 0);
   const auto b = make("b", 10, 200, 0, 1);
