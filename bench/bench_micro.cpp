@@ -205,11 +205,8 @@ static void BM_JointPeriodScp(benchmark::State& state) {
   partition.num_cores = 1;
   partition.core_of.assign(instance.rt_tasks.size(), 0);
   const std::vector<std::size_t> core_of(instance.security_tasks.size(), 0);
-  core::JointPeriodOptions options;
-  options.objective = core::JointObjective::kSignomialScp;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        core::optimize_joint_periods(instance, partition, core_of, options));
+    benchmark::DoNotOptimize(core::optimize_joint_periods(instance, partition, core_of));
   }
 }
 BENCHMARK(BM_JointPeriodScp)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);

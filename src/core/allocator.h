@@ -142,7 +142,7 @@ struct DesignPoint {
   std::string validation_problem;
 };
 
-/// The default search-space budget of exp::SweepSpec::optimal_budget and
+/// The search-space budget of every exp::Sweep cell and of
 /// explore_design_space: M^NS = 4096 admits e.g. the M = 4, NS = 6 UAV case.
 inline constexpr std::size_t kDefaultOptimalBudget = 4096;
 

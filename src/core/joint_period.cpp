@@ -101,7 +101,7 @@ double tightness_sum(const Instance& instance, const std::vector<util::Millis>& 
   return acc;
 }
 
-/// Builds the constraint-only GP (no objective) shared by all modes.
+/// Builds the constraint-only GP (no objective) the SCP and the surrogate share.
 gp::GpProblem build_constraint_problem(const Instance& instance,
                                        const std::vector<ConstraintShape>& shapes) {
   const auto& sec = instance.security_tasks;
@@ -165,8 +165,7 @@ std::optional<std::vector<util::Millis>> sequential_periods(
 
 JointPeriodResult optimize_joint_periods(const Instance& instance,
                                          const rt::Partition& rt_partition,
-                                         const std::vector<std::size_t>& core_of,
-                                         const JointPeriodOptions& options) {
+                                         const std::vector<std::size_t>& core_of) {
   check_assignment(instance, rt_partition, core_of);
 
   JointPeriodResult result;
@@ -208,56 +207,35 @@ JointPeriodResult optimize_joint_periods(const Instance& instance,
   }
 
   const gp::GpProblem constraints = build_constraint_problem(instance, shapes);
-  const auto accept = [&](const std::vector<double>& x) {
-    std::vector<util::Millis> periods(x.size());
-    for (std::size_t s = 0; s < x.size(); ++s) {
-      periods[s] = std::clamp(x[s], sec[s].period_des, sec[s].period_max);
-    }
-    // Only adopt points that re-validate against the exact constraints.
-    for (std::size_t s = 0; s < sec.size(); ++s) {
-      if (constraint_value(instance, shapes[s], s, periods) > 1.0 + kAcceptTolerance) return;
-    }
-    const double value = tightness_sum(instance, periods);
-    if (value > result.cumulative_tightness) {
-      result.periods = std::move(periods);
-      result.cumulative_tightness = value;
-    }
-  };
+  std::vector<std::vector<double>> starts{interior};
+  if (const auto seq = sequential_periods(instance, rt_partition, core_of)) {
+    starts.push_back(*seq);
+  }
+  // A sum-surrogate solution is a cheap, usually-excellent warm start.
+  {
+    gp::GpProblem problem = constraints;
+    problem.set_objective(sum_surrogate_objective(instance, problem));
+    const gp::SolveResult sr = gp::solve_with_backend(problem, interior);
+    if (sr.ok()) starts.push_back(sr.x);
+  }
+  const gp::Posynomial objective = tightness_posynomial(instance, constraints);
+  const gp::ScpResult scp = gp::maximize_posynomial_scp(constraints, objective, starts);
+  if (!scp.feasible) return result;
 
-  switch (options.objective) {
-    case JointObjective::kSumSurrogate: {
-      gp::GpProblem problem = constraints;
-      problem.set_objective(sum_surrogate_objective(instance, problem));
-      const gp::SolveResult sr = gp::solve_with_backend(problem, interior);
-      if (sr.ok()) accept(sr.x);
-      break;
+  std::vector<util::Millis> periods(scp.x.size());
+  for (std::size_t s = 0; s < scp.x.size(); ++s) {
+    periods[s] = std::clamp(scp.x[s], sec[s].period_des, sec[s].period_max);
+  }
+  // Only adopt points that re-validate against the exact constraints.
+  for (std::size_t s = 0; s < sec.size(); ++s) {
+    if (constraint_value(instance, shapes[s], s, periods) > 1.0 + kAcceptTolerance) {
+      return result;
     }
-    case JointObjective::kLogUtility: {
-      gp::GpProblem problem = constraints;
-      gp::Monomial product = problem.monomial(1.0);
-      for (std::size_t s = 0; s < sec.size(); ++s) product.with(s, sec[s].weight);
-      problem.set_objective(gp::Posynomial(product));
-      const gp::SolveResult sr = gp::solve_with_backend(problem, interior);
-      if (sr.ok()) accept(sr.x);
-      break;
-    }
-    case JointObjective::kSignomialScp: {
-      std::vector<std::vector<double>> starts{interior};
-      if (const auto seq = sequential_periods(instance, rt_partition, core_of)) {
-        starts.push_back(*seq);
-      }
-      // A SumSurrogate solution is a cheap, usually-excellent warm start.
-      {
-        gp::GpProblem problem = constraints;
-        problem.set_objective(sum_surrogate_objective(instance, problem));
-        const gp::SolveResult sr = gp::solve_with_backend(problem, interior);
-        if (sr.ok()) starts.push_back(sr.x);
-      }
-      const gp::Posynomial objective = tightness_posynomial(instance, constraints);
-      const gp::ScpResult scp = gp::maximize_posynomial_scp(constraints, objective, starts);
-      if (scp.feasible) accept(scp.x);
-      break;
-    }
+  }
+  const double value = tightness_sum(instance, periods);
+  if (value > result.cumulative_tightness) {
+    result.periods = std::move(periods);
+    result.cumulative_tightness = value;
   }
   return result;
 }

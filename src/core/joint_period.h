@@ -12,17 +12,12 @@
 // task to its higher-priority neighbours.
 //
 // The paper's literal objective (maximize Σ ωs·Tdes_s/Ts) is signomial, not
-// GP (docs/architecture.md, "Substitutions and modelling choices", S5), so
-// three documented objectives are offered:
-//
-//   kSumSurrogate — minimize Σ (ωs/Tdes_s)·Ts (posynomial ⇒ rigorous GP)
-//   kLogUtility   — maximize Σ ωs·log ηs  ⇔  minimize Π Ts^{ωs}
-//                   (monomial objective ⇒ rigorous GP)
-//   kSignomialScp — the literal objective via iterated monomial condensation
-//                   (gp::maximize_posynomial_scp), multi-start
-//
-// All three return periods that are feasible for Eq. (4) + (6); they differ
-// only in which feasible point they prefer.
+// GP (docs/architecture.md, "Substitutions and modelling choices", S5).  It
+// is solved as posed, by iterated monomial condensation
+// (gp::maximize_posynomial_scp), multi-start; one start is the solution of
+// the rigorous sum-surrogate GP, minimize Σ (ωs/Tdes_s)·Ts, which
+// make_joint_period_gp below builds on its own.  test_joint_period checks
+// that SCP never trails that surrogate or the log-utility GP.
 #pragma once
 
 #include <cstddef>
@@ -34,16 +29,6 @@
 #include "rt/partition.h"
 
 namespace hydra::core {
-
-enum class JointObjective {
-  kSumSurrogate,
-  kLogUtility,
-  kSignomialScp,
-};
-
-struct JointPeriodOptions {
-  JointObjective objective = JointObjective::kSignomialScp;
-};
 
 struct JointPeriodResult {
   bool feasible = false;
@@ -58,27 +43,27 @@ struct JointPeriodResult {
 /// satisfies every constraint.
 JointPeriodResult optimize_joint_periods(const Instance& instance,
                                          const rt::Partition& rt_partition,
-                                         const std::vector<std::size_t>& core_of,
-                                         const JointPeriodOptions& options = {});
+                                         const std::vector<std::size_t>& core_of);
 
 /// A sound upper bound on optimize_joint_periods(...).cumulative_tightness
-/// for the same assignment under every JointObjective, computed without a
-/// solve.  nullopt exactly when optimize_joint_periods reports the
-/// assignment infeasible (the same Tmax-corner check, bit for bit).  Each
-/// task contributes ωs·max(Tdes_s/Tmax_s, min(1, Tdes_s·slack_s/K_s)), where
-/// K_s = Cs + local RT and hp WCETs, and slack_s is the Eq. (6)
-/// constraint's acceptance slack left after the local RT utilization and
-/// every local hp task at its Tmax.  The sum is inflated by a relative 1e-9.
+/// for the same assignment, computed without a solve.  nullopt exactly when
+/// optimize_joint_periods reports the assignment infeasible (the same
+/// Tmax-corner check, bit for bit).  Each task contributes
+/// ωs·max(Tdes_s/Tmax_s, min(1, Tdes_s·slack_s/K_s)), where K_s = Cs + local
+/// RT and hp WCETs, and slack_s is the Eq. (6) constraint's acceptance slack
+/// left after the local RT utilization and every local hp task at its Tmax.
+/// The sum is inflated by a relative 1e-9.
 std::optional<double> joint_tightness_bound(const Instance& instance,
                                             const rt::Partition& rt_partition,
                                             const std::vector<std::size_t>& core_of);
 
 /// The joint-period GP for the fixed assignment as a standalone problem:
 /// period bounds + per-task schedulability posynomials, with the rigorous
-/// sum-surrogate objective Σ (ωs/Tdes_s)·Ts.  This is exactly the inner
-/// convex program optimize_joint_periods builds; exposed so the differential
-/// solver tests can cross-check every registered backend on the real GP
-/// instances the corpus workloads induce.
+/// sum-surrogate objective Σ (ωs/Tdes_s)·Ts.  This is exactly the convex
+/// program whose solution warm-starts optimize_joint_periods' SCP; exposed so
+/// the differential solver tests can cross-check every registered backend on
+/// the real GP instances the corpus workloads induce, and so
+/// test_joint_period can compare SCP against the GP surrogates.
 gp::GpProblem make_joint_period_gp(const Instance& instance, const rt::Partition& rt_partition,
                                    const std::vector<std::size_t>& core_of);
 

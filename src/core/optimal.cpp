@@ -2,11 +2,20 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <limits>
 
+#include "core/joint_period.h"
 #include "util/contracts.h"
 
 namespace hydra::core {
+
+namespace {
+
+/// Hard cap on the M^NS assignments one allocate() enumerates.
+constexpr std::size_t kMaxAssignments = 1u << 20;
+
+}  // namespace
 
 Allocation OptimalAllocator::allocate(const Instance& instance,
                                       const rt::Partition& rt_partition) const {
@@ -18,8 +27,8 @@ Allocation OptimalAllocator::allocate(const Instance& instance,
   // Guard the M^NS blow-up before enumerating.
   double combos = 1.0;
   for (std::size_t s = 0; s < ns; ++s) combos *= static_cast<double>(m);
-  HYDRA_REQUIRE(combos <= static_cast<double>(options_.max_assignments),
-                "M^NS exceeds OptimalOptions::max_assignments");
+  HYDRA_REQUIRE(combos <= static_cast<double>(kMaxAssignments),
+                "M^NS exceeds the 2^20 assignments the exhaustive search allows");
 
   Allocation best;
   best.rt_partition = rt_partition;
@@ -63,8 +72,7 @@ Allocation OptimalAllocator::allocate(const Instance& instance,
     if (candidate.bound < best_value) break;  // later bounds are no higher
     if (candidate.bound == best_value && candidate.code > best_code) continue;
     decode(candidate.code);
-    JointPeriodResult joint =
-        optimize_joint_periods(instance, rt_partition, core_of, options_.joint);
+    JointPeriodResult joint = optimize_joint_periods(instance, rt_partition, core_of);
     if (!joint.feasible) continue;
     if (joint.cumulative_tightness > best_value ||
         (joint.cumulative_tightness == best_value && candidate.code < best_code)) {
@@ -94,14 +102,7 @@ double OptimalAllocator::search_space(const Instance& instance) const {
 }
 
 std::string OptimalAllocator::describe() const {
-  std::string objective;
-  switch (options_.joint.objective) {
-    case JointObjective::kSumSurrogate: objective = "sum-surrogate GP"; break;
-    case JointObjective::kLogUtility: objective = "log-utility GP"; break;
-    case JointObjective::kSignomialScp: objective = "signomial SCP"; break;
-  }
-  return "exhaustive M^NS assignment search with joint period optimization (" +
-         objective + ")";
+  return "exhaustive M^NS assignment search with joint period optimization (signomial SCP)";
 }
 
 }  // namespace hydra::core

@@ -10,30 +10,22 @@
 // ties), provided each joint solve is a pure function of its assignment.
 #pragma once
 
-#include <cstddef>
 #include <string>
 
 #include "core/allocator.h"
 #include "core/instance.h"
-#include "core/joint_period.h"
 #include "rt/partition.h"
 
 namespace hydra::core {
 
-struct OptimalOptions {
-  JointPeriodOptions joint;  ///< per-assignment period optimization
-  /// Hard cap on M^NS enumerations; exceeding it throws std::invalid_argument
-  /// so a misconfigured sweep fails fast instead of running for hours.
-  std::size_t max_assignments = 1u << 20;
-};
-
 class OptimalAllocator : public Allocator {
  public:
-  explicit OptimalAllocator(OptimalOptions options = {})
-      : Allocator("optimal"), options_(options) {}
+  OptimalAllocator() : Allocator("optimal") {}
 
   /// Exhaustive search against an externally supplied RT partition (same
-  /// contract as HydraAllocator::allocate).
+  /// contract as HydraAllocator::allocate).  Throws std::invalid_argument
+  /// when M^NS exceeds 2^20 assignments, so a misconfigured caller fails
+  /// fast instead of running for hours.
   using Allocator::allocate;
   Allocation allocate(const Instance& instance,
                       const rt::Partition& rt_partition) const override;
@@ -41,11 +33,6 @@ class OptimalAllocator : public Allocator {
   std::string describe() const override;
   /// M^NS: the number of assignments the exhaustive search enumerates.
   double search_space(const Instance& instance) const override;
-
-  const OptimalOptions& options() const { return options_; }
-
- private:
-  OptimalOptions options_;
 };
 
 }  // namespace hydra::core

@@ -40,10 +40,7 @@ Allocation PeriodAdaptAllocator::allocate(const Instance& instance,
     for (std::size_t s = 0; s < instance.security_tasks.size(); ++s) {
       core_of[s] = result.placements[s].core;
     }
-    JointPeriodOptions jopts;
-    jopts.objective = JointObjective::kSignomialScp;
-    const JointPeriodResult joint =
-        optimize_joint_periods(instance, rt_partition, core_of, jopts);
+    const JointPeriodResult joint = optimize_joint_periods(instance, rt_partition, core_of);
     if (joint.feasible &&
         joint.cumulative_tightness > result.cumulative_tightness(instance.security_tasks)) {
       for (std::size_t s = 0; s < instance.security_tasks.size(); ++s) {

@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <ostream>
-
-#include "util/contracts.h"
 
 namespace hydra::exp {
 
@@ -31,8 +30,10 @@ struct Aggregator::CellAccum {
 
 namespace {
 
-CellDistribution distribution(std::vector<double> samples,
-                              const std::vector<double>& levels) {
+/// Percentile levels computed for the tightness and metric distributions.
+constexpr double kPercentiles[] = {0.5, 0.95};
+
+CellDistribution distribution(std::vector<double> samples) {
   CellDistribution dist;
   dist.count = samples.size();
   if (samples.empty()) return dist;
@@ -45,8 +46,8 @@ CellDistribution distribution(std::vector<double> samples,
   dist.ci95_lo = ci.lo;
   dist.ci95_hi = ci.hi;
   std::sort(samples.begin(), samples.end());
-  dist.percentiles.reserve(levels.size());
-  for (const double p : levels) {
+  dist.percentiles.reserve(std::size(kPercentiles));
+  for (const double p : kPercentiles) {
     dist.percentiles.push_back(stats::percentile_sorted(samples, p));
   }
   return dist;
@@ -55,13 +56,12 @@ CellDistribution distribution(std::vector<double> samples,
 /// Percentile key suffix: 0.5 → "p50", 0.999 → "p99.9".
 std::string percentile_key(double level) { return "p" + format_double(level * 100.0); }
 
-void write_distribution(std::ostream& os, const CellDistribution& dist,
-                        const std::vector<double>& levels) {
+void write_distribution(std::ostream& os, const CellDistribution& dist) {
   os << "{\"count\":" << dist.count;
   if (dist.count == 0) {
     os << ",\"mean\":null,\"stddev\":null,\"ci95_lo\":null,\"ci95_hi\":null"
           ",\"min\":null,\"max\":null";
-    for (const double level : levels) os << ",\"" << percentile_key(level) << "\":null";
+    for (const double level : kPercentiles) os << ",\"" << percentile_key(level) << "\":null";
   } else {
     os << ",\"mean\":" << json_number(dist.mean)
        << ",\"stddev\":" << json_number(dist.stddev)
@@ -69,8 +69,8 @@ void write_distribution(std::ostream& os, const CellDistribution& dist,
        << ",\"ci95_hi\":" << json_number(dist.ci95_hi)
        << ",\"min\":" << json_number(dist.min)
        << ",\"max\":" << json_number(dist.max);
-    for (std::size_t i = 0; i < levels.size(); ++i) {
-      os << ",\"" << percentile_key(levels[i])
+    for (std::size_t i = 0; i < std::size(kPercentiles); ++i) {
+      os << ",\"" << percentile_key(kPercentiles[i])
          << "\":" << json_number(dist.percentiles[i]);
     }
   }
@@ -81,12 +81,7 @@ void write_distribution(std::ostream& os, const CellDistribution& dist,
 
 Aggregator::~Aggregator() = default;
 
-Aggregator::Aggregator(AggregateOptions options) : options_(std::move(options)) {
-  for (const double level : options_.percentiles) {
-    HYDRA_REQUIRE(level >= 0.0 && level <= 1.0,
-                  "aggregator percentile levels must be in [0, 1]");
-  }
-}
+Aggregator::Aggregator(AggregateOptions options) : options_(std::move(options)) {}
 
 Aggregator::CellAccum& Aggregator::accum_for(const BatchRow& row) {
   const auto key = std::make_pair(row.point_index, row.scheme);
@@ -154,9 +149,9 @@ CellStats Aggregator::finalize(const CellAccum& accum) const {
     cell.acceptance_ci95_lo = std::max(0.0, p - half);
     cell.acceptance_ci95_hi = std::min(1.0, p + half);
   }
-  cell.tightness = distribution(accum.normalized_tightness, options_.percentiles);
+  cell.tightness = distribution(accum.normalized_tightness);
   for (const auto& [name, samples] : accum.metric_samples) {
-    cell.metrics.emplace(name, distribution(samples, options_.percentiles));
+    cell.metrics.emplace(name, distribution(samples));
   }
 
   if (!options_.reference_scheme.empty() && accum.scheme != options_.reference_scheme) {
@@ -223,7 +218,7 @@ void Aggregator::write_jsonl(std::ostream& os) const {
        << ",\"acceptance_ci95_lo\":" << json_number(cell.acceptance_ci95_lo)
        << ",\"acceptance_ci95_hi\":" << json_number(cell.acceptance_ci95_hi)
        << ",\"tightness\":";
-    write_distribution(os, cell.tightness, options_.percentiles);
+    write_distribution(os, cell.tightness);
     if (cell.gap_samples > 0) {
       os << ",\"gap_samples\":" << cell.gap_samples
          << ",\"gap_mean_percent\":" << json_number(cell.gap_mean_percent)
@@ -237,7 +232,7 @@ void Aggregator::write_jsonl(std::ostream& os) const {
       for (const auto& [name, dist] : cell.metrics) {
         if (!first) os << ',';
         os << '"' << json_escape(name) << "\":";
-        write_distribution(os, dist, options_.percentiles);
+        write_distribution(os, dist);
         first = false;
       }
       os << '}';

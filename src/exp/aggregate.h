@@ -30,15 +30,12 @@ struct AggregateOptions {
   /// Scheme whose accepted results serve as the per-instance reference for
   /// the gap statistics (Fig. 3's exhaustive optimal).  "" disables gaps.
   std::string reference_scheme;
-  /// Percentile levels computed for the tightness and metric distributions.
-  std::vector<double> percentiles = {0.5, 0.95};
 };
 
 /// Distribution summary of one quantity inside one cell: stats::summary
 /// moments, the stats::mean_ci95 normal-approximation confidence interval of
-/// the mean, and the requested percentile levels (parallel to
-/// AggregateOptions::percentiles).  `count == 0` means no samples — emitted
-/// as JSON nulls, never fake zeros.
+/// the mean, and the 50th and 95th percentiles (written as "p50" and "p95").
+/// `count == 0` means no samples — emitted as JSON nulls, never fake zeros.
 struct CellDistribution {
   std::size_t count = 0;
   double mean = 0.0;

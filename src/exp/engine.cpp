@@ -15,7 +15,6 @@ using SchemeSet = std::vector<std::unique_ptr<core::Allocator>>;
 std::vector<BatchRow> evaluate_item(const BatchSpec& spec, const BatchItem& item,
                                     const core::Instance* preloaded,
                                     const SchemeSet& schemes,
-                                    std::size_t optimal_budget,
                                     const std::vector<RowMetric>& metrics) {
   std::vector<BatchRow> rows;
   rows.reserve(schemes.size());
@@ -48,10 +47,10 @@ std::vector<BatchRow> evaluate_item(const BatchSpec& spec, const BatchItem& item
   for (const auto& scheme : schemes) {
     BatchRow row = base;
     row.scheme = scheme->name();
-    if (core::over_search_budget(*scheme, *instance, optimal_budget)) {
+    if (core::over_search_budget(*scheme, *instance, core::kDefaultOptimalBudget)) {
       row.status = "skipped";
       row.note = "search space exceeds the engine budget of " +
-                 std::to_string(optimal_budget);
+                 std::to_string(core::kDefaultOptimalBudget);
       rows.push_back(std::move(row));
       continue;
     }
@@ -91,10 +90,9 @@ std::vector<BatchRow> evaluate_item(const BatchSpec& spec, const BatchItem& item
 std::vector<BatchRow> evaluate_batch_item(const BatchSpec& spec, const BatchItem& item,
                                           const core::Instance* preloaded,
                                           const SchemeSet& schemes,
-                                          std::size_t optimal_budget,
                                           const std::vector<RowMetric>& metrics) {
   try {
-    return evaluate_item(spec, item, preloaded, schemes, optimal_budget, metrics);
+    return evaluate_item(spec, item, preloaded, schemes, metrics);
   } catch (const std::exception& e) {
     std::vector<BatchRow> rows;
     rows.reserve(schemes.size());

@@ -43,14 +43,14 @@ struct RowMetric {
 };
 
 /// Evaluates every scheme on one batch item, in scheme order.  Schemes whose
-/// Allocator::search_space(instance) exceeds `optimal_budget` get a "skipped"
-/// row (0 skips every exhaustive scheme; polynomial schemes, search_space 1,
-/// always run).  `preloaded` (optional) bypasses materialization for instance-backed items.
+/// Allocator::search_space(instance) exceeds core::kDefaultOptimalBudget get
+/// a "skipped" row (polynomial schemes, search_space 1, always run).
+/// `preloaded` (optional) bypasses materialization for instance-backed items.
 /// Never throws — any failure becomes one "error" row per scheme, which is
 /// what keeps an escaped exception from terminating a worker thread.
 std::vector<BatchRow> evaluate_batch_item(
     const BatchSpec& spec, const BatchItem& item, const core::Instance* preloaded,
     const std::vector<std::unique_ptr<core::Allocator>>& schemes,
-    std::size_t optimal_budget, const std::vector<RowMetric>& metrics = {});
+    const std::vector<RowMetric>& metrics = {});
 
 }  // namespace hydra::exp

@@ -31,23 +31,24 @@ std::string controller_identity(const sim::ModeControllerConfig& config) {
 
 enum class PeriodMode { kBest, kMin, kAdapted };
 
-PeriodMode mode_of(const core::TaskPlacement& placement, const rt::SecurityTask& task,
-                   double rel_tol) {
-  if (util::approx_equal(placement.period, task.period_des, rel_tol, rel_tol)) {
+/// The tolerance (relative and absolute) of a period ON a mode boundary.
+constexpr double kModeTolerance = 1e-9;
+
+PeriodMode mode_of(const core::TaskPlacement& placement, const rt::SecurityTask& task) {
+  if (util::approx_equal(placement.period, task.period_des, kModeTolerance, kModeTolerance)) {
     return PeriodMode::kBest;
   }
-  if (util::approx_equal(placement.period, task.period_max, rel_tol, rel_tol)) {
+  if (util::approx_equal(placement.period, task.period_max, kModeTolerance, kModeTolerance)) {
     return PeriodMode::kMin;
   }
   return PeriodMode::kAdapted;
 }
 
 double count_mode(const core::Instance& instance, const core::DesignPoint& point,
-                  PeriodMode mode, double rel_tol) {
+                  PeriodMode mode) {
   std::size_t count = 0;
   for (std::size_t s = 0; s < instance.security_tasks.size(); ++s) {
-    if (mode_of(point.allocation.placements[s], instance.security_tasks[s], rel_tol) ==
-        mode) {
+    if (mode_of(point.allocation.placements[s], instance.security_tasks[s]) == mode) {
       ++count;
     }
   }
@@ -331,22 +332,24 @@ RowMetric global_detection_metric(const sim::DetectionConfig& config, std::strin
       detection_metric_identity(config)};
 }
 
-std::vector<RowMetric> period_mode_metrics(double rel_tol) {
-  const std::string identity = "tol(" + format_double(rel_tol) + ")";
+std::vector<RowMetric> period_mode_metrics() {
+  // Constant, but still in the identity: existing checkpoints' fingerprints
+  // include it.
+  const std::string identity = "tol(" + format_double(kModeTolerance) + ")";
   return {
       RowMetric{"best_mode_tasks",
-                [rel_tol](const core::Instance& instance, const core::DesignPoint& point) {
-                  return count_mode(instance, point, PeriodMode::kBest, rel_tol);
+                [](const core::Instance& instance, const core::DesignPoint& point) {
+                  return count_mode(instance, point, PeriodMode::kBest);
                 },
                 identity},
       RowMetric{"min_mode_tasks",
-                [rel_tol](const core::Instance& instance, const core::DesignPoint& point) {
-                  return count_mode(instance, point, PeriodMode::kMin, rel_tol);
+                [](const core::Instance& instance, const core::DesignPoint& point) {
+                  return count_mode(instance, point, PeriodMode::kMin);
                 },
                 identity},
       RowMetric{"adapted_tasks",
-                [rel_tol](const core::Instance& instance, const core::DesignPoint& point) {
-                  return count_mode(instance, point, PeriodMode::kAdapted, rel_tol);
+                [](const core::Instance& instance, const core::DesignPoint& point) {
+                  return count_mode(instance, point, PeriodMode::kAdapted);
                 },
                 identity},
   };

@@ -22,10 +22,10 @@ namespace hydra::exp {
 ///   * "min_mode_tasks"  — monitors left at the loosest period (Ts ≈ Tmax),
 ///   * "adapted_tasks"   — monitors strictly between the two modes.
 ///
-/// The three counts always sum to NS.  `rel_tol` is the relative tolerance
-/// deciding when a period sits ON a mode boundary (solver output is exact for
-/// the closed form; the GP route lands within solver tolerance).
-std::vector<RowMetric> period_mode_metrics(double rel_tol = 1e-9);
+/// The three counts always sum to NS.  A period sits ON a mode boundary
+/// within a relative (and absolute) tolerance of 1e-9: solver output is exact
+/// for the closed form; the GP route lands within solver tolerance.
+std::vector<RowMetric> period_mode_metrics();
 
 /// Configuration of the runtime-adaptation metric family below.  The
 /// detection seed/horizon/trials come from `detection`; the controller knobs

@@ -126,7 +126,8 @@ std::string sweep_fingerprint(const SweepSpec& spec) {
   for (const auto& scheme : spec.schemes) put("s=" + scheme);
   put("seed=" + std::to_string(spec.base_seed));
   put("attempts=" + std::to_string(spec.max_attempts));
-  put("budget=" + std::to_string(spec.optimal_budget));
+  // Constant, but still hashed: existing checkpoints' fingerprints include it.
+  put("budget=" + std::to_string(core::kDefaultOptimalBudget));
   // The resolved backend name, so "" and an explicit "scp/barrier" agree —
   // they run the same arithmetic — while any other backend disagrees loudly.
   // Resolved against the registry DEFAULT, never the thread-local scope: the
@@ -596,8 +597,7 @@ SweepSummary Sweep::run(const std::vector<ResultSink*>& sinks) const {
     // on a worker thread can never leak into row bytes.
     const gp::GpBackendScope backend_scope(spec_.gp_backend);
     auto rows = evaluate_batch_item(unit.preloaded ? kEmptySpec : grid.point_specs[unit.point],
-                                    unit.item, unit.preloaded, schemes,
-                                    spec_.optimal_budget, spec_.metrics);
+                                    unit.item, unit.preloaded, schemes, spec_.metrics);
     stamp_rows(rows, unit, spec_.points[unit.point].label);
     return rows;
   };

@@ -57,8 +57,6 @@ struct SweepSpec {
   std::uint64_t base_seed = 1;    ///< sweep-level seed
   int max_attempts = 64;          ///< Eq. (1) redraw budget per instance
   std::size_t jobs = 1;           ///< worker threads; 0 = hardware concurrency
-  /// Per-scheme search-space skip budget (core::over_search_budget).
-  std::size_t optimal_budget = core::kDefaultOptimalBudget;
   std::vector<RowMetric> metrics;     ///< extra per-row metric hooks
   /// JSONL checkpoint of a previous invocation of this spec; completed cells
   /// are spliced in instead of re-evaluated.  "" (or a missing or empty
@@ -128,7 +126,8 @@ inline constexpr const char* kRowSemanticsVersion = "hydra-sweep-v1";
 /// Stable fingerprint of everything that determines a cell's row bytes:
 /// kRowSemanticsVersion, schemes (in order), every point's label and source
 /// (preset instances down to their task parameters, workload files down to
-/// their content), base_seed, max_attempts, optimal_budget, the metric
+/// their content), base_seed, max_attempts, the search-space budget
+/// (core::kDefaultOptimalBudget, written as "budget=4096"), the metric
 /// names + identities (RowMetric::identity), and the resolved GP backend.
 /// Execution plumbing (jobs, resume, shard position) is excluded, and so is
 /// the replication count: seeds are positional, so a cell's rows do not

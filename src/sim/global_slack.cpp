@@ -46,11 +46,9 @@ void validate_inputs(const std::vector<GlobalSimTask>& tasks, const GlobalSimOpt
 Trace simulate_global_band(const std::vector<GlobalSimTask>& tasks,
                            const GlobalSimOptions& options, RtSlackProfileCache& profiles) {
   validate_inputs(tasks, options);
-  GlobalSimOptions effective = options;  // with the auto grace resolved
-  if (effective.grace == 0) {
-    for (const auto& gt : tasks) effective.grace = std::max(effective.grace, gt.task.deadline);
-  }
-  const util::SimTime hard_stop = effective.horizon + effective.grace;
+  util::SimTime grace = 0;
+  for (const auto& gt : tasks) grace = std::max(grace, gt.task.deadline);
+  const util::SimTime hard_stop = options.horizon + grace;
 
   std::vector<SimTask> rt_tasks;
   std::vector<std::size_t> band;
@@ -61,12 +59,10 @@ Trace simulate_global_band(const std::vector<GlobalSimTask>& tasks,
     if (tasks[i].global_band) {
       band.push_back(i);
     } else {
-      HYDRA_REQUIRE(effective.grace >= t.deadline,
-                    "band run needs a grace of at least every RT deadline");
       rt_tasks.push_back(t);
     }
   }
-  const RtSlackProfile& rt = profiles.get(rt_tasks, effective.horizon);
+  const RtSlackProfile& rt = profiles.get(rt_tasks, options.horizon);
 
   Trace trace;
   trace.horizon = options.horizon;
@@ -77,9 +73,9 @@ Trace simulate_global_band(const std::vector<GlobalSimTask>& tasks,
   std::vector<util::SimTime> next_release(tasks.size(), kNever);
   for (const std::size_t i : band) {
     const SimTask& t = tasks[i].task;
-    if (t.release_offset < effective.horizon) {
+    if (t.release_offset < options.horizon) {
       next_release[i] = t.release_offset;
-      trace.jobs[i].reserve(releases_before(effective.horizon, t.release_offset, t.period));
+      trace.jobs[i].reserve(releases_before(options.horizon, t.release_offset, t.period));
     }
   }
   const auto earliest_release = [&]() {
@@ -119,7 +115,7 @@ Trace simulate_global_band(const std::vector<GlobalSimTask>& tasks,
             [&](const LiveJob& a, const LiveJob& b) { return job_key(a) < job_key(b); });
         ready.insert(at, job);
         const util::SimTime nxt = next_release[i] + tasks[i].task.period;
-        next_release[i] = (nxt < effective.horizon) ? nxt : kNever;
+        next_release[i] = (nxt < options.horizon) ? nxt : kNever;
       }
     }
     const util::SimTime release_at = earliest_release();

@@ -31,9 +31,10 @@ struct GlobalSimTask {
   bool global_band = false;  ///< true: security job, may run on any core
 };
 
+/// Jobs still unfinished at horizon + the largest task deadline are cut off
+/// (incomplete, counted as deadline misses).
 struct GlobalSimOptions {
   util::SimTime horizon = 0;
-  util::SimTime grace = 0;  ///< 0 = auto (largest deadline)
   std::size_t num_cores = 0;
 };
 
@@ -54,8 +55,7 @@ class RtSlackProfileCache;
 /// least one core, every task passing check_task, RT tasks on existing
 /// cores with priorities distinct per core, and band priorities distinct
 /// among themselves.  Asks `profiles` for the profile only after that, then
-/// additionally requires WCET-exact tasks and a grace of at least every RT
-/// deadline.  grace = 0 resolves to the largest deadline.
+/// additionally requires WCET-exact tasks.
 Trace simulate_global_band(const std::vector<GlobalSimTask>& tasks,
                            const GlobalSimOptions& options, RtSlackProfileCache& profiles);
 

@@ -132,14 +132,14 @@ class CoreController {
   }
 
   /// Detection delivery at job completion: the completed job is the first
-  /// fresh scan for every not-yet-delivered attack that precedes its release
+  /// fresh scan for every not-yet-delivered attack at or before its release
   /// (sim/attack.h semantics).  No RNG is touched, so policies that ignore
   /// detections keep a byte-identical trace.
   void deliver_detections(std::size_t ti, util::SimTime release, util::SimTime completion) {
     TaskMode& m = mode_[ti];
     if (!m.switchable) return;
     while (m.next_attack < options_.attack_times.size() &&
-           options_.attack_times[m.next_attack] < release) {
+           options_.attack_times[m.next_attack] <= release) {
       policy_->on_detection(ti, completion);
       ++stats_.detections[ti];
       ++m.next_attack;
@@ -346,9 +346,10 @@ void simulate_core(const std::vector<ModeTask>& tasks,
 /// monitors' own, kept in a BusyWindow on the idle axis.
 void simulate_band_core(const std::vector<ModeTask>& tasks,
                         const std::vector<std::size_t>& band,
-                        const ModeSwitchOptions& options, const std::string& policy_name,
-                        util::SimTime window, const RtSlackProfile& rt, Trace& trace,
-                        ModeStats& stats, std::size_t core) {
+                        const ModeSwitchOptions& options, util::SimTime hard_stop,
+                        const std::string& policy_name, util::SimTime window,
+                        const RtSlackProfile& rt, Trace& trace, ModeStats& stats,
+                        std::size_t core) {
   CoreController control(tasks, band, options, policy_name, window, stats);
   std::vector<util::SimTime> next_release(tasks.size(), kNever);
   for (const std::size_t ti : band) {
@@ -369,7 +370,7 @@ void simulate_band_core(const std::vector<ModeTask>& tasks,
     const util::SimTime idle_to = rt.idle_before(core, to);
     return (to - from) - (idle_to - idle_from) + history.busy_in(idle_from, idle_to);
   };
-  const util::SimTime stop = rt.idle_before(core, options.horizon + options.grace);
+  const util::SimTime stop = rt.idle_before(core, hard_stop);
 
   std::vector<LiveJob> ready;
   util::SimTime x = 0;  // the idle position the band has been scheduled up to
@@ -486,13 +487,11 @@ std::vector<std::size_t> members_of(const std::vector<ModeTask>& tasks, std::siz
   return members;
 }
 
-/// The completion grace: the configured one, or 0 = auto (the largest
-/// minimum-mode deadline).
-util::SimTime resolve_grace(const std::vector<ModeTask>& tasks, util::SimTime configured) {
-  util::SimTime grace = configured;
-  if (grace == 0) {
-    for (const auto& mt : tasks) grace = std::max(grace, mt.task.deadline);
-  }
+/// The completion grace of every mode-switching run (and of sim::simulate
+/// when SimOptions::grace is 0): the largest minimum-mode deadline.
+util::SimTime largest_deadline(const std::vector<ModeTask>& tasks) {
+  util::SimTime grace = 0;
+  for (const auto& mt : tasks) grace = std::max(grace, mt.task.deadline);
   return grace;
 }
 
@@ -575,7 +574,7 @@ Trace simulate(const std::vector<SimTask>& tasks, const SimOptions& options) {
   const std::vector<ModeTask> fixed = fixed_rate_tasks(tasks);
   check_tasks(fixed);
   SimOptions effective = options;
-  effective.grace = resolve_grace(fixed, options.grace);
+  if (effective.grace == 0) effective.grace = largest_deadline(fixed);
   Trace trace = empty_trace(fixed.size(), core_count(fixed), options.horizon);
   simulate_partitioned(fixed, effective, nullptr, trace);
   return trace;
@@ -585,8 +584,7 @@ ModeSwitchResult simulate_mode_switching(const std::vector<ModeTask>& tasks,
                                          const ModeSwitchOptions& options) {
   const std::string policy_name = validate_inputs(tasks, options);
   ModeSwitchResult result = empty_result(tasks.size(), core_count(tasks), options.horizon);
-  const SimOptions run{options.horizon, resolve_grace(tasks, options.grace), options.seed,
-                       options.record_segments};
+  const SimOptions run{options.horizon, largest_deadline(tasks), options.seed};
   const Controlled controlled{options, policy_name, result.stats};
   simulate_partitioned(tasks, run, &controlled, result.trace);
   return result;
@@ -600,17 +598,12 @@ ModeSwitchResult simulate_mode_band(const std::vector<ModeTask>& tasks, std::siz
   for (std::size_t core = 0; core < num_cores; ++core) {
     check_core_priorities(tasks, members_of(tasks, core), core);
   }
-  ModeSwitchOptions effective = options;
-  effective.grace = resolve_grace(tasks, options.grace);
-
   HYDRA_REQUIRE(num_rt <= tasks.size(), "more RT tasks than tasks");
   std::vector<SimTask> rt_tasks;
   rt_tasks.reserve(num_rt);
   for (std::size_t i = 0; i < num_rt; ++i) {
     const SimTask& t = tasks[i].task;
     HYDRA_REQUIRE(!tasks[i].switchable(), "RT task '" + t.name + "' cannot switch modes");
-    HYDRA_REQUIRE(effective.grace >= t.deadline,
-                  "band run needs a grace of at least every RT deadline");
     rt_tasks.push_back(t);
   }
   for (std::size_t i = num_rt; i < tasks.size(); ++i) {
@@ -623,6 +616,7 @@ ModeSwitchResult simulate_mode_band(const std::vector<ModeTask>& tasks, std::siz
     }
   }
   const RtSlackProfile& rt = profiles.get(rt_tasks, options.horizon);
+  const util::SimTime hard_stop = options.horizon + largest_deadline(tasks);
 
   ModeSwitchResult result = empty_result(tasks.size(), num_cores, options.horizon);
   result.trace.unrecorded_misses = rt.deadline_misses();
@@ -642,9 +636,9 @@ ModeSwitchResult simulate_mode_band(const std::vector<ModeTask>& tasks, std::siz
     }
     if (band.empty()) continue;
     const util::SimTime window =
-        resolve_window(tasks, members, effective.controller.slack_window);
-    simulate_band_core(tasks, band, effective, policy_name, window, rt, result.trace,
-                       result.stats, core);
+        resolve_window(tasks, members, options.controller.slack_window);
+    simulate_band_core(tasks, band, options, hard_stop, policy_name, window, rt,
+                       result.trace, result.stats, core);
   }
   return result;
 }

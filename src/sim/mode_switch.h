@@ -24,9 +24,9 @@
 //     policy, on a delivered detection event).
 //   * Injected attacks (ModeSwitchOptions::attack_times) are delivered as
 //     detection events: when a switchable monitor completes the first fresh
-//     scan released after an attack instant, the engine calls the policy's
-//     on_detection hook (a no-op for every policy except `boost`) and counts
-//     it in ModeStats::detections.  Delivery touches no RNG stream, so
+//     scan released at or after an attack instant, the engine calls the
+//     policy's on_detection hook (a no-op for every policy except `boost`)
+//     and counts it in ModeStats::detections.  Delivery touches no RNG stream, so
 //     policies that ignore detections produce byte-identical traces with or
 //     without attack_times.
 //
@@ -81,15 +81,16 @@ struct ModeTask {
   }
 };
 
+/// Jobs still unfinished at horizon + the largest minimum-mode deadline are
+/// cut off (incomplete, counted as deadline misses); no segments are recorded.
 struct ModeSwitchOptions {
   util::SimTime horizon = 0;  ///< jobs are released strictly before this time
-  util::SimTime grace = 0;    ///< 0 = auto (largest minimum-mode deadline)
   std::uint64_t seed = 0x5eed;
-  bool record_segments = false;  ///< fill Trace::segments (Gantt/CSV export)
   ModeControllerConfig controller;
   /// Attack instants to deliver as detection events, ascending.  Every
   /// switchable monitor detects an attack at the completion of its first
-  /// fresh scan released after the attack instant (sim/attack.h semantics).
+  /// fresh scan released at or after the attack instant (sim/attack.h
+  /// semantics).
   std::vector<util::SimTime> attack_times;
 };
 
@@ -165,7 +166,7 @@ class RtSlackProfileCache;
 /// simulate_mode_switching and asks `profiles` for the profile only after
 /// that, then additionally requires (std::invalid_argument): fixed-rate RT
 /// tasks; WCET-exact tasks; monitors ranked below every RT task of their
-/// core; a grace of at least every RT deadline.
+/// core.
 ModeSwitchResult simulate_mode_band(const std::vector<ModeTask>& tasks, std::size_t num_rt,
                                     const ModeSwitchOptions& options,
                                     RtSlackProfileCache& profiles);

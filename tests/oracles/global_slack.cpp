@@ -31,10 +31,8 @@ struct LiveJob {
 
 GlobalSlackTrace simulate_global_slack(const std::vector<GlobalSimTask>& tasks,
                                        const sim::GlobalSimOptions& options) {
-  util::SimTime grace = options.grace;
-  if (grace == 0) {
-    for (const auto& gt : tasks) grace = std::max(grace, gt.task.deadline);
-  }
+  util::SimTime grace = 0;
+  for (const auto& gt : tasks) grace = std::max(grace, gt.task.deadline);
   const util::SimTime hard_stop = options.horizon + grace;
 
   GlobalSlackTrace trace;

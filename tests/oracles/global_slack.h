@@ -27,7 +27,7 @@ struct GlobalSlackTrace : sim::Trace {
 /// Runs the global-slack schedule and records every job.  Inputs are not
 /// re-checked: pass only what sim::simulate_global_band's validation
 /// accepts (RT priorities distinct per core, band priorities distinct among
-/// themselves, cores in range).  grace = 0 resolves to the largest deadline.
+/// themselves, cores in range).  The grace is the largest deadline.
 GlobalSlackTrace simulate_global_slack(const std::vector<sim::GlobalSimTask>& tasks,
                                        const sim::GlobalSimOptions& options);
 

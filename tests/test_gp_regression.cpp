@@ -48,9 +48,7 @@ ScpRun run_scp(const std::string& workload) {
   if (!alloc.feasible) return run;
   std::vector<std::size_t> core_of(alloc.placements.size());
   for (std::size_t s = 0; s < core_of.size(); ++s) core_of[s] = alloc.placements[s].core;
-  core::JointPeriodOptions options;
-  options.objective = core::JointObjective::kSignomialScp;
-  run.result = core::optimize_joint_periods(run.instance, alloc.rt_partition, core_of, options);
+  run.result = core::optimize_joint_periods(run.instance, alloc.rt_partition, core_of);
   return run;
 }
 
@@ -202,10 +200,8 @@ TEST(GpRegression, GoldenBitPinsOnCorpusJointPeriodGps) {
       const gp::GpBackendScope scope(backend);
       const gp::SolveResult sr = gp::solve_with_backend(problem);
       ASSERT_TRUE(sr.ok()) << workload << " " << backend << ": " << sr.message;
-      core::JointPeriodOptions options;
-      options.objective = core::JointObjective::kSignomialScp;
-      const core::JointPeriodResult scp = core::optimize_joint_periods(
-          ff->instance, ff->alloc.rt_partition, ff->core_of, options);
+      const core::JointPeriodResult scp =
+          core::optimize_joint_periods(ff->instance, ff->alloc.rt_partition, ff->core_of);
       ASSERT_TRUE(scp.feasible) << workload << " " << backend;
 
       const std::string row = "  {\"" + workload + "\", \"" + backend + "\", " +

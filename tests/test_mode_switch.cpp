@@ -31,6 +31,7 @@
 #include "sim/attack.h"
 #include "sim/engine.h"
 #include "sim/mode_switch.h"
+#include "sim/slack_profile.h"
 #include "stats/summary.h"
 
 namespace core = hydra::core;
@@ -228,6 +229,34 @@ TEST(ModeController, SwitchBudgetIsAHardCap) {
   const auto run = sim::simulate_mode_switching({burst, mon}, opts);
   EXPECT_EQ(run.stats.switches[1], 1u);
   EXPECT_EQ(run.stats.total_switches(), 1u);
+}
+
+TEST(ModeController, AttackTiedWithAReleaseIsDeliveredWhenThatJobCompletes) {
+  // The monitor released exactly at the attack instant is the scan that
+  // detects it (sim/attack.h), so boost must hear of the attack when that
+  // job completes, on both engines.  An 85%-loaded core keeps the slack rule
+  // from ever tightening: the only switch is boost's.  The monitor released
+  // at 2000 runs after the RT job, completes at 2860 and boosts the release
+  // at 4000; crediting the next scan instead would boost only at 6000.
+  const auto rt = fixed_task("rt", 850, 1000, 0, 0);
+  const auto mon = monitor_task("mon", 10, 2000, 500, 0, 1);
+  sim::ModeSwitchOptions opts;
+  opts.horizon = 10000;
+  opts.controller.policy = "boost";
+  opts.attack_times = {2000};
+  sim::RtSlackProfileCache profiles;
+  const auto full = sim::simulate_mode_switching({rt, mon}, opts);
+  const auto band = sim::simulate_mode_band({rt, mon}, 1, opts, profiles);
+  for (const auto* run : {&full, &band}) {
+    const std::string engine = run == &full ? "full" : "band";
+    EXPECT_EQ(run->trace.jobs[1][1].release, 2000u) << engine;
+    EXPECT_EQ(run->trace.jobs[1][1].completion, 2860u) << engine;
+    EXPECT_EQ(run->stats.detections[1], 1u) << engine;
+    ASSERT_FALSE(run->stats.events.empty()) << engine;
+    EXPECT_EQ(run->stats.events[0].task, 1u) << engine;
+    EXPECT_EQ(run->stats.events[0].at, 4000u) << engine;
+    EXPECT_TRUE(run->stats.events[0].to_adapted) << engine;
+  }
 }
 
 TEST(ModeController, ValidatesInputs) {

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "core/hydra.h"
+#include "core/joint_period.h"
 #include "core/optimal.h"
 #include "core/validation.h"
 #include "gp/solver_registry.h"
@@ -44,8 +45,7 @@ core::Instance contended_instance(std::uint64_t seed, std::size_t ns, std::size_
 /// assignment is solved in code order and a strictly better value wins, so
 /// ties go to the lowest code.
 core::Allocation enumerate_every_assignment(const core::Instance& instance,
-                                            const rt::Partition& rt_partition,
-                                            const core::JointPeriodOptions& joint) {
+                                            const rt::Partition& rt_partition) {
   const std::size_t ns = instance.security_tasks.size();
   const std::size_t m = instance.num_cores;
   core::Allocation best;
@@ -63,7 +63,7 @@ core::Allocation enumerate_every_assignment(const core::Instance& instance,
       core_of[s] = rem % m;
       rem /= m;
     }
-    const auto r = core::optimize_joint_periods(instance, rt_partition, core_of, joint);
+    const auto r = core::optimize_joint_periods(instance, rt_partition, core_of);
     if (!r.feasible) continue;
     if (r.cumulative_tightness > best_value) {
       best_value = r.cumulative_tightness;
@@ -139,10 +139,6 @@ std::size_t count_gp_solves(Run run) {
   return g_gp_solves - before;
 }
 
-constexpr core::JointObjective kObjectives[] = {core::JointObjective::kSignomialScp,
-                                                core::JointObjective::kSumSurrogate,
-                                                core::JointObjective::kLogUtility};
-
 }  // namespace
 
 TEST(Optimal, FeasibleAndValidOnSmallInstance) {
@@ -207,9 +203,8 @@ TEST(Optimal, EnumerationGuardThrows) {
     inst.security_tasks.push_back(
         rt::make_security_task("s" + std::to_string(i), 1.0, 100.0, 1000.0));
   }
-  core::OptimalOptions opts;
-  opts.max_assignments = 1000;  // 4^12 »  1000
-  EXPECT_THROW(core::OptimalAllocator(opts).allocate(inst), std::invalid_argument);
+  // 4^12 = 16777216 assignments, past the 2^20 cap.
+  EXPECT_THROW(core::OptimalAllocator().allocate(inst), std::invalid_argument);
 }
 
 TEST(Optimal, EmptySecuritySetFeasible) {
@@ -221,8 +216,8 @@ TEST(Optimal, EmptySecuritySetFeasible) {
   EXPECT_TRUE(allocation.placements.empty());
 }
 
-// Property: on random small instances, Optimal(SignomialScp) is never beaten
-// by HYDRA and both validate independently.
+// Property: on random small instances, Optimal is never beaten by HYDRA and
+// both validate independently.
 class OptimalProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(OptimalProperty, DominanceAndValidity) {
@@ -245,7 +240,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, OptimalProperty,
 
 // The bound-pruned, best-first search must return exactly the allocation of
 // the plain enumeration: same feasibility verdict, same assignment, and the
-// same period and tightness bits, for every objective.
+// same period and tightness bits.
 TEST(OptimalDifferential, PrunedSearchMatchesFullEnumerationBitForBit) {
   std::size_t feasible = 0;
   for (const std::size_t m : {2u, 3u}) {
@@ -254,18 +249,12 @@ TEST(OptimalDifferential, PrunedSearchMatchesFullEnumerationBitForBit) {
         const auto inst = contended_instance(100 * m + 10 * ns + seed, ns, m);
         const auto part = rt::partition_rt_tasks(inst.rt_tasks, m);
         ASSERT_TRUE(part.has_value());
-        for (const auto objective : kObjectives) {
-          core::OptimalOptions opts;
-          opts.joint.objective = objective;
-          const core::OptimalAllocator optimal(opts);
-          const std::string where = "m " + std::to_string(m) + " ns " + std::to_string(ns) +
-                                    " seed " + std::to_string(seed) + " objective " +
-                                    std::to_string(static_cast<int>(objective));
-          const auto expected = enumerate_every_assignment(inst, *part, opts.joint);
-          const auto actual = optimal.allocate(inst, *part);
-          expect_identical(expected, actual, where);
-          feasible += actual.feasible ? 1 : 0;
-        }
+        const std::string where = "m " + std::to_string(m) + " ns " + std::to_string(ns) +
+                                  " seed " + std::to_string(seed);
+        const auto expected = enumerate_every_assignment(inst, *part);
+        const auto actual = core::OptimalAllocator().allocate(inst, *part);
+        expect_identical(expected, actual, where);
+        feasible += actual.feasible ? 1 : 0;
       }
     }
   }
@@ -284,7 +273,7 @@ TEST(OptimalDifferential, SaturatedInstanceMatches) {
   split.core_of = {0, 1};
   const auto actual = core::OptimalAllocator().allocate(saturated, split);
   EXPECT_FALSE(actual.feasible);
-  expect_identical(enumerate_every_assignment(saturated, split, {}), actual, "saturated");
+  expect_identical(enumerate_every_assignment(saturated, split), actual, "saturated");
 }
 
 TEST(OptimalDifferential, SymmetricCoresTieToTheLowestCode) {
@@ -303,15 +292,10 @@ TEST(OptimalDifferential, SymmetricCoresTieToTheLowestCode) {
   rt::Partition split;
   split.num_cores = 2;
   split.core_of = {0, 1};
-  for (const auto objective : kObjectives) {
-    core::OptimalOptions opts;
-    opts.joint.objective = objective;
-    const auto actual = core::OptimalAllocator(opts).allocate(inst, split);
-    ASSERT_TRUE(actual.feasible);
-    EXPECT_EQ(actual.placements.back().core, 0u);
-    expect_identical(enumerate_every_assignment(inst, split, opts.joint), actual,
-                     "objective " + std::to_string(static_cast<int>(objective)));
-  }
+  const auto actual = core::OptimalAllocator().allocate(inst, split);
+  ASSERT_TRUE(actual.feasible);
+  EXPECT_EQ(actual.placements.back().core, 0u);
+  expect_identical(enumerate_every_assignment(inst, split), actual, "symmetric cores");
 }
 
 TEST(OptimalDifferential, PrunedSearchMakesFewerGpSolvesThanFullEnumeration) {
@@ -327,8 +311,7 @@ TEST(OptimalDifferential, PrunedSearchMakesFewerGpSolvesThanFullEnumeration) {
     core::Allocation actual;
     core::Allocation expected;
     pruned += count_gp_solves([&] { actual = core::OptimalAllocator().allocate(inst, *part); });
-    full += count_gp_solves(
-        [&] { expected = enumerate_every_assignment(inst, *part, core::JointPeriodOptions{}); });
+    full += count_gp_solves([&] { expected = enumerate_every_assignment(inst, *part); });
     expect_identical(expected, actual, "seed " + std::to_string(seed));
   }
   EXPECT_GT(pruned, 0u);

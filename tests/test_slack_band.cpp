@@ -399,29 +399,29 @@ TEST(RtSlackProfile, CompletionExactlyAtTheEndOfAGap) {
 }
 
 TEST(RtSlackProfile, JobFinishingExactlyAtTheHardStop) {
-  // Horizon 100, grace 100: hard stop 200.  RT busy [0, 50) and [99, 149)
-  // leave 49 idle ticks before 149; a 100-tick monitor needs 51 more and
-  // completes exactly at 200.  One tick more and it is cut off.
-  for (const SimTime wcet : {100u, 101u}) {
+  // Horizon 100 and a largest deadline of 300: hard stop 400.  RT busy
+  // [0, 50) and [99, 249) leave 49 idle ticks before 249; a 200-tick monitor
+  // needs 151 more and completes exactly at 400, past its deadline of 300
+  // (a job that completes at the hard stop is always late).  One tick more
+  // and it is cut off.
+  for (const SimTime wcet : {200u, 201u}) {
     const std::vector<sim::SimTask> tasks = {make_task("a", 50, 100, 100, 0, 0),
-                                             make_task("b", 50, 1000, 50, 0, 1, 99),
+                                             make_task("b", 150, 1000, 150, 0, 1, 99),
                                              make_task("mon", wcet, 300, 300, 0, 2)};
     sim::SimOptions options;
     options.horizon = 100;
-    options.grace = 100;
     const sim::Trace full = sim::simulate(tasks, options);
-    auto band_options = fixed_rate_options(100);
-    band_options.grace = 100;
     sim::RtSlackProfileCache cache;
-    const auto band = sim::simulate_mode_band(fixed_rate(tasks), 2, band_options, cache);
+    const auto band =
+        sim::simulate_mode_band(fixed_rate(tasks), 2, fixed_rate_options(100), cache);
     expect_same_jobs(full, band.trace, 2, "hard stop, wcet " + std::to_string(wcet));
     const sim::JobRecord& job = band.trace.jobs[2][0];
     EXPECT_EQ(job.start, 50u);
-    EXPECT_EQ(job.completed, wcet == 100u);
-    if (wcet == 100u) {
-      EXPECT_EQ(job.completion, 200u);
+    EXPECT_EQ(job.completed, wcet == 200u);
+    if (wcet == 200u) {
+      EXPECT_EQ(job.completion, 400u);
     }
-    EXPECT_EQ(job.deadline_missed, wcet != 100u);
+    EXPECT_TRUE(job.deadline_missed);
   }
 }
 

@@ -202,25 +202,22 @@ TEST(Sweep, RowsArriveInstanceMajorThenSchemeOrder) {
 }
 
 TEST(Sweep, OverBudgetSchemesYieldSkippedRowsWithANote) {
-  // M = 2, NS >= 2 ⇒ at least 4 assignments; a budget of 1 skips the
-  // exhaustive optimal everywhere while hydra (search space 1) still runs.
-  auto spec = small_grid();
+  // The M = 8 UAV case has 8^6 = 262144 assignments, past the engine budget
+  // of 4096: the exhaustive optimal is skipped while hydra (search space 1)
+  // still runs.
+  hexp::SweepSpec spec;
   spec.schemes = {"optimal", "hydra"};
-  spec.optimal_budget = 1;
+  hexp::SweepPoint point;
+  point.instance = hydra::gen::uav_case_study(8);
+  spec.points.push_back(std::move(point));
   const auto summary = hexp::Sweep(std::move(spec)).run();
-  std::size_t skipped = 0;
-  for (const auto& row : summary.rows) {
-    if (row.status == "no-instance") continue;
-    if (row.scheme == "optimal") {
-      EXPECT_EQ(row.status, "skipped");
-      EXPECT_EQ(row.note, "search space exceeds the engine budget of 1");
-      ++skipped;
-    } else {
-      EXPECT_EQ(row.status, "ok") << row.note;
-    }
-  }
-  EXPECT_GT(skipped, 0u);
-  EXPECT_EQ(summary.skipped, skipped);
+  ASSERT_EQ(summary.rows.size(), 2u);
+  EXPECT_EQ(summary.rows[0].scheme, "optimal");
+  EXPECT_EQ(summary.rows[0].status, "skipped");
+  EXPECT_EQ(summary.rows[0].note, "search space exceeds the engine budget of 4096");
+  EXPECT_EQ(summary.rows[1].scheme, "hydra");
+  EXPECT_EQ(summary.rows[1].status, "ok") << summary.rows[1].note;
+  EXPECT_EQ(summary.skipped, 1u);
 }
 
 TEST(Sweep, ImpossibleUtilizationYieldsNoInstanceRows) {

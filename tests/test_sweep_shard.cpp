@@ -249,6 +249,25 @@ TEST(ShardSpec, FingerprintsOfFixedSpecsArePinned) {
   const auto corpus_fingerprint = hexp::sweep_fingerprint(corpus);
   std::filesystem::current_path(cwd);
   EXPECT_EQ(corpus_fingerprint, "b3a4049bb31d2fb0");
+
+  // Metric names and identities: the period-mode tolerance and a boost
+  // family with the global baseline.
+  hexp::SweepSpec metrics;
+  metrics.schemes = {"contego", "period-adapt"};
+  hydra::gen::SyntheticConfig two_cores;
+  two_cores.num_cores = 2;
+  metrics.add_utilization_grid(two_cores, {0.5, 1.0});
+  metrics.replications = 3;
+  metrics.base_seed = 2018;
+  metrics.metrics = hexp::period_mode_metrics();
+  hexp::AdaptiveMetricsConfig boost;
+  boost.controller.policy = "boost";
+  boost.name_suffix = "/boost";
+  boost.include_global = true;
+  for (auto& metric : hexp::adaptive_detection_metrics(boost)) {
+    metrics.metrics.push_back(std::move(metric));
+  }
+  EXPECT_EQ(hexp::sweep_fingerprint(metrics), "b96a6486d7cc0f5e");
 }
 
 TEST(ShardSpec, FingerprintTracksFileContentAndPresetTaskParameters) {
